@@ -41,6 +41,9 @@ let stats_cmd path =
 
 type flow = Base | Retime | Resynth
 
+(* exit status when no equivalence engine applies to the pair *)
+let cannot_decide = 4
+
 let run_cmd flow path output verify lib_path =
   let lib = load_lib lib_path in
   match load path with
@@ -75,9 +78,14 @@ let run_cmd flow path output verify lib_path =
      | Ok final ->
        print_stats ~lib "result" final;
        if verify then begin
-         let ok = Sim.Equiv.seq_equal net final in
-         Printf.printf "sequentially equivalent to input: %b\n" ok;
-         if not ok then exit 2
+         match Sim.Equiv.seq_equal net final with
+         | ok ->
+           Printf.printf "sequentially equivalent to input: %b\n" ok;
+           if not ok then exit 2
+         | exception Sim.Equiv.Too_large reason ->
+           Printf.printf "sequential equivalence to input: cannot decide (%s)\n"
+             reason;
+           exit cannot_decide
        end;
        (match output with
         | Some out when Filename.check_suffix out ".v" ->
@@ -109,14 +117,16 @@ let verify_cmd path_a path_b =
   match load path_a, load path_b with
   | Error m, _ | _, Error m -> prerr_endline m; 1
   | Ok a, Ok b ->
-    let verdict =
-      try Sim.Equiv.seq_equal a b
-      with Failure _ -> Sim.Equiv.seq_equal_random ~seed:7 a b
-    in
-    Printf.printf "%s and %s: %s\n" path_a path_b
-      (if verdict then "sequentially equivalent"
-       else "NOT equivalent");
-    if verdict then 0 else 3
+    (match Sim.Equiv.seq_equal a b with
+     | true ->
+       Printf.printf "%s and %s: sequentially equivalent\n" path_a path_b;
+       0
+     | false ->
+       Printf.printf "%s and %s: NOT equivalent\n" path_a path_b;
+       3
+     | exception Sim.Equiv.Too_large reason ->
+       Printf.printf "%s and %s: cannot decide (%s)\n" path_a path_b reason;
+       cannot_decide)
 
 (* --- table1 ----------------------------------------------------------------- *)
 
@@ -222,7 +232,16 @@ let cmds =
       (Cmd.info "verify"
          ~doc:
            "Check two BLIF circuits for sequential equivalence from their \
-            initial states")
+            initial states"
+         ~exits:
+           (Cmd.Exit.info 1 ~doc:"a circuit could not be read."
+           :: Cmd.Exit.info 3 ~doc:"the circuits are not equivalent."
+           :: Cmd.Exit.info cannot_decide
+                ~doc:
+                  "cannot decide: the pair exceeds the BDD check's latch cap \
+                   and a latch has an unknown initial value, so random \
+                   co-simulation does not apply either."
+           :: Cmd.Exit.defaults))
       verify_t;
     Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table I") table_t ]
 

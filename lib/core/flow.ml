@@ -33,71 +33,71 @@ let measure ?timer net ~lib =
 let script_delay_flow net ~lib = Synth_opt.Script.script_delay net ~lib
 
 (* Baseline B: min-delay retiming, then external don't-cares from implicit
-   state enumeration, per-node simplification, and a min-delay remap.
-
-   [ins] instruments every named pass boundary: in-place rewrites run under
-   the journal audit, net-producing passes get a static-rule checkpoint.
-   The default instrument is free of cost. *)
-let retiming_flow ?current_period ?(ins = Verify.no_instrument) net ~lib =
+   state enumeration, per-node simplification, and a min-delay remap.  Every
+   named pass is one [Verify.pass] boundary; with no [hooks] that is just
+   its trace span. *)
+let retiming_flow ?current_period ?(hooks = []) net ~lib =
   let model = Sta.mapped_delay ~default:1.0 () in
-  let pass name f = Obs.Trace.span ~cat:"retiming" name f in
   match
-    pass "retiming/min-period" (fun () ->
+    Verify.pass hooks ~cat:"retiming" "retiming/min-period"
+      (Verify.Fresh
+         (net, function Ok (retimed, _) -> Some retimed | Error _ -> None))
+      (fun () ->
         Retiming.Minperiod.retime_min_period ?current_period net ~model)
   with
   | Error failure -> Error (Retiming.Minperiod.failure_message failure)
   | Ok (retimed, _) ->
-    ins.Verify.checkpoint "retiming/min-period" [] retimed;
-    pass "retiming/unreachable-simplify" (fun () ->
-        ins.Verify.audited "retiming/unreachable-simplify" [] retimed (fun () ->
-            ignore (Dontcare.Reach.simplify_with_unreachable retimed)));
-    pass "retiming/simplify-nodes" (fun () ->
-        ins.Verify.audited "retiming/simplify-nodes" [] retimed (fun () ->
-            ignore (Synth_opt.Script.simplify_nodes retimed)));
-    pass "retiming/sweep" (fun () ->
-        ins.Verify.audited "retiming/sweep" [] retimed (fun () ->
-            N.sweep retimed));
-    let remapped =
-      pass "retiming/remap" (fun () ->
-          Techmap.Mapper.map retimed ~lib ~objective:Techmap.Mapper.Min_delay)
-    in
-    ins.Verify.checkpoint "retiming/remap" [] remapped;
-    Ok remapped
+    Verify.pass hooks ~cat:"retiming" "retiming/unreachable-simplify"
+      (Verify.In_place retimed) (fun () ->
+        ignore (Dontcare.Reach.simplify_with_unreachable retimed));
+    Verify.pass hooks ~cat:"retiming" "retiming/simplify-nodes"
+      (Verify.In_place retimed) (fun () ->
+        ignore (Synth_opt.Script.simplify_nodes retimed));
+    Verify.pass hooks ~cat:"retiming" "retiming/sweep"
+      (Verify.In_place retimed) (fun () -> N.sweep retimed);
+    Ok
+      (Verify.pass hooks ~cat:"retiming" "retiming/remap"
+         (Verify.Fresh (retimed, Option.some))
+         (fun () ->
+           Techmap.Mapper.map retimed ~lib ~objective:Techmap.Mapper.Min_delay))
 
-let resynthesis_flow ?(options = Resynth.default_options)
-    ?(ins = Verify.no_instrument) net =
-  let outcome = Resynth.resynthesize ~options ~ins net in
+let resynthesis_flow ?(options = Resynth.default_options) ?hooks net =
+  let outcome = Resynth.resynthesize ~options ?hooks net in
   if outcome.Resynth.applied then Ok (outcome.Resynth.network, outcome)
   else Error outcome.Resynth.note
 
 let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
-    ?eqcheck_options ?(ins = Verify.no_instrument)
-    ?(lib = Techmap.Genlib.mcnc_lite)
+    ?eqcheck_options ?(hooks = []) ?(lib = Techmap.Genlib.mcnc_lite)
     ?(resynth_options = Resynth.default_options) ~name net =
   Obs.Trace.span ~cat:"flow"
     ~args:[ ("circuit", Obs.Trace.Str name) ]
     ("flow/" ^ name)
   @@ fun () ->
-  let verify_ins =
-    if verify_each then Verify.instrument ~label:name else Verify.no_instrument
-  in
   let eq_records = ref [] in
-  let eq_ins, eq_seed, eq_finish =
-    if eqcheck_each then
-      Eqcheck.instrument ?options:eqcheck_options ~label:name eq_records
-    else (Verify.no_instrument, (fun _ -> ()), fun () -> ())
+  let eq_hooks, eq_finish =
+    if eqcheck_each then begin
+      let hook, finish =
+        Eqcheck.instrument ?options:eqcheck_options ~label:name eq_records
+      in
+      ([ hook ], finish)
+    end
+    else ([], ignore)
   in
-  (* caller-supplied instrument first: the serving daemon injects its
-     cancellation / deadline check here, so a cancel takes effect at the next
-     pass boundary before any verifier work runs *)
-  let ins = Verify.compose ins (Verify.compose verify_ins eq_ins) in
-  eq_seed net;
+  (* caller hooks first: the serving daemon's cancellation / deadline check
+     takes effect at each pass boundary before any verifier work runs *)
+  let hooks =
+    hooks
+    @ (if verify_each then [ Verify.hook ~label:name ] else [])
+    @ eq_hooks
+  in
   let mapped =
-    Obs.Trace.span ~cat:"flow" "script.delay" (fun () ->
-        script_delay_flow net ~lib)
+    Verify.pass hooks ~cat:"flow" "script.delay"
+      (Verify.Fresh (net, Option.some))
+      (fun () ->
+        let mapped = script_delay_flow net ~lib in
+        N.set_name_of_model mapped name;
+        mapped)
   in
-  N.set_name_of_model mapped name;
-  ins.Verify.checkpoint "script.delay" [] mapped;
   (* one timer per network: the base measurement and the retiming flow's
      candidate filtering share this handle's analysis of [mapped] *)
   let timer = Sta.Incremental.create mapped (Sta.mapped_delay ~default:1.0 ()) in
@@ -106,8 +106,7 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
     if not verify then true
     else
       Obs.Trace.span ~cat:"verify" "verify/seq-equal" (fun () ->
-          try Sim.Equiv.seq_equal mapped result
-          with Failure _ -> Sim.Equiv.seq_equal_random ~seed:7 mapped result)
+          Sim.Equiv.seq_equal mapped result)
   in
   (* Each flow's result gets a verification lane — measurement, BDD/co-sim
      equivalence against [mapped], and the static verifier — forked as a
@@ -127,18 +126,14 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
   let failed msg =
     Parallel.fork (fun () -> ({ stats = None; note = msg; verified = true }, []))
   in
-  (* the two flows branch from [mapped]: re-seed the eqcheck reference so
-     each flow's first pass is compared against its real input *)
-  eq_seed mapped;
   let retimed_lane =
-    match retiming_flow ~current_period:base.clk ~ins mapped ~lib with
+    match retiming_flow ~current_period:base.clk ~hooks mapped ~lib with
     | Ok net' -> lane "retimed" net'
     | Error msg -> failed msg
   in
-  eq_seed mapped;
   let resynth_outcome = ref None in
   let resynth_lane =
-    match resynthesis_flow ~options:resynth_options ~ins mapped with
+    match resynthesis_flow ~options:resynth_options ~hooks mapped with
     | Ok (net', outcome) ->
       resynth_outcome := Some outcome;
       lane "resynthesized" net'

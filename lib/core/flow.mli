@@ -45,21 +45,21 @@ val script_delay_flow :
   Netlist.Network.t -> lib:Techmap.Genlib.t -> Netlist.Network.t
 
 val retiming_flow :
-  ?current_period:float -> ?ins:Verify.instrument -> Netlist.Network.t ->
+  ?current_period:float -> ?hooks:Verify.hook list -> Netlist.Network.t ->
   lib:Techmap.Genlib.t -> (Netlist.Network.t, string) result
 (** Input must already be mapped (the output of {!script_delay_flow}).
     [current_period], when known (e.g. from {!measure} with a timer), skips
-    the full analysis inside the retiming candidate filter.  [ins] runs the
-    netlist verifier at every pass boundary (default: no checking). *)
+    the full analysis inside the retiming candidate filter.  [hooks] observe
+    every pass boundary ({!Verify.pass}; default: none). *)
 
 val resynthesis_flow :
-  ?options:Resynth.options -> ?ins:Verify.instrument -> Netlist.Network.t ->
+  ?options:Resynth.options -> ?hooks:Verify.hook list -> Netlist.Network.t ->
   (Netlist.Network.t * Resynth.outcome, string) result
 (** Input must already be mapped. *)
 
 val run_all :
   ?verify:bool -> ?verify_each:bool -> ?eqcheck_each:bool ->
-  ?eqcheck_options:Eqcheck.options -> ?ins:Verify.instrument ->
+  ?eqcheck_options:Eqcheck.options -> ?hooks:Verify.hook list ->
   ?lib:Techmap.Genlib.t ->
   ?resynth_options:Resynth.options ->
   name:string -> Netlist.Network.t -> row
@@ -70,7 +70,6 @@ val run_all :
     the diagnostics.  [eqcheck_each] (default false) additionally runs the
     semantic equivalence analyzer ({!Eqcheck.check_pass}) at every pass
     boundary, collecting per-pass Proved / Refuted / Unknown verdicts in the
-    row instead of raising.  [ins] is an extra caller instrument composed
-    {e before} the built-in ones; its checkpoint fires first at every pass
-    boundary of every flow (the serving daemon uses this for cooperative
-    cancellation and deadline checks). *)
+    row instead of raising.  [hooks] are caller hooks placed {e before} the
+    built-in ones at every pass boundary of every flow (the serving daemon
+    uses this for cooperative cancellation and deadline checks). *)

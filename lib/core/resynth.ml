@@ -275,11 +275,7 @@ let m_period_ratio = Obs.Metrics.histogram "resynth.period_ratio_pct"
 let m_register_ratio = Obs.Metrics.histogram "resynth.register_ratio_pct"
 let m_area_ratio = Obs.Metrics.histogram "resynth.area_ratio_pct"
 
-(* Per-pass spans share the checkpoint names, so a trace lines up with the
-   --verify-each / --eqcheck-each reports. *)
-let pass name f = Obs.Trace.span ~cat:"resynth" name f
-
-let resynthesize_impl ~options ~ins original =
+let resynthesize_impl ~options ~hooks original =
   let model = options.model in
   let original_period = Sta.clock_period original model in
   let net = N.copy original in
@@ -292,9 +288,8 @@ let resynthesize_impl ~options ~ins original =
   | [] -> stats_zero (N.copy original) "no combinational logic" false
   | _ :: _ ->
     let _, clones =
-      pass "resynth/fanout-free" (fun () ->
-          ins.Verify.audited "resynth/fanout-free" [] net (fun () ->
-              make_path_fanout_free_clones net path))
+      Verify.pass hooks ~cat:"resynth" "resynth/fanout-free"
+        (Verify.In_place net) (fun () -> make_path_fanout_free_clones net path)
     in
     let path_ids =
       List.map (fun n -> n.N.id) path @ List.map (fun n -> n.N.id) clones
@@ -309,27 +304,28 @@ let resynthesize_impl ~options ~ins original =
     let classes = Dontcare.Classes.create () in
     let class_ids () = Dontcare.Classes.classes classes in
     let stem_splits = ref 0 in
-    pass "resynth/stem-split" (fun () ->
-        ins.Verify.audited "resynth/stem-split" [] net (fun () ->
-            List.iter
-              (fun l ->
-                let copies = Retiming.Moves.split_stem net l in
-                match copies with
-                | [] | [ _ ] -> ()
-                | _ :: _ :: _ ->
-                  incr stem_splits;
-                  Dontcare.Classes.declare_class classes copies)
-              critical_fanout_registers));
-    ins.Verify.checkpoint "resynth/stem-split" (class_ids ()) net;
+    (* the split runs with no classes in force and declares the DC_ret
+       classes: the hooks see those once the split is done *)
+    Verify.pass hooks ~cat:"resynth" ~declared:class_ids "resynth/stem-split"
+      (Verify.In_place net) (fun () ->
+        List.iter
+          (fun l ->
+            let copies = Retiming.Moves.split_stem net l in
+            match copies with
+            | [] | [ _ ] -> ()
+            | _ :: _ :: _ ->
+              incr stem_splits;
+              Dontcare.Classes.declare_class classes copies)
+          critical_fanout_registers);
     if !stem_splits = 0 then
       stats_zero (N.copy original)
         "no multiple-fanout registers feed the critical path" false
     else begin
       (* retiming engine: forward retiming across path nodes to a fixpoint *)
       let forward_moves, new_latches =
-        pass "resynth/forward-fixpoint" (fun () ->
-            ins.Verify.audited "resynth/forward-fixpoint" (class_ids ()) net
-              (fun () -> Retiming.Moves.forward_fixpoint net path_ids))
+        Verify.pass hooks ~cat:"resynth" ~classes:(class_ids ())
+          "resynth/forward-fixpoint" (Verify.In_place net) (fun () ->
+            Retiming.Moves.forward_fixpoint net path_ids)
       in
       if forward_moves = 0 then
         stats_zero (N.copy original)
@@ -354,43 +350,39 @@ let resynthesize_impl ~options ~ins original =
           | Some _ | None -> ()
         in
         (* newest latches first, as the engine loop historically recorded *)
-        pass "resynth/dc-simplify" (fun () ->
-            ins.Verify.audited "resynth/dc-simplify" (class_ids ()) net
-              (fun () ->
-                List.iter simplify_data_of_latch (List.rev new_latches);
-                List.iter simplify_data_of_latch (N.latches net);
-                List.iter
-                  (fun (_, driver) ->
-                    match N.node_opt net driver.N.id with
-                    | Some d when N.is_logic d ->
-                      let rebuilt, useful =
-                        simplify_cone net classes ~dc_mode:options.dc_mode
-                          ~max_cone_leaves:options.max_cone_leaves d
-                      in
-                      if rebuilt && useful then incr simplified
-                    | Some _ | None -> ())
-                  (N.outputs net)));
-        pass "resynth/sweep" (fun () ->
-            ins.Verify.audited "resynth/sweep" (class_ids ()) net (fun () ->
-                N.sweep net));
+        Verify.pass hooks ~cat:"resynth" ~classes:(class_ids ())
+          "resynth/dc-simplify" (Verify.In_place net) (fun () ->
+            List.iter simplify_data_of_latch (List.rev new_latches);
+            List.iter simplify_data_of_latch (N.latches net);
+            List.iter
+              (fun (_, driver) ->
+                match N.node_opt net driver.N.id with
+                | Some d when N.is_logic d ->
+                  let rebuilt, useful =
+                    simplify_cone net classes ~dc_mode:options.dc_mode
+                      ~max_cone_leaves:options.max_cone_leaves d
+                  in
+                  if rebuilt && useful then incr simplified
+                | Some _ | None -> ())
+              (N.outputs net));
+        Verify.pass hooks ~cat:"resynth" ~classes:(class_ids ())
+          "resynth/sweep" (Verify.In_place net) (fun () -> N.sweep net);
         (* duplicated gates frequently become identical again after the
            simplification; share them *)
-        pass "resynth/strash" (fun () ->
-            ins.Verify.audited "resynth/strash" (class_ids ()) net (fun () ->
-                ignore (Netlist.Strash.run net)));
+        Verify.pass hooks ~cat:"resynth" ~classes:(class_ids ())
+          "resynth/strash" (Verify.In_place net) (fun () ->
+            ignore (Netlist.Strash.run net));
         (* local re-mapping.  The mapper builds a fresh network: the DC_ret
            class ids refer to the old one, so the retiming-soundness rule is
            dropped once the working copy is replaced ([classes_valid]). *)
         let net, classes_valid =
-          if options.remap then begin
-            let remapped =
-              pass "resynth/remap" (fun () ->
+          if options.remap then
+            ( Verify.pass hooks ~cat:"resynth" "resynth/remap"
+                (Verify.Fresh (net, Option.some))
+                (fun () ->
                   Techmap.Mapper.map net ~lib:options.lib
-                    ~objective:Techmap.Mapper.Min_delay)
-            in
-            ins.Verify.checkpoint "resynth/remap" [] remapped;
-            (remapped, false)
-          end
+                    ~objective:Techmap.Mapper.Min_delay),
+              false )
           else (net, true)
         in
         (* redistribute the registers accumulated at the path's end: the
@@ -404,13 +396,14 @@ let resynthesize_impl ~options ~ins original =
               else None
             in
             match
-              pass "resynth/post-retime" (fun () ->
+              Verify.pass hooks ~cat:"resynth" "resynth/post-retime"
+                (Verify.Fresh
+                   (net, function Ok (r, _) -> Some r | Error _ -> None))
+                (fun () ->
                   Retiming.Minperiod.retime_min_period ?current_period net
                     ~model)
             with
-            | Ok (better, _) ->
-              ins.Verify.checkpoint "resynth/post-retime" [] better;
-              (better, false)
+            | Ok (better, _) -> (better, false)
             | Error _ -> (net, classes_valid)
           end
           else (net, classes_valid)
@@ -428,12 +421,10 @@ let resynthesize_impl ~options ~ins original =
         if options.min_area_post then begin
           let min_area_classes = if classes_valid then class_ids () else [] in
           ignore
-            (pass "resynth/min-area" (fun () ->
-                 ins.Verify.audited "resynth/min-area" min_area_classes net
-                   (fun () ->
-                     Retiming.Minarea.minimize_registers
-                       ~classes:min_area_classes ~timer net ~model
-                       ~max_period:period_now)))
+            (Verify.pass hooks ~cat:"resynth" ~classes:min_area_classes
+               "resynth/min-area" (Verify.In_place net) (fun () ->
+                 Retiming.Minarea.minimize_registers ~classes:min_area_classes
+                   ~timer net ~model ~max_period:period_now))
         end;
         let final_period = Sta.Incremental.period timer in
         (* Accept only genuine gains: a faster clock, or the same clock with
@@ -470,11 +461,10 @@ let resynthesize_impl ~options ~ins original =
       end
     end
 
-let resynthesize ?(options = default_options) ?(ins = Verify.no_instrument)
-    original =
+let resynthesize ?(options = default_options) ?(hooks = []) original =
   let outcome =
     Obs.Trace.span ~cat:"flow" "resynthesis" (fun () ->
-        resynthesize_impl ~options ~ins original)
+        resynthesize_impl ~options ~hooks original)
   in
   if Obs.Metrics.enabled () then begin
     if outcome.applied then begin

@@ -50,11 +50,10 @@ type outcome = {
 }
 
 val resynthesize :
-  ?options:options -> ?ins:Verify.instrument -> Netlist.Network.t -> outcome
-(** The input network is never modified.  [ins] runs the netlist verifier at
-    every pass boundary of Algorithm 1 — in-place rewrites under the journal
-    audit, with the current DC_ret equivalence classes handed to the
-    retiming-soundness rule (default: no checking). *)
+  ?options:options -> ?hooks:Verify.hook list -> Netlist.Network.t -> outcome
+(** The input network is never modified.  Every pass of Algorithm 1 is one
+    {!Verify.pass} boundary: [hooks] (default: none) see each pass with the
+    DC_ret equivalence classes in force there. *)
 
 val make_path_fanout_free :
   Netlist.Network.t -> Netlist.Network.node list -> int

@@ -290,64 +290,6 @@ let comb_check_bdd ~options ~pairs ?memo pre post leaves =
     in
     `Diff assign
 
-(* Tseitin encoding with one persistent memo per network, so shared cones are
-   encoded once per check instead of once per endpoint. *)
-let tseitin_encoder solver net ~leaf_var =
-  let memo = Hashtbl.create 256 in
-  let rec go id =
-    match Hashtbl.find_opt memo id with
-    | Some v -> v
-    | None ->
-      let n = N.node net id in
-      let v =
-        match n.N.kind with
-        | N.Input | N.Latch _ -> leaf_var n.N.name
-        | N.Const b ->
-          let v = Sat_lite.new_var solver in
-          Sat_lite.add_clause solver [ (if b then v + 1 else -(v + 1)) ];
-          v
-        | N.Logic cover ->
-          let fanin_vars = Array.map go n.N.fanins in
-          let out = Sat_lite.new_var solver in
-          let cube_vars =
-            List.map
-              (fun cube ->
-                let cv = Sat_lite.new_var solver in
-                Logic.Cube.iteri
-                  (fun i l ->
-                    let fv = fanin_vars.(i) in
-                    match l with
-                    | Logic.Cube.One ->
-                      Sat_lite.add_clause solver [ -(cv + 1); fv + 1 ]
-                    | Logic.Cube.Zero ->
-                      Sat_lite.add_clause solver [ -(cv + 1); -(fv + 1) ]
-                    | Logic.Cube.Both -> ())
-                  cube;
-                let body = ref [] in
-                Logic.Cube.iteri
-                  (fun i l ->
-                    let fv = fanin_vars.(i) in
-                    match l with
-                    | Logic.Cube.One -> body := -(fv + 1) :: !body
-                    | Logic.Cube.Zero -> body := fv + 1 :: !body
-                    | Logic.Cube.Both -> ())
-                  cube;
-                Sat_lite.add_clause solver ((cv + 1) :: List.rev !body);
-                cv)
-              cover.Logic.Cover.cubes
-          in
-          List.iter
-            (fun cv -> Sat_lite.add_clause solver [ -(cv + 1); out + 1 ])
-            cube_vars;
-          Sat_lite.add_clause solver
-            (-(out + 1) :: List.map (fun cv -> cv + 1) cube_vars);
-          out
-      in
-      Hashtbl.add memo id v;
-      v
-  in
-  go
-
 let comb_check_sat ~options ~pairs pre post =
   let solver = Sat_lite.create () in
   let leaf_vars = Hashtbl.create 64 in
@@ -359,8 +301,10 @@ let comb_check_sat ~options ~pairs pre post =
       Hashtbl.add leaf_vars name v;
       v
   in
-  let enc_pre = tseitin_encoder solver pre ~leaf_var:var_of_name in
-  let enc_post = tseitin_encoder solver post ~leaf_var:var_of_name in
+  (* one encoder per network, so shared cones are encoded once per check *)
+  let leaf_var n = var_of_name n.N.name in
+  let enc_pre = Sim.Equiv.tseitin solver pre ~leaf_var in
+  let enc_post = Sim.Equiv.tseitin solver post ~leaf_var in
   (* DC_ret as satisfiability don't-cares: restrict the search to care states
      by asserting the class members equal *)
   List.iter
@@ -1041,7 +985,7 @@ let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
     records;
   records
 
-(* --- flow instrumentation ------------------------------------------------------ *)
+(* --- pass-boundary hook -------------------------------------------------------- *)
 
 let instrument ?(options = default_options) ~label sink =
   let reference = ref None in
@@ -1085,26 +1029,21 @@ let instrument ?(options = default_options) ~label sink =
          them instead of rebuilding *)
       reference :=
         Some (net, N.revision net, N.outputs_revision net, post_copy)
-    | Some _ -> () (* unchanged: the existing snapshot still matches *)
-    | None -> remember net
+    | Some _ | None -> () (* unchanged: the existing snapshot still matches *)
   in
   let finish () =
     let futs = List.rev !pending in
     pending := [];
     List.iter (fun fut -> sink := !sink @ Sched.join fut) futs
   in
-  let ins =
-    { Verify.checkpoint = boundary;
-      audited =
-        (fun pass classes net f ->
-          (* an in-place pass: its input is the network as it stands now; a
-             stale reference (another lineage) is replaced before running *)
-          if not (unchanged net) then remember net;
-          let result = f () in
-          boundary pass classes net;
-          result) }
+  let hook { Verify.pass; classes; input; in_place = _ } =
+    (* the pass reads [input] as it stands now: a stale reference (another
+       lineage, such as the second flow branching from the same input) is
+       replaced before the pass runs *)
+    if not (unchanged input) then remember input;
+    boundary pass classes
   in
-  (ins, remember, finish)
+  (hook, finish)
 
 (* --- rendering ------------------------------------------------------------------ *)
 

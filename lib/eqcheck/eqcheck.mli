@@ -134,18 +134,18 @@ val instrument :
   ?options:options ->
   label:string ->
   record list ref ->
-  Verify.instrument * (Netlist.Network.t -> unit) * (unit -> unit)
-(** An instrument for [Core.Flow] / [Core.Resynth] that runs {!check_pass}
-    at every pass boundary against the network as of the previous boundary.
+  Verify.hook * (unit -> unit)
+(** A {!Verify.hook} for [Core.Flow] / [Core.Resynth] that runs
+    {!check_pass} at every pass boundary against the network as of the
+    previous boundary.  When a pass reads a network other than the one the
+    previous boundary left (a flow's input, or the start of another lineage
+    from a shared input), the reference is re-anchored at that input first.
     Checks run as chained [Sched] tasks over snapshots (each joins its
     predecessor, so the shared cone memo — and the [eqcheck.bdd.reuse]
     count — stay byte-identical at any [--jobs N]), overlapping with the
-    flow itself when a pool is active.  Returns [(ins, seed, finish)]:
-    [seed] seeds (or re-seeds) the reference network — call it with a flow's
-    input before the flow runs, and again whenever the pass lineage
-    branches; [finish] joins all outstanding checks and appends their
-    records to the sink in boundary order — call it before reading the
-    sink. *)
+    flow itself when a pool is active.  Returns [(hook, finish)]: [finish]
+    joins all outstanding checks and appends their records to the sink in
+    boundary order — call it before reading the sink. *)
 
 val counts : record list -> int * int * int
 (** (proved, refuted, unknown). *)

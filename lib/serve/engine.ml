@@ -13,7 +13,7 @@ let default_config =
     default_timeout_s = None;
     retry_after_ms = 100 }
 
-(* cooperative interruption, raised from the pass-boundary instrument *)
+(* cooperative interruption, raised from the pass-boundary hook *)
 exception Cancelled
 exception Deadline_exceeded
 
@@ -89,8 +89,9 @@ let rec root_cause = function
   | Core.Parallel.Worker_failure (_, e) -> root_cause e
   | e -> e
 
-(* The pass-boundary guard: composed before the flow's own instruments, so a
-   cancel or blown deadline stops the request before any verifier work runs.
+(* The pass-boundary hook: placed before the flow's own hooks, so a cancel
+   or blown deadline stops the request before any verifier work runs.  It
+   checks as an in-place pass starts and once a fresh network is built.
    Raising here unwinds the job task (possibly through nested forked lanes,
    whose [Worker_failure] wrappers [root_cause] strips); every network the
    flow touched is the job's private copy, so shared state stays clean. *)
@@ -107,8 +108,9 @@ let guard job ~cancel_after ~deadline =
       if Unix.gettimeofday () > d then raise Deadline_exceeded
     | None -> ()
   in
-  { Verify.checkpoint = (fun _ _ _ -> check ());
-    audited = (fun _ _ _ f -> check (); f ()) }
+  fun b ->
+    if b.Verify.in_place then check ();
+    fun _ -> if not b.Verify.in_place then check ()
 
 (* Pristine networks are cached across requests; each request works on its
    own copy.  Both the cache lookup and the copy run under the engine lock:
@@ -226,7 +228,7 @@ let run_job eng job =
          | Some s -> Some (t0 +. s)
          | None -> None)
     in
-    let ins =
+    let guard =
       guard job ~cancel_after:opts.Protocol.cancel_after_passes ~deadline
     in
     (try
@@ -243,8 +245,8 @@ let run_job eng job =
            (fun () ->
              Core.Flow.run_all ~verify:opts.Protocol.verify
                ~verify_each:opts.Protocol.verify_each
-               ~eqcheck_each:opts.Protocol.eqcheck_each ~ins ~lib:eng.lib
-               ~name net)
+               ~eqcheck_each:opts.Protocol.eqcheck_each ~hooks:[ guard ]
+               ~lib:eng.lib ~name net)
        in
        let payload = payload_of_row row in
        Atomic.set job.diag (diag_json job ~t0 snap);

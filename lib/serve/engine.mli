@@ -7,9 +7,9 @@
     jobs a submit is rejected with a [retry_after_ms] hint instead of
     queueing unboundedly.  Each accepted job runs as one task on the ambient
     {!Core.Parallel} pool; cancellation and deadlines are cooperative,
-    checked at every pass boundary through the {!Core.Flow.run_all} [?ins]
-    instrument, so a cancelled flow stops at the next boundary without
-    poisoning any shared state.
+    checked at every pass boundary by a {!Core.Flow.run_all} [?hooks] hook,
+    so a cancelled flow stops at the next boundary without poisoning any
+    shared state.
 
     The engine holds no socket and spawns no domain of its own, so the
     whole lifecycle is unit-testable in-process; {!Daemon} adds the wire. *)

@@ -17,7 +17,7 @@ type submit_options = {
   timeout_s : float option;
       (** per-request wall-clock budget, checked at pass boundaries *)
   cancel_after_passes : int option;
-      (** test hook: self-cancel after N checkpoint crossings, exercising
+      (** test hook: self-cancel after N pass-boundary crossings, exercising
           the mid-flow cancellation path deterministically *)
 }
 

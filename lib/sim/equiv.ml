@@ -57,7 +57,10 @@ let comb_equal_exhaustive a b =
 
 (* --- SAT-based combinational equivalence ----------------------------------- *)
 
-let node_cnf solver net ~leaf_var root_id =
+(* One Tseitin encoder per (solver, network): its memo persists across the
+   roots it is applied to, so cones shared between endpoints are encoded
+   once. *)
+let tseitin solver net ~leaf_var =
   let memo = Hashtbl.create 64 in
   let rec go id =
     match Hashtbl.find_opt memo id with
@@ -66,7 +69,7 @@ let node_cnf solver net ~leaf_var root_id =
       let n = N.node net id in
       let v =
         match n.N.kind with
-        | N.Input | N.Latch _ -> leaf_var id
+        | N.Input | N.Latch _ -> leaf_var n
         | N.Const b ->
           let v = Sat_lite.new_var solver in
           Sat_lite.add_clause solver [ (if b then v + 1 else -(v + 1)) ];
@@ -100,8 +103,7 @@ let node_cnf solver net ~leaf_var root_id =
                     | Logic.Cube.Zero -> body := fv + 1 :: !body
                     | Logic.Cube.Both -> ())
                   cube;
-                let body = List.rev !body in
-                Sat_lite.add_clause solver ((cv + 1) :: body);
+                Sat_lite.add_clause solver ((cv + 1) :: List.rev !body);
                 cv)
               cover.Logic.Cover.cubes
           in
@@ -116,7 +118,7 @@ let node_cnf solver net ~leaf_var root_id =
       Hashtbl.add memo id v;
       v
   in
-  go root_id
+  go
 
 let comb_equal_sat ?(conflict_limit = 500_000) a b =
   let leaves = leaf_names a in
@@ -127,23 +129,21 @@ let comb_equal_sat ?(conflict_limit = 500_000) a b =
     let leaf_sat =
       List.map (fun name -> (name, Sat_lite.new_var solver)) leaves
     in
-    let leaf_var_for net id =
-      let n = N.node net id in
-      List.assoc n.N.name leaf_sat
-    in
+    let leaf_var n = List.assoc n.N.name leaf_sat in
     let endpoints net =
       List.map (fun (name, n) -> (name, n.N.id)) (N.outputs net)
       @ List.map
           (fun l -> ("next:" ^ l.N.name, (N.latch_data net l).N.id))
           (N.latches net)
     in
-    (* miter: OR of XORs of matched endpoints must be unsat *)
+    (* miter: OR of XORs of matched endpoints must be unsat; each endpoint
+       gets a fresh encoder, so shared cones are encoded once per endpoint *)
     let xor_vars =
       List.map
         (fun (name, ida) ->
           let idb = List.assoc name (endpoints b) in
-          let va = node_cnf solver a ~leaf_var:(leaf_var_for a) ida in
-          let vb = node_cnf solver b ~leaf_var:(leaf_var_for b) idb in
+          let va = tseitin solver a ~leaf_var ida in
+          let vb = tseitin solver b ~leaf_var idb in
           let x = Sat_lite.new_var solver in
           (* x <-> va xor vb *)
           Sat_lite.add_clause solver [ -(x + 1); va + 1; vb + 1 ];
@@ -327,7 +327,18 @@ let seq_equal_random ?(vectors = 64) ?(length = 128) ~seed a b =
   let rec loop k = k = 0 || (run_ok () && loop (k - 1)) in
   loop vectors
 
+(* Random co-simulation needs a binary initial state: an unknown-init latch
+   past the BDD cap leaves neither engine able to decide. *)
 let seq_equal ?(seed = 0xC0FFEE) a b =
   match seq_equal_bdd a b with
   | result -> result
-  | exception Too_large _ -> seq_equal_random ~seed a b
+  | exception Too_large reason ->
+    let unknown_init l = N.latch_init l = N.Ix in
+    (match List.find_opt unknown_init (N.latches a @ N.latches b) with
+     | Some l ->
+       raise
+         (Too_large
+            (Printf.sprintf
+               "%s; latch %s has no binary initial value for co-simulation"
+               reason l.N.name))
+     | None -> seq_equal_random ~seed a b)

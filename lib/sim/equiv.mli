@@ -26,11 +26,14 @@ val comb_equal_exhaustive : Netlist.Network.t -> Netlist.Network.t -> bool
 val comb_equal_sat : ?conflict_limit:int -> Netlist.Network.t -> Netlist.Network.t -> bool
 (** Miter + SAT.  Raises {!Too_large} when the budget runs out. *)
 
-val node_cnf :
-  Sat_lite.t -> Netlist.Network.t -> leaf_var:(int -> int) -> int -> int
-(** Tseitin-encode the combinational cone of a node.  [leaf_var] supplies the
-    0-based SAT variable for each leaf (input/latch/const) node id; returns
-    the SAT variable of the root.  Exposed for tests and other SAT users. *)
+val tseitin :
+  Sat_lite.t -> Netlist.Network.t ->
+  leaf_var:(Netlist.Network.node -> int) -> int -> int
+(** [tseitin solver net ~leaf_var] is an encoder: applied to a node id it
+    Tseitin-encodes that node's combinational cone and returns the 0-based
+    SAT variable of the node.  [leaf_var] supplies the variable of each
+    input or latch.  The encoder memoizes every node it encodes, so cones
+    shared between the roots it is applied to are encoded once. *)
 
 val seq_equal_bdd :
   ?max_latches:int -> ?delay:int -> Netlist.Network.t -> Netlist.Network.t -> bool
@@ -56,4 +59,7 @@ val seq_equal_random :
 
 val seq_equal :
   ?seed:int -> Netlist.Network.t -> Netlist.Network.t -> bool
-(** BDD check when small enough, random co-simulation otherwise. *)
+(** BDD check when small enough, random co-simulation otherwise.  Raises
+    {!Too_large}, naming the latch, when the pair is past the BDD cap and
+    some latch has an unknown initial value (co-simulation needs binary
+    initial states). *)

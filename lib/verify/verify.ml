@@ -572,40 +572,62 @@ module Audit = struct
       diags
 end
 
-let audited ?rules ?equiv_classes ~label ~pass net f =
-  let snap = Audit.snapshot net in
-  let result = f () in
-  let diags = Audit.diff snap net @ run ?rules ?equiv_classes net in
-  fail_if_errors ~label ~pass diags;
-  result
+(* --- pass boundaries ---------------------------------------------------------- *)
 
-(* --- pass instrumentation ------------------------------------------------------ *)
-
-type instrument = {
-  checkpoint : string -> int list list -> Netlist.Network.t -> unit;
-  audited :
-    'a. string -> int list list -> Netlist.Network.t -> (unit -> 'a) -> 'a;
+type boundary = {
+  pass : string;
+  classes : int list list;
+  input : N.t;
+  in_place : bool;
 }
 
-let no_instrument =
-  { checkpoint = (fun _ _ _ -> ()); audited = (fun _ _ _ f -> f ()) }
+type hook = boundary -> N.t -> unit
 
-let compose a b =
-  { checkpoint =
-      (fun pass classes net ->
-        a.checkpoint pass classes net;
-        b.checkpoint pass classes net);
-    audited =
-      (fun pass classes net f ->
-        a.audited pass classes net (fun () -> b.audited pass classes net f)) }
+type 'a shape =
+  | In_place of N.t
+  | Fresh of N.t * ('a -> N.t option)
 
-let instrument ~label =
-  { checkpoint =
-      (fun pass equiv_classes net ->
-        expect_clean ~equiv_classes ~label ~pass net);
-    audited =
-      (fun pass equiv_classes net f ->
-        audited ~equiv_classes ~label ~pass net f) }
+(* Hooks start in list order; their output checks also run in list order, so
+   the first hook (the daemon's cancel guard) acts before any checking work
+   at every boundary. *)
+let pass hooks ~cat ?(classes = []) ?declared name shape f =
+  let start ~classes ~in_place input =
+    List.map (fun h -> h { pass = name; classes; input; in_place }) hooks
+  in
+  let leave checks net = List.iter (fun check -> check net) checks in
+  match shape with
+  | In_place net ->
+    let result =
+      Obs.Trace.span ~cat name (fun () ->
+          let checks = start ~classes ~in_place:true net in
+          let result = f () in
+          leave checks net;
+          result)
+    in
+    (* classes the pass itself declared: one more crossing, after the span,
+       on the unchanged network *)
+    Option.iter
+      (fun declared ->
+        leave (start ~classes:(declared ()) ~in_place:false net) net)
+      declared;
+    result
+  | Fresh (input, output) ->
+    let checks = start ~classes ~in_place:false input in
+    let result = Obs.Trace.span ~cat name f in
+    Option.iter (leave checks) (output result);
+    result
+
+(* an in-place pass runs under the journal audit: snapshot as it starts,
+   diff plus the static rules once it is done *)
+let hook ~label b =
+  let equiv_classes = b.classes and pass = b.pass in
+  if b.in_place then begin
+    let snap = Audit.snapshot b.input in
+    fun net ->
+      fail_if_errors ~label ~pass
+        (Audit.diff snap net @ run ~equiv_classes net)
+  end
+  else fun net -> expect_clean ~equiv_classes ~label ~pass net
 
 (* --- debug assertions ----------------------------------------------------------- *)
 

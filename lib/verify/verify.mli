@@ -32,8 +32,9 @@
     timing engine.
 
     The verifier never raises on malformed input; every entry point below
-    that does raise ({!expect_clean}, {!audited}, {!debug_check}) raises only
-    {!Verification_failed}, carrying the pass name and rendered diagnostics. *)
+    that does raise ({!expect_clean}, {!hook}, {!debug_check}) raises only
+    {!Verification_failed}, carrying the pass name and rendered
+    diagnostics. *)
 
 type severity = Error | Warning
 
@@ -89,7 +90,7 @@ val merge_legal :
     when it is fine (including ids outside every class). *)
 
 exception Verification_failed of string
-(** Raised by {!expect_clean}, {!audited} and {!debug_check}; the payload
+(** Raised by {!expect_clean}, {!hook} and {!debug_check}; the payload
     names the circuit and pass and embeds {!render} output. *)
 
 val expect_clean :
@@ -124,39 +125,51 @@ module Audit : sig
       there, so no corruption can hide. *)
 end
 
-val audited :
-  ?rules:rule list ->
-  ?equiv_classes:int list list ->
-  label:string ->
-  pass:string ->
-  Netlist.Network.t ->
-  (unit -> 'a) ->
-  'a
-(** Run an in-place pass under the journal audit: snapshot, run the thunk,
-    then {!Audit.diff} plus the static rules; raises {!Verification_failed}
-    on any error.  Exceptions from the thunk propagate unaudited. *)
+(** {1 Pass boundaries}
 
-(** {1 Pass instrumentation}
+    Every named pass of the flow drivers ([Core.Flow], [Core.Resynth]) is one
+    {!pass} call.  It opens the pass's trace span under the pass name and
+    lets each {!hook} observe the boundary, so a pass carries one name in the
+    tracer, the verifier, the equivalence checker and the serving daemon. *)
 
-    A record of checking callbacks threaded through the flow drivers
-    ([Core.Flow], [Core.Resynth]); {!no_instrument} is free of cost so the
-    default path stays unchanged.  [checkpoint pass classes net] runs the
-    static rules after a pass that produced a fresh network; [audited] wraps
-    an in-place pass under the journal audit.  Both receive the current
-    register-equivalence classes ([[]] when none apply). *)
-type instrument = {
-  checkpoint : string -> int list list -> Netlist.Network.t -> unit;
-  audited :
-    'a. string -> int list list -> Netlist.Network.t -> (unit -> 'a) -> 'a;
+type boundary = {
+  pass : string;            (** the pass name, also its span name *)
+  classes : int list list;
+      (** register-equivalence classes in force ([[]] when none apply) *)
+  input : Netlist.Network.t;  (** the network the pass reads *)
+  in_place : bool;
+      (** the pass rewrites [input], rather than building a fresh network *)
 }
 
-val no_instrument : instrument
+type hook = boundary -> Netlist.Network.t -> unit
+(** [hook b] runs as the pass starts and returns the check to run on the
+    network the pass leaves behind.  For an in-place pass both run inside
+    the pass span, around the rewrite.  For a fresh-network pass the start
+    runs before the span opens and the check after it closes, and only when
+    the pass produced a network. *)
 
-val instrument : label:string -> instrument
+type 'a shape =
+  | In_place of Netlist.Network.t
+      (** the pass rewrites this network *)
+  | Fresh of Netlist.Network.t * ('a -> Netlist.Network.t option)
+      (** the pass reads this network and builds a new one, extracted from
+          its result ([None]: the pass produced nothing) *)
 
-val compose : instrument -> instrument -> instrument
-(** Run two instruments at every boundary: checkpoints fire in order, audited
-    passes nest (the first argument's audit wraps the second's). *)
+val pass :
+  hook list -> cat:string -> ?classes:int list list ->
+  ?declared:(unit -> int list list) -> string -> 'a shape -> (unit -> 'a) ->
+  'a
+(** [pass hooks ~cat name shape f] runs [f] in a span [name] of category
+    [cat], with [hooks] started and checked in list order at the boundary.
+    [classes] (default [[]]) are handed to every hook.  [declared] is for a
+    pass that itself declares classes: after the span closes, the hooks see
+    the unchanged network once more, as a fresh-network boundary carrying
+    [declared ()].  With no hooks this is {!Obs.Trace.span}. *)
+
+val hook : label:string -> hook
+(** The verifier at a boundary: the journal audit plus static rules around
+    an in-place pass, the static rules on a fresh network; raises
+    {!Verification_failed} naming [label] and the pass. *)
 
 (** {1 Debug assertions}
 

@@ -207,6 +207,70 @@ let test_timeout () =
       Alcotest.(check string) "timed out" "timed-out" (job_state eng "t");
       expect_error "result reports timeout" "timeout" (E.result eng "t"))
 
+(* --- pass boundaries ---------------------------------------------------------------- *)
+
+(* Run the full Table I flow on a suite row with a hook that records every
+   boundary crossing, tracing on: the pass names in the order they cross,
+   and the names of the spans the run recorded. *)
+let crossings_and_spans name =
+  let seen = ref [] in
+  let record b _ = seen := b.Verify.pass :: !seen in
+  Obs.Trace.reset ();
+  Obs.Trace.enable ();
+  let net = (Circuits.Suite.find name).Circuits.Suite.build () in
+  ignore
+    (Core.Parallel.run ~jobs:1 (fun () ->
+         Core.Flow.run_all ~hooks:[ record ] ~name net));
+  let spans = List.map (fun s -> s.Obs.Trace.name) (Obs.Trace.spans ()) in
+  Obs.Trace.disable ();
+  Obs.Trace.reset ();
+  (List.rev !seen, spans)
+
+let test_boundary_sequence () =
+  let retiming =
+    [ "retiming/min-period"; "retiming/unreachable-simplify";
+      "retiming/simplify-nodes"; "retiming/sweep"; "retiming/remap" ]
+  in
+  (* the stem split crosses twice: the split itself, then the DC_ret classes
+     it declared *)
+  let resynth =
+    [ "resynth/fanout-free"; "resynth/stem-split"; "resynth/stem-split";
+      "resynth/forward-fixpoint"; "resynth/dc-simplify"; "resynth/sweep";
+      "resynth/strash"; "resynth/remap"; "resynth/post-retime";
+      "resynth/min-area" ]
+  in
+  let check name expected =
+    let crossed, spans = crossings_and_spans name in
+    Alcotest.(check (list string)) (name ^ " boundary sequence") expected
+      crossed;
+    List.iter
+      (fun pass ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s is a span of the run" name pass)
+          true (List.mem pass spans))
+      crossed;
+    crossed
+  in
+  let s27 = check "s27" (("script.delay" :: retiming) @ resynth) in
+  (* s386: resynthesis applies, but neither min-period retiming finds a
+     better period, so those two passes build no network and cross no
+     boundary (their spans still open) *)
+  ignore
+    (check "s386"
+       ("script.delay"
+       :: List.filter (fun p -> p <> "resynth/post-retime") resynth));
+  Core.Parallel.run ~jobs:1 (fun () ->
+      let eng = E.create () in
+      submit_and_drain eng ~id:"s27" (P.Benchmark "s27");
+      Alcotest.(check string) "s27 job done" "done" (job_state eng "s27");
+      let passes =
+        match J.member "diagnostics" (E.diagnostics eng "s27") with
+        | Some d -> J.mem_int "passes" d
+        | None -> None
+      in
+      Alcotest.(check (option int)) "daemon passes = crossings recorded"
+        (Some (List.length s27)) passes)
+
 (* --- backpressure ------------------------------------------------------------------- *)
 
 let test_backpressure () =
@@ -410,6 +474,7 @@ let () =
          Alcotest.test_case "cancel-mid-flow" `Quick test_cancel_mid_flow;
          Alcotest.test_case "timeout" `Quick test_timeout;
          Alcotest.test_case "backpressure" `Quick test_backpressure;
+         Alcotest.test_case "boundary-sequence" `Quick test_boundary_sequence;
          Alcotest.test_case "structured-errors" `Quick test_engine_errors ]);
       ("obs",
        [ Alcotest.test_case "metrics-delta" `Quick test_metrics_delta;

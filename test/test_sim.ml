@@ -166,6 +166,33 @@ let test_seq_equal_random_negative () =
   Alcotest.(check bool) "behaviour change detected" false
     (Sim.Equiv.seq_equal_random ~seed:3 a b)
 
+(* A 15-stage shift register written as plain [.latch d q] lines: every
+   latch parses with an unknown initial value, and the pair against itself
+   (30 latches) is past the BDD cap.  Co-simulation cannot start from an
+   unknown state, so the check must answer "cannot decide", naming a
+   latch, rather than fail inside the simulator. *)
+let test_seq_equal_unknown_init_past_cap () =
+  let buf = Buffer.create 512 in
+  Buffer.add_string buf ".model shift15\n.inputs a\n.outputs q14\n";
+  for i = 0 to 14 do
+    let d = if i = 0 then "a" else Printf.sprintf "q%d" (i - 1) in
+    Buffer.add_string buf (Printf.sprintf ".latch %s q%d\n" d i)
+  done;
+  Buffer.add_string buf ".end\n";
+  let net = Netlist.Blif.parse_string (Buffer.contents buf) in
+  match Sim.Equiv.seq_equal net net with
+  | verdict -> Alcotest.failf "expected Too_large, got a verdict %b" verdict
+  | exception Sim.Equiv.Too_large reason ->
+    let contains needle =
+      let n = String.length needle and m = String.length reason in
+      let rec go i =
+        i + n <= m && (String.sub reason i n = needle || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool) ("reason names a latch: " ^ reason) true
+      (contains "latch q" && contains "no binary initial value")
+
 let test_delayed_replacement () =
   (* A register with initial value 0 vs the same register with initial value
      1: outputs differ in the first cycle only, so the machines are not
@@ -273,6 +300,8 @@ let () =
             test_seq_equal_random_positive;
           Alcotest.test_case "random negative" `Quick
             test_seq_equal_random_negative;
+          Alcotest.test_case "unknown init past cap" `Quick
+            test_seq_equal_unknown_init_past_cap;
           Alcotest.test_case "delayed replacement" `Quick
             test_delayed_replacement;
           Alcotest.test_case "delayed stem split" `Quick

@@ -104,7 +104,8 @@ let test_class_not_latch () =
 let test_audit_catches_unjournaled () =
   let net, _, r1, _, _ = seq_circuit () in
   match
-    Verify.audited ~label:"vt" ~pass:"rogue" net (fun () ->
+    Verify.pass [ Verify.hook ~label:"vt" ] ~cat:"test" "rogue"
+      (Verify.In_place net) (fun () ->
         N.Unsafe.set_latch_init_unjournaled net ~id:r1.N.id N.I1)
   with
   | () -> Alcotest.fail "unjournaled mutation not detected"
@@ -122,8 +123,8 @@ let test_audit_catches_unjournaled () =
 let test_audit_clean_pass () =
   (* a journaled edit through the public API passes the audit *)
   let net, _, r1, _, _ = seq_circuit () in
-  Verify.audited ~label:"vt" ~pass:"legal" net (fun () ->
-      N.set_latch_init net r1 N.I1);
+  Verify.pass [ Verify.hook ~label:"vt" ] ~cat:"test" "legal"
+    (Verify.In_place net) (fun () -> N.set_latch_init net r1 N.I1);
   Alcotest.(check pass) "journaled edit audited clean" () ()
 
 let test_render_json () =
