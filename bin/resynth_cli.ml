@@ -41,8 +41,28 @@ let stats_cmd path =
 
 type flow = Base | Retime | Resynth
 
-(* exit status when no equivalence engine applies to the pair *)
+let not_equivalent = 3
 let cannot_decide = 4
+
+(* Print how strongly [a] and [b] were checked sequentially equivalent; the
+   exit status: 0 proved or simulated, [not_equivalent], [cannot_decide]. *)
+let check_equivalence label a b =
+  match Eqcheck.check_result a b with
+  | Eqcheck.Proved ->
+    Printf.printf "%s: proved sequentially equivalent\n" label;
+    0
+  | Eqcheck.Simulated reason ->
+    Printf.printf "%s: equivalent by random co-simulation only (%s)\n" label
+      reason;
+    0
+  | Eqcheck.Refuted c ->
+    Printf.printf "%s: NOT equivalent: output %s diverges in cycle %d\n" label
+      c.Eqcheck.endpoint
+      (List.length c.Eqcheck.trace);
+    not_equivalent
+  | Eqcheck.Unknown reason ->
+    Printf.printf "%s: cannot decide (%s)\n" label reason;
+    cannot_decide
 
 let run_cmd flow path output verify lib_path =
   let lib = load_lib lib_path in
@@ -78,14 +98,9 @@ let run_cmd flow path output verify lib_path =
      | Ok final ->
        print_stats ~lib "result" final;
        if verify then begin
-         match Sim.Equiv.seq_equal net final with
-         | ok ->
-           Printf.printf "sequentially equivalent to input: %b\n" ok;
-           if not ok then exit 2
-         | exception Sim.Equiv.Too_large reason ->
-           Printf.printf "sequential equivalence to input: cannot decide (%s)\n"
-             reason;
-           exit cannot_decide
+         match check_equivalence "result vs input" net final with
+         | 0 -> ()
+         | status -> exit status
        end;
        (match output with
         | Some out when Filename.check_suffix out ".v" ->
@@ -117,16 +132,7 @@ let verify_cmd path_a path_b =
   match load path_a, load path_b with
   | Error m, _ | _, Error m -> prerr_endline m; 1
   | Ok a, Ok b ->
-    (match Sim.Equiv.seq_equal a b with
-     | true ->
-       Printf.printf "%s and %s: sequentially equivalent\n" path_a path_b;
-       0
-     | false ->
-       Printf.printf "%s and %s: NOT equivalent\n" path_a path_b;
-       3
-     | exception Sim.Equiv.Too_large reason ->
-       Printf.printf "%s and %s: cannot decide (%s)\n" path_a path_b reason;
-       cannot_decide)
+    check_equivalence (Printf.sprintf "%s and %s" path_a path_b) a b
 
 (* --- table1 ----------------------------------------------------------------- *)
 
@@ -145,6 +151,26 @@ let table_cmd circuits =
 (* --- cmdliner wiring ---------------------------------------------------------- *)
 
 open Cmdliner
+
+(* exit statuses of an equivalence check, shared by [run] and [verify] *)
+let check_exits =
+  [ Cmd.Exit.info 0
+      ~doc:
+        "success: the pair was proved sequentially equivalent, or found \
+         equivalent by random co-simulation only (64 runs of 128 cycles, \
+         when the pair is past the BDD check's 28-latch cap or 4M-node \
+         budget); stdout says which.";
+    Cmd.Exit.info 1 ~doc:"a circuit could not be read, or the flow failed.";
+    Cmd.Exit.info not_equivalent
+      ~doc:
+        "the circuits are NOT equivalent; stdout names the diverging output \
+         and cycle.";
+    Cmd.Exit.info cannot_decide
+      ~doc:
+        "cannot decide: the pair is past the BDD check's latch cap or node \
+         budget and a latch has an unknown initial value, so random \
+         co-simulation does not apply either." ]
+  @ List.filter (fun e -> Cmd.Exit.info_code e <> Cmd.Exit.ok) Cmd.Exit.defaults
 
 let path_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"CIRCUIT.blif")
@@ -219,7 +245,9 @@ let cmds =
       (Cmd.info "run"
          ~doc:
            "Run a flow (base = script.delay, retime = +retiming+comb.opt, \
-            resynth = the paper's technique) on a BLIF circuit")
+            resynth = the paper's technique) on a BLIF circuit and check \
+            the result against it (unless --no-verify)"
+         ~exits:check_exits)
       run_t;
     Cmd.v (Cmd.info "dump-bench" ~doc:"Write a suite benchmark as BLIF") dump_t;
     Cmd.v
@@ -232,16 +260,9 @@ let cmds =
       (Cmd.info "verify"
          ~doc:
            "Check two BLIF circuits for sequential equivalence from their \
-            initial states"
-         ~exits:
-           (Cmd.Exit.info 1 ~doc:"a circuit could not be read."
-           :: Cmd.Exit.info 3 ~doc:"the circuits are not equivalent."
-           :: Cmd.Exit.info cannot_decide
-                ~doc:
-                  "cannot decide: the pair exceeds the BDD check's latch cap \
-                   and a latch has an unknown initial value, so random \
-                   co-simulation does not apply either."
-           :: Cmd.Exit.defaults))
+            initial states and print how strongly: proved, equivalent by \
+            random co-simulation only, NOT equivalent, or cannot decide"
+         ~exits:check_exits)
       verify_t;
     Cmd.v (Cmd.info "table1" ~doc:"Regenerate Table I") table_t ]
 

@@ -170,7 +170,7 @@ let () =
           | Eqcheck.Refuted _ ->
             print_string (Eqcheck.render [ r ]);
             print_newline ()
-          | Eqcheck.Proved | Eqcheck.Unknown _ -> ())
+          | Eqcheck.Proved | Eqcheck.Simulated _ | Eqcheck.Unknown _ -> ())
         records
     end;
     match !eqcheck_json with

@@ -51,12 +51,13 @@ let () =
   if outcome.Core.Resynth.applied then begin
     let model = Sta.mapped_delay () in
     Printf.printf
-      "applied: period %.2f -> %.2f, registers %d -> %d (verified %b)\n"
+      "applied: period %.2f -> %.2f, registers %d -> %d (check: %s)\n"
       (Sta.clock_period mapped model)
       (Sta.clock_period outcome.Core.Resynth.network model)
       (N.num_latches mapped)
       (N.num_latches outcome.Core.Resynth.network)
-      (Sim.Equiv.seq_equal mapped outcome.Core.Resynth.network)
+      (Eqcheck.verdict_name
+         (Eqcheck.check_result mapped outcome.Core.Resynth.network))
   end
   else Printf.printf "declined: %s\n" outcome.Core.Resynth.note;
 

@@ -39,8 +39,13 @@ let () =
    | Some o -> Printf.printf "\nresynthesis declined: %s\n" o.Core.Resynth.note
    | None -> print_newline ());
 
+  let check (a : Core.Flow.attempt) =
+    match a.Core.Flow.verified with
+    | Some v -> Eqcheck.verdict_name v
+    | None -> "not checked"
+  in
   Printf.printf
     "\nBoth transformed circuits were checked sequentially equivalent to the \
-     mapped input\n(retimed: %b, resynthesized: %b).\n"
-    row.Core.Flow.retimed.Core.Flow.verified
-    row.Core.Flow.resynthesized.Core.Flow.verified
+     mapped input\n(retimed: %s, resynthesized: %s).\n"
+    (check row.Core.Flow.retimed)
+    (check row.Core.Flow.resynthesized)

@@ -26,8 +26,8 @@ let () =
   (match Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay with
    | Ok (retimed, _) ->
      show "retimed" retimed;
-     Printf.printf "equivalent to original: %b\n\n"
-       (Sim.Equiv.seq_equal_bdd net retimed)
+     Printf.printf "equivalent to original: %s\n\n"
+       (Eqcheck.verdict_name (Eqcheck.check_result net retimed))
    | Error f ->
      Printf.printf "retiming failed: %s\n\n"
        (Retiming.Minperiod.failure_message f));
@@ -46,8 +46,9 @@ let () =
      using DC_ret\n"
     outcome.Core.Resynth.stem_splits outcome.Core.Resynth.equivalence_classes
     outcome.Core.Resynth.forward_moves outcome.Core.Resynth.simplified_cones;
-  Printf.printf "equivalent to original: %b\n"
-    (Sim.Equiv.seq_equal_bdd net outcome.Core.Resynth.network);
+  Printf.printf "equivalent to original: %s\n"
+    (Eqcheck.verdict_name
+       (Eqcheck.check_result net outcome.Core.Resynth.network));
 
   print_endline "\nfinal netlist:";
   Format.printf "%a@." N.pp outcome.Core.Resynth.network

@@ -74,7 +74,8 @@ let () =
   let copies = M.split_stem net r in
   Printf.printf "register r split into %d copies with equal initial values\n"
     (List.length copies);
-  Printf.printf "behaviour preserved: %b\n" (Sim.Equiv.seq_equal_bdd before net);
+  Printf.printf "behaviour preserved: %s\n"
+    (Eqcheck.verdict_name (Eqcheck.check_result before net));
   let reach = Dontcare.Reach.unreachable_states net in
   Printf.printf
     "reachable states: %.0f of 4 - the states where the copies disagree are \
@@ -97,7 +98,7 @@ let () =
    | Ok (retimed, p) ->
      Printf.printf
        "after min-period retiming: period %.1f (one register between the \
-        gates)\nequivalent: %b\n"
+        gates)\nequivalent: %s\n"
        p
-       (Sim.Equiv.seq_equal_bdd net retimed)
+       (Eqcheck.verdict_name (Eqcheck.check_result net retimed))
    | Error f -> print_endline (Retiming.Minperiod.failure_message f))

@@ -9,7 +9,7 @@ type stats = {
 type attempt = {
   stats : stats option;
   note : string;
-  verified : bool;
+  verified : Eqcheck.verdict option;
 }
 
 type row = {
@@ -103,12 +103,12 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
   let timer = Sta.Incremental.create mapped (Sta.mapped_delay ~default:1.0 ()) in
   let base = measure ~timer mapped ~lib in
   let check result =
-    if not verify then true
+    if not verify then None
     else
       Obs.Trace.span ~cat:"verify" "verify/seq-equal" (fun () ->
-          Sim.Equiv.seq_equal mapped result)
+          Some (Eqcheck.check_result mapped result))
   in
-  (* Each flow's result gets a verification lane — measurement, BDD/co-sim
+  (* Each flow's result gets a verification lane — measurement, sequential
      equivalence against [mapped], and the static verifier — forked as a
      task so it overlaps with the other flow (and, nested, with the verify
      rule groups and eqcheck boundary tasks).  Every lane input is owned by
@@ -124,7 +124,7 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
             ({ stats = Some stats; note = ""; verified }, diags)))
   in
   let failed msg =
-    Parallel.fork (fun () -> ({ stats = None; note = msg; verified = true }, []))
+    Parallel.fork (fun () -> ({ stats = None; note = msg; verified = None }, []))
   in
   let retimed_lane =
     match retiming_flow ~current_period:base.clk ~hooks mapped ~lib with

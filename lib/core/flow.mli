@@ -7,8 +7,9 @@
       remapping ("conventional retiming and resynthesis");
     - {!resynthesis_flow} — the above baseline plus the paper's technique.
 
-    Every flow reports registers / clock period / mapped area and whether the
-    result was verified sequentially equivalent to the flow input. *)
+    Every flow reports registers / clock period / mapped area and how
+    strongly the result was checked sequentially equivalent to the flow
+    input. *)
 
 type stats = {
   regs : int;
@@ -19,7 +20,9 @@ type stats = {
 type attempt = {
   stats : stats option;  (** [None]: the flow could not transform the input *)
   note : string;         (** failure reason or remarks *)
-  verified : bool;       (** sequential equivalence against the flow input *)
+  verified : Eqcheck.verdict option;
+      (** {!Eqcheck.check_result} against the flow input; [None] when not
+          checked (the flow failed, or [run_all ~verify:false]) *)
 }
 
 type row = {

@@ -51,6 +51,7 @@ type cex = {
 
 type verdict =
   | Proved
+  | Simulated of string
   | Refuted of cex
   | Unknown of string
 
@@ -64,6 +65,7 @@ type record = {
 
 let verdict_name = function
   | Proved -> "proved"
+  | Simulated _ -> "simulated"
   | Refuted _ -> "refuted"
   | Unknown _ -> "unknown"
 
@@ -126,6 +128,34 @@ let memo () : memo = ref None
    [var_of_name]; raises [Budget] once [budget_man]'s charge passes the node
    cap ([budget_man] is the whole check's cumulative scope, so the cap trips
    exactly as it did when every check rebuilt from scratch). *)
+(* Seed [values] (node id -> BDD) with every constant node of [net]. *)
+let add_consts values net =
+  List.iter
+    (fun n ->
+      match n.N.kind with
+      | N.Const b ->
+        Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
+      | N.Input | N.Latch _ | N.Logic _ -> ())
+    (N.all_nodes net)
+
+(* BDD of logic node [n]'s cover over its fanins' BDDs in [values]. *)
+let cover_bdd man values n =
+  let fanins = Array.map (fun f -> Hashtbl.find values f) n.N.fanins in
+  let cube_bdd cube =
+    let acc = ref Bdd.btrue in
+    Logic.Cube.iteri
+      (fun i l ->
+        match l with
+        | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
+        | Logic.Cube.Zero -> acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
+        | Logic.Cube.Both -> ())
+      cube;
+    !acc
+  in
+  List.fold_left
+    (fun acc c -> Bdd.bor man acc (cube_bdd c))
+    Bdd.bfalse (N.cover_of n).Logic.Cover.cubes
+
 let build_values man ~budget_man ~max_bdd_nodes net var_of_name =
   let values = Hashtbl.create 256 in
   List.iter
@@ -134,35 +164,10 @@ let build_values man ~budget_man ~max_bdd_nodes net var_of_name =
   List.iter
     (fun l -> Hashtbl.add values l.N.id (Bdd.var man (var_of_name l.N.name)))
     (N.latches net);
+  add_consts values net;
   List.iter
     (fun n ->
-      match n.N.kind with
-      | N.Const b ->
-        Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
-      | N.Input | N.Latch _ | N.Logic _ -> ())
-    (N.all_nodes net);
-  List.iter
-    (fun n ->
-      let fanins = Array.map (fun f -> Hashtbl.find values f) n.N.fanins in
-      let cover = N.cover_of n in
-      let cube_bdd cube =
-        let acc = ref Bdd.btrue in
-        Logic.Cube.iteri
-          (fun i l ->
-            match l with
-            | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-            | Logic.Cube.Zero ->
-              acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-            | Logic.Cube.Both -> ())
-          cube;
-        !acc
-      in
-      let v =
-        List.fold_left
-          (fun acc c -> Bdd.bor man acc (cube_bdd c))
-          Bdd.bfalse cover.Logic.Cover.cubes
-      in
-      Hashtbl.add values n.N.id v;
+      Hashtbl.add values n.N.id (cover_bdd man values n);
       if Bdd.node_count budget_man > max_bdd_nodes then
         raise (Budget "bdd node budget exhausted building cone functions"))
     (N.topo_combinational net);
@@ -393,21 +398,50 @@ let observable_latch_ids net =
   List.iter (fun (_, n) -> walk n.N.id) (N.outputs net);
   obs
 
-(* Variable layout (as [Sim.Equiv.seq_equal_bdd]): shared primary inputs by
-   sorted name, then present state of [pre], then of [post]; next-state
-   variables follow, shifted by the total latch count. *)
-let seq_check ?(options = default_options) pre post =
-  let pi_names =
-    List.sort compare (List.map (fun n -> n.N.name) (N.inputs pre))
-  in
-  let pi_names_b =
-    List.sort compare (List.map (fun n -> n.N.name) (N.inputs post))
-  in
+let pi_names net =
+  List.sort compare (List.map (fun n -> n.N.name) (N.inputs net))
+
+let io_mismatch pre post =
   let po_names net = List.sort compare (List.map fst (N.outputs net)) in
-  if pi_names <> pi_names_b then Unknown "primary-input name mismatch"
+  if pi_names pre <> pi_names post then Some "primary-input name mismatch"
   else if po_names pre <> po_names post then
-    Unknown "primary-output name mismatch"
-  else begin
+    Some "primary-output name mismatch"
+  else None
+
+(* Drive both netlists through [trace] from the given states: the first
+   primary output on which they disagree, if any. *)
+let replay pre post ~state_pre ~state_post trace =
+  let rec go sa sb = function
+    | [] -> None
+    | vector :: rest ->
+      let pi name = List.assoc name vector in
+      let sa', oa = Sim.Simulate.step pre ~pi ~state:sa in
+      let sb', ob = Sim.Simulate.step post ~pi ~state:sb in
+      (match
+         List.find_opt (fun (name, va) -> List.assoc_opt name ob <> Some va) oa
+       with
+       | Some (name, _) -> Some name
+       | None -> go sa' sb' rest)
+  in
+  go state_pre state_post trace
+
+(* never observed on a sound witness; degrade rather than report a
+   refutation simulation cannot reproduce *)
+let unconfirmed endpoint trace =
+  Unknown
+    (Printf.sprintf
+       "unconfirmed counterexample for %s (replay of %d cycle(s) did not \
+        diverge)"
+       endpoint (List.length trace))
+
+(* Variable layout: shared primary inputs by sorted name, then present state
+   of [pre], then of [post]; next-state variables follow, shifted by the
+   total latch count. *)
+let seq_check ?(options = default_options) pre post =
+  match io_mismatch pre post with
+  | Some reason -> Unknown reason
+  | None ->
+    let pi_names = pi_names pre in
     let all_latches_a = N.latches pre and all_latches_b = N.latches post in
     (* shrink the product machine to output-observable registers before the
        state-bit cap; latches outside every output cone cannot change the
@@ -476,38 +510,11 @@ let seq_check ?(options = default_options) pre post =
               Hashtbl.add values l.N.id
                 (Bdd.var man (Hashtbl.find ps_var l.N.id)))
             latches;
-          List.iter
-            (fun n ->
-              match n.N.kind with
-              | N.Const v ->
-                Hashtbl.add values n.N.id (if v then Bdd.btrue else Bdd.bfalse)
-              | N.Input | N.Latch _ | N.Logic _ -> ())
-            (N.all_nodes net);
+          add_consts values net;
           List.iter
             (fun n ->
               if Hashtbl.mem need n.N.id then begin
-                let fanins =
-                  Array.map (fun f -> Hashtbl.find values f) n.N.fanins
-                in
-                let cover = N.cover_of n in
-                let cube_bdd cube =
-                  let acc = ref Bdd.btrue in
-                  Logic.Cube.iteri
-                    (fun i l ->
-                      match l with
-                      | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-                      | Logic.Cube.Zero ->
-                        acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-                      | Logic.Cube.Both -> ())
-                    cube;
-                  !acc
-                in
-                let v =
-                  List.fold_left
-                    (fun acc c -> Bdd.bor man acc (cube_bdd c))
-                    Bdd.bfalse cover.Logic.Cover.cubes
-                in
-                Hashtbl.add values n.N.id v;
+                Hashtbl.add values n.N.id (cover_bdd man values n);
                 budget ()
               end)
             (N.topo_combinational net);
@@ -632,27 +639,12 @@ let seq_check ?(options = default_options) pre post =
           (* simulation confirmation (the cex-quality contract): replay the
              trace on both netlists from the extracted initial states and
              demand an actual output divergence *)
-          let sa = ref (state_of all_latches_a ps_var_a) in
-          let sb = ref (state_of all_latches_b ps_var_b) in
-          let confirmed = ref None in
-          List.iter
-            (fun vector ->
-              if !confirmed = None then begin
-                let pi name = List.assoc name vector in
-                let sa', oa = Sim.Simulate.step pre ~pi ~state:!sa in
-                let sb', ob = Sim.Simulate.step post ~pi ~state:!sb in
-                sa := sa';
-                sb := sb';
-                match
-                  List.find_opt
-                    (fun (name, va) -> List.assoc_opt name ob <> Some va)
-                    oa
-                with
-                | Some (name, _) -> confirmed := Some name
-                | None -> ()
-              end)
-            trace;
-          (match !confirmed with
+          (match
+             replay pre post
+               ~state_pre:(state_of all_latches_a ps_var_a)
+               ~state_post:(state_of all_latches_b ps_var_b)
+               trace
+           with
            | Some name ->
              Refuted
                { endpoint = name;
@@ -661,19 +653,58 @@ let seq_check ?(options = default_options) pre post =
                  init_post = named_init all_latches_b ps_var_b;
                  trace;
                  sim_confirmed = true }
-           | None ->
-             (* never observed on a sound extraction; degrade rather than
-                report a refutation simulation cannot reproduce *)
-             Unknown
-               (Printf.sprintf
-                  "unconfirmed counterexample for %s (replay of %d cycle(s) \
-                   did not diverge)"
-                  endpoint (List.length trace)))
+           | None -> unconfirmed endpoint trace)
       with Budget msg ->
         Obs.Metrics.incr m_cap_bdd_nodes;
         Unknown msg
     end
-  end
+
+(* --- whole-result check ---------------------------------------------------------- *)
+
+(* The product machine as a Table I row check runs it: a 28-bit cap and a
+   4M-node budget.  The suite's largest proof needs 2.6M nodes; the budget
+   bounds memory (about 100 bytes a node) on pairs whose 28-bit product
+   machine grows without limit, which then fall back to co-simulation.
+   Per-pass checks keep [default_options]. *)
+let result_options =
+  { default_options with max_product_bits = 28; max_bdd_nodes = 4_000_000 }
+
+let check_result pre post =
+  match seq_check ~options:result_options pre post with
+  | (Proved | Simulated _ | Refuted _) as v -> v
+  | Unknown reason ->
+    let unknown_init l = N.latch_init l = N.Ix in
+    (match
+       ( io_mismatch pre post,
+         List.find_opt unknown_init (N.latches pre @ N.latches post) )
+     with
+     | Some _, _ -> Unknown reason
+     | None, Some l ->
+       Unknown
+         (Printf.sprintf
+            "%s; latch %s has no binary initial value for co-simulation"
+            reason l.N.name)
+     | None, None ->
+       (match Sim.Equiv.seq_equal_random ~seed:0xC0FFEE pre post with
+        | None -> Simulated reason
+        | Some trace ->
+          let state net = Sim.Simulate.binary_initial_state net in
+          let named net =
+            List.map (fun l -> (l.N.name, N.latch_init l = N.I1)) (N.latches net)
+          in
+          (match
+             replay pre post ~state_pre:(state pre) ~state_post:(state post)
+               trace
+           with
+           | Some endpoint ->
+             Refuted
+               { endpoint;
+                 leaves = List.nth trace (List.length trace - 1);
+                 init_pre = named pre;
+                 init_post = named post;
+                 trace;
+                 sim_confirmed = true }
+           | None -> unconfirmed "(co-simulation)" trace)))
 
 (* --- DC_ret invariant: bounded reachability ----------------------------------- *)
 
@@ -735,37 +766,10 @@ let dcret_check ?(options = default_options) net classes =
             Hashtbl.add values l.N.id
               (Bdd.var man (Hashtbl.find ps_var l.N.id)))
           latches;
+        add_consts values net;
         List.iter
           (fun n ->
-            match n.N.kind with
-            | N.Const b ->
-              Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
-            | N.Input | N.Latch _ | N.Logic _ -> ())
-          (N.all_nodes net);
-        List.iter
-          (fun n ->
-            let fanins =
-              Array.map (fun f -> Hashtbl.find values f) n.N.fanins
-            in
-            let cover = N.cover_of n in
-            let cube_bdd cube =
-              let acc = ref Bdd.btrue in
-              Logic.Cube.iteri
-                (fun i l ->
-                  match l with
-                  | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-                  | Logic.Cube.Zero ->
-                    acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-                  | Logic.Cube.Both -> ())
-                cube;
-              !acc
-            in
-            let v =
-              List.fold_left
-                (fun acc c -> Bdd.bor man acc (cube_bdd c))
-                Bdd.bfalse cover.Logic.Cover.cubes
-            in
-            Hashtbl.add values n.N.id v;
+            Hashtbl.add values n.N.id (cover_bdd man values n);
             budget ())
           (N.topo_combinational net);
         let ns_base = npi + nl in
@@ -950,7 +954,7 @@ let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
       match v with
       | Proved ->
         { label; pass; rule = "eq-pass/comb"; verdict = Proved; seconds = secs }
-      | Refuted _ | Unknown _ ->
+      | Simulated _ | Refuted _ | Unknown _ ->
         (* a combinational difference is not yet a refutation: passes such as
            unreachable-state simplification change cone functions only on
            unreachable states.  Escalate to the sequential product machine,
@@ -981,7 +985,7 @@ let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
         (match r.verdict with
          | Proved -> m_verdicts_proved
          | Refuted _ -> m_verdicts_refuted
-         | Unknown _ -> m_verdicts_unknown))
+         | Simulated _ | Unknown _ -> m_verdicts_unknown))
     records;
   records
 
@@ -1053,7 +1057,7 @@ let counts records =
       match rec_.verdict with
       | Proved -> (p + 1, r, u)
       | Refuted _ -> (p, r + 1, u)
-      | Unknown _ -> (p, r, u + 1))
+      | Simulated _ | Unknown _ -> (p, r, u + 1))
     (0, 0, 0) records
 
 let render records =
@@ -1066,7 +1070,7 @@ let render records =
            | Refuted c ->
              Printf.sprintf " endpoint=%s trace=%d sim_confirmed=%b"
                c.endpoint (List.length c.trace) c.sim_confirmed
-           | Unknown msg -> Printf.sprintf " (%s)" msg
+           | Simulated msg | Unknown msg -> Printf.sprintf " (%s)" msg
          in
          Printf.sprintf "%-8s %s: %s [%s] %.3fs%s"
            (verdict_name r.verdict) r.label r.pass r.rule r.seconds detail)
@@ -1084,7 +1088,7 @@ let render_json records =
           Printf.sprintf
             ", \"endpoint\": %S, \"trace_length\": %d, \"sim_confirmed\": %b"
             c.endpoint (List.length c.trace) c.sim_confirmed
-        | Unknown msg -> Printf.sprintf ", \"reason\": %S" msg
+        | Simulated msg | Unknown msg -> Printf.sprintf ", \"reason\": %S" msg
       in
       Buffer.add_string buf
         (Printf.sprintf

@@ -6,7 +6,8 @@
     behavior, and the retiming-induced register-equivalence classes really
     are invariants of the reachable state space.
 
-    Three engines, one verdict lattice ({!Proved} > {!Unknown} > {!Refuted}):
+    Three engines, one verdict lattice
+    ({!Proved} > {!Simulated} > {!Unknown} > {!Refuted}):
 
     - {!comb_check} — combinational equivalence of pre/post-pass next-state
       and output cones over shared leaves (primary inputs and present-state
@@ -21,6 +22,9 @@
       certifying each DC_ret class is an invariant: the XOR of replicated
       registers is 0 in every reachable state from the preserved initial
       state.
+
+    {!check_result} checks a whole flow result against its input: the
+    product machine, then random co-simulation where it gives up.
 
     Every engine is budgeted (state-bit caps, a BDD node cap, a SAT conflict
     cap) and degrades to an explicit {!Unknown} — never to silence and never
@@ -63,6 +67,9 @@ type cex = {
 
 type verdict =
   | Proved
+  | Simulated of string
+      (** only from {!check_result}: the product machine gave up (the
+          reason) and random co-simulation found no divergence *)
   | Refuted of cex
   | Unknown of string  (** the reason: which cap or budget was exceeded *)
 
@@ -75,7 +82,7 @@ type record = {
 }
 
 val verdict_name : verdict -> string
-(** ["proved"], ["refuted"], ["unknown"]. *)
+(** ["proved"], ["simulated"], ["refuted"], ["unknown"]. *)
 
 type memo
 (** Cone-BDD build memo for a sequence of checks over one pass lineage: when
@@ -108,6 +115,15 @@ val seq_check :
     ([Ix] latches unconstrained).  {!Refuted} carries an input trace from the
     initial state to an output divergence, replayed and confirmed through
     [Sim.Simulate]. *)
+
+val check_result : Netlist.Network.t -> Netlist.Network.t -> verdict
+(** Sequential equivalence of a whole flow result [post] to its input [pre],
+    as Table I reports it: {!seq_check} with a 28-bit product cap and a
+    4M-node budget; when that is {!Unknown} and every latch has a binary
+    initial value, 64 runs of 128 random cycles of co-simulation
+    ([Sim.Equiv.seq_equal_random]) decide between {!Simulated} and a
+    {!Refuted} carrying the diverging input trace.  {!Unknown} names a
+    latch without a binary initial value when that blocks co-simulation. *)
 
 val dcret_check :
   ?options:options -> Netlist.Network.t -> int list list -> verdict

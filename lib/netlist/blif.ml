@@ -45,6 +45,16 @@ let parse_string text =
   let pending_latches = ref [] in
   let current = ref None in
   let fail lineno msg = failwith (Printf.sprintf "blif:%d: %s" lineno msg) in
+  (* every signal has one driver: an input, a latch output or a .names *)
+  let defined = Hashtbl.create 64 in
+  let define lineno name =
+    if Hashtbl.mem defined name then fail lineno (name ^ " defined twice");
+    Hashtbl.replace defined name ()
+  in
+  let add_latch lineno input output init =
+    define lineno output;
+    pending_latches := (input, output, init) :: !pending_latches
+  in
   let finish_current () =
     match !current with
     | Some p -> pending_logic := p :: !pending_logic; current := None
@@ -60,7 +70,11 @@ let parse_string text =
          | [] | _ :: _ -> ())
       | ".inputs" :: names ->
         finish_current ();
-        List.iter (fun n -> ignore (Network.add_input net n)) names
+        List.iter
+          (fun n ->
+            define lineno n;
+            ignore (Network.add_input net n))
+          names
       | ".outputs" :: names ->
         finish_current ();
         declared_outputs := !declared_outputs @ names
@@ -68,7 +82,7 @@ let parse_string text =
         finish_current ();
         (match rest with
          | [ input; output ] ->
-           pending_latches := (lineno, input, output, Network.Ix) :: !pending_latches
+           add_latch lineno input output Network.Ix
          | [ input; output; init ] ->
            let init =
              match init with
@@ -77,7 +91,7 @@ let parse_string text =
              | "2" | "3" -> Network.Ix
              | _ -> fail lineno ("bad latch init " ^ init)
            in
-           pending_latches := (lineno, input, output, init) :: !pending_latches
+           add_latch lineno input output init
          | [ input; ttype; _clock; output; init ] when ttype = "re" || ttype = "fe" ->
            let init =
              match init with
@@ -85,12 +99,13 @@ let parse_string text =
              | "1" -> Network.I1
              | _ -> Network.Ix
            in
-           pending_latches := (lineno, input, output, init) :: !pending_latches
+           add_latch lineno input output init
          | _ -> fail lineno ".latch expects 2, 3 or 5 arguments")
       | ".names" :: signals ->
         finish_current ();
         (match List.rev signals with
          | output_name :: rev_inputs ->
+           define lineno output_name;
            current :=
              Some
                { output_name;
@@ -106,6 +121,11 @@ let parse_string text =
            let width = List.length p.input_names in
            (match rest with
             | [ out ] when String.length out = 1 ->
+              if not (String.for_all (fun c -> c = '0' || c = '1' || c = '-') word)
+              then
+                fail lineno
+                  (Printf.sprintf "cover line for %s has a character other \
+                                   than 0, 1 or -" p.output_name);
               if String.length word <> width then
                 fail lineno
                   (Printf.sprintf
@@ -143,15 +163,13 @@ let parse_string text =
   (* declare all targets first *)
   List.iter (fun p -> ignore (placeholder p.output_name)) !pending_logic;
   List.iter
-    (fun (_, _, output, _) -> ignore (placeholder output))
+    (fun (_, output, _) -> ignore (placeholder output))
     !pending_latches;
   (* latches *)
   List.iter
-    (fun (lineno, input, output, init) ->
+    (fun (input, output, init) ->
       let data = placeholder input in
-      let target = Hashtbl.find by_name output in
-      if Network.is_input target then fail lineno (output ^ " is an input");
-      Network.become_latch net target init data)
+      Network.become_latch net (Hashtbl.find by_name output) init data)
     !pending_latches;
   (* logic nodes *)
   List.iter
@@ -180,12 +198,8 @@ let parse_string text =
           failwith
             (Printf.sprintf "blif: mixed-phase cover on %s" p.output_name)
       in
-      let target = Hashtbl.find by_name p.output_name in
-      if Network.is_input target then
-        failwith (Printf.sprintf "blif: %s redefines an input" p.output_name);
-      if Network.is_latch target then
-        failwith (Printf.sprintf "blif: %s redefines a latch" p.output_name);
-      Network.set_function net target cover fanins)
+      Network.set_function net (Hashtbl.find by_name p.output_name) cover
+        fanins)
     !pending_logic;
   (* outputs *)
   List.iter

@@ -32,14 +32,20 @@ let render rows =
   List.iter
     (fun row ->
       let note which (a : Core.Flow.attempt) =
-        if a.Core.Flow.stats = None then
-          Buffer.add_string buf
-            (Printf.sprintf "  %s: %s failed/declined: %s\n"
-               row.Core.Flow.circuit which a.Core.Flow.note)
-        else if not a.Core.Flow.verified then
-          Buffer.add_string buf
-            (Printf.sprintf "  %s: %s NOT VERIFIED\n" row.Core.Flow.circuit
-               which)
+        let line fmt =
+          Printf.ksprintf (Buffer.add_string buf)
+            ("  %s: %s " ^^ fmt ^^ "\n") row.Core.Flow.circuit which
+        in
+        match (a.Core.Flow.stats, a.Core.Flow.verified) with
+        | None, _ -> line "failed/declined: %s" a.Core.Flow.note
+        | Some _, (None | Some Eqcheck.Proved) -> ()
+        | Some _, Some (Eqcheck.Simulated reason) ->
+          line "simulated: random co-simulation only (%s)" reason
+        | Some _, Some (Eqcheck.Unknown reason) ->
+          line "unknown: cannot decide (%s)" reason
+        | Some _, Some (Eqcheck.Refuted c) ->
+          line "NOT VERIFIED: output %s diverges in cycle %d" c.Eqcheck.endpoint
+            (List.length c.Eqcheck.trace)
       in
       note "retiming" row.Core.Flow.retimed;
       note "resynthesis" row.Core.Flow.resynthesized;

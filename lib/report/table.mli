@@ -6,7 +6,8 @@ val header : string
 val row_to_string : Core.Flow.row -> string
 
 val render : Core.Flow.row list -> string
-(** Full table plus footnote annotations (failures, guard events). *)
+(** Full table plus footnote annotations: failures, the strength of every
+    result check that is not a proof, resynthesis statistics. *)
 
 val summary : Core.Flow.row list -> string
 (** Aggregate comparison: average ratios of the resynthesis flow vs. the

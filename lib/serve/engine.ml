@@ -144,7 +144,10 @@ let attempt_json (a : Core.Flow.attempt) =
         | Some s -> stats_json s
         | None -> J.Null );
       ("note", J.Str a.Core.Flow.note);
-      ("verified", J.Bool a.Core.Flow.verified) ]
+      ( "check",
+        match a.Core.Flow.verified with
+        | Some v -> J.Str (Eqcheck.verdict_name v)
+        | None -> J.Null ) ]
 
 (* The deterministic result payload: everything here is a pure function of
    the submitted netlist and options.  [row] is the Table I line rendered by

@@ -160,185 +160,43 @@ let comb_equal_sat ?(conflict_limit = 500_000) a b =
     | Sat_lite.Unknown -> raise (Too_large "comb_equal_sat: budget exhausted")
   end
 
-(* --- BDD-based sequential equivalence --------------------------------------- *)
-
-(* Variable layout for the product machine:
-     0 .. npi-1                      shared primary inputs (by sorted name)
-     npi .. npi+n1-1                 present-state of network A
-     npi+n1 .. npi+n1+n2-1           present-state of network B
-     then the same again, shifted, for next-state variables. *)
-let seq_equal_bdd ?(max_latches = 28) ?(delay = 0) a b =
-  let pi_names = List.sort compare (List.map (fun n -> n.N.name) (N.inputs a)) in
-  let pi_names_b = List.sort compare (List.map (fun n -> n.N.name) (N.inputs b)) in
-  if pi_names <> pi_names_b then false
-  else if List.sort compare (List.map fst (N.outputs a))
-          <> List.sort compare (List.map fst (N.outputs b))
-  then false
-  else begin
-    let latches_a = N.latches a and latches_b = N.latches b in
-    let n1 = List.length latches_a and n2 = List.length latches_b in
-    if n1 + n2 > max_latches then
-      raise (Too_large "seq_equal_bdd: too many latches");
-    let npi = List.length pi_names in
-    (* per-call scope; the product machines of different calls share node
-       structure through the process-wide table *)
-    let man = Bdd.create () in
-    let pi_index name =
-      let rec find i = function
-        | [] -> invalid_arg "pi_index"
-        | x :: rest -> if x = name then i else find (i + 1) rest
-      in
-      find 0 pi_names
-    in
-    let ps_var_a = Hashtbl.create 16 and ps_var_b = Hashtbl.create 16 in
-    List.iteri (fun j l -> Hashtbl.add ps_var_a l.N.id (npi + j)) latches_a;
-    List.iteri (fun j l -> Hashtbl.add ps_var_b l.N.id (npi + n1 + j)) latches_b;
-    let ns_base = npi + n1 + n2 in
-    (* build node BDDs for one network *)
-    let build net ps_var =
-      let values = Hashtbl.create 256 in
-      List.iter
-        (fun n ->
-          Hashtbl.add values n.N.id (Bdd.var man (pi_index n.N.name)))
-        (N.inputs net);
-      List.iter
-        (fun l ->
-          Hashtbl.add values l.N.id (Bdd.var man (Hashtbl.find ps_var l.N.id)))
-        (N.latches net);
-      List.iter
-        (fun n ->
-          match n.N.kind with
-          | N.Const v ->
-            Hashtbl.add values n.N.id (if v then Bdd.btrue else Bdd.bfalse)
-          | N.Input | N.Latch _ | N.Logic _ -> ())
-        (N.all_nodes net);
-      List.iter
-        (fun n ->
-          let fanins = Array.map (fun f -> Hashtbl.find values f) n.N.fanins in
-          let cover = N.cover_of n in
-          let cube_bdd cube =
-            let acc = ref Bdd.btrue in
-            Logic.Cube.iteri
-              (fun i l ->
-                match l with
-                | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-                | Logic.Cube.Zero ->
-                  acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-                | Logic.Cube.Both -> ())
-              cube;
-            !acc
-          in
-          let v =
-            List.fold_left
-              (fun acc c -> Bdd.bor man acc (cube_bdd c))
-              Bdd.bfalse cover.Logic.Cover.cubes
-          in
-          Hashtbl.add values n.N.id v)
-        (N.topo_combinational net);
-      values
-    in
-    let values_a = build a ps_var_a and values_b = build b ps_var_b in
-    (* transition relation *)
-    let transition = ref Bdd.btrue in
-    let add_latch values ps_var l net =
-      let ns_var = ns_base + Hashtbl.find ps_var l.N.id - npi in
-      let f = Hashtbl.find values (N.latch_data net l).N.id in
-      transition :=
-        Bdd.band man !transition (Bdd.bxnor man (Bdd.var man ns_var) f)
-    in
-    List.iter (fun l -> add_latch values_a ps_var_a l a) latches_a;
-    List.iter (fun l -> add_latch values_b ps_var_b l b) latches_b;
-    (* initial states *)
-    let init = ref Bdd.btrue in
-    let add_init ps_var l =
-      let v = Bdd.var man (Hashtbl.find ps_var l.N.id) in
-      match N.latch_init l with
-      | N.I0 -> init := Bdd.band man !init (Bdd.bnot man v)
-      | N.I1 -> init := Bdd.band man !init v
-      | N.Ix -> ()
-    in
-    List.iter (add_init ps_var_a) latches_a;
-    List.iter (add_init ps_var_b) latches_b;
-    (* output miter *)
-    let outputs_equal = ref Bdd.btrue in
-    List.iter
-      (fun (name, na) ->
-        let nb = List.assoc name (N.outputs b) in
-        let va = Hashtbl.find values_a na.N.id in
-        let vb = Hashtbl.find values_b nb.N.id in
-        outputs_equal := Bdd.band man !outputs_equal (Bdd.bxnor man va vb))
-      (N.outputs a);
-    (* reachability fixpoint *)
-    let pi_vars = List.init npi Fun.id in
-    let ps_vars = List.init (n1 + n2) (fun j -> npi + j) in
-    let rename_ns_to_ps f = Bdd.rename man f (fun v -> v - n1 - n2) in
-    let image r =
-      let after =
-        Bdd.and_exists man (pi_vars @ ps_vars) !transition r
-      in
-      rename_ns_to_ps after
-    in
-    let rec fixpoint reached frontier =
-      (* check outputs on the frontier *)
-      let bad =
-        Bdd.band man frontier (Bdd.bnot man !outputs_equal)
-      in
-      if not (Bdd.is_false bad) then false
-      else begin
-        let next = image frontier in
-        let new_states = Bdd.band man next (Bdd.bnot man reached) in
-        if Bdd.is_false new_states then true
-        else fixpoint (Bdd.bor man reached new_states) new_states
-      end
-    in
-    (* delayed replacement: outputs are unconstrained for [delay] cycles, so
-       start the agreement fixpoint from the states reachable in exactly
-       [delay] steps *)
-    let rec advance k s = if k = 0 then s else advance (k - 1) (image s) in
-    let start = advance delay !init in
-    fixpoint start start
-  end
-
-let seq_equal_delayed ?max_latches ~k a b =
-  seq_equal_bdd ?max_latches ~delay:k a b
-
 (* --- random co-simulation --------------------------------------------------- *)
 
+(* A run keeps no trace while it agrees: the diverging run's input vectors
+   are redrawn from a copy of its starting random state. *)
 let seq_equal_random ?(vectors = 64) ?(length = 128) ~seed a b =
   let pi_names = List.map (fun n -> n.N.name) (N.inputs a) in
+  let draw rng = List.map (fun nm -> (nm, Random.State.bool rng)) pi_names in
   let rng = Random.State.make [| seed |] in
-  let run_ok () =
-    let sa = ref (Simulate.binary_initial_state a) in
-    let sb = ref (Simulate.binary_initial_state b) in
-    let ok = ref true in
-    let cycle = ref 0 in
-    while !ok && !cycle < length do
-      let vector = List.map (fun nm -> (nm, Random.State.bool rng)) pi_names in
+  (* the number of cycles up to and including the first output divergence *)
+  let rec cycle k sa sb =
+    if k = length then None
+    else begin
+      let vector = draw rng in
       let pi name = List.assoc name vector in
-      let sa', oa = Simulate.step a ~pi ~state:!sa in
-      let sb', ob = Simulate.step b ~pi ~state:!sb in
-      sa := sa';
-      sb := sb';
-      if List.sort compare oa <> List.sort compare ob then ok := false;
-      incr cycle
-    done;
-    !ok
+      let sa', oa = Simulate.step a ~pi ~state:sa in
+      let sb', ob = Simulate.step b ~pi ~state:sb in
+      if List.sort compare oa <> List.sort compare ob then Some (k + 1)
+      else cycle (k + 1) sa' sb'
+    end
   in
-  let rec loop k = k = 0 || (run_ok () && loop (k - 1)) in
+  let rec loop k =
+    if k = 0 then None
+    else begin
+      let start = Random.State.copy rng in
+      match
+        cycle 0 (Simulate.binary_initial_state a)
+          (Simulate.binary_initial_state b)
+      with
+      | None -> loop (k - 1)
+      | Some n ->
+        let rec redraw i =
+          if i = n then []
+          else
+            let v = draw start in
+            v :: redraw (i + 1)
+        in
+        Some (redraw 0)
+    end
+  in
   loop vectors
-
-(* Random co-simulation needs a binary initial state: an unknown-init latch
-   past the BDD cap leaves neither engine able to decide. *)
-let seq_equal ?(seed = 0xC0FFEE) a b =
-  match seq_equal_bdd a b with
-  | result -> result
-  | exception Too_large reason ->
-    let unknown_init l = N.latch_init l = N.Ix in
-    (match List.find_opt unknown_init (N.latches a @ N.latches b) with
-     | Some l ->
-       raise
-         (Too_large
-            (Printf.sprintf
-               "%s; latch %s has no binary initial value for co-simulation"
-               reason l.N.name))
-     | None -> seq_equal_random ~seed a b)

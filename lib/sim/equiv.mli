@@ -2,8 +2,9 @@
 
     Combinational checks compare networks as functions from (primary inputs +
     latch outputs) to (primary outputs + latch data inputs), matching signals
-    by name.  Sequential checks compare input/output behaviour from the
-    declared initial states. *)
+    by name.  {!seq_equal_random} samples input/output behaviour from the
+    declared initial states; the sequential proof engine, and the entry that
+    falls back to this sampler, is [Eqcheck.check_result]. *)
 
 exception Too_large of string
 
@@ -35,31 +36,11 @@ val tseitin :
     input or latch.  The encoder memoizes every node it encodes, so cones
     shared between the roots it is applied to are encoded once. *)
 
-val seq_equal_bdd :
-  ?max_latches:int -> ?delay:int -> Netlist.Network.t -> Netlist.Network.t -> bool
-(** Product-machine reachability from the initial-state pair; verifies that
-    every reachable state pair produces equal outputs under every input.
-    X initial values range over both binary values.  Raises {!Too_large}
-    beyond [max_latches] (default 28) total latches.
-
-    [delay] (default 0) checks {e delayed replacement} in the sense of
-    Singhal et al. [15], as used by the paper's Section II: outputs are
-    unconstrained during the first [delay] cycles; from every state pair
-    reachable in exactly [delay] steps onward the machines must agree. *)
-
-val seq_equal_delayed :
-  ?max_latches:int -> k:int -> Netlist.Network.t -> Netlist.Network.t -> bool
-(** [seq_equal_bdd ~delay:k]. *)
-
 val seq_equal_random :
   ?vectors:int -> ?length:int -> seed:int ->
-  Netlist.Network.t -> Netlist.Network.t -> bool
+  Netlist.Network.t -> Netlist.Network.t -> (string * bool) list list option
 (** Random co-simulation from the binary initial states: [vectors] runs of
-    [length] cycles each. *)
-
-val seq_equal :
-  ?seed:int -> Netlist.Network.t -> Netlist.Network.t -> bool
-(** BDD check when small enough, random co-simulation otherwise.  Raises
-    {!Too_large}, naming the latch, when the pair is past the BDD cap and
-    some latch has an unknown initial value (co-simulation needs binary
-    initial states). *)
+    [length] cycles each.  [None] when every run agrees; otherwise the
+    per-cycle primary-input vectors of the first diverging run, ending at
+    the cycle whose outputs differ.  Raises [Failure] when a latch has no
+    binary initial value. *)

@@ -35,7 +35,7 @@ let test_fanout_free_path () =
   N.check net;
   Alcotest.(check int) "g1 single fanout now" 1 (List.length g1.N.fanouts);
   Alcotest.(check bool) "behaviour preserved" true
-    (Sim.Equiv.seq_equal_bdd before net)
+    (Oracle.seq_equivalent before net)
 
 let test_not_applicable_without_stems () =
   (* A pipeline without multi-fanout registers: the paper's technique must
@@ -71,7 +71,7 @@ let prop_resynthesis_sound =
       let mapped = mapped_of_seed seed in
       let outcome = R.resynthesize mapped in
       N.check outcome.R.network;
-      (not outcome.R.applied) || Sim.Equiv.seq_equal mapped outcome.R.network)
+      (not outcome.R.applied) || Oracle.seq_equivalent mapped outcome.R.network)
 
 let prop_resynthesis_guard =
   QCheck.Test.make ~count:25 ~name:"guard never lets the period regress"
@@ -90,7 +90,7 @@ let prop_substitution_mode_sound =
       let mapped = mapped_of_seed seed in
       let options = { R.default_options with R.dc_mode = R.Substitution } in
       let outcome = R.resynthesize ~options mapped in
-      (not outcome.R.applied) || Sim.Equiv.seq_equal mapped outcome.R.network)
+      (not outcome.R.applied) || Oracle.seq_equivalent mapped outcome.R.network)
 
 let prop_unguarded_still_sound =
   QCheck.Test.make ~count:20 ~name:"unguarded resynthesis is still equivalent"
@@ -99,9 +99,17 @@ let prop_unguarded_still_sound =
       let mapped = mapped_of_seed seed in
       let options = { R.default_options with R.guard_regression = false } in
       let outcome = R.resynthesize ~options mapped in
-      (not outcome.R.applied) || Sim.Equiv.seq_equal mapped outcome.R.network)
+      (not outcome.R.applied) || Oracle.seq_equivalent mapped outcome.R.network)
 
 (* --- flows --------------------------------------------------------------------- *)
+
+(* A flow result passes its check on a proof or a clean co-simulation; only a
+   flow that produced no result goes unchecked. *)
+let checked_ok (a : Core.Flow.attempt) =
+  match a.Core.Flow.verified with
+  | None -> a.Core.Flow.stats = None
+  | Some (Eqcheck.Proved | Eqcheck.Simulated _) -> true
+  | Some (Eqcheck.Refuted _ | Eqcheck.Unknown _) -> false
 
 let test_flow_row () =
   let net = Circuits.Generators.random_sequential ~seed:11 feedback_profile in
@@ -110,9 +118,10 @@ let test_flow_row () =
   Alcotest.(check bool) "base regs sane" true (row.Core.Flow.base.Core.Flow.regs >= 0);
   Alcotest.(check bool) "base clk positive" true
     (row.Core.Flow.base.Core.Flow.clk > 0.0);
-  Alcotest.(check bool) "retimed verified" true row.Core.Flow.retimed.Core.Flow.verified;
+  Alcotest.(check bool) "retimed verified" true
+    (checked_ok row.Core.Flow.retimed);
   Alcotest.(check bool) "resynth verified" true
-    row.Core.Flow.resynthesized.Core.Flow.verified
+    (checked_ok row.Core.Flow.resynthesized)
 
 let prop_flows_verified =
   QCheck.Test.make ~count:15 ~name:"all flows verify on random circuits"
@@ -121,8 +130,8 @@ let prop_flows_verified =
       let net = Circuits.Generators.random_sequential ~seed feedback_profile in
       N.sweep net;
       let row = Core.Flow.run_all ~name:(Printf.sprintf "s%d" seed) net in
-      row.Core.Flow.retimed.Core.Flow.verified
-      && row.Core.Flow.resynthesized.Core.Flow.verified)
+      checked_ok row.Core.Flow.retimed
+      && checked_ok row.Core.Flow.resynthesized)
 
 let () =
   Alcotest.run "core"

@@ -144,7 +144,7 @@ let prop_collapse_rebuild_roundtrip =
                 collapsed.Dontcare.Cone.cover)
         (N.latches net);
       N.check net;
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 (* --- reachability -------------------------------------------------------------- *)
 
@@ -210,7 +210,7 @@ let test_simplify_with_unreachable_sound () =
   ignore (Dontcare.Reach.simplify_with_unreachable net);
   N.check net;
   Alcotest.(check bool) "behaviour preserved" true
-    (Sim.Equiv.seq_equal_bdd before net)
+    (Oracle.seq_equivalent before net)
 
 let prop_simplify_unreachable_sound =
   QCheck.Test.make ~count:30 ~name:"unreachable-DC simplification is sound"
@@ -227,7 +227,7 @@ let prop_simplify_unreachable_sound =
       let before = N.copy net in
       ignore (Dontcare.Reach.simplify_with_unreachable net);
       N.check net;
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 (* The paper's core claim in miniature: splitting a register across its
    fanout stem makes the "copies disagree" states unreachable. *)

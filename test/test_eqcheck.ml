@@ -21,6 +21,7 @@ let check_verdict msg expected v =
 let get_cex = function
   | E.Refuted c -> c
   | E.Proved -> Alcotest.fail "expected Refuted, got Proved"
+  | E.Simulated why -> Alcotest.fail ("expected Refuted, got Simulated: " ^ why)
   | E.Unknown why -> Alcotest.fail ("expected Refuted, got Unknown: " ^ why)
 
 (* Independent replay of a sequential counterexample: drive both nets with the
@@ -193,6 +194,90 @@ let test_unknown_on_caps () =
        ~options:{ E.default_options with E.max_comb_leaves = 0 }
        pre post)
 
+(* --- whole-result check ------------------------------------------------------- *)
+
+let contains haystack needle =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
+
+(* [stages]-stage shift register from a new input "a"; stage [i] starts at
+   [init i], and the last stage drives output "q" when [observed]. *)
+let add_shift ?(init = fun _ -> N.I0) ?(observed = true) net stages =
+  let a = N.add_input net "a" in
+  let last =
+    List.fold_left
+      (fun d i -> N.add_latch net ~name:(Printf.sprintf "q%d" i) (init i) d)
+      a (List.init stages Fun.id)
+  in
+  if observed then N.set_output net "q" last
+
+let shift15 init =
+  let net = N.create ~name:"shift15" () in
+  add_shift ~init net 15;
+  net
+
+(* a one-register toggle, plus [unobserved] latches no output can see *)
+let toggle ?(unobserved = 0) () =
+  let net = N.create ~name:"toggle" () in
+  let en = N.add_input net "en" in
+  let r = N.add_latch net ~name:"r" N.I0 en in
+  let next =
+    N.add_logic net ~name:"next" (Logic.Cover.of_strings 2 [ "10"; "01" ])
+      [ en; r ]
+  in
+  N.replace_fanin net r ~old_fanin:en ~new_fanin:next;
+  N.set_output net "out" r;
+  if unobserved > 0 then add_shift ~observed:false net unobserved;
+  net
+
+(* The same shift register written as plain [.latch d q] lines: every latch
+   parses with an unknown initial value, so co-simulation cannot start. *)
+let shift15_unknown_init () =
+  let b = Buffer.create 512 in
+  Buffer.add_string b ".model shift15\n.inputs a\n.outputs q14\n";
+  for i = 0 to 14 do
+    let d = if i = 0 then "a" else Printf.sprintf "q%d" (i - 1) in
+    Buffer.add_string b (Printf.sprintf ".latch %s q%d\n" d i)
+  done;
+  Buffer.add_string b ".end\n";
+  Netlist.Blif.parse_string (Buffer.contents b)
+
+(* One row per verdict of [check_result].  Past the 28-bit cap the product
+   machine gives up and binary-init pairs fall back to co-simulation; a pair
+   whose unobservable latches alone push it past the cap is still proved. *)
+let test_check_result () =
+  let zero _ = N.I0 in
+  let ix = shift15_unknown_init () in
+  let cases =
+    [ ("toggle", toggle (), toggle (), "proved", "");
+      ("past the cap", shift15 zero, shift15 zero, "simulated",
+       "state-bit cap: 30 product bits > 28");
+      ("unknown inits past the cap", ix, ix, "unknown",
+       "no binary initial value for co-simulation");
+      ("diverging init past the cap", shift15 zero,
+       shift15 (fun i -> if i = 0 then N.I1 else N.I0), "refuted", "");
+      ("32 latches, 2 observable", toggle ~unobserved:15 (),
+       toggle ~unobserved:15 (), "proved", "") ]
+  in
+  List.iter
+    (fun (name, pre, post, expected, reason) ->
+      let v = E.check_result pre post in
+      check_verdict name expected v;
+      match v with
+      | E.Simulated why | E.Unknown why ->
+        Alcotest.(check bool) (name ^ ": reason " ^ why) true
+          (contains why reason && (expected <> "unknown" || contains why "latch q"))
+      | E.Refuted c ->
+        (* q0's initial 1 reaches the output after 14 shifts *)
+        Alcotest.(check string) (name ^ ": endpoint") "q" c.E.endpoint;
+        Alcotest.(check int) (name ^ ": diverging cycle") 15
+          (List.length c.E.trace);
+        Alcotest.(check bool) (name ^ ": replays") true
+          (c.E.sim_confirmed && replay_diverges pre post c)
+      | E.Proved -> ())
+    cases
+
 (* Full-flow integration on a real suite circuit: every pass boundary gets a
    verdict and none is Refuted. *)
 let test_flow_s27 () =
@@ -249,6 +334,8 @@ let () =
           Alcotest.test_case "refuted" `Quick test_dcret_refuted ] );
       ( "budgets",
         [ Alcotest.test_case "unknown on caps" `Quick test_unknown_on_caps ] );
+      ( "result",
+        [ Alcotest.test_case "check verdicts" `Quick test_check_result ] );
       ( "integration",
         [ Alcotest.test_case "flow s27" `Quick test_flow_s27;
           Alcotest.test_case "merge legal" `Quick test_merge_legal;

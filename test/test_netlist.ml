@@ -186,6 +186,24 @@ let test_blif_complemented_cover () =
   Alcotest.(check bool) "nand 11" false (eval true true);
   Alcotest.(check bool) "nand 10" true (eval true false)
 
+(* Malformed lines fail with their line number.  Every signal has one
+   driver: a second definition of an input, a latch output or a .names
+   output fails at the second one. *)
+let test_blif_malformed () =
+  List.iter
+    (fun (body, expected) ->
+      let text = ".model m\n.inputs a b\n.outputs q\n" ^ body ^ ".end\n" in
+      match Netlist.Blif.parse_string text with
+      | _ -> Alcotest.failf "expected %S" expected
+      | exception Failure msg -> Alcotest.(check string) body expected msg)
+    [ (".latch a q 0\n.latch a q 1\n", "blif:5: q defined twice");
+      (".latch a q 0\n.names a b q\n11 1\n", "blif:5: q defined twice");
+      (".names a q\n1 1\n.latch b q\n", "blif:6: q defined twice");
+      (".names q\n1\n.latch a b 0\n", "blif:6: b defined twice");
+      (".names a q\n1 1\n.names b q\n1 1\n", "blif:6: q defined twice");
+      ( ".names a q\nx 1\n",
+        "blif:5: cover line for q has a character other than 0, 1 or -" ) ]
+
 let test_blif_width_mismatch () =
   (* cube width must match the .names fanin count, caught at parse time with
      the offending line number in the diagnostic *)
@@ -428,7 +446,8 @@ let () =
           Alcotest.test_case "complemented cover" `Quick
             test_blif_complemented_cover;
           Alcotest.test_case "width mismatch" `Quick
-            test_blif_width_mismatch ] );
+            test_blif_width_mismatch;
+          Alcotest.test_case "malformed" `Quick test_blif_malformed ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_generator_valid; prop_blif_roundtrip_behaviour ] ) ]

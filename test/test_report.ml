@@ -7,7 +7,7 @@ let contains haystack needle =
 
 let stats regs clk area = { Core.Flow.regs; clk; area }
 
-let attempt ?(note = "") ?(verified = true) stats =
+let attempt ?(note = "") ?(verified = Some Eqcheck.Proved) stats =
   { Core.Flow.stats; note; verified }
 
 let row name base retimed resynthesized =
@@ -48,7 +48,42 @@ let test_render_footnotes () =
   Alcotest.(check bool) "retiming failure noted" true
     (contains text "no retiming achieves the target period");
   Alcotest.(check bool) "resynthesis decline noted" true
-    (contains text "no retimable gates")
+    (contains text "no retimable gates");
+  Alcotest.(check bool) "proofs need no footnote" false
+    (contains text "alpha: ")
+
+(* Every checked result that is not a proof gets a strength footnote; a
+   refutation keeps the NOT VERIFIED flag and names the diverging output. *)
+let test_render_strength_footnotes () =
+  let cex =
+    { Eqcheck.endpoint = "z";
+      leaves = [];
+      init_pre = [];
+      init_post = [];
+      trace = [ []; []; [] ];
+      sim_confirmed = true }
+  in
+  let s = Some (stats 4 2.0 40.0) in
+  let text =
+    Report.Table.render
+      [ row "delta" (stats 4 2.0 40.0)
+          (attempt ~verified:(Some (Eqcheck.Simulated "state-bit cap")) s)
+          (attempt ~verified:(Some (Eqcheck.Refuted cex)) s);
+        row "eps" (stats 4 2.0 40.0)
+          (attempt ~verified:(Some (Eqcheck.Unknown "no init")) s)
+          (attempt ~verified:None s) ]
+  in
+  Alcotest.(check bool) "simulated footnote" true
+    (contains text
+       "  delta: retiming simulated: random co-simulation only (state-bit \
+        cap)\n");
+  Alcotest.(check bool) "refuted footnote" true
+    (contains text
+       "  delta: resynthesis NOT VERIFIED: output z diverges in cycle 3\n");
+  Alcotest.(check bool) "unknown footnote" true
+    (contains text "  eps: retiming unknown: cannot decide (no init)\n");
+  Alcotest.(check bool) "unchecked result has no footnote" false
+    (contains text "eps: resynthesis")
 
 let test_summary_counts () =
   let text = Report.Table.summary sample_rows in
@@ -106,6 +141,7 @@ let test_run_suite_jobs_deterministic_eqcheck () =
           match r.Eqcheck.verdict with
           | Eqcheck.Proved -> "proved"
           | Eqcheck.Refuted _ -> "refuted"
+          | Eqcheck.Simulated reason -> "simulated: " ^ reason
           | Eqcheck.Unknown reason -> "unknown: " ^ reason)
         (Report.Table.eqcheck_records rows)
     in
@@ -146,6 +182,8 @@ let () =
         [ Alcotest.test_case "row format" `Quick test_row_format;
           Alcotest.test_case "failure dashes" `Quick test_row_dashes_on_failure;
           Alcotest.test_case "footnotes" `Quick test_render_footnotes;
+          Alcotest.test_case "strength footnotes" `Quick
+            test_render_strength_footnotes;
           Alcotest.test_case "summary counts" `Quick test_summary_counts;
           Alcotest.test_case "summary ratios" `Quick test_summary_ratios;
           Alcotest.test_case "run subset" `Quick test_run_suite_subset;

@@ -39,7 +39,7 @@ let test_forward_move_init () =
      Alcotest.(check int) "one latch now" 1 (N.num_latches net);
      N.check net;
      Alcotest.(check bool) "behaviour preserved" true
-       (Sim.Equiv.seq_equal_bdd before net)
+       (Oracle.seq_equivalent before net)
    | Error e -> Alcotest.fail (M.error_message e))
 
 let test_forward_move_init_and0 () =
@@ -93,7 +93,7 @@ let test_forward_self_loop () =
     N.check net;
     Alcotest.(check int) "still one latch" 1 (N.num_latches net);
     Alcotest.(check bool) "behaviour preserved" true
-      (Sim.Equiv.seq_equal_bdd before net)
+      (Oracle.seq_equivalent before net)
   | Error e -> Alcotest.fail (M.error_message e)
 
 let test_backward_move () =
@@ -113,7 +113,7 @@ let test_backward_move () =
        latches;
      N.check net;
      Alcotest.(check bool) "behaviour preserved" true
-       (Sim.Equiv.seq_equal_bdd before net)
+       (Oracle.seq_equivalent before net)
    | Error e -> Alcotest.fail (M.error_message e))
 
 let test_backward_move_no_preimage () =
@@ -157,13 +157,13 @@ let test_split_stem () =
   N.check net;
   Alcotest.(check int) "two latches now" 2 (N.num_latches net);
   Alcotest.(check bool) "behaviour preserved" true
-    (Sim.Equiv.seq_equal_bdd before net);
+    (Oracle.seq_equivalent before net);
   (* and merging them back restores the register count *)
   (match M.merge_siblings net copies with
    | Ok _ ->
      Alcotest.(check int) "merged back" 1 (N.num_latches net);
      Alcotest.(check bool) "still equivalent" true
-       (Sim.Equiv.seq_equal_bdd before net)
+       (Oracle.seq_equivalent before net)
    | Error e -> Alcotest.fail (M.error_message e))
 
 let test_merge_rejects_mixed_inits () =
@@ -194,7 +194,7 @@ let test_min_period_loop () =
       (Sta.clock_period retimed Sta.unit_delay);
     N.check retimed;
     Alcotest.(check bool) "behaviour preserved" true
-      (Sim.Equiv.seq_equal_bdd net retimed)
+      (Oracle.seq_equivalent net retimed)
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
 
 let test_retime_infeasible_target () =
@@ -220,7 +220,7 @@ let test_retime_pipeline () =
   | Ok (retimed, period) ->
     Alcotest.(check (float 1e-9)) "period 2" 2.0 period;
     Alcotest.(check bool) "behaviour preserved" true
-      (Sim.Equiv.seq_equal_bdd net retimed)
+      (Oracle.seq_equivalent net retimed)
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
 
 let test_retime_cannot_improve_single_register_pipeline () =
@@ -251,7 +251,7 @@ let prop_retime_preserves_behaviour =
       | Ok (retimed, period) ->
         N.check retimed;
         Sta.clock_period retimed Sta.unit_delay <= period +. 1e-9
-        && Sim.Equiv.seq_equal_bdd net retimed
+        && Oracle.seq_equivalent net retimed
       | Error _ -> true)
 
 let prop_retime_improves_period =
@@ -292,7 +292,7 @@ let prop_random_moves_preserve_behaviour =
         end
       done;
       N.check net;
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 (* --- min-area ---------------------------------------------------------------- *)
 
@@ -326,7 +326,7 @@ let prop_minarea_sound =
       N.check net;
       N.num_latches net <= latches_before
       && Sta.clock_period net Sta.unit_delay <= period +. 1e-9
-      && Sim.Equiv.seq_equal_bdd before net)
+      && Oracle.seq_equivalent before net)
 
 let prop_feas_agrees_with_wd =
   QCheck.Test.make ~count:60
@@ -362,7 +362,7 @@ let test_minregister_fanout_merge () =
     Alcotest.(check int) "one register" 1 count;
     N.check retimed;
     Alcotest.(check bool) "behaviour preserved" true
-      (Sim.Equiv.seq_equal_bdd net retimed)
+      (Oracle.seq_equivalent net retimed)
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
 
 let test_minregister_respects_period () =
@@ -385,7 +385,7 @@ let test_minregister_respects_period () =
    | Ok (retimed, count) ->
      Alcotest.(check bool) "saves a register" true (count <= 1);
      Alcotest.(check bool) "equivalent" true
-       (Sim.Equiv.seq_equal_bdd net retimed)
+       (Oracle.seq_equivalent net retimed)
    | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f));
   (* with the period capped at the current value, the result must still
      meet it *)
@@ -419,7 +419,7 @@ let prop_minregister_sound =
       match Retiming.Minregister.min_registers net ~model:Sta.unit_delay with
       | Ok (retimed, _) ->
         N.check retimed;
-        Sim.Equiv.seq_equal_bdd net retimed
+        Oracle.seq_equivalent net retimed
       | Error _ -> true)
 
 let prop_minregister_never_grows =
@@ -452,7 +452,7 @@ let prop_minregister_period_bound_holds =
       with
       | Ok (retimed, _) ->
         Sta.clock_period retimed Sta.unit_delay <= period +. 1e-9
-        && Sim.Equiv.seq_equal_bdd net retimed
+        && Oracle.seq_equivalent net retimed
       | Error _ -> true)
 
 let () =

@@ -371,7 +371,9 @@ let test_trace_sink () =
 
 (* --- live daemon over a Unix socket ------------------------------------------------- *)
 
-let test_daemon_socket () =
+(* A daemon on a fresh Unix socket, once it is ready: its socket path, the
+   endpoint, the domain serving it and one client connection. *)
+let start_daemon () =
   let path = Filename.temp_file "resynthd-test" ".sock" in
   Sys.remove path;
   let endpoint = Serve.Daemon.Unix_socket path in
@@ -386,11 +388,14 @@ let test_daemon_socket () =
   while not (Atomic.get ready) do
     Domain.cpu_relax ()
   done;
-  let conn = Serve.Client.connect endpoint in
-  let ok = function
-    | Ok v -> v
-    | Error msg -> Alcotest.failf "client request failed: %s" msg
-  in
+  (path, endpoint, daemon, Serve.Client.connect endpoint)
+
+let ok = function
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "client request failed: %s" msg
+
+let test_daemon_socket () =
+  let path, endpoint, daemon, conn = start_daemon () in
   expect_ok "ping" (ok (Serve.Client.request conn (J.Obj [ ("op", J.Str "ping") ])));
   expect_error "malformed line" "bad-json"
     (ok (Serve.Client.request_line conn "{this is not json"));
@@ -460,6 +465,28 @@ let test_daemon_socket () =
   Domain.join daemon;
   Alcotest.(check bool) "socket unlinked on shutdown" false (Sys.file_exists path)
 
+(* A netlist that defines latch q twice is rejected as a parse error, and
+   the daemon keeps serving. *)
+let test_daemon_duplicate_latch () =
+  let _, _, daemon, conn = start_daemon () in
+  let blif =
+    ".model dup\n.inputs a\n.outputs q\n.latch a q 0\n.latch a q 1\n.end\n"
+  in
+  let reply =
+    ok
+      (Serve.Client.request conn
+         (J.Obj [ ("op", J.Str "submit"); ("netlist", J.Str blif) ]))
+  in
+  expect_error "latch defined twice" "parse-error" reply;
+  Alcotest.(check (option string)) "names the line and latch"
+    (Some "blif:5: q defined twice") (J.mem_str "detail" reply);
+  expect_ok "ping after the bad netlist"
+    (ok (Serve.Client.request conn (J.Obj [ ("op", J.Str "ping") ])));
+  expect_ok "shutdown"
+    (ok (Serve.Client.request conn (J.Obj [ ("op", J.Str "shutdown") ])));
+  Serve.Client.close conn;
+  Domain.join daemon
+
 let () =
   Alcotest.run "serve"
     [ ("json",
@@ -480,5 +507,7 @@ let () =
        [ Alcotest.test_case "metrics-delta" `Quick test_metrics_delta;
          Alcotest.test_case "trace-sink" `Quick test_trace_sink ]);
       ("daemon",
-       [ Alcotest.test_case "unix-socket-roundtrip" `Quick test_daemon_socket ])
+       [ Alcotest.test_case "unix-socket-roundtrip" `Quick test_daemon_socket;
+         Alcotest.test_case "duplicate-latch-survives" `Quick
+           test_daemon_duplicate_latch ])
     ]

@@ -97,7 +97,7 @@ let prop_collapse_sound =
       let before = N.copy net in
       ignore (Synth_opt.Script.eliminate net);
       N.check net;
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 let prop_simplify_sound =
   QCheck.Test.make ~count:50 ~name:"simplify_nodes preserves behaviour"
@@ -107,7 +107,7 @@ let prop_simplify_sound =
       N.sweep net;
       let before = N.copy net in
       ignore (Synth_opt.Script.simplify_nodes net);
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 let prop_script_delay_sound =
   QCheck.Test.make ~count:30 ~name:"script_delay output is mapped + equivalent"
@@ -118,7 +118,7 @@ let prop_script_delay_sound =
       let mapped = Synth_opt.Script.script_delay net ~lib:Techmap.Genlib.mcnc_lite in
       N.check mapped;
       List.for_all (fun n -> n.N.binding <> None) (N.logic_nodes mapped)
-      && Sim.Equiv.seq_equal_bdd net mapped)
+      && Oracle.seq_equivalent net mapped)
 
 let prop_script_delay_no_worse_depth =
   QCheck.Test.make ~count:30
@@ -199,7 +199,7 @@ let prop_extract_sound =
       let before = N.copy net in
       ignore (Synth_opt.Extract.extract_divisors net);
       N.check net;
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 let prop_extract_never_grows =
   QCheck.Test.make ~count:40 ~name:"divisor extraction never grows literals"
@@ -249,7 +249,7 @@ let prop_redundancy_sound =
       let before = N.copy net in
       ignore (Synth_opt.Redundancy.remove net);
       N.check net;
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 let prop_redundancy_never_grows =
   QCheck.Test.make ~count:25 ~name:"redundancy removal never grows literals"
@@ -283,7 +283,7 @@ let prop_strash_sound =
       let before = N.copy net in
       ignore (Netlist.Strash.run net);
       N.check net;
-      Sim.Equiv.seq_equal_bdd before net)
+      Oracle.seq_equivalent before net)
 
 let prop_script_area_sound =
   QCheck.Test.make ~count:25 ~name:"script_area output is mapped + equivalent"
@@ -293,7 +293,7 @@ let prop_script_area_sound =
       N.sweep net;
       let mapped = Synth_opt.Script.script_area net ~lib:Techmap.Genlib.mcnc_lite in
       N.check mapped;
-      Sim.Equiv.seq_equal_bdd net mapped)
+      Oracle.seq_equivalent net mapped)
 
 let () =
   Alcotest.run "synth_opt"

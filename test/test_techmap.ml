@@ -43,7 +43,7 @@ let prop_subject_graph =
       N.sweep net;
       let subject = Techmap.Mapper.subject_graph net in
       N.check subject;
-      subject_is_nand_inv subject && Sim.Equiv.seq_equal_bdd net subject)
+      subject_is_nand_inv subject && Oracle.seq_equivalent net subject)
 
 let prop_mapping_preserves_function =
   QCheck.Test.make ~count:40 ~name:"mapping preserves behaviour (delay obj)"
@@ -61,7 +61,7 @@ let prop_mapping_preserves_function =
         Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_delay
       in
       N.check mapped;
-      Sim.Equiv.seq_equal_bdd net mapped)
+      Oracle.seq_equivalent net mapped)
 
 let prop_mapping_area_preserves_function =
   QCheck.Test.make ~count:40 ~name:"mapping preserves behaviour (area obj)"
@@ -78,7 +78,7 @@ let prop_mapping_area_preserves_function =
       let mapped =
         Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_area
       in
-      Sim.Equiv.seq_equal_bdd net mapped)
+      Oracle.seq_equivalent net mapped)
 
 let prop_all_logic_bound =
   QCheck.Test.make ~count:30 ~name:"every mapped logic node carries a binding"
