@@ -160,36 +160,6 @@ let ablations () =
       end)
     variants
 
-(* --- 3b. Extension: exact min-register retiming -------------------------------------- *)
-
-(* Not part of the paper's evaluation, but the classical companion objective
-   it cites ("retiming ... for register minimization under cycle-time
-   constraints [2]").  Solved exactly by the min-cost-flow dual with the
-   Leiserson-Saxe fanout-sharing mirror construction. *)
-let min_register_extension () =
-  section "Extension: exact min-register retiming (period-constrained)";
-  let model = Sta.mapped_delay () in
-  List.iter
-    (fun name ->
-      let entry = Circuits.Suite.find name in
-      let net = entry.Circuits.Suite.build () in
-      let mapped =
-        Core.Flow.script_delay_flow net ~lib:Techmap.Genlib.mcnc_lite
-      in
-      let period = Sta.clock_period mapped model in
-      match
-        Retiming.Minregister.min_registers ~target_period:period mapped ~model
-      with
-      | Ok (retimed, count) ->
-        let check = Eqcheck.verdict_name (Eqcheck.check_result mapped retimed) in
-        Printf.printf
-          "  %-8s registers %3d -> %3d at period %.2f (check: %s)\n" name
-          (N.num_latches mapped) count period check
-      | Error f ->
-        Printf.printf "  %-8s failed: %s\n" name
-          (Retiming.Minperiod.failure_message f))
-    [ "s27"; "s208"; "s298"; "s344"; "s382"; "s400"; "s444"; "s526" ]
-
 (* --- 3c. Incremental STA vs full reanalysis ------------------------------------------ *)
 
 (* The scenario every optimization loop pays for: apply one local edit, ask
@@ -1098,7 +1068,6 @@ let () =
     section3_example ();
     ignore (table1 ());
     ablations ();
-    min_register_extension ();
     ignore (sta_bench ~circuits:[ "s641"; "s1196"; "s1238"; "s5378" ] ());
     ignore (logic_bench ());
     ignore (suite_bench ~jobs ());

@@ -120,21 +120,47 @@ let wd_matrices g =
   done;
   (w, dd)
 
-(* Solve r(u) - r(v) <= c_{uv} by Bellman-Ford; None on negative cycle. *)
+(* True when the predecessor links ([-1] = none) contain a cycle. *)
+let has_cycle pred =
+  let n = Array.length pred in
+  (* 0 = unvisited, 1 = on the current walk, 2 = known acyclic *)
+  let state = Array.make n 0 in
+  let rec walk v =
+    if v < 0 || state.(v) = 2 then false
+    else if state.(v) = 1 then true
+    else begin
+      state.(v) <- 1;
+      let cyclic = walk pred.(v) in
+      state.(v) <- 2;
+      cyclic
+    end
+  in
+  let rec from v = v < n && (walk v || from (v + 1)) in
+  from 0
+
+(* Solve r(u) - r(v) <= c_{uv} by Bellman-Ford; None on negative cycle.
+   Each relaxation records v as u's predecessor.  A cycle among those
+   links is always a negative cycle (CLRS Lemma 24.16), so an infeasible
+   system stops at the first round that closes one instead of running to
+   the round bound; feasible systems relax exactly as without the check. *)
 let solve_constraints nv constraints =
   let r = Array.make nv 0 in
+  let pred = Array.make nv (-1) in
   let changed = ref true in
+  let cyclic = ref false in
   let iterations = ref 0 in
-  while !changed && !iterations <= nv + 2 do
+  while !changed && (not !cyclic) && !iterations <= nv + 2 do
     changed := false;
     incr iterations;
     List.iter
       (fun (u, v, c) ->
         if r.(u) > r.(v) + c then begin
           r.(u) <- r.(v) + c;
+          pred.(u) <- v;
           changed := true
         end)
-      constraints
+      constraints;
+    if !changed then cyclic := has_cycle pred
   done;
   if !changed then None
   else begin
@@ -215,109 +241,6 @@ let realize net g r =
   if !result = Ok () && total () > 0 then Error (Stuck "budget exhausted")
   else (match !result with Ok () -> Ok () | Error e -> Error e)
 
-(* --- FEAS: the iterative feasibility algorithm -------------------------------- *)
-
-(* FEAS(c): starting from r = 0, repeat |V| times: compute the combinational
-   arrival times of the retimed graph (edges with w_r = 0 are wires) and
-   increment r(v) for every vertex whose arrival exceeds c; c is feasible
-   iff no violation remains.  The host's label stays 0. *)
-let feas_feasible g target =
-  let r = Array.make g.nv 0 in
-  let arrivals () =
-    (* longest-path over the 0-weight subgraph; None on a 0-weight cycle *)
-    let adj = Array.make g.nv [] in
-    let indeg = Array.make g.nv 0 in
-    List.iter
-      (fun (u, v, w) ->
-        (* exactly-zero retimed weight = a wire; transiently negative
-           weights are neither wires nor registers and are ignored here.
-           The host never propagates arrivals (a PO-to-PI hop through the
-           environment is not a combinational path): its outgoing wires
-           contribute nothing beyond each gate's own delay, which the
-           initialization covers. *)
-        let wr = w + r.(v) - r.(u) in
-        if wr = 0 && u <> v && u <> 0 then begin
-          adj.(u) <- v :: adj.(u);
-          indeg.(v) <- indeg.(v) + 1
-        end)
-      g.edges;
-    let arrival = Array.copy g.delay in
-    let queue = Queue.create () in
-    for v = 0 to g.nv - 1 do
-      if indeg.(v) = 0 then Queue.push v queue
-    done;
-    let processed = ref 0 in
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      incr processed;
-      List.iter
-        (fun v ->
-          if arrival.(u) +. g.delay.(v) > arrival.(v) then
-            arrival.(v) <- arrival.(u) +. g.delay.(v);
-          indeg.(v) <- indeg.(v) - 1;
-          if indeg.(v) = 0 then Queue.push v queue)
-        adj.(u)
-    done;
-    if !processed < g.nv then None else Some arrival
-  in
-  (* The host is incrementable like any vertex: retimings only depend on
-     label differences, so a host increment is a global decrement in
-     disguise; labels are renormalized by the caller via r(v) - r(host). *)
-  (* With the host participating, convergence can need more than the
-     classical |V| - 1 rounds (each host increment re-normalizes the whole
-     labeling); a quadratic bound is still cheap at our sizes. *)
-  let rec iterate k =
-    if k > (g.nv * g.nv) + 8 then false
-    else
-      match arrivals () with
-      | None -> false (* a combinational (0-weight) cycle: infeasible here *)
-      | Some arrival ->
-        let violated = Array.make g.nv false in
-        for v = 0 to g.nv - 1 do
-          if arrival.(v) > target +. 1e-9 then violated.(v) <- true
-        done;
-        (* a negative retimed weight is a legality violation of the head
-           vertex: incrementing it is the Bellman-Ford relaxation of the
-           edge constraint r(v) >= r(u) - w *)
-        List.iter
-          (fun (u, v, w) -> if w + r.(v) - r.(u) < 0 then violated.(v) <- true)
-          g.edges;
-        let any = ref false in
-        Array.iteri
-          (fun v bad ->
-            if bad then begin
-              r.(v) <- r.(v) + 1;
-              any := true
-            end)
-          violated;
-        if not !any then
-          List.for_all (fun (u, v, w) -> w + r.(v) - r.(u) >= 0) g.edges
-        else iterate (k + 1)
-  in
-  iterate 0
-
-let min_feasible_period_feas ?(max_vertices = 1200) net model =
-  let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
-  else begin
-    let wd = wd_matrices g in
-    let candidates = Array.of_list (candidate_periods g wd) in
-    if Array.length candidates = 0 then Ok 0.0
-    else begin
-      let feasible i = feas_feasible g candidates.(i) in
-      let n = Array.length candidates in
-      if not (feasible (n - 1)) then Error Infeasible
-      else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if feasible mid then hi := mid else lo := mid + 1
-        done;
-        Ok candidates.(!lo)
-      end
-    end
-  end
-
 (* --- public entry points ---------------------------------------------------- *)
 
 let retime_with g wd net target =
@@ -333,71 +256,69 @@ let retime_with g wd net target =
        Ok copy
      | Error e -> Error e)
 
-let min_feasible_period ?(max_vertices = 1200) net model =
-  let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
+(* Index of the smallest candidate period [feasible] accepts.  Feasibility
+   is monotone in the period, so the largest candidate is probed first and
+   then the range is bisected; None when even the largest fails. *)
+let smallest_feasible candidates feasible =
+  let n = Array.length candidates in
+  if n = 0 || not (feasible candidates.(n - 1)) then None
   else begin
-    let wd = wd_matrices g in
-    let candidates = Array.of_list (candidate_periods g wd) in
-    if Array.length candidates = 0 then Ok 0.0
-    else begin
-      let feasible c = feasible_retiming g wd c <> None in
-      let lo = ref 0 and hi = ref (Array.length candidates - 1) in
-      if not (feasible candidates.(!hi)) then Error Infeasible
-      else begin
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if feasible candidates.(mid) then hi := mid else lo := mid + 1
-        done;
-        Ok candidates.(!lo)
-      end
-    end
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if feasible candidates.(mid) then hi := mid else lo := mid + 1
+    done;
+    Some !lo
   end
 
-let retime ?(max_vertices = 1200) net ~model ~target =
-  let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
-  else retime_with g (wd_matrices g) net target
+let min_period g wd feasible =
+  let candidates = Array.of_list (candidate_periods g wd) in
+  if Array.length candidates = 0 then Ok 0.0
+  else
+    match smallest_feasible candidates feasible with
+    | Some i -> Ok candidates.(i)
+    | None -> Error Infeasible
 
-let retime_min_period ?(max_vertices = 1200) ?current_period net ~model =
+(* Effort cap: the W/D matrices are dense in the vertex count. *)
+let max_vertices = 1200
+
+let with_graph net model k =
   let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv)
-  else begin
-    let wd = wd_matrices g in
-    let current =
-      match current_period with
-      | Some p -> p
-      | None -> Sta.clock_period net model
-    in
-    let candidates =
-      Array.of_list
-        (List.filter (fun c -> c < current -. 1e-9) (candidate_periods g wd))
-    in
-    let n = Array.length candidates in
-    if n = 0 then Error Infeasible
-    else begin
-      (* binary-search the smallest graph-feasible candidate, then walk
-         upward until one is also realizable (initial states computable) *)
-      let feasible i = feasible_retiming g wd candidates.(i) <> None in
-      if not (feasible (n - 1)) then Error Infeasible
-      else begin
-        let lo = ref 0 and hi = ref (n - 1) in
-        while !lo < !hi do
-          let mid = (!lo + !hi) / 2 in
-          if feasible mid then hi := mid else lo := mid + 1
-        done;
-        let rec walk_up i =
-          if i >= n then Error Infeasible
-          else
-            match retime_with g wd net candidates.(i) with
-            | Ok net' -> Ok (net', candidates.(i))
-            | Error (Init_state _ | Stuck _ | Infeasible) -> walk_up (i + 1)
-            | Error (Too_large _) as e -> e
-        in
-        walk_up !lo
-      end
-    end
-  end
+  if g.nv > max_vertices then Error (Too_large g.nv) else k g (wd_matrices g)
+
+let min_feasible_period net model =
+  with_graph net model (fun g wd ->
+      min_period g wd (fun c -> feasible_retiming g wd c <> None))
+
+let retime net ~model ~target =
+  with_graph net model (fun g wd -> retime_with g wd net target)
+
+let retime_min_period ?current_period net ~model =
+  with_graph net model (fun g wd ->
+      let current =
+        match current_period with
+        | Some p -> p
+        | None -> Sta.clock_period net model
+      in
+      let candidates =
+        Array.of_list
+          (List.filter (fun c -> c < current -. 1e-9) (candidate_periods g wd))
+      in
+      (* the smallest graph-feasible candidate, then upward until one is
+         also realizable (initial states computable) *)
+      let rec walk_up i =
+        if i >= Array.length candidates then Error Infeasible
+        else
+          match retime_with g wd net candidates.(i) with
+          | Ok net' -> Ok (net', candidates.(i))
+          | Error (Init_state _ | Stuck _ | Infeasible) -> walk_up (i + 1)
+          | Error (Too_large _) as e -> e
+      in
+      match
+        smallest_feasible candidates (fun c -> feasible_retiming g wd c <> None)
+      with
+      | Some i -> walk_up i
+      | None -> Error Infeasible)
 
 module Internal = struct
   type nonrec graph = graph = {
@@ -409,32 +330,5 @@ module Internal = struct
 
   let build_graph = build_graph
   let wd_matrices = wd_matrices
-  let realize = realize
-end
-
-module Debug = struct
-  let dump net model =
-    let g = build_graph net model in
-    let buf = Buffer.create 256 in
-    Buffer.add_string buf (Printf.sprintf "nv=%d\n" g.nv);
-    Array.iteri
-      (fun v id -> Buffer.add_string buf (Printf.sprintf "vertex %d = node %d (d=%.1f)\n" v id g.delay.(v)))
-      g.node_of_vertex;
-    List.iter
-      (fun (u, v, w) -> Buffer.add_string buf (Printf.sprintf "edge %d -> %d w=%d\n" u v w))
-      g.edges;
-    let w, d = wd_matrices g in
-    for u = 0 to g.nv - 1 do
-      for v = 0 to g.nv - 1 do
-        if w.(u).(v) < big then
-          Buffer.add_string buf (Printf.sprintf "W(%d,%d)=%d D=%.1f\n" u v w.(u).(v) d.(u).(v))
-      done
-    done;
-    List.iter
-      (fun c ->
-        Buffer.add_string buf
-          (Printf.sprintf "candidate %.1f feasible=%b\n" c
-             (feasible_retiming g (w, d) c <> None)))
-      (candidate_periods g (w, d));
-    Buffer.contents buf
+  let min_period = min_period
 end

@@ -12,7 +12,9 @@
     failure mode the paper reports for SIS retiming. *)
 
 type failure =
-  | Too_large of int  (** vertex count beyond the effort cap *)
+  | Too_large of int
+      (** vertex count beyond the effort cap of 1200 (the W/D matrices are
+          dense) *)
   | Infeasible
   | Init_state of string
       (** a backward move could not compute an initial state *)
@@ -20,26 +22,18 @@ type failure =
 
 val failure_message : failure -> string
 
-val min_feasible_period : ?max_vertices:int -> Netlist.Network.t -> Sta.model -> (float, failure) result
+val min_feasible_period : Netlist.Network.t -> Sta.model -> (float, failure) result
 (** Best period any retiming can achieve (graph-level; ignores initial-state
     realizability).  Computed with the W/D-matrix difference constraints. *)
 
-val min_feasible_period_feas :
-  ?max_vertices:int -> Netlist.Network.t -> Sta.model -> (float, failure) result
-(** The same quantity computed with Leiserson-Saxe's iterative FEAS
-    algorithm (relax-and-increment, no W/D matrices) — an independent
-    implementation cross-checked against {!min_feasible_period} by the test
-    suite. *)
-
 val retime :
-  ?max_vertices:int ->
   Netlist.Network.t -> model:Sta.model -> target:float ->
   (Netlist.Network.t, failure) result
 (** Retime a copy of the network to meet [target].  The input network is not
     modified. *)
 
 val retime_min_period :
-  ?max_vertices:int -> ?current_period:float ->
+  ?current_period:float ->
   Netlist.Network.t -> model:Sta.model ->
   (Netlist.Network.t * float, failure) result
 (** Retime to the minimum feasible period.  When realization fails at the
@@ -50,8 +44,8 @@ val retime_min_period :
 
 (**/**)
 
-(** Shared infrastructure for other retiming objectives (used by
-    {!Minregister}). *)
+(** The retiming graph and the candidate-period search, for independent
+    feasibility checks in the test suite. *)
 module Internal : sig
   type graph = {
     nv : int;                        (** vertex 0 is the host *)
@@ -64,12 +58,9 @@ module Internal : sig
 
   val wd_matrices : graph -> int array array * float array array
 
-  val realize :
-    Netlist.Network.t -> graph -> int array -> (unit, failure) result
-  (** Apply a retiming vector (indexed by vertex; host must be 0) to the
-      network by atomic moves. *)
-end
-
-module Debug : sig
-  val dump : Netlist.Network.t -> Sta.model -> string
+  val min_period :
+    graph -> int array array * float array array -> (float -> bool) ->
+    (float, failure) result
+  (** The smallest candidate period (a distinct D value) the predicate
+      accepts, found by the same search {!min_feasible_period} uses. *)
 end

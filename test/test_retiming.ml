@@ -204,6 +204,25 @@ let test_retime_infeasible_target () =
   | Ok _ -> Alcotest.fail "0.5 is below the loop bound"
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
 
+let test_retime_infeasible_long_ring () =
+  (* 200 inverters through one latch: every retiming keeps all 200 gates
+     between the one register and itself, so a target of 100 is below the
+     loop bound. *)
+  let net = N.create ~name:"ring200" () in
+  let a = N.add_input net "a" in
+  let r = N.add_latch net ~name:"r" N.I0 a in
+  let last = ref r in
+  for i = 1 to 200 do
+    last := N.add_logic net ~name:(Printf.sprintf "g%d" i) inv_cover [ !last ]
+  done;
+  N.replace_fanin net r ~old_fanin:a ~new_fanin:!last;
+  N.set_output net "o" r;
+  N.check net;
+  match Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target:100.0 with
+  | Error Retiming.Minperiod.Infeasible -> ()
+  | Ok _ -> Alcotest.fail "100 is below the loop bound of 200"
+  | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
+
 let test_retime_pipeline () =
   (* a -> g1 -> g2 -> g3 -> r -> out: moving the register into the middle of
      the 3-gate chain balances the pipeline (period 3 -> 2). *)
@@ -336,7 +355,7 @@ let prop_feas_agrees_with_wd =
       let net = Circuits.Generators.random_sequential ~seed seq_profile in
       N.sweep net;
       let a = Retiming.Minperiod.min_feasible_period net Sta.unit_delay in
-      let b = Retiming.Minperiod.min_feasible_period_feas net Sta.unit_delay in
+      let b = Feas.min_period net Sta.unit_delay in
       match a, b with
       | Ok x, Ok y -> abs_float (x -. y) < 1e-9
       | Error Retiming.Minperiod.Infeasible, Error Retiming.Minperiod.Infeasible
@@ -344,116 +363,29 @@ let prop_feas_agrees_with_wd =
         true
       | _, _ -> false)
 
-(* --- exact min-register retiming ---------------------------------------------- *)
-
-let test_minregister_fanout_merge () =
-  (* a -> g -> {L1 -> o1, L2 -> o2}: two registers on the two fanout edges
-     of g can become one register before g (backward move), halving the
-     count. *)
-  let net = N.create () in
-  let a = N.add_input net "a" in
-  let g = N.add_logic net ~name:"g" inv_cover [ a ] in
-  let l1 = N.add_latch net ~name:"l1" N.I1 g in
-  let l2 = N.add_latch net ~name:"l2" N.I1 g in
-  N.set_output net "o1" l1;
-  N.set_output net "o2" l2;
-  match Retiming.Minregister.min_registers net ~model:Sta.unit_delay with
-  | Ok (retimed, count) ->
-    Alcotest.(check int) "one register" 1 count;
-    N.check retimed;
-    Alcotest.(check bool) "behaviour preserved" true
-      (Oracle.seq_equivalent net retimed)
-  | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
-
-let test_minregister_respects_period () =
-  (* Same circuit: merging the registers backward puts both gate delays on
-     one register-to-output path; with a period bound of 1 the merge is
-     forbidden and both registers stay. *)
-  let net = N.create () in
-  let a = N.add_input net "a" in
-  let g = N.add_logic net ~name:"g" inv_cover [ a ] in
-  let g2 = N.add_logic net ~name:"g2" inv_cover [ g ] in
-  let l1 = N.add_latch net ~name:"l1" N.I1 g2 in
-  let l2 = N.add_latch net ~name:"l2" N.I1 g2 in
-  let c1 = N.add_logic net ~name:"c1" inv_cover [ l1 ] in
-  let c2 = N.add_logic net ~name:"c2" inv_cover [ l2 ] in
-  N.set_output net "o1" c1;
-  N.set_output net "o2" c2;
-  (* unconstrained: can pull the two registers backward across g2 (one
-     register) *)
-  (match Retiming.Minregister.min_registers net ~model:Sta.unit_delay with
-   | Ok (retimed, count) ->
-     Alcotest.(check bool) "saves a register" true (count <= 1);
-     Alcotest.(check bool) "equivalent" true
-       (Oracle.seq_equivalent net retimed)
-   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f));
-  (* with the period capped at the current value, the result must still
-     meet it *)
-  let period = Sta.clock_period net Sta.unit_delay in
-  match
-    Retiming.Minregister.min_registers ~target_period:period net
-      ~model:Sta.unit_delay
-  with
-  | Ok (retimed, _) ->
-    Alcotest.(check bool) "period respected" true
-      (Sta.clock_period retimed Sta.unit_delay <= period +. 1e-9)
-  | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
-
-let test_minregister_infeasible_period () =
-  let net = two_register_loop () in
-  match
-    Retiming.Minregister.min_registers ~target_period:0.5 net
-      ~model:Sta.unit_delay
-  with
-  | Error Retiming.Minperiod.Infeasible -> ()
-  | Ok _ -> Alcotest.fail "period 0.5 is infeasible"
-  | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
-
-let prop_minregister_sound =
-  QCheck.Test.make ~count:30
-    ~name:"exact min-register retiming preserves behaviour"
+(* Per target rather than per optimum: [retime ~target] declines exactly
+   the targets the FEAS oracle rejects. *)
+let prop_retime_infeasible_iff_feas_rejects =
+  QCheck.Test.make ~count:40
+    ~name:"retime declines a target exactly when FEAS rejects it"
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let net = Circuits.Generators.random_sequential ~seed seq_profile in
       N.sweep net;
-      match Retiming.Minregister.min_registers net ~model:Sta.unit_delay with
-      | Ok (retimed, _) ->
-        N.check retimed;
-        Oracle.seq_equivalent net retimed
-      | Error _ -> true)
-
-let prop_minregister_never_grows =
-  QCheck.Test.make ~count:30
-    ~name:"exact min-register retiming never grows the register count"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net = Circuits.Generators.random_sequential ~seed seq_profile in
-      N.sweep net;
-      let before =
-        let merged = N.copy net in
-        ignore (Retiming.Minarea.merge_all_siblings merged);
-        N.num_latches merged
-      in
-      match Retiming.Minregister.min_registers net ~model:Sta.unit_delay with
-      | Ok (_, count) -> count <= before
-      | Error _ -> true)
-
-let prop_minregister_period_bound_holds =
-  QCheck.Test.make ~count:30
-    ~name:"min-register with period bound meets the bound"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net = Circuits.Generators.random_sequential ~seed seq_profile in
-      N.sweep net;
-      let period = Sta.clock_period net Sta.unit_delay in
-      match
-        Retiming.Minregister.min_registers ~target_period:period net
-          ~model:Sta.unit_delay
-      with
-      | Ok (retimed, _) ->
-        Sta.clock_period retimed Sta.unit_delay <= period +. 1e-9
-        && Oracle.seq_equivalent net retimed
-      | Error _ -> true)
+      let g = Retiming.Minperiod.Internal.build_graph net Sta.unit_delay in
+      let period = int_of_float (Sta.clock_period net Sta.unit_delay) in
+      List.for_all
+        (fun target ->
+          let target = float_of_int target in
+          let declined =
+            match
+              Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target
+            with
+            | Error Retiming.Minperiod.Infeasible -> true
+            | Ok _ | Error _ -> false
+          in
+          declined = not (Feas.feasible g target))
+        (List.init period (fun i -> i + 1)))
 
 let () =
   Alcotest.run "retiming"
@@ -479,21 +411,19 @@ let () =
         [ Alcotest.test_case "two-register loop" `Quick test_min_period_loop;
           Alcotest.test_case "infeasible target" `Quick
             test_retime_infeasible_target;
+          Alcotest.test_case "infeasible long ring" `Quick
+            test_retime_infeasible_long_ring;
           Alcotest.test_case "pipeline" `Quick test_retime_pipeline;
           Alcotest.test_case "single-register pipeline" `Quick
             test_retime_cannot_improve_single_register_pipeline ] );
       ( "minarea",
         [ Alcotest.test_case "merges equivalent copies" `Quick
             test_minarea_merges_copies ] );
-      ( "minregister",
-        [ Alcotest.test_case "fanout merge" `Quick test_minregister_fanout_merge;
-          Alcotest.test_case "respects period" `Quick
-            test_minregister_respects_period;
-          Alcotest.test_case "infeasible period" `Quick
-            test_minregister_infeasible_period ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_retime_preserves_behaviour; prop_retime_improves_period;
             prop_random_moves_preserve_behaviour; prop_minarea_sound;
-            prop_minregister_sound; prop_minregister_never_grows;
-            prop_minregister_period_bound_holds; prop_feas_agrees_with_wd ] ) ]
+            prop_feas_agrees_with_wd ] );
+      ( "feas-oracle",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_retime_infeasible_iff_feas_rejects ] ) ]
