@@ -476,12 +476,8 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
     | Some ns -> List.length ns
     | None -> List.length Circuits.Suite.entries
   in
-  (* Critical-path decomposition: with row-granular parallelism only, the
-     slowest row lower-bounds the parallel wall clock no matter how many
-     workers run.  The intra-row tasks (eqcheck boundary chain, verify rule
-     groups, the two verification lanes, resynthesis cone evaluation) exist
-     to break exactly that bound, so measure it: re-run just the slowest row
-     serial vs [jobs]-worker and report how much of it decomposes. *)
+  (* with row-granular parallelism the slowest row lower-bounds the
+     parallel wall clock no matter how many workers run *)
   let slowest_row, slowest_row_s =
     List.fold_left
       (fun (bn, bs) (n, s) -> if s > bs then (n, s) else (bn, bs))
@@ -490,18 +486,6 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
   let slowest_row_share =
     100.0 *. slowest_row_s /. Float.max 1e-9 serial_s
   in
-  let time_critical jobs =
-    let t0 = Unix.gettimeofday () in
-    ignore
-      (Report.Table.run_suite ~verify ~verify_each ~eqcheck_each
-         ~names:[ slowest_row ] ~jobs ());
-    Unix.gettimeofday () -. t0
-  in
-  let critical_serial_s = time_critical 1 in
-  let critical_intra_s = time_critical jobs in
-  let critical_speedup =
-    critical_serial_s /. Float.max 1e-9 critical_intra_s
-  in
   Printf.printf
     "  %d rows, verify=%b: serial %.1fs, %d jobs %.1fs, speedup %.2fx \
      (output byte-identical)\n"
@@ -509,10 +493,6 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
   Printf.printf
     "  slowest row: %s at %.2fs serial (%.0f%% of the suite's serial time)\n"
     slowest_row slowest_row_s slowest_row_share;
-  Printf.printf
-    "  critical row alone: serial %.2fs, %d jobs %.2fs — intra-row speedup \
-     %.2fx\n"
-    critical_serial_s jobs critical_intra_s critical_speedup;
   Printf.printf "  available cores (recommended_domain_count): %d\n"
     (Core.Parallel.cores ());
   if Core.Parallel.oversubscribed ~jobs then
@@ -538,9 +518,6 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
         ("speedup", speedup);
         ("slowest_row_s", slowest_row_s);
         ("slowest_row_share_pct", slowest_row_share);
-        ("critical_row_serial_s", critical_serial_s);
-        ("critical_row_intra_s", critical_intra_s);
-        ("critical_row_intra_speedup", critical_speedup);
         ("byte_identical", 1.0) ]
   end;
   speedup
@@ -858,7 +835,9 @@ let serve_bench ?(emit_json = true) () =
     emit_bench ~file:"BENCH_serve.json" ~prefix:"bench.serve"
       ~title:"daemon engine round-trip: cold vs warm request (s27)"
       ~unit:"ms"
-      [ ("cold_ms", cold_ms);
+      [ ("jobs", 2.0);
+        ("cores", float_of_int (Core.Parallel.cores ()));
+        ("cold_ms", cold_ms);
         ("warm_ms", warm_ms);
         ("speedup", if warm_ms > 0.0 then cold_ms /. warm_ms else 0.0);
         ("cold_bdd_allocated", float_of_int cold_bdd);

@@ -15,7 +15,8 @@
    --tcp HOST:PORT  listen on a TCP socket
    --jobs N         fork-join pool size (default 2; 0 = one per core).
                     The event loop is worker 0; jobs >= 2 keeps the daemon
-                    responsive while flows run
+                    responsive while flows run.  A pool that cannot start
+                    exits 2
    --queue N        max in-flight requests before queue-full rejection
    --max-netlist B  inline-BLIF size cap in bytes
    --timeout S      default per-request deadline (seconds, fractional ok)
@@ -140,8 +141,13 @@ let serve_main args =
       jobs;
     flush stdout
   in
-  Serve.Daemon.run ~config ~jobs ?stream_trace:!stream_trace ~stop ~ready
-    endpoint;
+  (try
+     Serve.Daemon.run ~config ~jobs ?stream_trace:!stream_trace ~stop ~ready
+       endpoint
+   with Core.Parallel.Pool_start_failed (n, e) ->
+     Printf.eprintf "resynthd: cannot start %d workers (--jobs): %s\n" n
+       (Printexc.to_string e);
+     exit 2);
   let findings = Sanitize.findings () in
   if findings <> [] then begin
     prerr_string (Sanitize.render findings);

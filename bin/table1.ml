@@ -6,11 +6,9 @@
                  [--metrics-json FILE] [--sanitize] [--sanitize-json FILE]
 
    --jobs N        size of the fork-join worker pool (default 1; 0 = one
-                   worker per recommended core).  Rows run in parallel, and
-                   workers left idle by the row split steal intra-row tasks
-                   (eqcheck boundary checks, verify rule groups, the two
-                   verification lanes), so N above the row count still
-                   helps.  Output is byte-identical for every N.
+                   worker per recommended core), capped at one worker per
+                   row.  Rows run in parallel; each row runs serially.
+                   Output is byte-identical for every N.
    --names         comma-separated subset of suite circuits
    --no-verify     skip the sequential-equivalence check on each flow result
    --verify-each   run the netlist verifier (structural rules + journal

@@ -74,14 +74,10 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
     ("flow/" ^ name)
   @@ fun () ->
   let eq_records = ref [] in
-  let eq_hooks, eq_finish =
-    if eqcheck_each then begin
-      let hook, finish =
-        Eqcheck.instrument ?options:eqcheck_options ~label:name eq_records
-      in
-      ([ hook ], finish)
-    end
-    else ([], ignore)
+  let eq_hooks =
+    if eqcheck_each then
+      [ Eqcheck.instrument ?options:eqcheck_options ~label:name eq_records ]
+    else []
   in
   (* caller hooks first: the serving daemon's cancellation / deadline check
      takes effect at each pass boundary before any verifier work runs *)
@@ -108,46 +104,30 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
       Obs.Trace.span ~cat:"verify" "verify/seq-equal" (fun () ->
           Some (Eqcheck.check_result mapped result))
   in
-  (* Each flow's result gets a verification lane — measurement, sequential
-     equivalence against [mapped], and the static verifier — forked as a
-     task so it overlaps with the other flow (and, nested, with the verify
-     rule groups and eqcheck boundary tasks).  Every lane input is owned by
-     exactly one lane; [mapped] is shared read-only, its lazily cached topo
-     order computed up front. *)
-  ignore (N.topo_combinational mapped);
+  (* each flow's result gets a verification lane: measurement, sequential
+     equivalence against [mapped], and the static verifier *)
   let lane which net' =
-    Parallel.fork (fun () ->
-        Obs.Trace.span ~cat:"verify" ("lane/" ^ which) (fun () ->
-            let stats = measure net' ~lib in
-            let verified = check net' in
-            let diags = if verify_each then Verify.run net' else [] in
-            ({ stats = Some stats; note = ""; verified }, diags)))
+    Obs.Trace.span ~cat:"verify" ("lane/" ^ which) (fun () ->
+        let stats = measure net' ~lib in
+        let verified = check net' in
+        let diags = if verify_each then Verify.run net' else [] in
+        ({ stats = Some stats; note = ""; verified }, diags))
   in
-  let failed msg =
-    Parallel.fork (fun () -> ({ stats = None; note = msg; verified = None }, []))
-  in
-  let retimed_lane =
+  let failed msg = ({ stats = None; note = msg; verified = None }, []) in
+  let retimed, retimed_diags =
     match retiming_flow ~current_period:base.clk ~hooks mapped ~lib with
     | Ok net' -> lane "retimed" net'
     | Error msg -> failed msg
   in
-  let resynth_outcome = ref None in
-  let resynth_lane =
+  let (resynthesized, resynth_diags), resynth_outcome =
     match resynthesis_flow ~options:resynth_options ~hooks mapped with
-    | Ok (net', outcome) ->
-      resynth_outcome := Some outcome;
-      lane "resynthesized" net'
-    | Error msg -> failed msg
+    | Ok (net', outcome) -> (lane "resynthesized" net', Some outcome)
+    | Error msg -> (failed msg, None)
   in
-  (* joins in program order: attempt values, diagnostic order and the
-     eqcheck record stream match the serial run byte for byte *)
-  let retimed, retimed_diags = Parallel.join retimed_lane in
-  let resynthesized, resynth_diags = Parallel.join resynth_lane in
-  eq_finish ();
   { circuit = name;
     base;
     retimed;
     resynthesized;
-    resynth_outcome = !resynth_outcome;
+    resynth_outcome;
     eqcheck = !eq_records;
     verify_diags = retimed_diags @ resynth_diags }

@@ -1,8 +1,4 @@
-(* Re-export of the fork-join task scheduler.
-
-   The scheduler itself lives in [lib/sched] so layers below [core] —
-   [Eqcheck] boundary checks, [Verify] rule groups — can fork tasks onto
-   the same pool; [Core.Parallel] stays the canonical name used by flows,
-   reports and binaries. *)
+(* Re-export of the fork-join task scheduler ([lib/sched]) under the name
+   flows, reports, the daemon and the binaries use. *)
 
 include Sched

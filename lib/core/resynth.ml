@@ -193,16 +193,13 @@ let simplify_cone net classes ~dc_mode ~max_cone_leaves root =
           !found
         in
         let dc = Dontcare.Classes.dc_cover classes ~nvars ~var_of_latch in
-        (* the no-DC control minimization only scores [dc_was_useful]; it is
-           independent of the DC run ([minimize] never mutates its input
-           cover), so it runs as a sibling task *)
+        (* the no-DC control minimization only scores [dc_was_useful]
+           ([minimize] never mutates its input cover) *)
         let without_dc_lits =
-          Parallel.fork (fun () ->
-              Logic.Cover.lit_count (Logic.Minimize.minimize base))
+          Logic.Cover.lit_count (Logic.Minimize.minimize base)
         in
         let with_dc = Logic.Minimize.minimize ~dc base in
-        ( with_dc,
-          Logic.Cover.lit_count with_dc < Parallel.join without_dc_lits )
+        (with_dc, Logic.Cover.lit_count with_dc < without_dc_lits)
       | Substitution ->
         (* rename every latch leaf to the first leaf of its class; a cube
            carrying opposing literals on two equivalent registers denotes

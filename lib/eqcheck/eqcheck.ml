@@ -934,17 +934,12 @@ let timed f =
 let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
     =
   (* the class-invariant certificate only reads [post] and owns its own BDD
-     scope, so it runs as a sibling task of the comb/seq check.  [post]'s
-     lazily cached topo order is computed before forking: both lanes read it
-     concurrently afterwards. *)
-  let dcret_fut =
-    if classes = [] then None
-    else begin
-      ignore (N.topo_combinational post);
-      Some
-        (Sched.fork (fun () ->
-             timed (fun () -> dcret_check ~options post classes)))
-    end
+     scope *)
+  let dcret_records =
+    if classes = [] then []
+    else
+      let v, secs = timed (fun () -> dcret_check ~options post classes) in
+      [ { label; pass; rule = "dcret-invariant"; verdict = v; seconds = secs } ]
   in
   let eq_record =
     if comb_interface_matches pre post then begin
@@ -971,13 +966,6 @@ let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
       { label; pass; rule = "eq-pass/seq"; verdict = v; seconds = secs }
     end
   in
-  let dcret_records =
-    match dcret_fut with
-    | None -> []
-    | Some fut ->
-      let v, secs = Sched.join fut in
-      [ { label; pass; rule = "dcret-invariant"; verdict = v; seconds = secs } ]
-  in
   let records = eq_record :: dcret_records in
   List.iter
     (fun r ->
@@ -993,17 +981,8 @@ let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
 
 let instrument ?(options = default_options) ~label sink =
   let reference = ref None in
+  (* check k's post cones are check k+1's pre cones: one memo per flow *)
   let memo = memo () in
-  (* Boundary checks run as scheduler tasks so a whole flow's checks overlap
-     with the flow itself (and with each other's dcret lanes).  Both sides of
-     every check are snapshots the flow never mutates again, so the tasks
-     need no lock; they are *chained* — task k+1 first joins task k — because
-     they share [memo] (check k's post cones are check k+1's pre cones).
-     The chain also makes [eqcheck.bdd.reuse] and the memo hit sequence
-     byte-identical at any [--jobs N].  [finish] joins the chain and fills
-     [sink] in boundary order, exactly as the serial version appended. *)
-  let chain = ref None in
-  let pending = ref [] in
   let remember net =
     reference := Some (net, N.revision net, N.outputs_revision net, N.copy net)
   in
@@ -1017,16 +996,9 @@ let instrument ?(options = default_options) ~label sink =
     match !reference with
     | Some (_, _, _, pre_copy) when not (unchanged net) ->
       let post_copy = N.copy net in
-      let prev = !chain in
-      let fut =
-        Sched.fork (fun () ->
-            (match prev with
-             | Some p -> ignore (Sched.join p)
-             | None -> ());
-            check_pass ~options ~memo ~label ~pass ~classes pre_copy post_copy)
-      in
-      chain := Some fut;
-      pending := fut :: !pending;
+      sink :=
+        !sink
+        @ check_pass ~options ~memo ~label ~pass ~classes pre_copy post_copy;
       (* the snapshot (identical node ids, never mutated) is both the next
          boundary's [pre] side and the memo key under which [check_pass]
          records this check's post-side cone BDDs — so the next check reuses
@@ -1035,19 +1007,12 @@ let instrument ?(options = default_options) ~label sink =
         Some (net, N.revision net, N.outputs_revision net, post_copy)
     | Some _ | None -> () (* unchanged: the existing snapshot still matches *)
   in
-  let finish () =
-    let futs = List.rev !pending in
-    pending := [];
-    List.iter (fun fut -> sink := !sink @ Sched.join fut) futs
-  in
-  let hook { Verify.pass; classes; input; in_place = _ } =
+  fun { Verify.pass; classes; input; in_place = _ } ->
     (* the pass reads [input] as it stands now: a stale reference (another
        lineage, such as the second flow branching from the same input) is
        replaced before the pass runs *)
     if not (unchanged input) then remember input;
     boundary pass classes
-  in
-  (hook, finish)
 
 (* --- rendering ------------------------------------------------------------------ *)
 

@@ -147,21 +147,15 @@ val check_pass :
     the post-pass network when [classes] is non-empty. *)
 
 val instrument :
-  ?options:options ->
-  label:string ->
-  record list ref ->
-  Verify.hook * (unit -> unit)
+  ?options:options -> label:string -> record list ref -> Verify.hook
 (** A {!Verify.hook} for [Core.Flow] / [Core.Resynth] that runs
     {!check_pass} at every pass boundary against the network as of the
-    previous boundary.  When a pass reads a network other than the one the
-    previous boundary left (a flow's input, or the start of another lineage
-    from a shared input), the reference is re-anchored at that input first.
-    Checks run as chained [Sched] tasks over snapshots (each joins its
-    predecessor, so the shared cone memo — and the [eqcheck.bdd.reuse]
-    count — stay byte-identical at any [--jobs N]), overlapping with the
-    flow itself when a pool is active.  Returns [(hook, finish)]: [finish]
-    joins all outstanding checks and appends their records to the sink in
-    boundary order — call it before reading the sink. *)
+    previous boundary, and appends its records to the sink in boundary
+    order.  When a pass reads a network other than the one the previous
+    boundary left (a flow's input, or the start of another lineage from a
+    shared input), the reference is re-anchored at that input first.  Both
+    sides of every check are snapshots, and consecutive checks share one
+    cone memo (check k's post side is check k+1's pre side). *)
 
 val counts : record list -> int * int * int
 (** (proved, refuted, unknown). *)

@@ -97,19 +97,17 @@ let summary rows =
     (mean (ratios (fun s -> s.Core.Flow.clk)))
     (mean (ratios (fun s -> s.Core.Flow.area)))
 
-(* [jobs] > 1 runs the rows on a [jobs]-worker fork-join pool; every row
-   builds its own network and timers from its entry's fixed seed, and its
-   BDD scopes all point at the process-wide shared unique table, which dedups
-   node structure across rows and domains.  Parallelism is no longer
-   row-granular only: inside a row, eqcheck boundary checks, verify rule
-   groups and the two verification lanes are forked as nested tasks that any
-   idle worker steals — so extra workers help even on a single slow row.
-   Rows stay independent — scope accounting makes node budgets blind to
-   table warmth — so the joined output is byte-identical to a serial run.
+(* [jobs] > 1 runs the rows on a fork-join pool of at most [jobs] workers,
+   one task per row; inside a row everything runs in program order.  Every
+   row builds its own network and timers from its entry's fixed seed, and
+   its BDD scopes all point at the process-wide shared unique table, which
+   dedups node structure across rows and domains.  Rows stay independent —
+   scope accounting makes node budgets blind to table warmth — so the
+   joined output is byte-identical to a serial run.
 
    [run_suite_timed] additionally reports each row's wall-clock seconds (in
    entry order); timings never influence the rows themselves.  Benchmarks
-   use them for slowest-row / critical-path accounting. *)
+   use them for slowest-row accounting. *)
 let run_suite_timed ?(verify = true) ?(verify_each = false)
     ?(eqcheck_each = false) ?eqcheck_options ?resynth_options ?names
     ?(jobs = 1) () =

@@ -19,12 +19,10 @@ val run_suite :
   ?resynth_options:Core.Resynth.options ->
   ?names:string list -> ?jobs:int -> unit -> Core.Flow.row list
 (** Run the three flows over the benchmark suite (all entries by default).
-    [jobs] (default 1) sizes the fork-join worker pool; each row builds
-    its own network and BDD managers from a fixed per-entry seed, so the
-    result list is identical for every [jobs] value.  Workers left idle by
-    the row-level split steal intra-row tasks (eqcheck boundary checks,
-    verify rule groups, verification lanes), so [jobs] larger than the row
-    count still helps.  [verify_each] runs the netlist verifier after every
+    [jobs] (default 1) bounds the worker pool, which never exceeds one
+    worker per row; each row is one task that builds its own network and
+    BDD managers from a fixed per-entry seed, so the result list is
+    identical for every [jobs] value.  [verify_each] runs the netlist verifier after every
     named pass of every flow, failing fast with
     [Verify.Verification_failed] (see {!Core.Flow.run_all}).  [eqcheck_each]
     collects per-pass semantic equivalence verdicts in each row. *)

@@ -2,7 +2,7 @@
 
    The scheduler (lib/sched) and the domain-shared BDD table (lib/bdd) are
    correct only under hand-argued OCaml 5 memory-model invariants: stripe
-   and deque locks are never nested into a cycle, node fields are published
+   and queue locks are never nested into a cycle, node fields are published
    write-once behind a fence, futures are claimed exactly once, DLS memo
    caches never leak entries across scopes.  No existing tool checks any of
    that, so this module does: the instrumented code reports events through

@@ -10,7 +10,7 @@
     dynamic rules online:
 
     - {b [lock/cycle]} — lock-order acyclicity across every {!Lock} shim
-      (the 64 BDD stripe locks, the scheduler deque and wake locks, the BDD
+      (the 64 BDD stripe locks, the scheduler queue lock, the BDD
       cache-registry lock).  Nested acquisitions build a lock graph whose
       edges carry the acquiring call stack; any cycle is reported with the
       backtrace of every edge on it.

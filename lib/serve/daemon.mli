@@ -42,4 +42,6 @@ val run :
     [stream_trace] appends every completed span to FILE as JSON lines,
     flushed per span — tracing is enabled and span buffering turned off, so
     a long-lived daemon does not accumulate spans in memory.  [ready] runs
-    once, right after the socket starts listening. *)
+    once, right after the socket starts listening.
+    @raise Core.Parallel.Pool_start_failed if the pool cannot start (the
+    socket is closed and unlinked first). *)

@@ -85,16 +85,11 @@ let inflight eng = Atomic.get eng.inflight
 
 (* --- job execution ------------------------------------------------------------------ *)
 
-let rec root_cause = function
-  | Core.Parallel.Worker_failure (_, e) -> root_cause e
-  | e -> e
-
 (* The pass-boundary hook: placed before the flow's own hooks, so a cancel
    or blown deadline stops the request before any verifier work runs.  It
    checks as an in-place pass starts and once a fresh network is built.
-   Raising here unwinds the job task (possibly through nested forked lanes,
-   whose [Worker_failure] wrappers [root_cause] strips); every network the
-   flow touched is the job's private copy, so shared state stays clean. *)
+   Raising here unwinds the job task; every network the flow touched is the
+   job's private copy, so shared state stays clean. *)
 let guard job ~cancel_after ~deadline =
   let check () =
     let crossed = 1 + Atomic.fetch_and_add job.passes 1 in
@@ -256,7 +251,7 @@ let run_job eng job =
        finish eng job (Completed payload) m_completed
      with e ->
        Atomic.set job.diag (diag_json job ~t0 snap);
-       (match root_cause e with
+       (match e with
         | Cancelled -> finish eng job Cancelled_s m_cancelled
         | Deadline_exceeded -> finish eng job Timed_out_s m_timed_out
         | Verify.Verification_failed msg ->

@@ -431,28 +431,13 @@ let record_fired diags =
 let run ?(rules = all_rules) ?(equiv_classes = []) net =
   Obs.Metrics.incr m_runs;
   let want r = List.mem r rules in
-  (* The rule groups are independent and only read [net] (every memo they
-     use is function-local, and none touches the lazily cached topo order),
-     so each runs as a scheduler task.  Joining in the fixed group order
-     reproduces the serial append order that feeds the final stable sort. *)
-  let group enabled f =
-    Sched.fork (fun () ->
-        if not enabled then []
-        else begin
-          let out = ref [] in
-          f out;
-          List.rev !out
-        end)
-  in
-  let groups =
-    [ group (want Graph) (check_graph net);
-      group (want Loop) (check_loops net);
-      group
-        (want Retiming && equiv_classes <> [])
-        (check_retiming net equiv_classes);
-      group (want Binding) (check_bindings net) ]
-  in
-  let out = List.concat_map Sched.join groups in
+  let out = ref [] in
+  if want Graph then check_graph net out;
+  if want Loop then check_loops net out;
+  if want Retiming && equiv_classes <> [] then
+    check_retiming net equiv_classes out;
+  if want Binding then check_bindings net out;
+  let out = List.rev !out in
   record_fired out;
   let severity_rank = function Error -> 0 | Warning -> 1 in
   List.stable_sort

@@ -1,13 +1,14 @@
 (* Core.Parallel scheduler: byte-determinism under adversarial task
-   durations, nested fork/join, steal stress across two domains, and
-   failure/backtrace semantics.  All expectations are against the jobs=1
-   run, which is serial program order by construction. *)
+   durations, nested fork/join, queue stress across two domains, pool
+   sizing and start-up failure, and failure/backtrace semantics.  All
+   expectations are against the jobs=1 run, which is serial program order
+   by construction. *)
 
 module P = Core.Parallel
 
 (* Deterministic pseudo-work: spin for [n] iterations so task durations are
-   data-dependent and uneven, which is what provokes steals and reordering
-   at jobs > 1.  Returns a value derived from the spinning so the loop is
+   data-dependent and uneven, which is what provokes reordering at
+   jobs > 1.  Returns a value derived from the spinning so the loop is
    not optimised away. *)
 let busy n =
   let acc = ref 0 in
@@ -94,20 +95,20 @@ let test_qcheck_determinism =
       let p4 = P.map ~jobs:4 f items in
       expect = p2 && expect = p4)
 
-(* --- steal stress: many tiny tasks, two domains -------------------------------- *)
+(* --- queue stress: many tiny tasks, two domains -------------------------------- *)
 
-let test_steal_stress () =
+let test_queue_stress () =
   let n = 1000 in
   let items = Array.init n (fun i -> i) in
   let f i =
-    (* tiny nested fork per item keeps both deques churning *)
+    (* tiny nested fork per item keeps the shared queue churning *)
     let sub = P.fork (fun () -> i + 1) in
     P.join sub + busy (i mod 17)
   in
   let expect = P.map ~jobs:1 f items in
   for _ = 1 to 5 do
     let got = P.map ~jobs:2 f items in
-    Alcotest.(check (array int)) "steal stress jobs=2 deterministic" expect got
+    Alcotest.(check (array int)) "queue stress jobs=2 deterministic" expect got
   done
 
 (* --- failure semantics ---------------------------------------------------------- *)
@@ -152,6 +153,30 @@ let test_join_result_reifies_failure () =
       | Error (Failure m, _) -> Alcotest.(check string) "stable" "boom" m
       | _ -> Alcotest.fail "expected stable Error")
 
+(* --- pool sizing and start-up failure -------------------------------------------- *)
+
+let test_map_sized_from_items () =
+  let pools = Obs.Metrics.counter "parallel.pools" in
+  Obs.Metrics.enable ();
+  let before = Obs.Metrics.counter_value pools in
+  let got = P.map ~jobs:8 (fun x -> x * 3) [| 14 |] in
+  let after = Obs.Metrics.counter_value pools in
+  ignore (P.map ~jobs:8 succ [| 1; 2 |]);
+  let two = Obs.Metrics.counter_value pools in
+  Obs.Metrics.disable ();
+  Alcotest.(check (array int)) "single-item map result" [| 42 |] got;
+  Alcotest.(check int) "one item starts no pool" before after;
+  Alcotest.(check int) "two items start one pool" (after + 1) two
+
+let test_failed_start_leaks_no_domain () =
+  (* far beyond the runtime's domain limit: the spawn fails partway *)
+  (match P.run ~jobs:1000 (fun () -> ()) with
+   | () -> Alcotest.fail "expected a 1000-worker pool to fail to start"
+   | exception _ -> ());
+  Alcotest.(check (array int))
+    "map ~jobs:2 after a failed start" [| 1; 2; 3; 4 |]
+    (P.map ~jobs:2 succ [| 0; 1; 2; 3 |])
+
 let () =
   Alcotest.run "parallel"
     [ ( "determinism",
@@ -161,10 +186,17 @@ let () =
             test_nested_fork_join_deterministic;
           QCheck_alcotest.to_alcotest test_qcheck_determinism ] );
       ( "stress",
-        [ Alcotest.test_case "two-domain steal stress" `Quick
-            test_steal_stress ] );
+        [ Alcotest.test_case "two-domain queue stress" `Quick
+            test_queue_stress ] );
       ( "failures",
         [ Alcotest.test_case "nested lowest-index failure" `Quick
             test_nested_failure_lowest_index;
           Alcotest.test_case "join_result reifies + stable" `Quick
-            test_join_result_reifies_failure ] ) ]
+            test_join_result_reifies_failure ] );
+      ( "pools",
+        [ Alcotest.test_case "map sizes the pool from its items" `Quick
+            test_map_sized_from_items;
+          (* last: at a scheduler that leaks the domains of a failed start,
+             every later pool in this process fails too *)
+          Alcotest.test_case "failed start leaks no domain" `Quick
+            test_failed_start_leaks_no_domain ] ) ]

@@ -119,13 +119,11 @@ let test_run_suite_jobs_deterministic () =
   Alcotest.(check string) "jobs=4 matches serial" serial (render 4);
   Alcotest.(check string) "jobs=2 matches serial" serial (render 2)
 
-(* Same invariant with the intra-row task sources all on: the per-pass
-   semantic equivalence analyzer forks a chained boundary check per pass
-   (every worker domain runs eqcheck scopes against the shared BDD table),
-   --verify-each forks the verifier's rule groups at every boundary, and
-   the two verification lanes run as stolen tasks.  The table, the verdict
-   stream and the verifier diagnostics must still be byte-identical to the
-   serial run.  Per-record check durations are wall-clock and excluded;
+(* Same invariant with the per-pass analyzers on: every worker domain runs
+   eqcheck boundary checks against the shared BDD table, and --verify-each
+   runs the verifier at every boundary.  The table, the verdict stream and
+   the verifier diagnostics must still be byte-identical to the serial
+   run.  Per-record check durations are wall-clock and excluded;
    each verdict itself (including the Unknown reason, which embeds BDD
    node budgets) must match. *)
 let test_run_suite_jobs_deterministic_eqcheck () =
