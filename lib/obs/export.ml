@@ -235,7 +235,6 @@ let text_summary () =
             words +. s.Trace.minor_words ))
       spans;
     let rows =
-      (* lint-waive: nondet/hashtbl-order — fully sorted on the next line. *)
       Hashtbl.fold (fun name v acc -> (name, v) :: acc) tbl []
       |> List.sort (fun (_, (_, a, _)) (_, (_, b, _)) -> Int64.compare b a)
     in

@@ -1,10 +1,23 @@
-(* Typed-AST isolation analyzer over compiler-libs typedtrees.
+(* The repo's static lint: one analyzer over compiler-libs typedtrees.
 
    Loads [.cmt] files (the repo builds with [-bin-annot]; dune emits them
-   for every module) and runs interprocedural dataflow rules with real
-   binding and scope resolution — the semantic upgrade over the substring
-   lint in [Sanlint], whose token rules can neither follow a closure
-   capture nor tell which lock guards which field.  Four rule families:
+   for every module) and runs two kinds of rule on real binding and scope
+   resolution.  Six name rules look up resolved identifier paths, so
+   [Hashtbl.fold] reached through [open] or a module alias is caught and
+   a local binding that merely shares the name is not:
+
+   - [nondet/hashtbl-order] — [Hashtbl.iter]/[fold]/[to_seq*], unless
+     the call is an argument of a [*.sort]/[*.stable_sort]/[*.sort_uniq]
+     call (piping into one with [|>] or [@@] counts).
+   - [nondet/wall-clock] — [Unix.gettimeofday], [Unix.time], [Sys.time].
+   - [nondet/ambient-random] — any [Random] value outside [Random.State].
+   - [nondet/domain-id] — [Domain.self].
+   - [mm/physical-eq-key] — [Obj.repr], [Obj.magic], or [==] inside a
+     [Hashtbl.*] application.
+   - [mm/naked-atomic-get] — [Atomic.get] applied to a field labelled
+     [published].
+
+   Four interprocedural dataflow rules follow closures and locks:
 
    - [typed/capture-escape] — a thunk passed to the scheduler
      ([Sched.fork] / [Core.Parallel.fork]/[map]/[map_list]) whose closure
@@ -42,8 +55,10 @@
    cannot see called as unreachable, and identifies locks by access path
    (per-field, per-global) rather than by instance.  Every deliberate gap
    is documented in DESIGN.md §15.  Findings reuse the [Verify]/
-   [Sanitize] report shape and the shared justified-waiver discipline of
-   [Lint_common]. *)
+   [Sanitize] report shape.  This module owns every waiver check: it
+   reports unjustified, unknown-rule and stale waivers, in-source and
+   [LINT_WAIVERS] alike, and every [.ml] source it was asked to cover
+   that no readable [.cmt] unit claims. *)
 
 type finding = Sanitize.finding = {
   rule_id : string;
@@ -53,7 +68,9 @@ type finding = Sanitize.finding = {
 }
 
 let rule_ids =
-  [ "typed/blocking-in-task"; "typed/capture-escape";
+  [ "mm/naked-atomic-get"; "mm/physical-eq-key"; "nondet/ambient-random";
+    "nondet/domain-id"; "nondet/hashtbl-order"; "nondet/wall-clock";
+    "typed/blocking-in-task"; "typed/capture-escape";
     "typed/lock-discipline"; "typed/module-escape" ]
 
 type config = {
@@ -96,6 +113,11 @@ let ends_with ~suffix s =
 let starts_with ~prefix s =
   let ls = String.length s and lx = String.length prefix in
   ls >= lx && String.sub s 0 lx = prefix
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  nn > 0 && go 0
 
 (* dotted-path suffix: "Core.Parallel.fork" matches "Parallel.fork" and
    "fork" only at component boundaries *)
@@ -680,6 +702,168 @@ let analyze_thunk ctx ~fork_name ~fork_site (thunk : expression) =
    | None -> ());
   List.rev !found
 
+(* --- name rules -------------------------------------------------------------------- *)
+
+let name_rule_message = function
+  | "nondet/hashtbl-order" ->
+    "unordered Hashtbl iteration: hash order is an implementation detail \
+     (and changes under OCAMLRUNPARAM=R); sort the result or waive with \
+     the downstream normalization argument"
+  | "nondet/wall-clock" ->
+    "wall-clock read: results must not depend on when they were computed; \
+     timing that feeds only measurement output must be waived as such"
+  | "nondet/ambient-random" ->
+    "ambient Random generator: global RNG state makes results depend on \
+     call interleaving; use an explicitly seeded Random.State"
+  | "nondet/domain-id" ->
+    "Domain.self in code: domain identity varies with scheduling and must \
+     never reach a result path"
+  | "mm/physical-eq-key" ->
+    "physical-equality / address-dependent key: object identity is not a \
+     stable program input (moving GC, re-parsing) and poisons memo tables"
+  | _ ->
+    "naked Atomic.get of a fence-protected field: .published is the \
+     publication fence and may only be read as part of the documented \
+     sync-retry protocol"
+
+let hashtbl_order_fns =
+  [ "Hashtbl.iter"; "Hashtbl.fold"; "Hashtbl.to_seq"; "Hashtbl.to_seq_keys";
+    "Hashtbl.to_seq_values" ]
+
+let wall_clock_fns = [ "Unix.gettimeofday"; "Unix.time"; "Sys.time" ]
+
+(* a path with its unit-local module aliases ([module H = Hashtbl],
+   [let module H = Hashtbl in]) substituted *)
+let rec resolve aliases (p : Path.t) =
+  match p with
+  | Path.Pident id -> (
+    match Hashtbl.find_opt aliases (Ident.unique_name id) with
+    | Some q -> q
+    | None -> p)
+  | Path.Pdot (q, s) -> Path.Pdot (resolve aliases q, s)
+  | _ -> p
+
+let rec rooted_at_unit = function
+  | Path.Pident id -> Ident.persistent id
+  | Path.Pdot (p, _) | Path.Papply (p, _) -> rooted_at_unit p
+  | _ -> false
+
+(* The dotted name of a value path rooted at a compilation unit, with
+   [Stdlib.] dropped ("Hashtbl.fold"); [None] for a path rooted at a local
+   binding, however it is spelled. *)
+let unit_name aliases p =
+  let p = resolve aliases p in
+  if not (rooted_at_unit p) then None
+  else
+    let n = norm_name (Path.name p) in
+    if starts_with ~prefix:"Stdlib." n then
+      Some (String.sub n 7 (String.length n - 7))
+    else Some n
+
+(* Run the six name rules over a whole implementation; each finding sits
+   on the line of the offending identifier. *)
+let name_findings src (str : structure) =
+  let aliases = Hashtbl.create 8 in
+  let found = ref [] in
+  let fire rule (loc : Location.t) =
+    found :=
+      { rf_rule = rule;
+        rf_sites = [ loc_site loc src ];
+        rf_message = name_rule_message rule }
+      :: !found
+  in
+  let name (e : expression) =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> unit_name aliases p
+    | _ -> None
+  in
+  let alias id (me : module_expr) =
+    let rec target (me : module_expr) =
+      match me.mod_desc with
+      | Tmod_ident (p, _) -> Some p
+      | Tmod_constraint (me, _, _, _) -> target me
+      | _ -> None
+    in
+    match (id, target me) with
+    | Some id, Some p ->
+      Hashtbl.replace aliases (Ident.unique_name id) (resolve aliases p)
+    | _ -> ()
+  in
+  let sorts (e : expression) =
+    let sort_fn (f : expression) =
+      match f.exp_desc with
+      | Texp_ident (p, _, _) -> (
+        match resolve aliases p with
+        | Path.Pdot (_, ("sort" | "stable_sort" | "sort_uniq")) -> true
+        | _ -> false)
+      | _ -> false
+    in
+    match e.exp_desc with
+    | Texp_apply (f, _) -> sort_fn f
+    | _ -> sort_fn e
+  in
+  (* callee locations of applications fed straight into a sort *)
+  let sorted = Hashtbl.create 8 in
+  let in_hashtbl_call = ref 0 in
+  let it =
+    let open Tast_iterator in
+    let module_binding sub (mb : module_binding) =
+      alias mb.mb_id mb.mb_expr;
+      default_iterator.module_binding sub mb
+    in
+    let expr sub (e : expression) =
+      match e.exp_desc with
+      | Texp_ident _ -> (
+        match name e with
+        | Some n when List.mem n hashtbl_order_fns ->
+          if not (Hashtbl.mem sorted e.exp_loc) then
+            fire "nondet/hashtbl-order" e.exp_loc
+        | Some n when List.mem n wall_clock_fns ->
+          fire "nondet/wall-clock" e.exp_loc
+        | Some n
+          when starts_with ~prefix:"Random." n
+               && not (starts_with ~prefix:"Random.State." n) ->
+          fire "nondet/ambient-random" e.exp_loc
+        | Some "Domain.self" -> fire "nondet/domain-id" e.exp_loc
+        | Some ("Obj.repr" | "Obj.magic") ->
+          fire "mm/physical-eq-key" e.exp_loc
+        | Some "==" when !in_hashtbl_call > 0 ->
+          fire "mm/physical-eq-key" e.exp_loc
+        | _ -> ())
+      | Texp_letmodule (id, _, _, me, _) ->
+        alias id me;
+        default_iterator.expr sub e
+      | Texp_apply (f, args) ->
+        (* the type checker turns [x |> List.sort cmp] and
+           [List.sort cmp @@ x] into [(List.sort cmp) x], hence [sorts]
+           accepting a partial application as the callee *)
+        if sorts f then
+          List.iter
+            (function
+              | _, Some { exp_desc = Texp_apply (g, _); _ } ->
+                Hashtbl.replace sorted g.exp_loc ()
+              | _ -> ())
+            args;
+        (match (name f, first_nolabel_arg args) with
+         | Some "Atomic.get", Some { exp_desc = Texp_field (_, _, lbl); _ }
+           when lbl.Types.lbl_name = "published" ->
+           fire "mm/naked-atomic-get" f.exp_loc
+         | _ -> ());
+        let hashtbl_call =
+          match name f with
+          | Some n -> starts_with ~prefix:"Hashtbl." n
+          | None -> false
+        in
+        if hashtbl_call then incr in_hashtbl_call;
+        default_iterator.expr sub e;
+        if hashtbl_call then decr in_hashtbl_call
+      | _ -> default_iterator.expr sub e
+    in
+    { default_iterator with expr; module_binding }
+  in
+  it.structure it str;
+  List.rev !found
+
 (* --- toplevel mutable-state classification ----------------------------------------- *)
 
 let classify_global ctx (vb : value_binding) =
@@ -720,7 +904,7 @@ let scan_unit cfg (cmt : Cmt_format.cmt_infos) =
     let modname = norm_name cmt.cmt_modname in
     let sanctioned =
       List.exists
-        (fun frag -> Lint_common.contains source frag)
+        (fun frag -> contains source frag)
         cfg.sanctioned_path_fragments
     in
     let unit_ =
@@ -807,6 +991,7 @@ let scan_unit cfg (cmt : Cmt_format.cmt_infos) =
         let fs = analyze_thunk ctx ~fork_name ~fork_site thunk in
         unit_.u_raw <- fs @ unit_.u_raw)
       (List.rev !(ctx.forks));
+    unit_.u_raw <- name_findings source str @ unit_.u_raw;
     Some unit_
   | _ -> None
 
@@ -883,7 +1068,7 @@ let lock_discipline_findings units =
         | _ -> None)
     keys
 
-let module_escape_findings cfg units rule2_keys =
+let module_escape_findings units rule2_keys =
   let by_name = Hashtbl.create 64 in
   List.iter (fun u -> Hashtbl.replace by_name u.u_modname u) units;
   (* unit-level reachability from the entry units over cmt imports *)
@@ -946,9 +1131,6 @@ let module_escape_findings cfg units rule2_keys =
                          else " via " ^ via) })
             (List.sort compare u.u_globals))
     (List.sort (fun a b -> compare a.u_modname b.u_modname) units)
-  |> fun fs ->
-  ignore cfg;
-  fs
 
 (* --- waiver application ------------------------------------------------------------ *)
 
@@ -957,8 +1139,6 @@ type result = {
   files_scanned : int;
   rules_fired : (string * int) list;
   waivers_honored : int;
-  suppressed : (string * string * string) list;
-      (** file-level suppressions: (path, rule, waiver-path) *)
 }
 
 let finding_of_raw rf =
@@ -967,7 +1147,10 @@ let finding_of_raw rf =
     sites = rf.rf_sites;
     message = rf.rf_message }
 
-(* in-source waivers of the scanned units' sources, cached per file *)
+let meta rule site message =
+  { rule_id = rule; severity = Sanitize.Error; sites = [ site ]; message }
+
+(* in-source waivers of a source file, and the unjustified ones *)
 let source_waivers cfg =
   let cache = Hashtbl.create 16 in
   fun path ->
@@ -976,19 +1159,13 @@ let source_waivers cfg =
     | None ->
       let full = Filename.concat cfg.source_root path in
       let ws =
-        match
-          if Sys.file_exists full then (
-            let ic = open_in_bin full in
-            let n = in_channel_length ic in
-            let s = really_input_string ic n in
-            close_in ic;
-            Some s)
-          else None
-        with
-        | Some content ->
+        if Sys.file_exists full then (
+          let ic = open_in_bin full in
+          let content = really_input_string ic (in_channel_length ic) in
+          close_in ic;
           let raw, code = Lint_common.strip_lines content in
-          fst (Lint_common.line_waivers ~path raw code)
-        | None -> []
+          Lint_common.line_waivers ~path raw code)
+        else ([], [])
       in
       Hashtbl.replace cache path ws;
       ws
@@ -1005,16 +1182,16 @@ let site_file_line site =
     | None -> None)
   | None -> None
 
-let scan_cmt_files ?(config = default_config) ?(waivers = []) paths =
+let scan_cmt_files ?(config = default_config) ?(waivers = "") ~sources paths =
   let cfg = config in
   let units =
     List.filter_map
       (fun path ->
-        match
-          try Some (Cmt_format.read_cmt path) with _ -> None
-        with
-        | Some cmt -> scan_unit cfg cmt
-        | None -> None)
+        (* an unreadable .cmt is not skipped silently: its source is then
+           claimed by no unit and reported as unscanned below *)
+        match Cmt_format.read_cmt path with
+        | cmt -> scan_unit cfg cmt
+        | exception _ -> None)
       (List.sort compare paths)
   in
   (* dedupe by source (an exe and a lib can compile the same module) *)
@@ -1044,9 +1221,10 @@ let scan_cmt_files ?(config = default_config) ?(waivers = []) paths =
       raw_rule2
   in
   let raw =
-    List.concat_map (fun u -> List.rev u.u_raw) units
-    @ raw_rule2
-    @ module_escape_findings cfg units rule2_keys
+    List.sort_uniq compare
+      (List.concat_map (fun u -> u.u_raw) units
+      @ raw_rule2
+      @ module_escape_findings units rule2_keys)
   in
   let fired = Hashtbl.create 8 in
   List.iter
@@ -1061,96 +1239,119 @@ let scan_cmt_files ?(config = default_config) ?(waivers = []) paths =
   (* waiver application: a finding is suppressed when any of its sites is
      covered by a justified in-source waiver for the rule, or when a
      file-level waiver's path fragment matches a site's file *)
-  let lookup = source_waivers cfg in
-  let used_line_waivers = ref [] in
-  let suppressed = ref [] in
-  let honored = ref 0 in
+  let file_waivers, file_probs = Lint_common.parse_waivers waivers in
+  let lookup path = fst (source_waivers cfg path) in
+  let used_line = Hashtbl.create 16 and used_file = ref [] in
   let survives rf =
-    (* evaluate every site against every waiver (no short-circuit): a
-       waiver covering any site of a suppressed finding counts as used *)
-    let line_waived = ref false in
-    List.iter
-      (fun site ->
-        match site_file_line site with
-        | Some (f, l) ->
-          List.iter
-            (fun w ->
-              if
-                w.Lint_common.lw_rule = rf.rf_rule
-                && List.mem l w.Lint_common.lw_covers
-              then begin
-                if not (List.memq (f, w) !used_line_waivers) then
-                  used_line_waivers := (f, w) :: !used_line_waivers;
-                incr honored;
-                line_waived := true
-              end)
-            (lookup f)
-        | None -> ())
-      rf.rf_sites;
-    let line_waived = !line_waived in
-    if line_waived then false
-    else
-      let file_waived =
-        List.exists
-          (fun w ->
-            w.Lint_common.w_rule = rf.rf_rule
-            && List.exists
-                 (fun site ->
-                   match site_file_line site with
-                   | Some (f, _) ->
-                     if Lint_common.contains f w.Lint_common.w_path then begin
-                       suppressed :=
-                         (f, w.Lint_common.w_rule, w.Lint_common.w_path)
-                         :: !suppressed;
-                       incr honored;
-                       true
-                     end
-                     else false
-                   | None -> false)
-                 rf.rf_sites)
-          waivers
-      in
-      not file_waived
+    (* every waiver covering any site counts as used (no short-circuit) *)
+    let covering =
+      List.concat_map
+        (fun site ->
+          match site_file_line site with
+          | Some (f, l) ->
+            List.filter_map
+              (fun w ->
+                if
+                  w.Lint_common.lw_rule = rf.rf_rule
+                  && List.mem l w.Lint_common.lw_covers
+                then Some (f, w.Lint_common.lw_line)
+                else None)
+              (lookup f)
+          | None -> [])
+        rf.rf_sites
+    in
+    List.iter (fun k -> Hashtbl.replace used_line k ()) covering;
+    covering = []
+    &&
+    match
+      List.find_opt
+        (fun w ->
+          w.Lint_common.w_rule = rf.rf_rule
+          && List.exists
+               (fun site ->
+                 match site_file_line site with
+                 | Some (f, _) -> contains f w.Lint_common.w_path
+                 | None -> false)
+               rf.rf_sites)
+        file_waivers
+    with
+    | Some w ->
+      used_file := w :: !used_file;
+      false
+    | None -> true
   in
   let surviving = List.filter survives raw in
-  (* stale in-source typed waivers: ours to judge — any typed/* waiver in
-     a scanned unit's source that suppressed nothing must go *)
-  let stale =
+  let known rule = List.mem rule rule_ids in
+  (* waiver hygiene: every waiver is justified, names a known rule, and
+     still suppresses something *)
+  let file_meta =
+    file_probs
+    @ List.filter_map
+        (fun w ->
+          let site = Printf.sprintf "LINT_WAIVERS(%s)" w.Lint_common.w_path in
+          if not (known w.Lint_common.w_rule) then
+            Some
+              (meta "lint/waiver-unknown-rule" site
+                 (Printf.sprintf "file waiver names unknown rule %S"
+                    w.Lint_common.w_rule))
+          else if List.memq w !used_file then None
+          else
+            Some
+              (meta "lint/waiver-unused" site
+                 (Printf.sprintf
+                    "file waiver for %s on %S suppresses nothing — remove it"
+                    w.Lint_common.w_rule w.Lint_common.w_path)))
+        file_waivers
+  in
+  let source_meta =
     List.concat_map
       (fun u ->
-        let ws = lookup u.u_source in
-        List.filter_map
-          (fun w ->
-            if
-              List.mem w.Lint_common.lw_rule rule_ids
-              && not
-                   (List.exists
-                      (fun (f, w') -> f = u.u_source && w' == w)
-                      !used_line_waivers)
-            then
-              Some
-                { rf_rule = "lint/waiver-unused";
-                  rf_sites =
-                    [ Printf.sprintf "%s:%d" u.u_source
-                        w.Lint_common.lw_line ];
-                  rf_message =
-                    Printf.sprintf
-                      "waiver for %s suppresses nothing — remove it"
-                      w.Lint_common.lw_rule }
-            else None)
-          ws)
+        let ws, unjustified = source_waivers cfg u.u_source in
+        unjustified
+        @ List.filter_map
+            (fun w ->
+              let site =
+                Printf.sprintf "%s:%d" u.u_source w.Lint_common.lw_line
+              in
+              if not (known w.Lint_common.lw_rule) then
+                Some
+                  (meta "lint/waiver-unknown-rule" site
+                     (Printf.sprintf "waiver names unknown rule %S"
+                        w.Lint_common.lw_rule))
+              else if Hashtbl.mem used_line (u.u_source, w.Lint_common.lw_line)
+              then None
+              else
+                Some
+                  (meta "lint/waiver-unused" site
+                     (Printf.sprintf
+                        "waiver for %s suppresses nothing — remove it"
+                        w.Lint_common.lw_rule)))
+            ws)
       units
+  in
+  (* coverage: every source the caller named must have been analyzed *)
+  let unscanned =
+    List.filter_map
+      (fun src ->
+        if List.exists (fun u -> u.u_source = src) units then None
+        else
+          Some
+            (meta "lint/unscanned-source" src
+               "no readable .cmt implementation unit records this source: \
+                its code was not linted (build with -bin-annot and run \
+                from the build root)"))
+      sources
   in
   let findings =
     List.sort_uniq compare
-      (List.map finding_of_raw (surviving @ stale))
+      (List.map finding_of_raw surviving
+      @ file_meta @ source_meta @ unscanned)
   in
   { findings;
     files_scanned = List.length units;
     rules_fired =
       List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) fired []);
-    waivers_honored = !honored;
-    suppressed = List.sort_uniq compare !suppressed }
+    waivers_honored = List.length raw - List.length surviving }
 
 (* --- metrics ----------------------------------------------------------------------- *)
 

@@ -1,11 +1,26 @@
-(** Typed-AST isolation analyzer (the sanitizer's semantic head).
+(** The repo's static lint: one analyzer over compiler-libs typedtrees.
 
-    Loads compiler-libs [.cmt] files (the repo builds with [-bin-annot])
-    and runs interprocedural dataflow rules with real binding and scope
-    resolution — the semantic upgrade over the substring lint in
-    {!Sanlint}.  Rule families (all [Error] severity; findings reuse the
-    {!Sanitize.finding} shape and the shared waiver discipline of
-    {!Lint_common}):
+    Loads [.cmt] files (the repo builds with [-bin-annot]) and checks
+    them with real binding and scope resolution.  All rules have [Error]
+    severity; findings reuse the {!Sanitize.finding} shape.
+
+    Six name rules look up resolved identifier paths.  Each finding sits
+    on the identifier's line.  [Hashtbl.fold] reached through [open], a
+    module alias or [let module] is caught, and a local binding that
+    merely shares a name is not:
+
+    - [nondet/hashtbl-order] — [Hashtbl.iter]/[fold]/[to_seq*], unless
+      the call is an argument of a [*.sort]/[*.stable_sort]/[*.sort_uniq]
+      call ([x |> List.sort cmp] and [List.sort cmp @@ x] count).
+    - [nondet/wall-clock] — [Unix.gettimeofday], [Unix.time], [Sys.time].
+    - [nondet/ambient-random] — any [Random] value outside [Random.State].
+    - [nondet/domain-id] — [Domain.self].
+    - [mm/physical-eq-key] — [Obj.repr], [Obj.magic], or [==] inside a
+      [Hashtbl.*] application.
+    - [mm/naked-atomic-get] — [Atomic.get] applied to a field labelled
+      [published].
+
+    Four dataflow rules follow closures and locks:
 
     - [typed/capture-escape] — a thunk passed to [Sched.fork] /
       [Core.Parallel.fork]/[map]/[map_list] whose closure captures a
@@ -28,10 +43,18 @@
       forked task body, directly or through same-unit helpers: the
       no-help fork-join scheduler parks a whole worker.
 
-    The analyzer is deliberately conservative (silence over noise): it is
-    intraprocedural plus one same-unit hop, identifies locks by access
-    path rather than instance, and treats lambdas it cannot see called as
-    unreachable.  DESIGN.md §15 documents every deliberate gap. *)
+    The dataflow rules are deliberately conservative (silence over
+    noise): intraprocedural plus one same-unit hop, locks identified by
+    access path rather than instance, and lambdas never seen called
+    treated as unreachable.  DESIGN.md §15 documents every deliberate
+    gap.
+
+    Waivers follow {!Lint_common}: a justified in-source
+    [(* lint-waive: <rule-id> — <justification> *)] trailing the line or
+    standing above it, or a [LINT_WAIVERS] line
+    [<rule-id> <path-substring> <justification>].  This module owns every
+    waiver check, for both kinds: [lint/waiver-unjustified],
+    [lint/waiver-unknown-rule] and [lint/waiver-unused]. *)
 
 type finding = Sanitize.finding = {
   rule_id : string;
@@ -42,8 +65,8 @@ type finding = Sanitize.finding = {
 }
 
 val rule_ids : string list
-(** The four [typed/*] rule ids, sorted.  [scan_cmt_files] can also emit
-    [lint/waiver-unused] for stale in-source [typed/*] waivers. *)
+(** The ten waivable rule ids, sorted.  [scan_cmt_files] can also emit
+    the waiver-hygiene findings above and [lint/unscanned-source]. *)
 
 type config = {
   source_root : string;
@@ -68,22 +91,21 @@ type result = {
   findings : finding list;  (** post-waiver, sorted and deduped *)
   files_scanned : int;      (** distinct implementation units analyzed *)
   rules_fired : (string * int) list;
-      (** pre-waiver fired counts per rule id, sorted *)
-  waivers_honored : int;    (** suppressions applied (line + file) *)
-  suppressed : (string * string * string) list;
-      (** file-level suppressions as [(path, rule_id, waiver_path)] — feed
-          to {!Lint_common.used_waivers} for staleness checking *)
+      (** pre-waiver fired counts per rule id (distinct findings), sorted *)
+  waivers_honored : int;    (** findings a waiver suppressed *)
 }
 
 val scan_cmt_files :
-  ?config:config -> ?waivers:Lint_common.waiver list -> string list -> result
-(** Analyze the given [.cmt] files (interface-only and unreadable files
-    are skipped; units are deduped by recorded source file, sorted for
-    determinism).  [waivers] are [LINT_WAIVERS] entries; in-source
-    [lint-waive] markers are read from each unit's source under
-    [config.source_root].  Stale in-source [typed/*] waivers come back as
-    [lint/waiver-unused] findings — this head owns their staleness, the
-    substring head owns justification and known-rule checks. *)
+  ?config:config -> ?waivers:string -> sources:string list -> string list ->
+  result
+(** [scan_cmt_files ~sources cmts] analyzes the given [.cmt] files
+    (interface-only files are skipped; units are deduped by recorded
+    source file, sorted for determinism).  [waivers] is the body of a
+    [LINT_WAIVERS] file; in-source waivers are read from each unit's
+    source under [config.source_root].  Every path in [sources] (as the
+    cmt records it, e.g. ["lib/sta/sta.ml"]) that no readable unit claims
+    comes back as a [lint/unscanned-source] finding, so an unreadable or
+    missing [.cmt] cannot pass as clean. *)
 
 val publish_stats : result -> unit
 (** Publish [typedlint.*] gauges (files scanned, findings, rules fired —

@@ -148,7 +148,6 @@ module Incremental = struct
     let outs = N.outputs t.net in
     List.iter (fun (_, n) -> Hashtbl.replace t.po_ids n.N.id ()) outs;
     let latch_data =
-      (* lint-waive: nondet/hashtbl-order — sorted on the next line. *)
       Hashtbl.fold (fun id () acc -> id :: acc) t.latch_ids []
       |> List.sort compare
       |> List.map (fun lid -> (N.latch_data t.net (N.node t.net lid)).N.id)

@@ -1,4 +1,4 @@
-(* Sanitizer (dynamic head) and lint (static head).
+(* Dynamic concurrency sanitizer.
 
    The mutation tests seed one concurrency-protocol violation each — a
    dropped publication fence, an inverted lock order, an unstamped DLS
@@ -6,9 +6,8 @@
    that exactly the intended rule id fires.  The qcheck property drives
    the checker with thousands of random *legal* event interleavings and
    asserts it never reports (no false positives).  The integration test
-   runs real scheduler + shared-BDD work under the sanitizer.  The lint
-   tests exercise the rule engine on synthetic sources, including the
-   waiver contract (trailing, standalone, unjustified, unknown, stale). *)
+   runs real scheduler + shared-BDD work under the sanitizer.  The static
+   lint is tested in test_typedlint.ml. *)
 
 module S = Sanitize
 module P = Core.Parallel
@@ -299,164 +298,6 @@ let test_real_flow_clean () =
       Alcotest.(check int) "all rows ran" 32 (Array.length results);
       check_rules "instrumented sched+bdd run is clean" [])
 
-(* --- lint: rule engine ----------------------------------------------------------- *)
-
-let scan ?waivers src = fst (Sanlint.scan_file ?waivers ~path:"synt/x.ml" src)
-
-let scan_rules ?waivers src =
-  List.map (fun f -> f.Sanitize.rule_id) (scan ?waivers src)
-
-let test_lint_rules_fire () =
-  let cases =
-    [ ("let () = Hashtbl.iter f t\n", [ "nondet/hashtbl-order" ]);
-      ("let t0 = Unix.gettimeofday () in\n", [ "nondet/wall-clock" ]);
-      ("let x = Random.int 5\n", [ "nondet/ambient-random" ]);
-      ("let d = (Domain.self () :> int)\n", [ "nondet/domain-id" ]);
-      ("let k = Obj.repr v\n", [ "mm/physical-eq-key" ]);
-      ( "let v = Atomic.get t.published in\n",
-        [ "mm/naked-atomic-get" ] ) ]
-  in
-  List.iter
-    (fun (src, expected) ->
-      Alcotest.(check (list string)) src expected (scan_rules src))
-    cases
-
-let test_lint_exemptions () =
-  let clean =
-    [ (* sorted on the same line: normalized *)
-      "let xs = List.sort compare (Hashtbl.fold f t [])\n";
-      (* seeded random state is deterministic *)
-      "let st = Random.State.make [| 7 |]\n";
-      (* allocation alone is no longer a rule: the typed analyzer's
-         typed/module-escape judges real reachability instead *)
-      "let cache = Hashtbl.create 64\n";
-      "let lock = Mutex.create ()\n";
-      "let m_x = Obs.Metrics.counter \"x\"\n";
-      "let _ = Hashtbl.length t\n" ]
-  in
-  List.iter
-    (fun src -> Alcotest.(check (list string)) src [] (scan_rules src))
-    clean
-
-let test_lint_strip () =
-  (* patterns inside comments, strings and chars never fire *)
-  let clean =
-    [ "(* Unix.gettimeofday is mentioned here *)\nlet x = 1\n";
-      "let s = \"Hashtbl.iter inside a string\"\n";
-      "let c = '\"' and y = Random.State.make_self_init\n";
-      "(* outer (* Obj.magic nested *) still comment *)\nlet x = 1\n";
-      "let q = {|Domain.self in a quoted string|}\n";
-      (* regression: delimited quoted strings inside comments balance like
-         the real lexer: a close-comment token inside the quoted part does
-         not end the comment *)
-      "(* {x| *) Obj.magic |x} still a comment *)\nlet x = 1\n";
-      "(* {| *) Obj.magic |} still a comment *)\nlet x = 1\n";
-      (* regression: delimited quoted strings in code *)
-      "let q = {ext|Obj.magic \" unclosed|ext}\nlet y = 2\n";
-      (* regression: escaped quotes keep the string open *)
-      "let s = \"a \\\" Hashtbl.iter f t \\\" b\"\nlet y = 2\n" ]
-  in
-  List.iter
-    (fun src -> Alcotest.(check (list string)) src [] (scan_rules src))
-    clean;
-  (* a comment opened on one line hides code-looking text on the next *)
-  Alcotest.(check (list string))
-    "multiline comment" []
-    (scan_rules "(* comment spanning\n   Hashtbl.iter lines *)\nlet x = 1\n");
-  (* after a comment-embedded quoted string closes, code fires again *)
-  Alcotest.(check (list string))
-    "resync after comment with quoted string"
-    [ "nondet/hashtbl-order" ]
-    (scan_rules "(* {| *) |} *)\nlet () = Hashtbl.iter f t\n");
-  (* regression: a char-literal quote inside a comment must not open a
-     string and swallow the code after the comment (the real lexer
-     balances char literals in comments too) *)
-  Alcotest.(check (list string))
-    "char literal quote in comment"
-    [ "nondet/hashtbl-order" ]
-    (scan_rules "(* '\"' *)\nlet () = Hashtbl.iter f t\n");
-  Alcotest.(check (list string))
-    "escaped char literal quote in comment"
-    [ "nondet/hashtbl-order" ]
-    (scan_rules "(* '\\\"' *)\nlet () = Hashtbl.iter f t\n")
-
-let test_lint_waivers_in_source () =
-  let trailing =
-    "let t = Hashtbl.iter f x (* lint-waive: nondet/hashtbl-order — \
-     commutative accumulation, honest *)\n"
-  in
-  Alcotest.(check (list string)) "trailing waiver" [] (scan_rules trailing);
-  let standalone =
-    "(* lint-waive: nondet/hashtbl-order — the justification wraps over \
-     this\n   second comment line before the site below. *)\nlet () = \
-     Hashtbl.iter f x\n"
-  in
-  Alcotest.(check (list string))
-    "standalone waiver reaches past its comment" [] (scan_rules standalone);
-  let unjustified = "(* lint-waive: nondet/hashtbl-order *)\nlet () = Hashtbl.iter f x\n" in
-  Alcotest.(check bool)
-    "waiver without justification is a finding" true
-    (List.mem "lint/waiver-unjustified" (scan_rules unjustified));
-  let unknown =
-    "(* lint-waive: nondet/no-such-rule — plausible words but a bogus id *)\n\
-     let x = 1\n"
-  in
-  Alcotest.(check (list string))
-    "unknown rule id" [ "lint/waiver-unknown-rule" ] (scan_rules unknown);
-  let stale =
-    "(* lint-waive: nondet/hashtbl-order — nothing below still needs this *)\n\
-     let x = 1\n"
-  in
-  Alcotest.(check (list string))
-    "stale in-source waiver" [ "lint/waiver-unused" ] (scan_rules stale)
-
-let test_lint_file_waivers () =
-  let waivers, probs =
-    Sanlint.parse_waivers
-      "# comment\n\
-       nondet/hashtbl-order synt/ grouped results are order-canonical downstream\n\
-       short x y\n"
-  in
-  Alcotest.(check int) "one parsed waiver" 1 (List.length waivers);
-  Alcotest.(check int) "one malformed line reported" 1 (List.length probs);
-  let src = "let () = Hashtbl.iter f x\n" in
-  let findings, suppressed = Sanlint.scan_file ~waivers ~path:"synt/x.ml" src in
-  Alcotest.(check int) "file waiver suppresses" 0 (List.length findings);
-  Alcotest.(check int) "suppression recorded" 1 (List.length suppressed);
-  Alcotest.(check int) "waiver counted as used" 1
-    (List.length (Sanlint.used_waivers ~waivers suppressed));
-  (* same waiver against a file it does not match: unused *)
-  let _, untouched = Sanlint.scan_file ~waivers ~path:"other/y.ml" "let x = 1\n" in
-  Alcotest.(check int) "no suppression elsewhere" 0 (List.length untouched)
-
-(* --- waiver hygiene audit --------------------------------------------------------- *)
-
-(* The repo's LINT_WAIVERS must parse clean and name only rules some lint
-   head can still evaluate — an entry for a retired rule is dead weight.
-   Staleness proper (an entry that suppresses nothing) is enforced by the
-   two `dune runtest` lint gates, which scan the real tree. *)
-let test_lint_waivers_audit () =
-  let ic = open_in "../LINT_WAIVERS" in
-  let n = in_channel_length ic in
-  let body = really_input_string ic n in
-  close_in ic;
-  let waivers, probs = Sanlint.parse_waivers body in
-  Alcotest.(check (list string))
-    "LINT_WAIVERS parses without findings" []
-    (List.map (fun f -> f.Sanitize.rule_id) probs);
-  let known = Sanlint.rule_ids @ Typedlint.rule_ids in
-  List.iter
-    (fun w ->
-      Alcotest.(check bool)
-        (Printf.sprintf "rule %s is evaluable by a lint head" w.Sanlint.w_rule)
-        true
-        (List.mem w.Sanlint.w_rule known);
-      Alcotest.(check bool)
-        (Printf.sprintf "justification for %s is substantial" w.Sanlint.w_rule)
-        true
-        (String.length w.Sanlint.w_reason >= Lint_common.min_reason_len))
-    waivers
-
 let () =
   Alcotest.run "sanitize"
     [ ( "mutations",
@@ -484,14 +325,5 @@ let () =
         [ QCheck_alcotest.to_alcotest qcheck_no_false_positives ] );
       ( "integration",
         [ Alcotest.test_case "sched+bdd under sanitizer" `Quick
-            test_real_flow_clean ] );
-      ( "lint",
-        [ Alcotest.test_case "rules fire" `Quick test_lint_rules_fire;
-          Alcotest.test_case "exemptions" `Quick test_lint_exemptions;
-          Alcotest.test_case "stripping" `Quick test_lint_strip;
-          Alcotest.test_case "in-source waivers" `Quick
-            test_lint_waivers_in_source;
-          Alcotest.test_case "file waivers" `Quick test_lint_file_waivers;
-          Alcotest.test_case "repo waiver audit" `Quick
-            test_lint_waivers_audit ] )
+            test_real_flow_clean ] )
     ]

@@ -1,17 +1,19 @@
-(* Typed-AST analyzer (semantic lint head).
+(* The static lint (Typedlint, driven by bin/lint).
 
    Each mutation test compiles a small self-contained source to a .cmt
    (ocamlc -bin-annot in a temp dir) with a stub [Core.Parallel] whose
-   paths match the real scheduler re-export, seeds exactly one isolation
-   violation — a forked thunk capturing a naked ref, a mutable field
-   accessed under the wrong (or no) lock, a Condition.wait inside a task
-   body, an entry-reachable module-level Hashtbl — and asserts the
-   intended rule id fires.  Control twins route the same state through
-   Atomic / Mutex.protect / a consistent lock and must scan clean.  The
-   qcheck property generates random *pure* closures, forks them at jobs
-   1/2/4, and asserts the analyzer never reports (no false positives).
-   Waiver tests cover the shared justified-waiver discipline: trailing
-   suppression, file-level LINT_WAIVERS entries, and staleness. *)
+   paths match the real scheduler re-export, seeds exactly one violation
+   — a forked thunk capturing a naked ref, a mutable field accessed under
+   the wrong (or no) lock, a Condition.wait inside a task body, an
+   entry-reachable module-level Hashtbl, an unsorted Hashtbl.iter, a
+   wall-clock read — and asserts the intended rule id fires.  Control
+   twins route the same state through Atomic / Mutex.protect / a
+   consistent lock / a sort and must scan clean.  The qcheck property
+   generates random *pure* closures, forks them at jobs 1/2/4, and asserts
+   the analyzer never reports (no false positives).  Waiver tests cover
+   the justified-waiver contract (trailing, standalone, unjustified,
+   unknown, stale, file-level); the stripper that places standalone
+   waivers is checked directly. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -30,7 +32,7 @@ let compile src =
   let rc =
     Sys.command
       (Printf.sprintf
-         "cd %s && ocamlc -c -bin-annot -w -a mutant.ml 2>mutant.err"
+         "cd %s && ocamlc -c -bin-annot -w -a -I +unix mutant.ml 2>mutant.err"
          (Filename.quote dir))
   in
   if rc <> 0 then
@@ -40,7 +42,7 @@ let compile src =
       src;
   (dir, Filename.concat dir "mutant.cmt")
 
-let scan ?entry_points ?waivers src =
+let scan ?entry_points ?waivers ?(sources = [ "mutant.ml" ]) src =
   let dir, cmt = compile src in
   let config =
     { Typedlint.default_config with
@@ -50,7 +52,7 @@ let scan ?entry_points ?waivers src =
          | Some eps -> eps
          | None -> Typedlint.default_config.entry_points) }
   in
-  Typedlint.scan_cmt_files ~config ?waivers [ cmt ]
+  Typedlint.scan_cmt_files ~config ?waivers ~sources [ cmt ]
 
 let rules r =
   List.sort_uniq compare
@@ -310,14 +312,228 @@ let test_waiver_stale () =
 
 let test_waiver_file_level () =
   let waivers =
-    [ { Lint_common.w_rule = "typed/capture-escape";
-        w_path = "mutant.ml";
-        w_reason = "fixture: suppressed at file scope for the test" } ]
+    "typed/capture-escape mutant.ml fixture: suppressed at file scope for \
+     the test\n"
   in
   let r = scan ~waivers (capture_mutant_with "") in
-  check_rules "file-level waiver suppresses" [] r;
-  Alcotest.(check bool) "suppression recorded for staleness audit" true
-    (r.Typedlint.suppressed <> [])
+  check_rules "file-level waiver suppresses (and counts as used)" [] r;
+  Alcotest.(check bool) "suppression counted" true
+    (r.Typedlint.waivers_honored > 0)
+
+(* --- name rules ---------------------------------------------------------------------- *)
+
+let test_lint_rules_fire () =
+  let cases =
+    [ ("let f t = Hashtbl.iter (fun _ _ -> ()) t\n", [ "nondet/hashtbl-order" ]);
+      ("let f t = Hashtbl.to_seq_keys t\n", [ "nondet/hashtbl-order" ]);
+      ("let t0 () = Unix.gettimeofday ()\n", [ "nondet/wall-clock" ]);
+      ("let x () = Random.int 5\n", [ "nondet/ambient-random" ]);
+      ("let d () = (Domain.self () :> int)\n", [ "nondet/domain-id" ]);
+      ("let k v = Obj.repr v\n", [ "mm/physical-eq-key" ]);
+      ( "let mem t k = Hashtbl.mem t (List.find (fun x -> x == k) [ k ])\n",
+        [ "mm/physical-eq-key" ] );
+      ( "type t = { published : int Atomic.t }\n\
+         let v t = Atomic.get t.published\n",
+        [ "mm/naked-atomic-get" ] ) ]
+  in
+  List.iter (fun (src, expected) -> check_rules src expected (scan src)) cases;
+  (* the site is the identifier's line, the line a waiver covers *)
+  let r =
+    scan
+      "let n t =\n\
+      \  List.length\n\
+      \    (Hashtbl.fold (fun k _ acc -> k :: acc) t [])\n"
+  in
+  Alcotest.(check (list (list string)))
+    "site on the identifier's line" [ [ "mutant.ml:3" ] ]
+    (List.map (fun f -> f.Sanitize.sites) r.Typedlint.findings)
+
+let test_lint_exemptions () =
+  let clean =
+    [ (* seeded random state is deterministic *)
+      "let st = Random.State.make [| 7 |]\n";
+      (* sorted on the spot: normalized *)
+      "let xs t = List.sort compare (Hashtbl.fold (fun k _ a -> k :: a) t [])\n";
+      "let xs t = Hashtbl.fold (fun k _ a -> k :: a) t [] |> List.sort compare\n";
+      "let xs t = List.sort_uniq compare @@ Hashtbl.fold (fun k _ a -> k :: a) t []\n";
+      "let _ = Hashtbl.length (Hashtbl.create 1)\n";
+      (* allocation alone is no rule: typed/module-escape judges real
+         reachability instead *)
+      "let cache : (int, int) Hashtbl.t = Hashtbl.create 64\n\
+       let lock = Mutex.create ()\n";
+      (* only the fence field is protected *)
+      "type t = { next : int Atomic.t }\nlet v t = Atomic.get t.next\n" ]
+  in
+  List.iter (fun src -> check_rules src [] (scan src)) clean
+
+(* rules that need resolved paths: an alias is the same function, and a
+   local binding that shares the name is not *)
+let test_lint_typed_resolution () =
+  check_rules "Hashtbl.fold through a let-module alias"
+    [ "nondet/hashtbl-order" ]
+    (scan
+       "let keys t =\n\
+       \  let module H = Hashtbl in\n\
+       \  H.fold (fun k _ acc -> k :: acc) t []\n");
+  check_rules "gettimeofday through open" [ "nondet/wall-clock" ]
+    (scan "open Unix\nlet t () = gettimeofday ()\n");
+  check_rules "local gettimeofday shadow" []
+    (scan "let gettimeofday () = 0.\nlet t () = gettimeofday ()\n");
+  check_rules "local Unix module shadow" []
+    (scan
+       "module Unix = struct let gettimeofday () = 0. end\n\
+        let t () = Unix.gettimeofday ()\n")
+
+(* --- stripper ------------------------------------------------------------------------ *)
+
+let code_of src =
+  String.concat "\n" (Array.to_list (snd (Lint_common.strip_lines src)))
+
+let has hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let test_lint_strip () =
+  (* text inside comments, strings and quoted strings is not code *)
+  let hidden =
+    [ ("(* Unix.gettimeofday is mentioned here *)\nlet x = 1\n", "Unix");
+      ("let s = \"Hashtbl.iter inside a string\"\n", "Hashtbl");
+      ("(* outer (* Obj.magic nested *) still comment *)\nlet x = 1\n", "still");
+      ("let q = {|Domain.self in a quoted string|}\n", "Domain");
+      (* a comment opened on one line hides the next *)
+      ("(* comment spanning\n   Hashtbl.iter lines *)\nlet x = 1\n", "Hashtbl");
+      (* regression: delimited quoted strings inside comments balance like
+         the real lexer: a close-comment token inside the quoted part does
+         not end the comment *)
+      ("(* {x| *) Obj.magic |x} still a comment *)\nlet x = 1\n", "Obj");
+      ("(* {| *) Obj.magic |} still a comment *)\nlet x = 1\n", "Obj");
+      (* regression: delimited quoted strings in code *)
+      ("let q = {ext|Obj.magic \" unclosed|ext}\nlet y = 2\n", "Obj");
+      (* regression: escaped quotes keep the string open *)
+      ("let s = \"a \\\" Hashtbl.iter f t \\\" b\"\nlet y = 2\n", "Hashtbl") ]
+  in
+  List.iter
+    (fun (src, tok) ->
+      Alcotest.(check bool) (src ^ " hides " ^ tok) false (has (code_of src) tok))
+    hidden;
+  (* ... and code after them is code again *)
+  let kept =
+    [ (* a char literal '"' opens no string *)
+      ("let c = '\"' and y = Random.State.make_self_init\n", "Random.State");
+      ("let q = {ext|Obj.magic \" unclosed|ext}\nlet y = 2\n", "let y");
+      ("let s = \"a \\\" Hashtbl.iter f t \\\" b\"\nlet y = 2\n", "let y");
+      (* resync after a comment-embedded quoted string closes *)
+      ("(* {| *) |} *)\nlet () = Hashtbl.iter f t\n", "Hashtbl.iter");
+      (* regression: a char-literal quote inside a comment must not open a
+         string and swallow the code after the comment *)
+      ("(* '\"' *)\nlet () = Hashtbl.iter f t\n", "Hashtbl.iter");
+      ("(* '\\\"' *)\nlet () = Hashtbl.iter f t\n", "Hashtbl.iter") ]
+  in
+  List.iter
+    (fun (src, tok) ->
+      Alcotest.(check bool) (src ^ " keeps " ^ tok) true (has (code_of src) tok))
+    kept
+
+(* --- waivers on the name rules -------------------------------------------------------- *)
+
+let iter_site = "let f t = Hashtbl.iter (fun _ _ -> ()) t"
+
+let test_lint_waivers_in_source () =
+  let r =
+    scan
+      (iter_site
+     ^ " (* lint-waive: nondet/hashtbl-order — commutative accumulation, \
+        honest *)\n")
+  in
+  check_rules "trailing waiver" [] r;
+  Alcotest.(check int) "one waived site" 1 r.Typedlint.waivers_honored;
+  check_rules "standalone waiver reaches past its comment" []
+    (scan
+       ("(* lint-waive: nondet/hashtbl-order — the justification wraps over \
+         this\n   second comment line before the site below. *)\n"
+      ^ iter_site ^ "\n"));
+  Alcotest.(check bool)
+    "waiver without justification is a finding" true
+    (List.mem "lint/waiver-unjustified"
+       (rules
+          (scan ("(* lint-waive: nondet/hashtbl-order *)\n" ^ iter_site ^ "\n"))));
+  check_rules "unknown rule id" [ "lint/waiver-unknown-rule" ]
+    (scan
+       "(* lint-waive: nondet/no-such-rule — plausible words but a bogus id *)\n\
+        let x = 1\n");
+  check_rules "stale in-source waiver" [ "lint/waiver-unused" ]
+    (scan
+       "(* lint-waive: nondet/hashtbl-order — nothing below still needs this *)\n\
+        let x = 1\n")
+
+let test_lint_file_waivers () =
+  let body =
+    "# comment\n\
+     nondet/hashtbl-order mutant.ml grouped results are order-canonical \
+     downstream\n\
+     short x y\n"
+  in
+  let waivers, probs = Lint_common.parse_waivers body in
+  Alcotest.(check int) "one parsed waiver" 1 (List.length waivers);
+  Alcotest.(check int) "one malformed line reported" 1 (List.length probs);
+  let r = scan ~waivers:body (iter_site ^ "\n") in
+  check_rules "file waiver suppresses; the malformed line is reported"
+    [ "lint/waiver-unjustified" ] r;
+  Alcotest.(check int) "suppression counted" 1 r.Typedlint.waivers_honored;
+  check_rules "a file waiver for another file is stale"
+    [ "lint/waiver-unused" ]
+    (scan
+       ~waivers:
+         "nondet/hashtbl-order other/y.ml grouped results are \
+          order-canonical downstream\n"
+       "let x = 1\n");
+  check_rules "a file waiver naming no rule" [ "lint/waiver-unknown-rule" ]
+    (scan ~waivers:"nondet/bogus mutant.ml plausible words, bogus id\n"
+       "let x = 1\n")
+
+(* The repo's LINT_WAIVERS must parse clean and name only rules the lint
+   can still evaluate — an entry for a retired rule is dead weight.
+   Staleness proper (an entry that suppresses nothing) is enforced by the
+   `dune runtest` lint gate, which scans the real tree. *)
+let test_lint_waivers_audit () =
+  let waivers, probs = Lint_common.parse_waivers (read_file "../LINT_WAIVERS") in
+  Alcotest.(check (list string))
+    "LINT_WAIVERS parses without findings" []
+    (List.map (fun f -> f.Sanitize.rule_id) probs);
+  List.iter
+    (fun w ->
+      Alcotest.(check bool)
+        (Printf.sprintf "rule %s is a lint rule" w.Lint_common.w_rule)
+        true
+        (List.mem w.Lint_common.w_rule Typedlint.rule_ids);
+      Alcotest.(check bool)
+        (Printf.sprintf "justification for %s is substantial"
+           w.Lint_common.w_rule)
+        true
+        (String.length w.Lint_common.w_reason >= Lint_common.min_reason_len))
+    waivers
+
+(* --- coverage: no source is skipped silently ------------------------------------------ *)
+
+let test_lint_unscanned_source () =
+  let dir, cmt = compile (iter_site ^ "\n") in
+  (* truncate the .cmt: it can no longer be read *)
+  let bytes = read_file cmt in
+  let oc = open_out_bin cmt in
+  output_string oc (String.sub bytes 0 200);
+  close_out oc;
+  let config = { Typedlint.default_config with source_root = dir } in
+  let r = Typedlint.scan_cmt_files ~config ~sources:[ "mutant.ml" ] [ cmt ] in
+  Alcotest.(check int) "nothing loaded" 0 r.Typedlint.files_scanned;
+  Alcotest.(check (list (pair string (list string))))
+    "unreadable .cmt leaves its source reported"
+    [ ("lint/unscanned-source", [ "mutant.ml" ]) ]
+    (List.map
+       (fun f -> (f.Sanitize.rule_id, f.Sanitize.sites))
+       r.Typedlint.findings);
+  check_rules "a source with no .cmt at all" [ "lint/unscanned-source" ]
+    (scan ~sources:[ "mutant.ml"; "other.ml" ] "let x = 1\n")
 
 (* --- property: no false positives on pure closures --------------------------------- *)
 
@@ -377,7 +593,9 @@ let qcheck_pure_closures_clean =
 let test_rule_ids_and_stats () =
   Alcotest.(check (list string))
     "rule inventory"
-    [ "typed/blocking-in-task"; "typed/capture-escape";
+    [ "mm/naked-atomic-get"; "mm/physical-eq-key"; "nondet/ambient-random";
+      "nondet/domain-id"; "nondet/hashtbl-order"; "nondet/wall-clock";
+      "typed/blocking-in-task"; "typed/capture-escape";
       "typed/lock-discipline"; "typed/module-escape" ]
     Typedlint.rule_ids;
   let r = scan (capture_mutant_with "") in
@@ -425,6 +643,19 @@ let () =
             test_waiver_trailing_honored;
           Alcotest.test_case "stale" `Quick test_waiver_stale;
           Alcotest.test_case "file level" `Quick test_waiver_file_level ] );
+      ( "lint",
+        [ Alcotest.test_case "rules fire" `Quick test_lint_rules_fire;
+          Alcotest.test_case "exemptions" `Quick test_lint_exemptions;
+          Alcotest.test_case "typed resolution" `Quick
+            test_lint_typed_resolution;
+          Alcotest.test_case "stripping" `Quick test_lint_strip;
+          Alcotest.test_case "in-source waivers" `Quick
+            test_lint_waivers_in_source;
+          Alcotest.test_case "file waivers" `Quick test_lint_file_waivers;
+          Alcotest.test_case "repo waiver audit" `Quick
+            test_lint_waivers_audit;
+          Alcotest.test_case "unscanned source" `Quick
+            test_lint_unscanned_source ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_pure_closures_clean ] );
       ( "plumbing",
