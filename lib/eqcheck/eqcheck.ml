@@ -685,7 +685,10 @@ let check_result pre post =
             "%s; latch %s has no binary initial value for co-simulation"
             reason l.N.name)
      | None, None ->
-       (match Sim.Equiv.seq_equal_random ~seed:0xC0FFEE pre post with
+       (match
+          Obs.Trace.span ~cat:"verify" "verify/cosim" (fun () ->
+              Sim.Equiv.seq_equal_random ~seed:0xC0FFEE pre post)
+        with
         | None -> Simulated reason
         | Some trace ->
           let state net = Sim.Simulate.binary_initial_state net in

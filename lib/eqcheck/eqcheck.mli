@@ -121,8 +121,12 @@ val check_result : Netlist.Network.t -> Netlist.Network.t -> verdict
     as Table I reports it: {!seq_check} with a 28-bit product cap and a
     4M-node budget; when that is {!Unknown} and every latch has a binary
     initial value, 64 runs of 128 random cycles of co-simulation
-    ([Sim.Equiv.seq_equal_random]) decide between {!Simulated} and a
-    {!Refuted} carrying the diverging input trace.  {!Unknown} names a
+    ([Sim.Equiv.seq_equal_random], seed [0xC0FFEE]) decide between
+    {!Simulated} and a {!Refuted} carrying the diverging input trace.  The
+    runs go as bit lanes of one compiled program per network, two words of
+    lanes for the 64 runs; their random draws follow the run-by-run order, so
+    the verdict and trace are those of simulating one run at a time.  The
+    co-simulation is traced as a [verify/cosim] span.  {!Unknown} names a
     latch without a binary initial value when that blocks co-simulation. *)
 
 val dcret_check :

@@ -162,41 +162,115 @@ let comb_equal_sat ?(conflict_limit = 500_000) a b =
 
 (* --- random co-simulation --------------------------------------------------- *)
 
-(* A run keeps no trace while it agrees: the diverging run's input vectors
-   are redrawn from a copy of its starting random state. *)
+(* Runs go in batches of one word of lanes: run [first + j] is bit [j].  The
+   random bits are drawn in the order one run at a time would draw them
+   (run, then cycle, then primary input in [N.inputs a] order) and the
+   answer is the lowest-index diverging run, cut at its first diverging
+   cycle, so verdicts and traces match a run-by-run simulation exactly. *)
 let seq_equal_random ?(vectors = 64) ?(length = 128) ~seed a b =
-  let pi_names = List.map (fun n -> n.N.name) (N.inputs a) in
-  let draw rng = List.map (fun nm -> (nm, Random.State.bool rng)) pi_names in
-  let rng = Random.State.make [| seed |] in
-  (* the number of cycles up to and including the first output divergence *)
-  let rec cycle k sa sb =
-    if k = length then None
-    else begin
-      let vector = draw rng in
-      let pi name = List.assoc name vector in
-      let sa', oa = Simulate.step a ~pi ~state:sa in
-      let sb', ob = Simulate.step b ~pi ~state:sb in
-      if List.sort compare oa <> List.sort compare ob then Some (k + 1)
-      else cycle (k + 1) sa' sb'
-    end
-  in
-  let rec loop k =
-    if k = 0 then None
-    else begin
-      let start = Random.State.copy rng in
-      match
-        cycle 0 (Simulate.binary_initial_state a)
-          (Simulate.binary_initial_state b)
-      with
-      | None -> loop (k - 1)
-      | Some n ->
-        let rec redraw i =
-          if i = n then []
-          else
-            let v = draw start in
-            v :: redraw (i + 1)
+  if vectors <= 0 then None
+  else begin
+    let init net =
+      Array.of_list
+        (List.map (fun (_, v) -> if v then -1 else 0)
+           (Simulate.binary_initial_state net))
+    in
+    (* [b] first, so an [Ix] latch in both networks raises the message a
+       run-by-run check raises *)
+    let init_b = init b in
+    let init_a = init a in
+    let pa = Simulate.compile a and pb = Simulate.compile b in
+    let npi = Array.length pa.inputs in
+    (* a primary input reads the first input of [a] with its name *)
+    let slot = Hashtbl.create npi in
+    Array.iteri
+      (fun i (name, _) -> if not (Hashtbl.mem slot name) then Hashtbl.add slot name i)
+      pa.inputs;
+    let slots (p : Simulate.program) =
+      Array.map (fun (name, _) -> Hashtbl.find slot name) p.inputs
+    in
+    let a_slots = slots pa and b_slots = slots pb in
+    (* output drivers paired by name; different name sets diverge at once *)
+    let sorted_names (p : Simulate.program) =
+      List.sort compare (Array.to_list (Array.map fst p.outputs))
+    in
+    let pairs =
+      if sorted_names pa <> sorted_names pb then None
+      else
+        let driver_b = Hashtbl.create 16 in
+        Array.iter (fun (name, id) -> Hashtbl.replace driver_b name id) pb.outputs;
+        Some
+          (Array.map (fun (name, id) -> (id, Hashtbl.find driver_b name)) pa.outputs)
+    in
+    let rng = Random.State.make [| seed |] in
+    let draws = Array.make_matrix length npi 0 in
+    let va = Array.make pa.capacity 0 and vb = Array.make pb.capacity 0 in
+    let next_a = Array.make (Array.length pa.latches) 0 in
+    let next_b = Array.make (Array.length pb.latches) 0 in
+    let load (p : Simulate.program) values state =
+      Array.iteri (fun i (id, _) -> values.(id) <- state.(i)) p.latches
+    in
+    let latch (p : Simulate.program) values next =
+      Array.iteri (fun i (_, d) -> next.(i) <- values.(d)) p.latches
+    in
+    let lowest_lane w =
+      let rec go j = if (w lsr j) land 1 = 1 then j else go (j + 1) in
+      go 0
+    in
+    (* the lowest diverging lane of a batch and its divergence cycle count *)
+    let batch lanes =
+      for c = 0 to length - 1 do Array.fill draws.(c) 0 npi 0 done;
+      for j = 0 to lanes - 1 do
+        for c = 0 to length - 1 do
+          let row = draws.(c) in
+          for i = 0 to npi - 1 do
+            if Random.State.bool rng then row.(i) <- row.(i) lor (1 lsl j)
+          done
+        done
+      done;
+      load pa va init_a;
+      load pb vb init_b;
+      let pending = ref (if lanes = Sys.int_size then -1 else (1 lsl lanes) - 1) in
+      let found = ref None in
+      let c = ref 0 in
+      while !pending <> 0 && !c < length do
+        let row = draws.(!c) in
+        Array.iteri (fun i (_, id) -> va.(id) <- row.(a_slots.(i))) pa.inputs;
+        Array.iteri (fun i (_, id) -> vb.(id) <- row.(b_slots.(i))) pb.inputs;
+        Simulate.eval_words pa va;
+        Simulate.eval_words pb vb;
+        let diff =
+          match pairs with
+          | None -> -1
+          | Some pairs ->
+            Array.fold_left (fun d (ia, ib) -> d lor (va.(ia) lxor vb.(ib))) 0 pairs
         in
-        Some (redraw 0)
-    end
-  in
-  loop vectors
+        let d = diff land !pending in
+        if d <> 0 then begin
+          let j = lowest_lane d in
+          found := Some (j, !c + 1);
+          pending := !pending land ((1 lsl j) - 1)
+        end;
+        latch pa va next_a;
+        latch pb vb next_b;
+        load pa va next_a;
+        load pb vb next_b;
+        incr c
+      done;
+      !found
+    in
+    let rec loop first =
+      if first >= vectors then None
+      else
+        match batch (min Sys.int_size (vectors - first)) with
+        | None -> loop (first + Sys.int_size)
+        | Some (j, n) ->
+          Some
+            (List.init n (fun c ->
+                 Array.to_list
+                   (Array.mapi
+                      (fun i (name, _) -> (name, (draws.(c).(i) lsr j) land 1 = 1))
+                      pa.inputs)))
+    in
+    loop 0
+  end

@@ -42,5 +42,14 @@ val seq_equal_random :
 (** Random co-simulation from the binary initial states: [vectors] runs of
     [length] cycles each.  [None] when every run agrees; otherwise the
     per-cycle primary-input vectors of the first diverging run, ending at
-    the cycle whose outputs differ.  Raises [Failure] when a latch has no
-    binary initial value. *)
+    the cycle whose outputs differ.  Different output-name sets diverge in
+    cycle 1 of run 0.  Raises [Failure] when a latch has no binary initial
+    value.
+
+    Runs are simulated word-parallel, one run per bit lane of a
+    {!Simulate.compile}d program, [Sys.int_size] runs a batch.  The result is
+    that of simulating the runs one at a time: the random bits are drawn in
+    run, then cycle, then primary-input ([Network.inputs] of the first
+    network) order; the answer is the lowest-index diverging run, cut at its
+    first diverging cycle; and a batch stops the sampler only when one of its
+    lanes diverged. *)

@@ -209,6 +209,102 @@ let prop_bdd_equals_random_verdict =
       Oracle.seq_equivalent net dup
       && Sim.Equiv.seq_equal_random ~seed ~vectors:8 ~length:32 net dup = None)
 
+(* The word-parallel sampler against the run-by-run oracle, on random
+   netlists and their single-node-complement mutants: [vectors] falls below,
+   at and across one word of lanes. *)
+let prop_seq_equal_random_matches_oracle =
+  QCheck.Test.make ~count:150 ~name:"lane sampler matches the scalar oracle"
+    QCheck.(quad (int_range 0 5_000) (int_range 0 12) (int_range 1 130)
+              (int_range 1 64))
+    (fun (seed, mutant, vectors, length) ->
+      let net =
+        Circuits.Generators.random_sequential ~seed
+          { Circuits.Generators.default_profile with
+            ngates = 10;
+            nlatch = 3;
+            npi = 3 }
+      in
+      N.sweep net;
+      let other = N.copy net in
+      (match N.logic_nodes other with
+       | [] -> ()
+       | nodes ->
+         (* [mutant] past the node count keeps the copy unmutated *)
+         (match List.nth_opt nodes mutant with
+          | Some n -> N.set_cover other n (Logic.Cover.complement (N.cover_of n))
+          | None -> ()));
+      Sim.Equiv.seq_equal_random ~vectors ~length ~seed net other
+      = Oracle.seq_equal_random ~vectors ~length ~seed net other)
+
+(* Lane 0 of the compiled evaluator against [Network.eval_comb]. *)
+let prop_eval_all_matches_eval_comb =
+  QCheck.Test.make ~count:100 ~name:"eval_all matches Network.eval_comb"
+    QCheck.(pair (int_range 0 5_000) (int_range 0 1_000_000))
+    (fun (seed, bits) ->
+      let net =
+        Circuits.Generators.random_sequential ~seed
+          { Circuits.Generators.default_profile with
+            ngates = 12;
+            nlatch = 3;
+            npi = 3 }
+      in
+      let leaves = N.inputs net @ N.latches net in
+      let bit = Hashtbl.create 8 in
+      List.iteri (fun i n -> Hashtbl.replace bit n.N.id ((bits lsr i) land 1 = 1)) leaves;
+      let pi name =
+        match N.find_by_name net name with
+        | Some n -> Hashtbl.find bit n.N.id
+        | None -> false
+      in
+      let state = List.map (fun l -> (l.N.id, Hashtbl.find bit l.N.id)) (N.latches net) in
+      let values = S.eval_all net ~pi ~state in
+      List.for_all
+        (fun n -> values.(n.N.id) = N.eval_comb net (Hashtbl.find bit) n.N.id)
+        (N.logic_nodes net))
+
+(* A register that loads the AND of six inputs against one that loads 0:
+   a run diverges only after all six inputs were 1 in one cycle, so the first
+   diverging run lands anywhere in the first few words of lanes.  Sweeping
+   [vectors] makes every such run the last lane of its batch once. *)
+let test_seq_equal_random_rare_divergence () =
+  let build cover =
+    let net = N.create ~name:"and6" () in
+    let ins = List.init 6 (fun i -> N.add_input net (Printf.sprintf "i%d" i)) in
+    let g = N.add_logic net ~name:"g" cover ins in
+    let r = N.add_latch net ~name:"r" N.I0 g in
+    N.set_output net "out" r;
+    net
+  in
+  let a = build (Logic.Cover.of_strings 6 [ "111111" ]) in
+  let b = build (Logic.Cover.empty 6) in
+  let refuted = ref 0 in
+  for seed = 0 to 5 do
+    List.iter
+      (fun length ->
+        for vectors = 1 to 130 do
+          let expected = Oracle.seq_equal_random ~vectors ~length ~seed a b in
+          if expected <> None then incr refuted;
+          if Sim.Equiv.seq_equal_random ~vectors ~length ~seed a b <> expected
+          then
+            Alcotest.failf "seed %d, length %d, vectors %d: sampler disagrees"
+              seed length vectors
+        done)
+      [ 2; 3 ]
+  done;
+  Alcotest.(check bool) "some runs diverge, some do not" true
+    (!refuted > 0 && !refuted < 6 * 2 * 130)
+
+let test_seq_equal_random_output_names () =
+  let a = toggle () in
+  let b = toggle () in
+  let r = match N.find_by_name b "r" with Some n -> n | None -> assert false in
+  N.set_output b "out2" r;
+  let expected = Oracle.seq_equal_random ~seed:9 ~vectors:70 a b in
+  Alcotest.(check int) "diverges at cycle 1 of run 0" 1
+    (match expected with Some trace -> List.length trace | None -> 0);
+  Alcotest.(check bool) "lane sampler agrees" true
+    (Sim.Equiv.seq_equal_random ~seed:9 ~vectors:70 a b = expected)
+
 let () =
   Alcotest.run "sim"
     [ ( "simulate",
@@ -232,8 +328,15 @@ let () =
             test_seq_equal_random_positive;
           Alcotest.test_case "random negative" `Quick
             test_seq_equal_random_negative;
+          Alcotest.test_case "random rare divergence" `Quick
+            test_seq_equal_random_rare_divergence;
+          Alcotest.test_case "random output names differ" `Quick
+            test_seq_equal_random_output_names;
           Alcotest.test_case "sat cec agreement" `Slow
             test_comb_equal_sat_agrees ] );
       ( "props",
-        List.map QCheck_alcotest.to_alcotest [ prop_bdd_equals_random_verdict ]
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_bdd_equals_random_verdict;
+            prop_seq_equal_random_matches_oracle;
+            prop_eval_all_matches_eval_comb ]
       ) ]
