@@ -219,7 +219,6 @@ type mode = [ `Shared | `Private ]
 let g_default_mode : mode Atomic.t = Atomic.make `Shared
 
 let set_default_mode m = Atomic.set g_default_mode m
-let default_mode () = Atomic.get g_default_mode
 
 (* --- scopes ------------------------------------------------------------------- *)
 
@@ -265,7 +264,6 @@ let create ?(cache_size = 1 lsl 14) ?mode () =
 let sub_scope man =
   make_scope ~table:man.table ~uid:man.uid ~parent:(Some man)
 
-let is_shared man = man.table == shared_table
 let same_table a b = a.table == b.table
 
 (* --- scope accounting --------------------------------------------------------- *)
@@ -569,8 +567,6 @@ let var man i =
   assert (i >= 0);
   mk man i bfalse btrue
 
-let nvar man i = mk man i btrue bfalse
-
 let is_true f = f = btrue
 let is_false f = f = bfalse
 let equal (a : t) (b : t) = a = b
@@ -633,7 +629,6 @@ let band man f g = ite man f g bfalse
 let bor man f g = ite man f btrue g
 let bxor man f g = ite man f (bnot man g) g
 let bxnor man f g = ite man f g (bnot man g)
-let bimp man f g = ite man f g btrue
 
 let cofactor man f i value =
   let t = man.table in
@@ -837,14 +832,14 @@ let eval man f assign =
   in
   go f
 
-let of_cover man cover =
+let of_cover man fanins cover =
   let cube_bdd c =
     let acc = ref btrue in
     Logic.Cube.iteri
-      (fun v l ->
+      (fun i l ->
         match l with
-        | Logic.Cube.One -> acc := band man !acc (var man v)
-        | Logic.Cube.Zero -> acc := band man !acc (nvar man v)
+        | Logic.Cube.One -> acc := band man !acc fanins.(i)
+        | Logic.Cube.Zero -> acc := band man !acc (bnot man fanins.(i))
         | Logic.Cube.Both -> ())
       c;
     !acc

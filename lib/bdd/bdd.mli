@@ -34,8 +34,6 @@ val create : ?cache_size:int -> ?mode:mode -> unit -> man
 val set_default_mode : mode -> unit
 (** Mode used by [create] when [?mode] is omitted.  Initially [`Shared]. *)
 
-val default_mode : unit -> mode
-
 val sub_scope : man -> man
 (** A child scope on the same table: nodes consed through the child are also
     charged to the parent, so the parent's {!node_count} stays cumulative
@@ -46,8 +44,6 @@ val adopt : man -> man -> unit
     parents), as if [dst] had consed them itself.  Used to keep budgets exact
     when previously built values are reused instead of rebuilt.  Both scopes
     must share a table. *)
-
-val is_shared : man -> bool
 
 val same_table : man -> man -> bool
 (** Whether two scopes point at the same underlying table (always true for
@@ -60,14 +56,11 @@ val btrue : t
 val var : man -> int -> t
 (** BDD of the single positive variable [i] ([i >= 0]). *)
 
-val nvar : man -> int -> t
-
 val bnot : man -> t -> t
 val band : man -> t -> t -> t
 val bor : man -> t -> t -> t
 val bxor : man -> t -> t -> t
 val bxnor : man -> t -> t -> t
-val bimp : man -> t -> t -> t
 val ite : man -> t -> t -> t -> t
 
 val equal : t -> t -> bool
@@ -107,7 +100,12 @@ val any_sat : man -> t -> (int * bool) list
 
 val eval : man -> t -> (int -> bool) -> bool
 
-val of_cover : man -> Logic.Cover.t -> t
+val of_cover : man -> t array -> Logic.Cover.t -> t
+(** [of_cover m fanins c]: the sum of [c]'s cubes, input [i] of the cover
+    read as [fanins.(i)].  Each cube is a left-to-right conjunction of its
+    literals and the cubes are OR-ed in order, so the operation sequence —
+    and with it {!node_count} — is fixed by the cover.  Pass
+    [Array.init n (var m)] for the cover over variables [0..n-1]. *)
 
 exception Cover_too_large
 

@@ -23,10 +23,9 @@ val rebuild :
     leaves, then sweep the network (the old cone interior dies if unused). *)
 
 val simplify_root :
-  ?max_leaves:int ->
   dc_for:(leaves:Netlist.Network.node array -> Logic.Cover.t) ->
   Netlist.Network.t -> Netlist.Network.node -> bool
 (** Collapse, minimize with the don't-care cover supplied by [dc_for] (over
     the same leaf numbering), and rebuild if the result is cheaper (fewer
     literals) than the collapsed cover.  Returns whether a rebuild happened.
-    Cones that are too wide are left untouched. *)
+    Cones wider than 14 leaves are left untouched. *)

@@ -1,8 +1,5 @@
 module N = Netlist.Network
-
-(* Internal: a BDD build or fixpoint outgrew the node budget; callers fall
-   back to SAT (combinational) or report Unknown (sequential). *)
-exception Budget of string
+module Reach = Dontcare.Reach
 
 type options = {
   max_state_bits : int;
@@ -30,12 +27,10 @@ let m_cap_state_bits = Obs.Metrics.counter "eqcheck.cap.state_bits"
 let m_cap_bdd_nodes = Obs.Metrics.counter "eqcheck.cap.bdd_nodes"
 let m_cap_sat_conflicts = Obs.Metrics.counter "eqcheck.cap.sat_conflicts"
 let m_cone_rescued = Obs.Metrics.counter "eqcheck.seq.cone_rescued"
-let m_bdd_reuse = Obs.Metrics.counter "eqcheck.bdd.reuse"
 
 (* cone-memo outcome split: [hit] = recorded build served the pre side;
    [miss] = memo consulted but empty or unusable; [evict] = a recorded
-   build displaced without ever being reused (stale net/frame/table).
-   [eqcheck.bdd.reuse] above stays as the historical alias of [hit]. *)
+   build displaced without ever being reused (stale net/frame/table). *)
 let m_memo_hit = Obs.Metrics.counter "eqcheck.memo.hit"
 let m_memo_miss = Obs.Metrics.counter "eqcheck.memo.miss"
 let m_memo_evict = Obs.Metrics.counter "eqcheck.memo.evict"
@@ -71,6 +66,14 @@ let verdict_name = function
 
 (* --- shared helpers ---------------------------------------------------------- *)
 
+(* (representative, member) pairs of each class: its first element against
+   each of the others *)
+let class_pairs classes =
+  List.concat_map
+    (function
+      | [] | [ _ ] -> [] | rep :: rest -> List.map (fun m -> (rep, m)) rest)
+    classes
+
 (* DC_ret classes arrive as latch node ids of the resynthesis working copy;
    both sides of a pass carry the same latch names (the mapper and the editing
    kernels preserve them), so the don't-care condition is expressed over
@@ -85,16 +88,12 @@ let class_name_pairs nets classes =
         | Some _ | None -> None)
       nets
   in
-  List.concat_map
-    (fun cls ->
-      let names =
-        List.filter_map name_of (List.sort_uniq compare cls)
-        |> List.sort_uniq compare
-      in
-      match names with
-      | [] | [ _ ] -> []
-      | rep :: rest -> List.map (fun m -> (rep, m)) rest)
-    classes
+  class_pairs
+    (List.map
+       (fun cls ->
+         List.filter_map name_of (List.sort_uniq compare cls)
+         |> List.sort_uniq compare)
+       classes)
 
 let endpoints net =
   List.map (fun (name, n) -> (name, n.N.id)) (N.outputs net)
@@ -123,64 +122,6 @@ type cone_memo = {
 type memo = cone_memo option ref
 
 let memo () : memo = ref None
-
-(* Node BDDs for every combinational value of [net], leaves resolved through
-   [var_of_name]; raises [Budget] once [budget_man]'s charge passes the node
-   cap ([budget_man] is the whole check's cumulative scope, so the cap trips
-   exactly as it did when every check rebuilt from scratch). *)
-(* Seed [values] (node id -> BDD) with every constant node of [net]. *)
-let add_consts values net =
-  List.iter
-    (fun n ->
-      match n.N.kind with
-      | N.Const b ->
-        Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
-      | N.Input | N.Latch _ | N.Logic _ -> ())
-    (N.all_nodes net)
-
-(* BDD of logic node [n]'s cover over its fanins' BDDs in [values]. *)
-let cover_bdd man values n =
-  let fanins = Array.map (fun f -> Hashtbl.find values f) n.N.fanins in
-  let cube_bdd cube =
-    let acc = ref Bdd.btrue in
-    Logic.Cube.iteri
-      (fun i l ->
-        match l with
-        | Logic.Cube.One -> acc := Bdd.band man !acc fanins.(i)
-        | Logic.Cube.Zero -> acc := Bdd.band man !acc (Bdd.bnot man fanins.(i))
-        | Logic.Cube.Both -> ())
-      cube;
-    !acc
-  in
-  List.fold_left
-    (fun acc c -> Bdd.bor man acc (cube_bdd c))
-    Bdd.bfalse (N.cover_of n).Logic.Cover.cubes
-
-let build_values man ~budget_man ~max_bdd_nodes net var_of_name =
-  let values = Hashtbl.create 256 in
-  List.iter
-    (fun p -> Hashtbl.add values p.N.id (Bdd.var man (var_of_name p.N.name)))
-    (N.inputs net);
-  List.iter
-    (fun l -> Hashtbl.add values l.N.id (Bdd.var man (var_of_name l.N.name)))
-    (N.latches net);
-  add_consts values net;
-  List.iter
-    (fun n ->
-      Hashtbl.add values n.N.id (cover_bdd man values n);
-      if Bdd.node_count budget_man > max_bdd_nodes then
-        raise (Budget "bdd node budget exhausted building cone functions"))
-    (N.topo_combinational net);
-  values
-
-(* Total assignment over [vars] extending a satisfying path of [f] (every
-   completion of an [any_sat] partial assignment satisfies [f]). *)
-let full_assign man f vars =
-  let partial = Bdd.any_sat man f in
-  List.map
-    (fun v ->
-      (v, match List.assoc_opt v partial with Some b -> b | None -> false))
-    vars
 
 (* --- combinational equivalence modulo DC_ret --------------------------------- *)
 
@@ -214,51 +155,46 @@ let comb_check_bdd ~options ~pairs ?memo pre post leaves =
   let var_idx = Hashtbl.create 64 in
   List.iteri (fun i name -> Hashtbl.add var_idx name i) leaves;
   let var_of_name name = Hashtbl.find var_idx name in
-  let max_bdd_nodes = options.max_bdd_nodes in
-  (* each side builds in a sub-scope so the memo can record exactly that
-     side's node charge, while [man] keeps the cumulative count the budget
-     tests against *)
+  let budget () = Reach.check_budget man ~max_nodes:options.max_bdd_nodes in
+  (* each side builds every cone in a sub-scope so the memo can record
+     exactly that side's node charge, while [man] keeps the cumulative count
+     the budget tests against *)
   let build net =
     let scope = Bdd.sub_scope man in
-    (build_values scope ~budget_man:man ~max_bdd_nodes net var_of_name, scope)
+    let leaf n = Some (Bdd.var scope (var_of_name n.N.name)) in
+    (Reach.cone_values scope ~budget ~leaf net, scope)
   in
   let values_pre =
     match memo with
+    | Some { contents = Some m }
+      when m.me_net == pre
+           && m.me_rev = N.revision pre
+           && m.me_frame = leaves
+           (* in `Private mode each check owns a fresh table, so recorded
+              handles are meaningless here: fall through and rebuild *)
+           && Bdd.same_table m.me_man man ->
+      Obs.Metrics.incr m_memo_hit;
+      Bdd.adopt man m.me_man;
+      m.me_values
     | Some r ->
-      (match !r with
-       | Some m
-         when m.me_net == pre
-              && m.me_rev = N.revision pre
-              && m.me_frame = leaves
-              (* in `Private mode each check owns a fresh table, so recorded
-                 handles are meaningless here: fall through and rebuild *)
-              && Bdd.same_table m.me_man man ->
-         Obs.Metrics.incr m_bdd_reuse;
-         Obs.Metrics.incr m_memo_hit;
-         Bdd.adopt man m.me_man;
-         m.me_values
-       | Some _ ->
-         (* recorded build can't serve this check and is displaced below
-            without ever being reused *)
-         Obs.Metrics.incr m_memo_miss;
-         Obs.Metrics.incr m_memo_evict;
-         fst (build pre)
-       | None ->
-         Obs.Metrics.incr m_memo_miss;
-         fst (build pre))
+      Obs.Metrics.incr m_memo_miss;
+      (* a recorded build that cannot serve this check is displaced below
+         without ever being reused *)
+      if Option.is_some !r then Obs.Metrics.incr m_memo_evict;
+      fst (build pre)
     | None -> fst (build pre)
   in
-  let values_post, post_scope = build post in
-  (match memo with
-   | Some r ->
-     r :=
-       Some
-         { me_net = post;
-           me_rev = N.revision post;
-           me_frame = leaves;
-           me_values = values_post;
-           me_man = post_scope }
-   | None -> ());
+  let values_post, me_man = build post in
+  Option.iter
+    (fun r ->
+      r :=
+        Some
+          { me_net = post;
+            me_rev = N.revision post;
+            me_frame = leaves;
+            me_values = values_post;
+            me_man })
+    memo;
   (* care set: every pair of equivalent registers agrees *)
   let care =
     List.fold_left
@@ -279,21 +215,17 @@ let comb_check_bdd ~options ~pairs ?memo pre post leaves =
           let fa = Hashtbl.find values_pre ida in
           let fb = Hashtbl.find values_post idb in
           let d = Bdd.band man (Bdd.bxor man fa fb) care in
-          if Bdd.node_count man > max_bdd_nodes then
-            raise (Budget "bdd node budget exhausted on the miter");
+          budget ();
           if Bdd.is_false d then None else Some d)
       (endpoints pre)
   in
   match diff with
   | None -> `Proved
   | Some d ->
-    let witness = full_assign man d (List.init (List.length leaves) Fun.id) in
-    let assign name =
-      match List.assoc_opt (var_of_name name) witness with
-      | Some b -> b
-      | None -> false
-    in
-    `Diff assign
+    let witness = Bdd.any_sat man d in
+    `Diff
+      (fun name ->
+        Option.value ~default:false (List.assoc_opt (var_of_name name) witness))
 
 let comb_check_sat ~options ~pairs pre post =
   let solver = Sat_lite.create () in
@@ -368,7 +300,7 @@ let comb_check ?(options = default_options) ?(classes = []) ?memo pre post =
       in
       match comb_check_bdd ~options ~pairs ?memo pre post leaves with
       | r -> finish r
-      | exception Budget _ ->
+      | exception Reach.Too_large _ ->
         Obs.Metrics.incr m_cap_bdd_nodes;
         finish (comb_check_sat ~options ~pairs pre post)
     end
@@ -380,7 +312,7 @@ let comb_check ?(options = default_options) ?(classes = []) ?memo pre post =
    output drivers, crossing latches through their data pins (fixpoint).  A
    latch outside this set never reaches an output in any number of cycles, so
    the product machine can drop it without changing the verdict. *)
-let observable_latch_ids net =
+let observable_latches net =
   let seen = Hashtbl.create 256 in
   let obs = Hashtbl.create 64 in
   let rec walk id =
@@ -396,7 +328,7 @@ let observable_latch_ids net =
     end
   in
   List.iter (fun (_, n) -> walk n.N.id) (N.outputs net);
-  obs
+  List.filter (fun l -> Hashtbl.mem obs l.N.id) (N.latches net)
 
 let pi_names net =
   List.sort compare (List.map (fun n -> n.N.name) (N.inputs net))
@@ -408,11 +340,18 @@ let io_mismatch pre post =
     Some "primary-output name mismatch"
   else None
 
-(* Drive both netlists through [trace] from the given states: the first
-   primary output on which they disagree, if any. *)
-let replay pre post ~state_pre ~state_post trace =
+(* Simulation confirmation (the cex-quality contract): drive both netlists
+   through [trace] from the given initial latch values and demand an actual
+   output divergence.  A candidate the replay cannot reproduce (never seen
+   on a sound witness) degrades to Unknown rather than a refutation. *)
+let confirm pre post ~init_pre ~init_post ~endpoint trace =
   let rec go sa sb = function
-    | [] -> None
+    | [] ->
+      Unknown
+        (Printf.sprintf
+           "unconfirmed counterexample for %s (replay of %d cycle(s) did not \
+            diverge)"
+           endpoint (List.length trace))
     | vector :: rest ->
       let pi name = List.assoc name vector in
       let sa', oa = Sim.Simulate.step pre ~pi ~state:sa in
@@ -420,202 +359,78 @@ let replay pre post ~state_pre ~state_post trace =
       (match
          List.find_opt (fun (name, va) -> List.assoc_opt name ob <> Some va) oa
        with
-       | Some (name, _) -> Some name
+       | Some (name, _) ->
+         let named = List.map (fun (l, v) -> (l.N.name, v)) in
+         Refuted
+           { endpoint = name;
+             leaves = List.nth trace (List.length trace - 1);
+             init_pre = named init_pre;
+             init_post = named init_post;
+             trace;
+             sim_confirmed = true }
        | None -> go sa' sb' rest)
   in
-  go state_pre state_post trace
+  let ids = List.map (fun (l, v) -> (l.N.id, v)) in
+  go (ids init_pre) (ids init_post) trace
 
-(* never observed on a sound witness; degrade rather than report a
-   refutation simulation cannot reproduce *)
-let unconfirmed endpoint trace =
-  Unknown
-    (Printf.sprintf
-       "unconfirmed counterexample for %s (replay of %d cycle(s) did not \
-        diverge)"
-       endpoint (List.length trace))
-
-(* Variable layout: shared primary inputs by sorted name, then present state
-   of [pre], then of [post]; next-state variables follow, shifted by the
-   total latch count. *)
+(* The product machine of [pre] and [post] on the shared primary inputs,
+   ordered by name: the output-observable latches of each side are its state
+   bits, and the bad states are those where some output differs. *)
 let seq_check ?(options = default_options) pre post =
   match io_mismatch pre post with
   | Some reason -> Unknown reason
   | None ->
-    let pi_names = pi_names pre in
     let all_latches_a = N.latches pre and all_latches_b = N.latches post in
     (* shrink the product machine to output-observable registers before the
        state-bit cap; latches outside every output cone cannot change the
        verdict, and dropping them rescues checks the full register count
        would push past the cap *)
-    let obs_a = observable_latch_ids pre
-    and obs_b = observable_latch_ids post in
-    let latches_a =
-      List.filter (fun l -> Hashtbl.mem obs_a l.N.id) all_latches_a
-    and latches_b =
-      List.filter (fun l -> Hashtbl.mem obs_b l.N.id) all_latches_b
-    in
-    let n1 = List.length latches_a and n2 = List.length latches_b in
-    let full_bits =
-      List.length all_latches_a + List.length all_latches_b
-    in
-    if n1 + n2 > options.max_product_bits then begin
+    let latches_a = observable_latches pre
+    and latches_b = observable_latches post in
+    let bits = List.length latches_a + List.length latches_b in
+    if bits > options.max_product_bits then begin
       Obs.Metrics.incr m_cap_product_bits;
       Unknown
-        (Printf.sprintf "state-bit cap: %d product bits > %d" (n1 + n2)
+        (Printf.sprintf "state-bit cap: %d product bits > %d" bits
            options.max_product_bits)
     end
     else begin
-      if full_bits > options.max_product_bits then
-        Obs.Metrics.incr m_cone_rescued;
+      if List.length all_latches_a + List.length all_latches_b
+         > options.max_product_bits
+      then Obs.Metrics.incr m_cone_rescued;
       try
-        let npi = List.length pi_names in
-        let man = Bdd.create () in
-        let budget () =
-          if Bdd.node_count man > options.max_bdd_nodes then
-            raise (Budget "bdd node budget exhausted")
+        let m =
+          Reach.machine ~outputs:true ~max_nodes:options.max_bdd_nodes
+            ~inputs:(pi_names pre)
+            [ (pre, latches_a); (post, latches_b) ]
         in
-        let pi_idx = Hashtbl.create 16 in
-        List.iteri (fun i name -> Hashtbl.add pi_idx name i) pi_names;
-        let ps_var_a = Hashtbl.create 16 and ps_var_b = Hashtbl.create 16 in
-        List.iteri
-          (fun j l -> Hashtbl.add ps_var_a l.N.id (npi + j))
-          latches_a;
-        List.iteri
-          (fun j l -> Hashtbl.add ps_var_b l.N.id (npi + n1 + j))
-          latches_b;
-        let ns_base = npi + n1 + n2 in
-        let build net ps_var latches =
-          (* combinational nodes feeding an output or a relevant next-state
-             function; cones of dropped latches are never built (their latch
-             leaves have no product variable anyway) *)
-          let need = Hashtbl.create 256 in
-          let rec mark id =
-            if not (Hashtbl.mem need id) then begin
-              Hashtbl.replace need id ();
-              match (N.node net id).N.kind with
-              | N.Logic _ -> Array.iter mark (N.node net id).N.fanins
-              | N.Input | N.Const _ | N.Latch _ -> ()
-            end
-          in
-          List.iter (fun (_, n) -> mark n.N.id) (N.outputs net);
-          List.iter (fun l -> mark (N.latch_data net l).N.id) latches;
-          let values = Hashtbl.create 256 in
-          List.iter
-            (fun n ->
-              Hashtbl.add values n.N.id
-                (Bdd.var man (Hashtbl.find pi_idx n.N.name)))
-            (N.inputs net);
-          List.iter
-            (fun l ->
-              Hashtbl.add values l.N.id
-                (Bdd.var man (Hashtbl.find ps_var l.N.id)))
-            latches;
-          add_consts values net;
-          List.iter
-            (fun n ->
-              if Hashtbl.mem need n.N.id then begin
-                Hashtbl.add values n.N.id (cover_bdd man values n);
-                budget ()
-              end)
-            (N.topo_combinational net);
-          values
+        let man = m.Reach.man in
+        let a = m.Reach.parts.(0) and b = m.Reach.parts.(1) in
+        let output c node = Hashtbl.find c.Reach.values node.N.id in
+        let outputs_equal =
+          List.fold_left
+            (fun acc (name, na) ->
+              let nb = List.assoc name (N.outputs post) in
+              Bdd.band man acc (Bdd.bxnor man (output a na) (output b nb)))
+            Bdd.btrue (N.outputs pre)
         in
-        let values_a = build pre ps_var_a latches_a in
-        let values_b = build post ps_var_b latches_b in
-        let transition = ref Bdd.btrue in
-        let add_latch values ps_var l net =
-          let ns_var = ns_base + Hashtbl.find ps_var l.N.id - npi in
-          let f = Hashtbl.find values (N.latch_data net l).N.id in
-          transition :=
-            Bdd.band man !transition (Bdd.bxnor man (Bdd.var man ns_var) f);
-          budget ()
-        in
-        List.iter (fun l -> add_latch values_a ps_var_a l pre) latches_a;
-        List.iter (fun l -> add_latch values_b ps_var_b l post) latches_b;
-        let init = ref Bdd.btrue in
-        let add_init ps_var l =
-          let v = Bdd.var man (Hashtbl.find ps_var l.N.id) in
-          match N.latch_init l with
-          | N.I0 -> init := Bdd.band man !init (Bdd.bnot man v)
-          | N.I1 -> init := Bdd.band man !init v
-          | N.Ix -> ()
-        in
-        List.iter (add_init ps_var_a) latches_a;
-        List.iter (add_init ps_var_b) latches_b;
-        let outputs_equal = ref Bdd.btrue in
-        List.iter
-          (fun (name, na) ->
-            let nb = List.assoc name (N.outputs post) in
-            let va = Hashtbl.find values_a na.N.id in
-            let vb = Hashtbl.find values_b nb.N.id in
-            outputs_equal := Bdd.band man !outputs_equal (Bdd.bxnor man va vb))
-          (N.outputs pre);
-        let pi_vars = List.init npi Fun.id in
-        let ps_vars = List.init (n1 + n2) (fun j -> npi + j) in
-        let image r =
-          let after = Bdd.and_exists man (pi_vars @ ps_vars) !transition r in
-          Bdd.rename man after (fun v -> v - n1 - n2)
-        in
-        (* rings, oldest first: rings.(i) is the frontier reached in exactly
-           [i] steps (minus earlier states) — the breadcrumbs for trace
-           extraction *)
-        let rec fixpoint reached frontier rings =
-          budget ();
-          let bad = Bdd.band man frontier (Bdd.bnot man !outputs_equal) in
-          if not (Bdd.is_false bad) then `Bad (bad, List.rev rings)
-          else begin
-            let next = image frontier in
-            let fresh = Bdd.band man next (Bdd.bnot man reached) in
-            if Bdd.is_false fresh then `Proved
-            else fixpoint (Bdd.bor man reached fresh) fresh (fresh :: rings)
-          end
-        in
-        match fixpoint !init !init [ !init ] with
-        | `Proved -> Proved
-        | `Bad (bad, rings) ->
-          let k = List.length rings - 1 in
-          let w = full_assign man bad (pi_vars @ ps_vars) in
-          let value_in asn v = List.assoc v asn in
-          let pi_vector asn =
-            List.mapi (fun i name -> (name, value_in asn i)) pi_names
-          in
-          (* walk the rings backwards: at step i pick a predecessor state in
-             ring i-1 and an input that maps it onto the witness state *)
-          let rec backwards i s_i inputs =
-            if i = 0 then (inputs, s_i)
-            else begin
-              let ring = List.nth rings (i - 1) in
-              let ns_cube =
-                List.fold_left
-                  (fun acc v ->
-                    let nsv = Bdd.var man (ns_base + (v - npi)) in
-                    let lit =
-                      if value_in s_i v then nsv else Bdd.bnot man nsv
-                    in
-                    Bdd.band man acc lit)
-                  Bdd.btrue ps_vars
-              in
-              let pred = Bdd.band man (Bdd.band man !transition ns_cube) ring in
-              let asn = full_assign man pred (pi_vars @ ps_vars) in
-              let s_prev = List.filter (fun (v, _) -> v >= npi) asn in
-              budget ();
-              backwards (i - 1) s_prev (pi_vector asn :: inputs)
-            end
-          in
-          let s_k = List.filter (fun (v, _) -> v >= npi) w in
-          let inputs, s_0 = backwards k s_k [] in
-          let trace = inputs @ [ pi_vector w ] in
+        match
+          Reach.explore m ~init:m.Reach.init
+            ~bad:(lazy (Bdd.bnot man outputs_equal))
+        with
+        | Reach.Reached _ -> Proved
+        | Reach.Hit t ->
+          let w = t.Reach.witness in
+          let trace = t.Reach.steps @ [ Reach.input_vector m w ] in
           (* diverging endpoint at the witness cycle, from the product BDDs *)
-          let assign_fun v =
-            match List.assoc_opt v w with Some b -> b | None -> false
-          in
+          let assign v = Option.value ~default:false (List.assoc_opt v w) in
           let endpoint =
             match
               List.find_opt
                 (fun (name, na) ->
                   let nb = List.assoc name (N.outputs post) in
-                  Bdd.eval man (Hashtbl.find values_a na.N.id) assign_fun
-                  <> Bdd.eval man (Hashtbl.find values_b nb.N.id) assign_fun)
+                  Bdd.eval man (output a na) assign
+                  <> Bdd.eval man (output b nb) assign)
                 (N.outputs pre)
             with
             | Some (name, _) -> name
@@ -624,37 +439,18 @@ let seq_check ?(options = default_options) pre post =
           (* replay states are total over ALL latches: registers dropped from
              the product machine cannot influence outputs, so their declared
              initial value (Ix resolved to 0) is as good as any *)
-          let init_value_of l ps_var =
-            match Hashtbl.find_opt ps_var l.N.id with
-            | Some v -> value_in s_0 v
-            | None ->
-              (match N.latch_init l with N.I1 -> true | N.I0 | N.Ix -> false)
+          let init c =
+            List.map
+              (fun l ->
+                ( l,
+                  match Reach.latch_value c t.Reach.start l with
+                  | Some v -> v
+                  | None -> N.latch_init l = N.I1 ))
+              (N.latches c.Reach.net)
           in
-          let state_of latches ps_var =
-            List.map (fun l -> (l.N.id, init_value_of l ps_var)) latches
-          in
-          let named_init latches ps_var =
-            List.map (fun l -> (l.N.name, init_value_of l ps_var)) latches
-          in
-          (* simulation confirmation (the cex-quality contract): replay the
-             trace on both netlists from the extracted initial states and
-             demand an actual output divergence *)
-          (match
-             replay pre post
-               ~state_pre:(state_of all_latches_a ps_var_a)
-               ~state_post:(state_of all_latches_b ps_var_b)
-               trace
-           with
-           | Some name ->
-             Refuted
-               { endpoint = name;
-                 leaves = pi_vector w;
-                 init_pre = named_init all_latches_a ps_var_a;
-                 init_post = named_init all_latches_b ps_var_b;
-                 trace;
-                 sim_confirmed = true }
-           | None -> unconfirmed endpoint trace)
-      with Budget msg ->
+          confirm pre post ~init_pre:(init a) ~init_post:(init b) ~endpoint
+            trace
+      with Reach.Too_large msg ->
         Obs.Metrics.incr m_cap_bdd_nodes;
         Unknown msg
     end
@@ -691,42 +487,27 @@ let check_result pre post =
         with
         | None -> Simulated reason
         | Some trace ->
-          let state net = Sim.Simulate.binary_initial_state net in
-          let named net =
-            List.map (fun l -> (l.N.name, N.latch_init l = N.I1)) (N.latches net)
+          let init net =
+            List.map (fun l -> (l, N.latch_init l = N.I1)) (N.latches net)
           in
-          (match
-             replay pre post ~state_pre:(state pre) ~state_post:(state post)
-               trace
-           with
-           | Some endpoint ->
-             Refuted
-               { endpoint;
-                 leaves = List.nth trace (List.length trace - 1);
-                 init_pre = named pre;
-                 init_post = named post;
-                 trace;
-                 sim_confirmed = true }
-           | None -> unconfirmed "(co-simulation)" trace)))
+          confirm pre post ~init_pre:(init pre) ~init_post:(init post)
+            ~endpoint:"(co-simulation)" trace))
 
 (* --- DC_ret invariant: bounded reachability ----------------------------------- *)
 
+(* The machine of [net] alone, inputs in declaration order: the bad states
+   are those where two members of a class disagree. *)
 let dcret_check ?(options = default_options) net classes =
+  let live id =
+    match N.node_opt net id with
+    | Some n when N.is_latch n -> Some n
+    | Some _ | None -> None
+  in
   let live_pairs =
-    List.concat_map
-      (fun cls ->
-        let live =
-          List.filter_map
-            (fun id ->
-              match N.node_opt net id with
-              | Some n when N.is_latch n -> Some n
-              | Some _ | None -> None)
-            (List.sort_uniq compare cls)
-        in
-        match live with
-        | [] | [ _ ] -> []
-        | rep :: rest -> List.map (fun m -> (rep, m)) rest)
-      classes
+    class_pairs
+      (List.map
+         (fun cls -> List.filter_map live (List.sort_uniq compare cls))
+         classes)
   in
   if live_pairs = [] then Proved
   else begin
@@ -740,179 +521,62 @@ let dcret_check ?(options = default_options) net classes =
     end
     else begin
       try
-        let pis = N.inputs net in
-        let npi = List.length pis in
-        let man = Bdd.create () in
-        let budget () =
-          if Bdd.node_count man > options.max_bdd_nodes then
-            raise (Budget "bdd node budget exhausted")
+        let m =
+          Reach.machine ~outputs:false ~max_nodes:options.max_bdd_nodes
+            ~inputs:(List.map (fun p -> p.N.name) (N.inputs net))
+            [ (net, latches) ]
         in
-        let ps_var = Hashtbl.create 16 in
-        List.iteri (fun j l -> Hashtbl.add ps_var l.N.id (npi + j)) latches;
-        let pi_names = List.map (fun p -> p.N.name) pis in
-        let pi_idx = Hashtbl.create 16 in
-        List.iteri (fun i name -> Hashtbl.add pi_idx name i) pi_names;
-        let var_of_name name =
-          match Hashtbl.find_opt pi_idx name with
-          | Some i -> i
-          | None ->
-            (* latch leaves resolve through ps_var below; inputs only here *)
-            invalid_arg "dcret_check: unknown leaf"
+        let man = m.Reach.man and c = m.Reach.parts.(0) in
+        let var l = Bdd.var man (Hashtbl.find c.Reach.ps_var l.N.id) in
+        (* replicated copies of one register share its (possibly unknown)
+           initial value, so class members start pairwise equal even when
+           the declared init is Ix *)
+        let init =
+          List.fold_left
+            (fun acc (a, b) -> Bdd.band man acc (Bdd.bxnor man (var a) (var b)))
+            m.Reach.init live_pairs
         in
-        let values = Hashtbl.create 256 in
-        List.iter
-          (fun p ->
-            Hashtbl.add values p.N.id (Bdd.var man (var_of_name p.N.name)))
-          pis;
-        List.iter
-          (fun l ->
-            Hashtbl.add values l.N.id
-              (Bdd.var man (Hashtbl.find ps_var l.N.id)))
-          latches;
-        add_consts values net;
-        List.iter
-          (fun n ->
-            Hashtbl.add values n.N.id (cover_bdd man values n);
-            budget ())
-          (N.topo_combinational net);
-        let ns_base = npi + nl in
-        let transition = ref Bdd.btrue in
-        List.iteri
-          (fun j l ->
-            let f = Hashtbl.find values (N.latch_data net l).N.id in
-            transition :=
-              Bdd.band man !transition
-                (Bdd.bxnor man (Bdd.var man (ns_base + j)) f);
-            budget ())
-          latches;
-        (* initial states: declared values; replicated copies of one register
-           share its (possibly unknown) initial value, so class members are
-           constrained pairwise equal even when the declared init is Ix *)
-        let init = ref Bdd.btrue in
-        List.iter
-          (fun l ->
-            let v = Bdd.var man (Hashtbl.find ps_var l.N.id) in
-            match N.latch_init l with
-            | N.I0 -> init := Bdd.band man !init (Bdd.bnot man v)
-            | N.I1 -> init := Bdd.band man !init v
-            | N.Ix -> ())
-          latches;
-        let pair_vars =
-          List.map
-            (fun (a, b) ->
-              ( (a.N.name, Hashtbl.find ps_var a.N.id),
-                (b.N.name, Hashtbl.find ps_var b.N.id) ))
-            live_pairs
-        in
-        List.iter
-          (fun ((_, va), (_, vb)) ->
-            init :=
-              Bdd.band man !init
-                (Bdd.bxnor man (Bdd.var man va) (Bdd.var man vb)))
-          pair_vars;
         let bad =
           List.fold_left
-            (fun acc ((_, va), (_, vb)) ->
-              Bdd.bor man acc
-                (Bdd.bxor man (Bdd.var man va) (Bdd.var man vb)))
-            Bdd.bfalse pair_vars
+            (fun acc (a, b) -> Bdd.bor man acc (Bdd.bxor man (var a) (var b)))
+            Bdd.bfalse live_pairs
         in
-        let pi_vars = List.init npi Fun.id in
-        let ps_vars = List.init nl (fun j -> npi + j) in
-        let image r =
-          let after = Bdd.and_exists man (pi_vars @ ps_vars) !transition r in
-          Bdd.rename man after (fun v -> v - nl)
-        in
-        let rec fixpoint reached frontier rings =
-          budget ();
-          let viol = Bdd.band man frontier bad in
-          if not (Bdd.is_false viol) then `Bad (viol, List.rev rings)
-          else begin
-            let next = image frontier in
-            let fresh = Bdd.band man next (Bdd.bnot man reached) in
-            if Bdd.is_false fresh then `Proved
-            else fixpoint (Bdd.bor man reached fresh) fresh (fresh :: rings)
-          end
-        in
-        match fixpoint !init !init [ !init ] with
-        | `Proved -> Proved
-        | `Bad (viol, rings) ->
-          let k = List.length rings - 1 in
-          let s_k = full_assign man viol ps_vars in
-          let value_in asn v = List.assoc v asn in
-          let pi_vector asn =
-            List.mapi (fun i name -> (name, value_in asn i)) pi_names
-          in
-          let rec backwards i s_i inputs =
-            if i = 0 then (inputs, s_i)
-            else begin
-              let ring = List.nth rings (i - 1) in
-              let ns_cube =
-                List.fold_left
-                  (fun acc v ->
-                    let nsv = Bdd.var man (ns_base + (v - npi)) in
-                    let lit =
-                      if value_in s_i v then nsv else Bdd.bnot man nsv
-                    in
-                    Bdd.band man acc lit)
-                  Bdd.btrue ps_vars
-              in
-              let pred = Bdd.band man (Bdd.band man !transition ns_cube) ring in
-              let asn = full_assign man pred (pi_vars @ ps_vars) in
-              let s_prev = List.filter (fun (v, _) -> v >= npi) asn in
-              budget ();
-              backwards (i - 1) s_prev (pi_vector asn :: inputs)
-            end
-          in
-          let trace, s_0 = backwards k s_k [] in
-          let violating_pair =
-            List.find_opt
-              (fun ((_, va), (_, vb)) ->
-                value_in s_k va <> value_in s_k vb)
-              pair_vars
-          in
+        match Reach.explore m ~init ~bad:(Lazy.from_val bad) with
+        | Reach.Reached _ -> Proved
+        | Reach.Hit t ->
+          let trace = t.Reach.steps in
+          let value asn l = Option.get (Reach.latch_value c asn l) in
+          let w = t.Reach.witness in
           let endpoint =
-            match violating_pair with
-            | Some ((na, _), (nb, _)) ->
-              Printf.sprintf "dcret:%s<>%s" na nb
+            match
+              List.find_opt (fun (a, b) -> value w a <> value w b) live_pairs
+            with
+            | Some (a, b) -> Printf.sprintf "dcret:%s<>%s" a.N.name b.N.name
             | None -> "dcret:(none)"
           in
           let named_state asn =
-            List.map
-              (fun l -> (l.N.name, value_in asn (Hashtbl.find ps_var l.N.id)))
-              latches
+            List.map (fun l -> (l.N.name, value asn l)) latches
           in
           (* replay: drive the netlist through the trace and demand the two
              class members really disagree at the violation cycle *)
-          let state0 =
-            List.map
-              (fun l -> (l.N.id, value_in s_0 (Hashtbl.find ps_var l.N.id)))
-              latches
-          in
           let final_state =
             List.fold_left
               (fun state vector ->
                 let pi name = List.assoc name vector in
                 fst (Sim.Simulate.step net ~pi ~state))
-              state0 trace
+              (List.map (fun l -> (l.N.id, value t.Reach.start l)) latches)
+              trace
           in
-          let confirmed =
-            List.exists
-              (fun (a, b) ->
-                match
-                  ( List.assoc_opt a.N.id final_state,
-                    List.assoc_opt b.N.id final_state )
-                with
-                | Some va, Some vb -> va <> vb
-                | _, _ -> false)
-              live_pairs
+          let differ (a, b) =
+            List.assoc a.N.id final_state <> List.assoc b.N.id final_state
           in
-          if confirmed then
+          if List.exists differ live_pairs then
             Refuted
               { endpoint;
-                leaves = (match trace with [] -> [] | _ -> List.nth trace (k - 1));
-                init_pre = named_state s_0;
-                init_post = named_state s_k;
+                leaves =
+                  (match List.rev trace with [] -> [] | last :: _ -> last);
+                init_pre = named_state t.Reach.start;
+                init_post = named_state w;
                 trace;
                 sim_confirmed = true }
           else
@@ -921,7 +585,7 @@ let dcret_check ?(options = default_options) net classes =
                  "unconfirmed class violation %s (replay of %d cycle(s) did \
                   not diverge)"
                  endpoint (List.length trace))
-      with Budget msg ->
+      with Reach.Too_large msg ->
         Obs.Metrics.incr m_cap_bdd_nodes;
         Unknown msg
     end

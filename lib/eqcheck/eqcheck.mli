@@ -6,22 +6,19 @@
     behavior, and the retiming-induced register-equivalence classes really
     are invariants of the reachable state space.
 
-    Three engines, one verdict lattice
-    ({!Proved} > {!Simulated} > {!Unknown} > {!Refuted}):
+    One verdict lattice ({!Proved} > {!Simulated} > {!Unknown} >
+    {!Refuted}) over three checks:
 
     - {!comb_check} — combinational equivalence of pre/post-pass next-state
       and output cones over shared leaves (primary inputs and present-state
       registers, matched by name), via BDDs with a {!Sat_lite} fallback past
       the node budget.  DC_ret cubes are satisfiability don't-cares: states
       where replicated registers disagree are excluded from the comparison.
-    - {!seq_check} — product-machine sequential equivalence from the
-      preserved initial states, with a counterexample {e input trace}
-      extracted by walking the reachability rings backwards and confirmed by
-      replaying it through [Sim.Simulate] on both netlists.
-    - {!dcret_check} — bounded reachability over the latch state space
-      certifying each DC_ret class is an invariant: the XOR of replicated
-      registers is 0 in every reachable state from the preserved initial
-      state.
+    - {!seq_check} and {!dcret_check} — the two sequential checks, both
+      callers of the one reachability engine [Dontcare.Reach]: the product
+      machine of two netlists, and the class invariant of one.  A
+      counterexample is an {e input trace} walked back through the
+      reachability rings and replayed through [Sim.Simulate].
 
     {!check_result} checks a whole flow result against its input: the
     product machine, then random co-simulation where it gives up.
@@ -88,8 +85,8 @@ type memo
 (** Cone-BDD build memo for a sequence of checks over one pass lineage: when
     a check's [pre] network is (a snapshot of) the previous check's [post],
     its cone functions are taken from the shared BDD table instead of being
-    rebuilt.  Reuses are counted by the [eqcheck.bdd.reuse] metric; node
-    budgets still trip exactly as if each check rebuilt from scratch. *)
+    rebuilt.  Reuses are counted by the [eqcheck.memo.hit] metric; the
+    reusing check's budget is charged with the recorded build's scope. *)
 
 val memo : unit -> memo
 (** A fresh (empty) memo. *)

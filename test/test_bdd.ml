@@ -16,11 +16,15 @@ let arb_cover n =
 
 let n_prop = 5
 
+(* [f] over BDD variables [0..nvars-1] *)
+let of_cover man f =
+  Bdd.of_cover man (Array.init f.Logic.Cover.nvars (Bdd.var man)) f
+
 let prop_of_cover_semantics =
   QCheck.Test.make ~count:200 ~name:"of_cover agrees with Cover.eval"
     (arb_cover n_prop) (fun f ->
       let man = Bdd.create () in
-      let b = Bdd.of_cover man f in
+      let b = of_cover man f in
       List.for_all
         (fun p -> Bdd.eval man b (fun v -> p.(v)) = Logic.Cover.eval f p)
         (all_points n_prop))
@@ -30,7 +34,7 @@ let prop_canonical =
     (QCheck.make QCheck.Gen.(pair (gen_cover n_prop) (gen_cover n_prop)))
     (fun (f, g) ->
       let man = Bdd.create () in
-      let bf = Bdd.of_cover man f and bg = Bdd.of_cover man g in
+      let bf = of_cover man f and bg = of_cover man g in
       Bdd.equal bf bg = Logic.Cover.equivalent f g)
 
 let prop_demorgan =
@@ -38,7 +42,7 @@ let prop_demorgan =
     (QCheck.make QCheck.Gen.(pair (gen_cover n_prop) (gen_cover n_prop)))
     (fun (f, g) ->
       let man = Bdd.create () in
-      let bf = Bdd.of_cover man f and bg = Bdd.of_cover man g in
+      let bf = of_cover man f and bg = of_cover man g in
       Bdd.equal
         (Bdd.bnot man (Bdd.band man bf bg))
         (Bdd.bor man (Bdd.bnot man bf) (Bdd.bnot man bg)))
@@ -48,7 +52,7 @@ let prop_xor =
     (QCheck.make QCheck.Gen.(pair (gen_cover n_prop) (gen_cover n_prop)))
     (fun (f, g) ->
       let man = Bdd.create () in
-      let a = Bdd.of_cover man f and b = Bdd.of_cover man g in
+      let a = of_cover man f and b = of_cover man g in
       Bdd.equal (Bdd.bxor man a b)
         (Bdd.bor man
            (Bdd.band man a (Bdd.bnot man b))
@@ -58,7 +62,7 @@ let prop_exists =
   QCheck.Test.make ~count:200 ~name:"exists v f = f_v + f_v'"
     (arb_cover n_prop) (fun f ->
       let man = Bdd.create () in
-      let b = Bdd.of_cover man f in
+      let b = of_cover man f in
       let direct = Bdd.exists man [ 2 ] b in
       let shannon =
         Bdd.bor man (Bdd.cofactor man b 2 true) (Bdd.cofactor man b 2 false)
@@ -69,7 +73,7 @@ let prop_forall =
   QCheck.Test.make ~count:200 ~name:"forall v f = f_v * f_v'"
     (arb_cover n_prop) (fun f ->
       let man = Bdd.create () in
-      let b = Bdd.of_cover man f in
+      let b = of_cover man f in
       Bdd.equal
         (Bdd.forall man [ 1; 3 ] b)
         (Bdd.forall man [ 3 ] (Bdd.forall man [ 1 ] b)))
@@ -79,7 +83,7 @@ let prop_and_exists =
     (QCheck.make QCheck.Gen.(pair (gen_cover n_prop) (gen_cover n_prop)))
     (fun (f, g) ->
       let man = Bdd.create () in
-      let a = Bdd.of_cover man f and b = Bdd.of_cover man g in
+      let a = of_cover man f and b = of_cover man g in
       Bdd.equal
         (Bdd.and_exists man [ 0; 2; 4 ] a b)
         (Bdd.exists man [ 0; 2; 4 ] (Bdd.band man a b)))
@@ -89,7 +93,7 @@ let prop_compose =
     (QCheck.make QCheck.Gen.(pair (gen_cover n_prop) (gen_cover n_prop)))
     (fun (f, g) ->
       let man = Bdd.create () in
-      let bf = Bdd.of_cover man f and bg = Bdd.of_cover man g in
+      let bf = of_cover man f and bg = of_cover man g in
       let c = Bdd.compose man bf 1 bg in
       List.for_all
         (fun p ->
@@ -102,7 +106,7 @@ let prop_sat_count =
   QCheck.Test.make ~count:200 ~name:"sat_count agrees with enumeration"
     (arb_cover n_prop) (fun f ->
       let man = Bdd.create () in
-      let b = Bdd.of_cover man f in
+      let b = of_cover man f in
       let expected =
         List.length (List.filter (Logic.Cover.eval f) (all_points n_prop))
       in
@@ -113,22 +117,22 @@ let prop_to_cover_roundtrip =
   QCheck.Test.make ~count:150 ~name:"to_cover/of_cover roundtrip"
     (arb_cover n_prop) (fun f ->
       let man = Bdd.create () in
-      let b = Bdd.of_cover man f in
-      let back = Bdd.of_cover man (Bdd.to_cover man ~nvars:n_prop b) in
+      let b = of_cover man f in
+      let back = of_cover man (Bdd.to_cover man ~nvars:n_prop b) in
       Bdd.equal b back)
 
 let prop_compose_identity =
   QCheck.Test.make ~count:150 ~name:"compose with the variable is identity"
     (arb_cover n_prop) (fun f ->
       let man = Bdd.create () in
-      let b = Bdd.of_cover man f in
+      let b = of_cover man f in
       Bdd.equal b (Bdd.compose man b 2 (Bdd.var man 2)))
 
 let prop_cover_is_disjoint =
   QCheck.Test.make ~count:100 ~name:"to_cover path cubes are pairwise disjoint"
     (arb_cover n_prop) (fun f ->
       let man = Bdd.create () in
-      let c = Bdd.to_cover man ~nvars:n_prop (Bdd.of_cover man f) in
+      let c = Bdd.to_cover man ~nvars:n_prop (of_cover man f) in
       let rec pairwise = function
         | [] -> true
         | x :: rest ->

@@ -16,6 +16,10 @@ let gen_cover n =
 
 let n_prop = 5
 
+(* [f] over BDD variables [0..nvars-1] *)
+let of_cover man f =
+  Bdd.of_cover man (Array.init f.Logic.Cover.nvars (Bdd.var man)) f
+
 let arb_cover_pair =
   QCheck.make QCheck.Gen.(pair (gen_cover n_prop) (gen_cover n_prop))
 
@@ -32,7 +36,7 @@ let prop_shared_matches_private =
     arb_cover_pair
     (fun (f, g) ->
       let build man =
-        let bf = Bdd.of_cover man f and bg = Bdd.of_cover man g in
+        let bf = of_cover man f and bg = of_cover man g in
         Bdd.bxor man (Bdd.band man bf bg)
           (Bdd.exists man [ 0; 2 ] (Bdd.bor man bf bg))
       in
@@ -119,7 +123,7 @@ let test_two_domain_stress () =
    On a real flow it must fire at least once and must not change verdicts. *)
 let test_eqcheck_memo_reuse () =
   Obs.Metrics.enable ();
-  let reuse = Obs.Metrics.counter "eqcheck.bdd.reuse" in
+  let reuse = Obs.Metrics.counter "eqcheck.memo.hit" in
   let before = Obs.Metrics.counter_value reuse in
   let rows =
     Report.Table.run_suite ~verify:false ~eqcheck_each:true ~names:[ "s27" ] ()

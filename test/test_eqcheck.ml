@@ -181,6 +181,50 @@ let test_dcret_refuted () =
   let c = get_cex (E.dcret_check pre [ cls ]) in
   Alcotest.(check bool) "violation confirmed" true c.E.sim_confirmed
 
+(* Class members that agree for four cycles, then split: [r1] latches [a],
+   [r2] latches [a] gated by a three-stage shift register of ones, which
+   reaches its last stage after three cycles.  The first disagreeing state
+   is four steps from the initial one, so the trace walk crosses several
+   rings. *)
+let late_split () =
+  let net = N.create ~name:"late" () in
+  let a = N.add_input net "a" in
+  let one = N.add_const net true in
+  let c0 = N.add_latch net ~name:"c0" N.I0 one in
+  let c1 = N.add_latch net ~name:"c1" N.I0 c0 in
+  let c2 = N.add_latch net ~name:"c2" N.I0 c1 in
+  let r1 = N.add_latch net ~name:"r1" N.I0 a in
+  let gated =
+    N.add_logic net ~name:"gated" (Logic.Cover.of_strings 2 [ "10" ]) [ a; c2 ]
+  in
+  let r2 = N.add_latch net ~name:"r2" N.I0 gated in
+  let o = N.add_logic net ~name:"o" and2 [ r1; r2 ] in
+  N.set_output net "o" o;
+  (net, [ r1.N.id; r2.N.id ])
+
+let test_dcret_refuted_late () =
+  let net, cls = late_split () in
+  let c = get_cex (E.dcret_check net [ cls ]) in
+  Alcotest.(check int) "trace length" 4 (List.length c.E.trace);
+  Alcotest.(check string) "endpoint" "dcret:r1<>r2" c.E.endpoint;
+  Alcotest.(check bool) "violation confirmed" true c.E.sim_confirmed;
+  (* replay from the reported initial state: the members agree before the
+     last cycle and differ after it *)
+  let id name = (Option.get (N.find_by_name net name)).N.id in
+  let state0 = List.map (fun (name, v) -> (id name, v)) c.E.init_pre in
+  let differ state = List.assoc (id "r1") state <> List.assoc (id "r2") state in
+  let final =
+    List.fold_left
+      (fun state vec ->
+        Alcotest.(check bool) "members agree before the last cycle" false
+          (differ state);
+        let pi name = List.assoc name vec in
+        fst (Sim.Simulate.step net ~pi ~state))
+      state0 c.E.trace
+  in
+  Alcotest.(check bool) "members differ after the last cycle" true
+    (differ final)
+
 let test_unknown_on_caps () =
   let pre, post, cls = sibling_pair () in
   let tiny cap = { E.default_options with E.max_product_bits = cap } in
@@ -314,6 +358,75 @@ let test_render_json () =
      in
      find 0)
 
+(* --- explicit-state oracle ------------------------------------------------- *)
+
+(* Copy of [net] with one cube dropped from one multi-cube logic node,
+   chosen by [k]; a plain copy when no node has two cubes. *)
+let drop_cube net k =
+  let m = N.copy net in
+  (match
+     List.filter
+       (fun n -> List.length (N.cover_of n).Logic.Cover.cubes >= 2)
+       (N.logic_nodes m)
+   with
+   | [] -> ()
+   | multi ->
+     let n = List.nth multi (k mod List.length multi) in
+     let cover = N.cover_of n in
+     let cubes = cover.Logic.Cover.cubes in
+     let i = k / List.length multi mod List.length cubes in
+     N.set_cover m n
+       (Logic.Cover.make cover.Logic.Cover.nvars
+          (List.filteri (fun j _ -> j <> i) cubes)));
+  m
+
+(* All [n]-bit states, as bool lists. *)
+let rec all_states n =
+  if n = 0 then [ [] ]
+  else
+    List.concat_map (fun s -> [ false :: s; true :: s ]) (all_states (n - 1))
+
+(* The BDD engine against breadth-first search over [Sim.Simulate.step] on
+   random netlists: the reachable set of [Reach.unreachable_states], and
+   [seq_check] against a single-cube-drop mutant (Proved exactly when no
+   reachable product state diverges; a Refuted trace as long as the
+   shortest diverging run). *)
+let prop_engine_matches_explicit_oracle =
+  QCheck.Test.make ~count:100
+    ~name:"BDD reachability matches explicit-state BFS"
+    QCheck.(quad (int_range 0 10_000) (int_range 1 6) (int_range 1 3)
+              (int_range 0 60))
+    (fun (seed, nlatch, npi, k) ->
+      let net =
+        Circuits.Generators.random_sequential ~seed
+          { Circuits.Generators.default_profile with
+            nlatch;
+            npi;
+            ngates = 4 + (seed mod 9) }
+      in
+      let reachable = Oracle.reachable_states net in
+      let r = Dontcare.Reach.unreachable_states net in
+      let reach_ok =
+        r.Dontcare.Reach.num_reachable = float_of_int (List.length reachable)
+        && List.for_all
+             (fun s ->
+               let pt = Array.of_list s in
+               let expected = List.mem_assoc s reachable in
+               Logic.Cover.eval r.Dontcare.Reach.reachable pt = expected
+               && Logic.Cover.eval r.Dontcare.Reach.unreachable pt
+                  = not expected)
+             (all_states nlatch)
+      in
+      let mutant = drop_cube net k in
+      let seq_ok =
+        match (E.seq_check net mutant, Oracle.first_divergence net mutant) with
+        | E.Proved, None -> true
+        | E.Refuted c, Some cycles ->
+          c.E.sim_confirmed && List.length c.E.trace = cycles
+        | (E.Proved | E.Refuted _ | E.Simulated _ | E.Unknown _), _ -> false
+      in
+      reach_ok && seq_ok)
+
 let () =
   Alcotest.run "eqcheck"
     [ ( "comb",
@@ -331,7 +444,9 @@ let () =
           Alcotest.test_case "dropped cube" `Quick test_mutation_dropped_cube ] );
       ( "dcret",
         [ Alcotest.test_case "proved" `Quick test_dcret_proved;
-          Alcotest.test_case "refuted" `Quick test_dcret_refuted ] );
+          Alcotest.test_case "refuted" `Quick test_dcret_refuted;
+          Alcotest.test_case "refuted after four cycles" `Quick
+            test_dcret_refuted_late ] );
       ( "budgets",
         [ Alcotest.test_case "unknown on caps" `Quick test_unknown_on_caps ] );
       ( "result",
@@ -339,4 +454,6 @@ let () =
       ( "integration",
         [ Alcotest.test_case "flow s27" `Quick test_flow_s27;
           Alcotest.test_case "merge legal" `Quick test_merge_legal;
-          Alcotest.test_case "render json" `Quick test_render_json ] ) ]
+          Alcotest.test_case "render json" `Quick test_render_json ] );
+      ( "oracle",
+        [ QCheck_alcotest.to_alcotest prop_engine_matches_explicit_oracle ] ) ]
