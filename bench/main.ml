@@ -231,7 +231,7 @@ let sta_bench ?(emit_json = true) ~circuits () =
 (* --- 3d. Packed vs legacy cube kernel ------------------------------------------------ *)
 
 (* The same workload runs against the packed kernel ({!Logic.Cube}) and the
-   legacy one-variant-per-literal arrays ({!Logic.Cube_ref}), built from
+   legacy one-variant-per-literal arrays ({!Cube_ref}), built from
    identical cube strings, with checksums compared so a representation bug
    cannot masquerade as a speedup. *)
 
@@ -300,7 +300,7 @@ module Cube_workload (C : CUBE_OPS) = struct
 end
 
 module Packed_work = Cube_workload (Logic.Cube)
-module Legacy_work = Cube_workload (Logic.Cube_ref)
+module Legacy_work = Cube_workload (Cube_ref)
 
 let random_cube_strings st ~vars ~cubes =
   Array.init cubes (fun _ ->
@@ -522,21 +522,20 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
   end;
   speedup
 
-(* --- 3f. Shared BDD manager ---------------------------------------------------------- *)
+(* --- 3f. Per-domain BDD tables ------------------------------------------------------ *)
 
-(* The domain-shared unique table dedups nodes across suite rows and eqcheck
-   boundary checks: the same cone functions are rebuilt many times over a
-   flow, and in shared mode every rebuild lands on the already-interned
-   nodes.  Three phases over the same --eqcheck-each suite workload:
-     A. shared table, serial          (the default configuration)
-     B. shared table, [jobs] domains  (byte-identical output required)
-     C. private per-scope tables, serial — the pre-shared-table architecture,
-        via [Bdd.set_default_mode `Private] (byte-identical output required)
-   The headline metric is the C/A node-allocation ratio: 1.5x means the
-   shared table absorbs a third of all BDD node constructions. *)
+(* Each domain interns BDD nodes in its own table, so the same cone
+   functions built by rows on different workers are interned once per
+   worker.  Two phases over the same --eqcheck-each suite workload, in one
+   process:
+     A. serial: every row on the main domain's table;
+     B. [jobs] domains: byte-identical output required.  The main domain is
+        worker 0 and meets its table warm from phase A; every other worker
+        starts cold.
+   Both phases report the nodes they allocated, so B shows the cost of
+   re-interning across workers. *)
 let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
-  section
-    "Shared BDD manager: node dedup + parallel determinism (--eqcheck-each)";
+  section "Per-domain BDD tables: serial vs parallel (--eqcheck-each)";
   let names =
     if quick then Some [ "s27"; "s208"; "s298"; "s344"; "s382"; "s400" ]
     else None
@@ -577,24 +576,13 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
       "  warning: %d jobs > %d cores — parallel phase measures scheduling, \
        not scaling\n"
       jobs (Core.Parallel.cores ());
-  let out_b, _, b_s, _, _, _ = run jobs in
+  let out_b, _, b_s, b_nodes, b_bytes, _ = run jobs in
   if not (String.equal out_a out_b) then begin
     Printf.eprintf
       "bdd bench: --jobs 1 and --jobs %d outputs DIFFER — determinism bug\n"
       jobs;
     exit 1
   end;
-  Bdd.set_default_mode `Private;
-  let out_c, _, c_s, c_nodes, c_bytes, _ = run 1 in
-  Bdd.set_default_mode `Shared;
-  if not (String.equal out_a out_c) then begin
-    Printf.eprintf
-      "bdd bench: shared and private tables produce DIFFERENT output — \
-       scope accounting bug\n";
-    exit 1
-  end;
-  let node_ratio = float_of_int c_nodes /. float_of_int (max 1 a_nodes) in
-  let word_ratio = c_bytes /. Float.max 1.0 a_bytes in
   let slowest_row, slowest_row_s =
     List.fold_left
       (fun (bn, bs) (n, s) -> if s > bs then (n, s) else (bn, bs))
@@ -603,19 +591,14 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
   let slowest_row_share = 100.0 *. slowest_row_s /. Float.max 1e-9 a_s in
   Printf.printf
     "  %d rows, eqcheck-each, verdicts %d proved / %d refuted / %d unknown \
-     (all three phases byte-identical)\n"
+     (both phases byte-identical)\n"
     rows_n proved refuted unknown;
   Printf.printf
-    "  A shared serial:   %5.1fs  %9d nodes  %7.1f Mwords heap\n" a_s a_nodes
+    "  A serial:          %5.1fs  %9d nodes  %7.1f Mwords heap\n" a_s a_nodes
     (a_bytes /. 8e6);
-  Printf.printf "  B shared %d jobs:   %5.1fs\n" jobs b_s;
   Printf.printf
-    "  C private serial:  %5.1fs  %9d nodes  %7.1f Mwords heap\n" c_s c_nodes
-    (c_bytes /. 8e6);
-  Printf.printf
-    "  dedup: %.2fx fewer BDD nodes allocated, %.2fx fewer heap words \
-     (target >= 1.5x nodes)\n"
-    node_ratio word_ratio;
+    "  B %d jobs:          %5.1fs  %9d nodes  %7.1f Mwords heap\n" jobs b_s
+    b_nodes (b_bytes /. 8e6);
   Printf.printf
     "  slowest row: %s at %.2fs serial (%.0f%% of phase A)\n" slowest_row
     slowest_row_s slowest_row_share;
@@ -623,29 +606,26 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
     Obs.Metrics.enable ();
     Obs.Metrics.set_info "bench.bdd.slowest_row" slowest_row;
     emit_bench ~file:"BENCH_bdd.json" ~prefix:"bench.bdd"
-      ~title:"shared vs private BDD tables on the --eqcheck-each suite"
+      ~title:"per-domain BDD tables on the --eqcheck-each suite, serial vs \
+              --jobs N"
       ~unit:"nodes_per_run"
       [ ("rows", float_of_int rows_n);
         ("jobs", float_of_int jobs);
         ("cores", float_of_int (Core.Parallel.cores ()));
         ("jobs_exceed_cores", if Core.Parallel.oversubscribed ~jobs then 1.0 else 0.0);
-        ("shared_serial_s", a_s);
-        ("shared_parallel_s", b_s);
-        ("private_serial_s", c_s);
-        ("shared_nodes", float_of_int a_nodes);
-        ("private_nodes", float_of_int c_nodes);
-        ("node_dedup_ratio", node_ratio);
-        ("shared_heap_mwords", a_bytes /. 8e6);
-        ("private_heap_mwords", c_bytes /. 8e6);
-        ("heap_word_ratio", word_ratio);
+        ("serial_s", a_s);
+        ("parallel_s", b_s);
+        ("serial_nodes", float_of_int a_nodes);
+        ("parallel_nodes", float_of_int b_nodes);
+        ("serial_heap_mwords", a_bytes /. 8e6);
+        ("parallel_heap_mwords", b_bytes /. 8e6);
         ("slowest_row_s", slowest_row_s);
         ("slowest_row_share_pct", slowest_row_share);
         ("proved", float_of_int proved);
         ("refuted", float_of_int refuted);
         ("unknown", float_of_int unknown);
         ("byte_identical", 1.0) ]
-  end;
-  node_ratio
+  end
 
 (* --- 3g. Verifier overhead ----------------------------------------------------------- *)
 
@@ -773,7 +753,7 @@ let eqcheck_bench ?(emit_json = true) ?names () =
 
 (* Cold vs warm request through the in-process serving engine: the same
    benchmark twice on one engine.  The first request parses/builds the
-   circuit into the engine's pristine cache and populates the shared BDD
+   circuit into the engine's pristine cache and populates the worker's BDD
    unique table; the second copies the cached network and rebuilds its BDDs
    onto already-interned nodes.  The two result payloads must be
    byte-identical — warmth may only change latency and allocation, never
@@ -1033,7 +1013,7 @@ let () =
          ~jobs ())
   else if verifier_only then ignore (verifier_bench ?names ())
   else if eqcheck_only then ignore (eqcheck_bench ?names ())
-  else if bdd_only then ignore (bdd_bench ~quick ~jobs ())
+  else if bdd_only then bdd_bench ~quick ~jobs ()
   else if serve_only then serve_bench ()
   else if smoke then begin
     (* CI-sized pass: the Section III example end to end plus the STA
@@ -1052,7 +1032,7 @@ let () =
     ignore (suite_bench ~jobs ());
     ignore (verifier_bench ());
     ignore (eqcheck_bench ());
-    ignore (bdd_bench ~jobs ());
+    bdd_bench ~jobs ();
     serve_bench ();
     bechamel_kernels ();
     Printf.printf "\ndone.\n"

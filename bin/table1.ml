@@ -27,10 +27,10 @@
    --metrics       enable the metrics registry and print a text summary of
                    counters, gauges and histograms after the table
    --metrics-json  enable the metrics registry and write the full registry
-                   (including bdd.* shared-table gauges) as JSON to FILE
-   --sanitize      enable the concurrency sanitizer (lock-order, BDD
-                   publication protocol, future single-claim, DLS scope
-                   stamps; also via SANITIZE=1).  Findings go to stderr and
+                   (including the bdd.* table gauges) as JSON to FILE
+   --sanitize      enable the concurrency sanitizer (lock-order, future
+                   single-claim, DLS scope stamps, BDD scope ownership;
+                   also via SANITIZE=1).  Findings go to stderr and
                    the run exits 3; table output stays byte-identical
    --sanitize-json write the sanitizer findings (JSON array, empty on a
                    clean run) to FILE; implies --sanitize *)

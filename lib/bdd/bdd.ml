@@ -1,31 +1,21 @@
-(* Hash-consed ROBDD package over a domain-shared unique table.
+(* Hash-consed ROBDD package with one unique table per domain.
 
-   Nodes live in a process-wide (or, in [`Private] mode, per-table) store of
-   fixed-size blocks; handles are integer indices and indices 0 and 1 are the
-   terminals.  The unique table is striped: a node's hash picks one of
-   [nstripes] independently locked open-addressing sub-tables, so concurrent
-   domains only contend when they cons into the same stripe at the same
-   moment.  Lookups are optimistic and lock-free: published entries are
-   write-once, so a probe verifies the (var, low, high) key by value and any
-   torn or stale observation degrades to the locked path, never to a wrong
-   answer.  Insertion (and stripe growth) always happens under the stripe
-   lock, which also makes every lock-holder see fully initialised entries.
+   Every domain that builds BDDs owns one table, made on its first BDD
+   operation and reached through a [Domain.DLS] key.  A table holds a node
+   store of fixed-size blocks (handles are integer indices; 0 and 1 are the
+   terminals), an open-addressing unique table, and the ITE, exists and cons
+   caches.  No other domain reads or writes it, so it needs no lock, fence or
+   atomic.  The one invariant is that a scope is used only on the domain that
+   created it; the sanitizer's [dls/foreign-scope] rule checks it.
 
-   A [man] is no longer a table: it is a *scope* — a lightweight accounting
-   handle onto a table.  [create ()] opens a scope on the shared table;
-   [create ~mode:`Private ()] builds a fresh table of its own (used by the
-   differential tests and the bench baseline).  Each scope tracks the set of
-   distinct nodes its operations consed, so [node_count] reports exactly what
-   a fresh private manager would have allocated for the same operation
-   sequence — node budgets (eqcheck, dontcare) therefore trip identically
-   whether the table is cold or warm, serial or parallel.  To keep that
-   guarantee, ITE/exists cache entries are stamped with the owning scope and
-   ignored by other scopes: sharing happens in the unique table (structure),
-   not in the computed caches (work).
-
-   Per-domain state (ITE cache, exists cache, op counters) hangs off a
-   [Domain.DLS] key owned by the table, so hot operations never touch a lock
-   or another domain's cache lines. *)
+   A [man] is a *scope*: a lightweight accounting handle onto its domain's
+   table.  Each scope tracks the set of distinct nodes its operations consed,
+   so [node_count] reports exactly what a fresh manager would have allocated
+   for the same operation sequence — node budgets (eqcheck, dontcare)
+   therefore trip identically whether the table is cold or warm.  To keep
+   that guarantee, ITE/exists cache entries are stamped with the owning scope
+   and ignored by other scopes: sharing happens in the unique table
+   (structure), not in the computed caches (work). *)
 
 type t = int
 
@@ -34,7 +24,7 @@ let btrue : t = 1
 
 let terminal_var = max_int
 
-(* --- node store: fixed-size blocks, write-once slots ------------------------- *)
+(* --- node store: fixed-size blocks ------------------------------------------ *)
 
 let block_bits = 16
 let block_size = 1 lsl block_bits
@@ -42,47 +32,40 @@ let block_mask = block_size - 1
 let max_blocks = 2048 (* 2048 * 65536 = 134M nodes per table *)
 
 (* Node and slot storage lives in [Bigarray]s, i.e. outside the OCaml heap.
-   The store only grows over a process lifetime (the shared table never
-   frees a node), and hundreds of MB of live int arrays on the managed heap
-   would be re-scanned by every major GC cycle; bigarray payloads are
-   opaque to the GC.  Fields are interleaved per node — [var; low; high] at
-   offsets 3o..3o+2 — so one traversal step touches one cache line. *)
-type ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+   A table only grows over its domain's lifetime (nodes are never freed),
+   and hundreds of MB of live int arrays on the managed heap would be
+   re-scanned by every major GC cycle; bigarray payloads are opaque to the
+   GC.  Fields are interleaved per node — [var; low; high] at offsets
+   3o..3o+2 — so one traversal step touches one cache line.  Every stored
+   value (a variable index, a node id or the -1 fill) fits in 32 bits, which
+   halves the footprint, and with it the transient peak while the unique
+   table rehashes into twice its size. *)
+type ba = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
-type block = ba
+let get (a : ba) i = Int32.to_int (Bigarray.Array1.unsafe_get a i)
+let set (a : ba) i v = Bigarray.Array1.unsafe_set a i (Int32.of_int v)
 
 let ba_make n fill : ba =
-  let a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
-  Bigarray.Array1.fill a fill;
+  let a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n in
+  Bigarray.Array1.fill a (Int32.of_int fill);
   a
 
-(* sentinel for "no block yet"; recognised by physical equality *)
-let dummy_block : block = ba_make 0 0
+(* only slots below [next_id] are ever read, so blocks need no fill *)
+let make_block () : ba =
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (block_size * 3)
 
-let make_block () : block = ba_make (block_size * 3) (-2)
+(* --- tables ------------------------------------------------------------------- *)
 
-(* --- stripes ------------------------------------------------------------------ *)
-
-let nstripes = 64
-let stripe_shift = 33 (* stripe index bits disjoint from small slot masks *)
-
-type stripe = {
-  s_lock : Sanitize.Lock.t;
-  (* interleaved open-addressing slots, stride 4: [v; low; high; id] per
-     slot, all fields -1 filled.  id >= 0 marks an occupied slot.  Keeping
-     the key inline means a probe step touches one cache line and never
-     dereferences the node store.  Slots are write-once within an array
-     (key fields first, [published] fence, id last), so a lock-free reader
-     that sees non-fill values sees the true key. *)
-  mutable s_slots : ba;
-  mutable s_count : int;
-  mutable s_grows : int;
-  mutable s_contended : int;
-}
-
-(* --- per-domain caches -------------------------------------------------------- *)
-
-type dcache = {
+type table = {
+  t_uid : int;
+  mutable blocks : ba array;
+  mutable next_id : int;
+  (* the unique table: interleaved open-addressing slots, stride 4
+     [v; low; high; id], all fields -1 filled; id >= 0 marks an occupied
+     slot.  Keeping the key inline means a probe step touches one cache
+     line and never dereferences the node store. *)
+  mutable slots : ba;
+  (* ITE cache, direct-mapped *)
   c_f : int array;
   c_g : int array;
   c_h : int array;
@@ -92,133 +75,102 @@ type dcache = {
   (* direct-mapped front cache of the unique table, interleaved stride 4:
      [v; low; high; id].  The (v, low, high) -> id mapping is immutable
      (nodes are never freed or renumbered), so entries never need
-     invalidation and no scope stamp is required: a hit is globally valid.
-     Its point is locality — the shared table's slot arrays grow to
-     hundreds of MB across a long run and every probe into them misses
-     cache, while this stays cache-resident per domain. *)
+     invalidation and no scope stamp is required.  Its point is locality:
+     the slot array grows to hundreds of MB across a long run and every
+     probe into it misses cache, while this stays cache-resident. *)
   c_cons : int array;
   c_cons_mask : int;
   exists_cache : (int, int) Hashtbl.t;
   mutable exists_vars : int list;
   mutable exists_owner : int;
-  (* monotone op counters, summed racily for stats *)
-  mutable d_ite_hits : int;
-  mutable d_ite_misses : int;
-  mutable d_mk_calls : int;
-  mutable d_unique_hits : int;
+  (* monotone op counters, read racily by [stats] *)
+  mutable ite_hits : int;
+  mutable ite_misses : int;
+  mutable mk_calls : int;
+  mutable unique_hits : int;
 }
 
-let make_dcache cache_size =
-  let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2) in
-  let ccap = next_pow2 (max 1024 cache_size) 1024 in
-  { c_f = Array.make ccap 0;
-    c_g = Array.make ccap 0;
-    c_h = Array.make ccap 0;
-    c_r = Array.make ccap 0;
-    c_u = Array.make ccap 0;
-    c_mask = ccap - 1;
-    c_cons = Array.make (ccap * 4) (-1);
-    c_cons_mask = ccap - 1;
-    exists_cache = Hashtbl.create 256;
-    exists_vars = [];
-    exists_owner = 0;
-    d_ite_hits = 0;
-    d_ite_misses = 0;
-    d_mk_calls = 0;
-    d_unique_hits = 0 }
+let cache_size = 1 lsl 16
+let initial_slots = 1 lsl 12
 
-(* --- tables ------------------------------------------------------------------- *)
-
-type table = {
-  t_uid : int;
-  stripes : stripe array;
-  (* authoritative block directory: CAS-installed, so a writer that binds a
-     block through here acquires the -2 array fill before storing fields *)
-  blocks_sync : block Atomic.t array;
-  (* plain mirror of [blocks_sync] for lock-free readers: every element goes
-     [dummy_block] -> installed block, and all mirror writers store the same
-     pointer, so the race is benign (OCaml rules out torn pointer reads).  A
-     reader that observes a stale [dummy_block], or a field still showing the
-     -2 fill, degrades to the [published]-synced retry path. *)
-  blocks : block array;
-  next_id : int Atomic.t;
-  (* bumped (a full RMW fence) after node fields are written and before the
-     id is published into a stripe slot; readers spin on it when they observe
-     a not-yet-visible field *)
-  published : int Atomic.t;
-  dls : dcache Domain.DLS.key;
-  t_caches : dcache list ref; (* every dcache ever created for this table *)
-  t_caches_lock : Sanitize.Lock.t;
-}
-
-(* process-wide monotone stats, across all tables — commutative atomic
-   counters: increments from any domain interleave freely, only totals are
-   read, and none is an input to any result *)
-let g_allocated = Atomic.make 0
+(* process-wide monotone counts: commutative atomic counters, read only as
+   totals *)
 let g_tables = Atomic.make 0
 let g_scopes = Atomic.make 0
 (* scope uids; 0 is the "no owner" cache stamp *)
 let g_uid = Atomic.make 1
 
-(* Lock ranks: the cache registry lock (taken once per domain per table,
-   from DLS init) ranks below the stripe locks; neither is ever held while
-   acquiring the other, and both rank above the scheduler locks. *)
-let order_caches = 30
-let order_stripe = 40
+(* Counters of tables whose domain has exited.  [Sched] spawns and joins a
+   pool per [map], so a table leaves [live] when its domain exits instead of
+   being retained for the process lifetime; its counts are folded in here
+   so [stats] still sums over every domain's table. *)
+type totals = {
+  r_nodes : int;
+  r_ite_hits : int;
+  r_ite_misses : int;
+  r_mk_calls : int;
+  r_unique_hits : int;
+}
 
-let initial_stripe_slots = 64
+(* Taken once when a domain makes its table, once when it exits, and by
+   [stats]; never while another lock is held.  Ranks above the scheduler
+   queue lock. *)
+let registry_lock = Sanitize.Lock.create ~order:30 ~name:"bdd.registry"
+let live : table list ref = ref []
 
-let make_table ~cache_size () =
-  (* uid first: stripe locks carry it in their sanitizer names *)
-  let uid = Atomic.fetch_and_add g_uid 1 in
-  let caches = ref [] in
-  let caches_lock =
-    Sanitize.Lock.create ~order:order_caches
-      ~name:(Printf.sprintf "bdd.%d.caches" uid)
-  in
-  let dls =
-    Domain.DLS.new_key (fun () ->
-        let c = make_dcache cache_size in
-        Sanitize.Lock.lock caches_lock;
-        caches := c :: !caches;
-        Sanitize.Lock.unlock caches_lock;
-        c)
-  in
+let retired =
+  ref
+    { r_nodes = 0; r_ite_hits = 0; r_ite_misses = 0; r_mk_calls = 0;
+      r_unique_hits = 0 }
+
+(* runs on the exiting domain itself, so reading its table is race-free *)
+let retire t =
+  let nodes = t.next_id - 2
+  and ite_hits = t.ite_hits
+  and ite_misses = t.ite_misses
+  and mk_calls = t.mk_calls
+  and unique_hits = t.unique_hits in
+  Sanitize.Lock.lock registry_lock;
+  live := List.filter (fun u -> u != t) !live;
+  let r = !retired in
+  retired :=
+    { r_nodes = r.r_nodes + nodes;
+      r_ite_hits = r.r_ite_hits + ite_hits;
+      r_ite_misses = r.r_ite_misses + ite_misses;
+      r_mk_calls = r.r_mk_calls + mk_calls;
+      r_unique_hits = r.r_unique_hits + unique_hits };
+  Sanitize.Lock.unlock registry_lock
+
+let make_table () =
   let t =
-    { t_uid = uid;
-      stripes =
-        Array.init nstripes (fun i ->
-            { s_lock =
-                Sanitize.Lock.create ~order:order_stripe
-                  ~name:(Printf.sprintf "bdd.%d.stripe.%d" uid i);
-              s_slots = ba_make (initial_stripe_slots * 4) (-1);
-              s_count = 0;
-              s_grows = 0;
-              s_contended = 0 });
-      blocks_sync = Array.init max_blocks (fun _ -> Atomic.make dummy_block);
-      blocks = Array.make max_blocks dummy_block;
-      next_id = Atomic.make 2;
-      published = Atomic.make 0;
-      dls;
-      t_caches = caches;
-      t_caches_lock = caches_lock }
+    { t_uid = Atomic.fetch_and_add g_tables 1;
+      (* terminals live in block 0 *)
+      blocks = [| make_block () |];
+      next_id = 2;
+      slots = ba_make (initial_slots * 4) (-1);
+      c_f = Array.make cache_size 0;
+      c_g = Array.make cache_size 0;
+      c_h = Array.make cache_size 0;
+      c_r = Array.make cache_size 0;
+      c_u = Array.make cache_size 0;
+      c_mask = cache_size - 1;
+      c_cons = Array.make (cache_size * 4) (-1);
+      c_cons_mask = cache_size - 1;
+      exists_cache = Hashtbl.create 256;
+      exists_vars = [];
+      exists_owner = 0;
+      ite_hits = 0;
+      ite_misses = 0;
+      mk_calls = 0;
+      unique_hits = 0 }
   in
-  (* terminals live in block 0; install it eagerly *)
-  let b0 = make_block () in
-  Atomic.set t.blocks_sync.(0) b0;
-  t.blocks.(0) <- b0;
-  Atomic.incr g_tables;
+  Sanitize.Lock.lock registry_lock;
+  live := t :: !live;
+  Sanitize.Lock.unlock registry_lock;
+  Domain.at_exit (fun () -> retire t);
   t
 
-(* The process-wide shared table, built at module initialisation (before any
-   domain can be spawned, so the binding itself is race-free). *)
-let shared_table = make_table ~cache_size:(1 lsl 16) ()
-
-type mode = [ `Shared | `Private ]
-
-let g_default_mode : mode Atomic.t = Atomic.make `Shared
-
-let set_default_mode m = Atomic.set g_default_mode m
+let table_key = Domain.DLS.new_key make_table
 
 (* --- scopes ------------------------------------------------------------------- *)
 
@@ -252,19 +204,21 @@ let make_scope ~table ~uid ~parent =
     seen_n = 0;
     filter = Array.make (filter_mask + 1) 0 }
 
-let create ?(cache_size = 1 lsl 14) ?mode () =
-  let mode = match mode with Some m -> m | None -> Atomic.get g_default_mode in
-  let table =
-    match mode with
-    | `Shared -> shared_table
-    | `Private -> make_table ~cache_size ()
-  in
-  make_scope ~table ~uid:(Atomic.fetch_and_add g_uid 1) ~parent:None
+let create () =
+  make_scope ~table:(Domain.DLS.get table_key)
+    ~uid:(Atomic.fetch_and_add g_uid 1) ~parent:None
 
 let sub_scope man =
   make_scope ~table:man.table ~uid:man.uid ~parent:(Some man)
 
-let same_table a b = a.table == b.table
+(* The owner-domain invariant: a scope's table is its creating domain's
+   table, so any other domain using it would race that domain's writes. *)
+let owned man =
+  let t = man.table in
+  if Sanitize.enabled () then
+    Sanitize.Dls.scope_used ~scope_table:t.t_uid
+      ~domain_table:(Domain.DLS.get table_key).t_uid;
+  t
 
 (* --- scope accounting --------------------------------------------------------- *)
 
@@ -326,71 +280,12 @@ let adopt dst src =
 
 (* --- node field access -------------------------------------------------------- *)
 
-(* Fields are write-once: a racy read returns either the initial fill (-2) or
-   the final value.  Observing the fill means the publishing domain's writes
-   are not yet visible here; syncing on [published] (an atomic the writer
-   RMW'd after its field writes) and retrying is enough. *)
+let read_field t f k =
+  get t.blocks.(f lsr block_bits) (((f land block_mask) * 3) + k)
 
-(* The cold path of the three field readers below: sync on [published] (an
-   atomic the writer RMW'd between writing the fields and publishing the id)
-   and retry.  The retry bound turns a broken publication invariant into a
-   diagnosable crash instead of a silent livelock; a legitimate wait (writer
-   preempted mid-publish) resolves in a handful of iterations. *)
-let rec wait_field t read f spins =
-  if spins > 100_000_000 then
-    failwith
-      (Printf.sprintf "Bdd: stuck reading node %d (next_id=%d)" f
-         (Atomic.get t.next_id));
-  Domain.cpu_relax ();
-  (* acquire on [published] pairs with the writer's RMW, making the field
-     writes visible; the block itself is read through the CAS-installed
-     authoritative directory and mirrored for future fast-path reads *)
-  (* lint-waive: mm/naked-atomic-get — this IS the documented sync-retry
-     protocol the rule points at: the get is the acquire half of the
-     writer's RMW fence, and the field read below is validated by value. *)
-  ignore (Atomic.get t.published);
-  let bi = f lsr block_bits in
-  let b = Atomic.get t.blocks_sync.(bi) in
-  if b == dummy_block then wait_field t read f (spins + 1)
-  else begin
-    if t.blocks.(bi) == dummy_block then t.blocks.(bi) <- b;
-    let v = read b (f land block_mask) in
-    if v >= -1 then begin
-      if Sanitize.enabled () then Sanitize.Pub.read ~table:t.t_uid ~id:f;
-      v
-    end
-    else wait_field t read f (spins + 1)
-  end
-
-(* Handles stay below the capacity check in [insert_locked], so the block
-   index is always in bounds; the inner offset is masked to the block size. *)
-let read_var b o = Bigarray.Array1.get b (o * 3)
-let read_low b o = Bigarray.Array1.get b ((o * 3) + 1)
-let read_high b o = Bigarray.Array1.get b ((o * 3) + 2)
-
-let var_of_id t f =
-  let b = Array.unsafe_get t.blocks (f lsr block_bits) in
-  if b != dummy_block then begin
-    let v = Bigarray.Array1.unsafe_get b ((f land block_mask) * 3) in
-    if v >= -1 then v else wait_field t read_var f 0
-  end
-  else wait_field t read_var f 0
-
-let low_of_id t f =
-  let b = Array.unsafe_get t.blocks (f lsr block_bits) in
-  if b != dummy_block then begin
-    let v = Bigarray.Array1.unsafe_get b (((f land block_mask) * 3) + 1) in
-    if v >= -1 then v else wait_field t read_low f 0
-  end
-  else wait_field t read_low f 0
-
-let high_of_id t f =
-  let b = Array.unsafe_get t.blocks (f lsr block_bits) in
-  if b != dummy_block then begin
-    let v = Bigarray.Array1.unsafe_get b (((f land block_mask) * 3) + 2) in
-    if v >= -1 then v else wait_field t read_high f 0
-  end
-  else wait_field t read_high f 0
+let var_of_id t f = read_field t f 0
+let low_of_id t f = read_field t f 1
+let high_of_id t f = read_field t f 2
 
 let var_of man f = if f < 2 then terminal_var else var_of_id man.table f
 
@@ -404,153 +299,87 @@ let hash3 v low high =
 
 (* --- unique table ------------------------------------------------------------- *)
 
-let dcache_of t = Domain.DLS.get t.dls
-
-(* Optimistic probe without the stripe lock.  A non-negative result is
-   always a correct find: slots are write-once and the inline key was
-   verified by value, so any torn or stale observation shows a -1 fill and
-   mismatches.  Anything uncertain (empty slot, over-long chain on a
-   possibly stale array) answers -1, meaning "take the stripe lock". *)
-let rec probe_loop slots mask v low high s steps =
-  if steps > mask then -1
-  else begin
-    let idx = s * 4 in
-    let id = Bigarray.Array1.unsafe_get slots (idx + 3) in
-    if id < 0 then -1
-    else if
-      Bigarray.Array1.unsafe_get slots idx = v
-      && Bigarray.Array1.unsafe_get slots (idx + 1) = low
-      && Bigarray.Array1.unsafe_get slots (idx + 2) = high
-    then id
-    else probe_loop slots mask v low high ((s + 1) land mask) (steps + 1)
-  end
-
-let probe_lockfree st v low high h3 =
-  let slots = st.s_slots in
-  let mask = (Bigarray.Array1.dim slots lsr 2) - 1 in
-  probe_loop slots mask v low high (h3 land mask) 0
-
-let grow_stripe st =
-  let old = st.s_slots in
+let grow t =
+  let old = t.slots in
   let oldn = Bigarray.Array1.dim old lsr 2 in
   let cap = 2 * oldn in
   let fresh = ba_make (cap * 4) (-1) in
   let mask = cap - 1 in
   for i = 0 to oldn - 1 do
     let idx = i * 4 in
-    let id = Bigarray.Array1.get old (idx + 3) in
+    let id = get old (idx + 3) in
     if id >= 0 then begin
-      let v = Bigarray.Array1.get old idx
-      and l = Bigarray.Array1.get old (idx + 1)
-      and h = Bigarray.Array1.get old (idx + 2) in
+      let v = get old idx and l = get old (idx + 1) and h = get old (idx + 2) in
       let s = ref (hash3 v l h land mask) in
-      while Bigarray.Array1.get fresh ((!s * 4) + 3) >= 0 do
+      while get fresh ((!s * 4) + 3) >= 0 do
         s := (!s + 1) land mask
       done;
       let fi = !s * 4 in
-      Bigarray.Array1.set fresh fi v;
-      Bigarray.Array1.set fresh (fi + 1) l;
-      Bigarray.Array1.set fresh (fi + 2) h;
-      Bigarray.Array1.set fresh (fi + 3) id
+      set fresh fi v;
+      set fresh (fi + 1) l;
+      set fresh (fi + 2) h;
+      set fresh (fi + 3) id
     end
   done;
-  st.s_slots <- fresh;
-  st.s_grows <- st.s_grows + 1
+  t.slots <- fresh
 
-let rec insert_loop t c st slots mask v low high s =
+let alloc_node t v low high =
+  let id = t.next_id in
+  let bi = id lsr block_bits in
+  if bi = Array.length t.blocks then begin
+    if bi >= max_blocks then failwith "Bdd: node capacity exceeded";
+    t.blocks <- Array.append t.blocks [| make_block () |]
+  end;
+  t.next_id <- id + 1;
+  let b = t.blocks.(bi) and o = (id land block_mask) * 3 in
+  set b o v;
+  set b (o + 1) low;
+  set b (o + 2) high;
+  id
+
+(* top-level tail loop so the hot path allocates nothing *)
+let rec find_or_insert t slots mask v low high s =
   let idx = s * 4 in
-  let id = Bigarray.Array1.get slots (idx + 3) in
+  let id = get slots (idx + 3) in
   if id < 0 then begin
-    let id = Atomic.fetch_and_add t.next_id 1 in
-    let bi = id lsr block_bits in
-    if bi >= max_blocks then begin
-      Sanitize.Lock.unlock st.s_lock;
-      failwith "Bdd: node capacity exceeded"
-    end;
-    (* bind the block via the CAS-installed directory: whether this thread
-       installs or loses the race, the acquire orders the -2 fill before
-       the field stores below; then mirror for lock-free readers *)
-    if Atomic.get t.blocks_sync.(bi) == dummy_block then
-      ignore
-        (Atomic.compare_and_set t.blocks_sync.(bi) dummy_block (make_block ()));
-    let b = Atomic.get t.blocks_sync.(bi) in
-    if t.blocks.(bi) == dummy_block then t.blocks.(bi) <- b;
-    let o = (id land block_mask) * 3 in
-    Bigarray.Array1.set b o v;
-    Bigarray.Array1.set b (o + 1) low;
-    Bigarray.Array1.set b (o + 2) high;
-    Bigarray.Array1.set slots idx v;
-    Bigarray.Array1.set slots (idx + 1) low;
-    Bigarray.Array1.set slots (idx + 2) high;
-    if Sanitize.enabled () then Sanitize.Pub.wrote ~table:t.t_uid ~id;
-    (* full fence: the field and key writes above become visible to any
-       domain that subsequently syncs on [published] (or takes this
-       stripe's lock) before the id below publishes the slot *)
-    Atomic.incr t.published;
-    if Sanitize.enabled () then Sanitize.Pub.fenced ~table:t.t_uid ~id;
-    Bigarray.Array1.set slots (idx + 3) id;
-    if Sanitize.enabled () then Sanitize.Pub.published ~table:t.t_uid ~id;
-    st.s_count <- st.s_count + 1;
-    Atomic.incr g_allocated;
+    let id = alloc_node t v low high in
+    set slots idx v;
+    set slots (idx + 1) low;
+    set slots (idx + 2) high;
+    set slots (idx + 3) id;
     id
   end
   else if
-    Bigarray.Array1.get slots idx = v
-    && Bigarray.Array1.get slots (idx + 1) = low
-    && Bigarray.Array1.get slots (idx + 2) = high
+    get slots idx = v
+    && get slots (idx + 1) = low
+    && get slots (idx + 2) = high
   then begin
-    c.d_unique_hits <- c.d_unique_hits + 1;
+    t.unique_hits <- t.unique_hits + 1;
     id
   end
-  else insert_loop t c st slots mask v low high ((s + 1) land mask)
+  else find_or_insert t slots mask v low high ((s + 1) land mask)
 
-(* Returns the node id; counts a unique-table hit on [c] itself so the hot
-   path stays allocation-free. *)
-let insert_locked t c st v low high h3 =
-  if not (Sanitize.Lock.try_lock st.s_lock) then begin
-    Sanitize.Lock.lock st.s_lock;
-    st.s_contended <- st.s_contended + 1
-  end;
-  (* grow at 2/3 load so probe chains stay short *)
-  if 3 * (st.s_count + 1) >= 2 * (Bigarray.Array1.dim st.s_slots lsr 2) then
-    grow_stripe st;
-  let slots = st.s_slots in
-  let mask = (Bigarray.Array1.dim slots lsr 2) - 1 in
-  let id = insert_loop t c st slots mask v low high (h3 land mask) in
-  Sanitize.Lock.unlock st.s_lock;
-  id
-
-let cons man c v low high =
-  c.d_mk_calls <- c.d_mk_calls + 1;
+let cons man t v low high =
+  t.mk_calls <- t.mk_calls + 1;
   let h3 = hash3 v low high in
-  let ci = (h3 land c.c_cons_mask) * 4 in
-  let cc = c.c_cons in
+  let ci = (h3 land t.c_cons_mask) * 4 in
+  let cc = t.c_cons in
   if
     Array.unsafe_get cc ci = v
     && Array.unsafe_get cc (ci + 1) = low
     && Array.unsafe_get cc (ci + 2) = high
   then begin
     let id = Array.unsafe_get cc (ci + 3) in
-    c.d_unique_hits <- c.d_unique_hits + 1;
+    t.unique_hits <- t.unique_hits + 1;
     scope_add man id;
     id
   end
   else begin
-    let t = man.table in
-    let st =
-      Array.unsafe_get t.stripes ((h3 lsr stripe_shift) land (nstripes - 1))
-    in
-    let id = probe_lockfree st v low high h3 in
-    let id =
-      if id >= 0 then begin
-        (* the lock-free probe trusted a published slot: tell the checker
-           this domain will now read node [id]'s fields unfenced *)
-        if Sanitize.enabled () then Sanitize.Pub.read ~table:t.t_uid ~id;
-        c.d_unique_hits <- c.d_unique_hits + 1;
-        id
-      end
-      else insert_locked t c st v low high h3
-    in
+    (* grow at 2/3 load so probe chains stay short *)
+    if 3 * t.next_id >= 2 * (Bigarray.Array1.dim t.slots lsr 2) then grow t;
+    let slots = t.slots in
+    let mask = (Bigarray.Array1.dim slots lsr 2) - 1 in
+    let id = find_or_insert t slots mask v low high (h3 land mask) in
     Array.unsafe_set cc ci v;
     Array.unsafe_set cc (ci + 1) low;
     Array.unsafe_set cc (ci + 2) high;
@@ -559,12 +388,12 @@ let cons man c v low high =
     id
   end
 
-let mk_c man c v low high = if low = high then low else cons man c v low high
+let mk_c man t v low high = if low = high then low else cons man t v low high
 
-let mk man v low high = mk_c man (dcache_of man.table) v low high
+let mk man v low high = mk_c man (owned man) v low high
 
 let var man i =
-  assert (i >= 0);
+  assert (i >= 0 && i <= 0x3fffffff);
   mk man i bfalse btrue
 
 let is_true f = f = btrue
@@ -578,27 +407,26 @@ let equal (a : t) (b : t) = a = b
    yet, making [node_count] — and therefore every consumer's node budget —
    depend on what ran before.  Structure is still shared through the unique
    table; only the memoised *work* is per-scope. *)
-let rec ite_rec man c f g h =
+let rec ite_rec man t f g h =
   if f = btrue then g
   else if f = bfalse then h
   else if g = h then g
   else if g = btrue && h = bfalse then f
   else begin
-    let slot = hash3 f g h land c.c_mask in
+    let slot = hash3 f g h land t.c_mask in
     if
-      c.c_u.(slot) = man.uid
-      && c.c_f.(slot) = f
-      && c.c_g.(slot) = g
-      && c.c_h.(slot) = h
+      t.c_u.(slot) = man.uid
+      && t.c_f.(slot) = f
+      && t.c_g.(slot) = g
+      && t.c_h.(slot) = h
     then begin
       if Sanitize.enabled () then
-        Sanitize.Dls.cache_hit ~entry_uid:c.c_u.(slot) ~scope_uid:man.uid;
-      c.d_ite_hits <- c.d_ite_hits + 1;
-      c.c_r.(slot)
+        Sanitize.Dls.cache_hit ~entry_uid:t.c_u.(slot) ~scope_uid:man.uid;
+      t.ite_hits <- t.ite_hits + 1;
+      t.c_r.(slot)
     end
     else begin
-      c.d_ite_misses <- c.d_ite_misses + 1;
-      let t = man.table in
+      t.ite_misses <- t.ite_misses + 1;
       let vf = var_of_id t f in
       let vg = if g < 2 then terminal_var else var_of_id t g in
       let vh = if h < 2 then terminal_var else var_of_id t h in
@@ -607,22 +435,22 @@ let rec ite_rec man c f g h =
       let ft = if vf = v then high_of_id t f else f in
       let gt = if vg = v then high_of_id t g else g in
       let ht = if vh = v then high_of_id t h else h in
-      let hi = ite_rec man c ft gt ht in
+      let hi = ite_rec man t ft gt ht in
       let fe = if vf = v then low_of_id t f else f in
       let ge = if vg = v then low_of_id t g else g in
       let he = if vh = v then low_of_id t h else h in
-      let lo = ite_rec man c fe ge he in
-      let r = mk_c man c v lo hi in
-      c.c_f.(slot) <- f;
-      c.c_g.(slot) <- g;
-      c.c_h.(slot) <- h;
-      c.c_r.(slot) <- r;
-      c.c_u.(slot) <- man.uid;
+      let lo = ite_rec man t fe ge he in
+      let r = mk_c man t v lo hi in
+      t.c_f.(slot) <- f;
+      t.c_g.(slot) <- g;
+      t.c_h.(slot) <- h;
+      t.c_r.(slot) <- r;
+      t.c_u.(slot) <- man.uid;
       r
     end
   end
 
-let ite man f g h = ite_rec man (dcache_of man.table) f g h
+let ite man f g h = ite_rec man (owned man) f g h
 
 let bnot man f = ite man f bfalse btrue
 let band man f g = ite man f g bfalse
@@ -631,8 +459,7 @@ let bxor man f g = ite man f (bnot man g) g
 let bxnor man f g = ite man f g (bnot man g)
 
 let cofactor man f i value =
-  let t = man.table in
-  let c = dcache_of t in
+  let t = owned man in
   let rec go f =
     let v = var_of man f in
     if v > i then f
@@ -640,24 +467,23 @@ let cofactor man f i value =
     else begin
       let hi = go (high_of_id t f) in
       let lo = go (low_of_id t f) in
-      mk_c man c v lo hi
+      mk_c man t v lo hi
     end
   in
   go f
 
-(* Existential quantification over a variable set.  The per-domain cache is
+(* Existential quantification over a variable set.  The table's cache is
    keyed on the node only, so it is cleared whenever the variable set or the
    owning scope changes. *)
 let quantify man ~universal vars f =
   let vars = List.sort_uniq compare vars in
-  let c = dcache_of man.table in
+  let t = owned man in
   let key = if universal then -1 :: vars else vars in
-  if c.exists_owner <> man.uid || c.exists_vars <> key then begin
-    Hashtbl.clear c.exists_cache;
-    c.exists_vars <- key;
-    c.exists_owner <- man.uid
+  if t.exists_owner <> man.uid || t.exists_vars <> key then begin
+    Hashtbl.clear t.exists_cache;
+    t.exists_vars <- key;
+    t.exists_owner <- man.uid
   end;
-  let t = man.table in
   let in_set v = List.mem v vars in
   let rec go f =
     if f < 2 then f
@@ -665,21 +491,21 @@ let quantify man ~universal vars f =
       let v = var_of_id t f in
       if List.for_all (fun x -> x < v) vars then f
       else
-        match Hashtbl.find_opt c.exists_cache f with
+        match Hashtbl.find_opt t.exists_cache f with
         | Some r ->
           if Sanitize.enabled () then
-            Sanitize.Dls.cache_hit ~entry_uid:c.exists_owner
+            Sanitize.Dls.cache_hit ~entry_uid:t.exists_owner
               ~scope_uid:man.uid;
           r
         | None ->
           let lo = go (low_of_id t f) and hi = go (high_of_id t f) in
           let r =
             if in_set v then
-              if universal then ite_rec man c lo hi bfalse
-              else ite_rec man c lo btrue hi
-            else mk_c man c v lo hi
+              if universal then ite_rec man t lo hi bfalse
+              else ite_rec man t lo btrue hi
+            else mk_c man t v lo hi
           in
-          Hashtbl.add c.exists_cache f r;
+          Hashtbl.add t.exists_cache f r;
           r
     end
   in
@@ -693,8 +519,7 @@ let forall man vars f = quantify man ~universal:true vars f
 let and_exists man vars a b =
   let vars = List.sort_uniq compare vars in
   let in_set v = List.mem v vars in
-  let t = man.table in
-  let c = dcache_of t in
+  let t = owned man in
   let cache = Hashtbl.create 1024 in
   let rec go a b =
     if a = bfalse || b = bfalse then bfalse
@@ -717,10 +542,10 @@ let and_exists man vars a b =
         let r =
           if in_set v then
             if lo = btrue then btrue
-            else ite_rec man c lo btrue (go (cof a va true) (cof b vb true))
+            else ite_rec man t lo btrue (go (cof a va true) (cof b vb true))
           else begin
             let hi = go (cof a va true) (cof b vb true) in
-            mk_c man c v lo hi
+            mk_c man t v lo hi
           end
         in
         Hashtbl.add cache key r;
@@ -735,8 +560,7 @@ let compose man f i g =
   ite man g hi lo
 
 let rename man f mapping =
-  let t = man.table in
-  let c = dcache_of t in
+  let t = owned man in
   let cache = Hashtbl.create 256 in
   let rec go f =
     if f < 2 then f
@@ -749,7 +573,7 @@ let rename man f mapping =
         let v' = mapping v in
         (* Monotonicity on the support keeps levels ordered; build via ite on
            the renamed variable to stay safe even if levels collide. *)
-        let r = ite_rec man c (mk_c man c v' bfalse btrue) hi lo in
+        let r = ite_rec man t (mk_c man t v' bfalse btrue) hi lo in
         Hashtbl.add cache f r;
         r
   in
@@ -878,67 +702,47 @@ let to_cover ?(max_cubes = max_int) man ~nvars f =
 (* --- statistics ---------------------------------------------------------------- *)
 
 type stats = {
-  shared_nodes : int;
-  shared_capacity : int;
-  shared_load_pct : float;
+  table_nodes : int;
+  table_capacity : int;
+  table_load_pct : float;
   ite_hits : int;
   ite_misses : int;
   mk_calls : int;
   unique_hits : int;
-  stripe_contention : int;
-  stripe_grows : int;
   tables_created : int;
   scopes_opened : int;
   nodes_allocated_total : int;
 }
 
 let stats () =
-  let t = shared_table in
-  let capacity = ref 0
-  and load = ref 0
-  and contention = ref 0
-  and grows = ref 0 in
-  Array.iter
-    (fun st ->
-      capacity := !capacity + (Bigarray.Array1.dim st.s_slots lsr 2);
-      load := !load + st.s_count;
-      (* lint-waive: typed/lock-discipline -- racy monitoring read;
-         stats () is offline-only and tolerates a stale count *)
-      contention := !contention + st.s_contended;
-      grows := !grows + st.s_grows)
-    t.stripes;
-  let hits = ref 0 and misses = ref 0 and mk = ref 0 and uhits = ref 0 in
-  List.iter
-    (fun c ->
-      hits := !hits + c.d_ite_hits;
-      misses := !misses + c.d_ite_misses;
-      mk := !mk + c.d_mk_calls;
-      uhits := !uhits + c.d_unique_hits)
-    !(t.t_caches);
-  { shared_nodes = Atomic.get t.next_id - 2;
-    shared_capacity = !capacity;
-    shared_load_pct =
-      (if !capacity = 0 then 0.0
-       else 100.0 *. float_of_int !load /. float_of_int !capacity);
-    ite_hits = !hits;
-    ite_misses = !misses;
-    mk_calls = !mk;
-    unique_hits = !uhits;
-    stripe_contention = !contention;
-    stripe_grows = !grows;
+  Sanitize.Lock.lock registry_lock;
+  let tables = !live and r = !retired in
+  Sanitize.Lock.unlock registry_lock;
+  let sum f = List.fold_left (fun acc t -> acc + f t) 0 tables in
+  let nodes = sum (fun t -> t.next_id - 2) in
+  let capacity = sum (fun t -> Bigarray.Array1.dim t.slots lsr 2) in
+  { table_nodes = nodes;
+    table_capacity = capacity;
+    table_load_pct =
+      (if capacity = 0 then 0.0
+       else 100.0 *. float_of_int nodes /. float_of_int capacity);
+    ite_hits = r.r_ite_hits + sum (fun t -> t.ite_hits);
+    ite_misses = r.r_ite_misses + sum (fun t -> t.ite_misses);
+    mk_calls = r.r_mk_calls + sum (fun t -> t.mk_calls);
+    unique_hits = r.r_unique_hits + sum (fun t -> t.unique_hits);
     tables_created = Atomic.get g_tables;
     scopes_opened = Atomic.get g_scopes;
-    nodes_allocated_total = Atomic.get g_allocated }
+    nodes_allocated_total = r.r_nodes + nodes }
 
-let total_allocated () = Atomic.get g_allocated
+let total_allocated () = (stats ()).nodes_allocated_total
 
 let publish_stats () =
   let s = stats () in
   let g name v = Obs.Metrics.set_gauge (Obs.Metrics.gauge name) v in
   let f = float_of_int in
-  g "bdd.shared.nodes" (f s.shared_nodes);
-  g "bdd.shared.capacity" (f s.shared_capacity);
-  g "bdd.shared.load_pct" s.shared_load_pct;
+  g "bdd.table.nodes" (f s.table_nodes);
+  g "bdd.table.capacity" (f s.table_capacity);
+  g "bdd.table.load_pct" s.table_load_pct;
   g "bdd.ite.hits" (f s.ite_hits);
   g "bdd.ite.misses" (f s.ite_misses);
   g "bdd.ite.hit_pct"
@@ -946,8 +750,6 @@ let publish_stats () =
      if total = 0 then 0.0 else 100.0 *. f s.ite_hits /. f total);
   g "bdd.mk.calls" (f s.mk_calls);
   g "bdd.mk.unique_hits" (f s.unique_hits);
-  g "bdd.stripe.contention" (f s.stripe_contention);
-  g "bdd.stripe.grows" (f s.stripe_grows);
   g "bdd.tables" (f s.tables_created);
   g "bdd.scopes" (f s.scopes_opened);
   g "bdd.nodes_allocated_total" (f s.nodes_allocated_total)

@@ -1,38 +1,30 @@
-(** Reduced ordered binary decision diagrams with hash-consing over a
-    domain-shared unique table.
+(** Reduced ordered binary decision diagrams with hash-consing, one unique
+    table per domain.
 
-    Nodes live in a process-wide striped unique table (or a private one, see
-    {!create}); {!t} values are node handles valid for any scope on the same
-    table, and structural equality of functions is handle equality.  A {!man}
-    is a {e scope}: a lightweight accounting handle that tracks which distinct
+    Each domain owns one node table, made on its first BDD operation; {!t}
+    values are node handles valid for any scope on that table, and
+    structural equality of functions is handle equality.  A {!man} is a
+    {e scope}: a lightweight accounting handle that tracks which distinct
     nodes its own operations consed, so {!node_count} reports exactly what a
-    fresh private manager would have allocated for the same operation
-    sequence — consumers' node budgets behave identically whether the shared
-    table is cold or warm, serial or parallel.  The variable order is the
-    natural integer order on variable indices.
+    fresh manager would have allocated for the same operation sequence —
+    consumers' node budgets behave identically whether the table is cold or
+    warm.  The variable order is the natural integer order on variable
+    indices.
 
-    Thread-safety: scopes are single-domain objects, but any number of
-    domains may each use their own scopes on the shared table concurrently.
-    Lookups are lock-free; insertions take one of 64 stripe locks. *)
+    Thread-safety: a scope, and every handle built through it, belongs to
+    the domain that created it and must be used only there (checked by the
+    sanitizer rule [dls/foreign-scope]).  Domains never share a table, so
+    any number of them may build BDDs concurrently. *)
 
 type man
-(** A scope onto a node table. *)
+(** A scope onto the calling domain's node table. *)
 
 type t = private int
 (** Node handle; structural equality of functions is handle equality (within
     one table). *)
 
-type mode = [ `Shared | `Private ]
-
-val create : ?cache_size:int -> ?mode:mode -> unit -> man
-(** Open a scope.  [`Shared] (the default, see {!set_default_mode}) attaches
-    to the process-wide table; [`Private] builds a fresh table of its own
-    (differential testing, benchmarking baselines).  [cache_size] sizes the
-    per-domain ITE cache of a private table and is ignored for the shared
-    one. *)
-
-val set_default_mode : mode -> unit
-(** Mode used by [create] when [?mode] is omitted.  Initially [`Shared]. *)
+val create : unit -> man
+(** Open a scope on the calling domain's table. *)
 
 val sub_scope : man -> man
 (** A child scope on the same table: nodes consed through the child are also
@@ -44,11 +36,6 @@ val adopt : man -> man -> unit
     parents), as if [dst] had consed them itself.  Used to keep budgets exact
     when previously built values are reused instead of rebuilt.  Both scopes
     must share a table. *)
-
-val same_table : man -> man -> bool
-(** Whether two scopes point at the same underlying table (always true for
-    two [`Shared] scopes; false between distinct [`Private] managers).
-    Handles recorded under one table are meaningless under another. *)
 
 val bfalse : t
 val btrue : t
@@ -122,26 +109,25 @@ val node_count : man -> int
 (** {2 Statistics} *)
 
 type stats = {
-  shared_nodes : int;  (** nodes in the shared table *)
-  shared_capacity : int;  (** total unique-table slots across stripes *)
-  shared_load_pct : float;
+  table_nodes : int;  (** nodes in the live domains' tables *)
+  table_capacity : int;  (** unique-table slots across those tables *)
+  table_load_pct : float;
   ite_hits : int;
   ite_misses : int;
   mk_calls : int;
   unique_hits : int;  (** cons calls answered by an existing node *)
-  stripe_contention : int;  (** lock acquisitions that had to wait *)
-  stripe_grows : int;  (** stripe rehash events *)
-  tables_created : int;  (** including private ones *)
+  tables_created : int;  (** one per domain that built a BDD *)
   scopes_opened : int;
   nodes_allocated_total : int;  (** across all tables, process-wide *)
 }
 
 val stats : unit -> stats
-(** Snapshot of shared-table and process-wide counters.  Per-domain op
-    counters are read racily (monotone, may lag). *)
+(** Snapshot summed over every domain's table.  The op counters of a domain
+    that has exited are folded in when it exits; those of live domains are
+    read racily (monotone, may lag). *)
 
 val total_allocated : unit -> int
-(** Nodes ever allocated across all tables (shared and private); monotone.
+(** Nodes ever allocated across all tables, live or retired; monotone.
     Deltas of this measure allocation work of a code region. *)
 
 val publish_stats : unit -> unit

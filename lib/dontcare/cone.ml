@@ -26,9 +26,9 @@ let collapse ?(max_leaves = 14) net root =
   Array.iteri (fun i n -> Hashtbl.add var_of n.N.id i) leaves;
   (* Build the cone's function as a BDD over the leaf variables, then read a
      cover off the 1-paths.  The scope is per-cone (variable index [i] means
-     a different leaf in every cone) but the nodes land in the process-wide
-     shared table, so structurally equal cones — ubiquitous across windows
-     and suite rows — cost probes instead of fresh allocations. *)
+     a different leaf in every cone) but the nodes land in the domain's
+     table, so structurally equal cones — ubiquitous across windows and
+     suite rows — cost probes instead of fresh allocations. *)
   let man = Bdd.create () in
   let values = Hashtbl.create 64 in
   let rec value_of id =

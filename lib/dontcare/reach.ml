@@ -199,9 +199,9 @@ let unreachable_states ?(max_latches = 24) net =
   if nlatch > max_latches then
     raise (Too_large (Printf.sprintf "%d latches" nlatch));
   let inputs = List.map (fun p -> p.N.name) (N.inputs net) in
-  (* a scope on the shared table: [Bdd.node_count] charges only this
-     traversal, so the node budget is independent of whatever other rows or
-     domains have already built *)
+  (* a scope on the domain's table: [Bdd.node_count] charges only this
+     traversal, so the node budget is independent of whatever other rows
+     have already built *)
   let m =
     machine ~outputs:false ~max_nodes:2_000_000 ~inputs [ (net, latches) ]
   in

@@ -108,8 +108,9 @@ let comb_interface_matches pre post =
 (* Memo of the last cone-function build, keyed by network identity, revision
    and leaf frame.  In an instrumented flow the [pre] side of check k+1 is a
    snapshot of the [post] side of check k, so its cone BDDs can be reused
-   instead of rebuilt: the shared unique table never frees or renumbers
-   nodes, so the handles stay valid across checks.  Budget parity is kept by
+   instead of rebuilt: the domain's unique table never frees or renumbers
+   nodes, and a row's checks all run on one domain, so the handles stay
+   valid across checks.  Budget parity is kept by
    [Bdd.adopt]-ing the recorded build charge into the new check's scope. *)
 type cone_memo = {
   me_net : N.t;
@@ -169,10 +170,7 @@ let comb_check_bdd ~options ~pairs ?memo pre post leaves =
     | Some { contents = Some m }
       when m.me_net == pre
            && m.me_rev = N.revision pre
-           && m.me_frame = leaves
-           (* in `Private mode each check owns a fresh table, so recorded
-              handles are meaningless here: fall through and rebuild *)
-           && Bdd.same_table m.me_man man ->
+           && m.me_frame = leaves ->
       Obs.Metrics.incr m_memo_hit;
       Bdd.adopt man m.me_man;
       m.me_values

@@ -84,7 +84,7 @@ val verdict_name : verdict -> string
 type memo
 (** Cone-BDD build memo for a sequence of checks over one pass lineage: when
     a check's [pre] network is (a snapshot of) the previous check's [post],
-    its cone functions are taken from the shared BDD table instead of being
+    its cone functions are taken from the domain's BDD table instead of being
     rebuilt.  Reuses are counted by the [eqcheck.memo.hit] metric; the
     reusing check's budget is charged with the recorded build's scope. *)
 

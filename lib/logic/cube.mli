@@ -8,8 +8,8 @@
     The representation packs two bits per literal into native [int] words
     (espresso positional-cube encoding), so containment, intersection,
     distance and supercube run word-parallel.  The legacy one-variant-per-
-    literal array implementation survives as {!Cube_ref} for differential
-    testing. *)
+    literal array implementation survives as the test-side [Cube_ref]
+    library for differential testing. *)
 
 type lit = Zero | One | Both
 

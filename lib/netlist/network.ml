@@ -28,6 +28,9 @@ type t = {
   mutable input_ids : int list;  (* reverse creation order *)
   mutable output_list : (string * int) list;  (* reverse creation order *)
   mutable name_counter : int;
+  (* name of every live node, one binding per node, so [fresh_name] can skip
+     taken names without a scan *)
+  mutable names : (string, unit) Hashtbl.t;
   (* change journal: ids touched by mutations, consumed by incremental
      observers (Sta.Incremental).  [journal_base] is the global index of
      [journal.(0)]; compaction advances it, invalidating older cursors. *)
@@ -53,6 +56,7 @@ let create ?(name = "network") () =
     input_ids = [];
     output_list = [];
     name_counter = 0;
+    names = Hashtbl.create 64;
     revision = 0;
     journal = Array.make 256 0;
     journal_len = 0;
@@ -110,9 +114,10 @@ let topo_invalidate net =
     net.topo_appends <- []
   end
 
-let fresh_name net prefix =
+let rec fresh_name net prefix =
   net.name_counter <- net.name_counter + 1;
-  Printf.sprintf "%s%d" prefix net.name_counter
+  let name = Printf.sprintf "%s%d" prefix net.name_counter in
+  if Hashtbl.mem net.names name then fresh_name net prefix else name
 
 let alloc net name kind fanins =
   if net.next_id >= Array.length net.nodes then begin
@@ -125,6 +130,7 @@ let alloc net name kind fanins =
   in
   net.nodes.(net.next_id) <- Some n;
   net.next_id <- net.next_id + 1;
+  Hashtbl.add net.names name ();
   touch net n.id;
   (* a fresh node has no consumers yet and reads only pre-existing nodes, so
      the cached topological order extends by appending it *)
@@ -168,7 +174,9 @@ let add_input net name =
   n
 
 let add_const net value =
-  alloc net (if value then "const1" else "const0") (Const value) [||]
+  let base = if value then "const1" else "const0" in
+  let name = if Hashtbl.mem net.names base then fresh_name net base else base in
+  alloc net name (Const value) [||]
 
 let add_logic net ?name cover fanins =
   assert (cover.Logic.Cover.nvars = List.length fanins);
@@ -282,7 +290,10 @@ let set_function net n cover fanins =
   touch net n.id;
   topo_invalidate net
 
-let set_name n name = n.name <- name
+let set_name net n name =
+  Hashtbl.remove net.names n.name;
+  Hashtbl.add net.names name ();
+  n.name <- name
 
 let set_name_of_model net name = net.model <- name
 
@@ -365,6 +376,7 @@ let delete net n =
    | Const _ | Latch _ -> ()
    | Logic _ -> topo_invalidate net);
   net.nodes.(n.id) <- None;
+  Hashtbl.remove net.names n.name;
   touch net n.id
 
 let duplicate_for net n ~consumer =
@@ -523,6 +535,7 @@ let copy net =
       input_ids = net.input_ids;
       output_list = net.output_list;
       name_counter = net.name_counter;
+      names = Hashtbl.copy net.names;
       revision = 0;
       journal = Array.make 256 0;
       journal_len = 0;
@@ -574,6 +587,7 @@ let restore net snapshot =
   net.input_ids <- fresh.input_ids;
   net.output_list <- fresh.output_list;
   net.name_counter <- fresh.name_counter;
+  net.names <- fresh.names;
   net.revision <- net.revision + 1;
   net.outputs_revision <- net.outputs_revision + 1;
   topo_invalidate net

@@ -77,10 +77,17 @@ val journal_since : t -> cursor -> int list option
 val add_input : t -> string -> node
 val add_const : t -> bool -> node
 
+val fresh_name : t -> string -> string
+(** [fresh_name net prefix]: [prefix] followed by the network's next name
+    counter value, skipping names that a live node already holds. *)
+
 val add_logic : t -> ?name:string -> Logic.Cover.t -> node list -> node
-(** [add_logic net cover fanins]: [cover] is over the fanin positions. *)
+(** [add_logic net cover fanins]: [cover] is over the fanin positions.
+    Without [name], the node gets a fresh [nK] name that no live node of the
+    network holds. *)
 
 val add_latch : t -> ?name:string -> init -> node -> node
+(** Without [name], the latch gets a fresh [rK] name, as in {!add_logic}. *)
 
 val set_output : t -> string -> node -> unit
 (** Register a primary output driven by the node.  A node may drive several
@@ -137,7 +144,7 @@ val set_cover : t -> node -> Logic.Cover.t -> unit
 val set_function : t -> node -> Logic.Cover.t -> node list -> unit
 (** Replace a logic node's function and fanins. *)
 
-val set_name : node -> string -> unit
+val set_name : t -> node -> string -> unit
 
 val set_name_of_model : t -> string -> unit
 

@@ -218,7 +218,8 @@ let split_stem net latch =
       List.map
         (fun cid ->
           let copy =
-            N.add_latch net ~name:(latch.N.name ^ "_s") init data
+            N.add_latch net ~name:(N.fresh_name net (latch.N.name ^ "_s"))
+              init data
           in
           N.replace_fanin net (N.node net cid) ~old_fanin:latch ~new_fanin:copy;
           copy)

@@ -1,34 +1,20 @@
 (* Concurrency & determinism sanitizer (dynamic head).
 
-   The scheduler (lib/sched) and the domain-shared BDD table (lib/bdd) are
-   correct only under hand-argued OCaml 5 memory-model invariants: stripe
-   and queue locks are never nested into a cycle, node fields are published
-   write-once behind a fence, futures are claimed exactly once, DLS memo
-   caches never leak entries across scopes.  No existing tool checks any of
-   that, so this module does: the instrumented code reports events through
-   the shims below, and each rule is checked online against a small state
+   The scheduler (lib/sched) and the per-domain BDD tables (lib/bdd) are
+   correct only under hand-argued OCaml 5 invariants: locks are never
+   nested into a cycle, futures are claimed exactly once, DLS memo caches
+   never leak entries across scopes, and a BDD scope is used only on the
+   domain that owns its table.  No existing tool checks any of that, so
+   this module does: the instrumented code reports events through the
+   shims below, and each rule is checked online against a small state
    machine.
 
    Cost model: every entry point starts with [if not (enabled ()) then ()]
    — one atomic load and a branch, like Obs — so the shims stay permanently
    compiled into the hot paths.  When enabled, the rare events (lock
-   acquisitions, node publications, future claims) take the sanitizer
-   mutex; the frequent ones (node reads, cache hits) are checked with plain
-   loads against write-once state and only lock on an *apparent*
-   violation.
-
-   False-positive discipline: the checker polices a relaxed memory model,
-   so its own observations can race the protocol it checks.  Two design
-   rules keep it sound:
-   - state only ever strengthens (unknown -> wrote -> fenced -> published),
-     and rules fire only on positively observed breaks — an id the
-     sanitizer never saw written (consed before enabling, or by an
-     uninstrumented path) is exempt;
-   - before reporting a publication-order violation observed through a
-     plain read, the checker re-reads under its own mutex with bounded
-     backoff ([confirm_retries]); a racy-but-correct writer resolves in a
-     handful of iterations, while a genuinely dropped fence stays broken
-     forever and is reported.
+   acquisitions, future claims) take the sanitizer mutex; the frequent ones
+   (cache hits, scope uses) compare two integers and only lock to record a
+   violation.  Rules fire only on positively observed breaks.
 
    Findings reuse the Verify report shape; tallies publish as sanitize.*
    metrics. *)
@@ -61,8 +47,6 @@ let () =
 
 let m_lock_acquires = Obs.Metrics.counter "sanitize.lock.acquires"
 let m_lock_edges = Obs.Metrics.counter "sanitize.lock.edges"
-let m_pub_writes = Obs.Metrics.counter "sanitize.pub.writes"
-let m_pub_reads = Obs.Metrics.counter "sanitize.pub.reads"
 let m_future_claims = Obs.Metrics.counter "sanitize.future.claims"
 let m_dls_hits = Obs.Metrics.counter "sanitize.dls.hits"
 let m_findings = Obs.Metrics.counter "sanitize.findings"
@@ -279,144 +263,7 @@ module Lock = struct
   let wait cond t = Condition.wait cond t.real
 end
 
-(* --- rule 2: write-once publication --------------------------------------------- *)
-
-module Pub = struct
-  (* Per-(table, id) protocol state, one byte per node:
-     0 = unknown (never observed), 1 = wrote, 2 = fenced, 3 = published.
-     State only strengthens, and all transitions happen under [state_lock];
-     the read fast path peeks at the byte with a plain load and escalates
-     to the locked, retrying path only when it does not see >= fenced. *)
-  let st_wrote = Char.chr 1
-  let st_fenced = Char.chr 2
-  let st_published = Char.chr 3
-
-  (* table uid -> flag bytes; the outer array is swapped whole on growth so
-     lock-free readers always traverse a consistent snapshot *)
-  let stores : Bytes.t Atomic.t option array Atomic.t = Atomic.make [||]
-
-  let site table id = Printf.sprintf "%d:%d" table id
-
-  (* with [state_lock] held: the store for [table], grown to cover [id] *)
-  let store_locked table id =
-    let arr = Atomic.get stores in
-    let arr =
-      if table < Array.length arr then arr
-      else begin
-        let fresh = Array.make (max 16 ((table + 1) * 2)) None in
-        Array.blit arr 0 fresh 0 (Array.length arr);
-        Atomic.set stores fresh;
-        fresh
-      end
-    in
-    let cell =
-      match arr.(table) with
-      | Some c -> c
-      | None ->
-        let c = Atomic.make (Bytes.make 1024 '\000') in
-        arr.(table) <- Some c;
-        c
-    in
-    let b = Atomic.get cell in
-    if id < Bytes.length b then b
-    else begin
-      let fresh = Bytes.make (max (2 * Bytes.length b) (id + 1)) '\000' in
-      Bytes.blit b 0 fresh 0 (Bytes.length b);
-      Atomic.set cell fresh;
-      fresh
-    end
-
-  let get_state_locked table id =
-    let b = store_locked table id in
-    Char.code (Bytes.get b id)
-
-  let set_state_locked table id st =
-    let b = store_locked table id in
-    Bytes.set b id st
-
-  let wrote ~table ~id =
-    if enabled () then begin
-      Obs.Metrics.incr m_pub_writes;
-      locked (fun () ->
-          if get_state_locked table id <> 0 then
-            record_locked
-              { rule_id = "pub/double-write";
-                severity = Error;
-                sites = [ site table id ];
-                message =
-                  "node fields written twice: the store is write-once and \
-                   readers validate against the first value" }
-          else set_state_locked table id st_wrote)
-    end
-
-  let fenced ~table ~id =
-    if enabled () then
-      locked (fun () ->
-          (* state only strengthens; state 0 means the write event predated
-             enabling, which we adopt *)
-          if get_state_locked table id < 2 then
-            set_state_locked table id st_fenced)
-
-  let published ~table ~id =
-    if enabled () then
-      locked (fun () ->
-          match get_state_locked table id with
-          | 1 ->
-            record_locked
-              { rule_id = "pub/unfenced-publish";
-                severity = Error;
-                sites = [ site table id ];
-                message =
-                  "node id published into a unique-table slot without \
-                   fencing the publication counter: a concurrent reader \
-                   may observe the id before its fields" }
-          | _ -> set_state_locked table id st_published)
-
-  (* Bounded confirmation: a plain-load observation below the fence may be
-     stale (the sanitizer itself reads racily); re-check under the mutex
-     with backoff before believing it.  A correct writer fences within
-     nanoseconds; a dropped fence never resolves and is reported. *)
-  let confirm_retries = 50_000
-
-  let rec confirm_read table id tries =
-    let st = locked (fun () -> get_state_locked table id) in
-    if st >= 2 || st = 0 then ()
-    else if tries < confirm_retries then begin
-      Domain.cpu_relax ();
-      confirm_read table id (tries + 1)
-    end
-    else
-      record
-        { rule_id = "pub/unfenced-read";
-          severity = Error;
-          sites = [ site table id ];
-          message =
-            "reader trusted a node id whose publication never fenced the \
-             publication counter: its field reads are unordered against \
-             the writer" }
-
-  let read ~table ~id =
-    if enabled () then begin
-      Obs.Metrics.incr m_pub_reads;
-      let ok =
-        (* lock-free peek; anything not >= fenced escalates *)
-        let arr = Atomic.get stores in
-        table < Array.length arr
-        &&
-        match Array.unsafe_get arr table with
-        | None -> false
-        | Some cell ->
-          let b = Atomic.get cell in
-          id < Bytes.length b && Char.code (Bytes.unsafe_get b id) >= 2
-      in
-      if not ok then begin
-        (* state 0 (unseen id) is legal — resolved inside confirm_read *)
-        confirm_read table id 0
-      end
-    end
-end
-
-(* --- rule 3: single-claim futures ----------------------------------------------- *)
+(* --- rule 2: single-claim futures ----------------------------------------------- *)
 
 module Future = struct
   type status = Claimed of int
@@ -483,7 +330,7 @@ module Future = struct
   let completed ~fut = completed_by ~fut ~domain:(Domain.self () :> int)
 end
 
-(* --- rule 4: DLS cache scope stamps --------------------------------------------- *)
+(* --- rule 3: DLS scope discipline --------------------------------------------- *)
 
 module Dls = struct
   let cache_hit ~entry_uid ~scope_uid =
@@ -501,6 +348,19 @@ module Dls = struct
                another: node-accounting charges leak across scopes and \
                budgets stop being warmth-independent" }
     end
+
+  let scope_used ~scope_table ~domain_table =
+    if enabled () && scope_table <> domain_table then
+      record
+        { rule_id = "dls/foreign-scope";
+          severity = Error;
+          sites =
+            [ Printf.sprintf "scope-table:%d" scope_table;
+              Printf.sprintf "domain-table:%d" domain_table ];
+          message =
+            "BDD scope used on a domain other than the one that created \
+             it: its table is that domain's private state, written without \
+             any synchronization" }
 end
 
 (* --- reset / stats --------------------------------------------------------------- *)
@@ -509,8 +369,7 @@ let reset () =
   locked (fun () ->
       Hashtbl.reset findings_tbl;
       Hashtbl.reset Lock.edges;
-      Hashtbl.reset Future.claims;
-      Atomic.set Pub.stores [||])
+      Hashtbl.reset Future.claims)
 
 let publish_stats () =
   let g name v =

@@ -88,8 +88,8 @@ type pool = {
   mutable quit : bool;
 }
 
-(* Ranks below the BDD stripe/cache locks, which BDD operations inside a
-   task may take while the queue lock is *not* held. *)
+(* Ranks below the BDD table-registry lock, which a task's first BDD
+   operation takes while the queue lock is *not* held. *)
 let order_queue = 10
 
 (* Ambient scheduler context: which pool this domain works for.  [None]

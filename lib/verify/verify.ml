@@ -42,6 +42,7 @@ let check_graph net out =
   let live = N.all_nodes net in
   let cap = N.capacity net in
   let alive id = id >= 0 && id < cap && N.node_opt net id <> None in
+  let seen_name = Hashtbl.create 64 in
   List.iter
     (fun n ->
       let id = n.N.id in
@@ -130,7 +131,15 @@ let check_graph net out =
       if n.N.name = "" then
         emit
           (diag ~severity:Warning "graph/name-empty" [ id ]
-             (Printf.sprintf "node #%d has an empty name" id)))
+             (Printf.sprintf "node #%d has an empty name" id));
+      (* names are unique: a written BLIF would define one of them twice *)
+      match Hashtbl.find_opt seen_name n.N.name with
+      | Some first ->
+        emit
+          (diag "graph/name-duplicate" [ first; id ]
+             (Printf.sprintf "name %s held by nodes #%d and #%d" n.N.name
+                first id))
+      | None -> Hashtbl.add seen_name n.N.name id)
     live;
   (* primary outputs reference live nodes, names unique *)
   let seen_output = Hashtbl.create 16 in

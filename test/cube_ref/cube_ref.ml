@@ -1,7 +1,11 @@
 (* Legacy cube representation: one variant per literal, element-wise loops.
    Kept verbatim as the reference implementation for differential testing of
-   the packed kernel in {!Cube}, and as the baseline side of the
-   [bench --logic] minimization microbenchmark.  Not used by the flow. *)
+   the packed kernel in {!Logic.Cube}, and as the baseline side of the
+   [bench --logic] minimization microbenchmark.  Not used by the flow, so it
+   lives outside lib/ and is linked only by test_logic_packed and the bench
+   harness. *)
+
+module Cube = Logic.Cube
 
 type lit = Cube.lit = Zero | One | Both
 

@@ -1,5 +1,5 @@
 (* Differential tests: every packed {!Logic.Cube} operation against the
-   legacy array reference {!Logic.Cube_ref}, on random cubes across widths
+   legacy array reference {!Cube_ref}, on random cubes across widths
    1-200 with extra weight on the packing boundaries (31 variables per word:
    30/31/32, 61/62/63/64/65, 93/94).  Cover operations are checked at wide
    widths by evaluating on sampled points, where enumeration is impossible.
@@ -10,7 +10,7 @@
    environment variable is set to a non-empty value other than "0". *)
 
 module C = Logic.Cube
-module R = Logic.Cube_ref
+module R = Cube_ref
 
 (* --- generators --------------------------------------------------------- *)
 

@@ -67,6 +67,50 @@ let test_duplicate_for () =
   Alcotest.(check int) "clone has one fanout" 1 (List.length clone.N.fanouts);
   Alcotest.(check bool) "c2 reads clone" true (c2.N.fanins.(0) = clone.N.id)
 
+(* Generated names never collide with names already in the network, across
+   explicit names, constants, renames, deletions, copies and restores, so a
+   written BLIF defines every signal once. *)
+let test_fresh_names_unique () =
+  let net = N.create () in
+  let a = N.add_input net "a" in
+  let n1 = N.add_logic net ~name:"n1" inv_cover [ a ] in
+  ignore (N.add_latch net ~name:"r2" N.I0 n1);
+  let names () = List.map (fun n -> n.N.name) (N.all_nodes net) in
+  let unique () =
+    let ns = names () in
+    List.length (List.sort_uniq compare ns) = List.length ns
+  in
+  let g = N.add_logic net inv_cover [ a ] in
+  let r = N.add_latch net N.I0 g in
+  ignore (N.add_const net true);
+  ignore (N.add_const net true);
+  Alcotest.(check bool) "fresh names skip explicit ones" true (unique ());
+  N.set_name net g "n3";
+  let dup = N.copy net in
+  ignore (N.add_logic dup inv_cover [ a ]);
+  ignore (N.add_logic net inv_cover [ a ]);
+  Alcotest.(check bool) "rename seen by fresh_name" true (unique ());
+  let snap = N.copy net in
+  N.set_output net "o" r;
+  N.delete net (N.add_logic net ~name:"tmp" inv_cover [ a ]);
+  N.restore net snap;
+  ignore (N.add_latch net N.I0 g);
+  Alcotest.(check bool) "restore keeps the name set" true (unique ());
+  (* the split copies of one latch read back from BLIF *)
+  let copies =
+    let src = toggle_circuit () in
+    let r =
+      match N.find_by_name src "r" with Some n -> n | None -> assert false
+    in
+    N.set_output src "o2" (N.add_logic src ~name:"extra" inv_cover [ r ]);
+    let split = Retiming.Moves.split_stem src r in
+    let back = Netlist.Blif.parse_string (Netlist.Blif.to_string src) in
+    Alcotest.(check int) "latches read back" (N.num_latches src)
+      (N.num_latches back);
+    split
+  in
+  Alcotest.(check int) "stem split into three copies" 3 (List.length copies)
+
 let test_topo_cycle_detection () =
   let net = N.create () in
   let a = N.add_input net "a" in
@@ -420,6 +464,7 @@ let () =
           Alcotest.test_case "fanout maintenance" `Quick test_fanout_maintenance;
           Alcotest.test_case "transfer fanouts" `Quick test_transfer_fanouts;
           Alcotest.test_case "duplicate for consumer" `Quick test_duplicate_for;
+          Alcotest.test_case "fresh names unique" `Quick test_fresh_names_unique;
           Alcotest.test_case "cycle detection" `Quick test_topo_cycle_detection;
           Alcotest.test_case "latch cycles allowed" `Quick
             test_latch_cycle_is_fine;

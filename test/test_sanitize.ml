@@ -1,13 +1,13 @@
 (* Dynamic concurrency sanitizer.
 
-   The mutation tests seed one concurrency-protocol violation each — a
-   dropped publication fence, an inverted lock order, an unstamped DLS
-   cache entry, a double-claimed / foreign-completed future — and assert
+   The mutation tests seed one concurrency-protocol violation each — an
+   inverted lock order, an unstamped DLS cache entry, a BDD scope used off
+   its domain, a double-claimed / foreign-completed future — and assert
    that exactly the intended rule id fires.  The qcheck property drives
    the checker with thousands of random *legal* event interleavings and
    asserts it never reports (no false positives).  The integration test
-   runs real scheduler + shared-BDD work under the sanitizer.  The static
-   lint is tested in test_typedlint.ml. *)
+   runs real scheduler + per-domain BDD work under the sanitizer.  The
+   static lint is tested in test_typedlint.ml. *)
 
 module S = Sanitize
 module P = Core.Parallel
@@ -27,40 +27,6 @@ let rule_ids () = List.map (fun f -> f.S.rule_id) (S.findings ())
 
 let check_rules msg expected =
   Alcotest.(check (list string)) msg expected (rule_ids ())
-
-(* --- mutation: dropped publication fence -------------------------------------- *)
-
-let test_dropped_fence () =
-  sanitized (fun () ->
-      (* legal protocol first: no findings *)
-      S.Pub.wrote ~table:901 ~id:7;
-      S.Pub.fenced ~table:901 ~id:7;
-      S.Pub.published ~table:901 ~id:7;
-      S.Pub.read ~table:901 ~id:7;
-      check_rules "legal publication is clean" [];
-      (* mutation: skip the fence *)
-      S.Pub.wrote ~table:901 ~id:8;
-      S.Pub.published ~table:901 ~id:8;
-      check_rules "dropped fence at publish" [ "pub/unfenced-publish" ];
-      (* a reader trusting that id is the observable damage *)
-      S.Pub.read ~table:901 ~id:8;
-      check_rules "dropped fence at read"
-        [ "pub/unfenced-publish"; "pub/unfenced-read" ])
-
-let test_double_write () =
-  sanitized (fun () ->
-      S.Pub.wrote ~table:902 ~id:3;
-      S.Pub.wrote ~table:902 ~id:3;
-      check_rules "second field write" [ "pub/double-write" ])
-
-let test_pub_unseen_ids_exempt () =
-  sanitized (fun () ->
-      (* ids never seen by [wrote] model nodes consed before enabling:
-         publishing or reading them must not report *)
-      S.Pub.published ~table:903 ~id:11;
-      S.Pub.read ~table:903 ~id:11;
-      S.Pub.read ~table:903 ~id:4096 (* beyond any store growth *);
-      check_rules "pre-enable ids are exempt" [])
 
 (* --- mutation: inverted lock order --------------------------------------------- *)
 
@@ -156,6 +122,20 @@ let test_dls_cross_scope () =
       S.Dls.cache_hit ~entry_uid:41 ~scope_uid:42;
       check_rules "unstamped cache hit" [ "dls/cross-scope-hit" ])
 
+(* --- mutation: BDD scope used off its domain ----------------------------------- *)
+
+let test_dls_foreign_scope () =
+  sanitized (fun () ->
+      let man = Bdd.create () in
+      let x = Bdd.var man 0 in
+      ignore (Bdd.band man x (Bdd.var man 1));
+      check_rules "owner-domain use is clean" [];
+      (* mutation: a second domain builds through the main domain's scope.
+         The main domain waits in [join], so the table itself is not raced;
+         only the ownership break is observed. *)
+      Domain.join (Domain.spawn (fun () -> ignore (Bdd.var man 2)));
+      check_rules "scope used from a second domain" [ "dls/foreign-scope" ])
+
 (* --- reporting ------------------------------------------------------------------ *)
 
 let test_findings_deduped_and_rendered () =
@@ -186,34 +166,32 @@ let test_render_json_empty () =
 let test_disabled_is_silent () =
   S.reset ();
   S.disable ();
-  S.Pub.wrote ~table:904 ~id:1;
-  S.Pub.published ~table:904 ~id:1;
   S.Dls.cache_hit ~entry_uid:1 ~scope_uid:2;
+  S.Dls.scope_used ~scope_table:1 ~domain_table:2;
   Alcotest.(check int) "no events recorded when disabled" 0
     (List.length (S.findings ()))
 
 (* --- qcheck: random legal interleavings never report ---------------------------- *)
 
-(* A legal history over [n] nodes, [k] locks and [m] futures:
-   - per node, wrote -> fenced -> published -> read+ in order;
+(* A legal history over [n] BDD scopes, [k] locks and [m] futures:
+   - per scope, cache hits and uses stamped with its own uid and table;
    - locks always nested in ascending creation order;
    - each future claimed then completed by one domain.
    Events of different objects interleave arbitrarily (driven by the
    qcheck-generated pick sequence): the checker must stay silent. *)
 let run_legal_history ~table picks =
-  let n_nodes = 6 and n_locks = 3 and n_futs = 4 in
+  let n_scopes = 6 and n_locks = 3 and n_futs = 4 in
   let locks =
     Array.init n_locks (fun i ->
         S.Lock.create ~order:i ~name:(Printf.sprintf "q.%d.%d" table i))
   in
   let futs = Array.init n_futs (fun _ -> S.Future.fresh ()) in
   (* remaining per-object scripts, each consumed front-first *)
-  let node_script id =
-    [ (fun () -> S.Pub.wrote ~table ~id);
-      (fun () -> S.Pub.fenced ~table ~id);
-      (fun () -> S.Pub.published ~table ~id);
-      (fun () -> S.Pub.read ~table ~id);
-      (fun () -> S.Pub.read ~table ~id) ]
+  let scope_script uid =
+    [ (fun () -> S.Dls.scope_used ~scope_table:table ~domain_table:table);
+      (fun () -> S.Dls.cache_hit ~entry_uid:uid ~scope_uid:uid);
+      (fun () -> S.Dls.scope_used ~scope_table:table ~domain_table:table);
+      (fun () -> S.Dls.cache_hit ~entry_uid:uid ~scope_uid:uid) ]
   in
   let lock_script i =
     (* nest everything from i upward, in ascending order; acquire and
@@ -230,7 +208,7 @@ let run_legal_history ~table picks =
   in
   let scripts =
     Array.of_list
-      (List.init n_nodes (fun i -> ref (node_script (i + 2)))
+      (List.init n_scopes (fun i -> ref (scope_script (i + 2)))
       @ List.init n_locks (fun i -> ref (lock_script i))
       @ List.init n_futs (fun i -> ref (fut_script i)))
   in
@@ -270,19 +248,18 @@ let qcheck_no_false_positives =
           S.disable ();
           S.reset ())
         (fun () ->
-          (* distinct table uid per run so node protocol states from
-             earlier iterations cannot bleed in *)
+          (* distinct lock names per run *)
           run_legal_history ~table:(1000 + Hashtbl.hash picks mod 1000) picks;
           S.findings () = []))
 
-(* --- integration: real scheduler + shared BDD work under the sanitizer ---------- *)
+(* --- integration: real scheduler + per-domain BDD work under the sanitizer ------- *)
 
 let test_real_flow_clean () =
   sanitized (fun () ->
       let results =
         P.map ~jobs:4
           (fun seed ->
-            let man = Bdd.create ~mode:`Shared () in
+            let man = Bdd.create () in
             let x = Bdd.var man (seed mod 5)
             and y = Bdd.var man ((seed + 1) mod 5)
             and z = Bdd.var man ((seed + 2) mod 5) in
@@ -301,11 +278,7 @@ let test_real_flow_clean () =
 let () =
   Alcotest.run "sanitize"
     [ ( "mutations",
-        [ Alcotest.test_case "dropped fence" `Quick test_dropped_fence;
-          Alcotest.test_case "double write" `Quick test_double_write;
-          Alcotest.test_case "unseen ids exempt" `Quick
-            test_pub_unseen_ids_exempt;
-          Alcotest.test_case "lock cycle (one domain)" `Quick
+        [ Alcotest.test_case "lock cycle (one domain)" `Quick
             test_lock_cycle_single_domain;
           Alcotest.test_case "lock cycle (two domains)" `Quick
             test_lock_cycle_across_domains;
@@ -314,7 +287,9 @@ let () =
             test_future_double_claim;
           Alcotest.test_case "future foreign done" `Quick
             test_future_foreign_done;
-          Alcotest.test_case "dls cross scope" `Quick test_dls_cross_scope ] );
+          Alcotest.test_case "dls cross scope" `Quick test_dls_cross_scope;
+          Alcotest.test_case "dls foreign scope" `Quick
+            test_dls_foreign_scope ] );
       ( "reporting",
         [ Alcotest.test_case "dedup + render" `Quick
             test_findings_deduped_and_rendered;

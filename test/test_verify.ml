@@ -53,6 +53,12 @@ let test_drop_fanout () =
   check_caught ~at:g1.N.id ~corruption:"drop_fanout"
     ~rule:"graph/edge-asymmetric" (Verify.run net)
 
+let test_duplicate_name () =
+  let net, _, _, r2, _ = seq_circuit () in
+  N.set_name net r2 "r1";
+  check_caught ~at:r2.N.id ~corruption:"set_name to a taken name"
+    ~rule:"graph/name-duplicate" (Verify.run net)
+
 let test_skew_cover () =
   let net, g1, _, _, _ = seq_circuit () in
   N.Unsafe.skew_cover net ~id:g1.N.id;
@@ -262,6 +268,7 @@ let () =
     [ ( "rules",
         [ Alcotest.test_case "clean network" `Quick test_clean;
           Alcotest.test_case "drop fanout" `Quick test_drop_fanout;
+          Alcotest.test_case "duplicate name" `Quick test_duplicate_name;
           Alcotest.test_case "skew cover" `Quick test_skew_cover;
           Alcotest.test_case "redirect fanin" `Quick test_redirect_fanin;
           Alcotest.test_case "combinational cycle" `Quick test_comb_cycle;
