@@ -472,24 +472,38 @@ let cofactor man f i value =
   in
   go f
 
-(* Existential quantification over a variable set.  The table's cache is
-   keyed on the node only, so it is cleared whenever the variable set or the
-   owning scope changes. *)
-let quantify man ~universal vars f =
+(* A quantification: its variable set as a membership array and largest
+   member, so the recursions test a variable in O(1) and return a node whose
+   top variable lies below every member unchanged; [key] names it in the
+   exists cache. *)
+type qset = { key : int list; universal : bool; mem : bool array; top : int }
+
+let qset ~universal vars =
   let vars = List.sort_uniq compare vars in
-  let t = owned man in
-  let key = if universal then -1 :: vars else vars in
-  if t.exists_owner <> man.uid || t.exists_vars <> key then begin
-    Hashtbl.clear t.exists_cache;
-    t.exists_vars <- key;
+  let top = List.fold_left max (-1) vars in
+  let mem = Array.make (top + 1) false in
+  List.iter (fun v -> mem.(v) <- true) vars;
+  { key = (if universal then -1 :: vars else vars); universal; mem; top }
+
+(* Existential quantification over a variable set.  The table's cache is
+   keyed on the node only, so it is reset whenever the variable set or the
+   owning scope changes.  [and_exists] passes one [qset] to all its
+   quantifications, so within a call the set test is a physical-equality
+   hit. *)
+let quantify_set man t s f =
+  if
+    t.exists_owner <> man.uid
+    || not (t.exists_vars == s.key || t.exists_vars = s.key)
+  then begin
+    Hashtbl.reset t.exists_cache;
+    t.exists_vars <- s.key;
     t.exists_owner <- man.uid
   end;
-  let in_set v = List.mem v vars in
   let rec go f =
     if f < 2 then f
     else begin
       let v = var_of_id t f in
-      if List.for_all (fun x -> x < v) vars then f
+      if v > s.top then f
       else
         match Hashtbl.find_opt t.exists_cache f with
         | Some r ->
@@ -500,8 +514,8 @@ let quantify man ~universal vars f =
         | None ->
           let lo = go (low_of_id t f) and hi = go (high_of_id t f) in
           let r =
-            if in_set v then
-              if universal then ite_rec man t lo hi bfalse
+            if Array.unsafe_get s.mem v then
+              if s.universal then ite_rec man t lo hi bfalse
               else ite_rec man t lo btrue hi
             else mk_c man t v lo hi
           in
@@ -511,21 +525,23 @@ let quantify man ~universal vars f =
   in
   go f
 
+let quantify man ~universal vars f =
+  quantify_set man (owned man) (qset ~universal vars) f
+
 let exists man vars f = quantify man ~universal:false vars f
 let forall man vars f = quantify man ~universal:true vars f
 
 (* Relational product exists vars (a AND b) computed in one recursion; cached
    in a local table per call. *)
 let and_exists man vars a b =
-  let vars = List.sort_uniq compare vars in
-  let in_set v = List.mem v vars in
+  let s = qset ~universal:false vars in
   let t = owned man in
   let cache = Hashtbl.create 1024 in
   let rec go a b =
     if a = bfalse || b = bfalse then bfalse
     else if a = btrue && b = btrue then btrue
-    else if a = btrue then exists man vars b
-    else if b = btrue then exists man vars a
+    else if a = btrue then quantify_set man t s b
+    else if b = btrue then quantify_set man t s a
     else begin
       let key = if a <= b then (a, b) else (b, a) in
       match Hashtbl.find_opt cache key with
@@ -540,7 +556,7 @@ let and_exists man vars a b =
         in
         let lo = go (cof a va false) (cof b vb false) in
         let r =
-          if in_set v then
+          if v <= s.top && s.mem.(v) then
             if lo = btrue then btrue
             else ite_rec man t lo btrue (go (cof a va true) (cof b vb true))
           else begin

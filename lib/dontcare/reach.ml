@@ -20,14 +20,12 @@ let cone_values man ~budget ~leaf ?roots net =
   Option.iter (List.iter mark) roots;
   let values = Hashtbl.create 256 in
   List.iter
-    (fun n -> Option.iter (Hashtbl.add values n.N.id) (leaf n))
-    (N.inputs net @ N.latches net);
-  List.iter
     (fun n ->
       match n.N.kind with
       | N.Const b ->
         Hashtbl.add values n.N.id (if b then Bdd.btrue else Bdd.bfalse)
-      | N.Input | N.Latch _ | N.Logic _ -> ())
+      | N.Input | N.Latch _ -> Option.iter (Hashtbl.add values n.N.id) (leaf n)
+      | N.Logic _ -> ())
     (N.all_nodes net);
   List.iter
     (fun n ->
@@ -50,25 +48,24 @@ type machine = {
   man : Bdd.man;
   max_nodes : int;
   inputs : string list;
-  nstate : int;
   parts : component array;
-  transition : Bdd.t;
+  next : (int * Bdd.t) list;
   init : Bdd.t;
 }
 
-(* Variable layout: input [i] is variable [i]; the state bits of the parts
-   follow in order; next-state variables sit [nstate] above their present
-   state.  Each part's leaves and cones are built before the next part's, and
-   the budget is checked after every cone node and transition conjunct. *)
+(* Variable layout: input [i] is variable [i]; state bit [k] of the parts,
+   taken in order, has present-state variable [npi + 2k] and its next-state
+   variable right below it.  Each part's leaves and cones are built before
+   the next part's, and the budget is checked after every cone node. *)
 let machine ~outputs ~max_nodes ~inputs parts =
   let man = Bdd.create () in
   let budget () = check_budget man ~max_nodes in
   let npi = List.length inputs in
   let pi_var = Hashtbl.create 16 in
   List.iteri (fun i name -> Hashtbl.add pi_var name i) inputs;
-  let build base (net, latches) =
+  let build ps0 (net, latches) =
     let ps_var = Hashtbl.create 16 in
-    List.iteri (fun j l -> Hashtbl.add ps_var l.N.id (base + j)) latches;
+    List.iteri (fun j l -> Hashtbl.add ps_var l.N.id (ps0 + 2 * j)) latches;
     let leaf n =
       if N.is_latch n then
         Option.map (Bdd.var man) (Hashtbl.find_opt ps_var n.N.id)
@@ -79,41 +76,23 @@ let machine ~outputs ~max_nodes ~inputs parts =
        else [])
       @ List.map (fun l -> (N.latch_data net l).N.id) latches
     in
-    ( base + List.length latches,
-      { net;
-        latches;
-        ps_var;
-        values = cone_values man ~budget ~leaf ~roots net } )
+    let values = cone_values man ~budget ~leaf ~roots net in
+    (ps0 + (2 * List.length latches), { net; latches; ps_var; values })
   in
-  let base, parts = List.fold_left_map build npi parts in
-  let nstate = base - npi in
-  let over_latches f acc =
-    List.fold_left
-      (fun acc c -> List.fold_left (f c) acc c.latches)
-      acc parts
+  let _, parts = List.fold_left_map build npi parts in
+  let bit c l =
+    let ps = Hashtbl.find c.ps_var l.N.id in
+    ( (ps, Hashtbl.find c.values (N.latch_data c.net l).N.id),
+      match N.latch_init l with
+      | N.I0 -> Bdd.bnot man (Bdd.var man ps)
+      | N.I1 -> Bdd.var man ps
+      | N.Ix -> Bdd.btrue )
   in
-  let transition =
-    over_latches
-      (fun c t l ->
-        let ns = Hashtbl.find c.ps_var l.N.id + nstate in
-        let f = Hashtbl.find c.values (N.latch_data c.net l).N.id in
-        let t = Bdd.band man t (Bdd.bxnor man (Bdd.var man ns) f) in
-        budget ();
-        t)
-      Bdd.btrue
+  let next, init =
+    List.split (List.concat_map (fun c -> List.map (bit c) c.latches) parts)
   in
-  let init =
-    over_latches
-      (fun c acc l ->
-        let v = Bdd.var man (Hashtbl.find c.ps_var l.N.id) in
-        match N.latch_init l with
-        | N.I0 -> Bdd.band man acc (Bdd.bnot man v)
-        | N.I1 -> Bdd.band man acc v
-        | N.Ix -> acc)
-      Bdd.btrue
-  in
-  { man; max_nodes; inputs; nstate; parts = Array.of_list parts;
-    transition; init }
+  let init = List.fold_left (Bdd.band man) Bdd.btrue init in
+  { man; max_nodes; inputs; parts = Array.of_list parts; next; init }
 
 type trace = {
   steps : (string * bool) list list;
@@ -128,33 +107,32 @@ let input_vector m asn = List.mapi (fun i name -> (name, List.assoc i asn)) m.in
 let latch_value c asn l =
   Option.map (fun v -> List.assoc v asn) (Hashtbl.find_opt c.ps_var l.N.id)
 
+(* the input variables, then every bit's present-state variable *)
+let leaves m = List.init (List.length m.inputs) Fun.id @ List.map fst m.next
+
 (* Walk the rings (newest first) back from the bad part [hit] of the newest
    one: at each step pick a predecessor state in the next older ring and an
-   input that maps it onto the current state. *)
+   input that maps it onto the current state [s]: [ring AND (f_k == s_k)]. *)
 let walk m hit rings =
   let man = m.man in
-  let npi = List.length m.inputs in
-  let vars = List.init (npi + m.nstate) Fun.id in
   (* a total assignment extending a satisfying path of [f] (every completion
      of an [any_sat] partial assignment satisfies [f]) *)
   let full_assign f =
     let partial = Bdd.any_sat man f in
     List.map
       (fun v -> (v, Option.value ~default:false (List.assoc_opt v partial)))
-      vars
+      (leaves m)
   in
-  let state asn = List.filter (fun (v, _) -> v >= npi) asn in
+  let state asn = List.filter (fun (v, _) -> v >= List.length m.inputs) asn in
   let rec back s steps = function
     | [] -> (steps, s)
     | ring :: older ->
-      let ns_cube =
-        List.fold_left
-          (fun acc (v, b) ->
-            let nsv = Bdd.var man (v + m.nstate) in
-            Bdd.band man acc (if b then nsv else Bdd.bnot man nsv))
-          Bdd.btrue s
+      let pred =
+        List.fold_left2
+          (fun acc (_, f) (_, b) ->
+            Bdd.band man acc (if b then f else Bdd.bnot man f))
+          ring m.next s
       in
-      let pred = Bdd.band man (Bdd.band man m.transition ns_cube) ring in
       let asn = full_assign pred in
       check_budget man ~max_nodes:m.max_nodes;
       back (state asn) (input_vector m asn :: steps) older
@@ -163,12 +141,34 @@ let walk m hit rings =
   let steps, start = back (state witness) [] (List.tl rings) in
   { steps; start; witness }
 
+(* The image is a fold of [and_exists] over the conjuncts [ns_k <-> f_k] in
+   bit order.  Each input or present-state variable is quantified with the
+   last conjunct that reads it (built from the last bit back, the first to
+   [claim] it), and those none reads before the first; the budget is checked
+   after every conjunct. *)
 let explore m ~init ~bad =
   let man = m.man in
-  let vars = List.init (List.length m.inputs + m.nstate) Fun.id in
+  let read = Hashtbl.create 64 in
+  let unread v = not (Hashtbl.mem read v) in
+  let claim v = unread v && (Hashtbl.add read v (); true) in
+  let conjuncts =
+    List.fold_right
+      (fun (ps, f) acc ->
+        let last = List.filter claim (Bdd.support man f) in
+        (Bdd.bxnor man (Bdd.var man (ps + 1)) f, last) :: acc)
+      m.next []
+  in
+  let early = List.filter unread (leaves m) in
   let image r =
-    let after = Bdd.and_exists man vars m.transition r in
-    Bdd.rename man after (fun v -> v - m.nstate)
+    let after =
+      List.fold_left
+        (fun acc (c, vars) ->
+          let acc = Bdd.and_exists man vars c acc in
+          check_budget man ~max_nodes:m.max_nodes;
+          acc)
+        (Bdd.exists man early r) conjuncts
+    in
+    Bdd.rename man after (fun v -> v - 1)
   in
   let rec fixpoint reached frontier rings =
     check_budget man ~max_nodes:m.max_nodes;
@@ -210,7 +210,8 @@ let unreachable_states ?(max_latches = 24) net =
   | Reached reached ->
     let man = m.man in
     (* express over latch variables 0..nlatch-1 *)
-    let shifted = Bdd.rename man reached (fun v -> v - List.length inputs) in
+    let npi = List.length inputs in
+    let shifted = Bdd.rename man reached (fun v -> (v - npi) / 2) in
     let cover_of f =
       try Bdd.to_cover ~max_cubes:20_000 man ~nvars:nlatch f
       with Bdd.Cover_too_large ->
@@ -259,8 +260,7 @@ let simplify_with_unreachable net =
     in
     let rebuilt = ref 0 in
     let targets =
-      List.map (fun l -> N.latch_data net l) (N.latches net)
-      @ List.map snd (N.outputs net)
+      List.map (N.latch_data net) (N.latches net) @ List.map snd (N.outputs net)
     in
     let seen = Hashtbl.create 16 in
     List.iter

@@ -1,10 +1,11 @@
 (** The symbolic reachability engine, and the unreachable-state external
     don't-cares of the paper's baseline [23][24][25][26].
 
-    A {!machine} is the BDD transition relation of one or more networks
-    stepped together on shared primary inputs.  {!explore} runs an image
-    fixpoint from an initial set and turns the first ring meeting a [bad]
-    set into an input trace.  It has three callers, each with its own caps
+    A {!machine} is the per-bit next-state functions of one or more networks
+    stepped together on shared primary inputs; no monolithic transition
+    relation is built.  {!explore} runs a partitioned-image fixpoint from an
+    initial set and turns the first ring meeting a [bad] set into an input
+    trace.  It has three callers, each with its own caps
     and verdicts: [Eqcheck.seq_check] (product machine of two networks),
     [Eqcheck.dcret_check] (DC_ret class invariant, Theorem 1) and
     {!unreachable_states}.  Every operation is charged to the machine's
@@ -36,9 +37,10 @@ type machine = {
   man : Bdd.man;
   max_nodes : int;
   inputs : string list;  (** input variable [i] is the [i]-th name *)
-  nstate : int;  (** state bits of all parts *)
   parts : component array;
-  transition : Bdd.t;  (** AND of [ns <-> next-state] over the state bits *)
+  next : (int * Bdd.t) list;
+      (** present-state variable and next-state function of every state
+          bit, in order; the bit's next-state variable is the one after *)
   init : Bdd.t;  (** declared initial values; [Ix] unconstrained *)
 }
 
@@ -46,11 +48,11 @@ val machine :
   outputs:bool -> max_nodes:int -> inputs:string list ->
   (Netlist.Network.t * Netlist.Network.node list) list -> machine
 (** The machine of the parts (a network and its state-bit latches) in a
-    fresh scope.  Variables: inputs in the given order (matched by name),
-    then each part's state bits, then next-state variables [nstate] above
-    their present state.  Only the cones of the state bits' data inputs are
-    built, and the primary outputs' when [outputs]; no other latch may feed
-    them. *)
+    fresh scope.  Variables: inputs [0..npi-1] in the given order (matched
+    by name), then the state bits of the parts in order, bit [k] taking
+    present-state variable [npi + 2k] and next-state variable [npi + 2k + 1].
+    Only the cones of the state bits' data inputs are built, and the primary
+    outputs' when [outputs]; no other latch may feed them. *)
 
 type trace = {
   steps : (string * bool) list list;  (** input vector of every step *)
@@ -63,8 +65,13 @@ type outcome = Reached of Bdd.t | Hit of trace
 val explore : machine -> init:Bdd.t -> bad:Bdd.t Lazy.t -> outcome
 (** Image fixpoint from [init]: {!Reached} with the reachable set, or
     {!Hit} at the first ring meeting [bad] (over inputs and present state),
-    walked back through the older rings by [any_sat] on [transition AND
-    ns-cube AND ring].  [bad] is forced after the first budget check. *)
+    walked back through the older rings by [any_sat] on [ring AND (f_k ==
+    b_k)] over the bits [k] of the current state [b].  The image quantifies
+    the variables no next-state function reads up front, then folds
+    [Bdd.and_exists] over the conjuncts [ns_k <-> f_k] in bit order,
+    quantifying each input and present-state variable at its last
+    occurrence, and renames next state to present state.  The budget is
+    checked after every conjunct; [bad] is forced after the first check. *)
 
 val input_vector : machine -> (int * bool) list -> (string * bool) list
 (** The inputs of an assignment, by name. *)

@@ -456,9 +456,10 @@ let seq_check ?(options = default_options) pre post =
 (* --- whole-result check ---------------------------------------------------------- *)
 
 (* The product machine as a Table I row check runs it: a 28-bit cap and a
-   4M-node budget.  The suite's largest proof needs 2.6M nodes; the budget
-   bounds memory (about 100 bytes a node) on pairs whose 28-bit product
-   machine grows without limit, which then fall back to co-simulation.
+   4M-node budget.  The suite's largest proof, one of s420's, peaks at
+   about 22k nodes; the budget bounds memory (about 100 bytes a node) on
+   pairs whose 28-bit product machine grows without limit, which then fall
+   back to co-simulation.
    Per-pass checks keep [default_options]. *)
 let result_options =
   { default_options with max_product_bits = 28; max_bdd_nodes = 4_000_000 }

@@ -148,3 +148,120 @@ let first_divergence a b =
     (List.concat_map
        (fun sa -> List.map (fun sb -> (sa, sb)) (initial_states b))
        (initial_states a))
+
+(* The symbolic machine as [Dontcare.Reach] laid it out before its image was
+   partitioned, the reference for the partitioned engine: inputs, then every
+   state bit's present-state variable, then the next-state variables
+   [nstate] above them; one monolithic transition relation
+   [T = AND_k (ns_k <-> f_k)]; the image [exists inputs, ps. T AND r]
+   renamed down by [nstate]; and the walk back through
+   [T AND ns-cube AND ring].  No node budget. *)
+module Monolithic = struct
+  module N = Netlist.Network
+  module R = Dontcare.Reach
+
+  type machine = {
+    man : Bdd.man;
+    inputs : string list;
+    nstate : int;
+    parts : R.component array;
+    transition : Bdd.t;
+    init : Bdd.t;
+  }
+
+  let machine ~outputs ~inputs parts =
+    let man = Bdd.create () in
+    let npi = List.length inputs in
+    let pi_var = Hashtbl.create 16 in
+    List.iteri (fun i name -> Hashtbl.add pi_var name i) inputs;
+    let build base (net, latches) =
+      let ps_var = Hashtbl.create 16 in
+      List.iteri (fun j l -> Hashtbl.add ps_var l.N.id (base + j)) latches;
+      let leaf n =
+        if N.is_latch n then
+          Option.map (Bdd.var man) (Hashtbl.find_opt ps_var n.N.id)
+        else Some (Bdd.var man (Hashtbl.find pi_var n.N.name))
+      in
+      let roots =
+        (if outputs then List.map (fun (_, n) -> n.N.id) (N.outputs net)
+         else [])
+        @ List.map (fun l -> (N.latch_data net l).N.id) latches
+      in
+      let values = R.cone_values man ~budget:ignore ~leaf ~roots net in
+      (base + List.length latches, { R.net; latches; ps_var; values })
+    in
+    let base, parts = List.fold_left_map build npi parts in
+    let nstate = base - npi in
+    let bits =
+      List.concat_map (fun c -> List.map (fun l -> (c, l)) c.R.latches) parts
+    in
+    let transition =
+      List.fold_left
+        (fun t (c, l) ->
+          let ns = Hashtbl.find c.R.ps_var l.N.id + nstate in
+          let f = Hashtbl.find c.R.values (N.latch_data c.R.net l).N.id in
+          Bdd.band man t (Bdd.bxnor man (Bdd.var man ns) f))
+        Bdd.btrue bits
+    in
+    let init =
+      List.fold_left
+        (fun acc (c, l) ->
+          let v = Bdd.var man (Hashtbl.find c.R.ps_var l.N.id) in
+          match N.latch_init l with
+          | N.I0 -> Bdd.band man acc (Bdd.bnot man v)
+          | N.I1 -> Bdd.band man acc v
+          | N.Ix -> acc)
+        Bdd.btrue bits
+    in
+    { man; inputs; nstate; parts = Array.of_list parts; transition; init }
+
+  let input_vector m asn =
+    List.mapi (fun i name -> (name, List.assoc i asn)) m.inputs
+
+  let walk m hit rings =
+    let man = m.man in
+    let npi = List.length m.inputs in
+    let vars = List.init (npi + m.nstate) Fun.id in
+    let full_assign f =
+      let partial = Bdd.any_sat man f in
+      List.map
+        (fun v -> (v, Option.value ~default:false (List.assoc_opt v partial)))
+        vars
+    in
+    let state asn = List.filter (fun (v, _) -> v >= npi) asn in
+    let rec back s steps = function
+      | [] -> (steps, s)
+      | ring :: older ->
+        let ns_cube =
+          List.fold_left
+            (fun acc (v, b) ->
+              let nsv = Bdd.var man (v + m.nstate) in
+              Bdd.band man acc (if b then nsv else Bdd.bnot man nsv))
+            Bdd.btrue s
+        in
+        let pred = Bdd.band man (Bdd.band man m.transition ns_cube) ring in
+        let asn = full_assign pred in
+        back (state asn) (input_vector m asn :: steps) older
+    in
+    let witness = full_assign hit in
+    let steps, start = back (state witness) [] (List.tl rings) in
+    { R.steps; start; witness }
+
+  let explore m ~init ~bad =
+    let man = m.man in
+    let vars = List.init (List.length m.inputs + m.nstate) Fun.id in
+    let image r =
+      let after = Bdd.and_exists man vars m.transition r in
+      Bdd.rename man after (fun v -> v - m.nstate)
+    in
+    let rec fixpoint reached frontier rings =
+      let hit = Bdd.band man frontier bad in
+      if not (Bdd.is_false hit) then R.Hit (walk m hit rings)
+      else begin
+        let fresh = Bdd.band man (image frontier) (Bdd.bnot man reached) in
+        if Bdd.is_false fresh then R.Reached reached
+        else fixpoint (Bdd.bor man reached fresh) fresh (fresh :: rings)
+      end
+    in
+    fixpoint init init [ init ]
+end

@@ -9,6 +9,8 @@
 module N = Netlist.Network
 module M = Retiming.Moves
 module E = Eqcheck
+module R = Dontcare.Reach
+module Mono = Oracle.Monolithic
 
 let buf = Logic.Cover.of_strings 1 [ "1" ]
 let inv = Logic.Cover.of_strings 1 [ "0" ]
@@ -427,6 +429,79 @@ let prop_engine_matches_explicit_oracle =
       in
       reach_ok && seq_ok)
 
+(* The partitioned image against the monolithic relation it replaced
+   ([Oracle.Monolithic]), on random netlists alone (bad: one full state) and
+   as two-part product machines with a single-cube-drop mutant (bad: some
+   output differs): the same reached set, or for a hit the same steps, start
+   and witness.  Each net gets [Ix] latches, a constant next-state function
+   and a latch that only drives an output, which no next-state function
+   reads. *)
+let prop_partitioned_image_matches_monolithic =
+  QCheck.Test.make ~count:200
+    ~name:"partitioned image matches the monolithic relation"
+    QCheck.(quad (int_range 0 10_000) (int_range 1 5) (int_range 1 3)
+              (int_range 0 63))
+    (fun (seed, nlatch, npi, k) ->
+      let net =
+        Circuits.Generators.random_sequential ~seed
+          { Circuits.Generators.default_profile with
+            nlatch;
+            npi;
+            ngates = 4 + (seed mod 9) }
+      in
+      List.iteri
+        (fun i l -> if (k lsr i) land 1 = 1 then N.set_latch_init net l N.Ix)
+        (N.latches net);
+      let first = List.hd (N.latches net) in
+      if seed mod 3 = 0 then
+        N.replace_fanin net first ~old_fanin:(N.latch_data net first)
+          ~new_fanin:(N.add_const net (seed mod 2 = 0));
+      N.set_output net "spare"
+        (N.add_latch net ~name:"spare" N.I1 (List.hd (N.inputs net)));
+      let inputs = List.map (fun p -> p.N.name) (N.inputs net) in
+      let npi = List.length inputs in
+      let same ~outputs parts bad =
+        let m = R.machine ~outputs ~max_nodes:max_int ~inputs parts
+        and r = Mono.machine ~outputs ~inputs parts in
+        let old v = if v < npi then v else npi + ((v - npi) / 2) in
+        let old_asn = List.map (fun (v, b) -> (old v, b)) in
+        match
+          ( R.explore m ~init:m.R.init ~bad:(lazy (bad m.R.man m.R.parts)),
+            Mono.explore r ~init:r.Mono.init ~bad:(bad r.Mono.man r.Mono.parts)
+          )
+        with
+        | R.Reached a, R.Reached b -> Bdd.equal (Bdd.rename m.R.man a old) b
+        | R.Hit t, R.Hit u ->
+          t.R.steps = u.R.steps
+          && old_asn t.R.start = u.R.start
+          && old_asn t.R.witness = u.R.witness
+        | (R.Reached _ | R.Hit _), _ -> false
+      in
+      let state_cube man parts =
+        let c = parts.(0) in
+        List.fold_left (Bdd.band man) Bdd.btrue
+          (List.mapi
+             (fun i l ->
+               let v = Bdd.var man (Hashtbl.find c.R.ps_var l.N.id) in
+               if (seed lsr i) land 1 = 1 then v else Bdd.bnot man v)
+             c.R.latches)
+      in
+      let outputs_differ man parts =
+        let a = parts.(0) and b = parts.(1) in
+        let out c name =
+          Hashtbl.find c.R.values (List.assoc name (N.outputs c.R.net)).N.id
+        in
+        List.fold_left
+          (fun acc (name, _) ->
+            Bdd.bor man acc (Bdd.bxor man (out a name) (out b name)))
+          Bdd.bfalse (N.outputs net)
+      in
+      let mutant = drop_cube net k in
+      same ~outputs:false [ (net, N.latches net) ] state_cube
+      && same ~outputs:true
+           [ (net, N.latches net); (mutant, N.latches mutant) ]
+           outputs_differ)
+
 let () =
   Alcotest.run "eqcheck"
     [ ( "comb",
@@ -456,4 +531,6 @@ let () =
           Alcotest.test_case "merge legal" `Quick test_merge_legal;
           Alcotest.test_case "render json" `Quick test_render_json ] );
       ( "oracle",
-        [ QCheck_alcotest.to_alcotest prop_engine_matches_explicit_oracle ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_engine_matches_explicit_oracle;
+          QCheck_alcotest.to_alcotest
+            prop_partitioned_image_matches_monolithic ] ) ]
