@@ -175,9 +175,16 @@ let critical_path_for_engine net model =
 
 (* --- step 4: DC_ret-driven cone simplification ------------------------------ *)
 
+let m_cones = Obs.Metrics.counter "resynth.cones"
+let m_cones_too_wide = Obs.Metrics.counter "resynth.cones_too_wide"
+let m_cones_with_dc = Obs.Metrics.counter "resynth.cones_with_dc"
+
 let simplify_cone net classes ~dc_mode ~max_cone_leaves root =
+  Obs.Metrics.incr m_cones;
   match Dontcare.Cone.collapse ~max_leaves:max_cone_leaves net root with
-  | exception Dontcare.Cone.Cone_too_wide _ -> (false, false)
+  | exception Dontcare.Cone.Cone_too_wide _ ->
+    Obs.Metrics.incr m_cones_too_wide;
+    (false, false)
   | collapsed ->
     let leaves = collapsed.Dontcare.Cone.leaves in
     let nvars = Array.length leaves in
@@ -193,13 +200,17 @@ let simplify_cone net classes ~dc_mode ~max_cone_leaves root =
           !found
         in
         let dc = Dontcare.Classes.dc_cover classes ~nvars ~var_of_latch in
-        (* the no-DC control minimization only scores [dc_was_useful]
-           ([minimize] never mutates its input cover) *)
-        let without_dc_lits =
-          Logic.Cover.lit_count (Logic.Minimize.minimize base)
-        in
         let with_dc = Logic.Minimize.minimize ~dc base in
-        (with_dc, Logic.Cover.lit_count with_dc < without_dc_lits)
+        (* the no-DC control minimization only scores [dc_was_useful]
+           ([minimize] never mutates its input cover); with no DC cube it
+           would minimize the same cover again *)
+        if Logic.Cover.is_empty dc then (with_dc, false)
+        else begin
+          Obs.Metrics.incr m_cones_with_dc;
+          let without_dc = Logic.Minimize.minimize base in
+          ( with_dc,
+            Logic.Cover.lit_count with_dc < Logic.Cover.lit_count without_dc )
+        end
       | Substitution ->
         (* rename every latch leaf to the first leaf of its class; a cube
            carrying opposing literals on two equivalent registers denotes
@@ -237,6 +248,7 @@ let simplify_cone net classes ~dc_mode ~max_cone_leaves root =
         let m = Logic.Minimize.minimize substituted in
         let any_substitution = ref false in
         Array.iteri (fun i c -> if c <> i then any_substitution := true) canon;
+        if !any_substitution then Obs.Metrics.incr m_cones_with_dc;
         (m, !any_substitution)
     in
     (* Restrict the rebuilt node to its true support. *)

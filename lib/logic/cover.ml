@@ -181,7 +181,9 @@ let support f =
   loop (f.nvars - 1) []
 
 (* Pick the best splitting variable: the most binate one (appears in both
-   phases in many cubes); fall back to the most frequent variable. *)
+   phases in many cubes); fall back to the most frequent variable.  Returns
+   -1 when no cube has a literal, and whether the variable is binate: when it
+   is not, no variable is and the cover is unate. *)
 let binate_select f =
   let n = f.nvars in
   let pos = Array.make n 0 and neg = Array.make n 0 in
@@ -205,17 +207,17 @@ let binate_select f =
       end
     end
   done;
-  !best
+  (!best, fst !best_key > 0)
 
 let rec is_tautology f =
   if List.exists (fun c -> Cube.lit_count c = 0) f.cubes then true
   else if f.cubes = [] then false
   else begin
-    let v = binate_select f in
-    if v < 0 then false (* no literals and no universe cube *)
+    let v, binate = binate_select f in
+    (* A unate cover is a tautology only if it holds the universe cube,
+       which the first test ruled out: its all-opposite-phase point is 0. *)
+    if v < 0 || not binate then false
     else
-      (* Unate shortcut: if [v] is unate we can drop it only when it is the
-         sole remaining test; splitting is always sound, so just split. *)
       is_tautology (cofactor f v Cube.One)
       && is_tautology (cofactor f v Cube.Zero)
   end
@@ -236,7 +238,13 @@ let intersect a b =
 (* Complement by Shannon expansion:
    not f = x' * not(f_x') + x * not(f_x).  Terminal cases: empty cover and
    covers containing the universe cube.  A single-cube complement is computed
-   directly by De Morgan. *)
+   directly by De Morgan.
+
+   Every result is sorted by [Cube.compare] with no cube contained in
+   another, which is what [single_cube_containment] returns.  Neither half of
+   a split binds the split variable, so attaching its two literals keeps each
+   half so and makes the halves disjoint: merging them in [Cube.compare]
+   order gives the containment sweep's result without running it. *)
 let rec complement f =
   if f.cubes = [] then tautology_cover f.nvars
   else if List.exists (fun c -> Cube.lit_count c = 0) f.cubes then empty f.nvars
@@ -256,17 +264,15 @@ let rec complement f =
         c;
       { f with cubes = List.rev !cubes }
     | _ :: _ :: _ ->
-      let v = binate_select f in
+      let v, _ = binate_select f in
       assert (v >= 0);
-      let attach value g =
-        let lit_cube = Cube.set_var (Cube.universe f.nvars) v value in
-        { f with
-          cubes =
-            List.filter_map (fun c -> Cube.intersect lit_cube c) g.cubes }
-      in
+      (* the halves do not bind [v], so attaching a literal is setting it *)
+      let attach value g = List.map (fun c -> Cube.set_var c v value) g.cubes in
       let hi = complement (cofactor f v Cube.One) in
       let lo = complement (cofactor f v Cube.Zero) in
-      single_cube_containment (union (attach Cube.One hi) (attach Cube.Zero lo))
+      { f with
+        cubes =
+          List.merge Cube.compare (attach Cube.One hi) (attach Cube.Zero lo) }
 
 let sharp a b =
   if b.cubes = [] then a

@@ -9,19 +9,14 @@ let expand_cube ~off cube =
   (* One scratch cube for the whole expansion: each probe raises a variable
      in place and restores it when the raised cube hits the OFF-set. *)
   let current = Cube.copy cube in
-  (* Greedy: try variables in order of how constrained they are; a simple
-     left-to-right pass repeated until fixpoint is adequate at our sizes. *)
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for v = 0 to n - 1 do
-      let saved = Cube.get current v in
-      if saved <> Cube.Both then begin
-        Cube.set current v Cube.Both;
-        if feasible ~off current then changed := true
-        else Cube.set current v saved
-      end
-    done
+  (* Greedy left-to-right.  One sweep is already a fixpoint: the cube only
+     grows, so a raise that hit the OFF-set once would hit it again. *)
+  for v = 0 to n - 1 do
+    let saved = Cube.get current v in
+    if saved <> Cube.Both then begin
+      Cube.set current v Cube.Both;
+      if not (feasible ~off current) then Cube.set current v saved
+    end
   done;
   current
 
@@ -48,9 +43,12 @@ let irredundant ~dc f =
 let reduce ~dc f =
   let reduce_cube kept rest c =
     (* Essential part of [c]: minterms of [c] not covered by the rest of the
-       cover nor the DC set.  Replace [c] by the supercube of that part. *)
+       cover nor the DC set.  Replace [c] by the supercube of that part.
+       Inside [c] the rest agrees with its cofactor against [c], which is
+       far smaller to complement than the whole rest. *)
     let essential =
-      Cover.sharp { f with Cover.cubes = [ c ] } (others_with ~dc kept rest)
+      Cover.sharp { f with Cover.cubes = [ c ] }
+        (Cover.cube_cofactor (others_with ~dc kept rest) c)
     in
     match essential.Cover.cubes with
     | [] -> None (* fully redundant *)
@@ -77,105 +75,4 @@ let minimize ?dc f =
     in
     let start = expand ~off f |> irredundant ~dc in
     loop start
-  end
-
-(* --- Exact minimization for small supports (Quine-McCluskey + greedy/exact
-   covering) --------------------------------------------------------------- *)
-
-let all_minterms_of f dc =
-  let n = f.Cover.nvars in
-  let on = ref [] and care = ref [] in
-  let point = Array.make n false in
-  let rec enum v =
-    if v = n then begin
-      let in_f = Cover.eval f point and in_dc = Cover.eval dc point in
-      if in_f || in_dc then care := Array.copy point :: !care;
-      if in_f && not in_dc then on := Array.copy point :: !on
-    end
-    else begin
-      point.(v) <- false;
-      enum (v + 1);
-      point.(v) <- true;
-      enum (v + 1)
-    end
-  in
-  enum 0;
-  (List.rev !on, List.rev !care)
-
-let prime_implicants n care_points =
-  (* Iterative consensus over minterm cubes restricted to the care set. *)
-  let module CS = Set.Make (struct
-    type t = Cube.t
-    let compare = Cube.compare
-  end) in
-  let care = Cover.make n (List.map (Cube.minterm n) care_points) in
-  let start = CS.of_list (List.map (Cube.minterm n) care_points) in
-  let rec grow current =
-    let next = ref CS.empty and merged = ref CS.empty in
-    let items = CS.elements current in
-    List.iteri
-      (fun i a ->
-        List.iteri
-          (fun j b ->
-            if j > i && Cube.distance a b = 1 then
-              match Cube.consensus a b with
-              | Some c when Cube.contains c a && Cube.contains c b ->
-                (* adjacent merge (a, b differ in exactly one variable) *)
-                if Cover.covers_cube care c then begin
-                  next := CS.add c !next;
-                  merged := CS.add a (CS.add b !merged)
-                end
-              | Some _ | None -> ())
-          items)
-      items;
-    let primes = CS.diff current !merged in
-    if CS.is_empty !next then primes else CS.union primes (grow !next)
-  in
-  CS.elements (grow start)
-
-let minimize_exact_small ?dc f =
-  let n = f.Cover.nvars in
-  assert (n <= 12);
-  let dc = match dc with Some d -> d | None -> Cover.empty n in
-  let on, care = all_minterms_of f dc in
-  if on = [] then Cover.empty n
-  else if care = [] then Cover.empty n
-  else begin
-    let primes = prime_implicants n care in
-    (* Greedy set cover of ON minterms by primes, preferring big cubes. *)
-    let uncovered = ref on and chosen = ref [] in
-    let primes =
-      List.sort (fun a b -> compare (Cube.lit_count a) (Cube.lit_count b)) primes
-    in
-    (* Essential primes first. *)
-    List.iter
-      (fun m ->
-        let covering = List.filter (fun p -> Cube.eval p m) primes in
-        match covering with
-        | [ only ] when not (List.memq only !chosen) -> chosen := only :: !chosen
-        | [] | [ _ ] | _ :: _ :: _ -> ())
-      on;
-    uncovered :=
-      List.filter (fun m -> not (List.exists (fun p -> Cube.eval p m) !chosen)) !uncovered;
-    while !uncovered <> [] do
-      let best = ref None and best_gain = ref (-1) in
-      List.iter
-        (fun p ->
-          if not (List.memq p !chosen) then begin
-            let gain =
-              List.length (List.filter (fun m -> Cube.eval p m) !uncovered)
-            in
-            if gain > !best_gain then begin
-              best := Some p;
-              best_gain := gain
-            end
-          end)
-        primes;
-      match !best with
-      | Some p ->
-        chosen := p :: !chosen;
-        uncovered := List.filter (fun m -> not (Cube.eval p m)) !uncovered
-      | None -> failwith "minimize_exact_small: cover construction failed"
-    done;
-    Cover.single_cube_containment (Cover.make n !chosen)
   end

@@ -13,11 +13,14 @@ val irredundant : dc:Cover.t -> Cover.t -> Cover.t
 (** Remove cubes covered by the rest of the cover plus [dc]. *)
 
 val reduce : dc:Cover.t -> Cover.t -> Cover.t
-(** Shrink each cube to the supercube of its essential part. *)
+(** Shrink each cube [c], in order, to the supercube of its essential part:
+    the minterms of [c] outside [R], where [R] is the rest of the cover
+    (already-reduced cubes before [c], original cubes after it) plus [dc].
+    It is computed as [c] minus [R_c], the cofactor of [R] against [c], so
+    the complement is taken of the small cofactor rather than of [R] (the
+    espresso REDUCE).  Inside [c], [R] and [R_c] agree, so the point set,
+    and with it the supercube, is that of [c] minus [R].  A cube with no
+    essential part is dropped. *)
 
 val minimize : ?dc:Cover.t -> Cover.t -> Cover.t
 (** Full loop until the (cube count, literal count) cost stops improving. *)
-
-val minimize_exact_small : ?dc:Cover.t -> Cover.t -> Cover.t
-(** Quine–McCluskey style exact minimization for small variable counts
-    (<= 10); used by tests as a reference and by node remapping when cheap. *)

@@ -265,3 +265,240 @@ module Monolithic = struct
     in
     fixpoint init init [ init ]
 end
+
+(* Two-level minimization references: the kernel as it was before its
+   REDUCE cofactored, each cube's essential part being [c] sharp the whole
+   rest of the cover plus the DC set.  [minimize] runs the old loop on the
+   old passes: EXPAND sweeps to a fixpoint, IRREDUNDANT's tautology check
+   always splits, and [complement] sweeps the union of a split's halves for
+   containment instead of merging them.  The library must return the same
+   cube lists.  [minimize_exact_small] is a Quine-McCluskey minimizer for
+   small variable counts, the quality reference for the heuristic. *)
+module Two_level = struct
+  module Cover = Logic.Cover
+  module Cube = Logic.Cube
+
+  (* the most binate variable, then the most frequent; -1 when none *)
+  let binate_select f =
+    let n = f.Cover.nvars in
+    let pos = Array.make n 0 and neg = Array.make n 0 in
+    List.iter
+      (Cube.iteri (fun v l ->
+           match l with
+           | Cube.One -> pos.(v) <- pos.(v) + 1
+           | Cube.Zero -> neg.(v) <- neg.(v) + 1
+           | Cube.Both -> ()))
+      f.Cover.cubes;
+    let best = ref (-1) and best_key = ref (-1, -1) in
+    for v = 0 to n - 1 do
+      let key = (min pos.(v) neg.(v), pos.(v) + neg.(v)) in
+      if pos.(v) + neg.(v) > 0 && key > !best_key then begin
+        best := v;
+        best_key := key
+      end
+    done;
+    !best
+
+  let has_universe f = List.exists (fun c -> Cube.lit_count c = 0) f.Cover.cubes
+
+  let rec complement f =
+    let n = f.Cover.nvars in
+    if f.Cover.cubes = [] then Cover.tautology_cover n
+    else if has_universe f then Cover.empty n
+    else
+      match f.Cover.cubes with
+      | [] | [ _ ] -> Cover.complement f
+      | _ :: _ :: _ ->
+        let v = binate_select f in
+        let attach value g =
+          let lit = Cube.set_var (Cube.universe n) v value in
+          List.filter_map (Cube.intersect lit) g.Cover.cubes
+        in
+        let hi = complement (Cover.cofactor f v Cube.One) in
+        let lo = complement (Cover.cofactor f v Cube.Zero) in
+        Cover.single_cube_containment
+          (Cover.make n (attach Cube.One hi @ attach Cube.Zero lo))
+
+  let rec is_tautology f =
+    if has_universe f then true
+    else if f.Cover.cubes = [] then false
+    else
+      let v = binate_select f in
+      v >= 0
+      && is_tautology (Cover.cofactor f v Cube.One)
+      && is_tautology (Cover.cofactor f v Cube.Zero)
+
+  let others ~dc kept rest =
+    let cubes = List.rev_append kept (List.rev_append rest dc.Cover.cubes) in
+    { dc with Cover.cubes }
+
+  let expand ~off f =
+    let feasible c =
+      not (List.exists (Cube.intersects c) off.Cover.cubes)
+    in
+    let expand_cube cube =
+      let current = Cube.copy cube in
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for v = 0 to Cube.nvars cube - 1 do
+          let saved = Cube.get current v in
+          if saved <> Cube.Both then begin
+            Cube.set current v Cube.Both;
+            if feasible current then changed := true
+            else Cube.set current v saved
+          end
+        done
+      done;
+      current
+    in
+    Cover.single_cube_containment
+      { f with Cover.cubes = List.map expand_cube f.Cover.cubes }
+
+  let irredundant ~dc f =
+    let rec loop kept = function
+      | [] -> List.rev kept
+      | c :: rest ->
+        if is_tautology (Cover.cube_cofactor (others ~dc kept rest) c) then
+          loop kept rest
+        else loop (c :: kept) rest
+    in
+    { f with Cover.cubes = loop [] f.Cover.cubes }
+
+  let reduce ~dc f =
+    let rec loop kept = function
+      | [] -> List.rev kept
+      | c :: rest ->
+        let rest_cover = others ~dc kept rest in
+        let essential =
+          if rest_cover.Cover.cubes = [] then [ c ]
+          else
+            (Cover.intersect
+               { f with Cover.cubes = [ c ] }
+               (complement rest_cover))
+              .Cover.cubes
+        in
+        (match essential with
+         | [] -> loop kept rest
+         | first :: more ->
+           loop (List.fold_left Cube.supercube first more :: kept) rest)
+    in
+    { f with Cover.cubes = loop [] f.Cover.cubes }
+
+  let minimize ?dc f =
+    let dc = match dc with Some d -> d | None -> Cover.empty f.Cover.nvars in
+    if Cover.is_empty f then f
+    else begin
+      let off = complement (Cover.union f dc) in
+      let cost f = (Cover.size f, Cover.lit_count f) in
+      let rec loop best =
+        let candidate = best |> expand ~off |> irredundant ~dc |> reduce ~dc in
+        let candidate = expand ~off candidate |> irredundant ~dc in
+        if cost candidate < cost best then loop candidate else best
+      in
+      loop (expand ~off f |> irredundant ~dc)
+    end
+
+  let all_minterms_of f dc =
+    let n = f.Cover.nvars in
+    let on = ref [] and care = ref [] in
+    let point = Array.make n false in
+    let rec enum v =
+      if v = n then begin
+        let in_f = Cover.eval f point and in_dc = Cover.eval dc point in
+        if in_f || in_dc then care := Array.copy point :: !care;
+        if in_f && not in_dc then on := Array.copy point :: !on
+      end
+      else begin
+        point.(v) <- false;
+        enum (v + 1);
+        point.(v) <- true;
+        enum (v + 1)
+      end
+    in
+    enum 0;
+    (List.rev !on, List.rev !care)
+
+  let prime_implicants n care_points =
+    (* Iterative consensus over minterm cubes restricted to the care set. *)
+    let module CS = Set.Make (struct
+      type t = Cube.t
+      let compare = Cube.compare
+    end) in
+    let care = Cover.make n (List.map (Cube.minterm n) care_points) in
+    let start = CS.of_list (List.map (Cube.minterm n) care_points) in
+    let rec grow current =
+      let next = ref CS.empty and merged = ref CS.empty in
+      let items = CS.elements current in
+      List.iteri
+        (fun i a ->
+          List.iteri
+            (fun j b ->
+              if j > i && Cube.distance a b = 1 then
+                match Cube.consensus a b with
+                | Some c when Cube.contains c a && Cube.contains c b ->
+                  (* adjacent merge (a, b differ in exactly one variable) *)
+                  if Cover.covers_cube care c then begin
+                    next := CS.add c !next;
+                    merged := CS.add a (CS.add b !merged)
+                  end
+                | Some _ | None -> ())
+            items)
+        items;
+      let primes = CS.diff current !merged in
+      if CS.is_empty !next then primes else CS.union primes (grow !next)
+    in
+    CS.elements (grow start)
+
+  let minimize_exact_small ?dc f =
+    let n = f.Cover.nvars in
+    assert (n <= 12);
+    let dc = match dc with Some d -> d | None -> Cover.empty n in
+    let on, care = all_minterms_of f dc in
+    if on = [] then Cover.empty n
+    else begin
+      let primes = prime_implicants n care in
+      (* Greedy set cover of ON minterms by primes, preferring big cubes. *)
+      let primes =
+        List.sort
+          (fun a b -> compare (Cube.lit_count a) (Cube.lit_count b))
+          primes
+      in
+      let chosen = ref [] in
+      (* Essential primes first. *)
+      List.iter
+        (fun m ->
+          match List.filter (fun p -> Cube.eval p m) primes with
+          | [ only ] when not (List.memq only !chosen) ->
+            chosen := only :: !chosen
+          | [] | [ _ ] | _ :: _ :: _ -> ())
+        on;
+      let uncovered =
+        ref
+          (List.filter
+             (fun m -> not (List.exists (fun p -> Cube.eval p m) !chosen))
+             on)
+      in
+      while !uncovered <> [] do
+        let best = ref None and best_gain = ref (-1) in
+        List.iter
+          (fun p ->
+            if not (List.memq p !chosen) then begin
+              let gain =
+                List.length (List.filter (fun m -> Cube.eval p m) !uncovered)
+              in
+              if gain > !best_gain then begin
+                best := Some p;
+                best_gain := gain
+              end
+            end)
+          primes;
+        match !best with
+        | Some p ->
+          chosen := p :: !chosen;
+          uncovered := List.filter (fun m -> not (Cube.eval p m)) !uncovered
+        | None -> failwith "minimize_exact_small: cover construction failed"
+      done;
+      Cover.single_cube_containment (Cover.make n !chosen)
+    end
+end

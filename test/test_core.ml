@@ -101,6 +101,32 @@ let prop_unguarded_still_sound =
       let outcome = R.resynthesize ~options mapped in
       (not outcome.R.applied) || Oracle.seq_equivalent mapped outcome.R.network)
 
+(* The DC_ret pass's cone counters on one fixed Table I row.  bbara's
+   resynthesis runs the whole DC_ret pass before the guard declines it: of
+   its 28 cones, four are wider than [max_cone_leaves] and 24 carry a
+   non-empty DC_ret cover. *)
+let test_dc_ret_cone_counters () =
+  let counters =
+    [ "resynth.cones"; "resynth.cones_too_wide"; "resynth.cones_with_dc" ]
+  in
+  let values () =
+    List.map
+      (fun c -> Obs.Metrics.counter_value (Obs.Metrics.counter c))
+      counters
+  in
+  let net = (Circuits.Suite.find "bbara").Circuits.Suite.build () in
+  Obs.Metrics.enable ();
+  let before = values () in
+  let row =
+    Fun.protect ~finally:Obs.Metrics.disable (fun () ->
+        Core.Flow.run_all ~verify:false ~name:"bbara" net)
+  in
+  let counted = List.map2 ( - ) (values ()) before in
+  Alcotest.(check (list int)) "cones, too wide, with DC"
+    [ 28; 4; 24 ] counted;
+  Alcotest.(check bool) "guard declines bbara" true
+    (row.Core.Flow.resynthesized.Core.Flow.stats = None)
+
 (* --- flows --------------------------------------------------------------------- *)
 
 (* A flow result passes its check on a proof or a clean co-simulation; only a
@@ -140,7 +166,9 @@ let () =
           Alcotest.test_case "declines without stems" `Quick
             test_not_applicable_without_stems;
           Alcotest.test_case "bookkeeping when applied" `Quick
-            test_applied_shape ] );
+            test_applied_shape;
+          Alcotest.test_case "DC_ret cone counters on bbara" `Quick
+            test_dc_ret_cone_counters ] );
       ( "flows", [ Alcotest.test_case "row shape" `Quick test_flow_row ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest

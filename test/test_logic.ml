@@ -221,7 +221,7 @@ let prop_minimize_no_growth =
 let prop_exact_preserves =
   QCheck.Test.make ~count:100 ~name:"exact minimization preserves care function"
     (arb_cover_pair n_prop) (fun (f, dc) ->
-      let m = Logic.Minimize.minimize_exact_small ~dc f in
+      let m = Oracle.Two_level.minimize_exact_small ~dc f in
       List.for_all
         (fun p ->
           Logic.Cover.eval dc p
@@ -232,8 +232,62 @@ let prop_heuristic_close_to_exact =
   QCheck.Test.make ~count:100 ~name:"espresso-lite within 2x of exact cubes"
     (arb_cover n_prop) (fun f ->
       let h = Logic.Minimize.minimize f in
-      let e = Logic.Minimize.minimize_exact_small f in
+      let e = Oracle.Two_level.minimize_exact_small f in
       Logic.Cover.size h <= (2 * Logic.Cover.size e) + 1)
+
+(* The kernel against [Oracle.Two_level], its form before REDUCE cofactored
+   and EXPAND, IRREDUNDANT and the complement were cut short: each pass and
+   the full loop, with and without DC, must agree cube for cube.  Widths run
+   up to the largest DC_ret cone (14) and across the 31-variable word
+   boundary (30-33).  Wide cubes bind few variables, so the reference's
+   complement of the whole rest stays small. *)
+let gen_reduce_case =
+  let open QCheck.Gen in
+  oneof [ int_range 1 14; int_range 30 33 ] >>= fun n ->
+  let cube =
+    if n <= 14 then gen_cube n
+    else
+      list_size (int_range 0 4) (pair (int_bound (n - 1)) bool) >|= fun lits ->
+      let c = Logic.Cube.universe n in
+      List.iter
+        (fun (v, b) ->
+          Logic.Cube.set c v (if b then Logic.Cube.One else Logic.Cube.Zero))
+        lits;
+      c
+  in
+  let cubes lo hi = list_size (int_range lo hi) cube in
+  frequency
+    [ (3, pair (cubes 0 6) (cubes 0 3));
+      (1, pair (cubes 0 6) (return []));
+      (1, pair (cubes 1 1) (cubes 0 3));
+      (1, pair (cubes 0 4 >|= List.cons (Logic.Cube.universe n)) (cubes 0 2));
+      (1, pair (cubes 1 4) (cubes 0 2 >|= List.cons (Logic.Cube.universe n))) ]
+  >|= fun (f, dc) -> (Logic.Cover.make n f, Logic.Cover.make n dc)
+
+let prop_reduce_matches_reference =
+  let same a b =
+    List.equal Logic.Cube.equal a.Logic.Cover.cubes b.Logic.Cover.cubes
+  in
+  QCheck.Test.make ~count:1000
+    ~name:"two-level kernel matches its reference"
+    (QCheck.make
+       ~print:(fun (f, dc) ->
+         Format.asprintf "%d vars: %a | %a" f.Logic.Cover.nvars Logic.Cover.pp f
+           Logic.Cover.pp dc)
+       gen_reduce_case)
+    (fun (f, dc) ->
+      let module M = Logic.Minimize in
+      let module R = Oracle.Two_level in
+      let both = Logic.Cover.union f dc in
+      let off = Logic.Cover.complement both in
+      let primes = M.expand ~off f |> M.irredundant ~dc in
+      same (Logic.Cover.complement both) (R.complement both)
+      && same (M.expand ~off f) (R.expand ~off f)
+      && same (M.irredundant ~dc f) (R.irredundant ~dc f)
+      && same (M.reduce ~dc f) (R.reduce ~dc f)
+      && same (M.reduce ~dc primes) (R.reduce ~dc primes)
+      && same (M.minimize ~dc f) (R.minimize ~dc f)
+      && same (M.minimize f) (R.minimize f))
 
 let prop_minimize_irredundant =
   QCheck.Test.make ~count:150 ~name:"minimized cover is irredundant"
@@ -392,7 +446,7 @@ let () =
         [ prop_minimize_preserves; prop_minimize_within_dc;
           prop_minimize_no_growth; prop_exact_preserves;
           prop_heuristic_close_to_exact; prop_minimize_irredundant;
-          prop_minimize_prime ];
+          prop_minimize_prime; prop_reduce_matches_reference ];
       qsuite "algebra-props" [ prop_kernels_divide; prop_supercube_contains ];
       ( "truthtab",
         [ Alcotest.test_case "roundtrip" `Quick test_tt_roundtrip;
