@@ -496,8 +496,11 @@ let resynthesize ?(options = default_options) ?(hooks = []) original =
         Obs.Metrics.observe m_area_ratio
           (int_of_float ((100.0 *. a1 /. a0) +. 0.5))
     end
-    else if String.starts_with ~prefix:"guarded" outcome.note then
-      Obs.Metrics.incr m_guarded
+    else if String.starts_with ~prefix:"guarded" outcome.note then begin
+      (* the DC_ret work on a guarded row is done before the guard drops it *)
+      Obs.Metrics.incr m_guarded;
+      Obs.Metrics.add m_simplified outcome.simplified_cones
+    end
     else Obs.Metrics.incr m_skipped
   end;
   outcome

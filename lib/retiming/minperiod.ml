@@ -86,10 +86,14 @@ let big = max_int / 4
    among minimum-register paths (delays of both endpoints included).  The
    host (vertex 0) is never an intermediate vertex: a PO-to-PI hop through
    the environment is not a combinational timing path, so it must not
-   generate period constraints. *)
+   generate period constraints.  The delays are decimal, so D's bits depend
+   on how its sums associate: the relaxation keeps Floyd-Warshall's order,
+   d(u,k) + d(k,v) with k outermost, and adds v's delay last.  D is
+   [neg_infinity] exactly where W is [big]. *)
 let wd_matrices g =
-  let w = Array.make_matrix g.nv g.nv big in
-  let d = Array.make_matrix g.nv g.nv neg_infinity in
+  let n = g.nv in
+  let w = Array.make_matrix n n big in
+  let d = Array.make_matrix n n neg_infinity in
   List.iter
     (fun (u, v, wt) ->
       if wt < w.(u).(v) || (wt = w.(u).(v) && g.delay.(u) > d.(u).(v)) then begin
@@ -97,28 +101,48 @@ let wd_matrices g =
         d.(u).(v) <- g.delay.(u)
       end)
     g.edges;
-  for k = 1 to g.nv - 1 do
-    for u = 0 to g.nv - 1 do
-      if w.(u).(k) < big then
-        for v = 0 to g.nv - 1 do
-          if w.(k).(v) < big then begin
-            let nw = w.(u).(k) + w.(k).(v) in
-            let nd = d.(u).(k) +. d.(k).(v) in
-            if nw < w.(u).(v) || (nw = w.(u).(v) && nd > d.(u).(v)) then begin
-              w.(u).(v) <- nw;
-              d.(u).(v) <- nd
-            end
+  (* row k's finite columns, rebuilt for each intermediate k *)
+  let cols = Array.make n 0 in
+  for k = 1 to n - 1 do
+    let wk = w.(k) and dk = d.(k) in
+    let m = ref 0 in
+    Array.iteri
+      (fun v wkv ->
+        if wkv < big then begin
+          cols.(!m) <- v;
+          incr m
+        end)
+      wk;
+    (* W(k,k) >= 1, since a register-free cycle would be a combinational
+       loop: neither row k nor column k changes while k is the
+       intermediate, so both are read once.  Every index below is a vertex
+       (< n), hence the unchecked accesses. *)
+    for u = 0 to n - 1 do
+      let wu = w.(u) and du = d.(u) in
+      let wuk = wu.(k) and duk = du.(k) in
+      if wuk < big then
+        for j = 0 to !m - 1 do
+          let v = Array.unsafe_get cols j in
+          let nw = wuk + Array.unsafe_get wk v in
+          let wuv = Array.unsafe_get wu v in
+          if nw < wuv then begin
+            Array.unsafe_set wu v nw;
+            Array.unsafe_set du v (duk +. Array.unsafe_get dk v)
+          end
+          else if nw = wuv then begin
+            let nd = duk +. Array.unsafe_get dk v in
+            if nd > Array.unsafe_get du v then Array.unsafe_set du v nd
           end
         done
     done
   done;
-  let dd = Array.make_matrix g.nv g.nv neg_infinity in
-  for u = 0 to g.nv - 1 do
-    for v = 0 to g.nv - 1 do
-      if w.(u).(v) < big then dd.(u).(v) <- d.(u).(v) +. g.delay.(v)
+  for u = 0 to n - 1 do
+    let du = d.(u) in
+    for v = 0 to n - 1 do
+      du.(v) <- du.(v) +. g.delay.(v)
     done
   done;
-  (w, dd)
+  (w, d)
 
 (* True when the predecessor links ([-1] = none) contain a cycle. *)
 let has_cycle pred =
@@ -138,12 +162,23 @@ let has_cycle pred =
   let rec from v = v < n && (walk v || from (v + 1)) in
   from 0
 
-(* Solve r(u) - r(v) <= c_{uv} by Bellman-Ford; None on negative cycle.
-   Each relaxation records v as u's predecessor.  A cycle among those
-   links is always a negative cycle (CLRS Lemma 24.16), so an infeasible
-   system stops at the first round that closes one instead of running to
-   the round bound; feasible systems relax exactly as without the check. *)
-let solve_constraints nv constraints =
+let m_probes = Obs.Metrics.counter "retiming.probes"
+let m_realizations = Obs.Metrics.counter "retiming.realizations"
+let m_realizations_skipped = Obs.Metrics.counter "retiming.realizations_skipped"
+
+(* Solve r(u) - r(v) <= c_{uv} by Bellman-Ford over the edge constraints
+   (u, v, w(e)) and the period constraints (u, v, W(u,v) - 1) for every
+   D(u,v) > target, read straight off the W/D rows; None on a negative
+   cycle.  Started from r = 0, relaxation converges to the greatest
+   solution <= 0 whatever the order, so no constraint list is needed.  Each
+   relaxation records v as u's predecessor.  A cycle among those links is
+   always a negative cycle (CLRS Lemma 24.16), so an infeasible system
+   stops at the first round that closes one instead of running to the
+   round bound; feasible systems relax exactly as without the check. *)
+let feasible_retiming g (w, d) target =
+  Obs.Metrics.incr m_probes;
+  let nv = g.nv in
+  let bound = target +. 1e-9 in
   let r = Array.make nv 0 in
   let pred = Array.make nv (-1) in
   let changed = ref true in
@@ -159,7 +194,17 @@ let solve_constraints nv constraints =
           pred.(u) <- v;
           changed := true
         end)
-      constraints;
+      g.edges;
+    for u = 0 to nv - 1 do
+      let wu = w.(u) and du = d.(u) in
+      for v = 0 to nv - 1 do
+        if du.(v) > bound && r.(u) > r.(v) + wu.(v) - 1 then begin
+          r.(u) <- r.(v) + wu.(v) - 1;
+          pred.(u) <- v;
+          changed := true
+        end
+      done
+    done;
     if !changed then cyclic := has_cycle pred
   done;
   if !changed then None
@@ -168,25 +213,47 @@ let solve_constraints nv constraints =
     Some (Array.map (fun x -> x - shift) r)
   end
 
-let feasible_retiming g (w, d) target =
-  let constraints = ref [] in
-  List.iter (fun (u, v, wt) -> constraints := (u, v, wt) :: !constraints) g.edges;
-  for u = 0 to g.nv - 1 do
-    for v = 0 to g.nv - 1 do
-      if d.(u).(v) > target +. 1e-9 && w.(u).(v) < big then
-        constraints := (u, v, w.(u).(v) - 1) :: !constraints
-    done
-  done;
-  solve_constraints g.nv !constraints
-
-let candidate_periods g (_, d) =
-  let set = Hashtbl.create 64 in
-  for u = 0 to g.nv - 1 do
-    for v = 0 to g.nv - 1 do
-      if d.(u).(v) > neg_infinity then Hashtbl.replace set d.(u).(v) ()
-    done
-  done;
-  List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
+(* The distinct finite D values, ascending.  D holds up to V^2 entries but
+   few distinct ones: they are collected unboxed in an open-addressing set
+   (NaN marks a free slot; D never holds NaN), and only they are sorted. *)
+let candidate_periods (_, d) =
+  let slot keys x =
+    (* + 0.0 sends -0.0 to 0.0, which [Float.equal] does not tell apart *)
+    let b = Int64.to_int (Int64.bits_of_float (x +. 0.0)) in
+    let h = (b lxor (b lsr 32)) * 0x9E3779B97F4A7C1 in
+    let mask = Array.length keys - 1 in
+    let i = ref ((h lxor (h lsr 29)) land mask) in
+    while not (Float.is_nan keys.(!i) || Float.equal keys.(!i) x) do
+      i := (!i + 1) land mask
+    done;
+    !i
+  in
+  let keys = ref (Array.make 256 nan) and size = ref 0 in
+  let add x =
+    let i = slot !keys x in
+    if Float.is_nan !keys.(i) then begin
+      !keys.(i) <- x;
+      incr size;
+      if 2 * !size > Array.length !keys then begin
+        let old = !keys in
+        keys := Array.make (2 * Array.length old) nan;
+        Array.iter
+          (fun k -> if not (Float.is_nan k) then !keys.(slot !keys k) <- k)
+          old
+      end
+    end
+  in
+  Array.iter (Array.iter (fun x -> if x > neg_infinity then add x)) d;
+  let values = Array.make !size 0.0 and n = ref 0 in
+  Array.iter
+    (fun k ->
+      if not (Float.is_nan k) then begin
+        values.(!n) <- k;
+        incr n
+      end)
+    !keys;
+  Array.sort Float.compare values;
+  Array.to_list values
 
 (* --- realization by atomic moves ------------------------------------------- *)
 
@@ -243,39 +310,45 @@ let realize net g r =
 
 (* --- public entry points ---------------------------------------------------- *)
 
+(* Realize labelling [r] on a copy of [net].  The copied network has
+   identical node ids, so the graph tables remain valid for it. *)
+let realize_copy g net r =
+  Obs.Metrics.incr m_realizations;
+  let copy = N.copy net in
+  match realize copy g r with
+  | Ok () ->
+    N.sweep copy;
+    Ok copy
+  | Error e -> Error e
+
 let retime_with g wd net target =
   match feasible_retiming g wd target with
   | None -> Error Infeasible
-  | Some r ->
-    (* The copied network has identical node ids, so the graph tables remain
-       valid for it. *)
-    let copy = N.copy net in
-    (match realize copy g r with
-     | Ok () ->
-       N.sweep copy;
-       Ok copy
-     | Error e -> Error e)
+  | Some r -> realize_copy g net r
 
-(* Index of the smallest candidate period [feasible] accepts.  Feasibility
+(* Index of the smallest of [n] candidates [feasible] accepts.  Feasibility
    is monotone in the period, so the largest candidate is probed first and
-   then the range is bisected; None when even the largest fails. *)
-let smallest_feasible candidates feasible =
-  let n = Array.length candidates in
-  if n = 0 || not (feasible candidates.(n - 1)) then None
+   then the range is bisected, each index at most once; None when even the
+   largest fails. *)
+let smallest_feasible n feasible =
+  if n = 0 || not (feasible (n - 1)) then None
   else begin
     let lo = ref 0 and hi = ref (n - 1) in
     while !lo < !hi do
       let mid = (!lo + !hi) / 2 in
-      if feasible candidates.(mid) then hi := mid else lo := mid + 1
+      if feasible mid then hi := mid else lo := mid + 1
     done;
     Some !lo
   end
 
-let min_period g wd feasible =
-  let candidates = Array.of_list (candidate_periods g wd) in
+let min_period wd feasible =
+  let candidates = Array.of_list (candidate_periods wd) in
   if Array.length candidates = 0 then Ok 0.0
   else
-    match smallest_feasible candidates feasible with
+    match
+      smallest_feasible (Array.length candidates) (fun i ->
+          feasible candidates.(i))
+    with
     | Some i -> Ok candidates.(i)
     | None -> Error Infeasible
 
@@ -288,7 +361,7 @@ let with_graph net model k =
 
 let min_feasible_period net model =
   with_graph net model (fun g wd ->
-      min_period g wd (fun c -> feasible_retiming g wd c <> None))
+      min_period wd (fun c -> feasible_retiming g wd c <> None))
 
 let retime net ~model ~target =
   with_graph net model (fun g wd -> retime_with g wd net target)
@@ -302,22 +375,42 @@ let retime_min_period ?current_period net ~model =
       in
       let candidates =
         Array.of_list
-          (List.filter (fun c -> c < current -. 1e-9) (candidate_periods g wd))
+          (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))
+      in
+      let n = Array.length candidates in
+      (* the search and the walk share the labellings: each candidate is
+         probed at most once *)
+      let labellings = Array.make n None in
+      let probe i =
+        match labellings.(i) with
+        | Some r -> r
+        | None ->
+          let r = feasible_retiming g wd candidates.(i) in
+          labellings.(i) <- Some r;
+          r
       in
       (* the smallest graph-feasible candidate, then upward until one is
-         also realizable (initial states computable) *)
-      let rec walk_up i =
-        if i >= Array.length candidates then Error Infeasible
+         also realizable (initial states computable).  Labellings only grow
+         pointwise as the period rises, and [realize] is a function of the
+         network and the labelling: a step whose labelling equals the one
+         that just failed fails the same way, without a copy. *)
+      let rec walk_up i failed =
+        if i >= n then Error Infeasible
         else
-          match retime_with g wd net candidates.(i) with
-          | Ok net' -> Ok (net', candidates.(i))
-          | Error (Init_state _ | Stuck _ | Infeasible) -> walk_up (i + 1)
-          | Error (Too_large _) as e -> e
+          match probe i with
+          | None -> walk_up (i + 1) None
+          | Some r when failed = Some r ->
+            Obs.Metrics.incr m_realizations_skipped;
+            walk_up (i + 1) failed
+          | Some r -> (
+            match realize_copy g net r with
+            | Ok net' -> Ok (net', candidates.(i))
+            | Error (Init_state _ | Stuck _ | Infeasible) ->
+              walk_up (i + 1) (Some r)
+            | Error (Too_large _) as e -> e)
       in
-      match
-        smallest_feasible candidates (fun c -> feasible_retiming g wd c <> None)
-      with
-      | Some i -> walk_up i
+      match smallest_feasible n (fun i -> probe i <> None) with
+      | Some i -> walk_up i None
       | None -> Error Infeasible)
 
 module Internal = struct
@@ -330,5 +423,8 @@ module Internal = struct
 
   let build_graph = build_graph
   let wd_matrices = wd_matrices
+  let feasible_retiming = feasible_retiming
+  let candidate_periods = candidate_periods
+  let realize = realize
   let min_period = min_period
 end

@@ -2,14 +2,26 @@
 
     The retiming graph has one vertex per logic node plus a host vertex for
     the environment; edge weights count the latches between logic nodes.
-    Feasibility of a target period uses the classical W/D-matrix difference
-    constraints solved by Bellman–Ford; the minimum period is found by binary
-    search over the distinct D values.
+    Feasibility of a target period is decided by Bellman–Ford over the
+    classical difference constraints: the edge constraints and, for every
+    pair with D(u,v) above the target, the period constraint
+    r(u) - r(v) <= W(u,v) - 1, read straight off the W/D rows on each
+    relaxation round (no constraint list is built).  The minimum period is
+    found by binary search over the distinct D values.
 
     A computed retiming vector is *realized* on the netlist as a sequence of
     atomic moves (so that initial states are computed move by move); this can
     fail when a backward move has no initial-state preimage — the same
-    failure mode the paper reports for SIS retiming. *)
+    failure mode the paper reports for SIS retiming.  {!retime_min_period}
+    then walks up the candidate periods.  The search and the walk probe each
+    candidate at most once, and a step whose labelling equals the one that
+    just failed is skipped without copying the network: realization is a
+    function of the network and the labelling.
+
+    Counters: [retiming.probes] (feasibility probes),
+    [retiming.realizations] (network copies realized) and
+    [retiming.realizations_skipped] (walk steps that repeated a failed
+    labelling). *)
 
 type failure =
   | Too_large of int
@@ -57,9 +69,22 @@ module Internal : sig
   val build_graph : Netlist.Network.t -> Sta.model -> graph
 
   val wd_matrices : graph -> int array array * float array array
+  (** (W, D): D includes both endpoints' delays and is [neg_infinity]
+      exactly where W has no path. *)
+
+  val feasible_retiming :
+    graph -> int array array * float array array -> float -> int array option
+  (** The labelling (host at 0) meeting the target period, or None. *)
+
+  val candidate_periods : int array array * float array array -> float list
+  (** The distinct finite D values, ascending. *)
+
+  val realize :
+    Netlist.Network.t -> graph -> int array -> (unit, failure) result
+  (** Apply a labelling to the network in place by atomic moves. *)
 
   val min_period :
-    graph -> int array array * float array array -> (float -> bool) ->
+    int array array * float array array -> (float -> bool) ->
     (float, failure) result
   (** The smallest candidate period (a distinct D value) the predicate
       accepts, found by the same search {!min_feasible_period} uses. *)

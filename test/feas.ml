@@ -87,4 +87,4 @@ let feasible (g : I.graph) target =
    [Retiming.Minperiod.min_feasible_period]. *)
 let min_period net model =
   let g = I.build_graph net model in
-  I.min_period g (I.wd_matrices g) (feasible g)
+  I.min_period (I.wd_matrices g) (feasible g)

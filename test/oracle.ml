@@ -502,3 +502,167 @@ module Two_level = struct
       Cover.single_cube_containment (Cover.make n !chosen)
     end
 end
+
+(* Min-period retiming as [Retiming.Minperiod] solved it before its probes
+   read the period constraints off the W/D rows.  W and D come from the
+   Floyd-Warshall loop that indexes the matrices afresh on every step, with
+   the sink delays added into a third matrix; every feasibility probe builds
+   its constraint list and runs Bellman-Ford over it; the candidate periods
+   go through a polymorphic [Hashtbl]; and the walk above the smallest
+   feasible candidate probes again and realizes at every step.  The library
+   must give bit-identical matrices, the same candidates, the same labelling
+   at every candidate and the same retimed network and period. *)
+module Minperiod_ref = struct
+  module M = Retiming.Minperiod
+  module I = Retiming.Minperiod.Internal
+  module N = Netlist.Network
+
+  let big = max_int / 4
+
+  let wd_matrices g =
+    let nv = g.I.nv in
+    let w = Array.make_matrix nv nv big in
+    let d = Array.make_matrix nv nv neg_infinity in
+    List.iter
+      (fun (u, v, wt) ->
+        if wt < w.(u).(v) || (wt = w.(u).(v) && g.I.delay.(u) > d.(u).(v))
+        then begin
+          w.(u).(v) <- wt;
+          d.(u).(v) <- g.I.delay.(u)
+        end)
+      g.I.edges;
+    for k = 1 to nv - 1 do
+      for u = 0 to nv - 1 do
+        if w.(u).(k) < big then
+          for v = 0 to nv - 1 do
+            if w.(k).(v) < big then begin
+              let nw = w.(u).(k) + w.(k).(v) in
+              let nd = d.(u).(k) +. d.(k).(v) in
+              if nw < w.(u).(v) || (nw = w.(u).(v) && nd > d.(u).(v)) then begin
+                w.(u).(v) <- nw;
+                d.(u).(v) <- nd
+              end
+            end
+          done
+      done
+    done;
+    let dd = Array.make_matrix nv nv neg_infinity in
+    for u = 0 to nv - 1 do
+      for v = 0 to nv - 1 do
+        if w.(u).(v) < big then dd.(u).(v) <- d.(u).(v) +. g.I.delay.(v)
+      done
+    done;
+    (w, dd)
+
+  let has_cycle pred =
+    let n = Array.length pred in
+    let state = Array.make n 0 in
+    let rec walk v =
+      if v < 0 || state.(v) = 2 then false
+      else if state.(v) = 1 then true
+      else begin
+        state.(v) <- 1;
+        let cyclic = walk pred.(v) in
+        state.(v) <- 2;
+        cyclic
+      end
+    in
+    let rec from v = v < n && (walk v || from (v + 1)) in
+    from 0
+
+  let solve_constraints nv constraints =
+    let r = Array.make nv 0 in
+    let pred = Array.make nv (-1) in
+    let changed = ref true in
+    let cyclic = ref false in
+    let iterations = ref 0 in
+    while !changed && (not !cyclic) && !iterations <= nv + 2 do
+      changed := false;
+      incr iterations;
+      List.iter
+        (fun (u, v, c) ->
+          if r.(u) > r.(v) + c then begin
+            r.(u) <- r.(v) + c;
+            pred.(u) <- v;
+            changed := true
+          end)
+        constraints;
+      if !changed then cyclic := has_cycle pred
+    done;
+    if !changed then None
+    else begin
+      let shift = r.(0) in
+      Some (Array.map (fun x -> x - shift) r)
+    end
+
+  let feasible_retiming g (w, d) target =
+    let constraints = ref [] in
+    List.iter
+      (fun (u, v, wt) -> constraints := (u, v, wt) :: !constraints)
+      g.I.edges;
+    for u = 0 to g.I.nv - 1 do
+      for v = 0 to g.I.nv - 1 do
+        if d.(u).(v) > target +. 1e-9 && w.(u).(v) < big then
+          constraints := (u, v, w.(u).(v) - 1) :: !constraints
+      done
+    done;
+    solve_constraints g.I.nv !constraints
+
+  let candidate_periods (_, d) =
+    let set = Hashtbl.create 64 in
+    let nv = Array.length d in
+    for u = 0 to nv - 1 do
+      for v = 0 to nv - 1 do
+        if d.(u).(v) > neg_infinity then Hashtbl.replace set d.(u).(v) ()
+      done
+    done;
+    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
+
+  let retime_with g wd net target =
+    match feasible_retiming g wd target with
+    | None -> Error M.Infeasible
+    | Some r ->
+      let copy = N.copy net in
+      (match I.realize copy g r with
+       | Ok () ->
+         N.sweep copy;
+         Ok copy
+       | Error e -> Error e)
+
+  let smallest_feasible candidates feasible =
+    let n = Array.length candidates in
+    if n = 0 || not (feasible candidates.(n - 1)) then None
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if feasible candidates.(mid) then hi := mid else lo := mid + 1
+      done;
+      Some !lo
+    end
+
+  let retime_min_period net ~model =
+    let g = I.build_graph net model in
+    if g.I.nv > 1200 then Error (M.Too_large g.I.nv)
+    else begin
+      let wd = wd_matrices g in
+      let current = Sta.clock_period net model in
+      let candidates =
+        Array.of_list
+          (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))
+      in
+      let rec walk_up i =
+        if i >= Array.length candidates then Error M.Infeasible
+        else
+          match retime_with g wd net candidates.(i) with
+          | Ok net' -> Ok (net', candidates.(i))
+          | Error (M.Init_state _ | M.Stuck _ | M.Infeasible) -> walk_up (i + 1)
+          | Error (M.Too_large _) as e -> e
+      in
+      match
+        smallest_feasible candidates (fun c -> feasible_retiming g wd c <> None)
+      with
+      | Some i -> walk_up i
+      | None -> Error M.Infeasible
+    end
+end
