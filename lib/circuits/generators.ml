@@ -38,38 +38,43 @@ let rec random_cover rng k =
     random_cover rng k
   else cover
 
-let pick rng items =
-  let arr = Array.of_list items in
-  arr.(Random.State.int rng (Array.length arr))
+let pick rng arr = arr.(Random.State.int rng (Array.length arr))
 
 let random_sequential ~seed profile =
   let rng = Random.State.make [| seed |] in
   let net = N.create ~name:(Printf.sprintf "rand%d" seed) () in
   let pis =
-    List.init profile.npi (fun i ->
+    Array.init profile.npi (fun i ->
         N.add_input net (Printf.sprintf "in%d" i))
   in
   (* Latches first, with placeholder data (a PI), rewired after gates exist;
      this permits FSM-style feedback. *)
-  let placeholder = List.nth pis 0 in
+  let placeholder = pis.(0) in
   let latches =
-    List.init profile.nlatch (fun i ->
+    Array.init profile.nlatch (fun i ->
         N.add_latch net
           ~name:(Printf.sprintf "r%d" i)
           (if Random.State.bool rng then N.I1 else N.I0)
           placeholder)
   in
+  let npi = Array.length pis and nlatch = Array.length latches in
   (* Gates in layers: each gate draws fanins from earlier gates, PIs and
      latch outputs.  stem_bias resamples a fanin to be a latch output, giving
-     latches multiple fanouts. *)
-  let gates = ref [] in
+     latches multiple fanouts.  Source [j] is a PI, then a latch, then a
+     gate, newest first: [gates.(i - 1)] is source [npi + nlatch]. *)
+  let gates = Array.make profile.ngates placeholder in
   for i = 0 to profile.ngates - 1 do
-    let sources = pis @ latches @ !gates in
+    let nsources = npi + nlatch + i in
+    let source j =
+      if j < npi then pis.(j)
+      else if j < npi + nlatch then latches.(j - npi)
+      else gates.(i - 1 - (j - npi - nlatch))
+    in
     let k = 2 + Random.State.int rng (max 1 (profile.max_fanin - 1)) in
     let fanin () =
-      if latches <> [] && Random.State.float rng 1.0 < profile.stem_bias then
+      if nlatch > 0 && Random.State.float rng 1.0 < profile.stem_bias then
         pick rng latches
-      else pick rng sources
+      else source (Random.State.int rng nsources)
     in
     (* distinct fanins *)
     let rec distinct acc n =
@@ -80,31 +85,33 @@ let random_sequential ~seed profile =
         else distinct (f :: acc) (n - 1)
       end
     in
-    let fanins = distinct [] (min k (List.length sources)) in
+    let fanins = distinct [] (min k nsources) in
     let k = List.length fanins in
     let cover = random_cover rng k in
-    let g = N.add_logic net ~name:(Printf.sprintf "g%d" i) cover fanins in
-    gates := g :: !gates
+    gates.(i) <- N.add_logic net ~name:(Printf.sprintf "g%d" i) cover fanins
   done;
-  let all_gates = !gates in
-  (* Rewire latch data. *)
-  List.iter
+  let ngates = profile.ngates in
+  let newest j = gates.(ngates - 1 - j) in
+  (* Rewire latch data: with feedback from the gates (newest first), else
+     from the PIs, then the gates. *)
+  Array.iter
     (fun l ->
-      let candidates =
-        if profile.feedback then all_gates @ pis else pis @ all_gates
-      in
       let data =
-        if profile.feedback && all_gates <> [] then pick rng all_gates
-        else pick rng candidates
+        if profile.feedback && ngates > 0 then
+          newest (Random.State.int rng ngates)
+        else
+          let j = Random.State.int rng (npi + ngates) in
+          if j < npi then pis.(j) else newest (j - npi)
       in
       N.replace_fanin net l ~old_fanin:(N.latch_data net l) ~new_fanin:data)
     latches;
   (* Outputs from distinct gates when possible. *)
-  let out_sources = if all_gates <> [] then all_gates else pis in
-  List.iteri
-    (fun i _ ->
-      N.set_output net (Printf.sprintf "out%d" i) (pick rng out_sources))
-    (List.init profile.npo Fun.id);
+  let out_sources =
+    if ngates > 0 then Array.init ngates newest else pis
+  in
+  for i = 0 to profile.npo - 1 do
+    N.set_output net (Printf.sprintf "out%d" i) (pick rng out_sources)
+  done;
   (* Some generated gates may be dangling; keep the network tidy but do not
      sweep away latches (they self-justify as state). *)
   N.check net;

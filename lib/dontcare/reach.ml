@@ -141,25 +141,77 @@ let walk m hit rings =
   let steps, start = back (state witness) [] (List.tl rings) in
   { steps; start; witness }
 
-(* The image is a fold of [and_exists] over the conjuncts [ns_k <-> f_k] in
-   bit order.  Each input or present-state variable is quantified with the
-   last conjunct that reads it (built from the last bit back, the first to
-   [claim] it), and those none reads before the first; the budget is checked
-   after every conjunct. *)
+(* The image's conjunct order, a static greedy schedule (Ranjan et al.,
+   IWLS 1995): repeatedly the remaining bit whose conjunct would quantify the
+   most input and present-state variables now, those no other remaining
+   conjunct reads; ties go to the fewest input variables no earlier conjunct
+   read (every present-state variable counts as read from the start), then
+   to the lowest bit.  Each variable is then quantified with its last reader
+   in that order (built from the last conjunct back, the first to [claim]
+   it), and those none reads up front. *)
+let schedule m =
+  let man = m.man in
+  let npi = List.length m.inputs in
+  let supports =
+    Array.of_list (List.map (fun (_, f) -> Bdd.support man f) m.next)
+  in
+  let n = Array.length supports in
+  let readers = Array.make (npi + (2 * n)) 0 in
+  Array.iter (List.iter (fun v -> readers.(v) <- readers.(v) + 1)) supports;
+  let introduced = Array.init (npi + (2 * n)) (fun v -> v >= npi) in
+  let left = Array.make n true in
+  let count p k = List.length (List.filter p supports.(k)) in
+  let rec order acc =
+    let best = ref (-1) and key = ref (min_int, min_int) in
+    (* scanning down, so that a tie goes to the lower bit *)
+    for k = n - 1 downto 0 do
+      if left.(k) then begin
+        let score =
+          ( count (fun v -> readers.(v) = 1) k,
+            - count (fun v -> not introduced.(v)) k )
+        in
+        if compare score !key >= 0 then (best := k; key := score)
+      end
+    done;
+    if !best < 0 then List.rev acc
+    else begin
+      let k = !best in
+      left.(k) <- false;
+      List.iter
+        (fun v -> readers.(v) <- readers.(v) - 1; introduced.(v) <- true)
+        supports.(k);
+      order (k :: acc)
+    end
+  in
+  let claimed = Array.make (npi + (2 * n)) false in
+  let claim v = (not claimed.(v)) && (claimed.(v) <- true; true) in
+  let plan =
+    List.fold_right
+      (fun k acc -> (k, List.filter claim supports.(k)) :: acc)
+      (order []) []
+  in
+  (List.filter claim (leaves m), plan)
+
+(* The image folds [and_exists] over the conjuncts [ns_k <-> f_k] in the
+   {!schedule} order; the budget is checked after every conjunct. *)
 let explore m ~init ~bad =
   let man = m.man in
-  let read = Hashtbl.create 64 in
-  let unread v = not (Hashtbl.mem read v) in
-  let claim v = unread v && (Hashtbl.add read v (); true) in
+  let steps = ref 0 in
+  Obs.Trace.span ~cat:"reach"
+    ~end_args:(fun () -> [ ("image_steps", Obs.Trace.Int !steps) ])
+    "reach/explore"
+  @@ fun () ->
+  let early, plan = schedule m in
+  let next = Array.of_list m.next in
   let conjuncts =
-    List.fold_right
-      (fun (ps, f) acc ->
-        let last = List.filter claim (Bdd.support man f) in
-        (Bdd.bxnor man (Bdd.var man (ps + 1)) f, last) :: acc)
-      m.next []
+    List.map
+      (fun (k, vars) ->
+        let ps, f = next.(k) in
+        (Bdd.bxnor man (Bdd.var man (ps + 1)) f, vars))
+      plan
   in
-  let early = List.filter unread (leaves m) in
   let image r =
+    incr steps;
     let after =
       List.fold_left
         (fun acc (c, vars) ->
@@ -181,6 +233,10 @@ let explore m ~init ~bad =
     end
   in
   fixpoint init init [ init ]
+
+module Internal = struct
+  let schedule = schedule
+end
 
 (* --- unreachable states (baseline B) --------------------------------------- *)
 

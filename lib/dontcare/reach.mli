@@ -68,10 +68,25 @@ val explore : machine -> init:Bdd.t -> bad:Bdd.t Lazy.t -> outcome
     walked back through the older rings by [any_sat] on [ring AND (f_k ==
     b_k)] over the bits [k] of the current state [b].  The image quantifies
     the variables no next-state function reads up front, then folds
-    [Bdd.and_exists] over the conjuncts [ns_k <-> f_k] in bit order,
-    quantifying each input and present-state variable at its last
-    occurrence, and renames next state to present state.  The budget is
-    checked after every conjunct; [bad] is forced after the first check. *)
+    [Bdd.and_exists] over the conjuncts [ns_k <-> f_k] in a static greedy
+    order (Ranjan et al., IWLS 1995; {!Internal.schedule}), quantifying each
+    input and present-state variable with its last reader in that order,
+    and renames next state to present state.  The order changes no result,
+    only the intermediate BDDs.  The budget is checked after every
+    conjunct; [bad] is forced after the first check.  Records one
+    [reach/explore] span (cat [reach]) with the number of image steps in
+    its args. *)
+
+module Internal : sig
+  val schedule : machine -> int list * (int * int list) list
+  (** The image's plan: the variables quantified up front (no next-state
+      function reads them), then every state bit in conjunct order with the
+      variables quantified at its conjunct.  The order repeatedly takes the
+      remaining bit that would quantify the most input and present-state
+      variables (those no other remaining conjunct reads); ties go to the
+      fewest input variables no earlier conjunct read, then to the lowest
+      bit. *)
+end
 
 val input_vector : machine -> (int * bool) list -> (string * bool) list
 (** The inputs of an assignment, by name. *)

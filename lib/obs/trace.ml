@@ -115,7 +115,7 @@ let finish_span ~name ~cat ~args ~my_depth ~t0 ~g0 =
       major_words = g1.Gc.major_words -. g0.Gc.major_words;
       args }
 
-let span ?(cat = "span") ?(args = []) name f =
+let span ?(cat = "span") ?(args = []) ?end_args name f =
   if not (Atomic.get on) then f ()
   else begin
     let d = Domain.DLS.get depth_key in
@@ -123,15 +123,16 @@ let span ?(cat = "span") ?(args = []) name f =
     d := my_depth + 1;
     let g0 = Gc.quick_stat () in
     let t0 = now_ns () in
+    let finish () =
+      d := my_depth;
+      let args =
+        match end_args with None -> args | Some more -> args @ more ()
+      in
+      finish_span ~name ~cat ~args ~my_depth ~t0 ~g0
+    in
     match f () with
-    | v ->
-      d := my_depth;
-      finish_span ~name ~cat ~args ~my_depth ~t0 ~g0;
-      v
-    | exception e ->
-      d := my_depth;
-      finish_span ~name ~cat ~args ~my_depth ~t0 ~g0;
-      raise e
+    | v -> finish (); v
+    | exception e -> finish (); raise e
   end
 
 let instant ?(cat = "mark") ?(args = []) name =

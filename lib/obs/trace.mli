@@ -39,12 +39,13 @@ val disable : unit -> unit
 val reset : unit -> unit
 (** Drop every recorded span; the enabled state is unchanged. *)
 
-val span : ?cat:string -> ?args:(string * attr) list -> string ->
-  (unit -> 'a) -> 'a
+val span : ?cat:string -> ?args:(string * attr) list ->
+  ?end_args:(unit -> (string * attr) list) -> string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] and, when tracing is enabled, records a complete
     span around it (duration, GC delta, domain track, nesting depth).
-    Exceptions propagate; the span is still recorded.  When disabled this is
-    [f ()] after one atomic load. *)
+    [end_args ()] is appended to [args] when the span closes, for figures
+    only known then.  Exceptions propagate; the span is still recorded.
+    When disabled this is [f ()] after one atomic load. *)
 
 val instant : ?cat:string -> ?args:(string * attr) list -> string -> unit
 (** A zero-duration mark on the current track. *)

@@ -666,3 +666,92 @@ module Minperiod_ref = struct
       | None -> Error M.Infeasible
     end
 end
+
+(* [Circuits.Generators.random_sequential] as it was before it indexed its
+   sources: the source list [pis @ latches @ gates] (gates newest first) is
+   rebuilt for every gate and copied into an array on every draw, and the
+   latch rewiring rebuilds its candidate list for every latch.  The library
+   must draw the same random numbers and build the same netlist. *)
+module Generators_ref = struct
+  module N = Netlist.Network
+  module G = Circuits.Generators
+
+  let rec random_cover rng k =
+    let ncubes = 1 + Random.State.int rng 3 in
+    let cube () =
+      let c = Logic.Cube.universe k in
+      let nlits = 1 + Random.State.int rng k in
+      for _ = 1 to nlits do
+        let v = Random.State.int rng k in
+        Logic.Cube.set c v
+          (if Random.State.bool rng then Logic.Cube.One else Logic.Cube.Zero)
+      done;
+      c
+    in
+    let cover = Logic.Cover.make k (List.init ncubes (fun _ -> cube ())) in
+    if Logic.Cover.is_tautology cover || Logic.Cover.is_empty cover then
+      random_cover rng k
+    else cover
+
+  let pick rng items =
+    let arr = Array.of_list items in
+    arr.(Random.State.int rng (Array.length arr))
+
+  let random_sequential ~seed (profile : G.profile) =
+    let rng = Random.State.make [| seed |] in
+    let net = N.create ~name:(Printf.sprintf "rand%d" seed) () in
+    let pis =
+      List.init profile.G.npi (fun i ->
+          N.add_input net (Printf.sprintf "in%d" i))
+    in
+    let placeholder = List.nth pis 0 in
+    let latches =
+      List.init profile.G.nlatch (fun i ->
+          N.add_latch net
+            ~name:(Printf.sprintf "r%d" i)
+            (if Random.State.bool rng then N.I1 else N.I0)
+            placeholder)
+    in
+    let gates = ref [] in
+    for i = 0 to profile.G.ngates - 1 do
+      let sources = pis @ latches @ !gates in
+      let k = 2 + Random.State.int rng (max 1 (profile.G.max_fanin - 1)) in
+      let fanin () =
+        if latches <> [] && Random.State.float rng 1.0 < profile.G.stem_bias
+        then pick rng latches
+        else pick rng sources
+      in
+      let rec distinct acc n =
+        if n = 0 then acc
+        else begin
+          let f = fanin () in
+          if List.memq f acc then distinct acc n
+          else distinct (f :: acc) (n - 1)
+        end
+      in
+      let fanins = distinct [] (min k (List.length sources)) in
+      let k = List.length fanins in
+      let cover = random_cover rng k in
+      let g = N.add_logic net ~name:(Printf.sprintf "g%d" i) cover fanins in
+      gates := g :: !gates
+    done;
+    let all_gates = !gates in
+    List.iter
+      (fun l ->
+        let candidates =
+          if profile.G.feedback then all_gates @ pis else pis @ all_gates
+        in
+        let data =
+          if profile.G.feedback && all_gates <> [] then pick rng all_gates
+          else pick rng candidates
+        in
+        N.replace_fanin net l ~old_fanin:(N.latch_data net l) ~new_fanin:data)
+      latches;
+    let out_sources = if all_gates <> [] then all_gates else pis in
+    List.iteri
+      (fun i _ ->
+        N.set_output net (Printf.sprintf "out%d" i) (pick rng out_sources))
+      (List.init profile.G.npo Fun.id);
+    N.check net;
+    net
+end

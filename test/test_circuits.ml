@@ -247,6 +247,51 @@ let test_suite_deterministic () =
   Alcotest.(check bool) "same circuit each build" true
     (Sim.Equiv.seq_equal_random ~seed:5 ~vectors:8 ~length:64 a b = None)
 
+(* --- generators ------------------------------------------------------------------ *)
+
+module G = Circuits.Generators
+
+let same_blif seed profile =
+  Netlist.Blif.to_string (G.random_sequential ~seed profile)
+  = Netlist.Blif.to_string
+      (Oracle.Generators_ref.random_sequential ~seed profile)
+
+(* The indexed generator against the list-rebuilding one it replaced
+   ([Oracle.Generators_ref]): byte-identical BLIF, so every random draw is
+   the same.  Profiles cover no latches, no gates, no outputs, stem_bias 0
+   and 1, pipelines and fan-in bounds 2-4.  At stem_bias 1 every fanin is a
+   latch, so a gate needs as many latches as its fan-in. *)
+let prop_generator_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"generator matches the reference"
+    QCheck.(
+      pair
+        (quad (int_range 0 10_000) (int_range 1 6) (int_range 0 4)
+           (oneofl [ 0; 0; 1; 3; 6; 12 ]))
+        (quad (int_range 0 60) (int_range 2 4) bool
+           (oneofl [ 0.0; 1.0; 0.5; 0.25 ])))
+    (fun ((seed, npi, npo, nlatch), (ngates, max_fanin, feedback, stem_bias)) ->
+      let nlatch =
+        if stem_bias = 1.0 && nlatch > 0 then max nlatch max_fanin else nlatch
+      in
+      same_blif seed
+        { G.npi; npo; nlatch; ngates; max_fanin; feedback; stem_bias })
+
+(* the profiles of the suite's generated rows, s5378 included *)
+let test_generator_suite_profiles () =
+  List.iter
+    (fun (seed, npi, npo, nlatch, ngates, stem_bias) ->
+      if
+        not
+          (same_blif seed
+             { G.npi; npo; nlatch; ngates; max_fanin = 3; feedback = true;
+               stem_bias })
+      then Alcotest.failf "seed %d differs from the reference" seed)
+    [ (208, 10, 1, 8, 60, 0.5); (298, 3, 6, 14, 80, 0.5);
+      (344, 9, 11, 15, 100, 0.5); (382, 3, 6, 21, 100, 0.5);
+      (420, 18, 1, 16, 120, 0.5); (510, 19, 7, 6, 130, 0.5);
+      (641, 15, 12, 19, 200, 0.0); (1238, 14, 14, 18, 300, 0.0);
+      (5378, 35, 45, 150, 1600, 0.15) ]
+
 let () =
   Alcotest.run "circuits"
     [ ( "paper-example",
@@ -278,4 +323,9 @@ let () =
           Alcotest.test_case "builds" `Quick test_suite_builds;
           Alcotest.test_case "find" `Quick test_suite_find;
           Alcotest.test_case "deterministic" `Quick test_suite_deterministic ]
+      );
+      ( "generators",
+        [ Alcotest.test_case "suite profiles" `Quick
+            test_generator_suite_profiles;
+          QCheck_alcotest.to_alcotest prop_generator_matches_reference ]
       ) ]

@@ -433,74 +433,155 @@ let prop_engine_matches_explicit_oracle =
    ([Oracle.Monolithic]), on random netlists alone (bad: one full state) and
    as two-part product machines with a single-cube-drop mutant (bad: some
    output differs): the same reached set, or for a hit the same steps, start
-   and witness.  Each net gets [Ix] latches, a constant next-state function
-   and a latch that only drives an output, which no next-state function
-   reads. *)
+   and witness.  Each net gets [Ix] latches (the bits of [k]), a constant
+   next-state function and a latch that only drives an output, which no
+   next-state function reads. *)
+let image_matches_monolithic ~seed ~nlatch ~npi ~ngates k =
+  let net =
+    Circuits.Generators.random_sequential ~seed
+      { Circuits.Generators.default_profile with nlatch; npi; ngates }
+  in
+  List.iteri
+    (fun i l -> if (k lsr i) land 1 = 1 then N.set_latch_init net l N.Ix)
+    (N.latches net);
+  let first = List.hd (N.latches net) in
+  if seed mod 3 = 0 then
+    N.replace_fanin net first ~old_fanin:(N.latch_data net first)
+      ~new_fanin:(N.add_const net (seed mod 2 = 0));
+  N.set_output net "spare"
+    (N.add_latch net ~name:"spare" N.I1 (List.hd (N.inputs net)));
+  let inputs = List.map (fun p -> p.N.name) (N.inputs net) in
+  let npi = List.length inputs in
+  let same ~outputs parts bad =
+    let m = R.machine ~outputs ~max_nodes:max_int ~inputs parts
+    and r = Mono.machine ~outputs ~inputs parts in
+    let old v = if v < npi then v else npi + ((v - npi) / 2) in
+    let old_asn = List.map (fun (v, b) -> (old v, b)) in
+    match
+      ( R.explore m ~init:m.R.init ~bad:(lazy (bad m.R.man m.R.parts)),
+        Mono.explore r ~init:r.Mono.init ~bad:(bad r.Mono.man r.Mono.parts)
+      )
+    with
+    | R.Reached a, R.Reached b -> Bdd.equal (Bdd.rename m.R.man a old) b
+    | R.Hit t, R.Hit u ->
+      t.R.steps = u.R.steps
+      && old_asn t.R.start = u.R.start
+      && old_asn t.R.witness = u.R.witness
+    | (R.Reached _ | R.Hit _), _ -> false
+  in
+  let state_cube man parts =
+    let c = parts.(0) in
+    List.fold_left (Bdd.band man) Bdd.btrue
+      (List.mapi
+         (fun i l ->
+           let v = Bdd.var man (Hashtbl.find c.R.ps_var l.N.id) in
+           if (seed lsr i) land 1 = 1 then v else Bdd.bnot man v)
+         c.R.latches)
+  in
+  let outputs_differ man parts =
+    let a = parts.(0) and b = parts.(1) in
+    let out c name =
+      Hashtbl.find c.R.values (List.assoc name (N.outputs c.R.net)).N.id
+    in
+    List.fold_left
+      (fun acc (name, _) ->
+        Bdd.bor man acc (Bdd.bxor man (out a name) (out b name)))
+      Bdd.bfalse (N.outputs net)
+  in
+  let mutant = drop_cube net k in
+  same ~outputs:false [ (net, N.latches net) ] state_cube
+  && same ~outputs:true
+       [ (net, N.latches net); (mutant, N.latches mutant) ]
+       outputs_differ
+
 let prop_partitioned_image_matches_monolithic =
   QCheck.Test.make ~count:200
     ~name:"partitioned image matches the monolithic relation"
     QCheck.(quad (int_range 0 10_000) (int_range 1 5) (int_range 1 3)
               (int_range 0 63))
     (fun (seed, nlatch, npi, k) ->
+      image_matches_monolithic ~seed ~nlatch ~npi ~ngates:(4 + (seed mod 9)) k)
+
+(* The same on machines large enough for the conjunct schedule to leave
+   bit order: 6-10 latches and 20-40 gates, alone and as product machines
+   of 13-23 state bits. *)
+let prop_partitioned_image_matches_monolithic_large =
+  QCheck.Test.make ~count:60
+    ~name:"larger partitioned images match the monolithic relation"
+    QCheck.(quad (int_range 0 10_000) (int_range 6 10) (int_range 1 4)
+              (int_range 0 1023))
+    (fun (seed, nlatch, npi, k) ->
+      image_matches_monolithic ~seed ~nlatch ~npi ~ngates:(20 + (seed mod 21))
+        k)
+
+(* [Reach.Internal.schedule] on random machines, alone and as product
+   machines: the conjunct order is a permutation of the bits, and every
+   input and present-state variable is quantified exactly once, up front
+   only when no next-state function reads it, else at its last reader. *)
+let prop_schedule_is_sound =
+  QCheck.Test.make ~count:200 ~name:"image schedule quantifies at last readers"
+    QCheck.(quad (int_range 0 10_000) (int_range 1 10) (int_range 1 5)
+              (int_range 0 63))
+    (fun (seed, nlatch, npi, k) ->
       let net =
         Circuits.Generators.random_sequential ~seed
           { Circuits.Generators.default_profile with
-            nlatch;
-            npi;
-            ngates = 4 + (seed mod 9) }
+            nlatch; npi; ngates = 4 + (seed mod 37) }
       in
-      List.iteri
-        (fun i l -> if (k lsr i) land 1 = 1 then N.set_latch_init net l N.Ix)
-        (N.latches net);
-      let first = List.hd (N.latches net) in
-      if seed mod 3 = 0 then
-        N.replace_fanin net first ~old_fanin:(N.latch_data net first)
-          ~new_fanin:(N.add_const net (seed mod 2 = 0));
-      N.set_output net "spare"
-        (N.add_latch net ~name:"spare" N.I1 (List.hd (N.inputs net)));
       let inputs = List.map (fun p -> p.N.name) (N.inputs net) in
-      let npi = List.length inputs in
-      let same ~outputs parts bad =
-        let m = R.machine ~outputs ~max_nodes:max_int ~inputs parts
-        and r = Mono.machine ~outputs ~inputs parts in
-        let old v = if v < npi then v else npi + ((v - npi) / 2) in
-        let old_asn = List.map (fun (v, b) -> (old v, b)) in
-        match
-          ( R.explore m ~init:m.R.init ~bad:(lazy (bad m.R.man m.R.parts)),
-            Mono.explore r ~init:r.Mono.init ~bad:(bad r.Mono.man r.Mono.parts)
-          )
-        with
-        | R.Reached a, R.Reached b -> Bdd.equal (Bdd.rename m.R.man a old) b
-        | R.Hit t, R.Hit u ->
-          t.R.steps = u.R.steps
-          && old_asn t.R.start = u.R.start
-          && old_asn t.R.witness = u.R.witness
-        | (R.Reached _ | R.Hit _), _ -> false
-      in
-      let state_cube man parts =
-        let c = parts.(0) in
-        List.fold_left (Bdd.band man) Bdd.btrue
-          (List.mapi
-             (fun i l ->
-               let v = Bdd.var man (Hashtbl.find c.R.ps_var l.N.id) in
-               if (seed lsr i) land 1 = 1 then v else Bdd.bnot man v)
-             c.R.latches)
-      in
-      let outputs_differ man parts =
-        let a = parts.(0) and b = parts.(1) in
-        let out c name =
-          Hashtbl.find c.R.values (List.assoc name (N.outputs c.R.net)).N.id
+      let sound parts =
+        let m = R.machine ~outputs:false ~max_nodes:max_int ~inputs parts in
+        let early, plan = R.Internal.schedule m in
+        let next = Array.of_list m.R.next in
+        let nbits = Array.length next in
+        let reads k v = List.mem v (Bdd.support m.R.man (snd next.(k))) in
+        let leaves = List.init npi Fun.id @ List.map fst m.R.next in
+        let rec last_readers = function
+          | [] -> true
+          | (k, vars) :: later ->
+            List.for_all
+              (fun v ->
+                reads k v && not (List.exists (fun (j, _) -> reads j v) later))
+              vars
+            && last_readers later
         in
-        List.fold_left
-          (fun acc (name, _) ->
-            Bdd.bor man acc (Bdd.bxor man (out a name) (out b name)))
-          Bdd.bfalse (N.outputs net)
+        List.sort compare (List.map fst plan) = List.init nbits Fun.id
+        && List.sort compare (early @ List.concat_map snd plan)
+           = List.sort compare leaves
+        && List.for_all
+             (fun v -> not (List.exists (fun (j, _) -> reads j v) plan))
+             early
+        && last_readers plan
       in
       let mutant = drop_cube net k in
-      same ~outputs:false [ (net, N.latches net) ] state_cube
-      && same ~outputs:true
-           [ (net, N.latches net); (mutant, N.latches mutant) ]
-           outputs_differ)
+      sound [ (net, N.latches net) ]
+      && sound [ (net, N.latches net); (mutant, N.latches mutant) ])
+
+(* A machine whose schedule leaves bit order: [r0 <- a AND b], [r1 <- c],
+   [r2 <- a].  Bits 0 and 1 each quantify one input ([b], [c]); bit 1 reads
+   fewer fresh inputs, so it goes first, then bit 0, then bit 2 with [a].
+   No next-state function reads a latch, so the state goes up front. *)
+let test_schedule_order () =
+  let net = N.create ~name:"sched" () in
+  let a = N.add_input net "a" and b = N.add_input net "b"
+  and c = N.add_input net "c" in
+  let g = N.add_logic net ~name:"g" and2 [ a; b ] in
+  let r0 = N.add_latch net ~name:"r0" N.I0 g in
+  let r1 = N.add_latch net ~name:"r1" N.I0 c in
+  let r2 = N.add_latch net ~name:"r2" N.I0 a in
+  List.iteri
+    (fun i r -> N.set_output net (Printf.sprintf "o%d" i) r)
+    [ r0; r1; r2 ];
+  let m =
+    R.machine ~outputs:false ~max_nodes:max_int ~inputs:[ "a"; "b"; "c" ]
+      [ (net, [ r0; r1; r2 ]) ]
+  in
+  let early, plan = R.Internal.schedule m in
+  Alcotest.(check (list int)) "state up front" [ 3; 5; 7 ] early;
+  Alcotest.(check (list (pair int (list int))))
+    "order and quantified variables"
+    [ (1, [ 2 ]); (0, [ 1 ]); (2, [ 0 ]) ]
+    plan
 
 let () =
   Alcotest.run "eqcheck"
@@ -533,4 +614,9 @@ let () =
       ( "oracle",
         [ QCheck_alcotest.to_alcotest prop_engine_matches_explicit_oracle;
           QCheck_alcotest.to_alcotest
-            prop_partitioned_image_matches_monolithic ] ) ]
+            prop_partitioned_image_matches_monolithic;
+          QCheck_alcotest.to_alcotest
+            prop_partitioned_image_matches_monolithic_large ] );
+      ( "schedule",
+        [ Alcotest.test_case "order" `Quick test_schedule_order;
+          QCheck_alcotest.to_alcotest prop_schedule_is_sound ] ) ]

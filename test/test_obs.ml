@@ -94,6 +94,27 @@ let test_span_exception () =
     (List.length (Obs.Trace.spans ()));
   reset_all ()
 
+(* [end_args] is read when the span closes, on return and on raise, after
+   the start-time [args]. *)
+let test_span_end_args () =
+  reset_all ();
+  Obs.Trace.enable ();
+  let n = ref 0 in
+  let end_args () = [ ("n", Obs.Trace.Int !n) ] in
+  Obs.Trace.span ~args:[ ("k", Obs.Trace.Str "v") ] ~end_args "ok" (fun () ->
+      n := 2);
+  (try
+     Obs.Trace.span ~end_args "boom" (fun () -> n := 3; failwith "boom")
+   with Failure _ -> ());
+  let args =
+    List.map (fun (s : Obs.Trace.span) -> (s.name, s.args)) (Obs.Trace.spans ())
+  in
+  Alcotest.(check bool) "args then end args" true
+    (List.assoc "ok" args = [ ("k", Obs.Trace.Str "v"); ("n", Obs.Trace.Int 2) ]);
+  Alcotest.(check bool) "end args on raise" true
+    (List.assoc "boom" args = [ ("n", Obs.Trace.Int 3) ]);
+  reset_all ()
+
 (* --- Chrome exporter golden ---------------------------------------------------- *)
 
 (* Fake clock ticking 1 ns per read makes timestamps deterministic: outer
@@ -215,7 +236,8 @@ let () =
       ("trace-unit",
        [ Alcotest.test_case "disabled-zero-alloc" `Quick
            test_disabled_zero_alloc;
-         Alcotest.test_case "span-exception" `Quick test_span_exception ]);
+         Alcotest.test_case "span-exception" `Quick test_span_exception;
+         Alcotest.test_case "span-end-args" `Quick test_span_end_args ]);
       ("export",
        [ Alcotest.test_case "chrome-golden" `Quick test_chrome_golden;
          Alcotest.test_case "spans-json-golden" `Quick test_spans_json_golden ]);
