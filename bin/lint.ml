@@ -101,10 +101,10 @@ let () =
    | None -> ());
   let findings = r.Typedlint.findings in
   (match !json_out with
-   | Some f -> write_file f (Sanitize.render_json findings)
+   | Some f -> write_file f (Lint_common.render_json findings)
    | None -> ());
   if findings <> [] then begin
-    print_endline (Sanitize.render findings);
+    print_endline (Lint_common.render findings);
     Printf.printf "lint: %d finding(s) in %d file(s) scanned\n"
       (List.length findings) r.Typedlint.files_scanned;
     exit 1

@@ -30,7 +30,7 @@
    preformatted protocol line and prints the raw response.
 
    Exit codes: 0 success; 1 request failed / cancelled / timed out /
-   connection refused; 2 usage; 3 the daemon's sanitizer found races. *)
+   connection refused; 2 usage. *)
 
 let usage () =
   prerr_endline
@@ -147,15 +147,7 @@ let serve_main args =
    with Core.Parallel.Pool_start_failed (n, e) ->
      Printf.eprintf "resynthd: cannot start %d workers (--jobs): %s\n" n
        (Printexc.to_string e);
-     exit 2);
-  let findings = Sanitize.findings () in
-  if findings <> [] then begin
-    prerr_string (Sanitize.render findings);
-    prerr_newline ();
-    Printf.eprintf "resynthd: sanitizer reported %d finding(s)\n"
-      (List.length findings);
-    exit 3
-  end
+     exit 2)
 
 (* --- client mode -------------------------------------------------------------------- *)
 

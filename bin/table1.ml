@@ -3,7 +3,7 @@
    Usage: table1 [--jobs N] [--names a,b,c] [--no-verify] [--verify-each]
                  [--verify-json FILE] [--eqcheck-each] [--eqcheck-json FILE]
                  [--trace FILE] [--trace-format chrome|json] [--metrics]
-                 [--metrics-json FILE] [--sanitize] [--sanitize-json FILE]
+                 [--metrics-json FILE]
 
    --jobs N        size of the fork-join worker pool (default 1; 0 = one
                    worker per recommended core), capped at one worker per
@@ -27,13 +27,7 @@
    --metrics       enable the metrics registry and print a text summary of
                    counters, gauges and histograms after the table
    --metrics-json  enable the metrics registry and write the full registry
-                   (including the bdd.* table gauges) as JSON to FILE
-   --sanitize      enable the concurrency sanitizer (lock-order, future
-                   single-claim, DLS scope stamps, BDD scope ownership;
-                   also via SANITIZE=1).  Findings go to stderr and
-                   the run exits 3; table output stays byte-identical
-   --sanitize-json write the sanitizer findings (JSON array, empty on a
-                   clean run) to FILE; implies --sanitize *)
+                   (including the bdd.* table gauges) as JSON to FILE *)
 
 let () =
   let jobs = ref 1 in
@@ -47,8 +41,6 @@ let () =
   let trace_format = ref `Chrome in
   let metrics = ref false in
   let metrics_json = ref None in
-  let sanitize = ref false in
-  let sanitize_json = ref None in
   let rec parse = function
     | [] -> ()
     | "--jobs" :: n :: rest ->
@@ -93,21 +85,13 @@ let () =
     | "--metrics-json" :: file :: rest ->
       metrics_json := Some file;
       parse rest
-    | "--sanitize" :: rest ->
-      sanitize := true;
-      parse rest
-    | "--sanitize-json" :: file :: rest ->
-      sanitize := true;
-      sanitize_json := Some file;
-      parse rest
     | arg :: _ ->
       Printf.eprintf
         "table1: unknown argument %s\n\
          usage: table1 [--jobs N] [--names a,b,c] [--no-verify] \
          [--verify-each] [--verify-json FILE] [--eqcheck-each] \
          [--eqcheck-json FILE] [--trace FILE] [--trace-format chrome|json] \
-         [--metrics] [--metrics-json FILE] [--sanitize] [--sanitize-json \
-         FILE]\n"
+         [--metrics] [--metrics-json FILE]\n"
         arg;
       exit 2
   in
@@ -124,7 +108,6 @@ let () =
         exit 2)
    | None -> ());
   let jobs = if !jobs = 0 then Core.Parallel.default_jobs () else !jobs in
-  if !sanitize then Sanitize.enable ();
   if !trace <> None then Obs.Trace.enable ();
   if !metrics || !metrics_json <> None || !trace <> None then
     Obs.Metrics.enable ();
@@ -191,30 +174,15 @@ let () =
    | Some file ->
      Bdd.publish_stats ();
      Techmap.publish_stats ();
-     Sanitize.publish_stats ();
      Obs.Export.write_file file (Obs.Export.metrics_json ());
      Printf.printf "metrics: written to %s\n" file
    | None -> ());
   if !metrics then begin
     Bdd.publish_stats ();
     Techmap.publish_stats ();
-    Sanitize.publish_stats ();
     print_string (Obs.Export.text_summary ())
-  end;
-  (* sanitizer findings go to stderr only, so a sanitized run's stdout can
-     be compared byte-for-byte against an uninstrumented one *)
-  let san_findings = if !sanitize then Sanitize.findings () else [] in
-  (match !sanitize_json with
-   | Some file -> write_file file (Sanitize.render_json san_findings)
-   | None -> ());
-  if san_findings <> [] then begin
-    prerr_string (Sanitize.render san_findings);
-    prerr_newline ();
-    Printf.eprintf "table1: sanitizer reported %d finding(s)\n"
-      (List.length san_findings)
   end;
   Printf.printf "regenerated in %.1fs (%d jobs)\n"
     (Unix.gettimeofday () -. t0) (* lint-waive: nondet/wall-clock — elapsed-time banner only *)
     jobs;
-  if san_findings <> [] then exit 3;
   if !eq_refuted > 0 then exit 1

@@ -6,7 +6,7 @@
    terminals), an open-addressing unique table, and the ITE, exists and cons
    caches.  No other domain reads or writes it, so it needs no lock, fence or
    atomic.  The one invariant is that a scope is used only on the domain that
-   created it; the sanitizer's [dls/foreign-scope] rule checks it.
+   created it; [owned] checks it on every operation.
 
    A [man] is a *scope*: a lightweight accounting handle onto its domain's
    table.  Each scope tracks the set of distinct nodes its operations consed,
@@ -57,7 +57,6 @@ let make_block () : ba =
 (* --- tables ------------------------------------------------------------------- *)
 
 type table = {
-  t_uid : int;
   mutable blocks : ba array;
   mutable next_id : int;
   (* the unique table: interleaved open-addressing slots, stride 4
@@ -113,9 +112,9 @@ type totals = {
 }
 
 (* Taken once when a domain makes its table, once when it exits, and by
-   [stats]; never while another lock is held.  Ranks above the scheduler
-   queue lock. *)
-let registry_lock = Sanitize.Lock.create ~order:30 ~name:"bdd.registry"
+   [stats].  It is never nested: no critical section on it takes another
+   lock, and none is taken while another lock is held. *)
+let registry_lock = Mutex.create ()
 let live : table list ref = ref []
 
 let retired =
@@ -130,7 +129,7 @@ let retire t =
   and ite_misses = t.ite_misses
   and mk_calls = t.mk_calls
   and unique_hits = t.unique_hits in
-  Sanitize.Lock.lock registry_lock;
+  Mutex.lock registry_lock;
   live := List.filter (fun u -> u != t) !live;
   let r = !retired in
   retired :=
@@ -139,12 +138,11 @@ let retire t =
       r_ite_misses = r.r_ite_misses + ite_misses;
       r_mk_calls = r.r_mk_calls + mk_calls;
       r_unique_hits = r.r_unique_hits + unique_hits };
-  Sanitize.Lock.unlock registry_lock
+  Mutex.unlock registry_lock
 
 let make_table () =
   let t =
-    { t_uid = Atomic.fetch_and_add g_tables 1;
-      (* terminals live in block 0 *)
+    { (* terminals live in block 0 *)
       blocks = [| make_block () |];
       next_id = 2;
       slots = ba_make (initial_slots * 4) (-1);
@@ -164,9 +162,10 @@ let make_table () =
       mk_calls = 0;
       unique_hits = 0 }
   in
-  Sanitize.Lock.lock registry_lock;
+  Atomic.incr g_tables;
+  Mutex.lock registry_lock;
   live := t :: !live;
-  Sanitize.Lock.unlock registry_lock;
+  Mutex.unlock registry_lock;
   Domain.at_exit (fun () -> retire t);
   t
 
@@ -215,9 +214,8 @@ let sub_scope man =
    table, so any other domain using it would race that domain's writes. *)
 let owned man =
   let t = man.table in
-  if Sanitize.enabled () then
-    Sanitize.Dls.scope_used ~scope_table:t.t_uid
-      ~domain_table:(Domain.DLS.get table_key).t_uid;
+  if t != Domain.DLS.get table_key then
+    invalid_arg "Bdd: scope used on a domain other than the one that opened it";
   t
 
 (* --- scope accounting --------------------------------------------------------- *)
@@ -420,8 +418,6 @@ let rec ite_rec man t f g h =
       && t.c_g.(slot) = g
       && t.c_h.(slot) = h
     then begin
-      if Sanitize.enabled () then
-        Sanitize.Dls.cache_hit ~entry_uid:t.c_u.(slot) ~scope_uid:man.uid;
       t.ite_hits <- t.ite_hits + 1;
       t.c_r.(slot)
     end
@@ -506,11 +502,7 @@ let quantify_set man t s f =
       if v > s.top then f
       else
         match Hashtbl.find_opt t.exists_cache f with
-        | Some r ->
-          if Sanitize.enabled () then
-            Sanitize.Dls.cache_hit ~entry_uid:t.exists_owner
-              ~scope_uid:man.uid;
-          r
+        | Some r -> r
         | None ->
           let lo = go (low_of_id t f) and hi = go (high_of_id t f) in
           let r =
@@ -596,7 +588,7 @@ let rename man f mapping =
   go f
 
 let support man f =
-  let t = man.table in
+  let t = owned man in
   let seen = Hashtbl.create 64 in
   let vars = Hashtbl.create 16 in
   let rec go f =
@@ -611,7 +603,7 @@ let support man f =
   List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
 
 let size man f =
-  let t = man.table in
+  let t = owned man in
   let seen = Hashtbl.create 64 in
   let count = ref 0 in
   let rec go f =
@@ -626,7 +618,7 @@ let size man f =
   !count
 
 let sat_count man ~nvars f =
-  let t = man.table in
+  let t = owned man in
   let cache = Hashtbl.create 256 in
   let rec go f =
     (* number of solutions over variables strictly below terminal, weighted
@@ -651,7 +643,7 @@ let sat_count man ~nvars f =
 
 let any_sat man f =
   if f = bfalse then raise Not_found;
-  let t = man.table in
+  let t = owned man in
   let rec go f acc =
     if f = btrue then List.rev acc
     else begin
@@ -663,7 +655,7 @@ let any_sat man f =
   go f []
 
 let eval man f assign =
-  let t = man.table in
+  let t = owned man in
   let rec go f =
     if f = btrue then true
     else if f = bfalse then false
@@ -691,7 +683,7 @@ let of_cover man fanins cover =
 exception Cover_too_large
 
 let to_cover ?(max_cubes = max_int) man ~nvars f =
-  let t = man.table in
+  let t = owned man in
   let cubes = ref [] in
   let count = ref 0 in
   let rec go f prefix =
@@ -731,9 +723,9 @@ type stats = {
 }
 
 let stats () =
-  Sanitize.Lock.lock registry_lock;
+  Mutex.lock registry_lock;
   let tables = !live and r = !retired in
-  Sanitize.Lock.unlock registry_lock;
+  Mutex.unlock registry_lock;
   let sum f = List.fold_left (fun acc t -> acc + f t) 0 tables in
   let nodes = sum (fun t -> t.next_id - 2) in
   let capacity = sum (fun t -> Bigarray.Array1.dim t.slots lsr 2) in

@@ -12,9 +12,10 @@
     indices.
 
     Thread-safety: a scope, and every handle built through it, belongs to
-    the domain that created it and must be used only there (checked by the
-    sanitizer rule [dls/foreign-scope]).  Domains never share a table, so
-    any number of them may build BDDs concurrently. *)
+    the domain that created it and must be used only there: an operation
+    on a scope from any other domain raises [Invalid_argument] (the O(1)
+    accessors {!var_of} and {!node_count} excepted).  Domains never share
+    a table, so any number of them may build BDDs concurrently. *)
 
 type man
 (** A scope onto the calling domain's node table. *)

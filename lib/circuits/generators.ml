@@ -41,6 +41,21 @@ let rec random_cover rng k =
 let pick rng arr = arr.(Random.State.int rng (Array.length arr))
 
 let random_sequential ~seed profile =
+  (* With [stem_bias >= 1] every fanin draw is a latch, so a gate that wants
+     more distinct fanins than there are latches redraws forever.  The
+     newest gate has the most sources; if it cannot want that many, no gate
+     can. *)
+  if
+    profile.stem_bias >= 1.0
+    && profile.nlatch > 0
+    && profile.ngates > 0
+    && min (max 2 profile.max_fanin)
+         (profile.npi + profile.nlatch + profile.ngates - 1)
+       > profile.nlatch
+  then
+    invalid_arg
+      "Generators.random_sequential: stem_bias >= 1 needs at least \
+       max_fanin latches";
   let rng = Random.State.make [| seed |] in
   let net = N.create ~name:(Printf.sprintf "rand%d" seed) () in
   let pis =

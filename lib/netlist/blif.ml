@@ -146,35 +146,33 @@ let parse_string text =
       | [] -> ())
     lines;
   finish_current ();
-  (* Create placeholder nodes for every named signal, then fill them in. *)
+  (* Create placeholder nodes for every defined signal, then fill them in. *)
   let by_name : (string, Network.node) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun n -> Hashtbl.replace by_name n.Network.name n)
     (Network.inputs net);
-  let placeholder name =
+  let declare name =
+    (* temporary constant-0 node; will be turned into logic/latch *)
+    Hashtbl.replace by_name name
+      (Network.add_logic net ~name (Logic.Cover.empty 0) [])
+  in
+  List.iter (fun p -> declare p.output_name) !pending_logic;
+  List.iter (fun (_, output, _) -> declare output) !pending_latches;
+  let find name =
     match Hashtbl.find_opt by_name name with
     | Some n -> n
-    | None ->
-      (* temporary constant-0 node; will be turned into logic/latch *)
-      let n = Network.add_logic net ~name (Logic.Cover.empty 0) [] in
-      Hashtbl.replace by_name name n;
-      n
+    | None -> failwith (Printf.sprintf "blif: %s used but never defined" name)
   in
-  (* declare all targets first *)
-  List.iter (fun p -> ignore (placeholder p.output_name)) !pending_logic;
-  List.iter
-    (fun (_, output, _) -> ignore (placeholder output))
-    !pending_latches;
   (* latches *)
   List.iter
     (fun (input, output, init) ->
-      let data = placeholder input in
+      let data = find input in
       Network.become_latch net (Hashtbl.find by_name output) init data)
     !pending_latches;
   (* logic nodes *)
   List.iter
     (fun p ->
-      let fanins = List.map placeholder p.input_names in
+      let fanins = List.map find p.input_names in
       let n = List.length fanins in
       let on_cubes, off_cubes =
         List.fold_left
@@ -208,6 +206,28 @@ let parse_string text =
       | Some n -> Network.set_output net name n
       | None -> failwith (Printf.sprintf "blif: undriven output %s" name))
     !declared_outputs;
+  (* .names lines that read each other have no evaluation order: name the
+     loop.  [path] is the open DFS stack, innermost first. *)
+  let state = Hashtbl.create 64 in
+  let rec visit path n =
+    if Network.is_logic n then
+      match Hashtbl.find_opt state n.Network.id with
+      | Some `Done -> ()
+      | Some `Open ->
+        let rec loop acc = function
+          | m :: rest -> if m == n then m :: acc else loop (m :: acc) rest
+          | [] -> acc
+        in
+        failwith
+          (Printf.sprintf "blif: combinational cycle through %s"
+             (String.concat ", "
+                (List.map (fun m -> m.Network.name) (loop [] path))))
+      | None ->
+        Hashtbl.replace state n.Network.id `Open;
+        List.iter (visit (n :: path)) (Network.fanin_nodes net n);
+        Hashtbl.replace state n.Network.id `Done
+  in
+  List.iter (visit []) (Network.logic_nodes net);
   net
 
 let parse_file path =

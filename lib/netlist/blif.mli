@@ -4,7 +4,10 @@
     are handled. *)
 
 val parse_string : string -> Network.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Failure] with a line-numbered message on malformed input, and
+    with ["blif: <name> used but never defined"] for a fanin that is no
+    input, latch or [.names] output, ["blif: undriven output <name>"], or
+    ["blif: combinational cycle through <names>"]. *)
 
 val parse_file : string -> Network.t
 

@@ -51,13 +51,7 @@ type 'a state =
   | Running
   | Done of ('a, exn * Printexc.raw_backtrace) result
 
-(* [sid] is the sanitizer's future uid (0 = untracked, when the sanitizer
-   was disabled at fork time).  It rides along so the single-claim checker
-   can pair the claiming CAS with the completing [Done] store. *)
-type 'a future = {
-  cell : 'a state Atomic.t;
-  sid : int;
-}
+type 'a future = 'a state Atomic.t
 
 type task = Task : 'a future -> task
 
@@ -65,47 +59,42 @@ type task = Task : 'a future -> task
    it (a queue entry whose joiner ran it inline).  The CAS is the only way
    [Pending] becomes [Running], so a task body runs exactly once. *)
 let try_run (Task fut) =
-  match Atomic.get fut.cell with
+  match Atomic.get fut with
   | Running | Done _ -> ()
   | Pending f as st ->
-    if Atomic.compare_and_set fut.cell st Running then begin
-      if fut.sid <> 0 then Sanitize.Future.claimed ~fut:fut.sid;
+    if Atomic.compare_and_set fut st Running then begin
       let r =
         match f () with
         | v -> Ok v
         | exception e -> Error (e, Printexc.get_raw_backtrace ())
       in
-      Atomic.set fut.cell (Done r);
-      if fut.sid <> 0 then Sanitize.Future.completed ~fut:fut.sid
+      Atomic.set fut (Done r)
     end
 
 (* [queue] and [quit] are only touched under [lock]; [nonempty] is
-   signalled on every push and broadcast on shutdown. *)
+   signalled on every push and broadcast on shutdown.  [lock] is never
+   nested: no critical section on it takes another lock. *)
 type pool = {
-  lock : Sanitize.Lock.t;
+  lock : Mutex.t;
   nonempty : Condition.t;
   queue : task Queue.t;
   mutable quit : bool;
 }
-
-(* Ranks below the BDD table-registry lock, which a task's first BDD
-   operation takes while the queue lock is *not* held. *)
-let order_queue = 10
 
 (* Ambient scheduler context: which pool this domain works for.  [None]
    outside [run] and on foreign domains — there [fork] executes inline. *)
 let ctx_key : pool option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let push pool t =
-  Sanitize.Lock.lock pool.lock;
+  Mutex.lock pool.lock;
   Queue.push t pool.queue;
   Condition.signal pool.nonempty;
-  Sanitize.Lock.unlock pool.lock
+  Mutex.unlock pool.lock
 
 (* The next queued task, parking while the queue is empty; [None] once the
    pool shuts down. *)
 let take pool =
-  Sanitize.Lock.lock pool.lock;
+  Mutex.lock pool.lock;
   let rec next () =
     if pool.quit then None
     else
@@ -113,12 +102,12 @@ let take pool =
       | Some _ as t -> t
       | None ->
         Obs.Metrics.incr m_parked;
-        Sanitize.Lock.wait pool.nonempty pool.lock;
+        Condition.wait pool.nonempty pool.lock;
         Obs.Metrics.incr m_woken;
         next ()
   in
   let t = next () in
-  Sanitize.Lock.unlock pool.lock;
+  Mutex.unlock pool.lock;
   t
 
 let worker_loop pool =
@@ -133,8 +122,7 @@ let worker_loop pool =
   loop ()
 
 let fork f =
-  let sid = if Sanitize.enabled () then Sanitize.Future.fresh () else 0 in
-  let fut = { cell = Atomic.make (Pending f); sid } in
+  let fut = Atomic.make (Pending f) in
   (match Domain.DLS.get ctx_key with
    | Some pool ->
      Obs.Metrics.incr m_forked;
@@ -158,7 +146,7 @@ let fork f =
    dependency, and since a task can only join futures forked before it,
    that graph is acyclic. *)
 let rec await fut spins =
-  match Atomic.get fut.cell with
+  match Atomic.get fut with
   | Done r -> r
   | Pending _ ->
     try_run (Task fut);
@@ -184,7 +172,7 @@ let run ?jobs f =
   | None ->
     Obs.Metrics.incr m_pools;
     let pool =
-      { lock = Sanitize.Lock.create ~order:order_queue ~name:"sched.queue";
+      { lock = Mutex.create ();
         nonempty = Condition.create ();
         queue = Queue.create ();
         quit = false }
@@ -192,10 +180,10 @@ let run ?jobs f =
     let domains = ref [] in
     let shutdown () =
       Domain.DLS.set ctx_key None;
-      Sanitize.Lock.lock pool.lock;
+      Mutex.lock pool.lock;
       pool.quit <- true;
       Condition.broadcast pool.nonempty;
-      Sanitize.Lock.unlock pool.lock;
+      Mutex.unlock pool.lock;
       List.iter Domain.join !domains
     in
     (* the calling domain is worker 0; a spawn that fails partway shuts

@@ -103,8 +103,7 @@ let enable_streaming () =
 
 let publish_registries () =
   Bdd.publish_stats ();
-  Techmap.publish_stats ();
-  Sanitize.publish_stats ()
+  Techmap.publish_stats ()
 
 let http_metrics_response () =
   let body = publish_registries (); Obs.Export.prometheus_text () in

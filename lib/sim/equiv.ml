@@ -120,46 +120,6 @@ let tseitin solver net ~leaf_var =
   in
   go
 
-let comb_equal_sat ?(conflict_limit = 500_000) a b =
-  let leaves = leaf_names a in
-  if leaf_names b <> leaves then false
-  else if endpoint_names a <> endpoint_names b then false
-  else begin
-    let solver = Sat_lite.create () in
-    let leaf_sat =
-      List.map (fun name -> (name, Sat_lite.new_var solver)) leaves
-    in
-    let leaf_var n = List.assoc n.N.name leaf_sat in
-    let endpoints net =
-      List.map (fun (name, n) -> (name, n.N.id)) (N.outputs net)
-      @ List.map
-          (fun l -> ("next:" ^ l.N.name, (N.latch_data net l).N.id))
-          (N.latches net)
-    in
-    (* miter: OR of XORs of matched endpoints must be unsat; each endpoint
-       gets a fresh encoder, so shared cones are encoded once per endpoint *)
-    let xor_vars =
-      List.map
-        (fun (name, ida) ->
-          let idb = List.assoc name (endpoints b) in
-          let va = tseitin solver a ~leaf_var ida in
-          let vb = tseitin solver b ~leaf_var idb in
-          let x = Sat_lite.new_var solver in
-          (* x <-> va xor vb *)
-          Sat_lite.add_clause solver [ -(x + 1); va + 1; vb + 1 ];
-          Sat_lite.add_clause solver [ -(x + 1); -(va + 1); -(vb + 1) ];
-          Sat_lite.add_clause solver [ x + 1; -(va + 1); vb + 1 ];
-          Sat_lite.add_clause solver [ x + 1; va + 1; -(vb + 1) ];
-          x)
-        (endpoints a)
-    in
-    Sat_lite.add_clause solver (List.map (fun x -> x + 1) xor_vars);
-    match Sat_lite.solve ~conflict_limit solver with
-    | Sat_lite.Unsat -> true
-    | Sat_lite.Sat _ -> false
-    | Sat_lite.Unknown -> raise (Too_large "comb_equal_sat: budget exhausted")
-  end
-
 (* --- random co-simulation --------------------------------------------------- *)
 
 (* Runs go in batches of one word of lanes: run [first + j] is bit [j].  The

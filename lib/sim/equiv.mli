@@ -24,9 +24,6 @@ val comb_equal_exhaustive : Netlist.Network.t -> Netlist.Network.t -> bool
 (** Exhaustive over all leaf assignments; requires matching input and latch
     names and at most 16 leaves. *)
 
-val comb_equal_sat : ?conflict_limit:int -> Netlist.Network.t -> Netlist.Network.t -> bool
-(** Miter + SAT.  Raises {!Too_large} when the budget runs out. *)
-
 val tseitin :
   Sat_lite.t -> Netlist.Network.t ->
   leaf_var:(Netlist.Network.node -> int) -> int -> int

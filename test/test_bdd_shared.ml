@@ -1,8 +1,8 @@
 (* Per-domain BDD table tests: differential agreement between a warm table
    and a cold one in a fresh domain, scope accounting (sub_scope / adopt /
    node_count warmth independence), agreement and canonicity of two domains
-   building concurrently, and the eqcheck cone memo that rides on the
-   domain's table. *)
+   building concurrently, the owner-domain check on every scope, and the
+   eqcheck cone memo that rides on the domain's table. *)
 
 let all_points n =
   List.init (1 lsl n) (fun i -> Array.init n (fun v -> i land (1 lsl v) <> 0))
@@ -146,6 +146,51 @@ let test_two_domain_stress () =
   Alcotest.(check bool) "each domain built its own table" true
     ((Bdd.stats ()).Bdd.tables_created - tables0 >= 2)
 
+(* A scope belongs to the domain that opened it: building through it, or
+   reading a handle through it, from a second domain raises
+   [Invalid_argument].  The main domain waits in [join], so the table itself
+   is not raced; only the ownership break is exercised. *)
+let test_foreign_domain_raises () =
+  let man = Bdd.create () in
+  let x = Bdd.var man 0 in
+  let f = Bdd.band man x (Bdd.var man 1) in
+  let raises op =
+    Domain.join
+      (Domain.spawn (fun () ->
+           match op () with
+           | _ -> false
+           | exception Invalid_argument _ -> true))
+  in
+  Alcotest.(check bool) "var from a second domain" true
+    (raises (fun () -> Bdd.var man 2));
+  Alcotest.(check bool) "ite from a second domain" true
+    (raises (fun () -> Bdd.bor man f x));
+  Alcotest.(check bool) "size from a second domain" true
+    (raises (fun () -> Bdd.size man f));
+  Alcotest.(check bool) "owner domain still builds" true
+    (Bdd.equal (Bdd.bor man f x) x)
+
+(* Scheduler tasks each open their own scope on whichever domain runs
+   them: the ownership check never fires, and the results match jobs=1. *)
+let test_sched_bdd_ownership () =
+  let row seed =
+    let man = Bdd.create () in
+    let x = Bdd.var man (seed mod 5)
+    and y = Bdd.var man ((seed + 1) mod 5)
+    and z = Bdd.var man ((seed + 2) mod 5) in
+    let f = Bdd.bor man (Bdd.band man x y) (Bdd.bxor man y z) in
+    let g = Bdd.exists man [ seed mod 5 ] f in
+    let h = Bdd.ite man f g (Bdd.bnot man z) in
+    (* the same ops again, so the ITE and exists caches hit *)
+    let g' = Bdd.exists man [ seed mod 5 ] f in
+    assert (Bdd.equal g g');
+    Bdd.node_count man + if Bdd.is_false h then 1 else 0
+  in
+  let items = Array.init 32 (fun i -> i) in
+  Alcotest.(check (array int)) "jobs=4 matches jobs=1"
+    (Core.Parallel.map ~jobs:1 row items)
+    (Core.Parallel.map ~jobs:4 row items)
+
 (* The eqcheck cone memo keeps the previous boundary check's post-side BDDs
    alive on the domain's table and reuses them as the next check's pre side.
    On a real flow it must fire at least once and must not change verdicts. *)
@@ -173,7 +218,11 @@ let () =
          Alcotest.test_case "sub_scope and adopt" `Quick
            test_sub_scope_and_adopt ]);
       ("parallel",
-       [ Alcotest.test_case "two-domain stress" `Quick test_two_domain_stress ]);
+       [ Alcotest.test_case "two-domain stress" `Quick test_two_domain_stress;
+         Alcotest.test_case "foreign domain raises" `Quick
+           test_foreign_domain_raises;
+         Alcotest.test_case "sched+bdd under the ownership check" `Quick
+           test_sched_bdd_ownership ]);
       ("eqcheck-memo",
        [ Alcotest.test_case "memo reuse on s27" `Quick test_eqcheck_memo_reuse ])
     ]

@@ -292,6 +292,24 @@ let test_generator_suite_profiles () =
       (641, 15, 12, 19, 200, 0.0); (1238, 14, 14, 18, 300, 0.0);
       (5378, 35, 45, 150, 1600, 0.15) ]
 
+(* At stem_bias 1 a gate wanting more distinct fanins than there are
+   latches would redraw forever; the generator rejects such a profile up
+   front.  Profiles whose gates can all be served still build. *)
+let test_generator_rejects_starved_profile () =
+  let p =
+    { G.npi = 3; npo = 1; nlatch = 1; ngates = 5; max_fanin = 3;
+      feedback = true; stem_bias = 1.0 }
+  in
+  Alcotest.check_raises "one latch, fan-in up to 3"
+    (Invalid_argument
+       "Generators.random_sequential: stem_bias >= 1 needs at least \
+        max_fanin latches")
+    (fun () -> ignore (G.random_sequential ~seed:7 p));
+  List.iter
+    (fun p -> N.check (G.random_sequential ~seed:7 p))
+    [ { p with nlatch = 3 }; { p with ngates = 0 };
+      { p with stem_bias = 0.99 } ]
+
 let () =
   Alcotest.run "circuits"
     [ ( "paper-example",
@@ -327,5 +345,7 @@ let () =
       ( "generators",
         [ Alcotest.test_case "suite profiles" `Quick
             test_generator_suite_profiles;
+          Alcotest.test_case "starved stem_bias profile raises" `Quick
+            test_generator_rejects_starved_profile;
           QCheck_alcotest.to_alcotest prop_generator_matches_reference ]
       ) ]

@@ -246,7 +246,14 @@ let test_blif_malformed () =
       (".names q\n1\n.latch a b 0\n", "blif:6: b defined twice");
       (".names a q\n1 1\n.names b q\n1 1\n", "blif:6: q defined twice");
       ( ".names a q\nx 1\n",
-        "blif:5: cover line for q has a character other than 0, 1 or -" ) ]
+        "blif:5: cover line for q has a character other than 0, 1 or -" );
+      (* a fanin nothing drives is an error, not a constant 0 *)
+      (".names a y q\n11 1\n", "blif: y used but never defined");
+      (".latch y q 0\n", "blif: y used but never defined");
+      (* a .names loop is named, not left to the first topological sort *)
+      ( ".names a t u\n11 1\n.names u t\n1 1\n.names u q\n1 1\n",
+        "blif: combinational cycle through u, t" );
+      (".names a q q\n11 1\n", "blif: combinational cycle through q") ]
 
 let test_blif_width_mismatch () =
   (* cube width must match the .names fanin count, caught at parse time with

@@ -111,6 +111,49 @@ let test_queue_stress () =
     Alcotest.(check (array int)) "queue stress jobs=2 deterministic" expect got
   done
 
+(* --- single claim: every forked body runs exactly once ----------------------------- *)
+
+(* Two joiners race over the same futures: the calling domain and a rival
+   task on the worker both join them front to back.  Whichever loses a
+   future waits for it, so the two arrive at the next one together and both
+   try to claim it.  The [Pending -> Running] CAS in the scheduler must let
+   exactly one of them run each body. *)
+let test_each_body_runs_once () =
+  let n = 500 in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  for _ = 1 to 20 do
+    Array.iter (fun a -> Atomic.set a 0) runs;
+    P.run ~jobs:2 (fun () ->
+        let shared = Atomic.make [||] in
+        (* queued first, so the worker picks it up before any body *)
+        let rival =
+          P.fork (fun () ->
+              let rec wait () =
+                match Atomic.get shared with
+                | [||] ->
+                  Domain.cpu_relax ();
+                  wait ()
+                | futs -> futs
+              in
+              let futs = wait () in
+              Array.fold_left (fun acc f -> acc + P.join f) 0 futs)
+        in
+        let futs =
+          Array.init n (fun i ->
+              P.fork (fun () ->
+                  Atomic.incr runs.(i);
+                  busy (i mod 23)))
+        in
+        Atomic.set shared futs;
+        let mine = Array.fold_left (fun acc f -> acc + P.join f) 0 futs in
+        Alcotest.(check int) "racing joins agree" mine (P.join rival));
+    Array.iteri
+      (fun i a ->
+        Alcotest.(check int) (Printf.sprintf "body %d ran once" i) 1
+          (Atomic.get a))
+      runs
+  done
+
 (* --- failure semantics ---------------------------------------------------------- *)
 
 let test_nested_failure_lowest_index () =
@@ -187,7 +230,9 @@ let () =
           QCheck_alcotest.to_alcotest test_qcheck_determinism ] );
       ( "stress",
         [ Alcotest.test_case "two-domain queue stress" `Quick
-            test_queue_stress ] );
+            test_queue_stress;
+          Alcotest.test_case "each forked body runs once" `Quick
+            test_each_body_runs_once ] );
       ( "failures",
         [ Alcotest.test_case "nested lowest-index failure" `Quick
             test_nested_failure_lowest_index;

@@ -300,6 +300,17 @@ let test_engine_errors () =
     (E.submit eng ~id:(Some "x") (P.Benchmark "sXYZ") default);
   expect_error "blif parse error" "parse-error"
     (E.submit eng ~id:(Some "x") (P.Blif ".model broken\n.names\n.end\n") default);
+  (* a .names loop is refused at submit time with the loop's names *)
+  let cyclic =
+    E.submit eng ~id:(Some "x")
+      (P.Blif
+         ".model loop\n.inputs a\n.outputs q\n.names a t u\n11 1\n\
+          .names u t\n1 1\n.names u q\n1 1\n.end\n")
+      default
+  in
+  expect_error "blif combinational cycle" "parse-error" cyclic;
+  Alcotest.(check (option string)) "names the loop"
+    (Some "blif: combinational cycle through u, t") (J.mem_str "detail" cyclic);
   expect_error "unknown id" "unknown-id" (E.status eng "nope");
   submit_and_drain eng ~id:"dup" (P.Blif tiny_blif);
   expect_error "duplicate id" "duplicate-id"

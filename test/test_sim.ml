@@ -166,7 +166,14 @@ let test_seq_equal_random_negative () =
   Alcotest.(check bool) "behaviour change detected" true
     (Sim.Equiv.seq_equal_random ~seed:3 a b <> None)
 
-let test_comb_equal_sat_agrees () =
+(* [Eqcheck.comb_check] with a BDD budget too small for any cone falls back
+   to its Tseitin miter on [Sat_lite] every time.  That path must prove
+   exactly the pairs the exhaustive check finds equal. *)
+let test_comb_check_sat_agrees () =
+  let options = { Eqcheck.default_options with max_bdd_nodes = 2 } in
+  let fallbacks = Obs.Metrics.counter "eqcheck.cap.bdd_nodes" in
+  Obs.Metrics.enable ();
+  let before = Obs.Metrics.counter_value fallbacks in
   let ok = ref true in
   for seed = 0 to 30 do
     let net =
@@ -188,9 +195,12 @@ let test_comb_equal_sat_agrees () =
         N.set_cover mutated n flipped
     end;
     let expected = Sim.Equiv.comb_equal_exhaustive net mutated in
-    let got = Sim.Equiv.comb_equal_sat net mutated in
+    let got = Eqcheck.comb_check ~options net mutated = Eqcheck.Proved in
     if expected <> got then ok := false
   done;
+  let taken = Obs.Metrics.counter_value fallbacks - before in
+  Obs.Metrics.disable ();
+  Alcotest.(check int) "every check fell back to SAT" 31 taken;
   Alcotest.(check bool) "sat CEC agrees with exhaustive" true !ok
 
 let prop_bdd_equals_random_verdict =
@@ -333,7 +343,7 @@ let () =
           Alcotest.test_case "random output names differ" `Quick
             test_seq_equal_random_output_names;
           Alcotest.test_case "sat cec agreement" `Slow
-            test_comb_equal_sat_agrees ] );
+            test_comb_check_sat_agrees ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_bdd_equals_random_verdict;

@@ -211,56 +211,6 @@ let prop_extract_never_grows =
       ignore (Synth_opt.Extract.extract_divisors net);
       N.lit_count net <= before)
 
-(* --- SAT-based redundancy removal ------------------------------------------------ *)
-
-let test_redundancy_network_level () =
-  (* y = a*b; z = y + a*b*d.  The cube a*b*d is covered by y at the network
-     level, which per-node minimization cannot see. *)
-  let net = N.create () in
-  let a = N.add_input net "a" and b = N.add_input net "b" in
-  let d = N.add_input net "d" in
-  let y = N.add_logic net ~name:"y" and_cover [ a; b ] in
-  let z =
-    N.add_logic net ~name:"z"
-      (Logic.Cover.of_strings 4 [ "1---"; "-111" ])
-      [ y; a; b; d ]
-  in
-  N.set_output net "o" z;
-  let before = N.copy net in
-  Alcotest.(check int) "per-node minimization finds nothing" 0
-    (Synth_opt.Script.simplify_nodes (N.copy net));
-  let removed = Synth_opt.Redundancy.remove net in
-  Alcotest.(check bool) "something removed" true (removed >= 1);
-  N.check net;
-  Alcotest.(check bool) "behaviour preserved" true
-    (Sim.Equiv.comb_equal_exhaustive before net);
-  (* z should now be just a buffer of y (or y's function) *)
-  Alcotest.(check bool) "z simplified" true
-    (match N.node_opt net z.N.id with
-     | Some z -> Logic.Cover.lit_count (N.cover_of z) <= 2
-     | None -> true)
-
-let prop_redundancy_sound =
-  QCheck.Test.make ~count:25 ~name:"redundancy removal preserves behaviour"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net = Circuits.Generators.random_sequential ~seed profile in
-      N.sweep net;
-      let before = N.copy net in
-      ignore (Synth_opt.Redundancy.remove net);
-      N.check net;
-      Oracle.seq_equivalent before net)
-
-let prop_redundancy_never_grows =
-  QCheck.Test.make ~count:25 ~name:"redundancy removal never grows literals"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net = Circuits.Generators.random_sequential ~seed profile in
-      N.sweep net;
-      let before = N.lit_count net in
-      ignore (Synth_opt.Redundancy.remove net);
-      N.lit_count net <= before)
-
 (* --- structural hashing --------------------------------------------------------- *)
 
 let test_strash_merges_twins () =
@@ -308,13 +258,10 @@ let () =
           Alcotest.test_case "extract common cube" `Quick
             test_extract_common_cube;
           Alcotest.test_case "strash merges twins" `Quick
-            test_strash_merges_twins;
-          Alcotest.test_case "network-level redundancy" `Quick
-            test_redundancy_network_level ] );
+            test_strash_merges_twins ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_collapse_sound; prop_simplify_sound; prop_script_delay_sound;
             prop_script_delay_no_worse_depth; prop_extract_sound;
             prop_extract_never_grows; prop_strash_sound;
-            prop_script_area_sound; prop_redundancy_sound;
-            prop_redundancy_never_grows ] ) ]
+            prop_script_area_sound ] ) ]

@@ -56,7 +56,7 @@ let scan ?entry_points ?waivers ?(sources = [ "mutant.ml" ]) src =
 
 let rules r =
   List.sort_uniq compare
-    (List.map (fun f -> f.Sanitize.rule_id) r.Typedlint.findings)
+    (List.map (fun f -> f.Lint_common.rule_id) r.Typedlint.findings)
 
 let check_rules msg expected r =
   Alcotest.(check (list string)) msg expected (rules r)
@@ -163,7 +163,7 @@ let test_lock_discipline_empty_set () =
      | f :: _ ->
        List.exists
          (fun site -> site = "mutant.ml:12")
-         f.Sanitize.sites
+         f.Lint_common.sites
      | [] -> false)
 
 let test_lock_discipline_wrong_lock () =
@@ -204,7 +204,7 @@ let test_module_escape_global_hashtbl () =
   Alcotest.(check bool)
     "finding names the global" true
     (match r.Typedlint.findings with
-     | f :: _ -> String.length f.Sanitize.message > 0
+     | f :: _ -> String.length f.Lint_common.message > 0
      | [] -> false);
   (* same unit, no entry point: unreachable state is not reported *)
   check_rules "unreachable unit stays quiet" [] (scan src)
@@ -254,8 +254,8 @@ let test_blocking_condition_wait () =
     "the message names the blocking call" true
     (List.exists
        (fun f ->
-         f.Sanitize.rule_id = "typed/blocking-in-task"
-         && String.length f.Sanitize.message > 0)
+         f.Lint_common.rule_id = "typed/blocking-in-task"
+         && String.length f.Lint_common.message > 0)
        r.Typedlint.findings)
 
 let test_blocking_through_helper () =
@@ -346,7 +346,7 @@ let test_lint_rules_fire () =
   in
   Alcotest.(check (list (list string)))
     "site on the identifier's line" [ [ "mutant.ml:3" ] ]
-    (List.map (fun f -> f.Sanitize.sites) r.Typedlint.findings)
+    (List.map (fun f -> f.Lint_common.sites) r.Typedlint.findings)
 
 let test_lint_exemptions () =
   let clean =
@@ -500,7 +500,7 @@ let test_lint_waivers_audit () =
   let waivers, probs = Lint_common.parse_waivers (read_file "../LINT_WAIVERS") in
   Alcotest.(check (list string))
     "LINT_WAIVERS parses without findings" []
-    (List.map (fun f -> f.Sanitize.rule_id) probs);
+    (List.map (fun f -> f.Lint_common.rule_id) probs);
   List.iter
     (fun w ->
       Alcotest.(check bool)
@@ -530,7 +530,7 @@ let test_lint_unscanned_source () =
     "unreadable .cmt leaves its source reported"
     [ ("lint/unscanned-source", [ "mutant.ml" ]) ]
     (List.map
-       (fun f -> (f.Sanitize.rule_id, f.Sanitize.sites))
+       (fun f -> (f.Lint_common.rule_id, f.Lint_common.sites))
        r.Typedlint.findings);
   check_rules "a source with no .cmt at all" [ "lint/unscanned-source" ]
     (scan ~sources:[ "mutant.ml"; "other.ml" ] "let x = 1\n")
@@ -587,6 +587,35 @@ let qcheck_pure_closures_clean =
           in
           rules (scan ~entry_points:[ "Mutant.main" ] src) = [])
         [ 1; 2; 4 ])
+
+(* --- reporting ---------------------------------------------------------------------- *)
+
+(* bin/lint prints these bytes and CI parses the JSON, so both shapes are
+   pinned exactly. *)
+let test_render () =
+  let fs =
+    [ { Lint_common.rule_id = "typed/lock-discipline";
+        sites = [ "lib/a.ml:3"; "lib/a.ml:9" ];
+        message = "m1" };
+      { Lint_common.rule_id = "nondet/wall-clock";
+        sites = [ "bin/b.ml:1" ];
+        message = "say \"hi\"" } ]
+  in
+  Alcotest.(check string) "text"
+    "error[typed/lock-discipline] sites lib/a.ml:3,lib/a.ml:9: m1\n\
+     error[nondet/wall-clock] sites bin/b.ml:1: say \"hi\""
+    (Lint_common.render fs);
+  Alcotest.(check string) "json"
+    "[\n\
+    \  { \"rule_id\": \"typed/lock-discipline\", \"severity\": \"error\", \
+     \"sites\": [\"lib/a.ml:3\", \"lib/a.ml:9\"], \"message\": \"m1\" },\n\
+    \  { \"rule_id\": \"nondet/wall-clock\", \"severity\": \"error\", \
+     \"sites\": [\"bin/b.ml:1\"], \"message\": \"say \\\"hi\\\"\" }\n\
+     ]"
+    (Lint_common.render_json fs)
+
+let test_render_json_empty () =
+  Alcotest.(check string) "empty array" "[\n]" (Lint_common.render_json [])
 
 (* --- plumbing ----------------------------------------------------------------------- *)
 
@@ -658,6 +687,9 @@ let () =
             test_lint_unscanned_source ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_pure_closures_clean ] );
+      ( "reporting",
+        [ Alcotest.test_case "render" `Quick test_render;
+          Alcotest.test_case "empty json" `Quick test_render_json_empty ] );
       ( "plumbing",
         [ Alcotest.test_case "rule ids + metrics" `Quick
             test_rule_ids_and_stats ] )
