@@ -30,7 +30,7 @@ let emit_bench ~file ~prefix ~title ~unit values =
     (fun (key, v) ->
       Obs.Metrics.set_gauge (Obs.Metrics.gauge (prefix ^ "." ^ key)) v)
     values;
-  Obs.Export.write_file file (Obs.Export.metrics_json ~prefix ());
+  Obs.Json.write_file file (Obs.Export.metrics_json ~prefix ());
   Printf.printf "  -> %s\n" file
 
 (* --- 1. Section III example ---------------------------------------------------- *)
@@ -778,16 +778,16 @@ let serve_bench ?(emit_json = true) () =
               (Serve.Protocol.Benchmark "s27")
               Serve.Protocol.default_submit_options
           in
-          (match Serve.Json.mem_bool "ok" reply with
+          (match Obs.Json.mem_bool "ok" reply with
            | Some true -> ()
            | _ -> failwith ("serve bench: submit rejected: "
-                            ^ Serve.Json.to_string reply));
+                            ^ Obs.Json.to_string reply));
           Serve.Engine.drain eng;
           let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
           let delta = Obs.Metrics.delta snap in
           let payload =
-            match Serve.Json.member "result" (Serve.Engine.result eng id) with
-            | Some p -> Serve.Json.to_string p
+            match Obs.Json.member "result" (Serve.Engine.result eng id) with
+            | Some p -> Obs.Json.to_string p
             | None -> failwith "serve bench: request did not complete"
           in
           ( payload,
@@ -948,8 +948,35 @@ let bechamel_kernels () =
       Printf.printf "  %-42s %s/run\n" name pretty)
     rows
 
+let usage =
+  "usage: bench/main.exe [SECTION] [OPTION]...\n\
+  \  SECTION: --smoke --sta --logic --suite --verifier --eqcheck --bdd \
+   --serve;\n\
+  \           none runs the full evaluation (many minutes)\n\
+  \  OPTION:  --quick --eqcheck-each --verify-each --names a,b,c --jobs N\n\
+  \           --trace FILE --trace-format chrome|json --metrics \
+   --metrics-json FILE\n"
+
+let bad_usage msg =
+  Printf.eprintf "bench: %s\n%s" msg usage;
+  exit 2
+
+(* Reject what the harness would otherwise ignore: a misspelt flag would
+   fall through to the full run. *)
+let rec check_args = function
+  | [] -> ()
+  | ("--smoke" | "--sta" | "--logic" | "--suite" | "--verifier" | "--eqcheck"
+    | "--bdd" | "--serve" | "--quick" | "--eqcheck-each" | "--verify-each"
+    | "--metrics") :: rest ->
+    check_args rest
+  | ("--names" | "--jobs" | "--trace" | "--trace-format" | "--metrics-json")
+    :: _ :: rest ->
+    check_args rest
+  | arg :: _ -> bad_usage ("unknown or incomplete argument " ^ arg)
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
+  check_args args;
   let smoke = List.mem "--smoke" args in
   let sta_only = List.mem "--sta" args in
   let logic_only = List.mem "--logic" args in
@@ -974,10 +1001,13 @@ let () =
     Option.map (String.split_on_char ',') (arg_value "--names")
   in
   let jobs =
-    match Option.map int_of_string (arg_value "--jobs") with
-    | Some j when j >= 1 -> j
-    | Some _ -> 4
+    match arg_value "--jobs" with
     | None -> 4
+    | Some n ->
+      (match int_of_string_opt n with
+       | Some j when j >= 1 -> j
+       | Some _ -> 4
+       | None -> bad_usage "--jobs expects an integer")
   in
   let trace = arg_value "--trace" in
   let trace_format =
@@ -1039,12 +1069,10 @@ let () =
   end;
   (match trace with
    | Some file ->
-     let contents =
-       match trace_format with
-       | `Chrome -> Obs.Export.chrome_json ()
-       | `Json -> Obs.Export.spans_json ()
-     in
-     Obs.Export.write_file file contents;
+     Obs.Json.write_file file
+       (match trace_format with
+        | `Chrome -> Obs.Export.chrome_json ()
+        | `Json -> Obs.Export.spans_json ());
      Printf.printf "trace: %d spans written to %s\n"
        (List.length (Obs.Trace.spans ()))
        file
@@ -1053,7 +1081,7 @@ let () =
    | Some file ->
      Bdd.publish_stats ();
      Techmap.publish_stats ();
-     Obs.Export.write_file file (Obs.Export.metrics_json ());
+     Obs.Json.write_file file (Obs.Export.metrics_json ());
      Printf.printf "metrics: written to %s\n" file
    | None -> ());
   if metrics then begin

@@ -54,19 +54,6 @@ let () =
     prerr_endline "lint: no paths given";
     exit 2
   end;
-  let read_file path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  in
-  let write_file path s =
-    let oc = open_out path in
-    output_string oc s;
-    output_char oc '\n';
-    close_out oc
-  in
   (* gather files by suffix, sorted for a deterministic report *)
   let rec gather suffix acc path =
     if Sys.is_directory path then
@@ -83,7 +70,10 @@ let () =
   let config = { Typedlint.default_config with source_root = !source_root } in
   let r =
     Typedlint.scan_cmt_files ~config
-      ?waivers:(Option.map read_file !waivers_file)
+      ?waivers:
+        (Option.map
+           (fun f -> In_channel.with_open_bin f In_channel.input_all)
+           !waivers_file)
       ~sources:(files ".ml") (files ".cmt")
   in
   if r.Typedlint.files_scanned = 0 then begin
@@ -97,11 +87,11 @@ let () =
    | Some f ->
      Obs.Metrics.enable ();
      Typedlint.publish_stats r;
-     write_file f (Obs.Export.metrics_json ~prefix:"typedlint" ())
+     Obs.Json.write_file f (Obs.Export.metrics_json ~prefix:"typedlint" ())
    | None -> ());
   let findings = r.Typedlint.findings in
   (match !json_out with
-   | Some f -> write_file f (Lint_common.render_json findings)
+   | Some f -> Obs.Json.write_file f (Lint_common.to_json findings)
    | None -> ());
   if findings <> [] then begin
     print_endline (Lint_common.render findings);

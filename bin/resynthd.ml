@@ -158,13 +158,6 @@ type action =
   | Send_shutdown
   | Send_raw of string
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
 let client_main args =
   let sock = ref None and tcp = ref None in
   let action = ref None in
@@ -230,7 +223,7 @@ let client_main args =
   in
   let must = function Ok v -> v | Error msg -> fail msg in
   let submit_doc source_field =
-    let open Serve.Json in
+    let open Obs.Json in
     let fields =
       [ ("op", Str "submit") ]
       @ (match !id with Some v -> [ ("id", Str v) ] | None -> [])
@@ -243,64 +236,64 @@ let client_main args =
   in
   let finish_submit doc =
     let reply = must (Serve.Client.submit_and_wait ?poll_s:!poll conn doc) in
-    match Serve.Json.mem_bool "ok" reply with
+    match Obs.Json.mem_bool "ok" reply with
     | Some true ->
       let row =
-        match Serve.Json.member "result" reply with
-        | Some result -> Serve.Json.mem_str "row" result
+        match Obs.Json.member "result" reply with
+        | Some result -> Obs.Json.mem_str "row" result
         | None -> None
       in
       (match row with
        | Some line -> print_endline line
-       | None -> print_endline (Serve.Json.to_string reply));
+       | None -> print_endline (Obs.Json.to_string reply));
       if !want_diagnostics then begin
-        match Serve.Json.mem_str "id" reply with
+        match Obs.Json.mem_str "id" reply with
         | Some rid ->
           let diag =
             must
               (Serve.Client.request conn
-                 (Serve.Json.Obj
-                    [ ("op", Serve.Json.Str "diagnostics");
-                      ("id", Serve.Json.Str rid) ]))
+                 (Obs.Json.Obj
+                    [ ("op", Obs.Json.Str "diagnostics");
+                      ("id", Obs.Json.Str rid) ]))
           in
-          prerr_endline (Serve.Json.to_string diag)
+          prerr_endline (Obs.Json.to_string diag)
         | None -> ()
       end;
       Serve.Client.close conn
-    | _ -> fail (Serve.Json.to_string reply)
+    | _ -> fail (Obs.Json.to_string reply)
   in
   (match action with
    | Submit_benchmark name ->
-     finish_submit (submit_doc ("benchmark", Serve.Json.Str name))
+     finish_submit (submit_doc ("benchmark", Obs.Json.Str name))
    | Submit_blif file ->
      let text =
-       try read_file file
+       try In_channel.with_open_bin file In_channel.input_all
        with Sys_error msg -> fail msg
      in
-     finish_submit (submit_doc ("netlist", Serve.Json.Str text))
+     finish_submit (submit_doc ("netlist", Obs.Json.Str text))
    | Fetch_metrics ->
      let reply =
        must
          (Serve.Client.request conn
-            (Serve.Json.Obj [ ("op", Serve.Json.Str "metrics") ]))
+            (Obs.Json.Obj [ ("op", Obs.Json.Str "metrics") ]))
      in
-     (match Serve.Json.mem_str "body" reply with
+     (match Obs.Json.mem_str "body" reply with
       | Some body -> print_string body
-      | None -> fail (Serve.Json.to_string reply));
+      | None -> fail (Obs.Json.to_string reply));
      Serve.Client.close conn
    | Send_shutdown ->
      let reply =
        must
          (Serve.Client.request conn
-            (Serve.Json.Obj
-               [ ("op", Serve.Json.Str "shutdown");
-                 ("drain", Serve.Json.Bool !drain) ]))
+            (Obs.Json.Obj
+               [ ("op", Obs.Json.Str "shutdown");
+                 ("drain", Obs.Json.Bool !drain) ]))
      in
-     print_endline (Serve.Json.to_string reply);
+     print_endline (Obs.Json.to_string reply);
      Serve.Client.close conn
    | Send_raw line ->
      let reply = must (Serve.Client.request_line conn line) in
-     print_endline (Serve.Json.to_string reply);
+     print_endline (Obs.Json.to_string reply);
      Serve.Client.close conn)
 
 let () =

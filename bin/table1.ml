@@ -126,16 +126,10 @@ let () =
   print_string (Report.Table.summary rows);
   if !verify_each then
     print_string "verify-each: all pass boundaries clean\n";
-  let write_file file contents =
-    let oc = open_out file in
-    output_string oc contents;
-    output_char oc '\n';
-    close_out oc
-  in
   (match !verify_json with
    | Some file ->
      let diags = List.concat_map (fun r -> r.Core.Flow.verify_diags) rows in
-     write_file file (Verify.render_json diags)
+     Obs.Json.write_file file (Verify.to_json diags)
    | None -> ());
   let eq_refuted = ref 0 in
   if !eqcheck_each then begin
@@ -155,17 +149,15 @@ let () =
         records
     end;
     match !eqcheck_json with
-    | Some file -> write_file file (Eqcheck.render_json records)
+    | Some file -> Obs.Json.write_file file (Eqcheck.to_json records)
     | None -> ()
   end;
   (match !trace with
    | Some file ->
-     let contents =
-       match !trace_format with
-       | `Chrome -> Obs.Export.chrome_json ()
-       | `Json -> Obs.Export.spans_json ()
-     in
-     Obs.Export.write_file file contents;
+     Obs.Json.write_file file
+       (match !trace_format with
+        | `Chrome -> Obs.Export.chrome_json ()
+        | `Json -> Obs.Export.spans_json ());
      Printf.printf "trace: %d spans written to %s\n"
        (List.length (Obs.Trace.spans ()))
        file
@@ -174,7 +166,7 @@ let () =
    | Some file ->
      Bdd.publish_stats ();
      Techmap.publish_stats ();
-     Obs.Export.write_file file (Obs.Export.metrics_json ());
+     Obs.Json.write_file file (Obs.Export.metrics_json ());
      Printf.printf "metrics: written to %s\n" file
    | None -> ());
   if !metrics then begin

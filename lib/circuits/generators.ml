@@ -41,6 +41,10 @@ let rec random_cover rng k =
 let pick rng arr = arr.(Random.State.int rng (Array.length arr))
 
 let random_sequential ~seed profile =
+  (* The PIs seed everything: the latches' placeholder data, the first
+     gate's sources and, with no gates, the outputs. *)
+  if profile.npi < 1 then
+    invalid_arg "Generators.random_sequential: npi must be at least 1";
   (* With [stem_bias >= 1] every fanin draw is a latch, so a gate that wants
      more distinct fanins than there are latches redraws forever.  The
      newest gate has the most sources; if it cannot want that many, no gate

@@ -23,8 +23,9 @@ val default_profile : profile
 val random_sequential : seed:int -> profile -> Netlist.Network.t
 (** All latches get binary initial values.  Every output is driven; the
     network passes [Network.check].
-    @raise Invalid_argument when [stem_bias >= 1.0] and a gate could want
-    more distinct fanins than there are latches (some [0 < nlatch <
-    max 2 max_fanin] profiles), for which the draw would never end. *)
+    @raise Invalid_argument when [npi < 1], or when [stem_bias >= 1.0]
+    and a gate could want more distinct fanins than there are latches
+    (some [0 < nlatch < max 2 max_fanin] profiles), for which the draw
+    would never end. *)
 
 val random_combinational : seed:int -> npi:int -> npo:int -> ngates:int -> Netlist.Network.t

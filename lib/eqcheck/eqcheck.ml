@@ -707,28 +707,23 @@ let render records =
            (verdict_name r.verdict) r.label r.pass r.rule r.seconds detail)
        records)
 
-let render_json records =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i r ->
-      let extra =
-        match r.verdict with
-        | Proved -> ""
-        | Refuted c ->
-          Printf.sprintf
-            ", \"endpoint\": %S, \"trace_length\": %d, \"sim_confirmed\": %b"
-            c.endpoint (List.length c.trace) c.sim_confirmed
-        | Simulated msg | Unknown msg -> Printf.sprintf ", \"reason\": %S" msg
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"label\": %S, \"pass\": %S, \"rule\": %S, \"verdict\": %S, \
-            \"seconds\": %.6f%s }%s\n"
-           r.label r.pass r.rule
-           (verdict_name r.verdict)
-           r.seconds extra
-           (if i = List.length records - 1 then "" else ",")))
-    records;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+let to_json records =
+  let record r =
+    let extra =
+      match r.verdict with
+      | Proved -> []
+      | Refuted c ->
+        [ ("endpoint", Obs.Json.Str c.endpoint);
+          ("trace_length", Obs.Json.Int (List.length c.trace));
+          ("sim_confirmed", Obs.Json.Bool c.sim_confirmed) ]
+      | Simulated msg | Unknown msg -> [ ("reason", Obs.Json.Str msg) ]
+    in
+    Obs.Json.Obj
+      ([ ("label", Obs.Json.Str r.label);
+         ("pass", Obs.Json.Str r.pass);
+         ("rule", Obs.Json.Str r.rule);
+         ("verdict", Obs.Json.Str (verdict_name r.verdict));
+         ("seconds", Obs.Json.Float r.seconds) ]
+      @ extra)
+  in
+  Obs.Json.List (List.map record records)

@@ -164,5 +164,5 @@ val counts : record list -> int * int * int
 val render : record list -> string
 (** One line per record. *)
 
-val render_json : record list -> string
-(** The records as a JSON array. *)
+val to_json : record list -> Obs.Json.t
+(** The records as a JSON array of objects. *)

@@ -1,93 +1,60 @@
-(* %S is OCaml string syntax, which coincides with JSON escaping for the
-   printable-ASCII names and messages produced here (same convention as
-   Verify.render_json / Eqcheck.render_json). *)
+(* The JSON exporters build [Json.t] values; the caller picks the compact
+   wire form or the file layout. *)
 
-let attr_json = function
-  | Trace.Str s -> Printf.sprintf "%S" s
-  | Trace.Int i -> string_of_int i
-  | Trace.Float f -> Printf.sprintf "%.6g" f
-  | Trace.Bool b -> string_of_bool b
+let attr_value = function
+  | Trace.Str s -> Json.Str s
+  | Trace.Int i -> Json.Int i
+  | Trace.Float f -> Json.Float f
+  | Trace.Bool b -> Json.Bool b
 
-let args_json args =
-  String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k (attr_json v)) args)
+let attrs args = List.map (fun (k, v) -> (k, attr_value v)) args
 
-let float_json f =
-  if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.1f" f
-  else Printf.sprintf "%.6g" f
+let gc_words (s : Trace.span) =
+  [ ("gc_minor_words", Json.Int (int_of_float s.Trace.minor_words));
+    ("gc_major_words", Json.Int (int_of_float s.Trace.major_words)) ]
 
 (* --- machine JSON ------------------------------------------------------------ *)
 
-let histogram_json (h : Metrics.histogram_snapshot) =
-  let buckets =
-    String.concat ", "
-      (List.map
-         (fun (floor, n) -> Printf.sprintf "\"%d\": %d" floor n)
-         h.Metrics.buckets)
-  in
-  Printf.sprintf
-    "{ \"count\": %d, \"sum\": %d, \"max\": %d, \"buckets\": { %s } }"
-    h.Metrics.count h.Metrics.sum h.Metrics.max_value buckets
+let metric_value = function
+  | Metrics.Counter n -> Json.Int n
+  | Metrics.Gauge g -> Json.Float g
+  | Metrics.Info s -> Json.Str s
+  | Metrics.Histogram h ->
+    Json.Obj
+      [ ("count", Json.Int h.Metrics.count);
+        ("sum", Json.Int h.Metrics.sum);
+        ("max", Json.Int h.Metrics.max_value);
+        ( "buckets",
+          Json.Obj
+            (List.map
+               (fun (floor, n) -> (string_of_int floor, Json.Int n))
+               h.Metrics.buckets) ) ]
 
 let metrics_json ?(prefix = "") () =
-  let items =
-    List.filter
-      (fun (name, _) -> String.starts_with ~prefix name)
-      (Metrics.dump ())
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"metrics\": {\n";
-  List.iteri
-    (fun i (name, v) ->
-      let rendered =
-        match v with
-        | Metrics.Counter n -> string_of_int n
-        | Metrics.Gauge g -> float_json g
-        | Metrics.Histogram h -> histogram_json h
-        | Metrics.Info s -> Printf.sprintf "%S" s
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "    %S: %s%s\n" name rendered
-           (if i = List.length items - 1 then "" else ",")))
-    items;
-  Buffer.add_string buf "  }\n}";
-  Buffer.contents buf
+  Json.Obj
+    [ ( "metrics",
+        Json.Obj
+          (List.filter_map
+             (fun (name, v) ->
+               if String.starts_with ~prefix name then
+                 Some (name, metric_value v)
+               else None)
+             (Metrics.dump ())) ) ]
 
 let span_json (s : Trace.span) =
-  let args =
-    if s.Trace.args = [] then ""
-    else Printf.sprintf ", \"args\": { %s }" (args_json s.Trace.args)
-  in
-  Printf.sprintf
-    "{ \"name\": %S, \"cat\": %S, \"track\": %d, \"depth\": %d, \
-     \"start_ns\": %Ld, \"dur_ns\": %Ld, \"gc_minor_words\": %.0f, \
-     \"gc_major_words\": %.0f%s }"
-    s.Trace.name s.Trace.cat s.Trace.track s.Trace.depth s.Trace.start_ns
-    s.Trace.dur_ns s.Trace.minor_words s.Trace.major_words args
+  Json.Obj
+    ([ ("name", Json.Str s.Trace.name);
+       ("cat", Json.Str s.Trace.cat);
+       ("track", Json.Int s.Trace.track);
+       ("depth", Json.Int s.Trace.depth);
+       ("start_ns", Json.Int (Int64.to_int s.Trace.start_ns));
+       ("dur_ns", Json.Int (Int64.to_int s.Trace.dur_ns)) ]
+    @ gc_words s
+    @
+    if s.Trace.args = [] then []
+    else [ ("args", Json.Obj (attrs s.Trace.args)) ])
 
-let spans_json () =
-  let spans = Trace.spans () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (s : Trace.span) ->
-      let args =
-        if s.Trace.args = [] then ""
-        else Printf.sprintf ", \"args\": { %s }" (args_json s.Trace.args)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"name\": %S, \"cat\": %S, \"track\": %d, \"depth\": %d, \
-            \"start_ns\": %Ld, \"dur_ns\": %Ld, \"gc_minor_words\": %.0f, \
-            \"gc_major_words\": %.0f%s }%s\n"
-           s.Trace.name s.Trace.cat s.Trace.track s.Trace.depth
-           s.Trace.start_ns s.Trace.dur_ns s.Trace.minor_words
-           s.Trace.major_words args
-           (if i = List.length spans - 1 then "" else ",")))
-    spans;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+let spans_json () = Json.List (List.map span_json (Trace.spans ()))
 
 (* --- Prometheus exposition text ------------------------------------------------ *)
 
@@ -128,7 +95,7 @@ let prometheus_text () =
         Buffer.add_string buf (Printf.sprintf "%s %d\n" n c)
       | Metrics.Gauge g ->
         Buffer.add_string buf (Printf.sprintf "# TYPE %s gauge\n" n);
-        Buffer.add_string buf (Printf.sprintf "%s %s\n" n (float_json g))
+        Buffer.add_string buf (Printf.sprintf "%s %s\n" n (Json.to_string (Json.Float g)))
       | Metrics.Histogram h ->
         Buffer.add_string buf (Printf.sprintf "# TYPE %s histogram\n" n);
         let cumulative = ref 0 in
@@ -152,46 +119,44 @@ let prometheus_text () =
 
 (* --- Chrome trace_event ------------------------------------------------------- *)
 
+(* [ts] and [dur] are integer microseconds.  Both span ends are floored, so
+   a child never starts before or ends after its parent. *)
+let chrome_event (s : Trace.span) =
+  let us ns = Int64.to_int (Int64.div ns 1000L) in
+  let ts = us s.Trace.start_ns in
+  let dur = us (Int64.add s.Trace.start_ns s.Trace.dur_ns) - ts in
+  Json.Obj
+    [ ("name", Json.Str s.Trace.name);
+      ("cat", Json.Str s.Trace.cat);
+      ("ph", Json.Str "X");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int s.Trace.track);
+      ("ts", Json.Int ts);
+      ("dur", Json.Int dur);
+      ("args", Json.Obj (attrs s.Trace.args @ gc_words s)) ]
+
+let chrome_meta name tid value =
+  Json.Obj
+    [ ("name", Json.Str name);
+      ("ph", Json.Str "M");
+      ("pid", Json.Int 1);
+      ("tid", Json.Int tid);
+      ("args", Json.Obj [ ("name", Json.Str value) ]) ]
+
 let chrome_json () =
   let spans = Trace.spans () in
   let tracks =
     List.sort_uniq compare (List.map (fun s -> s.Trace.track) spans)
   in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\": [\n";
-  Buffer.add_string buf
-    "  {\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-     \"args\": {\"name\": \"retiming-resynthesis\"}},\n";
-  List.iter
-    (fun t ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \
-            \"tid\": %d, \"args\": {\"name\": \"domain %d\"}},\n"
-           t t))
-    tracks;
-  List.iteri
-    (fun i (s : Trace.span) ->
-      let gc_args =
-        Printf.sprintf "\"gc_minor_words\": %.0f, \"gc_major_words\": %.0f"
-          s.Trace.minor_words s.Trace.major_words
-      in
-      let args =
-        if s.Trace.args = [] then gc_args
-        else args_json s.Trace.args ^ ", " ^ gc_args
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  {\"name\": %S, \"cat\": %S, \"ph\": \"X\", \"pid\": 1, \
-            \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": {%s}}%s\n"
-           s.Trace.name s.Trace.cat s.Trace.track
-           (Int64.to_float s.Trace.start_ns /. 1e3)
-           (Int64.to_float s.Trace.dur_ns /. 1e3)
-           args
-           (if i = List.length spans - 1 then "" else ",")))
-    spans;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  Json.Obj
+    [ ( "traceEvents",
+        Json.List
+          ((chrome_meta "process_name" 0 "retiming-resynthesis"
+           :: List.map
+                (fun t ->
+                  chrome_meta "thread_name" t (Printf.sprintf "domain %d" t))
+                tracks)
+          @ List.map chrome_event spans) ) ]
 
 (* --- human summary ------------------------------------------------------------- *)
 
@@ -249,9 +214,3 @@ let text_summary () =
       rows
   end;
   Buffer.contents buf
-
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  output_char oc '\n';
-  close_out oc

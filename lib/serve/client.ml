@@ -29,11 +29,11 @@ let request_line conn line =
     flush conn.oc;
     input_line conn.ic
   with
-  | reply -> Json.parse reply
+  | reply -> Obs.Json.parse reply
   | exception End_of_file -> Error "connection closed by daemon"
   | exception Sys_error msg -> Error msg
 
-let request conn doc = request_line conn (Json.to_string doc)
+let request conn doc = request_line conn (Obs.Json.to_string doc)
 
 let read_line conn =
   match input_line conn.ic with
@@ -43,20 +43,20 @@ let read_line conn =
 let terminal_states = [ "done"; "failed"; "cancelled"; "timed-out" ]
 
 let wait ?(poll_s = 0.02) conn ~id =
-  let status_doc = Json.Obj [ ("op", Json.Str "status"); ("id", Json.Str id) ] in
+  let status_doc = Obs.Json.Obj [ ("op", Obs.Json.Str "status"); ("id", Obs.Json.Str id) ] in
   let rec poll () =
     match request conn status_doc with
     | Error _ as e -> e
     | Ok reply ->
-      (match Json.mem_str "state" reply with
+      (match Obs.Json.mem_str "state" reply with
        | Some state when List.mem state terminal_states ->
          request conn
-           (Json.Obj [ ("op", Json.Str "result"); ("id", Json.Str id) ])
+           (Obs.Json.Obj [ ("op", Obs.Json.Str "result"); ("id", Obs.Json.Str id) ])
        | Some _ ->
          Unix.sleepf poll_s;
          poll ()
        | None ->
-         Error ("status reply without a state: " ^ Json.to_string reply))
+         Error ("status reply without a state: " ^ Obs.Json.to_string reply))
   in
   poll ()
 
@@ -64,6 +64,6 @@ let submit_and_wait ?poll_s conn doc =
   match request conn doc with
   | Error _ as e -> e
   | Ok reply ->
-    (match (Json.mem_bool "ok" reply, Json.mem_str "id" reply) with
+    (match (Obs.Json.mem_bool "ok" reply, Obs.Json.mem_str "id" reply) with
      | Some true, Some id -> wait ?poll_s conn ~id
      | _, _ -> Ok reply)

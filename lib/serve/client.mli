@@ -10,11 +10,11 @@ val connect : Daemon.endpoint -> conn
 
 val close : conn -> unit
 
-val request : conn -> Json.t -> (Json.t, string) result
+val request : conn -> Obs.Json.t -> (Obs.Json.t, string) result
 (** Send one document, read one response line; [Error] on a dropped
     connection or an unparsable response. *)
 
-val request_line : conn -> string -> (Json.t, string) result
+val request_line : conn -> string -> (Obs.Json.t, string) result
 (** {!request} with a raw preformatted line — the tests use it to send
     deliberately malformed documents. *)
 
@@ -23,13 +23,13 @@ val read_line : conn -> string option
     closes the connection.  For consuming a span stream after a
     [stream-spans] subscription. *)
 
-val wait : ?poll_s:float -> conn -> id:string -> (Json.t, string) result
+val wait : ?poll_s:float -> conn -> id:string -> (Obs.Json.t, string) result
 (** Poll [status] until the request is terminal (default every 20 ms), then
     fetch and return the [result] response — which carries the job's own
     error code when the job failed, was cancelled or timed out. *)
 
 val submit_and_wait :
-  ?poll_s:float -> conn -> Json.t -> (Json.t, string) result
+  ?poll_s:float -> conn -> Obs.Json.t -> (Obs.Json.t, string) result
 (** Submit (the document must be a [submit] op), then {!wait} on the id the
     daemon acknowledged.  A rejected submit returns the rejection
     response. *)

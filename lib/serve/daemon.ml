@@ -79,7 +79,7 @@ let stream_lock = Mutex.create ()
 let subscriber_sink fd =
   { Obs.Trace.on_span =
       (fun s ->
-        let line = Obs.Export.span_json s ^ "\n" in
+        let line = Obs.Json.to_string (Obs.Export.span_json s) ^ "\n" in
         Mutex.protect stream_lock (fun () ->
             if not (write_nonblocking fd line) then
               Obs.Metrics.incr m_stream_dropped));
@@ -89,7 +89,7 @@ let file_sink oc =
   { Obs.Trace.on_span =
       (fun s ->
         Mutex.protect stream_lock (fun () ->
-            output_string oc (Obs.Export.span_json s);
+            output_string oc (Obs.Json.to_string (Obs.Export.span_json s));
             output_char oc '\n';
             flush oc));
     on_flush = (fun () -> Mutex.protect stream_lock (fun () -> flush oc)) }
@@ -118,7 +118,7 @@ type loop_state = {
   mutable drain : bool;
 }
 
-let respond conn json = write_all conn.fd (Json.to_string json ^ "\n")
+let respond conn json = write_all conn.fd (Obs.Json.to_string json ^ "\n")
 
 let close_conn conn =
   if not conn.closed then begin
@@ -136,7 +136,7 @@ let handle_line eng state conn line =
     close_conn conn
   end
   else
-    match Json.parse line with
+    match Obs.Json.parse line with
     | Error msg -> respond conn (Protocol.error ~code:"bad-json" ~detail:msg)
     | Ok doc ->
       (match
@@ -153,19 +153,19 @@ let handle_line eng state conn line =
                publish_registries ();
                respond conn
                  (Protocol.ok
-                    [ ("body", Json.Str (Obs.Export.prometheus_text ())) ])
+                    [ ("body", Obs.Json.Str (Obs.Export.prometheus_text ())) ])
              | Protocol.Stream_spans ->
                enable_streaming ();
                respond conn
-                 (Protocol.ok [ ("streaming", Json.Bool true) ]);
+                 (Protocol.ok [ ("streaming", Obs.Json.Bool true) ]);
                Unix.set_nonblock conn.fd;
                conn.streaming <- true;
                conn.sink_id <- Some (Obs.Trace.add_sink (subscriber_sink conn.fd))
              | Protocol.Shutdown { drain } ->
                respond conn
                  (Protocol.ok
-                    [ ("shutting_down", Json.Bool true);
-                      ("drain", Json.Bool drain) ]);
+                    [ ("shutting_down", Obs.Json.Bool true);
+                      ("drain", Obs.Json.Bool drain) ]);
                state.running <- false;
                state.drain <- drain
              | Protocol.Ping | Protocol.Submit _ | Protocol.Status _

@@ -1,4 +1,4 @@
-module J = Json
+module J = Obs.Json
 
 type config = {
   queue_capacity : int;

@@ -31,37 +31,37 @@ val create : ?config:config -> unit -> t
 
 val config : t -> config
 
-val handle : t -> Protocol.request -> Json.t option
+val handle : t -> Protocol.request -> Obs.Json.t option
 (** Serve one classified request; [None] for the daemon-level ops
     ([Metrics], [Stream_spans], [Shutdown]) the engine does not own. *)
 
 val submit :
   t -> id:string option -> Protocol.source -> Protocol.submit_options ->
-  Json.t
+  Obs.Json.t
 (** Validate (benchmark name / BLIF parse / size), then either reject with
     [queue-full] + [retry_after_ms], fail with a structured error, or fork
     the job and answer [{"ok":true,"id":...,"state":"queued"}].  Admission
     must stay single-threaded (the daemon's event loop): the
     capacity check-then-fork is not atomic against concurrent submitters. *)
 
-val submit_held : t -> id:string option -> release:bool Atomic.t -> Json.t
+val submit_held : t -> id:string option -> release:bool Atomic.t -> Obs.Json.t
 (** Test hook: a job that occupies an in-flight slot, spinning until
     [release] (or its own cancel flag) is set.  Deterministic backpressure
     without wall-clock sleeps; never produced by the wire protocol. *)
 
-val status : t -> string -> Json.t
-val result : t -> string -> Json.t
-val diagnostics : t -> string -> Json.t
+val status : t -> string -> Obs.Json.t
+val result : t -> string -> Obs.Json.t
+val diagnostics : t -> string -> Obs.Json.t
 (** Nondeterministic per-request accounting — elapsed time, pass-boundary
     count, {!Obs.Metrics.delta} over the job's window — kept out of
     {!result} so result payloads stay byte-deterministic. *)
 
-val cancel : t -> string -> Json.t
+val cancel : t -> string -> Obs.Json.t
 (** Sets the job's cancel flag; a queued or running job stops at its next
     pass boundary.  Terminal jobs are unaffected (the response reports the
     state either way). *)
 
-val ping : t -> Json.t
+val ping : t -> Obs.Json.t
 
 val inflight : t -> int
 

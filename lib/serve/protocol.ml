@@ -33,47 +33,47 @@ type request =
   | Shutdown of { drain : bool }
 
 let error ~code ~detail =
-  Json.Obj
-    [ ("ok", Json.Bool false);
-      ("error", Json.Str code);
-      ("detail", Json.Str detail) ]
+  Obs.Json.Obj
+    [ ("ok", Obs.Json.Bool false);
+      ("error", Obs.Json.Str code);
+      ("detail", Obs.Json.Str detail) ]
 
 let error_retry ~code ~detail ~retry_after_ms =
-  Json.Obj
-    [ ("ok", Json.Bool false);
-      ("error", Json.Str code);
-      ("detail", Json.Str detail);
-      ("retry_after_ms", Json.Int retry_after_ms) ]
+  Obs.Json.Obj
+    [ ("ok", Obs.Json.Bool false);
+      ("error", Obs.Json.Str code);
+      ("detail", Obs.Json.Str detail);
+      ("retry_after_ms", Obs.Json.Int retry_after_ms) ]
 
-let ok fields = Json.Obj (("ok", Json.Bool true) :: fields)
+let ok fields = Obs.Json.Obj (("ok", Obs.Json.Bool true) :: fields)
 
 let required_id j =
-  match Json.mem_str "id" j with
+  match Obs.Json.mem_str "id" j with
   | Some id when id <> "" -> Ok id
   | Some _ -> Error ("bad-request", "empty request id")
   | None -> Error ("bad-request", "missing \"id\" field")
 
 let submit_of_json ~max_netlist_bytes j =
   let id =
-    match Json.mem_str "id" j with
+    match Obs.Json.mem_str "id" j with
     | Some "" -> None
     | other -> other
   in
   let opts =
     let d = default_submit_options in
-    { verify = Option.value ~default:d.verify (Json.mem_bool "verify" j);
+    { verify = Option.value ~default:d.verify (Obs.Json.mem_bool "verify" j);
       verify_each =
-        Option.value ~default:d.verify_each (Json.mem_bool "verify_each" j);
+        Option.value ~default:d.verify_each (Obs.Json.mem_bool "verify_each" j);
       eqcheck_each =
-        Option.value ~default:d.eqcheck_each (Json.mem_bool "eqcheck_each" j);
-      timeout_s = Json.mem_float "timeout_s" j;
-      cancel_after_passes = Json.mem_int "cancel_after_passes" j }
+        Option.value ~default:d.eqcheck_each (Obs.Json.mem_bool "eqcheck_each" j);
+      timeout_s = Obs.Json.mem_float "timeout_s" j;
+      cancel_after_passes = Obs.Json.mem_int "cancel_after_passes" j }
   in
   match opts.timeout_s with
   | Some t when t <= 0.0 ->
     Error ("bad-request", "\"timeout_s\" must be positive")
   | _ ->
-    (match (Json.mem_str "benchmark" j, Json.mem_str "netlist" j) with
+    (match (Obs.Json.mem_str "benchmark" j, Obs.Json.mem_str "netlist" j) with
      | Some _, Some _ ->
        Error
          ("bad-request", "\"benchmark\" and \"netlist\" are mutually exclusive")
@@ -92,7 +92,7 @@ let submit_of_json ~max_netlist_bytes j =
        Error ("bad-request", "submit needs \"benchmark\" or \"netlist\""))
 
 let request_of_json ~max_netlist_bytes j =
-  match Json.mem_str "op" j with
+  match Obs.Json.mem_str "op" j with
   | None -> Error ("bad-request", "missing \"op\" field")
   | Some op ->
     (match op with
@@ -105,6 +105,6 @@ let request_of_json ~max_netlist_bytes j =
      | "metrics" -> Ok Metrics
      | "stream-spans" -> Ok Stream_spans
      | "shutdown" ->
-       let drain = Option.value ~default:true (Json.mem_bool "drain" j) in
+       let drain = Option.value ~default:true (Obs.Json.mem_bool "drain" j) in
        Ok (Shutdown { drain })
      | other -> Error ("unknown-op", Printf.sprintf "unknown op %S" other))

@@ -43,17 +43,17 @@ type request =
   | Shutdown of { drain : bool }
 
 val request_of_json :
-  max_netlist_bytes:int -> Json.t -> (request, string * string) result
+  max_netlist_bytes:int -> Obs.Json.t -> (request, string * string) result
 (** Classify a parsed request document; [Error (code, detail)] uses the
     protocol error codes (["bad-request"], ["unknown-op"],
     ["netlist-too-large"], ...). *)
 
-val error : code:string -> detail:string -> Json.t
+val error : code:string -> detail:string -> Obs.Json.t
 (** [{"ok": false, "error": code, "detail": detail}]. *)
 
-val error_retry : code:string -> detail:string -> retry_after_ms:int -> Json.t
+val error_retry : code:string -> detail:string -> retry_after_ms:int -> Obs.Json.t
 (** {!error} plus a ["retry_after_ms"] backoff hint (queue-full
     rejection). *)
 
-val ok : (string * Json.t) list -> Json.t
+val ok : (string * Obs.Json.t) list -> Obs.Json.t
 (** [{"ok": true, ...fields}]. *)

@@ -27,23 +27,17 @@ let render fs =
            f.message)
        fs)
 
-let render_json fs =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i f ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"rule_id\": %S, \"severity\": \"error\", \"sites\": [%s], \
-            \"message\": %S }%s\n"
-           f.rule_id
-           (String.concat ", "
-              (List.map (fun s -> Printf.sprintf "%S" s) f.sites))
-           f.message
-           (if i = List.length fs - 1 then "" else ",")))
-    fs;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+let to_json fs =
+  Obs.Json.List
+    (List.map
+       (fun f ->
+         Obs.Json.Obj
+           [ ("rule_id", Obs.Json.Str f.rule_id);
+             ("severity", Obs.Json.Str "error");
+             ( "sites",
+               Obs.Json.List (List.map (fun s -> Obs.Json.Str s) f.sites) );
+             ("message", Obs.Json.Str f.message) ])
+       fs)
 
 let trim = String.trim
 

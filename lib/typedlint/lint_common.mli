@@ -18,7 +18,7 @@ type finding = {
 val render : finding list -> string
 (** One line per finding: [error[rule_id] sites a,b: message]. *)
 
-val render_json : finding list -> string
+val to_json : finding list -> Obs.Json.t
 (** The same list as a JSON array of
     [{ "rule_id", "severity", "sites", "message" }] objects. *)
 

@@ -471,23 +471,17 @@ let render diags =
            d.message)
        diags)
 
-let render_json diags =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i d ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  { \"rule_id\": %S, \"severity\": %S, \"node_ids\": [%s], \
-            \"message\": %S }%s\n"
-           d.rule_id
-           (severity_string d.severity)
-           (String.concat ", " (List.map string_of_int d.node_ids))
-           d.message
-           (if i = List.length diags - 1 then "" else ",")))
-    diags;
-  Buffer.add_string buf "]";
-  Buffer.contents buf
+let to_json diags =
+  Obs.Json.List
+    (List.map
+       (fun d ->
+         Obs.Json.Obj
+           [ ("rule_id", Obs.Json.Str d.rule_id);
+             ("severity", Obs.Json.Str (severity_string d.severity));
+             ( "node_ids",
+               Obs.Json.List (List.map (fun i -> Obs.Json.Int i) d.node_ids) );
+             ("message", Obs.Json.Str d.message) ])
+       diags)
 
 exception Verification_failed of string
 

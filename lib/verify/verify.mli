@@ -77,7 +77,7 @@ val errors : diagnostic list -> diagnostic list
 val render : diagnostic list -> string
 (** One line per diagnostic: [severity[rule_id] nodes a,b: message]. *)
 
-val render_json : diagnostic list -> string
+val to_json : diagnostic list -> Obs.Json.t
 (** The same list as a JSON array of objects. *)
 
 val merge_legal :

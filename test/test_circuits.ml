@@ -293,8 +293,9 @@ let test_generator_suite_profiles () =
       (5378, 35, 45, 150, 1600, 0.15) ]
 
 (* At stem_bias 1 a gate wanting more distinct fanins than there are
-   latches would redraw forever; the generator rejects such a profile up
-   front.  Profiles whose gates can all be served still build. *)
+   latches would redraw forever, and with no PI the latches have no
+   placeholder data; the generator rejects such profiles up front.
+   Profiles whose gates can all be served still build. *)
 let test_generator_rejects_starved_profile () =
   let p =
     { G.npi = 3; npo = 1; nlatch = 1; ngates = 5; max_fanin = 3;
@@ -305,6 +306,10 @@ let test_generator_rejects_starved_profile () =
        "Generators.random_sequential: stem_bias >= 1 needs at least \
         max_fanin latches")
     (fun () -> ignore (G.random_sequential ~seed:7 p));
+  Alcotest.check_raises "no primary input"
+    (Invalid_argument "Generators.random_sequential: npi must be at least 1")
+    (fun () ->
+      ignore (G.random_sequential ~seed:7 { G.default_profile with npi = 0 }));
   List.iter
     (fun p -> N.check (G.random_sequential ~seed:7 p))
     [ { p with nlatch = 3 }; { p with ngates = 0 };

@@ -352,7 +352,7 @@ let test_merge_legal () =
 let test_render_json () =
   let pre, post, _ = sibling_pair () in
   let recs = E.check_pass ~label:"l" ~pass:"p" ~classes:[] pre post in
-  let json = E.render_json recs in
+  let json = Obs.Json.layout (E.to_json recs) in
   Alcotest.(check bool) "json has verdict" true
     (let n = String.length json in
      let rec find i =

@@ -1,5 +1,6 @@
 (* lib/obs tests: span nesting (qcheck), the zero-allocation disabled path,
-   a deterministic Chrome-export golden via the fake clock, metrics registry
+   a deterministic Chrome-export golden via the fake clock, the JSON codec
+   (qcheck round trip) and every emitter built on it, metrics registry
    semantics, and flow determinism with tracing on vs off. *)
 
 let reset_all () =
@@ -117,39 +118,40 @@ let test_span_end_args () =
 
 (* --- Chrome exporter golden ---------------------------------------------------- *)
 
-(* Fake clock ticking 1 ns per read makes timestamps deterministic: outer
-   starts at 1, inner spans 2..3, outer ends at 4. *)
+(* Fake clock ticking 1.5 us per read makes timestamps deterministic: outer
+   starts at 1.5 us, inner spans 3.0..4.5 us, outer ends at 6.0 us.  Both
+   ends floor to whole microseconds, so outer is [1, 6) and inner [3, 4). *)
 let test_chrome_golden () =
   reset_all ();
   let t = ref 0L in
   Obs.Trace.set_clock
     (Some
        (fun () ->
-         t := Int64.add !t 1L;
+         t := Int64.add !t 1500L;
          !t));
   Obs.Trace.enable ();
   Obs.Trace.span ~cat:"flow" "outer" (fun () ->
       Obs.Trace.span ~args:[ ("k", Obs.Trace.Str "v") ] "inner" (fun () -> ()));
-  let out = Obs.Export.chrome_json () in
+  let out = Obs.Json.layout (Obs.Export.chrome_json ()) in
   reset_all ();
   Alcotest.(check bool) "object with traceEvents" true
-    (String.starts_with ~prefix:"{\"traceEvents\": [" out
-    && String.ends_with ~suffix:"]}" out);
+    (String.starts_with ~prefix:"{\n  \"traceEvents\": [\n    {" out
+    && String.ends_with ~suffix:"}\n  ]\n}" out);
   Alcotest.(check bool) "process metadata" true
     (contains out
-       "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \
-        \"args\": {\"name\": \"retiming-resynthesis\"}}");
+       "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
+        \"args\":{\"name\":\"retiming-resynthesis\"}}");
   Alcotest.(check bool) "track 0 named" true
-    (contains out "\"args\": {\"name\": \"domain 0\"}");
+    (contains out "\"args\":{\"name\":\"domain 0\"}");
   Alcotest.(check bool) "outer complete event" true
     (contains out
-       "{\"name\": \"outer\", \"cat\": \"flow\", \"ph\": \"X\", \"pid\": 1, \
-        \"tid\": 0, \"ts\": 0.001, \"dur\": 0.003, \"args\": {");
+       "{\"name\":\"outer\",\"cat\":\"flow\",\"ph\":\"X\",\"pid\":1,\
+        \"tid\":0,\"ts\":1,\"dur\":5,\"args\":{");
   Alcotest.(check bool) "inner complete event with args" true
     (contains out
-       "{\"name\": \"inner\", \"cat\": \"span\", \"ph\": \"X\", \"pid\": 1, \
-        \"tid\": 0, \"ts\": 0.002, \"dur\": 0.001, \"args\": {\"k\": \"v\", \
-        \"gc_minor_words\"")
+       "{\"name\":\"inner\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\
+        \"tid\":0,\"ts\":3,\"dur\":1,\"args\":{\"k\":\"v\",\
+        \"gc_minor_words\":")
 
 let test_spans_json_golden () =
   reset_all ();
@@ -161,13 +163,139 @@ let test_spans_json_golden () =
          !t));
   Obs.Trace.enable ();
   Obs.Trace.span "only" (fun () -> ());
-  let out = Obs.Export.spans_json () in
+  let out = Obs.Json.layout (Obs.Export.spans_json ()) in
   reset_all ();
   Alcotest.(check bool) "native span array" true
-    (String.starts_with ~prefix:"[\n" out
-    && contains out
-         "\"name\": \"only\", \"cat\": \"span\", \"track\": 0, \"depth\": 0, \
-          \"start_ns\": 10, \"dur_ns\": 10")
+    (String.starts_with
+       ~prefix:
+         "[\n\
+         \  {\"name\":\"only\",\"cat\":\"span\",\"track\":0,\"depth\":0,\
+          \"start_ns\":10,\"dur_ns\":10,\"gc_minor_words\":"
+       out
+    && String.ends_with ~suffix:"}\n]" out)
+
+(* --- JSON codec ----------------------------------------------------------------- *)
+
+module J = Obs.Json
+
+(* Nested values whose strings (keys too) draw on every byte 0x00-0xFF.
+   Floats are multiples of 1/8 below 125 in magnitude, which the [%.6g]
+   printer writes exactly. *)
+let gen_json =
+  let open QCheck.Gen in
+  let str = string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 10) in
+  let leaf =
+    oneof
+      [ return J.Null;
+        map (fun b -> J.Bool b) bool;
+        map (fun i -> J.Int i) int;
+        map (fun k -> J.Float (float_of_int k /. 8.)) (int_range (-999) 999);
+        map (fun s -> J.Str s) str ]
+  in
+  sized_size (int_bound 4)
+    (fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> J.List l) (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map (fun l -> J.Obj l)
+                   (list_size (int_bound 4) (pair str (self (depth - 1)))) ) ]))
+
+let arb_json = QCheck.make ~print:J.to_string gen_json
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~count:500 ~name:"parse inverts to_string and layout"
+    arb_json (fun v ->
+      J.parse (J.to_string v) = Ok v && J.parse (J.layout v) = Ok v)
+
+let test_json_all_bytes () =
+  let every = String.init 256 Char.chr in
+  let v = J.Obj [ (every, J.List [ J.Str every; J.Obj [ (every, J.Null) ] ]) ] in
+  Alcotest.(check bool) "compact" true (J.parse (J.to_string v) = Ok v);
+  Alcotest.(check bool) "layout" true (J.parse (J.layout v) = Ok v);
+  Alcotest.(check bool) "bytes from 0x80 up pass through" true
+    (contains (J.to_string (J.Str "caf\xc3\xa9")) "caf\xc3\xa9")
+
+(* Every JSON emitter of the tree, fed names holding a non-ASCII byte, a
+   control byte, a quote and a backslash, parses back to the same strings. *)
+let nasty = "caf\xc3\xa9 \001 \" \\"
+
+let parsed ?(render = J.layout) doc =
+  match J.parse (render doc) with
+  | Ok v -> v
+  | Error msg -> Alcotest.failf "emitted JSON does not parse: %s" msg
+
+let elements = function
+  | J.List l -> l
+  | v -> Alcotest.failf "expected an array: %s" (J.to_string v)
+
+let check_str what expected v key =
+  Alcotest.(check (option string)) what (Some expected) (J.mem_str key v)
+
+let test_emitters_roundtrip () =
+  reset_all ();
+  let recs =
+    List.map
+      (fun verdict ->
+        { Eqcheck.label = nasty; pass = nasty; rule = nasty; verdict;
+          seconds = 0.5 })
+      [ Eqcheck.Proved; Eqcheck.Unknown nasty; Eqcheck.Simulated nasty ]
+  in
+  List.iter
+    (fun r ->
+      List.iter (check_str "eqcheck" nasty r) [ "label"; "pass"; "rule" ])
+    (elements (parsed (Eqcheck.to_json recs)));
+  List.iter
+    (fun r -> check_str "eqcheck reason" nasty r "reason")
+    (List.tl (elements (parsed (Eqcheck.to_json recs))));
+  let diag =
+    { Verify.rule_id = nasty; severity = Verify.Error; node_ids = [ 1; 2 ];
+      message = nasty }
+  in
+  List.iter
+    (fun d -> List.iter (check_str "verify" nasty d) [ "rule_id"; "message" ])
+    (elements (parsed (Verify.to_json [ diag ])));
+  let finding =
+    { Lint_common.rule_id = nasty; sites = [ nasty ]; message = nasty }
+  in
+  List.iter
+    (fun f ->
+      List.iter (check_str "lint" nasty f) [ "rule_id"; "message" ];
+      Alcotest.(check bool) "lint site" true
+        (J.member "sites" f = Some (J.List [ J.Str nasty ])))
+    (elements (parsed (Lint_common.to_json [ finding ])));
+  Obs.Trace.enable ();
+  Obs.Trace.span ~cat:nasty ~args:[ (nasty, Obs.Trace.Str nasty) ] nasty
+    (fun () -> ());
+  let span_args v =
+    Option.bind (J.member "args" v) (J.mem_str nasty)
+  in
+  let check_span what v =
+    List.iter (check_str what nasty v) [ "name"; "cat" ];
+    Alcotest.(check (option string)) (what ^ " arg") (Some nasty) (span_args v)
+  in
+  List.iter (check_span "native span") (elements (parsed (Obs.Export.spans_json ())));
+  List.iter
+    (fun s ->
+      check_span "streamed span"
+        (parsed ~render:J.to_string (Obs.Export.span_json s)))
+    (Obs.Trace.spans ());
+  let events =
+    match J.member "traceEvents" (parsed (Obs.Export.chrome_json ())) with
+    | Some l -> elements l
+    | None -> Alcotest.fail "no traceEvents"
+  in
+  List.iter
+    (fun e -> if J.mem_str "ph" e = Some "X" then check_span "chrome event" e)
+    events;
+  Obs.Metrics.enable ();
+  Obs.Metrics.set_info nasty nasty;
+  let metrics = J.member "metrics" (parsed (Obs.Export.metrics_json ())) in
+  reset_all ();
+  Alcotest.(check (option string)) "metrics info" (Some nasty)
+    (Option.bind metrics (J.mem_str nasty))
 
 (* --- metrics registry ---------------------------------------------------------- *)
 
@@ -240,7 +368,12 @@ let () =
          Alcotest.test_case "span-end-args" `Quick test_span_end_args ]);
       ("export",
        [ Alcotest.test_case "chrome-golden" `Quick test_chrome_golden;
-         Alcotest.test_case "spans-json-golden" `Quick test_spans_json_golden ]);
+         Alcotest.test_case "spans-json-golden" `Quick test_spans_json_golden;
+         Alcotest.test_case "emitters-roundtrip" `Quick
+           test_emitters_roundtrip ]);
+      ("json",
+       q [ prop_json_roundtrip ]
+       @ [ Alcotest.test_case "all-bytes" `Quick test_json_all_bytes ]);
       ("metrics",
        [ Alcotest.test_case "counters" `Quick test_metrics_counters;
          Alcotest.test_case "histogram" `Quick test_metrics_histogram ]);

@@ -4,7 +4,7 @@
    deadlines, Obs.Metrics.delta, trace sinks, and a live daemon round-trip
    over a Unix socket. *)
 
-module J = Serve.Json
+module J = Obs.Json
 module P = Serve.Protocol
 module E = Serve.Engine
 

@@ -136,7 +136,7 @@ let test_audit_clean_pass () =
 let test_render_json () =
   let net, g1, r1, _, _ = seq_circuit () in
   N.Unsafe.drop_fanout net ~id:g1.N.id ~consumer:r1.N.id;
-  let json = Verify.render_json (Verify.run net) in
+  let json = Obs.Json.layout (Verify.to_json (Verify.run net)) in
   Alcotest.(check bool) "json mentions rule id" true
     (let has sub =
        let n = String.length sub and m = String.length json in
