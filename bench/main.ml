@@ -20,16 +20,23 @@ let section title =
 
 (* BENCH_*.json emission goes through the obs metrics registry: each section
    publishes its measurements as gauges/infos under a "bench.<section>"
-   prefix, then dumps that namespace.  Histograms observed under the prefix
-   (e.g. the containment probe distributions) ride along automatically. *)
-let emit_bench ~file ~prefix ~title ~unit values =
+   prefix, then dumps that namespace.  Every file records the worker count
+   its section ran at ([jobs]) and the cores the machine reports, so one
+   schema says what hardware a figure was measured on.  Histograms observed
+   under the prefix (e.g. the containment probe distributions) ride along
+   automatically. *)
+let emit_bench ~file ~prefix ~title ~unit ~jobs values =
   Obs.Metrics.enable ();
   Obs.Metrics.set_info (prefix ^ ".benchmark") title;
   Obs.Metrics.set_info (prefix ^ ".unit") unit;
   List.iter
     (fun (key, v) ->
       Obs.Metrics.set_gauge (Obs.Metrics.gauge (prefix ^ "." ^ key)) v)
-    values;
+    (("jobs", float_of_int jobs)
+     :: ("cores", float_of_int (Core.Parallel.cores ()))
+     :: ("jobs_exceed_cores",
+         if Core.Parallel.oversubscribed ~jobs then 1.0 else 0.0)
+     :: values);
   Obs.Json.write_file file (Obs.Export.metrics_json ~prefix ());
   Printf.printf "  -> %s\n" file
 
@@ -217,7 +224,7 @@ let sta_bench ?(emit_json = true) ~circuits () =
   let rows = List.map bench_circuit circuits in
   if emit_json then
     emit_bench ~file:"BENCH_sta.json" ~prefix:"bench.sta"
-      ~title:"single-edit clock-period re-query" ~unit:"ns_per_query"
+      ~title:"single-edit clock-period re-query" ~unit:"ns_per_query" ~jobs:1
       (List.concat_map
          (fun (name, gates, reps, full_s, incr_s, speedup) ->
            [ (name ^ ".logic_nodes", float_of_int gates);
@@ -422,7 +429,7 @@ let logic_bench ?(emit_json = true) ?(quick = false) () =
   if emit_json then
     emit_bench ~file:"BENCH_logic.json" ~prefix:"bench.logic"
       ~title:"packed vs legacy cube kernel + containment index"
-      ~unit:"ns_per_pass"
+      ~unit:"ns_per_pass" ~jobs:1
       (("cubes_per_set", float_of_int cubes)
        :: ("geomean_speedup", geomean)
        :: (List.concat_map
@@ -504,15 +511,11 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
     Obs.Metrics.enable ();
     Obs.Metrics.set_info "bench.suite.slowest_row" slowest_row;
     emit_bench ~file:"BENCH_suite.json" ~prefix:"bench.suite"
-      ~title:"Table I suite, serial vs domain-parallel" ~unit:"s_per_run"
+      ~title:"Table I suite, serial vs domain-parallel" ~unit:"s_per_run" ~jobs
       [ ("rows", float_of_int rows);
         ("verify", if verify then 1.0 else 0.0);
         ("verify_each", if verify_each then 1.0 else 0.0);
         ("eqcheck_each", if eqcheck_each then 1.0 else 0.0);
-        ("jobs", float_of_int jobs);
-        ("cores", float_of_int (Core.Parallel.cores ()));
-        ("jobs_exceed_cores",
-         if Core.Parallel.oversubscribed ~jobs then 1.0 else 0.0);
         ("serial_s", serial_s);
         ("parallel_s", parallel_s);
         ("speedup", speedup);
@@ -608,11 +611,8 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
     emit_bench ~file:"BENCH_bdd.json" ~prefix:"bench.bdd"
       ~title:"per-domain BDD tables on the --eqcheck-each suite, serial vs \
               --jobs N"
-      ~unit:"nodes_per_run"
+      ~unit:"nodes_per_run" ~jobs
       [ ("rows", float_of_int rows_n);
-        ("jobs", float_of_int jobs);
-        ("cores", float_of_int (Core.Parallel.cores ()));
-        ("jobs_exceed_cores", if Core.Parallel.oversubscribed ~jobs then 1.0 else 0.0);
         ("serial_s", a_s);
         ("parallel_s", b_s);
         ("serial_nodes", float_of_int a_nodes);
@@ -677,6 +677,7 @@ let verifier_bench ?(emit_json = true) ?names () =
   if emit_json then
     emit_bench ~file:"BENCH_verify.json" ~prefix:"bench.verify"
       ~title:"--verify-each overhead on Table I subset" ~unit:"s_per_run"
+      ~jobs:1
       [ ("rows", float_of_int (List.length names));
         ("checker_off_s", off_s);
         ("checker_on_s", on_s);
@@ -739,6 +740,7 @@ let eqcheck_bench ?(emit_json = true) ?names () =
   if emit_json then
     emit_bench ~file:"BENCH_eqcheck.json" ~prefix:"bench.eqcheck"
       ~title:"--eqcheck-each overhead on Table I subset" ~unit:"s_per_run"
+      ~jobs:1
       [ ("rows", float_of_int (List.length names));
         ("analyzer_off_s", off_s);
         ("analyzer_on_s", on_s);
@@ -753,52 +755,52 @@ let eqcheck_bench ?(emit_json = true) ?names () =
 
 (* Cold vs warm request through the in-process serving engine: the same
    benchmark twice on one engine.  The first request parses/builds the
-   circuit into the engine's pristine cache and populates the worker's BDD
-   unique table; the second copies the cached network and rebuilds its BDDs
-   onto already-interned nodes.  The two result payloads must be
-   byte-identical — warmth may only change latency and allocation, never
-   output. *)
+   circuit into the engine's pristine cache and populates the BDD table; the
+   second copies the cached network and rebuilds its BDDs onto
+   already-interned nodes.  The two result payloads must be byte-identical —
+   warmth may only change latency and allocation, never output.  The engine
+   runs outside a pool (jobs 1), so both requests run inline on this domain
+   and share its BDD table: under a pool either worker may claim either
+   request, and a warm request on a cold worker's table allocates the whole
+   cold count again. *)
 let serve_bench ?(emit_json = true) () =
-  section "serve: cold vs warm round-trip (in-process engine, jobs 2)";
+  section "serve: cold vs warm round-trip (in-process engine, jobs 1)";
   Obs.Metrics.enable ();
   let counter_delta name delta =
     match List.assoc_opt name delta with
     | Some (Obs.Metrics.Counter n) -> n
     | _ -> 0
   in
-  let cold, warm =
-    Core.Parallel.run ~jobs:2 (fun () ->
-        let eng = Serve.Engine.create () in
-        let round id =
-          let snap = Obs.Metrics.snapshot () in
-          let bdd0 = Bdd.total_allocated () in
-          let t0 = Unix.gettimeofday () in
-          let reply =
-            Serve.Engine.submit eng ~id:(Some id)
-              (Serve.Protocol.Benchmark "s27")
-              Serve.Protocol.default_submit_options
-          in
-          (match Obs.Json.mem_bool "ok" reply with
-           | Some true -> ()
-           | _ -> failwith ("serve bench: submit rejected: "
-                            ^ Obs.Json.to_string reply));
-          Serve.Engine.drain eng;
-          let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          let delta = Obs.Metrics.delta snap in
-          let payload =
-            match Obs.Json.member "result" (Serve.Engine.result eng id) with
-            | Some p -> Obs.Json.to_string p
-            | None -> failwith "serve bench: request did not complete"
-          in
-          ( payload,
-            ms,
-            Bdd.total_allocated () - bdd0,
-            counter_delta "serve.cache.hits" delta,
-            counter_delta "serve.cache.misses" delta )
-        in
-        let cold = round "cold" in
-        (cold, round "warm"))
+  let eng = Serve.Engine.create () in
+  let round id =
+    let snap = Obs.Metrics.snapshot () in
+    let bdd0 = Bdd.total_allocated () in
+    let t0 = Unix.gettimeofday () in
+    let reply =
+      Serve.Engine.submit eng ~id:(Some id)
+        (Serve.Protocol.Benchmark "s27")
+        Serve.Protocol.default_submit_options
+    in
+    (match Obs.Json.mem_bool "ok" reply with
+     | Some true -> ()
+     | _ -> failwith ("serve bench: submit rejected: "
+                      ^ Obs.Json.to_string reply));
+    Serve.Engine.drain eng;
+    let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+    let delta = Obs.Metrics.delta snap in
+    let payload =
+      match Obs.Json.member "result" (Serve.Engine.result eng id) with
+      | Some p -> Obs.Json.to_string p
+      | None -> failwith "serve bench: request did not complete"
+    in
+    ( payload,
+      ms,
+      Bdd.total_allocated () - bdd0,
+      counter_delta "serve.cache.hits" delta,
+      counter_delta "serve.cache.misses" delta )
   in
+  let cold = round "cold" in
+  let warm = round "warm" in
   let p_cold, cold_ms, cold_bdd, cold_hits, cold_misses = cold in
   let p_warm, warm_ms, warm_bdd, warm_hits, warm_misses = warm in
   let identical = p_cold = p_warm in
@@ -814,10 +816,8 @@ let serve_bench ?(emit_json = true) () =
   if emit_json then
     emit_bench ~file:"BENCH_serve.json" ~prefix:"bench.serve"
       ~title:"daemon engine round-trip: cold vs warm request (s27)"
-      ~unit:"ms"
-      [ ("jobs", 2.0);
-        ("cores", float_of_int (Core.Parallel.cores ()));
-        ("cold_ms", cold_ms);
+      ~unit:"ms" ~jobs:1
+      [ ("cold_ms", cold_ms);
         ("warm_ms", warm_ms);
         ("speedup", if warm_ms > 0.0 then cold_ms /. warm_ms else 0.0);
         ("cold_bdd_allocated", float_of_int cold_bdd);

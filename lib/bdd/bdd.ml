@@ -175,8 +175,7 @@ let table_key = Domain.DLS.new_key make_table
 
 type man = {
   table : table;
-  uid : int; (* root scope uid, shared by sub-scopes for cache stamping *)
-  parent : man option;
+  uid : int; (* stamps the ITE/exists cache entries this scope writes *)
   (* open-addressing set of node ids consed through this scope; slot 0 is
      empty (valid ids are >= 2) *)
   mutable seen : int array;
@@ -192,23 +191,15 @@ type man = {
 let filter_bits = 9
 let filter_mask = (1 lsl filter_bits) - 1
 
-let make_scope ~table ~uid ~parent =
+let create () =
   Atomic.incr g_scopes;
   let cap = 256 in
-  { table;
-    uid;
-    parent;
+  { table = Domain.DLS.get table_key;
+    uid = Atomic.fetch_and_add g_uid 1;
     seen = Array.make cap 0;
     seen_mask = cap - 1;
     seen_n = 0;
     filter = Array.make (filter_mask + 1) 0 }
-
-let create () =
-  make_scope ~table:(Domain.DLS.get table_key)
-    ~uid:(Atomic.fetch_and_add g_uid 1) ~parent:None
-
-let sub_scope man =
-  make_scope ~table:man.table ~uid:man.uid ~parent:(Some man)
 
 (* The owner-domain invariant: a scope's table is its creating domain's
    table, so any other domain using it would race that domain's writes. *)
@@ -246,35 +237,22 @@ let rec seen_probe seen mask id s =
   else if cur = 0 then s
   else seen_probe seen mask id ((s + 1) land mask)
 
-(* returns [true] iff [id] was not in the set yet *)
-let seen_add man id =
-  let mask = man.seen_mask in
-  let s = seen_probe man.seen mask id ((id * 0x9E3779B1) land mask) in
-  if s < 0 then false
-  else begin
-    Array.unsafe_set man.seen s id;
-    man.seen_n <- man.seen_n + 1;
-    if 3 * man.seen_n >= 2 * (mask + 1) then seen_grow man;
-    true
-  end
-
-(* A child scope's seen set is always a subset of its parent's (both are
-   charged together below), so a hit in the child — filter or set — means
-   the whole parent chain already has the id. *)
-let rec scope_add man id =
+(* charges [id] to the scope unless it already was; the filter absorbs most
+   repeats before the set is probed *)
+let scope_add man id =
   let fs = (id * 0x9E3779B1) land filter_mask in
   if Array.unsafe_get man.filter fs <> id then begin
     Array.unsafe_set man.filter fs id;
-    if seen_add man id then
-      match man.parent with Some p -> scope_add p id | None -> ()
+    let mask = man.seen_mask in
+    let s = seen_probe man.seen mask id ((id * 0x9E3779B1) land mask) in
+    if s >= 0 then begin
+      Array.unsafe_set man.seen s id;
+      man.seen_n <- man.seen_n + 1;
+      if 3 * man.seen_n >= 2 * (mask + 1) then seen_grow man
+    end
   end
 
 let node_count man = 2 + man.seen_n
-
-let adopt dst src =
-  if dst.table != src.table then
-    invalid_arg "Bdd.adopt: scopes belong to different tables";
-  Array.iter (fun id -> if id <> 0 then scope_add dst id) src.seen
 
 (* --- node field access -------------------------------------------------------- *)
 

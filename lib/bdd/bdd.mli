@@ -5,11 +5,13 @@
     values are node handles valid for any scope on that table, and
     structural equality of functions is handle equality.  A {!man} is a
     {e scope}: a lightweight accounting handle that tracks which distinct
-    nodes its own operations consed, so {!node_count} reports exactly what a
-    fresh manager would have allocated for the same operation sequence —
-    consumers' node budgets behave identically whether the table is cold or
-    warm.  The variable order is the natural integer order on variable
-    indices.
+    nodes its own operations consed.  Scopes are independent — none reads
+    another's computed-cache entries or charges another's nodes — so
+    {!node_count} reports exactly what a fresh manager would have allocated
+    for the same operation sequence, however the table's warmth or other
+    scopes' operations interleave; consumers' node budgets behave
+    identically whether the table is cold or warm.  The variable order is
+    the natural integer order on variable indices.
 
     Thread-safety: a scope, and every handle built through it, belongs to
     the domain that created it and must be used only there: an operation
@@ -26,17 +28,6 @@ type t = private int
 
 val create : unit -> man
 (** Open a scope on the calling domain's table. *)
-
-val sub_scope : man -> man
-(** A child scope on the same table: nodes consed through the child are also
-    charged to the parent, so the parent's {!node_count} stays cumulative
-    while the child isolates the charge of one sub-computation. *)
-
-val adopt : man -> man -> unit
-(** [adopt dst src] charges every node recorded in [src] to [dst] (and its
-    parents), as if [dst] had consed them itself.  Used to keep budgets exact
-    when previously built values are reused instead of rebuilt.  Both scopes
-    must share a table. *)
 
 val bfalse : t
 val btrue : t

@@ -135,10 +135,3 @@ let random_sequential ~seed profile =
      sweep away latches (they self-justify as state). *)
   N.check net;
   net
-
-let random_combinational ~seed ~npi ~npo ~ngates =
-  let profile =
-    { npi; npo; nlatch = 0; ngates; max_fanin = 3; feedback = false;
-      stem_bias = 0.0 }
-  in
-  random_sequential ~seed profile

@@ -27,5 +27,3 @@ val random_sequential : seed:int -> profile -> Netlist.Network.t
     and a gate could want more distinct fanins than there are latches
     (some [0 < nlatch < max 2 max_fanin] profiles), for which the draw
     would never end. *)
-
-val random_combinational : seed:int -> npi:int -> npo:int -> ngates:int -> Netlist.Network.t

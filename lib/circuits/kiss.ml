@@ -70,13 +70,6 @@ let parse_string text =
   in
   { ninputs = !ninputs; noutputs = !noutputs; states; reset; terms }
 
-let parse_file path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  parse_string text
-
 let to_string t =
   let buf = Buffer.create 512 in
   Buffer.add_string buf (Printf.sprintf ".i %d\n.o %d\n" t.ninputs t.noutputs);

@@ -23,8 +23,6 @@ type t = {
 val parse_string : string -> t
 (** Raises [Failure] with a line-numbered message on malformed input. *)
 
-val parse_file : string -> t
-
 val to_string : t -> string
 
 val write_file : string -> t -> unit

@@ -170,9 +170,6 @@ let critical_path_from_timing net model timing =
     walk start []
   end
 
-let critical_path_for_engine net model =
-  critical_path_from_timing net model (Sta.analyze net model)
-
 (* --- step 4: DC_ret-driven cone simplification ------------------------------ *)
 
 let m_cones = Obs.Metrics.counter "resynth.cones"
@@ -445,7 +442,6 @@ let resynthesize_impl ~options ~hooks original =
           || (final_period > original_period -. 1e-9
               && N.num_latches net >= N.num_latches original)
         in
-        Verify.debug_check ~label:"Resynth.resynthesize" net;
         if options.guard_regression && regressed then
           { network = N.copy original;
             applied = false;

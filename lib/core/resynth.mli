@@ -66,7 +66,3 @@ val critical_path_from_timing :
 (** The critical path the engine works on, preferring (among equally critical
     paths) one whose head gate reads only registers.  Takes precomputed
     timing — pass {!Sta.Incremental.timing} to avoid a fresh analysis. *)
-
-val critical_path_for_engine :
-  Netlist.Network.t -> Sta.model -> Netlist.Network.node list
-(** {!critical_path_from_timing} on a one-shot full analysis. *)

@@ -35,8 +35,6 @@ let are_equal t a b =
   a.N.id = b.N.id
   || (Hashtbl.mem t.parent a.N.id && find t a.N.id = find t b.N.id)
 
-let representative t n = find t n.N.id
-
 let classes t =
   let by_root = Hashtbl.create 16 in
   (* lint-waive: nondet/hashtbl-order — grouping is commutative: members

@@ -17,9 +17,6 @@ val declare_class : t -> Netlist.Network.node list -> unit
 
 val are_equal : t -> Netlist.Network.node -> Netlist.Network.node -> bool
 
-val representative : t -> Netlist.Network.node -> int
-(** Canonical latch id of the node's class (its own id if never declared). *)
-
 val classes : t -> int list list
 (** Non-trivial classes as lists of latch ids. *)
 

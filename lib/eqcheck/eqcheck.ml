@@ -28,13 +28,6 @@ let m_cap_bdd_nodes = Obs.Metrics.counter "eqcheck.cap.bdd_nodes"
 let m_cap_sat_conflicts = Obs.Metrics.counter "eqcheck.cap.sat_conflicts"
 let m_cone_rescued = Obs.Metrics.counter "eqcheck.seq.cone_rescued"
 
-(* cone-memo outcome split: [hit] = recorded build served the pre side;
-   [miss] = memo consulted but empty or unusable; [evict] = a recorded
-   build displaced without ever being reused (stale net/frame/table). *)
-let m_memo_hit = Obs.Metrics.counter "eqcheck.memo.hit"
-let m_memo_miss = Obs.Metrics.counter "eqcheck.memo.miss"
-let m_memo_evict = Obs.Metrics.counter "eqcheck.memo.evict"
-
 type cex = {
   endpoint : string;
   leaves : (string * bool) list;
@@ -105,25 +98,6 @@ let comb_interface_matches pre post =
   Sim.Equiv.leaf_names pre = Sim.Equiv.leaf_names post
   && Sim.Equiv.endpoint_names pre = Sim.Equiv.endpoint_names post
 
-(* Memo of the last cone-function build, keyed by network identity, revision
-   and leaf frame.  In an instrumented flow the [pre] side of check k+1 is a
-   snapshot of the [post] side of check k, so its cone BDDs can be reused
-   instead of rebuilt: the domain's unique table never frees or renumbers
-   nodes, and a row's checks all run on one domain, so the handles stay
-   valid across checks.  Budget parity is kept by
-   [Bdd.adopt]-ing the recorded build charge into the new check's scope. *)
-type cone_memo = {
-  me_net : N.t;
-  me_rev : int;
-  me_frame : string list;  (** the leaf list the variable frame was built on *)
-  me_values : (int, Bdd.t) Hashtbl.t;
-  me_man : Bdd.man;  (** sub-scope charged with exactly this build's nodes *)
-}
-
-type memo = cone_memo option ref
-
-let memo () : memo = ref None
-
 (* --- combinational equivalence modulo DC_ret --------------------------------- *)
 
 let make_comb_cex pre post leaves assign =
@@ -151,48 +125,15 @@ let make_comb_cex pre post leaves assign =
     trace = [];
     sim_confirmed = confirmed }
 
-let comb_check_bdd ~options ~pairs ?memo pre post leaves =
+let comb_check_bdd ~options ~pairs pre post leaves =
   let man = Bdd.create () in
   let var_idx = Hashtbl.create 64 in
   List.iteri (fun i name -> Hashtbl.add var_idx name i) leaves;
   let var_of_name name = Hashtbl.find var_idx name in
   let budget () = Reach.check_budget man ~max_nodes:options.max_bdd_nodes in
-  (* each side builds every cone in a sub-scope so the memo can record
-     exactly that side's node charge, while [man] keeps the cumulative count
-     the budget tests against *)
-  let build net =
-    let scope = Bdd.sub_scope man in
-    let leaf n = Some (Bdd.var scope (var_of_name n.N.name)) in
-    (Reach.cone_values scope ~budget ~leaf net, scope)
-  in
-  let values_pre =
-    match memo with
-    | Some { contents = Some m }
-      when m.me_net == pre
-           && m.me_rev = N.revision pre
-           && m.me_frame = leaves ->
-      Obs.Metrics.incr m_memo_hit;
-      Bdd.adopt man m.me_man;
-      m.me_values
-    | Some r ->
-      Obs.Metrics.incr m_memo_miss;
-      (* a recorded build that cannot serve this check is displaced below
-         without ever being reused *)
-      if Option.is_some !r then Obs.Metrics.incr m_memo_evict;
-      fst (build pre)
-    | None -> fst (build pre)
-  in
-  let values_post, me_man = build post in
-  Option.iter
-    (fun r ->
-      r :=
-        Some
-          { me_net = post;
-            me_rev = N.revision post;
-            me_frame = leaves;
-            me_values = values_post;
-            me_man })
-    memo;
+  let leaf n = Some (Bdd.var man (var_of_name n.N.name)) in
+  let values_pre = Reach.cone_values man ~budget ~leaf pre in
+  let values_post = Reach.cone_values man ~budget ~leaf post in
   (* care set: every pair of equivalent registers agrees *)
   let care =
     List.fold_left
@@ -278,7 +219,7 @@ let comb_check_sat ~options ~pairs pre post =
     in
     `Diff assign
 
-let comb_check ?(options = default_options) ?(classes = []) ?memo pre post =
+let comb_check ?(options = default_options) ?(classes = []) pre post =
   if not (comb_interface_matches pre post) then
     Unknown "interface mismatch (leaf or endpoint names differ)"
   else begin
@@ -296,7 +237,7 @@ let comb_check ?(options = default_options) ?(classes = []) ?memo pre post =
         | `Unknown msg -> Unknown msg
         | `Diff assign -> Refuted (make_comb_cex pre post leaves assign)
       in
-      match comb_check_bdd ~options ~pairs ?memo pre post leaves with
+      match comb_check_bdd ~options ~pairs pre post leaves with
       | r -> finish r
       | exception Reach.Too_large _ ->
         Obs.Metrics.incr m_cap_bdd_nodes;
@@ -597,8 +538,7 @@ let timed f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0) (* lint-waive: nondet/wall-clock — measurement only, same as above *)
 
-let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
-    =
+let check_pass ?(options = default_options) ~label ~pass ~classes pre post =
   (* the class-invariant certificate only reads [post] and owns its own BDD
      scope *)
   let dcret_records =
@@ -609,9 +549,7 @@ let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
   in
   let eq_record =
     if comb_interface_matches pre post then begin
-      let v, secs =
-        timed (fun () -> comb_check ~options ~classes ?memo pre post)
-      in
+      let v, secs = timed (fun () -> comb_check ~options ~classes pre post) in
       match v with
       | Proved ->
         { label; pass; rule = "eq-pass/comb"; verdict = Proved; seconds = secs }
@@ -647,8 +585,6 @@ let check_pass ?(options = default_options) ?memo ~label ~pass ~classes pre post
 
 let instrument ?(options = default_options) ~label sink =
   let reference = ref None in
-  (* check k's post cones are check k+1's pre cones: one memo per flow *)
-  let memo = memo () in
   let remember net =
     reference := Some (net, N.revision net, N.outputs_revision net, N.copy net)
   in
@@ -663,12 +599,9 @@ let instrument ?(options = default_options) ~label sink =
     | Some (_, _, _, pre_copy) when not (unchanged net) ->
       let post_copy = N.copy net in
       sink :=
-        !sink
-        @ check_pass ~options ~memo ~label ~pass ~classes pre_copy post_copy;
-      (* the snapshot (identical node ids, never mutated) is both the next
-         boundary's [pre] side and the memo key under which [check_pass]
-         records this check's post-side cone BDDs — so the next check reuses
-         them instead of rebuilding *)
+        !sink @ check_pass ~options ~label ~pass ~classes pre_copy post_copy;
+      (* the snapshot (identical node ids, never mutated) is the next
+         boundary's [pre] side *)
       reference :=
         Some (net, N.revision net, N.outputs_revision net, post_copy)
     | Some _ | None -> () (* unchanged: the existing snapshot still matches *)

@@ -12,8 +12,10 @@
     - {!comb_check} — combinational equivalence of pre/post-pass next-state
       and output cones over shared leaves (primary inputs and present-state
       registers, matched by name), via BDDs with a {!Sat_lite} fallback past
-      the node budget.  DC_ret cubes are satisfiability don't-cares: states
-      where replicated registers disagree are excluded from the comparison.
+      the node budget.  Each check builds both sides' cones in one fresh BDD
+      scope, so the budget counts exactly that check's nodes.  DC_ret cubes
+      are satisfiability don't-cares: states where replicated registers
+      disagree are excluded from the comparison.
     - {!seq_check} and {!dcret_check} — the two sequential checks, both
       callers of the one reachability engine [Dontcare.Reach]: the product
       machine of two netlists, and the class invariant of one.  A
@@ -81,20 +83,9 @@ type record = {
 val verdict_name : verdict -> string
 (** ["proved"], ["simulated"], ["refuted"], ["unknown"]. *)
 
-type memo
-(** Cone-BDD build memo for a sequence of checks over one pass lineage: when
-    a check's [pre] network is (a snapshot of) the previous check's [post],
-    its cone functions are taken from the domain's BDD table instead of being
-    rebuilt.  Reuses are counted by the [eqcheck.memo.hit] metric; the
-    reusing check's budget is charged with the recorded build's scope. *)
-
-val memo : unit -> memo
-(** A fresh (empty) memo. *)
-
 val comb_check :
   ?options:options ->
   ?classes:int list list ->
-  ?memo:memo ->
   Netlist.Network.t ->
   Netlist.Network.t ->
   verdict
@@ -135,7 +126,6 @@ val dcret_check :
 
 val check_pass :
   ?options:options ->
-  ?memo:memo ->
   label:string ->
   pass:string ->
   classes:int list list ->
@@ -155,8 +145,9 @@ val instrument :
     order.  When a pass reads a network other than the one the previous
     boundary left (a flow's input, or the start of another lineage from a
     shared input), the reference is re-anchored at that input first.  Both
-    sides of every check are snapshots, and consecutive checks share one
-    cone memo (check k's post side is check k+1's pre side). *)
+    sides of every check are snapshots (check k's post side is check k+1's
+    pre side), and every check builds both sides' cones afresh in its own
+    BDD scope, so its node budget counts exactly that check's work. *)
 
 val counts : record list -> int * int * int
 (** (proved, refuted, unknown). *)

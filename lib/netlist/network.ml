@@ -212,8 +212,6 @@ let retarget_output net name n =
 
 let fanin_nodes net n = Array.to_list n.fanins |> List.map (node net)
 
-let fanout_nodes net n = List.map (node net) (List.sort_uniq compare n.fanouts)
-
 let inputs net = List.rev_map (node net) net.input_ids
 
 let outputs net =

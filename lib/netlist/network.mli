@@ -103,7 +103,6 @@ val node : t -> int -> node
 
 val node_opt : t -> int -> node option
 val fanin_nodes : t -> node -> node list
-val fanout_nodes : t -> node -> node list
 val inputs : t -> node list
 val outputs : t -> (string * node) list
 

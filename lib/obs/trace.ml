@@ -57,7 +57,6 @@ let next_sink_id = ref 1
 let buffering = Atomic.make true
 
 let set_buffering b = Atomic.set buffering b
-let buffering_enabled () = Atomic.get buffering
 
 let add_sink sink =
   Mutex.lock sink_lock;
@@ -133,22 +132,6 @@ let span ?(cat = "span") ?(args = []) ?end_args name f =
     match f () with
     | v -> finish (); v
     | exception e -> finish (); raise e
-  end
-
-let instant ?(cat = "mark") ?(args = []) name =
-  if Atomic.get on then begin
-    let t0 = now_ns () in
-    record
-      { name;
-        cat;
-        (* lint-waive: nondet/domain-id — timeline track label only. *)
-        track = (Domain.self () :> int);
-        depth = depth ();
-        start_ns = t0;
-        dur_ns = 0L;
-        minor_words = 0.0;
-        major_words = 0.0;
-        args }
   end
 
 let spans () =

@@ -47,9 +47,6 @@ val span : ?cat:string -> ?args:(string * attr) list ->
     only known then.  Exceptions propagate; the span is still recorded.
     When disabled this is [f ()] after one atomic load. *)
 
-val instant : ?cat:string -> ?args:(string * attr) list -> string -> unit
-(** A zero-duration mark on the current track. *)
-
 val depth : unit -> int
 (** Current nesting depth of the calling domain (0 outside any span). *)
 
@@ -71,7 +68,7 @@ val set_clock : (unit -> int64) option -> unit
     and must never call back into this module. *)
 
 type sink = {
-  on_span : span -> unit;   (** one completed span (or instant mark) *)
+  on_span : span -> unit;   (** one completed span *)
   on_flush : unit -> unit;  (** flush buffered output (shutdown, export) *)
 }
 
@@ -88,5 +85,3 @@ val set_buffering : bool -> unit
 (** [set_buffering false] stops accumulating spans in the in-memory buffer
     ({!spans} returns only what was recorded while buffering); sinks still
     receive every span.  Default [true]. *)
-
-val buffering_enabled : unit -> bool

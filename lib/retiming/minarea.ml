@@ -135,6 +135,5 @@ let minimize_registers ?(classes = []) ?timer net ~model ~max_period =
     in
     List.iter try_move (N.logic_nodes net)
   done;
-  Verify.debug_check ~label:"Minarea.minimize_registers" net;
   Obs.Metrics.add m_eliminated !eliminated;
   !eliminated

@@ -8,40 +8,30 @@ let error_message = function
   | Not_retimable msg -> "not retimable: " ^ msg
   | No_initial_state msg -> "no initial state: " ^ msg
 
-let tri_of_init = function
-  | N.I0 -> Sim.Simulate.T0
-  | N.I1 -> Sim.Simulate.T1
-  | N.Ix -> Sim.Simulate.Tx
-
-let init_of_tri = function
-  | Sim.Simulate.T0 -> N.I0
-  | Sim.Simulate.T1 -> N.I1
-  | Sim.Simulate.Tx -> N.Ix
-
-(* 3-valued evaluation of a cover on a point of initial values. *)
+(* Conservative three-valued evaluation of a cover on a point of initial
+   values: a cube is I1 if all its literals are 1, I0 if any literal is 0,
+   else Ix; the sum is I1 if any cube is I1, I0 if all are I0, else Ix. *)
 let eval_inits cover inits =
   let eval_cube cube =
-    let result = ref Sim.Simulate.T1 in
+    let result = ref N.I1 in
     Logic.Cube.iteri
       (fun v l ->
-        match l, inits.(v) with
+        match (l, inits.(v)) with
         | Logic.Cube.Both, _ -> ()
-        | Logic.Cube.One, Sim.Simulate.T1 | Logic.Cube.Zero, Sim.Simulate.T0 ->
-          ()
-        | Logic.Cube.One, Sim.Simulate.T0 | Logic.Cube.Zero, Sim.Simulate.T1 ->
-          result := Sim.Simulate.T0
-        | (Logic.Cube.One | Logic.Cube.Zero), Sim.Simulate.Tx ->
-          if !result = Sim.Simulate.T1 then result := Sim.Simulate.Tx)
+        | Logic.Cube.One, N.I1 | Logic.Cube.Zero, N.I0 -> ()
+        | Logic.Cube.One, N.I0 | Logic.Cube.Zero, N.I1 -> result := N.I0
+        | (Logic.Cube.One | Logic.Cube.Zero), N.Ix ->
+          if !result = N.I1 then result := N.Ix)
       cube;
     !result
   in
   List.fold_left
     (fun acc cube ->
-      match acc, eval_cube cube with
-      | Sim.Simulate.T1, _ | _, Sim.Simulate.T1 -> Sim.Simulate.T1
-      | Sim.Simulate.Tx, _ | _, Sim.Simulate.Tx -> Sim.Simulate.Tx
-      | Sim.Simulate.T0, Sim.Simulate.T0 -> Sim.Simulate.T0)
-    Sim.Simulate.T0 cover.Logic.Cover.cubes
+      match (acc, eval_cube cube) with
+      | N.I1, _ | _, N.I1 -> N.I1
+      | N.Ix, _ | _, N.Ix -> N.Ix
+      | N.I0, N.I0 -> N.I0)
+    N.I0 cover.Logic.Cover.cubes
 
 let is_forward_retimable net v =
   N.is_logic v
@@ -65,10 +55,9 @@ let forward_across_node net v =
     Error (Not_retimable (v.N.name ^ ": some fanin is not a latch"))
   else begin
     let fanin_latches = Array.map (N.node net) v.N.fanins in
-    let inits =
-      Array.map (fun l -> tri_of_init (N.latch_init l)) fanin_latches
+    let new_init =
+      eval_inits (N.cover_of v) (Array.map N.latch_init fanin_latches)
     in
-    let new_init = init_of_tri (eval_inits (N.cover_of v) inits) in
     (* Remember the consumers before attaching the new latch. *)
     let old_consumers = v.N.fanouts in
     let drove_output = N.drives_output net v in
@@ -112,7 +101,6 @@ let forward_across_node net v =
         | Some _ | None -> ())
       (List.sort_uniq compare
          (Array.to_list (Array.map (fun l -> l.N.id) fanin_latches)));
-    Verify.debug_check ~label:"Moves.forward_across_node" net;
     Ok new_latch
   end
 
@@ -197,7 +185,6 @@ let backward_across_node net v =
           N.delete net l)
         (List.sort_uniq compare (List.map (fun l -> l.N.id) out_latches)
          |> List.map (N.node net));
-      Verify.debug_check ~label:"Moves.backward_across_node" net;
       (* lint-waive: nondet/hashtbl-order — every caller discards this list
          (minarea: Result.map ignore; minperiod: matches Ok _). *)
       Ok (Hashtbl.fold (fun _ l acc -> l :: acc) new_latch_for [])
@@ -225,7 +212,6 @@ let split_stem net latch =
           copy)
         rest
     in
-    Verify.debug_check ~label:"Moves.split_stem" net;
     latch :: copies
 
 let merge_siblings net latches =
@@ -248,7 +234,6 @@ let merge_siblings net latches =
           N.transfer_fanouts net ~from:l ~to_:keep;
           N.delete net l)
         others;
-      Verify.debug_check ~label:"Moves.merge_siblings" net;
       Ok keep
     end
 
@@ -283,5 +268,4 @@ let forward_fixpoint net ids =
         | Some _ | None -> ())
       ids
   done;
-  Verify.debug_check ~label:"Moves.forward_fixpoint" net;
   (!moves, List.rev !latches)

@@ -1,21 +1,6 @@
 module N = Netlist.Network
 
-type tri = T0 | T1 | Tx
-
-let tri_of_bool b = if b then T1 else T0
-let tri_equal (a : tri) b = a = b
-
 type state = (int * bool) list
-type tri_state = (int * tri) list
-
-let initial_state net =
-  List.map
-    (fun l ->
-      match N.latch_init l with
-      | N.I0 -> (l.N.id, T0)
-      | N.I1 -> (l.N.id, T1)
-      | N.Ix -> (l.N.id, Tx))
-    (N.latches net)
 
 let binary_initial_state net =
   List.map
@@ -142,90 +127,3 @@ let run net state vectors =
       loop state' (outs :: acc) rest
   in
   loop state [] vectors
-
-(* --- 3-valued -------------------------------------------------------------- *)
-
-(* SOP 3-valued evaluation: a cube is 1 if all its literals are 1, 0 if any
-   literal is 0, else X; the sum is 1 if any cube is 1, 0 if all are 0,
-   else X.  This is the standard conservative semantics. *)
-let eval_cover3 cover point =
-  let eval_cube cube =
-    let result = ref T1 in
-    Logic.Cube.iteri
-      (fun v l ->
-        match l, point.(v) with
-        | Logic.Cube.Both, _ -> ()
-        | Logic.Cube.One, T1 | Logic.Cube.Zero, T0 -> ()
-        | Logic.Cube.One, T0 | Logic.Cube.Zero, T1 -> result := T0
-        | (Logic.Cube.One | Logic.Cube.Zero), Tx ->
-          if !result = T1 then result := Tx)
-      cube;
-    !result
-  in
-  List.fold_left
-    (fun acc cube ->
-      match acc, eval_cube cube with
-      | T1, _ | _, T1 -> T1
-      | Tx, _ | _, Tx -> Tx
-      | T0, T0 -> T0)
-    T0 cover.Logic.Cover.cubes
-
-let eval_all3 net ~pi ~state =
-  let values = Array.make (capacity net) Tx in
-  List.iter (fun n -> values.(n.N.id) <- pi n.N.name) (N.inputs net);
-  List.iter
-    (fun n ->
-      match n.N.kind with
-      | N.Const b -> values.(n.N.id) <- tri_of_bool b
-      | N.Input | N.Latch _ | N.Logic _ -> ())
-    (N.all_nodes net);
-  List.iter
-    (fun l ->
-      match List.assoc_opt l.N.id state with
-      | Some v -> values.(l.N.id) <- v
-      | None -> values.(l.N.id) <- Tx)
-    (N.latches net);
-  List.iter
-    (fun n ->
-      let point = Array.map (fun f -> values.(f)) n.N.fanins in
-      values.(n.N.id) <- eval_cover3 (N.cover_of n) point)
-    (N.topo_combinational net);
-  values
-
-let step3 net ~pi ~state =
-  let values = eval_all3 net ~pi ~state in
-  let next =
-    List.map
-      (fun l -> (l.N.id, values.((N.latch_data net l).N.id)))
-      (N.latches net)
-  in
-  let outs =
-    List.map (fun (name, n) -> (name, values.(n.N.id))) (N.outputs net)
-  in
-  (next, outs)
-
-let synchronizing_sequence ?(max_len = 32) ?(attempts = 64) ~seed net =
-  let rng = Random.State.make [| seed |] in
-  let input_names = List.map (fun n -> n.N.name) (N.inputs net) in
-  let all_x = List.map (fun l -> (l.N.id, Tx)) (N.latches net) in
-  let all_binary state = List.for_all (fun (_, v) -> v <> Tx) state in
-  let try_once () =
-    let rec go state acc len =
-      if all_binary state then Some (List.rev acc)
-      else if len >= max_len then None
-      else begin
-        let vector =
-          List.map (fun name -> (name, Random.State.bool rng)) input_names
-        in
-        let pi name = tri_of_bool (List.assoc name vector) in
-        let state', _ = step3 net ~pi ~state in
-        let pi_bool name = List.assoc name vector in
-        go state' (pi_bool :: acc) (len + 1)
-      end
-    in
-    go all_x [] 0
-  in
-  let rec search k = if k = 0 then None else
-      match try_once () with Some s -> Some s | None -> search (k - 1)
-  in
-  search attempts

@@ -1,17 +1,7 @@
-(** Sequential simulation of networks: 2-valued and conservative 3-valued. *)
-
-type tri = T0 | T1 | Tx
-
-val tri_of_bool : bool -> tri
-val tri_equal : tri -> tri -> bool
+(** Two-valued sequential simulation of networks. *)
 
 type state = (int * bool) list
 (** Latch node id -> current value. *)
-
-type tri_state = (int * tri) list
-
-val initial_state : Netlist.Network.t -> tri_state
-(** From the declared latch initial values ([Ix] maps to [Tx]). *)
 
 val binary_initial_state : Netlist.Network.t -> state
 (** Requires every latch to have a binary initial value; raises [Failure]
@@ -23,7 +13,7 @@ val binary_initial_state : Netlist.Network.t -> state
     [int] words: bit [j] of every word is an independent simulation lane, so
     one pass over the program simulates up to [Sys.int_size] (63) input
     assignments at once.  This is the only two-valued evaluator: {!eval_all}
-    (and so {!step}, {!run} and [Vcd]) runs lane 0 of it, and
+    (and so {!step} and {!run}) runs lane 0 of it, and
     [Equiv.seq_equal_random] runs whole words of random runs. *)
 
 type program = private {
@@ -66,20 +56,3 @@ val run :
   state * (string * bool) list list
 (** Apply a sequence of input vectors; returns final state and per-cycle
     outputs. *)
-
-val eval_all3 :
-  Netlist.Network.t -> pi:(string -> tri) -> state:tri_state -> tri array
-(** Conservative 3-valued evaluation. *)
-
-val step3 :
-  Netlist.Network.t ->
-  pi:(string -> tri) ->
-  state:tri_state ->
-  tri_state * (string * tri) list
-
-val synchronizing_sequence :
-  ?max_len:int -> ?attempts:int -> seed:int -> Netlist.Network.t ->
-  (string -> bool) list option
-(** Search (randomly, structurally — by 3-valued simulation from the all-X
-    state) for an input sequence that drives every latch to a binary value.
-    Returns the sequence of input vectors when found. *)

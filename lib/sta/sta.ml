@@ -323,8 +323,6 @@ module Incremental = struct
     full_sync t;
     t
 
-  let refresh t = sync t
-
   let period t =
     Obs.Metrics.incr m_requeries;
     sync t;

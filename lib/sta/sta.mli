@@ -52,9 +52,6 @@ module Incremental : sig
 
   val network : t -> Netlist.Network.t
 
-  val refresh : t -> unit
-  (** Force synchronization now; queries synchronize implicitly. *)
-
   val period : t -> float
   val timing : t -> timing
   (** The arrival array is the handle's live buffer (length >= node

@@ -276,8 +276,3 @@ let to_string lib =
            g.Genlib.delay g.Genlib.delay))
     lib.Genlib.gates;
   Buffer.contents buf
-
-let write_file path lib =
-  let oc = open_out path in
-  output_string oc (to_string lib);
-  close_out oc

@@ -24,5 +24,3 @@ val to_string : Genlib.t -> string
 (** Gates are printed with factored expressions reconstructed from their
     covers; a parse/print round-trip preserves every gate's function, area
     and delay. *)
-
-val write_file : string -> Genlib.t -> unit

@@ -375,5 +375,3 @@ let map net ~lib ~objective =
 
 let mapped_area net ~lib =
   N.area net ~latch_area:lib.Genlib.latch_area ~default_gate_area:2.0
-
-let mapped_delay_model ~lib:_ = Sta.mapped_delay ~default:1.0 ()

@@ -18,11 +18,6 @@ val map : Netlist.Network.t -> lib:Genlib.t -> objective:objective -> Netlist.Ne
 val mapped_area : Netlist.Network.t -> lib:Genlib.t -> float
 (** Total area: bound gates plus latches (unbound logic counts as NAND2). *)
 
-val mapped_delay_model : lib:Genlib.t -> Sta.model
-(** Delay model reading gate bindings, adding the library latch setup on
-    latch data pins is the caller's concern (the STA treats latch inputs as
-    plain end points). *)
-
 val publish_stats : unit -> unit
 (** Export aggregated mapping statistics as [techmap.*] gauges in the obs
     metrics registry (total bound cells, total mapped area).  Per-cell

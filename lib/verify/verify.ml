@@ -616,18 +616,3 @@ let hook ~label b =
         (Audit.diff snap net @ run ~equiv_classes net)
   end
   else fun net -> expect_clean ~equiv_classes ~label ~pass net
-
-(* --- debug assertions ----------------------------------------------------------- *)
-
-let debug_flag =
-  Atomic.make
-    (match Sys.getenv_opt "VERIFY_DEBUG" with
-     | Some "" | Some "0" | None -> false
-     | Some _ -> true)
-
-let set_debug b = Atomic.set debug_flag b
-
-let debug_enabled () = Atomic.get debug_flag
-
-let debug_check ~label net =
-  if Atomic.get debug_flag then expect_clean ~label ~pass:"debug-assert" net

@@ -32,7 +32,7 @@
     timing engine.
 
     The verifier never raises on malformed input; every entry point below
-    that does raise ({!expect_clean}, {!hook}, {!debug_check}) raises only
+    that does raise ({!expect_clean}, {!hook}) raises only
     {!Verification_failed}, carrying the pass name and rendered
     diagnostics. *)
 
@@ -90,7 +90,7 @@ val merge_legal :
     when it is fine (including ids outside every class). *)
 
 exception Verification_failed of string
-(** Raised by {!expect_clean}, {!hook} and {!debug_check}; the payload
+(** Raised by {!expect_clean} and {!hook}; the payload
     names the circuit and pass and embeds {!render} output. *)
 
 val expect_clean :
@@ -170,18 +170,3 @@ val hook : label:string -> hook
 (** The verifier at a boundary: the journal audit plus static rules around
     an in-place pass, the static rules on a fresh network; raises
     {!Verification_failed} naming [label] and the pass. *)
-
-(** {1 Debug assertions}
-
-    Structural checks at the exits of the retiming and resynthesis editing
-    kernels ([Moves], [Minarea], [Resynth]).  Off by default; enabled by
-    {!set_debug} or the [VERIFY_DEBUG] environment variable (any non-empty
-    value other than ["0"]).  When disabled, {!debug_check} is one load and
-    a branch. *)
-
-val set_debug : bool -> unit
-val debug_enabled : unit -> bool
-
-val debug_check : label:string -> Netlist.Network.t -> unit
-(** When debugging is enabled, {!expect_clean} with the static rules
-    ([pass] = ["debug-assert"]). *)

@@ -1,8 +1,8 @@
 (* Per-domain BDD table tests: differential agreement between a warm table
-   and a cold one in a fresh domain, scope accounting (sub_scope / adopt /
-   node_count warmth independence), agreement and canonicity of two domains
-   building concurrently, the owner-domain check on every scope, and the
-   eqcheck cone memo that rides on the domain's table. *)
+   and a cold one in a fresh domain, scope accounting (node_count
+   independence from table warmth and from interleaved scopes), agreement
+   and canonicity of two domains building concurrently, and the
+   owner-domain check on every scope. *)
 
 let all_points n =
   List.init (1 lsl n) (fun i -> Array.init n (fun v -> i land (1 lsl v) <> 0))
@@ -70,24 +70,48 @@ let test_warm_table_parity () =
   Alcotest.(check int) "warm scope charges the cold count"
     (Bdd.node_count a) (Bdd.node_count b)
 
-(* sub_scope charges the parent cumulatively; adopt replays one scope's
-   charges into another. *)
-let test_sub_scope_and_adopt () =
-  let parent = Bdd.create () in
-  let before = Bdd.node_count parent in
-  let child = Bdd.sub_scope parent in
-  let v = Array.init 6 (Bdd.var child) in
-  let f = Array.fold_left (Bdd.band child) Bdd.btrue v in
-  ignore f;
-  let charged = Bdd.node_count child - 2 (* terminals *) in
-  Alcotest.(check bool) "child consed something" true (charged > 0);
-  Alcotest.(check int) "parent charged cumulatively"
-    (before + charged) (Bdd.node_count parent);
-  (* an unrelated scope adopting the child inherits exactly its charges *)
-  let other = Bdd.create () in
-  Bdd.adopt other child;
-  Alcotest.(check int) "adopt replays the charge"
-    (Bdd.node_count child) (Bdd.node_count other)
+(* [xor_chain ~rev] builds the same function, XOR of v(i) AND v(i+1) over
+   0..n-2 quantified over v(0), as a list of steps on an accumulator, in
+   forward or reverse order. *)
+let xor_chain ~rev man =
+  let n = 10 in
+  let v = Array.init n (Bdd.var man) in
+  let idx = List.init (n - 1) Fun.id in
+  List.map
+    (fun i acc -> Bdd.bxor man acc (Bdd.band man v.(i) v.(i + 1)))
+    (if rev then List.rev idx else idx)
+  @ [ (fun acc -> Bdd.exists man [ 0 ] acc) ]
+
+(* Two root scopes on one table take turns, one step each, so the ITE
+   probes of one land on slots the other just wrote.  Each must still report
+   exactly the node count a freshly spawned domain reports for its own op
+   sequence, and both must reach the same handle. *)
+let test_interleaved_root_scopes () =
+  let run steps = List.fold_left (fun acc step -> step acc) Bdd.bfalse steps in
+  let fresh ~rev =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let man = Bdd.create () in
+           ignore (run (xor_chain ~rev man) : Bdd.t);
+           Bdd.node_count man))
+  in
+  List.iter
+    (fun rev_b ->
+      let a = Bdd.create () and b = Bdd.create () in
+      let fa, fb =
+        List.fold_left2
+          (fun (fa, fb) step_a step_b ->
+            let fa = step_a fa in
+            (fa, step_b fb))
+          (Bdd.bfalse, Bdd.bfalse) (xor_chain ~rev:false a)
+          (xor_chain ~rev:rev_b b)
+      in
+      Alcotest.(check bool) "same function, same handle" true (Bdd.equal fa fb);
+      Alcotest.(check int) "first scope's count is a fresh domain's"
+        (fresh ~rev:false) (Bdd.node_count a);
+      Alcotest.(check int) "second scope's count is a fresh domain's"
+        (fresh ~rev:rev_b) (Bdd.node_count b))
+    [ false; true ]
 
 (* Two domains build the same family of functions, each in its own table.
    They must agree on eval, cover and node_count, and each table must stay
@@ -191,38 +215,17 @@ let test_sched_bdd_ownership () =
     (Core.Parallel.map ~jobs:1 row items)
     (Core.Parallel.map ~jobs:4 row items)
 
-(* The eqcheck cone memo keeps the previous boundary check's post-side BDDs
-   alive on the domain's table and reuses them as the next check's pre side.
-   On a real flow it must fire at least once and must not change verdicts. *)
-let test_eqcheck_memo_reuse () =
-  Obs.Metrics.enable ();
-  let reuse = Obs.Metrics.counter "eqcheck.memo.hit" in
-  let before = Obs.Metrics.counter_value reuse in
-  let rows =
-    Report.Table.run_suite ~verify:false ~eqcheck_each:true ~names:[ "s27" ] ()
-  in
-  let proved, refuted, _unknown =
-    Eqcheck.counts (Report.Table.eqcheck_records rows)
-  in
-  Alcotest.(check bool) "memo reused at least once" true
-    (Obs.Metrics.counter_value reuse - before >= 1);
-  Alcotest.(check bool) "verdicts proved" true (proved > 0);
-  Alcotest.(check int) "no refuted verdicts" 0 refuted
-
 let () =
   Alcotest.run "bdd_shared"
     [ ("differential",
        [ QCheck_alcotest.to_alcotest prop_shared_matches_private ]);
       ("scopes",
        [ Alcotest.test_case "warm-table parity" `Quick test_warm_table_parity;
-         Alcotest.test_case "sub_scope and adopt" `Quick
-           test_sub_scope_and_adopt ]);
+         Alcotest.test_case "interleaved root scopes" `Quick
+           test_interleaved_root_scopes ]);
       ("parallel",
        [ Alcotest.test_case "two-domain stress" `Quick test_two_domain_stress;
          Alcotest.test_case "foreign domain raises" `Quick
            test_foreign_domain_raises;
          Alcotest.test_case "sched+bdd under the ownership check" `Quick
-           test_sched_bdd_ownership ]);
-      ("eqcheck-memo",
-       [ Alcotest.test_case "memo reuse on s27" `Quick test_eqcheck_memo_reuse ])
-    ]
+           test_sched_bdd_ownership ]) ]

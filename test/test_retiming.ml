@@ -61,10 +61,17 @@ let test_forward_move_x_init () =
   let r2 = N.add_latch net ~name:"r2" N.I0 b in
   let g = N.add_logic net ~name:"g" and_cover [ r1; r2 ] in
   N.set_output net "o" g;
-  match M.forward_across_node net g with
-  | Ok latch ->
-    Alcotest.(check bool) "0 dominates x" true (N.latch_init latch = N.I0)
-  | Error e -> Alcotest.fail (M.error_message e)
+  let r3 = N.add_latch net ~name:"r3" N.I1 a in
+  let r4 = N.add_latch net ~name:"r4" N.Ix b in
+  let h = N.add_logic net ~name:"h" and_cover [ r3; r4 ] in
+  N.set_output net "p" h;
+  let moved_init v =
+    match M.forward_across_node net v with
+    | Ok latch -> N.latch_init latch
+    | Error e -> Alcotest.fail (M.error_message e)
+  in
+  Alcotest.(check bool) "0 dominates x" true (moved_init g = N.I0);
+  Alcotest.(check bool) "1 and x is x" true (moved_init h = N.Ix)
 
 let test_forward_requires_all_latches () =
   let net = N.create () in
