@@ -167,74 +167,6 @@ let ablations () =
       end)
     variants
 
-(* --- 3c. Incremental STA vs full reanalysis ------------------------------------------ *)
-
-(* The scenario every optimization loop pays for: apply one local edit, ask
-   for the clock period again.  The full engine re-analyzes the whole
-   network; the incremental timer re-propagates only the edit's cone. *)
-let sta_bench ?(emit_json = true) ~circuits () =
-  section "Incremental STA vs full reanalysis (single-edit period re-queries)";
-  let model = Sta.mapped_delay ~default:1.0 () in
-  let bench_circuit name =
-    let entry = Circuits.Suite.find name in
-    let net = entry.Circuits.Suite.build () in
-    let nodes = Array.of_list (N.logic_nodes net) in
-    let nnodes = Array.length nodes in
-    let slow =
-      Some { N.gate_name = "slow"; gate_area = 1.0; gate_delay = 3.0 }
-    in
-    let fast =
-      Some { N.gate_name = "fast"; gate_area = 1.0; gate_delay = 1.0 }
-    in
-    (* stride across the circuit so successive edits hit unrelated cones *)
-    let edit i =
-      let v = nodes.(i * 37 mod nnodes) in
-      N.set_binding net v (if i land 1 = 0 then slow else fast)
-    in
-    let reps = if nnodes > 500 then 200 else 400 in
-    let time_per_query body =
-      (* warm-up pass, then the measured passes *)
-      for i = 0 to 9 do body i done;
-      let t0 = Unix.gettimeofday () in
-      for i = 0 to reps - 1 do body i done;
-      (Unix.gettimeofday () -. t0) /. float_of_int reps
-    in
-    let full_s =
-      time_per_query (fun i ->
-          edit i;
-          ignore (Sta.clock_period net model))
-    in
-    let timer = Sta.Incremental.create net model in
-    let incr_s =
-      time_per_query (fun i ->
-          edit i;
-          ignore (Sta.Incremental.period timer))
-    in
-    (* both engines must agree after all those edits *)
-    assert (Sta.Incremental.period timer = Sta.clock_period net model);
-    let stats = Sta.Incremental.stats timer in
-    let speedup = full_s /. incr_s in
-    Printf.printf
-      "  %-8s %5d gates  full %10.2f us/query  incremental %8.2f us/query  \
-       speedup %6.1fx  (%d incremental syncs, %d full)\n%!"
-      name nnodes (full_s *. 1e6) (incr_s *. 1e6) speedup
-      stats.Sta.Incremental.incremental_syncs stats.Sta.Incremental.full_syncs;
-    (name, nnodes, reps, full_s, incr_s, speedup)
-  in
-  let rows = List.map bench_circuit circuits in
-  if emit_json then
-    emit_bench ~file:"BENCH_sta.json" ~prefix:"bench.sta"
-      ~title:"single-edit clock-period re-query" ~unit:"ns_per_query" ~jobs:1
-      (List.concat_map
-         (fun (name, gates, reps, full_s, incr_s, speedup) ->
-           [ (name ^ ".logic_nodes", float_of_int gates);
-             (name ^ ".queries", float_of_int reps);
-             (name ^ ".full_ns", full_s *. 1e9);
-             (name ^ ".incremental_ns", incr_s *. 1e9);
-             (name ^ ".speedup", speedup) ])
-         rows);
-  rows
-
 (* --- 3d. Packed vs legacy cube kernel ------------------------------------------------ *)
 
 (* The same workload runs against the packed kernel ({!Logic.Cube}) and the
@@ -627,91 +559,20 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
         ("byte_identical", 1.0) ]
   end
 
-(* --- 3g. Verifier overhead ----------------------------------------------------------- *)
+(* --- 3g. Per-pass checker overhead ---------------------------------------------------- *)
 
-(* Cost of --verify-each: the same suite subset with the checker off and on.
-   Sequential-equivalence verification is disabled in both runs so the delta
-   isolates the verifier (static rules + journal audit at every pass
-   boundary). *)
-let verifier_bench ?(emit_json = true) ?names () =
-  section "Netlist verifier: --verify-each overhead (verify=false both runs)";
-  let names =
-    match names with
-    | Some ns -> ns
-    | None -> [ "s27"; "s208"; "s298"; "s344"; "s382"; "s400"; "s444"; "s526" ]
-  in
-  let run verify_each =
-    let t0 = Unix.gettimeofday () in
-    let rows =
-      Report.Table.run_suite ~verify:false ~verify_each ~names ()
-    in
-    (rows, Unix.gettimeofday () -. t0)
-  in
-  (* warm-up, then best-of-3 alternating runs: sub-second suite subsets are
-     dominated by allocator/GC noise otherwise *)
-  ignore (run false);
-  let best verify_each =
-    let results = List.init 3 (fun _ -> run verify_each) in
-    List.fold_left
-      (fun (rows, t) (rows', t') -> if t' < t then (rows', t') else (rows, t))
-      (List.hd results) (List.tl results)
-  in
-  let rows_off, off_s = best false in
-  let rows_on, on_s = best true in
-  if
-    not
-      (String.equal
-         (Report.Table.render rows_off)
-         (Report.Table.render rows_on))
-  then begin
-    Printf.eprintf
-      "verifier bench: --verify-each changed the flow results — checker is \
-       not observation-only\n";
-    exit 1
-  end;
-  let overhead = (on_s -. off_s) /. off_s *. 100.0 in
-  Printf.printf
-    "  %d rows: checker off %.2fs, on %.2fs, overhead %+.1f%% (results \
-     byte-identical)\n"
-    (List.length names) off_s on_s overhead;
-  if emit_json then
-    emit_bench ~file:"BENCH_verify.json" ~prefix:"bench.verify"
-      ~title:"--verify-each overhead on Table I subset" ~unit:"s_per_run"
-      ~jobs:1
-      [ ("rows", float_of_int (List.length names));
-        ("checker_off_s", off_s);
-        ("checker_on_s", on_s);
-        ("overhead_pct", overhead);
-        ("byte_identical", 1.0) ];
-  overhead
-
-(* Cost of --eqcheck-each: the same suite subset with the semantic
-   equivalence analyzer off and on (verify=false and verify_each=false in
-   both runs so the delta isolates eqcheck).  Also records the verdict
-   counts — the analyzer must report zero Refuted on real flows. *)
-let eqcheck_bench ?(emit_json = true) ?names () =
+(* Cost of one per-pass checker flag: the same suite subset with the checker
+   off and on.  Sequential-equivalence verification is off in both runs so
+   the delta isolates the checker.  One pass over these rows takes only a
+   few hundredths of a second, so each sample is a [time_pass] of at least
+   0.2 s, taken alternately off and on, best of 3.  The checker must be observation-only:
+   rows that render differently exit 1.  [extra] turns the checked rows into
+   further JSON values (and may itself exit on a bad verdict). *)
+let checker_bench ~flag ~file ~prefix ~names ?(extra = fun _ -> []) run =
   section
-    "Semantic equivalence analyzer: --eqcheck-each overhead (verify=false \
-     both runs)";
-  let names =
-    match names with
-    | Some ns -> ns
-    | None -> [ "s27"; "bbtas"; "ex2"; "s208"; "s298"; "s344" ]
-  in
-  let run eqcheck_each =
-    let t0 = Unix.gettimeofday () in
-    let rows = Report.Table.run_suite ~verify:false ~eqcheck_each ~names () in
-    (rows, Unix.gettimeofday () -. t0)
-  in
-  ignore (run false);
-  let best eqcheck_each =
-    let results = List.init 3 (fun _ -> run eqcheck_each) in
-    List.fold_left
-      (fun (rows, t) (rows', t') -> if t' < t then (rows', t') else (rows, t))
-      (List.hd results) (List.tl results)
-  in
-  let rows_off, off_s = best false in
-  let rows_on, on_s = best true in
+    (Printf.sprintf "Per-pass checker: %s overhead (verify=false both runs)"
+       flag);
+  let rows_off = run false and rows_on = run true in
   if
     not
       (String.equal
@@ -719,37 +580,65 @@ let eqcheck_bench ?(emit_json = true) ?names () =
          (Report.Table.render rows_on))
   then begin
     Printf.eprintf
-      "eqcheck bench: --eqcheck-each changed the flow results — analyzer is \
-       not observation-only\n";
+      "bench: %s changed the flow results — the checker is not \
+       observation-only\n"
+      flag;
     exit 1
   end;
-  let proved, refuted, unknown =
-    Eqcheck.counts (Report.Table.eqcheck_records rows_on)
+  let extra = extra rows_on in
+  let off_s, on_s =
+    List.fold_left
+      (fun (off_s, on_s) () ->
+        let off = time_pass (fun () -> run false) in
+        let on = time_pass (fun () -> run true) in
+        (min off_s off, min on_s on))
+      (infinity, infinity) [ (); (); () ]
   in
-  if refuted > 0 then begin
-    Printf.eprintf "eqcheck bench: %d Refuted pass verdicts on a real flow\n"
-      refuted;
-    exit 1
-  end;
   let overhead = (on_s -. off_s) /. off_s *. 100.0 in
   Printf.printf
-    "  %d rows: analyzer off %.2fs, on %.2fs, overhead %+.1f%% (results \
-     byte-identical)\n\
-    \  verdicts: %d proved, %d refuted, %d unknown\n"
-    (List.length names) off_s on_s overhead proved refuted unknown;
-  if emit_json then
-    emit_bench ~file:"BENCH_eqcheck.json" ~prefix:"bench.eqcheck"
-      ~title:"--eqcheck-each overhead on Table I subset" ~unit:"s_per_run"
-      ~jobs:1
-      [ ("rows", float_of_int (List.length names));
-        ("analyzer_off_s", off_s);
-        ("analyzer_on_s", on_s);
-        ("overhead_pct", overhead);
-        ("byte_identical", 1.0);
-        ("proved", float_of_int proved);
-        ("refuted", float_of_int refuted);
-        ("unknown", float_of_int unknown) ];
-  overhead
+    "  %d rows: checker off %.4fs, on %.4fs per pass, overhead %+.1f%% \
+     (results byte-identical)\n"
+    (List.length names) off_s on_s overhead;
+  emit_bench ~file ~prefix ~title:(flag ^ " overhead on Table I subset")
+    ~unit:"s_per_run" ~jobs:1
+    ([ ("rows", float_of_int (List.length names));
+       ("checker_off_s", off_s);
+       ("checker_on_s", on_s);
+       ("overhead_pct", overhead);
+       ("byte_identical", 1.0) ]
+     @ extra)
+
+(* The netlist verifier: static rules plus the revision audit at every pass
+   boundary. *)
+let verifier_bench
+    ?(names = [ "s27"; "s208"; "s298"; "s344"; "s382"; "s400"; "s444"; "s526" ])
+    () =
+  checker_bench ~flag:"--verify-each" ~file:"BENCH_verify.json"
+    ~prefix:"bench.verify" ~names (fun verify_each ->
+      Report.Table.run_suite ~verify:false ~verify_each ~names ())
+
+(* The semantic equivalence analyzer, with its verdict counts: it must report
+   zero Refuted on real flows. *)
+let eqcheck_bench ?(names = [ "s27"; "bbtas"; "ex2"; "s208"; "s298"; "s344" ])
+    () =
+  let verdicts rows =
+    let proved, refuted, unknown =
+      Eqcheck.counts (Report.Table.eqcheck_records rows)
+    in
+    if refuted > 0 then begin
+      Printf.eprintf "eqcheck bench: %d Refuted pass verdicts on a real flow\n"
+        refuted;
+      exit 1
+    end;
+    Printf.printf "  verdicts: %d proved, %d refuted, %d unknown\n" proved
+      refuted unknown;
+    [ ("proved", float_of_int proved);
+      ("refuted", float_of_int refuted);
+      ("unknown", float_of_int unknown) ]
+  in
+  checker_bench ~flag:"--eqcheck-each" ~file:"BENCH_eqcheck.json"
+    ~prefix:"bench.eqcheck" ~names ~extra:verdicts (fun eqcheck_each ->
+      Report.Table.run_suite ~verify:false ~eqcheck_each ~names ())
 
 (* --- serve round-trip --------------------------------------------------------------- *)
 
@@ -882,8 +771,8 @@ let bechamel_kernels () =
                ignore
                  (Techmap.Mapper.map s27 ~lib:Techmap.Genlib.mcnc_lite
                     ~objective:Techmap.Mapper.Min_delay)));
-        (* full vs incremental STA on the suite's largest circuit: one
-           binding edit followed by a period re-query *)
+        (* STA on the suite's largest circuit: one binding edit followed
+           by a period re-query *)
         (let s5378 = (Circuits.Suite.find "s5378").Circuits.Suite.build () in
          let model = Sta.mapped_delay ~default:1.0 () in
          let nodes = Array.of_list (N.logic_nodes s5378) in
@@ -900,25 +789,7 @@ let bechamel_kernels () =
          Test.make ~name:"sta:full-reanalysis-edit-s5378"
            (Staged.stage (fun () ->
                 edit ();
-                ignore (Sta.clock_period s5378 model))));
-        (let s5378 = (Circuits.Suite.find "s5378").Circuits.Suite.build () in
-         let model = Sta.mapped_delay ~default:1.0 () in
-         let nodes = Array.of_list (N.logic_nodes s5378) in
-         let timer = Sta.Incremental.create s5378 model in
-         let counter = ref 0 in
-         let edit () =
-           incr counter;
-           let v = nodes.(!counter * 37 mod Array.length nodes) in
-           N.set_binding s5378 v
-             (Some
-                { N.gate_name = "g";
-                  gate_area = 1.0;
-                  gate_delay = (if !counter land 1 = 0 then 3.0 else 1.0) })
-         in
-         Test.make ~name:"sta:incremental-requery-edit-s5378"
-           (Staged.stage (fun () ->
-                edit ();
-                ignore (Sta.Incremental.period timer)))) ]
+                ignore (Sta.clock_period s5378 model)))) ]
   in
   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) () in
   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
@@ -950,8 +821,7 @@ let bechamel_kernels () =
 
 let usage =
   "usage: bench/main.exe [SECTION] [OPTION]...\n\
-  \  SECTION: --smoke --sta --logic --suite --verifier --eqcheck --bdd \
-   --serve;\n\
+  \  SECTION: --smoke --logic --suite --verifier --eqcheck --bdd --serve;\n\
   \           none runs the full evaluation (many minutes)\n\
   \  OPTION:  --quick --eqcheck-each --verify-each --names a,b,c --jobs N\n\
   \           --trace FILE --trace-format chrome|json --metrics \
@@ -965,7 +835,7 @@ let bad_usage msg =
    fall through to the full run. *)
 let rec check_args = function
   | [] -> ()
-  | ("--smoke" | "--sta" | "--logic" | "--suite" | "--verifier" | "--eqcheck"
+  | ("--smoke" | "--logic" | "--suite" | "--verifier" | "--eqcheck"
     | "--bdd" | "--serve" | "--quick" | "--eqcheck-each" | "--verify-each"
     | "--metrics") :: rest ->
     check_args rest
@@ -978,7 +848,6 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   check_args args;
   let smoke = List.mem "--smoke" args in
-  let sta_only = List.mem "--sta" args in
   let logic_only = List.mem "--logic" args in
   let suite_only = List.mem "--suite" args in
   let verifier_only = List.mem "--verifier" args in
@@ -1026,7 +895,6 @@ let () =
   Printf.printf
     "Retiming-induced state register equivalence: evaluation harness%s\n"
     (if smoke then " (smoke)"
-     else if sta_only then " (sta)"
      else if logic_only then " (logic)"
      else if suite_only then " (suite)"
      else if verifier_only then " (verifier)"
@@ -1034,22 +902,19 @@ let () =
      else if bdd_only then " (bdd)"
      else if serve_only then " (serve)"
      else "");
-  if sta_only then
-    ignore (sta_bench ~circuits:[ "s641"; "s1196"; "s1238"; "s5378" ] ())
-  else if logic_only then ignore (logic_bench ~quick ())
+  if logic_only then ignore (logic_bench ~quick ())
   else if suite_only then
     ignore
       (suite_bench ~verify:(not quick) ~verify_each ~eqcheck_each ?names
          ~jobs ())
-  else if verifier_only then ignore (verifier_bench ?names ())
-  else if eqcheck_only then ignore (eqcheck_bench ?names ())
+  else if verifier_only then verifier_bench ?names ()
+  else if eqcheck_only then eqcheck_bench ?names ()
   else if bdd_only then bdd_bench ~quick ~jobs ()
   else if serve_only then serve_bench ()
   else if smoke then begin
-    (* CI-sized pass: the Section III example end to end plus the STA
-       comparison on a small circuit; no JSON, no Bechamel quotas *)
+    (* CI-sized pass: the Section III example end to end plus the quick
+       cube-kernel comparison; no JSON, no Bechamel quotas *)
     section3_example ();
-    ignore (sta_bench ~emit_json:false ~circuits:[ "s298"; "s641" ] ());
     ignore (logic_bench ~emit_json:false ~quick:true ());
     Printf.printf "\nsmoke ok.\n"
   end
@@ -1057,11 +922,10 @@ let () =
     section3_example ();
     ignore (table1 ());
     ablations ();
-    ignore (sta_bench ~circuits:[ "s641"; "s1196"; "s1238"; "s5378" ] ());
     ignore (logic_bench ());
     ignore (suite_bench ~jobs ());
-    ignore (verifier_bench ());
-    ignore (eqcheck_bench ());
+    verifier_bench ();
+    eqcheck_bench ();
     bdd_bench ~jobs ();
     serve_bench ();
     bechamel_kernels ();

@@ -11,7 +11,7 @@
                    Output is byte-identical for every N.
    --names         comma-separated subset of suite circuits
    --no-verify     skip the sequential-equivalence check on each flow result
-   --verify-each   run the netlist verifier (structural rules + journal
+   --verify-each   run the netlist verifier (structural rules + revision
                    audit) after every named pass of every flow; the first
                    diagnostic aborts the run naming the circuit and the pass
    --verify-json   write the final-network static-rule diagnostics (JSON

@@ -22,13 +22,10 @@ type row = {
   verify_diags : Verify.diagnostic list;
 }
 
-let measure ?timer net ~lib =
-  let clk =
-    match timer with
-    | Some t when Sta.Incremental.network t == net -> Sta.Incremental.period t
-    | Some _ | None -> Sta.clock_period net (Sta.mapped_delay ~default:1.0 ())
-  in
-  { regs = N.num_latches net; clk; area = Techmap.Mapper.mapped_area net ~lib }
+let measure net ~lib =
+  { regs = N.num_latches net;
+    clk = Sta.clock_period net (Sta.mapped_delay ~default:1.0 ());
+    area = Techmap.Mapper.mapped_area net ~lib }
 
 let script_delay_flow net ~lib = Synth_opt.Script.script_delay net ~lib
 
@@ -36,14 +33,14 @@ let script_delay_flow net ~lib = Synth_opt.Script.script_delay net ~lib
    state enumeration, per-node simplification, and a min-delay remap.  Every
    named pass is one [Verify.pass] boundary; with no [hooks] that is just
    its trace span. *)
-let retiming_flow ?current_period ?(hooks = []) net ~lib =
+let retiming_flow ?(hooks = []) net ~lib =
   let model = Sta.mapped_delay ~default:1.0 () in
   match
     Verify.pass hooks ~cat:"retiming" "retiming/min-period"
       (Verify.Fresh
          (net, function Ok (retimed, _) -> Some retimed | Error _ -> None))
       (fun () ->
-        Retiming.Minperiod.retime_min_period ?current_period net ~model)
+        Retiming.Minperiod.retime_min_period net ~model)
   with
   | Error failure -> Error (Retiming.Minperiod.failure_message failure)
   | Ok (retimed, _) ->
@@ -67,7 +64,7 @@ let resynthesis_flow ?(options = Resynth.default_options) ?hooks net =
   else Error outcome.Resynth.note
 
 let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
-    ?eqcheck_options ?(hooks = []) ?(lib = Techmap.Genlib.mcnc_lite)
+    ?(hooks = []) ?(lib = Techmap.Genlib.mcnc_lite)
     ?(resynth_options = Resynth.default_options) ~name net =
   Obs.Trace.span ~cat:"flow"
     ~args:[ ("circuit", Obs.Trace.Str name) ]
@@ -76,7 +73,7 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
   let eq_records = ref [] in
   let eq_hooks =
     if eqcheck_each then
-      [ Eqcheck.instrument ?options:eqcheck_options ~label:name eq_records ]
+      [ Eqcheck.instrument ~label:name eq_records ]
     else []
   in
   (* caller hooks first: the serving daemon's cancellation / deadline check
@@ -94,10 +91,7 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
         N.set_name_of_model mapped name;
         mapped)
   in
-  (* one timer per network: the base measurement and the retiming flow's
-     candidate filtering share this handle's analysis of [mapped] *)
-  let timer = Sta.Incremental.create mapped (Sta.mapped_delay ~default:1.0 ()) in
-  let base = measure ~timer mapped ~lib in
+  let base = measure mapped ~lib in
   let check result =
     if not verify then None
     else
@@ -115,7 +109,7 @@ let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
   in
   let failed msg = ({ stats = None; note = msg; verified = None }, []) in
   let retimed, retimed_diags =
-    match retiming_flow ~current_period:base.clk ~hooks mapped ~lib with
+    match retiming_flow ~hooks mapped ~lib with
     | Ok net' -> lane "retimed" net'
     | Error msg -> failed msg
   in

@@ -38,22 +38,16 @@ type row = {
           [[]] otherwise *)
 }
 
-val measure :
-  ?timer:Sta.Incremental.t -> Netlist.Network.t -> lib:Techmap.Genlib.t ->
-  stats
-(** Clock period comes from [timer] when it is a handle for this very
-    network; a one-shot full analysis otherwise. *)
+val measure : Netlist.Network.t -> lib:Techmap.Genlib.t -> stats
 
 val script_delay_flow :
   Netlist.Network.t -> lib:Techmap.Genlib.t -> Netlist.Network.t
 
 val retiming_flow :
-  ?current_period:float -> ?hooks:Verify.hook list -> Netlist.Network.t ->
-  lib:Techmap.Genlib.t -> (Netlist.Network.t, string) result
+  ?hooks:Verify.hook list -> Netlist.Network.t -> lib:Techmap.Genlib.t ->
+  (Netlist.Network.t, string) result
 (** Input must already be mapped (the output of {!script_delay_flow}).
-    [current_period], when known (e.g. from {!measure} with a timer), skips
-    the full analysis inside the retiming candidate filter.  [hooks] observe
-    every pass boundary ({!Verify.pass}; default: none). *)
+    [hooks] observe every pass boundary ({!Verify.pass}; default: none). *)
 
 val resynthesis_flow :
   ?options:Resynth.options -> ?hooks:Verify.hook list -> Netlist.Network.t ->
@@ -62,13 +56,12 @@ val resynthesis_flow :
 
 val run_all :
   ?verify:bool -> ?verify_each:bool -> ?eqcheck_each:bool ->
-  ?eqcheck_options:Eqcheck.options -> ?hooks:Verify.hook list ->
-  ?lib:Techmap.Genlib.t ->
+  ?hooks:Verify.hook list -> ?lib:Techmap.Genlib.t ->
   ?resynth_options:Resynth.options ->
   name:string -> Netlist.Network.t -> row
 (** Run the three flows on one circuit and collect a Table I row.
     [verify_each] (default false) runs the netlist verifier — static rules
-    plus the journal audit — after every named pass of every flow, failing
+    plus the revision audit — after every named pass of every flow, failing
     fast with {!Verify.Verification_failed} naming the circuit, the pass and
     the diagnostics.  [eqcheck_each] (default false) additionally runs the
     semantic equivalence analyzer ({!Eqcheck.check_pass}) at every pass

@@ -93,7 +93,8 @@ let make_path_fanout_free net path =
    registers: forward retiming needs a register-fed head (the paper's
    "retimable gates" precondition).  [good v] marks nodes from which walking
    further back along critical fanins can reach such a head. *)
-let critical_path_from_timing net model timing =
+let engine_critical_path net model =
+  let timing = Sta.analyze net model in
   if timing.Sta.critical_end < 0 then []
   else begin
     let arrival = timing.Sta.arrival in
@@ -285,11 +286,7 @@ let resynthesize_impl ~options ~hooks original =
   let model = options.model in
   let original_period = Sta.clock_period original model in
   let net = N.copy original in
-  (* one timer per network: it serves the path extraction here and, when the
-     working copy survives to the post-passes unreplaced, the period checks
-     at the end of the pipeline *)
-  let timer = Sta.Incremental.create net model in
-  let path = critical_path_from_timing net model (Sta.Incremental.timing timer) in
+  let path = engine_critical_path net model in
   match path with
   | [] -> stats_zero (N.copy original) "no combinational logic" false
   | _ :: _ ->
@@ -396,43 +393,32 @@ let resynthesize_impl ~options ~hooks original =
            DESIGN.md, ablation `postretime`) *)
         let net, classes_valid =
           if options.retime_post then begin
-            let current_period =
-              if Sta.Incremental.network timer == net then
-                Some (Sta.Incremental.period timer)
-              else None
-            in
             match
               Verify.pass hooks ~cat:"resynth" "resynth/post-retime"
                 (Verify.Fresh
                    (net, function Ok (r, _) -> Some r | Error _ -> None))
-                (fun () ->
-                  Retiming.Minperiod.retime_min_period ?current_period net
-                    ~model)
+                (fun () -> Retiming.Minperiod.retime_min_period net ~model)
             with
             | Ok (better, _) -> (better, false)
             | Error _ -> (net, classes_valid)
           end
           else (net, classes_valid)
         in
-        (* constrained min-area retiming, sharing one timer for the budget
-           measurement, the per-move checks and the final verdict.  The
-           rollback of every rejected move is journaled by [N.restore], so
-           the audit covers reverts too; class-constrained sibling merging
-           applies while the working copy still carries the class ids. *)
-        let timer =
-          if Sta.Incremental.network timer == net then timer
-          else Sta.Incremental.create net model
-        in
-        let period_now = Sta.Incremental.period timer in
+        (* constrained min-area retiming within the current period.  Every
+           rejected move is rolled back by [N.restore], which bumps the
+           revision, so the audit covers reverts too; class-constrained
+           sibling merging applies while the working copy still carries the
+           class ids. *)
+        let period_now = Sta.clock_period net model in
         if options.min_area_post then begin
           let min_area_classes = if classes_valid then class_ids () else [] in
           ignore
             (Verify.pass hooks ~cat:"resynth" ~classes:min_area_classes
                "resynth/min-area" (Verify.In_place net) (fun () ->
                  Retiming.Minarea.minimize_registers ~classes:min_area_classes
-                   ~timer net ~model ~max_period:period_now))
+                   net ~model ~max_period:period_now))
         end;
-        let final_period = Sta.Incremental.period timer in
+        let final_period = Sta.clock_period net model in
         (* Accept only genuine gains: a faster clock, or the same clock with
            fewer registers.  This is the paper's open "how far should forward
            retiming be performed such that our technique can be stopped from

@@ -60,9 +60,3 @@ val make_path_fanout_free :
 (** Exposed for tests: duplicate gates so that each path node feeds only the
     next path node; returns the number of duplications. *)
 
-val critical_path_from_timing :
-  Netlist.Network.t -> Sta.model -> Sta.timing ->
-  Netlist.Network.node list
-(** The critical path the engine works on, preferring (among equally critical
-    paths) one whose head gate reads only registers.  Takes precomputed
-    timing — pass {!Sta.Incremental.timing} to avoid a fresh analysis. *)

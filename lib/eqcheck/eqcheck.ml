@@ -583,7 +583,7 @@ let check_pass ?(options = default_options) ~label ~pass ~classes pre post =
 
 (* --- pass-boundary hook -------------------------------------------------------- *)
 
-let instrument ?(options = default_options) ~label sink =
+let instrument ~label sink =
   let reference = ref None in
   let remember net =
     reference := Some (net, N.revision net, N.outputs_revision net, N.copy net)
@@ -599,7 +599,7 @@ let instrument ?(options = default_options) ~label sink =
     | Some (_, _, _, pre_copy) when not (unchanged net) ->
       let post_copy = N.copy net in
       sink :=
-        !sink @ check_pass ~options ~label ~pass ~classes pre_copy post_copy;
+        !sink @ check_pass ~label ~pass ~classes pre_copy post_copy;
       (* the snapshot (identical node ids, never mutated) is the next
          boundary's [pre] side *)
       reference :=

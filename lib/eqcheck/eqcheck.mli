@@ -137,8 +137,7 @@ val check_pass :
     combinational difference or doubt), plus a [dcret-invariant] record on
     the post-pass network when [classes] is non-empty. *)
 
-val instrument :
-  ?options:options -> label:string -> record list ref -> Verify.hook
+val instrument : label:string -> record list ref -> Verify.hook
 (** A {!Verify.hook} for [Core.Flow] / [Core.Resynth] that runs
     {!check_pass} at every pass boundary against the network as of the
     previous boundary, and appends its records to the sink in boundary

@@ -31,13 +31,8 @@ type t = {
   (* name of every live node, one binding per node, so [fresh_name] can skip
      taken names without a scan *)
   mutable names : (string, unit) Hashtbl.t;
-  (* change journal: ids touched by mutations, consumed by incremental
-     observers (Sta.Incremental).  [journal_base] is the global index of
-     [journal.(0)]; compaction advances it, invalidating older cursors. *)
+  (* bumped by every mutation that can affect timing or structure *)
   mutable revision : int;
-  mutable journal : int array;
-  mutable journal_len : int;
-  mutable journal_base : int;
   (* bumped whenever the primary-output list changes (add/retarget/remap);
      observers caching per-output state compare against it *)
   mutable outputs_revision : int;
@@ -58,9 +53,6 @@ let create ?(name = "network") () =
     name_counter = 0;
     names = Hashtbl.create 64;
     revision = 0;
-    journal = Array.make 256 0;
-    journal_len = 0;
-    journal_base = 0;
     outputs_revision = 0;
     topo_valid = false;
     topo_order = [];
@@ -73,39 +65,7 @@ let capacity net = net.next_id
 let revision net = net.revision
 let outputs_revision net = net.outputs_revision
 
-(* Beyond this size the journal is compacted (emptied, base advanced);
-   observers holding older cursors fall back to a full resync. *)
-let journal_cap = 1 lsl 20
-
-let touch net id =
-  net.revision <- net.revision + 1;
-  if net.journal_len = Array.length net.journal then begin
-    if net.journal_len >= journal_cap then begin
-      net.journal_base <- net.journal_base + net.journal_len;
-      net.journal_len <- 0
-    end
-    else begin
-      let b = Array.make (2 * Array.length net.journal) 0 in
-      Array.blit net.journal 0 b 0 net.journal_len;
-      net.journal <- b
-    end
-  end;
-  net.journal.(net.journal_len) <- id;
-  net.journal_len <- net.journal_len + 1
-
-type cursor = int
-
-let journal_mark net = net.journal_base + net.journal_len
-
-let journal_since net cursor =
-  if cursor < net.journal_base then None
-  else begin
-    let ids = ref [] in
-    for i = net.journal_len - 1 downto cursor - net.journal_base do
-      ids := net.journal.(i) :: !ids
-    done;
-    Some !ids
-  end
+let touch net = net.revision <- net.revision + 1
 
 let topo_invalidate net =
   if net.topo_valid then begin
@@ -131,7 +91,7 @@ let alloc net name kind fanins =
   net.nodes.(net.next_id) <- Some n;
   net.next_id <- net.next_id + 1;
   Hashtbl.add net.names name ();
-  touch net n.id;
+  touch net;
   (* a fresh node has no consumers yet and reads only pre-existing nodes, so
      the cached topological order extends by appending it *)
   (match kind with
@@ -153,8 +113,7 @@ let node_opt net id =
 let add_fanout net producer_id consumer_id =
   let p = node net producer_id in
   p.fanouts <- consumer_id :: p.fanouts;
-  touch net producer_id;
-  touch net consumer_id
+  touch net
 
 let remove_fanout net producer_id consumer_id =
   let p = node net producer_id in
@@ -165,8 +124,7 @@ let remove_fanout net producer_id consumer_id =
       else remove_one (x :: acc) rest
   in
   p.fanouts <- remove_one [] p.fanouts;
-  touch net producer_id;
-  touch net consumer_id
+  touch net
 
 let add_input net name =
   let n = alloc net name Input [||] in
@@ -197,18 +155,17 @@ let set_output net name n =
     invalid_arg (Printf.sprintf "Network.set_output: duplicate output %s" name);
   net.output_list <- (name, n.id) :: net.output_list;
   net.outputs_revision <- net.outputs_revision + 1;
-  touch net n.id
+  touch net
 
 let retarget_output net name n =
   if not (List.mem_assoc name net.output_list) then
     invalid_arg (Printf.sprintf "Network.retarget_output: no output %s" name);
-  touch net (List.assoc name net.output_list);
   net.output_list <-
     List.map
       (fun (nm, id) -> if nm = name then (nm, n.id) else (nm, id))
       net.output_list;
   net.outputs_revision <- net.outputs_revision + 1;
-  touch net n.id
+  touch net
 
 let fanin_nodes net n = Array.to_list n.fanins |> List.map (node net)
 
@@ -270,7 +227,7 @@ let set_cover net n cover =
     assert (cover.Logic.Cover.nvars = old.Logic.Cover.nvars);
     n.kind <- Logic cover;
     n.binding <- None;
-    touch net n.id
+    touch net
   | Input | Const _ | Latch _ ->
     invalid_arg "Network.set_cover: not a logic node"
 
@@ -285,7 +242,7 @@ let set_function net n cover fanins =
   Array.iter (fun f -> add_fanout net f n.id) n.fanins;
   n.kind <- Logic cover;
   n.binding <- None;
-  touch net n.id;
+  touch net;
   topo_invalidate net
 
 let set_name net n name =
@@ -305,18 +262,18 @@ let become_latch net n init data =
   n.fanins <- [| data.id |];
   add_fanout net data.id n.id;
   n.binding <- None;
-  touch net n.id;
+  touch net;
   topo_invalidate net
 
 let set_binding net n b =
   n.binding <- b;
-  touch net n.id
+  touch net
 
 let set_latch_init net n init =
   match n.kind with
   | Latch _ ->
     n.kind <- Latch init;
-    touch net n.id
+    touch net
   | Input | Const _ | Logic _ ->
     invalid_arg "Network.set_latch_init: not a latch"
 
@@ -353,8 +310,7 @@ let transfer_fanouts net ~from ~to_ =
     from.fanouts;
   List.iter (fun cid -> add_fanout net to_.id cid) from.fanouts;
   from.fanouts <- [];
-  touch net from.id;
-  touch net to_.id;
+  touch net;
   if List.exists (fun (_, id) -> id = from.id) net.output_list then begin
     net.output_list <-
       List.map
@@ -375,7 +331,7 @@ let delete net n =
    | Logic _ -> topo_invalidate net);
   net.nodes.(n.id) <- None;
   Hashtbl.remove net.names n.name;
-  touch net n.id
+  touch net
 
 let duplicate_for net n ~consumer =
   (match n.kind with
@@ -535,9 +491,6 @@ let copy net =
       name_counter = net.name_counter;
       names = Hashtbl.copy net.names;
       revision = 0;
-      journal = Array.make 256 0;
-      journal_len = 0;
-      journal_base = 0;
       outputs_revision = 0;
       topo_valid = false;
       topo_order = [];
@@ -561,24 +514,6 @@ let copy net =
 
 let restore net snapshot =
   let fresh = copy snapshot in
-  (* Journal every id whose slot differs from the snapshot instead of
-     invalidating outstanding cursors: rollbacks then look like ordinary
-     edits, so incremental observers stay incremental and the journal
-     audit can check rejected-move reverts rather than going vacuous. *)
-  let cap = max net.next_id fresh.next_id in
-  for id = 0 to cap - 1 do
-    let a = if id < Array.length net.nodes then net.nodes.(id) else None in
-    let b = if id < Array.length fresh.nodes then fresh.nodes.(id) else None in
-    let differs =
-      match (a, b) with
-      | None, None -> false
-      | Some _, None | None, Some _ -> true
-      | Some x, Some y ->
-        x.kind <> y.kind || x.fanins <> y.fanins || x.fanouts <> y.fanouts
-        || x.binding <> y.binding
-    in
-    if differs then touch net id
-  done;
   net.nodes <- fresh.nodes;
   net.next_id <- fresh.next_id;
   net.model <- fresh.model;
@@ -586,7 +521,7 @@ let restore net snapshot =
   net.output_list <- fresh.output_list;
   net.name_counter <- fresh.name_counter;
   net.names <- fresh.names;
-  net.revision <- net.revision + 1;
+  touch net;
   net.outputs_revision <- net.outputs_revision + 1;
   topo_invalidate net
 

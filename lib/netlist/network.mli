@@ -43,18 +43,13 @@ val capacity : t -> int
 (** One more than the largest node id ever allocated ([next_id]); a valid
     length for arrays indexed by node id.  Deleted ids stay counted. *)
 
-(** {1 Change journal}
+(** {1 Revisions}
 
     Every mutation that can affect timing or structure (node creation and
-    deletion, fanin/fanout rewiring, kind, cover, binding, latch init and
-    primary-output changes) appends the touched node ids to a journal and
-    bumps a monotonic revision counter.  Incremental observers
-    (e.g. {!Sta.Incremental}) record a {!journal_mark} cursor and later ask
-    for {!journal_since} to learn the dirty region.  The journal is bounded:
-    once it outgrows an internal cap it is compacted, after which older
-    cursors return [None] and observers must resynchronize from scratch.
-    {!restore} journals every id whose slot differs from the snapshot, so
-    outstanding cursors survive a rollback. *)
+    deletion, fanin/fanout rewiring, kind, cover, binding, latch init,
+    primary-output changes and {!restore}) bumps a monotonic revision
+    counter, so an observer that caches an analysis of the network can tell
+    in O(1) whether it is still current.  Name changes do not count. *)
 
 val revision : t -> int
 (** Monotonic mutation counter; equal revisions imply an unchanged network. *)
@@ -63,14 +58,6 @@ val outputs_revision : t -> int
 (** Bumped whenever the primary-output list changes (new output, retarget,
     fanout transfer remapping an output, {!restore}); lets observers cache
     per-output state and detect staleness in O(1). *)
-
-type cursor
-
-val journal_mark : t -> cursor
-
-val journal_since : t -> cursor -> int list option
-(** Ids touched since the cursor, oldest first, possibly with duplicates;
-    [None] when the journal no longer reaches back that far. *)
 
 (** {1 Construction} *)
 
@@ -201,10 +188,8 @@ val copy : t -> t
 val restore : t -> t -> unit
 (** [restore net snapshot] reverts [net] in place to the state captured by an
     earlier {!copy}.  Node handles obtained before the snapshot are stale
-    afterwards; re-fetch them by id.  Every id whose node record differs
-    between the current network and the snapshot is journaled, so journal
-    cursors taken before the rollback remain valid and see the revert as an
-    ordinary batch of edits. *)
+    afterwards; re-fetch them by id.  Bumps both {!revision} and
+    {!outputs_revision}. *)
 
 (** {1 Cleanup} *)
 
@@ -220,13 +205,13 @@ val area : t -> latch_area:float -> default_gate_area:float -> float
 (** {1 Unsafe test hooks}
 
     Deliberate corruption of the representation, bypassing both the
-    structural invariants and the change journal.  Exists solely so that
-    verifier and journal-audit tests can seed defects a correct editing API
-    can never produce; never call these from product code. *)
+    structural invariants and the revision counter.  Exists solely so that
+    verifier and audit tests can seed defects a correct editing API can
+    never produce; never call these from product code. *)
 module Unsafe : sig
   val drop_fanout : t -> id:int -> consumer:int -> unit
   (** Remove one occurrence of [consumer] from node [id]'s fanout list
-      without touching the consumer's fanins or the journal. *)
+      without touching the consumer's fanins or the revision. *)
 
   val skew_cover : t -> id:int -> unit
   (** Widen the logic node's cover by one variable without adding a fanin. *)
@@ -235,7 +220,7 @@ module Unsafe : sig
   (** Overwrite one fanin slot without updating any fanout list. *)
 
   val set_latch_init_unjournaled : t -> id:int -> init -> unit
-  (** Change a latch's initial value without journaling the mutation. *)
+  (** Change a latch's initial value without bumping the revision. *)
 end
 
 val stats_string : t -> string

@@ -99,17 +99,16 @@ let summary rows =
 
 (* [jobs] > 1 runs the rows on a fork-join pool of at most [jobs] workers,
    one task per row; inside a row everything runs in program order.  Every
-   row builds its own network and timers from its entry's fixed seed, and
-   its BDD scopes all point at the process-wide shared unique table, which
-   dedups node structure across rows and domains.  Rows stay independent —
-   scope accounting makes node budgets blind to table warmth — so the
-   joined output is byte-identical to a serial run.
+   row builds its own network from its entry's fixed seed, and its BDD
+   scopes live in the unique table of the domain that runs it (DESIGN §12).
+   Rows stay independent — scope accounting makes node budgets blind to
+   table warmth — so the joined output is byte-identical to a serial run.
 
    [run_suite_timed] additionally reports each row's wall-clock seconds (in
    entry order); timings never influence the rows themselves.  Benchmarks
    use them for slowest-row accounting. *)
 let run_suite_timed ?(verify = true) ?(verify_each = false)
-    ?(eqcheck_each = false) ?eqcheck_options ?resynth_options ?names
+    ?(eqcheck_each = false) ?resynth_options ?names
     ?(jobs = 1) () =
   let entries =
     match names with
@@ -127,8 +126,7 @@ let run_suite_timed ?(verify = true) ?(verify_each = false)
             let net = e.Circuits.Suite.build () in
             let row =
               Core.Flow.run_all ~verify ~verify_each ~eqcheck_each
-                ?eqcheck_options ?resynth_options ~name:e.Circuits.Suite.name
-                net
+                ?resynth_options ~name:e.Circuits.Suite.name net
             in
             (* lint-waive: nondet/wall-clock — measurement only, as above. *)
             (row, (e.Circuits.Suite.name, Unix.gettimeofday () -. t0))))
@@ -136,11 +134,11 @@ let run_suite_timed ?(verify = true) ?(verify_each = false)
   in
   (List.map fst timed_rows, List.map snd timed_rows)
 
-let run_suite ?verify ?verify_each ?eqcheck_each ?eqcheck_options
-    ?resynth_options ?names ?jobs () =
+let run_suite ?verify ?verify_each ?eqcheck_each ?resynth_options ?names
+    ?jobs () =
   fst
-    (run_suite_timed ?verify ?verify_each ?eqcheck_each ?eqcheck_options
-       ?resynth_options ?names ?jobs ())
+    (run_suite_timed ?verify ?verify_each ?eqcheck_each ?resynth_options
+       ?names ?jobs ())
 
 let eqcheck_records rows = List.concat_map (fun r -> r.Core.Flow.eqcheck) rows
 

@@ -15,7 +15,6 @@ val summary : Core.Flow.row list -> string
 
 val run_suite :
   ?verify:bool -> ?verify_each:bool -> ?eqcheck_each:bool ->
-  ?eqcheck_options:Eqcheck.options ->
   ?resynth_options:Core.Resynth.options ->
   ?names:string list -> ?jobs:int -> unit -> Core.Flow.row list
 (** Run the three flows over the benchmark suite (all entries by default).
@@ -29,7 +28,6 @@ val run_suite :
 
 val run_suite_timed :
   ?verify:bool -> ?verify_each:bool -> ?eqcheck_each:bool ->
-  ?eqcheck_options:Eqcheck.options ->
   ?resynth_options:Core.Resynth.options ->
   ?names:string list -> ?jobs:int -> unit ->
   Core.Flow.row list * (string * float) list

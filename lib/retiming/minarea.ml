@@ -80,16 +80,7 @@ let m_moves_accepted = Obs.Metrics.counter "minarea.moves_accepted"
 let m_moves_rejected = Obs.Metrics.counter "minarea.moves_rejected"
 let m_eliminated = Obs.Metrics.counter "minarea.latches_eliminated"
 
-let minimize_registers ?(classes = []) ?timer net ~model ~max_period =
-  (* Every candidate move pays a period check; an incremental timer makes an
-     accepted move cost only its affected cone.  A rejected move reverts via
-     [N.restore], which journals the reverted ids, so the timer resyncs just
-     the touched cone rather than falling back to a full analysis. *)
-  let timer =
-    match timer with
-    | Some t when Sta.Incremental.network t == net -> t
-    | Some _ | None -> Sta.Incremental.create net model
-  in
+let minimize_registers ?(classes = []) net ~model ~max_period =
   let eliminated = ref 0 in
   let improved = ref true in
   while !improved do
@@ -117,9 +108,7 @@ let minimize_registers ?(classes = []) ?timer net ~model ~max_period =
           match apply with
           | Error _ -> ()
           | Ok () ->
-            let period_ok =
-              Sta.Incremental.period timer <= max_period +. 1e-9
-            in
+            let period_ok = Sta.clock_period net model <= max_period +. 1e-9 in
             let gained = latches_before - N.num_latches net in
             if period_ok && gained > 0 then begin
               Obs.Metrics.incr m_moves_accepted;

@@ -19,10 +19,8 @@ val merge_all_siblings :
 
 val minimize_registers :
   ?classes:int list list ->
-  ?timer:Sta.Incremental.t ->
   Netlist.Network.t -> model:Sta.model -> max_period:float -> int
-(** Mutates the network; returns the number of registers eliminated.  The
-    per-move period checks run on [timer] when it is a handle for this very
-    network (a private handle is created otherwise), so callers already
-    holding one avoid repeated full analyses.  [classes] constrains sibling
-    merges as in {!merge_all_siblings}. *)
+(** Mutates the network; returns the number of registers eliminated.  Each
+    candidate move is kept only if {!Sta.clock_period} stays within
+    [max_period].  [classes] constrains sibling merges as in
+    {!merge_all_siblings}. *)

@@ -366,13 +366,9 @@ let min_feasible_period net model =
 let retime net ~model ~target =
   with_graph net model (fun g wd -> retime_with g wd net target)
 
-let retime_min_period ?current_period net ~model =
+let retime_min_period net ~model =
   with_graph net model (fun g wd ->
-      let current =
-        match current_period with
-        | Some p -> p
-        | None -> Sta.clock_period net model
-      in
+      let current = Sta.clock_period net model in
       let candidates =
         Array.of_list
           (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))

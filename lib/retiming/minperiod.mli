@@ -45,14 +45,12 @@ val retime :
     modified. *)
 
 val retime_min_period :
-  ?current_period:float ->
   Netlist.Network.t -> model:Sta.model ->
   (Netlist.Network.t * float, failure) result
 (** Retime to the minimum feasible period.  When realization fails at the
     optimum the next achievable candidate periods are tried before giving
-    up, mirroring practical retiming tools.  Candidate periods are filtered
-    against [current_period] when given (e.g. from an incremental timer, see
-    {!Sta.Incremental}), saving the full analysis otherwise needed here. *)
+    up, mirroring practical retiming tools.  Only candidate periods below
+    the network's current {!Sta.clock_period} are tried. *)
 
 (**/**)
 

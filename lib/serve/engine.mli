@@ -2,8 +2,8 @@
 
     One engine serves many requests from warmed shared state — the parsed
     genlib, a keyed cache of pristine parsed/built networks (each request
-    flows over its own {!Netlist.Network.copy}), and the process-wide shared
-    BDD unique table.  Admission is bounded: past [queue_capacity] in-flight
+    flows over its own {!Netlist.Network.copy}), and each worker domain's
+    BDD unique table (DESIGN §12).  Admission is bounded: past [queue_capacity] in-flight
     jobs a submit is rejected with a [retry_after_ms] hint instead of
     queueing unboundedly.  Each accepted job runs as one task on the ambient
     {!Core.Parallel} pool; cancellation and deadlines are cooperative,

@@ -497,18 +497,18 @@ let fail_if_errors ~label ~pass diags =
 let expect_clean ?rules ?equiv_classes ~label ~pass net =
   fail_if_errors ~label ~pass (run ?rules ?equiv_classes net)
 
-(* --- journal audit ------------------------------------------------------------ *)
+(* --- revision audit ----------------------------------------------------------- *)
 
 module Audit = struct
   type snapshot = {
     before : N.t;
-    cursor : N.cursor;
+    revision : int;
     outputs_rev : int;
   }
 
   let snapshot net =
     { before = N.copy net;
-      cursor = N.journal_mark net;
+      revision = N.revision net;
       outputs_rev = N.outputs_revision net }
 
   let node_changed a b =
@@ -518,46 +518,35 @@ module Audit = struct
     || a.N.binding <> b.N.binding
 
   let diff snap net =
-    match N.journal_since net snap.cursor with
-    | None ->
-      (* the cursor was invalidated (journal compaction): incremental
-         observers resynchronize from scratch, so nothing can hide.
-         [Network.restore] journals its diff, so rollbacks no longer land
-         here and rejected-move reverts are audited like ordinary edits. *)
-      []
-    | Some journaled_ids ->
-      let journaled = Hashtbl.create 64 in
-      List.iter (fun id -> Hashtbl.replace journaled id ()) journaled_ids;
-      let out = ref [] in
+    let out = ref [] in
+    if N.revision net = snap.revision then begin
       let cap = max (N.capacity snap.before) (N.capacity net) in
       for id = 0 to cap - 1 do
-        if not (Hashtbl.mem journaled id) then begin
-          let describe what name =
-            out :=
-              diag "journal/unjournaled" [ id ]
-                (Printf.sprintf "node %s#%d was %s without a journal entry"
-                   name id what)
-              :: !out
-          in
-          match N.node_opt snap.before id, N.node_opt net id with
-          | None, None -> ()
-          | Some a, None -> describe "deleted" a.N.name
-          | None, Some b -> describe "created" b.N.name
-          | Some a, Some b ->
-            if node_changed a b then describe "mutated" b.N.name
-        end
-      done;
-      if
-        N.output_ids snap.before <> N.output_ids net
-        && N.outputs_revision net = snap.outputs_rev
-      then
-        out :=
-          diag "journal/outputs" []
-            "primary-output list changed without an outputs_revision bump"
-          :: !out;
-      let diags = List.rev !out in
-      record_fired diags;
-      diags
+        let describe what name =
+          out :=
+            diag "journal/unjournaled" [ id ]
+              (Printf.sprintf "node %s#%d was %s without a revision bump"
+                 name id what)
+            :: !out
+        in
+        match N.node_opt snap.before id, N.node_opt net id with
+        | None, None -> ()
+        | Some a, None -> describe "deleted" a.N.name
+        | None, Some b -> describe "created" b.N.name
+        | Some a, Some b -> if node_changed a b then describe "mutated" b.N.name
+      done
+    end;
+    if
+      N.output_ids snap.before <> N.output_ids net
+      && N.outputs_revision net = snap.outputs_rev
+    then
+      out :=
+        diag "journal/outputs" []
+          "primary-output list changed without an outputs_revision bump"
+        :: !out;
+    let diags = List.rev !out in
+    record_fired diags;
+    diags
 end
 
 (* --- pass boundaries ---------------------------------------------------------- *)
@@ -605,7 +594,7 @@ let pass hooks ~cat ?(classes = []) ?declared name shape f =
     Option.iter (leave checks) (output result);
     result
 
-(* an in-place pass runs under the journal audit: snapshot as it starts,
+(* an in-place pass runs under the revision audit: snapshot as it starts,
    diff plus the static rules once it is done *)
 let hook ~label b =
   let equiv_classes = b.classes and pass = b.pass in

@@ -25,11 +25,10 @@
       constants, and carry finite, non-negative area and delay.
 
     A fifth check, the {!Audit} mode, is dynamic rather than rule-based: it
-    snapshots the network, replays a pass, and diffs
-    {!Netlist.Network.journal_since} against a from-scratch structural diff
-    to catch unjournaled mutations that would silently corrupt incremental
-    observers such as [Sta.Incremental] — the race-detector analog for the
-    timing engine.
+    snapshots the network, replays a pass, and reports any change the pass
+    made without bumping {!Netlist.Network.revision} — observers such as
+    [Eqcheck.instrument] skip a boundary whose revisions did not move, so
+    such a change would go unchecked.
 
     The verifier never raises on malformed input; every entry point below
     that does raise ({!expect_clean}, {!hook}) raises only
@@ -104,25 +103,21 @@ val expect_clean :
     produced.  [label] names the circuit or flow, [pass] the pass just
     executed. *)
 
-(** Journal-audit mode: catch mutations that bypass the change journal. *)
+(** Revision-audit mode: catch mutations that do not bump the revision. *)
 module Audit : sig
   type snapshot
 
   val snapshot : Netlist.Network.t -> snapshot
-  (** Deep-copies the network and records a journal cursor. *)
+  (** Deep-copies the network and records its two revision counters. *)
 
   val diff : snapshot -> Netlist.Network.t -> diagnostic list
-  (** Compare the network against the snapshot: every node whose kind,
-      fanins, fanout multiset or binding changed — and every creation or
-      deletion — must appear in [journal_since] the snapshot's cursor,
-      else a [journal/unjournaled] error is reported ([journal/outputs] for
-      an output-list change without an [outputs_revision] bump).  Name
-      changes are exempt: [set_name] is unjournaled by design (names carry
-      no timing or structural meaning).  {!Netlist.Network.restore} journals
-      its diff, so rejected-move rollbacks are audited like ordinary edits;
-      only journal compaction still invalidates the cursor, in which case the
-      audit is vacuous and returns [] — observers fall back to a full resync
-      there, so no corruption can hide. *)
+  (** Compare the network against the snapshot.  When
+      {!Netlist.Network.revision} did not move, every node created, deleted
+      or changed in kind, fanins, fanout multiset or binding is a
+      [journal/unjournaled] error; an output-list change without an
+      [outputs_revision] bump is a [journal/outputs] error.  Name changes
+      are exempt: [set_name] does not bump the revision by design (names
+      carry no timing or structural meaning). *)
 end
 
 (** {1 Pass boundaries}
@@ -167,6 +162,6 @@ val pass :
     [declared ()].  With no hooks this is {!Obs.Trace.span}. *)
 
 val hook : label:string -> hook
-(** The verifier at a boundary: the journal audit plus static rules around
+(** The verifier at a boundary: the revision audit plus static rules around
     an in-place pass, the static rules on a fresh network; raises
     {!Verification_failed} naming [label] and the pass. *)

@@ -354,65 +354,56 @@ let prop_blif_roundtrip_behaviour =
       let net2 = Netlist.Blif.parse_string (Netlist.Blif.to_string net) in
       Sim.Equiv.comb_equal_exhaustive net net2)
 
-(* --- change journal and topo cache ------------------------------------------ *)
+(* --- revisions and topo cache ---------------------------------------------- *)
 
-let test_journal_records_edits () =
-  let net = toggle_circuit () in
-  let r0 = N.revision net in
-  let mark = N.journal_mark net in
-  (match N.journal_since net mark with
-   | Some [] -> ()
-   | Some _ | None -> Alcotest.fail "fresh cursor must see an empty journal");
-  let out = match N.find_by_name net "out" with Some n -> n | None -> assert false in
-  N.set_cover net out or_cover;
-  Alcotest.(check bool) "revision bumped" true (N.revision net > r0);
-  (match N.journal_since net mark with
-   | Some ids -> Alcotest.(check bool) "edit recorded" true (List.mem out.N.id ids)
-   | None -> Alcotest.fail "cursor must still be reachable");
-  (* a second observer marking now sees only subsequent edits *)
-  let mark2 = N.journal_mark net in
-  let next = match N.find_by_name net "next" with Some n -> n | None -> assert false in
-  N.set_binding net next None;
-  (match N.journal_since net mark2 with
-   | Some ids ->
-     Alcotest.(check bool) "only the new edit" true
-       (List.mem next.N.id ids && not (List.mem out.N.id ids))
-   | None -> Alcotest.fail "second cursor must be reachable")
-
-let test_journal_survives_restore () =
-  let net = toggle_circuit () in
-  let snapshot = N.copy net in
-  let mark = N.journal_mark net in
-  let out = match N.find_by_name net "out" with Some n -> n | None -> assert false in
-  N.set_cover net out or_cover;
-  N.restore net snapshot;
-  (match N.journal_since net mark with
-   | None -> Alcotest.fail "restore must keep outstanding cursors valid"
-   | Some ids ->
-     Alcotest.(check bool) "reverted node journaled" true
-       (List.mem out.N.id ids));
-  (* a rollback to an identical state journals nothing new *)
-  let mark2 = N.journal_mark net in
-  N.restore net snapshot;
-  (match N.journal_since net mark2 with
-   | None -> Alcotest.fail "no-op restore must keep cursors valid"
-   | Some ids -> Alcotest.(check (list int)) "no-op restore journals nothing" [] ids)
-
-let test_journal_compaction () =
-  let net = toggle_circuit () in
-  let mark = N.journal_mark net in
-  let out = match N.find_by_name net "out" with Some n -> n | None -> assert false in
-  (* overflow the bounded journal; each set_binding touches one id *)
-  for _ = 1 to 2_000_000 do N.set_binding net out None done;
-  (match N.journal_since net mark with
-   | None -> ()
-   | Some _ -> Alcotest.fail "compaction must invalidate old cursors");
-  (* a fresh cursor works again *)
-  let mark2 = N.journal_mark net in
-  N.set_binding net out None;
-  (match N.journal_since net mark2 with
-   | Some ids -> Alcotest.(check bool) "fresh cursor sees edit" true (List.mem out.N.id ids)
-   | None -> Alcotest.fail "fresh cursor must be reachable")
+(* Every public mutator bumps [revision]; those that change the output list
+   also bump [outputs_revision], and no other does.  Each case prepares the
+   network, samples both counters, then runs the returned edit. *)
+let test_every_mutator_bumps_revision () =
+  let find net name =
+    match N.find_by_name net name with Some n -> n | None -> assert false
+  in
+  let dangling net = N.add_logic net inv_cover [ find net "en" ] in
+  let cases =
+    [ ("set_cover", false, fun net () ->
+          N.set_cover net (find net "out") or_cover);
+      ("set_binding", false, fun net () ->
+          N.set_binding net (find net "out")
+            (Some { N.gate_name = "and2"; gate_area = 1.0; gate_delay = 1.0 }));
+      ("set_latch_init", false, fun net () ->
+          N.set_latch_init net (find net "r") N.I1);
+      ("replace_fanin", false, fun net () ->
+          N.replace_fanin net (find net "out") ~old_fanin:(find net "en")
+            ~new_fanin:(find net "next"));
+      ("add_logic", false, fun net () -> ignore (dangling net));
+      ("set_output", true, fun net () ->
+          N.set_output net "o2" (find net "next"));
+      ("retarget_output", true, fun net () ->
+          N.retarget_output net "out" (find net "next"));
+      ("delete", false, fun net ->
+          let g = dangling net in
+          fun () -> N.delete net g);
+      ("sweep", false, fun net ->
+          ignore (dangling net);
+          fun () -> N.sweep net);
+      ("restore", true, fun net ->
+          let snapshot = N.copy net in
+          N.set_cover net (find net "out") or_cover;
+          fun () -> N.restore net snapshot) ]
+  in
+  List.iter
+    (fun (name, outputs_change, prepare) ->
+      let net = toggle_circuit () in
+      let edit = prepare net in
+      let r0 = N.revision net and o0 = N.outputs_revision net in
+      edit ();
+      Alcotest.(check bool) (name ^ " bumps revision") true
+        (N.revision net > r0);
+      Alcotest.(check bool)
+        (name ^ " bumps outputs_revision iff the output list changes")
+        outputs_change
+        (N.outputs_revision net > o0))
+    cases
 
 let assert_topo_valid net order =
   (* every logic node appears exactly once, after all its logic fanins *)
@@ -481,10 +472,8 @@ let () =
           Alcotest.test_case "cones" `Quick test_cone;
           Alcotest.test_case "copy independence" `Quick test_copy_independent ] );
       ( "journal",
-        [ Alcotest.test_case "records edits" `Quick test_journal_records_edits;
-          Alcotest.test_case "survives restore" `Quick
-            test_journal_survives_restore;
-          Alcotest.test_case "compaction" `Quick test_journal_compaction;
+        [ Alcotest.test_case "records edits" `Quick
+            test_every_mutator_bumps_revision;
           Alcotest.test_case "topo cache tracks edits" `Quick
             test_topo_cache_tracks_edits;
           Alcotest.test_case "deep fanout edit" `Quick test_deep_fanout_edit ] );

@@ -98,209 +98,6 @@ let prop_path_is_connected =
       in
       chained path)
 
-(* --- incremental timer ------------------------------------------------------ *)
-
-(* The incremental timer must agree bit-for-bit with a from-scratch analysis
-   after every edit: same arrivals, same period, same critical endpoint and
-   path, same slacks. *)
-let oracle_agrees net model timer =
-  let full = Sta.analyze net model in
-  let ti = Sta.Incremental.timing timer in
-  let cap = Array.length full.Sta.arrival in
-  let arrivals_ok = ref true in
-  for id = 0 to cap - 1 do
-    if ti.Sta.arrival.(id) <> full.Sta.arrival.(id) then arrivals_ok := false
-  done;
-  let path_full =
-    List.map (fun n -> n.N.id) (Sta.critical_path net model)
-  in
-  let path_incr =
-    List.map (fun n -> n.N.id) (Sta.Incremental.critical_path timer)
-  in
-  let slack_full = Sta.slack net model ~required:10.0 in
-  let slack_incr = Sta.Incremental.slacks timer ~required:10.0 in
-  let slacks_ok = ref (Array.length slack_full = Array.length slack_incr) in
-  if !slacks_ok then
-    Array.iteri
-      (fun id s -> if s <> slack_incr.(id) then slacks_ok := false)
-      slack_full;
-  !arrivals_ok
-  && ti.Sta.period = full.Sta.period
-  && ti.Sta.critical_end = full.Sta.critical_end
-  && path_full = path_incr
-  && !slacks_ok
-
-let random_cover st nvars =
-  let cube () =
-    String.init nvars (fun _ ->
-        match Random.State.int st 3 with 0 -> '0' | 1 -> '1' | _ -> '-')
-  in
-  Logic.Cover.of_strings nvars
-    (List.init (1 + Random.State.int st 3) (fun _ -> cube ()))
-
-let random_binding st =
-  Some
-    { N.gate_name = "g";
-      gate_area = 1.0;
-      gate_delay = float_of_int (1 + Random.State.int st 4) /. 2.0 }
-
-(* One random edit through the public mutation API: function/binding changes,
-   duplication, forward/backward latch moves, stem splits, init flips, node
-   creation, output retargeting, rewiring, sweep. *)
-let apply_random_edit st net fresh_po =
-  let live = N.all_nodes net in
-  let logic = List.filter N.is_logic live in
-  let latches = List.filter N.is_latch live in
-  let pick lst = List.nth lst (Random.State.int st (List.length lst)) in
-  match Random.State.int st 11 with
-  | 0 ->
-    (match logic with
-     | [] -> ()
-     | _ ->
-       let v = pick logic in
-       N.set_cover net v (random_cover st (Array.length v.N.fanins)))
-  | 1 -> (match logic with [] -> () | _ -> N.set_binding net (pick logic) (random_binding st))
-  | 2 ->
-    (match List.filter (fun v -> v.N.fanouts <> []) logic with
-     | [] -> ()
-     | cands ->
-       let v = pick cands in
-       ignore (N.duplicate_for net v ~consumer:(N.node net (List.hd v.N.fanouts))))
-  | 3 ->
-    (match List.filter (Retiming.Moves.is_forward_retimable net) logic with
-     | [] -> ()
-     | cands -> ignore (Retiming.Moves.forward_across_node net (pick cands)))
-  | 4 ->
-    (match List.filter (Retiming.Moves.is_backward_retimable net) logic with
-     | [] -> ()
-     | cands -> ignore (Retiming.Moves.backward_across_node net (pick cands)))
-  | 5 ->
-    (match latches with
-     | [] -> ()
-     | _ -> ignore (Retiming.Moves.split_stem net (pick latches)))
-  | 6 ->
-    (match latches with
-     | [] -> ()
-     | _ -> N.set_latch_init net (pick latches) (pick [ N.I0; N.I1; N.Ix ]))
-  | 7 ->
-    let k = 1 + Random.State.int st 3 in
-    let fanins = List.init k (fun _ -> pick live) in
-    let g = N.add_logic net (random_cover st k) fanins in
-    incr fresh_po;
-    N.set_output net (Printf.sprintf "tpo%d" !fresh_po) g
-  | 8 ->
-    (match N.outputs net with
-     | [] -> ()
-     | outs ->
-       let name, _ = pick outs in
-       N.retarget_output net name (pick live))
-  | 9 ->
-    (* rewire a logic node onto source nodes only: cannot create a cycle *)
-    (match logic, List.filter (fun n -> not (N.is_logic n)) live with
-     | [] , _ | _, [] -> ()
-     | _, sources ->
-       let v = pick logic in
-       let k = 1 + Random.State.int st 3 in
-       N.set_function net v (random_cover st k)
-         (List.init k (fun _ -> pick sources)))
-  | _ -> N.sweep net
-
-let prop_incremental_matches_full =
-  QCheck.Test.make ~count:40
-    ~name:"incremental timer replays edits oracle-equivalently"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let st = Random.State.make [| seed |] in
-      let net =
-        Circuits.Generators.random_sequential ~seed
-          { Circuits.Generators.default_profile with
-            ngates = 30; nlatch = 5; npi = 4; npo = 3 }
-      in
-      let model = Sta.mapped_delay ~default:1.0 () in
-      let timer = Sta.Incremental.create net model in
-      let fresh_po = ref 0 in
-      let ok = ref (oracle_agrees net model timer) in
-      for step = 1 to 40 do
-        if !ok then begin
-          apply_random_edit st net fresh_po;
-          N.check net;
-          ok := oracle_agrees net model timer;
-          (* every few steps, change the slack target: exercises the full
-             backward rebuild next to the incremental patching path *)
-          if step mod 5 = 0 then begin
-            let p = Sta.clock_period net model in
-            let full = Sta.slack net model ~required:p in
-            let incr_ = Sta.Incremental.slacks timer ~required:p in
-            ok := !ok && full = incr_
-          end
-        end
-      done;
-      (* the run must actually have exercised the incremental machinery *)
-      let s = Sta.Incremental.stats timer in
-      !ok && s.Sta.Incremental.incremental_syncs > 0)
-
-let test_incremental_basic () =
-  let net = chain_circuit () in
-  let model = Sta.mapped_delay ~default:1.0 () in
-  let timer = Sta.Incremental.create net model in
-  Alcotest.(check (float 1e-9)) "initial period" 3.0
-    (Sta.Incremental.period timer);
-  let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
-  N.set_binding net g1
-    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
-  Alcotest.(check (float 1e-9)) "period after binding edit" 4.5
-    (Sta.Incremental.period timer);
-  Alcotest.(check bool) "agrees with full analysis" true
-    (oracle_agrees net model timer);
-  let s = Sta.Incremental.stats timer in
-  Alcotest.(check bool) "used the incremental path" true
-    (s.Sta.Incremental.incremental_syncs >= 1)
-
-let test_incremental_latch_move () =
-  (* forward-retime a gate and check the timer tracks the latch move *)
-  let net = N.create ~name:"m" () in
-  let a = N.add_input net "a" in
-  let r1 = N.add_latch net ~name:"r1" N.I0 a in
-  let r2 = N.add_latch net ~name:"r2" N.I1 a in
-  let g = N.add_logic net ~name:"g" and_cover [ r1; r2 ] in
-  let h = N.add_logic net ~name:"h" inv_cover [ g ] in
-  N.set_output net "o" h;
-  let model = Sta.unit_delay in
-  let timer = Sta.Incremental.create net model in
-  Alcotest.(check (float 1e-9)) "before move" 2.0 (Sta.Incremental.period timer);
-  (match Retiming.Moves.forward_across_node net g with
-   | Ok _ -> ()
-   | Error _ -> Alcotest.fail "move refused");
-  (* the latch now sits at g's output: worst endpoint is g's data input *)
-  Alcotest.(check (float 1e-9)) "after move" 1.0 (Sta.Incremental.period timer);
-  Alcotest.(check bool) "agrees with full analysis" true
-    (oracle_agrees net model timer)
-
-let test_incremental_restore () =
-  (* restore invalidates the journal cursor: the timer must fall back to a
-     full resync and still answer bit-exactly against Sta.analyze *)
-  let net = chain_circuit () in
-  let model = Sta.mapped_delay ~default:1.0 () in
-  let timer = Sta.Incremental.create net model in
-  Alcotest.(check (float 1e-9)) "initial period" 3.0
-    (Sta.Incremental.period timer);
-  let snap = N.copy net in
-  let g2 = match N.find_by_name net "g2" with Some n -> n | None -> assert false in
-  N.set_binding net g2
-    (Some { N.gate_name = "inv"; gate_area = 1.0; gate_delay = 5.0 });
-  Alcotest.(check (float 1e-9)) "period after edit" 7.0
-    (Sta.Incremental.period timer);
-  N.restore net snap;
-  (* edit again after the rollback, then query: the answer must be bit-exact
-     against a from-scratch analysis of the restored-and-edited network *)
-  let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
-  N.set_binding net g1
-    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
-  Alcotest.(check bool) "bit-exact after restore + edit" true
-    (oracle_agrees net model timer);
-  Alcotest.(check (float 1e-9)) "period after restore + edit" 4.5
-    (Sta.Incremental.period timer)
-
 let () =
   Alcotest.run "sta"
     [ ( "basic",
@@ -310,13 +107,7 @@ let () =
           Alcotest.test_case "mapped delay" `Quick test_mapped_delay;
           Alcotest.test_case "slack" `Quick test_slack;
           Alcotest.test_case "no logic" `Quick test_no_logic ] );
-      ( "incremental",
-        [ Alcotest.test_case "basic" `Quick test_incremental_basic;
-          Alcotest.test_case "latch move" `Quick test_incremental_latch_move;
-          Alcotest.test_case "restore then edit" `Quick
-            test_incremental_restore ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_critical_path_matches_period;
-            prop_path_is_connected;
-            prop_incremental_matches_full ] ) ]
+            prop_path_is_connected ] ) ]

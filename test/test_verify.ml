@@ -1,6 +1,6 @@
 (* Netlist verifier tests: clean networks stay clean, each seeded corruption
-   is caught by the intended rule id, and the journal audit catches a
-   mutation that bypasses the change journal. *)
+   is caught by the intended rule id, and the revision audit catches a
+   mutation that does not bump the network's revision. *)
 
 module N = Netlist.Network
 
@@ -127,7 +127,7 @@ let test_audit_catches_unjournaled () =
        has "journal/unjournaled")
 
 let test_audit_clean_pass () =
-  (* a journaled edit through the public API passes the audit *)
+  (* an edit through the public API bumps the revision and passes the audit *)
   let net, _, r1, _, _ = seq_circuit () in
   Verify.pass [ Verify.hook ~label:"vt" ] ~cat:"test" "legal"
     (Verify.In_place net) (fun () -> N.set_latch_init net r1 N.I1);
@@ -157,13 +157,15 @@ let random_cover st nvars =
 
 (* One random edit through the public mutation API; every case preserves the
    network contract (in particular acyclicity: rewiring targets only
-   non-logic sources, fresh nodes have no fanouts yet). *)
-let apply_random_edit st net fresh_po =
+   non-logic sources, fresh nodes have no fanouts yet).  A rollback case
+   applies a nested edit and reverts it with [N.restore], as min-area
+   retiming does for a rejected move. *)
+let rec apply_random_edit st net fresh_po =
   let live = N.all_nodes net in
   let logic = List.filter N.is_logic live in
   let latches = List.filter N.is_latch live in
   let pick lst = List.nth lst (Random.State.int st (List.length lst)) in
-  match Random.State.int st 9 with
+  match Random.State.int st 10 with
   | 0 ->
     (match logic with
      | [] -> ()
@@ -206,8 +208,14 @@ let apply_random_edit st net fresh_po =
        let k = 1 + Random.State.int st 3 in
        N.set_function net v (random_cover st k)
          (List.init k (fun _ -> pick sources)))
+  | 8 ->
+    let snapshot = N.copy net in
+    apply_random_edit st net fresh_po;
+    N.restore net snapshot
   | _ -> N.sweep net
 
+(* Each edit runs as one in-place pass under the verifier hook: the static
+   rules and the revision audit both see it. *)
 let prop_legal_edits_stay_clean =
   QCheck.Test.make ~count:40 ~name:"random legal edit sequences verify clean"
     QCheck.(int_range 0 10_000)
@@ -219,14 +227,16 @@ let prop_legal_edits_stay_clean =
             ngates = 25; nlatch = 4; npi = 4; npo = 3 }
       in
       let fresh_po = ref 0 in
-      let ok = ref (Verify.errors (Verify.run net) = []) in
-      for _ = 1 to 25 do
-        if !ok then begin
-          apply_random_edit st net fresh_po;
-          ok := Verify.errors (Verify.run net) = []
-        end
+      let clean = Verify.errors (Verify.run net) = [] in
+      for step = 1 to 25 do
+        try
+          Verify.pass
+            [ Verify.hook ~label:(Printf.sprintf "seed %d" seed) ]
+            ~cat:"test" (Printf.sprintf "edit %d" step) (Verify.In_place net)
+            (fun () -> apply_random_edit st net fresh_po)
+        with Verify.Verification_failed msg -> QCheck.Test.fail_report msg
       done;
-      !ok)
+      clean)
 
 let prop_seeded_corruption_caught =
   QCheck.Test.make ~count:40 ~name:"seeded corruption caught by matching rule"
