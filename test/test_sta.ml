@@ -98,6 +98,59 @@ let prop_path_is_connected =
       in
       chained path)
 
+(* --- period after network edits ------------------------------------------- *)
+
+(* Every query re-analyses the network as it stands: a binding edit, a latch
+   move and a restore followed by an edit must each show in the period. *)
+let test_edit_binding () =
+  let net = chain_circuit () in
+  let model = Sta.mapped_delay ~default:1.0 () in
+  Alcotest.(check (float 1e-9)) "initial period" 3.0
+    (Sta.clock_period net model);
+  let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
+  N.set_binding net g1
+    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
+  Alcotest.(check (float 1e-9)) "period after binding edit" 4.5
+    (Sta.clock_period net model);
+  Alcotest.(check (list string)) "path after binding edit"
+    [ "g1"; "g2"; "g3" ]
+    (List.map (fun n -> n.N.name) (Sta.critical_path net model))
+
+let test_edit_latch_move () =
+  let net = N.create ~name:"m" () in
+  let a = N.add_input net "a" in
+  let r1 = N.add_latch net ~name:"r1" N.I0 a in
+  let r2 = N.add_latch net ~name:"r2" N.I1 a in
+  let g = N.add_logic net ~name:"g" and_cover [ r1; r2 ] in
+  let h = N.add_logic net ~name:"h" inv_cover [ g ] in
+  N.set_output net "o" h;
+  Alcotest.(check (float 1e-9)) "before move" 2.0
+    (Sta.clock_period net Sta.unit_delay);
+  (match Retiming.Moves.forward_across_node net g with
+   | Ok _ -> ()
+   | Error _ -> Alcotest.fail "move refused");
+  (* the latch now sits at g's output: worst endpoint is g's data input *)
+  Alcotest.(check (float 1e-9)) "after move" 1.0
+    (Sta.clock_period net Sta.unit_delay)
+
+let test_edit_restore () =
+  let net = chain_circuit () in
+  let model = Sta.mapped_delay ~default:1.0 () in
+  let snap = N.copy net in
+  let g2 = match N.find_by_name net "g2" with Some n -> n | None -> assert false in
+  N.set_binding net g2
+    (Some { N.gate_name = "inv"; gate_area = 1.0; gate_delay = 5.0 });
+  Alcotest.(check (float 1e-9)) "period after edit" 7.0
+    (Sta.clock_period net model);
+  N.restore net snap;
+  Alcotest.(check (float 1e-9)) "period after restore" 3.0
+    (Sta.clock_period net model);
+  let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
+  N.set_binding net g1
+    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
+  Alcotest.(check (float 1e-9)) "period after restore + edit" 4.5
+    (Sta.clock_period net model)
+
 let () =
   Alcotest.run "sta"
     [ ( "basic",
@@ -107,6 +160,10 @@ let () =
           Alcotest.test_case "mapped delay" `Quick test_mapped_delay;
           Alcotest.test_case "slack" `Quick test_slack;
           Alcotest.test_case "no logic" `Quick test_no_logic ] );
+      ( "after edits",
+        [ Alcotest.test_case "binding edit" `Quick test_edit_binding;
+          Alcotest.test_case "latch move" `Quick test_edit_latch_move;
+          Alcotest.test_case "restore then edit" `Quick test_edit_restore ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_critical_path_matches_period;
