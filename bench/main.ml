@@ -4,7 +4,7 @@
    Sections:
    1. Section III example (Figs. 4-6): delay 3 -> 2 (retiming) -> 1
       (resynthesis).
-   2. Table I: the 19-row benchmark suite under the three flows, with
+   2. Table I: the 21-row benchmark suite under the three flows, with
       verification and comparison against the paper's qualitative
       expectations.
    3. Ablations: DC exploitation mode, post-restructuring retiming, and the
@@ -22,9 +22,7 @@ let section title =
    publishes its measurements as gauges/infos under a "bench.<section>"
    prefix, then dumps that namespace.  Every file records the worker count
    its section ran at ([jobs]) and the cores the machine reports, so one
-   schema says what hardware a figure was measured on.  Histograms observed
-   under the prefix (e.g. the containment probe distributions) ride along
-   automatically. *)
+   schema says what hardware a figure was measured on. *)
 let emit_bench ~file ~prefix ~title ~unit ~jobs values =
   Obs.Metrics.enable ();
   Obs.Metrics.set_info (prefix ^ ".benchmark") title;
@@ -302,82 +300,19 @@ let logic_bench ?(emit_json = true) ?(quick = false) () =
       /. float_of_int (List.length results))
   in
   Printf.printf "  geometric-mean speedup: %.2fx\n" geomean;
-  (* single-cube containment: classic all-pairs sweep vs the
-     signature-bucketed candidate index, on covers big enough for the
-     quadratic term to hurt.  Outputs must agree cube for cube; per-call
-     probe counts are sampled from the logic.scc instrumentation into
-     bench.logic histograms so BENCH_logic.json carries before/after. *)
-  Obs.Metrics.enable ();
-  let h_linear = Obs.Metrics.histogram "bench.logic.scc_probes_linear" in
-  let h_indexed = Obs.Metrics.histogram "bench.logic.scc_probes_indexed" in
-  let c_probes = Obs.Metrics.counter "logic.scc.pairs_probed" in
-  let scc_sizes = if quick then [ 256 ] else [ 256; 1024; 2048 ] in
-  let scc_results =
-    List.map
-      (fun k ->
-        let vars = 24 in
-        let strings = random_cube_strings st ~vars ~cubes:k in
-        let f = Logic.Cover.of_strings vars (Array.to_list strings) in
-        let probed algo h =
-          let v0 = Obs.Metrics.counter_value c_probes in
-          let r = Logic.Cover.single_cube_containment ~algo f in
-          Obs.Metrics.observe h (Obs.Metrics.counter_value c_probes - v0);
-          r
-        in
-        let lin = probed `Linear h_linear in
-        let idx = probed `Indexed h_indexed in
-        let same =
-          Logic.Cover.size lin = Logic.Cover.size idx
-          && List.for_all2
-               (fun a b -> Logic.Cube.compare a b = 0)
-               lin.Logic.Cover.cubes idx.Logic.Cover.cubes
-        in
-        if not same then begin
-          Printf.eprintf
-            "logic bench: linear and indexed containment disagree at \
-             cubes=%d\n"
-            k;
-          exit 1
-        end;
-        let linear_s =
-          time_pass ~min_s (fun () ->
-              Logic.Cover.size
-                (Logic.Cover.single_cube_containment ~algo:`Linear f))
-        in
-        let indexed_s =
-          time_pass ~min_s (fun () ->
-              Logic.Cover.size
-                (Logic.Cover.single_cube_containment ~algo:`Indexed f))
-        in
-        let speedup = linear_s /. indexed_s in
-        Printf.printf
-          "  %-16s cubes=%-4d kept=%-4d linear %10.1f us  indexed %8.1f us  \
-           speedup %6.2fx\n%!"
-          "scc-index" k (Logic.Cover.size idx) (linear_s *. 1e6)
-          (indexed_s *. 1e6) speedup;
-        (k, linear_s, indexed_s, speedup))
-      scc_sizes
-  in
   if emit_json then
     emit_bench ~file:"BENCH_logic.json" ~prefix:"bench.logic"
-      ~title:"packed vs legacy cube kernel + containment index"
+      ~title:"packed vs legacy cube kernel"
       ~unit:"ns_per_pass" ~jobs:1
       (("cubes_per_set", float_of_int cubes)
        :: ("geomean_speedup", geomean)
-       :: (List.concat_map
-             (fun (name, vars, legacy_s, packed_s, speedup) ->
-               let key = Printf.sprintf "%s.vars%d" name vars in
-               [ (key ^ ".legacy_ns", legacy_s *. 1e9);
-                 (key ^ ".packed_ns", packed_s *. 1e9);
-                 (key ^ ".speedup", speedup) ])
-             results
-          @ List.concat_map
-              (fun (k, linear_s, indexed_s, speedup) ->
-                let key = Printf.sprintf "scc.cubes%d" k in
-                [ (key ^ ".linear_ns", linear_s *. 1e9);
-                  (key ^ ".indexed_ns", indexed_s *. 1e9);
-                  (key ^ ".speedup", speedup) ])
-              scc_results));
+       :: List.concat_map
+            (fun (name, vars, legacy_s, packed_s, speedup) ->
+              let key = Printf.sprintf "%s.vars%d" name vars in
+              [ (key ^ ".legacy_ns", legacy_s *. 1e9);
+                (key ^ ".packed_ns", packed_s *. 1e9);
+                (key ^ ".speedup", speedup) ])
+            results);
   geomean
 
 (* --- 3e. Serial vs domain-parallel Table I ------------------------------------------- *)
@@ -565,9 +500,15 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
    off and on.  Sequential-equivalence verification is off in both runs so
    the delta isolates the checker.  One pass over these rows takes only a
    few hundredths of a second, so each sample is a [time_pass] of at least
-   0.2 s, taken alternately off and on, best of 3.  The checker must be observation-only:
+   0.2 s.  Machine speed drifts over the seconds the samples span, so minima
+   taken separately for off and on compare different moments: instead each
+   off sample is paired with the on sample right after it, and the overhead
+   is the median of the per-pair on/off ratios, reported with their extremes
+   so the file carries its own spread.  The checker must be observation-only:
    rows that render differently exit 1.  [extra] turns the checked rows into
    further JSON values (and may itself exit on a bad verdict). *)
+let checker_pairs = 9
+
 let checker_bench ~flag ~file ~prefix ~names ?(extra = fun _ -> []) run =
   section
     (Printf.sprintf "Per-pass checker: %s overhead (verify=false both runs)"
@@ -586,25 +527,39 @@ let checker_bench ~flag ~file ~prefix ~names ?(extra = fun _ -> []) run =
     exit 1
   end;
   let extra = extra rows_on in
-  let off_s, on_s =
-    List.fold_left
-      (fun (off_s, on_s) () ->
+  let pairs =
+    List.init checker_pairs (fun _ ->
         let off = time_pass (fun () -> run false) in
         let on = time_pass (fun () -> run true) in
-        (min off_s off, min on_s on))
-      (infinity, infinity) [ (); (); () ]
+        (off, on))
   in
-  let overhead = (on_s -. off_s) /. off_s *. 100.0 in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  let pct ratio = (ratio -. 1.0) *. 100.0 in
+  let ratios = List.map (fun (off, on) -> on /. off) pairs in
+  let off_s = median (List.map fst pairs)
+  and on_s = median (List.map snd pairs) in
+  let overhead = pct (median ratios) in
+  let overhead_min = pct (List.fold_left min infinity ratios)
+  and overhead_max = pct (List.fold_left max neg_infinity ratios) in
   Printf.printf
-    "  %d rows: checker off %.4fs, on %.4fs per pass, overhead %+.1f%% \
-     (results byte-identical)\n"
-    (List.length names) off_s on_s overhead;
+    "  %d rows: checker off %.4fs, on %.4fs per pass (medians), overhead \
+     %+.1f%% (median of %d pairs, range %+.1f%%..%+.1f%%; results \
+     byte-identical)\n"
+    (List.length names) off_s on_s overhead checker_pairs overhead_min
+    overhead_max;
   emit_bench ~file ~prefix ~title:(flag ^ " overhead on Table I subset")
     ~unit:"s_per_run" ~jobs:1
     ([ ("rows", float_of_int (List.length names));
+       ("pairs", float_of_int checker_pairs);
        ("checker_off_s", off_s);
        ("checker_on_s", on_s);
        ("overhead_pct", overhead);
+       ("overhead_min_pct", overhead_min);
+       ("overhead_max_pct", overhead_max);
        ("byte_identical", 1.0) ]
      @ extra)
 
@@ -765,16 +720,15 @@ let bechamel_kernels () =
           (Staged.stage (fun () ->
                ignore
                  (Retiming.Minperiod.retime_min_period mapped_s298
-                    ~model:(Sta.mapped_delay ()))));
+                    ~model:Sta.mapped_delay)));
         Test.make ~name:"kernel:tech-mapping-s27"
           (Staged.stage (fun () ->
                ignore
-                 (Techmap.Mapper.map s27 ~lib:Techmap.Genlib.mcnc_lite
-                    ~objective:Techmap.Mapper.Min_delay)));
+                 (Techmap.Mapper.map s27 ~lib:Techmap.Genlib.mcnc_lite)));
         (* STA on the suite's largest circuit: one binding edit followed
            by a period re-query *)
         (let s5378 = (Circuits.Suite.find "s5378").Circuits.Suite.build () in
-         let model = Sta.mapped_delay ~default:1.0 () in
+         let model = Sta.mapped_delay in
          let nodes = Array.of_list (N.logic_nodes s5378) in
          let counter = ref 0 in
          let edit () =

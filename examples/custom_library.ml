@@ -28,7 +28,7 @@ GATE xnor2  4.2 O=a*b+!a*!b;     PIN * INV 1 999 1.5 0.0 1.5 0.0
 
 let report name lib net =
   let mapped = Synth_opt.Script.script_delay net ~lib in
-  let model = Sta.mapped_delay () in
+  let model = Sta.mapped_delay in
   Printf.printf "%-12s period %.2f | area %6.1f | gates %d\n" name
     (Sta.clock_period mapped model)
     (Techmap.Mapper.mapped_area mapped ~lib)
@@ -49,7 +49,7 @@ let () =
   let options = { Core.Resynth.default_options with Core.Resynth.lib } in
   let outcome = Core.Resynth.resynthesize ~options mapped in
   if outcome.Core.Resynth.applied then begin
-    let model = Sta.mapped_delay () in
+    let model = Sta.mapped_delay in
     Printf.printf
       "applied: period %.2f -> %.2f, registers %d -> %d (check: %s)\n"
       (Sta.clock_period mapped model)

@@ -14,7 +14,7 @@ module N = Netlist.Network
 let try_resynthesis label net =
   Printf.printf "== %s: %s\n" label (N.stats_string net);
   let mapped = Core.Flow.script_delay_flow net ~lib:Techmap.Genlib.mcnc_lite in
-  let model = Sta.mapped_delay () in
+  let model = Sta.mapped_delay in
   Printf.printf "   mapped period: %.2f\n" (Sta.clock_period mapped model);
   let outcome = Core.Resynth.resynthesize mapped in
   if outcome.Core.Resynth.applied then

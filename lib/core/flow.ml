@@ -24,7 +24,7 @@ type row = {
 
 let measure net ~lib =
   { regs = N.num_latches net;
-    clk = Sta.clock_period net (Sta.mapped_delay ~default:1.0 ());
+    clk = Sta.clock_period net Sta.mapped_delay;
     area = Techmap.Mapper.mapped_area net ~lib }
 
 let script_delay_flow net ~lib = Synth_opt.Script.script_delay net ~lib
@@ -34,7 +34,7 @@ let script_delay_flow net ~lib = Synth_opt.Script.script_delay net ~lib
    named pass is one [Verify.pass] boundary; with no [hooks] that is just
    its trace span. *)
 let retiming_flow ?(hooks = []) net ~lib =
-  let model = Sta.mapped_delay ~default:1.0 () in
+  let model = Sta.mapped_delay in
   match
     Verify.pass hooks ~cat:"retiming" "retiming/min-period"
       (Verify.Fresh
@@ -55,8 +55,7 @@ let retiming_flow ?(hooks = []) net ~lib =
     Ok
       (Verify.pass hooks ~cat:"retiming" "retiming/remap"
          (Verify.Fresh (retimed, Option.some))
-         (fun () ->
-           Techmap.Mapper.map retimed ~lib ~objective:Techmap.Mapper.Min_delay))
+         (fun () -> Techmap.Mapper.map retimed ~lib))
 
 let resynthesis_flow ?(options = Resynth.default_options) ?hooks net =
   let outcome = Resynth.resynthesize ~options ?hooks net in
@@ -64,8 +63,8 @@ let resynthesis_flow ?(options = Resynth.default_options) ?hooks net =
   else Error outcome.Resynth.note
 
 let run_all ?(verify = true) ?(verify_each = false) ?(eqcheck_each = false)
-    ?(hooks = []) ?(lib = Techmap.Genlib.mcnc_lite)
-    ?(resynth_options = Resynth.default_options) ~name net =
+    ?(hooks = []) ?(resynth_options = Resynth.default_options) ~name net =
+  let lib = Techmap.Genlib.mcnc_lite in
   Obs.Trace.span ~cat:"flow"
     ~args:[ ("circuit", Obs.Trace.Str name) ]
     ("flow/" ^ name)

@@ -56,10 +56,10 @@ val resynthesis_flow :
 
 val run_all :
   ?verify:bool -> ?verify_each:bool -> ?eqcheck_each:bool ->
-  ?hooks:Verify.hook list -> ?lib:Techmap.Genlib.t ->
-  ?resynth_options:Resynth.options ->
+  ?hooks:Verify.hook list -> ?resynth_options:Resynth.options ->
   name:string -> Netlist.Network.t -> row
-(** Run the three flows on one circuit and collect a Table I row.
+(** Run the three flows on one circuit, mapped onto
+    {!Techmap.Genlib.mcnc_lite}, and collect a Table I row.
     [verify_each] (default false) runs the netlist verifier — static rules
     plus the revision audit — after every named pass of every flow, failing
     fast with {!Verify.Verification_failed} naming the circuit, the pass and

@@ -17,7 +17,7 @@ type options = {
 
 let default_options =
   { lib = Techmap.Genlib.mcnc_lite;
-    model = Sta.mapped_delay ~default:1.0 ();
+    model = Sta.mapped_delay;
     max_cone_leaves = 14;
     dc_mode = Dc_cover;
     remap = true;
@@ -383,8 +383,7 @@ let resynthesize_impl ~options ~hooks original =
             ( Verify.pass hooks ~cat:"resynth" "resynth/remap"
                 (Verify.Fresh (net, Option.some))
                 (fun () ->
-                  Techmap.Mapper.map net ~lib:options.lib
-                    ~objective:Techmap.Mapper.Min_delay),
+                  Techmap.Mapper.map net ~lib:options.lib),
               false )
           else (net, true)
         in

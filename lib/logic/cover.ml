@@ -44,10 +44,7 @@ let m_scc_prefilter = Obs.Metrics.counter "logic.scc.prefilter_rejects"
 let m_scc_contains = Obs.Metrics.counter "logic.scc.contains_calls"
 let m_scc_size = Obs.Metrics.histogram "logic.scc.cover_size"
 
-(* How many signature bit positions exist; shifts must stay < Sys.int_size. *)
-let sig_bits = Sys.int_size - 1
-
-let single_cube_containment ?(algo = `Auto) f =
+let single_cube_containment f =
   (* Deduplicate first so identical cubes do not protect each other. *)
   let dedup = Array.of_list (List.sort_uniq Cube.compare f.cubes) in
   let k = Array.length dedup in
@@ -75,91 +72,13 @@ let single_cube_containment ?(algo = `Auto) f =
         false
       end
     in
-    let covered =
-      let use_index =
-        (* measured crossover (bench --logic): the index loses slightly at
-           256 cubes and wins 2.5-4.5x at 1024-2048 *)
-        match algo with `Auto -> k > 512 | `Indexed -> true | `Linear -> false
-      in
-      if not use_index then begin
-        let covered i =
-          let rec loop j =
-            j < k && ((j <> i && probe i j) || loop (j + 1))
-          in
-          loop 0
-        in
-        Array.init k covered
-      end
-      else begin
-        (* Containment needs [sig d] to be a bitwise SUPERSET of [sig c]
-           (packed fields: Both = 11 absorbs literals), so every zero bit of
-           the container is a zero bit of the containee.  Index each cube
-           under its globally rarest zero bit; a query then scans only the
-           buckets of its own zero bits.  Cubes are visited in ascending
-           literal count so the index never holds a cube that the strict
-           count prefilter would not reject anyway. *)
-        let zero_freq = Array.make sig_bits 0 in
-        for i = 0 to k - 1 do
-          for b = 0 to sig_bits - 1 do
-            if sigs.(i) land (1 lsl b) = 0 then
-              zero_freq.(b) <- zero_freq.(b) + 1
-          done
-        done;
-        let buckets = Array.make sig_bits [] in
-        let saturated = ref [] in
-        let insert j =
-          let s = sigs.(j) in
-          let best = ref (-1) and best_freq = ref max_int in
-          for b = 0 to sig_bits - 1 do
-            if s land (1 lsl b) = 0 && zero_freq.(b) < !best_freq then begin
-              best := b;
-              best_freq := zero_freq.(b)
-            end
-          done;
-          if !best < 0 then saturated := j :: !saturated
-          else buckets.(!best) <- j :: buckets.(!best)
-        in
-        let covered = Array.make k false in
-        let query i =
-          let s = sigs.(i) in
-          let found = ref false in
-          let scan js =
-            List.iter (fun j -> if (not !found) && probe i j then found := true) js
-          in
-          scan !saturated;
-          let b = ref 0 in
-          while (not !found) && !b < sig_bits do
-            if s land (1 lsl !b) = 0 then scan buckets.(!b);
-            incr b
-          done;
-          !found
-        in
-        let order = Array.init k Fun.id in
-        Array.sort
-          (fun a b ->
-            let c = compare counts.(a) counts.(b) in
-            if c <> 0 then c else compare a b)
-          order;
-        (* flush pending inserts whenever the literal count strictly grows;
-           equal-count cubes cannot contain each other, so whether the group
-           is indexed during its own queries is immaterial *)
-        let pending = ref [] and pending_count = ref (-1) in
-        Array.iter
-          (fun i ->
-            if counts.(i) > !pending_count then begin
-              List.iter insert !pending;
-              pending := [];
-              pending_count := counts.(i)
-            end;
-            covered.(i) <- query i;
-            pending := i :: !pending)
-          order;
-        covered
-      end
+    let covered i =
+      let rec loop j = j < k && ((j <> i && probe i j) || loop (j + 1)) in
+      loop 0
     in
     let out = ref [] in
     for i = k - 1 downto 0 do
-      if not covered.(i) then out := dedup.(i) :: !out
+      if not (covered i) then out := dedup.(i) :: !out
     done;
     if Obs.Metrics.enabled () then begin
       Obs.Metrics.incr m_scc_calls;

@@ -66,17 +66,11 @@ val depends_on : t -> int -> bool
 val support : t -> int list
 (** Variables with a literal in some cube, ascending. *)
 
-val single_cube_containment : ?algo:[ `Auto | `Linear | `Indexed ] -> t -> t
-(** Remove cubes contained in another single cube of the cover.
-
-    [`Linear] is the classic all-pairs sweep with O(1) signature and
-    literal-count prefilters; [`Indexed] buckets candidate container cubes
-    under their rarest zero signature bit so a query only scans buckets
-    selected by its own zero bits — sub-quadratic on the large covers the
-    s5378-class flows produce.  [`Auto] (default) picks by cover size.  Both
-    compute the same result set (containment is transitive, and cubes of
-    equal literal count never contain each other, so removal is
-    order-independent). *)
+val single_cube_containment : t -> t
+(** Remove duplicate cubes and cubes contained in another single cube of the
+    cover; the result is in {!Cube.compare} order.  An all-pairs sweep with
+    O(1) signature and literal-count prefilters before each word-wise
+    containment test. *)
 
 val minterms : t -> bool array list
 (** All satisfying points (exponential; for tests on small covers). *)

@@ -1,10 +1,10 @@
 (** Process-wide metrics registry: counters, gauges, log-bucketed histograms
-    and string infos, published by the flow subsystems (STA re-query counts,
+    and string infos, published by the flow subsystems (retiming probe counts,
     cube-kernel containment rates, eqcheck verdict tallies, verifier rule
     firings, resynthesis deltas, bench measurements).
 
     Instruments are registered by name ({b naming scheme}:
-    [subsystem.topic[.detail]], e.g. [sta.syncs.incremental],
+    [subsystem.topic[.detail]], e.g. [retiming.probes],
     [logic.scc.contains_calls], [eqcheck.cap.product_bits]).  Registration is
     idempotent — asking for an existing name returns the same instrument;
     asking with a different kind raises [Invalid_argument].

@@ -51,7 +51,6 @@ type t = {
   futures : unit Core.Parallel.future list ref;
   inflight : int Atomic.t;  (* queued + running *)
   next_id : int Atomic.t;
-  lib : Techmap.Genlib.t;   (* warmed parsed cell library *)
 }
 
 (* --- metrics ------------------------------------------------------------------------ *)
@@ -76,8 +75,7 @@ let create ?(config = default_config) () =
     nets = Hashtbl.create 16;
     futures = ref [];
     inflight = Atomic.make 0;
-    next_id = Atomic.make 1;
-    lib = Techmap.Genlib.mcnc_lite }
+    next_id = Atomic.make 1 }
 
 let config eng = eng.config
 
@@ -244,7 +242,7 @@ let run_job eng job =
              Core.Flow.run_all ~verify:opts.Protocol.verify
                ~verify_each:opts.Protocol.verify_each
                ~eqcheck_each:opts.Protocol.eqcheck_each ~hooks:[ guard ]
-               ~lib:eng.lib ~name net)
+               ~name net)
        in
        let payload = payload_of_row row in
        Atomic.set job.diag (diag_json job ~t0 snap);

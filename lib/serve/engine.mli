@@ -1,9 +1,9 @@
 (** Socket-free serving core: request lifecycle over the fork-join pool.
 
-    One engine serves many requests from warmed shared state — the parsed
-    genlib, a keyed cache of pristine parsed/built networks (each request
-    flows over its own {!Netlist.Network.copy}), and each worker domain's
-    BDD unique table (DESIGN §12).  Admission is bounded: past [queue_capacity] in-flight
+    One engine serves many requests from warmed shared state — a keyed cache
+    of pristine parsed/built networks (each request flows over its own
+    {!Netlist.Network.copy}) and each worker domain's BDD unique table
+    (DESIGN §12).  Admission is bounded: past [queue_capacity] in-flight
     jobs a submit is rejected with a [retry_after_ms] hint instead of
     queueing unboundedly.  Each accepted job runs as one task on the ambient
     {!Core.Parallel} pool; cancellation and deadlines are cooperative,

@@ -7,10 +7,10 @@ let unit_delay (n : N.node) =
   | N.Logic _ -> 1.0
   | N.Input | N.Const _ | N.Latch _ -> 0.0
 
-let mapped_delay ?(default = 1.0) () (n : N.node) =
+let mapped_delay (n : N.node) =
   match n.N.kind with
   | N.Logic _ ->
-    (match n.N.binding with Some b -> b.N.gate_delay | None -> default)
+    (match n.N.binding with Some b -> b.N.gate_delay | None -> 1.0)
   | N.Input | N.Const _ | N.Latch _ -> 0.0
 
 type timing = {

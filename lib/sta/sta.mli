@@ -10,9 +10,8 @@ type model = Netlist.Network.node -> float
 val unit_delay : model
 (** Every logic node costs 1.0. *)
 
-val mapped_delay : ?default:float -> unit -> model
-(** Delay from the technology binding; unbound logic nodes cost [default]
-    (1.0). *)
+val mapped_delay : model
+(** Delay from the technology binding; unbound logic nodes cost 1.0. *)
 
 type timing = {
   arrival : float array;       (** indexed by node id; -infinity if unused *)

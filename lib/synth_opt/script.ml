@@ -86,7 +86,11 @@ let elimination_value n =
   let fanout_count = List.length n.N.fanouts in
   ((lits - 1) * fanout_count) - lits
 
-let eliminate ?(threshold = 0) ?(max_support = 12) net =
+(* A collapse may not grow the literal count, nor give any consumer a merged
+   support of more than [max_support] signals. *)
+let max_support = 12
+
+let eliminate net =
   let eliminated = ref 0 in
   let changed = ref true in
   while !changed do
@@ -101,7 +105,7 @@ let eliminate ?(threshold = 0) ?(max_support = 12) net =
             && (not (N.drives_output net n))
             && n.N.fanouts <> []
             && List.for_all (fun c -> N.is_logic (N.node net c)) n.N.fanouts
-            && elimination_value n <= threshold
+            && elimination_value n <= 0
           then begin
             (* support cap: merged support of each consumer stays small *)
             let consumers = List.sort_uniq compare n.N.fanouts in
@@ -142,12 +146,4 @@ let unmapped_optimize net =
 let script_delay net ~lib =
   let work = N.copy net in
   unmapped_optimize work;
-  Techmap.Mapper.map work ~lib ~objective:Techmap.Mapper.Min_delay
-
-let script_area net ~lib =
-  let work = N.copy net in
-  unmapped_optimize work;
-  ignore (Extract.extract_divisors work);
-  ignore (simplify_nodes work);
-  ignore (Netlist.Strash.run work);
-  Techmap.Mapper.map work ~lib ~objective:Techmap.Mapper.Min_area
+  Techmap.Mapper.map work ~lib

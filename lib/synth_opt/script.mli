@@ -13,17 +13,13 @@ val collapse_into :
   Netlist.Network.t -> producer:Netlist.Network.node -> consumer:Netlist.Network.node -> unit
 (** Substitute a logic node's function into one consumer (SIS collapse). *)
 
-val eliminate : ?threshold:int -> ?max_support:int -> Netlist.Network.t -> int
-(** Collapse nodes whose elimination does not increase the literal count by
-    more than [threshold] (default 0).  Returns nodes eliminated. *)
+val eliminate : Netlist.Network.t -> int
+(** Collapse nodes whose elimination does not increase the literal count and
+    keeps every consumer's support at 12 signals or fewer.  Returns nodes
+    eliminated. *)
 
 val script_delay : Netlist.Network.t -> lib:Techmap.Genlib.t -> Netlist.Network.t
 (** Full delay script: returns a fresh mapped network (input untouched). *)
-
-val script_area : Netlist.Network.t -> lib:Techmap.Genlib.t -> Netlist.Network.t
-(** Like {!script_delay} but with shared-divisor extraction
-    ({!Extract.extract_divisors}), structural hashing and an area-oriented
-    mapping objective. *)
 
 val unmapped_optimize : Netlist.Network.t -> unit
 (** The technology-independent part only (sweep, simplify, eliminate),

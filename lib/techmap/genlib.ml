@@ -16,7 +16,6 @@ type t = {
   lib_name : string;
   gates : gate list;
   latch_area : float;
-  latch_setup : float;
 }
 
 let rec eval_pattern p point =
@@ -70,7 +69,7 @@ let mcnc_lite =
       mk "xnor2" 5.0 1.9 2 [ "11"; "00" ]
         (Nand (Nand (l0, l1), Nand (Inv l0, Inv l1))) ]
   in
-  { lib_name = "mcnc_lite"; gates; latch_area = 8.0; latch_setup = 0.2 }
+  { lib_name = "mcnc_lite"; gates; latch_area = 8.0 }
 
 let find lib name =
   match List.find_opt (fun g -> g.gate_name = name) lib.gates with

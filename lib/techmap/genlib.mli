@@ -23,7 +23,6 @@ type t = {
   lib_name : string;
   gates : gate list;
   latch_area : float;
-  latch_setup : float;  (** added to every latch data-input arrival *)
 }
 
 val pattern_cover : int -> pattern -> Logic.Cover.t

@@ -149,8 +149,7 @@ let parse_gate_body ~name ~area ~expr_text ~pin_delays =
   let delay = if delay = 0.0 then 1.0 else delay in
   { Genlib.gate_name = name; area; delay; ninputs; cover; pattern }
 
-let parse_string ?(name = "genlib") ?(latch_area = 8.0) ?(latch_setup = 0.2)
-    text =
+let parse_string ?(name = "genlib") text =
   (* Join the text and split on the GATE keyword so a gate's PIN lines stay
      with it regardless of line breaks. *)
   let no_comments =
@@ -234,7 +233,8 @@ let parse_string ?(name = "genlib") ?(latch_area = 8.0) ?(latch_setup = 0.2)
       chunks
   in
   if gates = [] then failwith "genlib: no gates";
-  { Genlib.lib_name = name; gates; latch_area; latch_setup }
+  { Genlib.lib_name = name; gates;
+    latch_area = Genlib.mcnc_lite.Genlib.latch_area }
 
 let parse_file path =
   let ic = open_in path in

@@ -12,11 +12,11 @@
     are derived automatically from the parsed expression by NAND2/INV
     decomposition and are checked against the parsed function. *)
 
-val parse_string :
-  ?name:string -> ?latch_area:float -> ?latch_setup:float -> string -> Genlib.t
-(** Raises [Failure] with a line-numbered message on malformed input, and on
-    gates whose derived pattern does not compute the parsed function (an
-    internal consistency failure). *)
+val parse_string : ?name:string -> string -> Genlib.t
+(** The format carries no latch cell: the parsed library takes
+    {!Genlib.mcnc_lite}'s latch area.  Raises [Failure] with a line-numbered
+    message on malformed input, and on gates whose derived pattern does not
+    compute the parsed function (an internal consistency failure). *)
 
 val parse_file : string -> Genlib.t
 

@@ -1,7 +1,5 @@
 module N = Netlist.Network
 
-type objective = Min_delay | Min_area
-
 let nand2_cover = Logic.Cover.of_strings 2 [ "0-"; "-0" ]
 let inv_cover = Logic.Cover.of_strings 1 [ "0" ]
 
@@ -220,24 +218,17 @@ let matches net gate n =
 
 exception Unmappable of string
 
-let cover_tree net lib objective =
-  (* DP over topological order: best match and cost per logic node. *)
+let cover_tree net lib =
+  (* DP over topological order: best match and arrival cost per logic node. *)
   let cap = List.fold_left (fun acc n -> max acc n.N.id) 0 (N.all_nodes net) + 1 in
   let best : match_result option array = Array.make cap None in
-  (* (primary, gate count) compared lexicographically: the secondary component
+  (* (arrival, gate count) compared lexicographically: the secondary component
      breaks ties toward matches that consume more subject nodes. *)
   let cost = Array.make cap (infinity, infinity) in
-  let node_cost n =
+  let leaf_cost n =
     match n.N.kind with
     | N.Input | N.Const _ | N.Latch _ -> (0.0, 0.0)
     | N.Logic _ -> cost.(n.N.id)
-  in
-  let leaf_cost n =
-    match objective with
-    | Min_delay -> node_cost n
-    | Min_area ->
-      (* Tree covering: boundaries pay their own area once, as tree roots. *)
-      if is_boundary net n then (0.0, 0.0) else node_cost n
   in
   List.iter
     (fun n ->
@@ -250,17 +241,12 @@ let cover_tree net lib objective =
           let gates =
             Array.fold_left (fun acc (_, g) -> acc +. g) 1.0 leaf_costs
           in
-          let primary =
-            match objective with
-            | Min_delay ->
-              m.gate.Genlib.delay
-              +. Array.fold_left (fun acc (p, _) -> max acc p) 0.0 leaf_costs
-            | Min_area ->
-              m.gate.Genlib.area
-              +. Array.fold_left (fun acc (p, _) -> acc +. p) 0.0 leaf_costs
+          let arrival =
+            m.gate.Genlib.delay
+            +. Array.fold_left (fun acc (p, _) -> max acc p) 0.0 leaf_costs
           in
-          if (primary, gates) < cost.(n.N.id) then begin
-            cost.(n.N.id) <- (primary, gates);
+          if (arrival, gates) < cost.(n.N.id) then begin
+            cost.(n.N.id) <- (arrival, gates);
             best.(n.N.id) <- Some m
           end)
         candidates;
@@ -278,17 +264,13 @@ let cover_tree net lib objective =
    instantiation counts live directly in the obs registry
    ([techmap.cell.<gate>]); the float area total is kept here in milli-units
    and turned into a gauge by [publish_stats]. *)
-let m_maps_delay = Obs.Metrics.counter "techmap.maps.min_delay"
-let m_maps_area = Obs.Metrics.counter "techmap.maps.min_area"
+let m_maps = Obs.Metrics.counter "techmap.maps"
 let total_cells = Atomic.make 0
 let total_area_milli = Atomic.make 0
 
-let record_stats out ~lib ~objective =
+let record_stats out ~lib =
   if Obs.Metrics.enabled () then begin
-    Obs.Metrics.incr
-      (match objective with
-       | Min_delay -> m_maps_delay
-       | Min_area -> m_maps_area);
+    Obs.Metrics.incr m_maps;
     List.iter
       (fun n ->
         match n.N.binding with
@@ -311,9 +293,9 @@ let publish_stats () =
     (Obs.Metrics.gauge "techmap.mapped_area_total")
     (float_of_int (Atomic.get total_area_milli) /. 1000.)
 
-let map net ~lib ~objective =
+let map net ~lib =
   let subject = subject_graph net in
-  let best = cover_tree subject lib objective in
+  let best = cover_tree subject lib in
   let out = N.create ~name:(N.model_name subject) () in
   let mapping = Hashtbl.create 256 in
   List.iter
@@ -370,7 +352,7 @@ let map net ~lib ~objective =
       N.replace_fanin out nl ~old_fanin:(N.latch_data out nl) ~new_fanin:data)
     (N.latches subject);
   N.sweep out;
-  record_stats out ~lib ~objective;
+  record_stats out ~lib;
   out
 
 let mapped_area net ~lib =

@@ -5,15 +5,14 @@
     break the subject DAG into trees at multi-fanout points, and cover each
     tree by library patterns with dynamic programming. *)
 
-type objective = Min_delay | Min_area
-
 val subject_graph : Netlist.Network.t -> Netlist.Network.t
 (** Fresh network in which every logic node is a 2-input NAND or an inverter
     (structurally hashed); IO, latches and initial values are preserved. *)
 
-val map : Netlist.Network.t -> lib:Genlib.t -> objective:objective -> Netlist.Network.t
-(** Full mapping: subject graph + tree covering.  Every logic node of the
-    result carries a {!Netlist.Network.binding}. *)
+val map : Netlist.Network.t -> lib:Genlib.t -> Netlist.Network.t
+(** Full mapping: subject graph + min-delay tree covering (each node takes the
+    match with the earliest arrival, ties broken toward fewer gates).  Every
+    logic node of the result carries a {!Netlist.Network.binding}. *)
 
 val mapped_area : Netlist.Network.t -> lib:Genlib.t -> float
 (** Total area: bound gates plus latches (unbound logic counts as NAND2). *)
@@ -22,6 +21,5 @@ val publish_stats : unit -> unit
 (** Export aggregated mapping statistics as [techmap.*] gauges in the obs
     metrics registry (total bound cells, total mapped area).  Per-cell
     instantiation counts ([techmap.cell.<gate>]) and map/remap outcome
-    counters ([techmap.maps.min_delay], [techmap.maps.min_area],
-    [techmap.unmappable]) are registered directly as counters and need no
-    publishing step.  Call before [--metrics-json] export. *)
+    counters ([techmap.maps], [techmap.unmappable]) are registered directly
+    as counters and need no publishing step.  Call before [--metrics-json] export. *)

@@ -2,23 +2,6 @@ module N = Netlist.Network
 
 type severity = Error | Warning
 
-type rule = Graph | Loop | Retiming | Binding
-
-let all_rules = [ Graph; Loop; Retiming; Binding ]
-
-let rule_name = function
-  | Graph -> "graph"
-  | Loop -> "loop"
-  | Retiming -> "retiming"
-  | Binding -> "binding"
-
-let rule_of_name = function
-  | "graph" -> Some Graph
-  | "loop" -> Some Loop
-  | "retiming" -> Some Retiming
-  | "binding" -> Some Binding
-  | _ -> None
-
 type diagnostic = {
   rule_id : string;
   severity : severity;
@@ -437,15 +420,13 @@ let record_fired diags =
         | None -> ())
       diags
 
-let run ?(rules = all_rules) ?(equiv_classes = []) net =
+let run ?(equiv_classes = []) net =
   Obs.Metrics.incr m_runs;
-  let want r = List.mem r rules in
   let out = ref [] in
-  if want Graph then check_graph net out;
-  if want Loop then check_loops net out;
-  if want Retiming && equiv_classes <> [] then
-    check_retiming net equiv_classes out;
-  if want Binding then check_bindings net out;
+  check_graph net out;
+  check_loops net out;
+  if equiv_classes <> [] then check_retiming net equiv_classes out;
+  check_bindings net out;
   let out = List.rev !out in
   record_fired out;
   let severity_rank = function Error -> 0 | Warning -> 1 in
@@ -494,8 +475,8 @@ let fail_if_errors ~label ~pass diags =
          (Printf.sprintf "%s: verifier failed after pass '%s' (%d error(s)):\n%s"
             label pass (List.length errs) (render errs)))
 
-let expect_clean ?rules ?equiv_classes ~label ~pass net =
-  fail_if_errors ~label ~pass (run ?rules ?equiv_classes net)
+let expect_clean ?equiv_classes ~label ~pass net =
+  fail_if_errors ~label ~pass (run ?equiv_classes net)
 
 (* --- revision audit ----------------------------------------------------------- *)
 

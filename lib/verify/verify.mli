@@ -6,21 +6,22 @@
     This module checks the network's structural and semantic invariants
     between passes and reports located, structured diagnostics.
 
-    Rule groups (each independently toggleable through [?rules]):
-    - {!Graph} — fanin/fanout lists are exact multiset inverses, no edges to
+    Rule groups, each named by the prefix of the {!diagnostic.rule_id}s it
+    emits:
+    - [graph] — fanin/fanout lists are exact multiset inverses, no edges to
       deleted or out-of-range ids, [Cover.nvars] equals the fanin count
       (and every cube matches it), latches have exactly one fanin, sources
       have none, primary outputs and the input list reference live nodes,
       output names are unique;
-    - {!Loop} — no combinational cycles: an SCC sweep over the latch-broken
+    - [loop] — no combinational cycles: an SCC sweep over the latch-broken
       logic graph (forbidden by the network contract but otherwise only
       detected when {!Netlist.Network.topo_combinational} happens to run);
-    - {!Retiming} — caller-supplied register-equivalence classes (the
+    - [retiming] — caller-supplied register-equivalence classes (the
       resynthesis engine's DC_ret bookkeeping) stay well-formed: live class
       members are latches, share their initial value, and drive structurally
       isomorphic input cones (compared by a memoized structural hash with
       latch leaves canonicalized to class representatives);
-    - {!Binding} — technology bindings appear only on logic nodes (gates)
+    - [binding] — technology bindings appear only on logic nodes (gates)
       and latches (the mapper's register cell), never on inputs or
       constants, and carry finite, non-negative area and delay.
 
@@ -37,20 +38,6 @@
 
 type severity = Error | Warning
 
-type rule =
-  | Graph      (** structural graph integrity *)
-  | Loop       (** combinational-loop detection *)
-  | Retiming   (** register-equivalence class soundness *)
-  | Binding    (** technology-binding sanity *)
-
-val all_rules : rule list
-
-val rule_name : rule -> string
-(** ["graph"], ["loop"], ["retiming"], ["binding"] — the prefix of every
-    {!diagnostic.rule_id} the rule group emits. *)
-
-val rule_of_name : string -> rule option
-
 type diagnostic = {
   rule_id : string;    (** e.g. ["graph/edge-asymmetric"] *)
   severity : severity;
@@ -59,13 +46,12 @@ type diagnostic = {
 }
 
 val run :
-  ?rules:rule list ->
   ?equiv_classes:int list list ->
   Netlist.Network.t ->
   diagnostic list
-(** Run the selected rule groups (default: {!all_rules}) and return every
-    diagnostic found, errors first.  [equiv_classes] supplies the
-    retiming-induced register-equivalence classes checked by {!Retiming}
+(** Run every rule group and return every diagnostic found, errors first.
+    [equiv_classes] supplies the retiming-induced register-equivalence
+    classes checked by the [retiming] group
     (latch ids per class; dead ids are tolerated — merge-back legitimately
     consumes class members).  Never raises, even on badly corrupted
     networks. *)
@@ -93,7 +79,6 @@ exception Verification_failed of string
     names the circuit and pass and embeds {!render} output. *)
 
 val expect_clean :
-  ?rules:rule list ->
   ?equiv_classes:int list list ->
   label:string ->
   pass:string ->

@@ -78,7 +78,7 @@ let prop_resynthesis_guard =
     QCheck.(int_range 0 2_000)
     (fun seed ->
       let mapped = mapped_of_seed seed in
-      let model = Sta.mapped_delay () in
+      let model = Sta.mapped_delay in
       let before = Sta.clock_period mapped model in
       let outcome = R.resynthesize mapped in
       Sta.clock_period outcome.R.network model <= before +. 1e-9)

@@ -413,9 +413,8 @@ let prop_minperiod_matches_reference =
       N.sweep net;
       let mapped =
         Techmap.Mapper.map net ~lib:Techmap.Genlib.mcnc_lite
-          ~objective:Techmap.Mapper.Min_delay
       in
-      let model = Sta.mapped_delay ~default:1.0 () in
+      let model = Sta.mapped_delay in
       let g = I.build_graph mapped model in
       let ((w, d) as wd) = I.wd_matrices g in
       let ((w', d') as wd') = R.wd_matrices g in

@@ -49,7 +49,7 @@ let test_mapped_delay () =
   let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
   N.set_binding net g1
     (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
-  let model = Sta.mapped_delay ~default:1.0 () in
+  let model = Sta.mapped_delay in
   Alcotest.(check (float 1e-9)) "period with binding" 4.5
     (Sta.clock_period net model)
 
@@ -104,7 +104,7 @@ let prop_path_is_connected =
    move and a restore followed by an edit must each show in the period. *)
 let test_edit_binding () =
   let net = chain_circuit () in
-  let model = Sta.mapped_delay ~default:1.0 () in
+  let model = Sta.mapped_delay in
   Alcotest.(check (float 1e-9)) "initial period" 3.0
     (Sta.clock_period net model);
   let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
@@ -135,7 +135,7 @@ let test_edit_latch_move () =
 
 let test_edit_restore () =
   let net = chain_circuit () in
-  let model = Sta.mapped_delay ~default:1.0 () in
+  let model = Sta.mapped_delay in
   let snap = N.copy net in
   let g2 = match N.find_by_name net "g2" with Some n -> n | None -> assert false in
   N.set_binding net g2

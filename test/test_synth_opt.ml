@@ -129,87 +129,13 @@ let prop_script_delay_no_worse_depth =
       N.sweep net;
       let naive =
         Techmap.Mapper.map net ~lib:Techmap.Genlib.mcnc_lite
-          ~objective:Techmap.Mapper.Min_delay
       in
       let optimized =
         Synth_opt.Script.script_delay net ~lib:Techmap.Genlib.mcnc_lite
       in
-      let model = Sta.mapped_delay () in
+      let model = Sta.mapped_delay in
       Sta.clock_period optimized model
       <= (Sta.clock_period naive model *. 1.5) +. 1e-9)
-
-(* --- shared-divisor extraction ------------------------------------------------ *)
-
-let test_extract_shared_kernel () =
-  (* f1 = a*c + b*c, f2 = a*d + b*d: the kernel (a + b) is shared; after
-     extraction both nodes use one new (a + b) node. *)
-  let net = N.create () in
-  let a = N.add_input net "a" and b = N.add_input net "b" in
-  let c = N.add_input net "c" and d = N.add_input net "d" in
-  let f1 =
-    N.add_logic net ~name:"f1"
-      (Logic.Cover.of_strings 3 [ "1-1"; "-11" ])
-      [ a; b; c ]
-  in
-  let f2 =
-    N.add_logic net ~name:"f2"
-      (Logic.Cover.of_strings 3 [ "1-1"; "-11" ])
-      [ a; b; d ]
-  in
-  N.set_output net "o1" f1;
-  N.set_output net "o2" f2;
-  let before = N.copy net in
-  let before_lits = N.lit_count net in
-  let extracted = Synth_opt.Extract.extract_divisors net in
-  N.check net;
-  Alcotest.(check bool) "extracted something" true (extracted >= 1);
-  Alcotest.(check bool) "fewer literals" true (N.lit_count net < before_lits);
-  Alcotest.(check bool) "behaviour preserved" true
-    (Sim.Equiv.comb_equal_exhaustive before net)
-
-let test_extract_common_cube () =
-  (* The cube a*b appears in three functions: sharing it saves 3 literals at
-     a cost of 2, so extraction is profitable.  (With only two users the
-     value is exactly zero and the extractor must decline - also checked.) *)
-  let net = N.create () in
-  let a = N.add_input net "a" and b = N.add_input net "b" in
-  let c = N.add_input net "c" and d = N.add_input net "d" in
-  let e = N.add_input net "e" in
-  let cube3 = Logic.Cover.of_strings 3 [ "111" ] in
-  let f1 = N.add_logic net ~name:"f1" cube3 [ a; b; c ] in
-  let f2 = N.add_logic net ~name:"f2" cube3 [ a; b; d ] in
-  N.set_output net "o1" f1;
-  N.set_output net "o2" f2;
-  Alcotest.(check int) "two users: zero value, declined" 0
-    (Synth_opt.Extract.extract_divisors (N.copy net));
-  let f3 = N.add_logic net ~name:"f3" cube3 [ a; b; e ] in
-  N.set_output net "o3" f3;
-  let before = N.copy net in
-  let extracted = Synth_opt.Extract.extract_divisors net in
-  Alcotest.(check bool) "three users: extracted" true (extracted >= 1);
-  Alcotest.(check bool) "behaviour preserved" true
-    (Sim.Equiv.comb_equal_exhaustive before net)
-
-let prop_extract_sound =
-  QCheck.Test.make ~count:40 ~name:"divisor extraction preserves behaviour"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net = Circuits.Generators.random_sequential ~seed profile in
-      N.sweep net;
-      let before = N.copy net in
-      ignore (Synth_opt.Extract.extract_divisors net);
-      N.check net;
-      Oracle.seq_equivalent before net)
-
-let prop_extract_never_grows =
-  QCheck.Test.make ~count:40 ~name:"divisor extraction never grows literals"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net = Circuits.Generators.random_sequential ~seed profile in
-      N.sweep net;
-      let before = N.lit_count net in
-      ignore (Synth_opt.Extract.extract_divisors net);
-      N.lit_count net <= before)
 
 (* --- structural hashing --------------------------------------------------------- *)
 
@@ -235,16 +161,6 @@ let prop_strash_sound =
       N.check net;
       Oracle.seq_equivalent before net)
 
-let prop_script_area_sound =
-  QCheck.Test.make ~count:25 ~name:"script_area output is mapped + equivalent"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net = Circuits.Generators.random_sequential ~seed profile in
-      N.sweep net;
-      let mapped = Synth_opt.Script.script_area net ~lib:Techmap.Genlib.mcnc_lite in
-      N.check mapped;
-      Oracle.seq_equivalent net mapped)
-
 let () =
   Alcotest.run "synth_opt"
     [ ( "basic",
@@ -253,15 +169,9 @@ let () =
           Alcotest.test_case "collapse negative phase" `Quick
             test_collapse_negative_phase;
           Alcotest.test_case "eliminate" `Quick test_eliminate;
-          Alcotest.test_case "extract shared kernel" `Quick
-            test_extract_shared_kernel;
-          Alcotest.test_case "extract common cube" `Quick
-            test_extract_common_cube;
           Alcotest.test_case "strash merges twins" `Quick
             test_strash_merges_twins ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_collapse_sound; prop_simplify_sound; prop_script_delay_sound;
-            prop_script_delay_no_worse_depth; prop_extract_sound;
-            prop_extract_never_grows; prop_strash_sound;
-            prop_script_area_sound ] ) ]
+            prop_script_delay_no_worse_depth; prop_strash_sound ] ) ]

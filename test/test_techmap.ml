@@ -57,27 +57,8 @@ let prop_mapping_preserves_function =
             npi = 3 }
       in
       N.sweep net;
-      let mapped =
-        Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_delay
-      in
+      let mapped = Techmap.Mapper.map net ~lib:G.mcnc_lite in
       N.check mapped;
-      Oracle.seq_equivalent net mapped)
-
-let prop_mapping_area_preserves_function =
-  QCheck.Test.make ~count:40 ~name:"mapping preserves behaviour (area obj)"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net =
-        Circuits.Generators.random_sequential ~seed
-          { Circuits.Generators.default_profile with
-            ngates = 12;
-            nlatch = 3;
-            npi = 3 }
-      in
-      N.sweep net;
-      let mapped =
-        Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_area
-      in
       Oracle.seq_equivalent net mapped)
 
 let prop_all_logic_bound =
@@ -89,54 +70,8 @@ let prop_all_logic_bound =
           { Circuits.Generators.default_profile with ngates = 12; nlatch = 2 }
       in
       N.sweep net;
-      let mapped =
-        Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_delay
-      in
+      let mapped = Techmap.Mapper.map net ~lib:G.mcnc_lite in
       List.for_all (fun n -> n.N.binding <> None) (N.logic_nodes mapped))
-
-(* Tree covering cannot guarantee that the area objective beats the delay
-   objective globally (boundary sharing is assumed, not optimized), but it
-   does guarantee it never does worse than the trivial NAND2/INV cover, and
-   that the delay objective minimizes the period within the covering space. *)
-let prop_area_not_worse_than_trivial =
-  QCheck.Test.make ~count:30
-    ~name:"area objective beats trivial NAND2/INV cover"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net =
-        Circuits.Generators.random_sequential ~seed
-          { Circuits.Generators.default_profile with ngates = 15; nlatch = 2 }
-      in
-      N.sweep net;
-      let subject = Techmap.Mapper.subject_graph net in
-      let trivial_area =
-        List.fold_left
-          (fun acc n ->
-            acc +. if Array.length n.N.fanins = 2 then 2.0 else 1.0)
-          (float_of_int (N.num_latches subject) *. G.mcnc_lite.G.latch_area)
-          (N.logic_nodes subject)
-      in
-      let by_area =
-        Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_area
-      in
-      Techmap.Mapper.mapped_area by_area ~lib:G.mcnc_lite <= trivial_area +. 1e-9)
-
-let prop_delay_objective_minimizes_period =
-  QCheck.Test.make ~count:30
-    ~name:"delay objective period <= area objective period"
-    QCheck.(int_range 0 10_000)
-    (fun seed ->
-      let net =
-        Circuits.Generators.random_sequential ~seed
-          { Circuits.Generators.default_profile with ngates = 15; nlatch = 2 }
-      in
-      N.sweep net;
-      let period objective =
-        let mapped = Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective in
-        Sta.clock_period mapped (Sta.mapped_delay ())
-      in
-      period Techmap.Mapper.Min_delay
-      <= period Techmap.Mapper.Min_area +. 1e-9)
 
 let test_map_simple_and () =
   let net = N.create () in
@@ -145,10 +80,8 @@ let test_map_simple_and () =
     N.add_logic net ~name:"g" (Logic.Cover.of_strings 2 [ "11" ]) [ a; b ]
   in
   N.set_output net "o" g;
-  let mapped =
-    Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_area
-  in
-  (* cheapest implementation of a single AND2 is the and2 cell *)
+  let mapped = Techmap.Mapper.map net ~lib:G.mcnc_lite in
+  (* the fastest implementation of a single AND2 is the and2 cell *)
   let names =
     List.map
       (fun n -> match n.N.binding with Some b -> b.N.gate_name | None -> "?")
@@ -163,9 +96,7 @@ let test_map_xor_uses_xor_cell () =
     N.add_logic net ~name:"g" (Logic.Cover.of_strings 2 [ "10"; "01" ]) [ a; b ]
   in
   N.set_output net "o" g;
-  let mapped =
-    Techmap.Mapper.map net ~lib:G.mcnc_lite ~objective:Techmap.Mapper.Min_area
-  in
+  let mapped = Techmap.Mapper.map net ~lib:G.mcnc_lite in
   let names =
     List.map
       (fun n -> match n.N.binding with Some b -> b.N.gate_name | None -> "?")
@@ -234,7 +165,7 @@ let test_genlib_map_with_parsed_library () =
       [ a; b; c ]
   in
   N.set_output net "o" g;
-  let mapped = Techmap.Mapper.map net ~lib ~objective:Techmap.Mapper.Min_area in
+  let mapped = Techmap.Mapper.map net ~lib in
   N.check mapped;
   Alcotest.(check bool) "all bound" true
     (List.for_all (fun n -> n.N.binding <> None) (N.logic_nodes mapped));
@@ -270,6 +201,4 @@ let () =
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_subject_graph; prop_mapping_preserves_function;
-            prop_mapping_area_preserves_function; prop_all_logic_bound;
-            prop_area_not_worse_than_trivial;
-            prop_delay_objective_minimizes_period ] ) ]
+            prop_all_logic_bound ] ) ]

@@ -77,7 +77,7 @@ let test_comb_cycle () =
   N.set_function net h and_cover [ g1; r1 ];
   N.set_function net g1 and_cover [ h; h ];
   check_caught ~corruption:"rewire cycle" ~rule:"loop/combinational-cycle"
-    (Verify.run ~rules:[ Verify.Loop ] net)
+    (Verify.run net)
 
 let test_bad_binding () =
   let net, g1, _, _, _ = seq_circuit () in
