@@ -77,7 +77,12 @@ let parse_string text =
           names
       | ".outputs" :: names ->
         finish_current ();
-        declared_outputs := !declared_outputs @ names
+        List.iter
+          (fun n ->
+            if List.mem n !declared_outputs then
+              fail lineno ("output " ^ n ^ " declared twice");
+            declared_outputs := !declared_outputs @ [ n ])
+          names
       | ".latch" :: rest ->
         finish_current ();
         (match rest with

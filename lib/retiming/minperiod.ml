@@ -144,14 +144,14 @@ let wd_matrices g =
   done;
   (w, d)
 
-(* True when the predecessor links ([-1] = none) contain a cycle. *)
-let has_cycle pred =
+(* A vertex on a cycle of the predecessor links ([-1] = none), if any. *)
+let cycle_vertex pred =
   let n = Array.length pred in
   (* 0 = unvisited, 1 = on the current walk, 2 = known acyclic *)
   let state = Array.make n 0 in
   let rec walk v =
-    if v < 0 || state.(v) = 2 then false
-    else if state.(v) = 1 then true
+    if v < 0 || state.(v) = 2 then None
+    else if state.(v) = 1 then Some v
     else begin
       state.(v) <- 1;
       let cyclic = walk pred.(v) in
@@ -159,12 +159,68 @@ let has_cycle pred =
       cyclic
     end
   in
-  let rec from v = v < n && (walk v || from (v + 1)) in
+  let rec from v =
+    if v >= n then None
+    else match walk v with Some _ as c -> c | None -> from (v + 1)
+  in
   from 0
 
 let m_probes = Obs.Metrics.counter "retiming.probes"
 let m_realizations = Obs.Metrics.counter "retiming.realizations"
 let m_realizations_skipped = Obs.Metrics.counter "retiming.realizations_skipped"
+let m_cycle_certificates = Obs.Metrics.counter "retiming.cycle_certificates"
+
+(* A cycle C of the graph with d(C)/w'(C) > period - eps, eps = 1e-12 *
+   period, as its vertices in edge order; None when Bellman-Ford finds
+   none.  d(C) sums the cycle's vertex delays.  w'(C) counts its registers
+   plus one per edge into the host: a host-to-host path with w registers
+   has w+1 combinational segments, since the host is never an intermediate
+   of a timing path.  Any retiming keeps w(C) registers on C, so one of the
+   w'(C) register-free segments of C has delay >= d(C)/w'(C): the ratio
+   bounds every retiming's period from below.
+   The test is longest-path Bellman-Ford with edge length
+   delay(u) - t * w'(e), t = period - eps, from 0 at every vertex; a
+   positive cycle is a cycle with ratio > t.  Each relaxation records u as
+   v's predecessor, and a cycle among those links is a positive cycle (CLRS
+   Lemma 24.16), found at the first round that closes one.  Every cycle has
+   w'(C) >= 1, as a register-free one would be a combinational loop. *)
+let critical_cycle g period =
+  let t = period -. (1e-12 *. period) in
+  let nv = g.nv in
+  let edges =
+    List.map
+      (fun (u, v, w) ->
+        let w' = if v = 0 then w + 1 else w in
+        (u, v, g.delay.(u) -. (t *. float_of_int w')))
+      g.edges
+  in
+  let dist = Array.make nv 0.0 in
+  let pred = Array.make nv (-1) in
+  let changed = ref true in
+  let cycle = ref None in
+  let iterations = ref 0 in
+  while !changed && !cycle = None && !iterations <= nv + 2 do
+    changed := false;
+    incr iterations;
+    List.iter
+      (fun (u, v, len) ->
+        let d = dist.(u) +. len in
+        if d > dist.(v) then begin
+          dist.(v) <- d;
+          pred.(v) <- u;
+          changed := true
+        end)
+      edges;
+    if !changed then cycle := cycle_vertex pred
+  done;
+  Option.map
+    (fun x ->
+      (* walking the links backwards from x lists the cycle in edge order *)
+      let rec collect v acc =
+        if v = x then acc else collect pred.(v) (v :: acc)
+      in
+      collect pred.(x) [ x ])
+    !cycle
 
 (* Solve r(u) - r(v) <= c_{uv} by Bellman-Ford over the edge constraints
    (u, v, w(e)) and the period constraints (u, v, W(u,v) - 1) for every
@@ -205,7 +261,7 @@ let feasible_retiming g (w, d) target =
         end
       done
     done;
-    if !changed then cyclic := has_cycle pred
+    if !changed then cyclic := cycle_vertex pred <> None
   done;
   if !changed then None
   else begin
@@ -321,8 +377,16 @@ let realize_copy g net r =
     Ok copy
   | Error e -> Error e
 
+(* [feasible_retiming] behind Leiserson–Saxe's trivial-path constraint
+   D(v,v) = d(v): W/D's diagonal holds the lightest cycle through v
+   instead, so the period constraints alone accept a target below a gate's
+   own delay, which no retiming meets. *)
+let feasible g wd target =
+  if Array.exists (fun d -> d > target +. 1e-9) g.delay then None
+  else feasible_retiming g wd target
+
 let retime_with g wd net target =
-  match feasible_retiming g wd target with
+  match feasible g wd target with
   | None -> Error Infeasible
   | Some r -> realize_copy g net r
 
@@ -357,57 +421,74 @@ let max_vertices = 1200
 
 let with_graph net model k =
   let g = build_graph net model in
-  if g.nv > max_vertices then Error (Too_large g.nv) else k g (wd_matrices g)
+  if g.nv > max_vertices then Error (Too_large g.nv) else k g
 
 let min_feasible_period net model =
-  with_graph net model (fun g wd ->
-      min_period wd (fun c -> feasible_retiming g wd c <> None))
+  with_graph net model (fun g ->
+      let wd = wd_matrices g in
+      min_period wd (fun c -> feasible g wd c <> None))
 
 let retime net ~model ~target =
-  with_graph net model (fun g wd -> retime_with g wd net target)
+  with_graph net model (fun g -> retime_with g (wd_matrices g) net target)
 
+(* The smallest candidate below [current] that retimes, by the W/D
+   search and the walk-up. *)
+let search_below g net current =
+  let wd = wd_matrices g in
+  let candidates =
+    Array.of_list
+      (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))
+  in
+  let n = Array.length candidates in
+  (* the search and the walk share the labellings: each candidate is
+     probed at most once *)
+  let labellings = Array.make n None in
+  let probe i =
+    match labellings.(i) with
+    | Some r -> r
+    | None ->
+      let r = feasible g wd candidates.(i) in
+      labellings.(i) <- Some r;
+      r
+  in
+  (* the smallest graph-feasible candidate, then upward until one is
+     also realizable (initial states computable).  Labellings only grow
+     pointwise as the period rises, and [realize] is a function of the
+     network and the labelling: a step whose labelling equals the one
+     that just failed fails the same way, without a copy. *)
+  let rec walk_up i failed =
+    if i >= n then Error Infeasible
+    else
+      match probe i with
+      | None -> walk_up (i + 1) None
+      | Some r when failed = Some r ->
+        Obs.Metrics.incr m_realizations_skipped;
+        walk_up (i + 1) failed
+      | Some r -> (
+        match realize_copy g net r with
+        | Ok net' -> Ok (net', candidates.(i))
+        | Error (Init_state _ | Stuck _ | Infeasible) ->
+          walk_up (i + 1) (Some r)
+        | Error (Too_large _) as e -> e)
+  in
+  match smallest_feasible n (fun i -> probe i <> None) with
+  | Some i -> walk_up i None
+  | None -> Error Infeasible
+
+(* A cycle of ratio d(C)/w'(C) > P - eps ([critical_cycle]) proves that no
+   candidate retimes, without W/D: every candidate c is below P - 1e-9, so
+   c + 1e-9 < P, and a labelling feasible at c would give a period of at
+   most c + 1e-9 below the cycle's bound.  eps = 1e-12 * P lies far inside
+   the 1e-9 margin and far below the spacing of distinct path delays, so
+   no candidate falls between the two. *)
 let retime_min_period net ~model =
-  with_graph net model (fun g wd ->
+  with_graph net model (fun g ->
       let current = Sta.clock_period net model in
-      let candidates =
-        Array.of_list
-          (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))
-      in
-      let n = Array.length candidates in
-      (* the search and the walk share the labellings: each candidate is
-         probed at most once *)
-      let labellings = Array.make n None in
-      let probe i =
-        match labellings.(i) with
-        | Some r -> r
-        | None ->
-          let r = feasible_retiming g wd candidates.(i) in
-          labellings.(i) <- Some r;
-          r
-      in
-      (* the smallest graph-feasible candidate, then upward until one is
-         also realizable (initial states computable).  Labellings only grow
-         pointwise as the period rises, and [realize] is a function of the
-         network and the labelling: a step whose labelling equals the one
-         that just failed fails the same way, without a copy. *)
-      let rec walk_up i failed =
-        if i >= n then Error Infeasible
-        else
-          match probe i with
-          | None -> walk_up (i + 1) None
-          | Some r when failed = Some r ->
-            Obs.Metrics.incr m_realizations_skipped;
-            walk_up (i + 1) failed
-          | Some r -> (
-            match realize_copy g net r with
-            | Ok net' -> Ok (net', candidates.(i))
-            | Error (Init_state _ | Stuck _ | Infeasible) ->
-              walk_up (i + 1) (Some r)
-            | Error (Too_large _) as e -> e)
-      in
-      match smallest_feasible n (fun i -> probe i <> None) with
-      | Some i -> walk_up i None
-      | None -> Error Infeasible)
+      if critical_cycle g current <> None then begin
+        Obs.Metrics.incr m_cycle_certificates;
+        Error Infeasible
+      end
+      else search_below g net current)
 
 module Internal = struct
   type nonrec graph = graph = {
@@ -418,6 +499,7 @@ module Internal = struct
   }
 
   let build_graph = build_graph
+  let critical_cycle = critical_cycle
   let wd_matrices = wd_matrices
   let feasible_retiming = feasible_retiming
   let candidate_periods = candidate_periods

@@ -7,7 +7,18 @@
     pair with D(u,v) above the target, the period constraint
     r(u) - r(v) <= W(u,v) - 1, read straight off the W/D rows on each
     relaxation round (no constraint list is built).  The minimum period is
-    found by binary search over the distinct D values.
+    found by binary search over the distinct D values.  W/D's diagonal holds
+    the lightest cycle through each vertex, not Leiserson–Saxe's trivial
+    path D(v,v) = d(v), so every entry point also rejects a target below a
+    gate's own delay.
+
+    {!retime_min_period} first looks for a cycle certificate on the sparse
+    edge list, before any W/D matrix is built.  A cycle C with delay d(C)
+    and w(C) registers bounds every retiming's period below by d(C)/w(C)
+    (a host-to-host path with w registers counts w+1).  One longest-path
+    Bellman–Ford run finds a cycle whose ratio reaches the current period
+    when there is one; the cycle alone then proves that no retiming beats
+    the current period, and the answer is [Infeasible] without W/D.
 
     A computed retiming vector is *realized* on the netlist as a sequence of
     atomic moves (so that initial states are computed move by move); this can
@@ -19,9 +30,10 @@
     function of the network and the labelling.
 
     Counters: [retiming.probes] (feasibility probes),
-    [retiming.realizations] (network copies realized) and
+    [retiming.realizations] (network copies realized),
     [retiming.realizations_skipped] (walk steps that repeated a failed
-    labelling). *)
+    labelling) and [retiming.cycle_certificates] ({!retime_min_period}
+    calls decided [Infeasible] by a cycle, without W/D). *)
 
 type failure =
   | Too_large of int
@@ -66,13 +78,22 @@ module Internal : sig
 
   val build_graph : Netlist.Network.t -> Sta.model -> graph
 
+  val critical_cycle : graph -> float -> int list option
+  (** [critical_cycle g p]: a cycle [v0; ...; vk] (edges [vi -> vi+1] and
+      [vk -> v0]) whose ratio d(C)/w'(C) exceeds (1 - 1e-12) [p], or None
+      when Bellman–Ford finds none.  d(C) sums the vertex delays; w'(C)
+      counts the registers of the lightest edge between consecutive
+      vertices, plus one per edge into the host. *)
+
   val wd_matrices : graph -> int array array * float array array
   (** (W, D): D includes both endpoints' delays and is [neg_infinity]
       exactly where W has no path. *)
 
   val feasible_retiming :
     graph -> int array array * float array array -> float -> int array option
-  (** The labelling (host at 0) meeting the target period, or None. *)
+  (** The labelling (host at 0) meeting the target period's W/D
+      constraints, or None.  Gate delays above the target are not
+      checked. *)
 
   val candidate_periods : int array array * float array array -> float list
   (** The distinct finite D values, ascending. *)

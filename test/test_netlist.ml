@@ -354,6 +354,65 @@ let prop_blif_roundtrip_behaviour =
       let net2 = Netlist.Blif.parse_string (Netlist.Blif.to_string net) in
       Sim.Equiv.comb_equal_exhaustive net net2)
 
+(* --- parser fuzzing ---------------------------------------------------------- *)
+
+(* [text] after one to three random edits drawn from [seed]: a byte
+   overwritten (half the time with a byte BLIF gives meaning to), the text
+   truncated, two lines swapped, a line dropped or repeated, or a
+   3,000-literal cube inserted. *)
+let mutate_blif text seed =
+  let rng = Random.State.make [| seed |] in
+  let pick s = s.[Random.State.int rng (String.length s)] in
+  let edit text =
+    let lines = Array.of_list (String.split_on_char '\n' text) in
+    let n = Array.length lines in
+    let i = Random.State.int rng n in
+    let join parts = String.concat "\n" (Array.to_list (Array.concat parts)) in
+    match Random.State.int rng 6 with
+    | 0 when text <> "" ->
+      let b = Bytes.of_string text in
+      Bytes.set b
+        (Random.State.int rng (Bytes.length b))
+        (if Random.State.bool rng then pick "01- .\\\n#"
+         else Char.chr (Random.State.int rng 256));
+      Bytes.to_string b
+    | 0 | 1 -> String.sub text 0 (Random.State.int rng (String.length text + 1))
+    | 2 ->
+      let j = Random.State.int rng n in
+      let line = lines.(i) in
+      lines.(i) <- lines.(j);
+      lines.(j) <- line;
+      join [ lines ]
+    | 3 -> join [ Array.sub lines 0 i; Array.sub lines (i + 1) (n - i - 1) ]
+    | 4 -> join [ Array.sub lines 0 (i + 1); Array.sub lines i (n - i) ]
+    | _ ->
+      let cube = String.init 3000 (fun _ -> pick "01-") ^ " 1" in
+      join [ Array.sub lines 0 i; [| cube |]; Array.sub lines i (n - i) ]
+  in
+  let rec go k text = if k = 0 then text else go (k - 1) (edit text) in
+  go (1 + Random.State.int rng 3) text
+
+let fuzz_bases =
+  lazy
+    (Array.map
+       (fun name ->
+         Netlist.Blif.to_string ((Circuits.Suite.find name).Circuits.Suite.build ()))
+       [| "s27"; "s298" |])
+
+(* The reader either rejects a mutated s27 or s298 text with [Failure] or
+   returns a network that passes [Network.check]; nothing else escapes. *)
+let prop_blif_fuzz =
+  QCheck.Test.make ~count:2000
+    ~name:"mutated BLIF fails with Failure or parses to a checked network"
+    QCheck.(pair (int_range 0 1) (int_range 0 1_000_000_000))
+    (fun (base, seed) ->
+      let text = mutate_blif (Lazy.force fuzz_bases).(base) seed in
+      match Netlist.Blif.parse_string text with
+      | exception Failure _ -> true
+      | net ->
+        N.check net;
+        true)
+
 (* --- revisions and topo cache ---------------------------------------------- *)
 
 (* Every public mutator bumps [revision]; those that change the output list
@@ -491,4 +550,5 @@ let () =
           Alcotest.test_case "malformed" `Quick test_blif_malformed ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_generator_valid; prop_blif_roundtrip_behaviour ] ) ]
+          [ prop_generator_valid; prop_blif_roundtrip_behaviour;
+            prop_blif_fuzz ] ) ]

@@ -98,6 +98,66 @@ let test_protocol_errors () =
     Alcotest.(check bool) "shutdown drains by default" true drain
   | _ -> Alcotest.fail "shutdown rejected"
 
+(* One request line of every op, mutated by one to four random edits drawn
+   from [seed]: a byte overwritten (half the time with a JSON
+   metacharacter), the line truncated, a slice of it repeated elsewhere, or
+   up to 100 open brackets inserted.  The parser and the classifier return
+   errors; neither raises. *)
+let request_lines =
+  lazy
+    (Array.of_list
+       (List.map J.to_string
+          [ J.Obj [ ("op", J.Str "ping") ];
+            J.Obj [ ("op", J.Str "submit"); ("benchmark", J.Str "s27");
+                    ("verify", J.Bool true); ("eqcheck_each", J.Bool false);
+                    ("timeout_s", J.Float 2.5) ];
+            J.Obj [ ("op", J.Str "submit"); ("id", J.Str "r1");
+                    ("netlist", J.Str tiny_blif) ];
+            J.Obj [ ("op", J.Str "status"); ("id", J.Str "r1") ];
+            J.Obj [ ("op", J.Str "result"); ("id", J.Str "r1") ];
+            J.Obj [ ("op", J.Str "diagnostics"); ("id", J.Str "r1") ];
+            J.Obj [ ("op", J.Str "cancel"); ("id", J.Str "r1") ];
+            J.Obj [ ("op", J.Str "metrics") ];
+            J.Obj [ ("op", J.Str "stream-spans") ];
+            J.Obj [ ("op", J.Str "shutdown"); ("drain", J.Bool false) ] ]
+       @ [ "{\"op\":\"x\\u00e9\",\"l\":[-1,null,1.5e3,true]}" ]))
+
+let mutate_request line seed =
+  let rng = Random.State.make [| seed |] in
+  let edit line =
+    let n = String.length line in
+    let at = Random.State.int rng (n + 1) in
+    let insert s = String.sub line 0 at ^ s ^ String.sub line at (n - at) in
+    match Random.State.int rng 4 with
+    | 0 when n > 0 ->
+      let b = Bytes.of_string line in
+      let meta = "{}[]\",:\\-+.eE0u" in
+      Bytes.set b (Random.State.int rng n)
+        (if Random.State.bool rng then
+           meta.[Random.State.int rng (String.length meta)]
+         else Char.chr (Random.State.int rng 256));
+      Bytes.to_string b
+    | 0 | 1 -> String.sub line 0 at
+    | 2 ->
+      let from = Random.State.int rng (n + 1) in
+      insert (String.sub line from (Random.State.int rng (n - from + 1)))
+    | _ ->
+      insert (String.make (1 + Random.State.int rng 100)
+                (if Random.State.bool rng then '[' else '{'))
+  in
+  let rec go k line = if k = 0 then line else go (k - 1) (edit line) in
+  go (1 + Random.State.int rng 4) line
+
+let prop_request_fuzz =
+  QCheck.Test.make ~count:2000 ~name:"mutated request lines raise nothing"
+    QCheck.(pair (int_range 0 10) (int_range 0 1_000_000_000))
+    (fun (which, seed) ->
+      let line = mutate_request (Lazy.force request_lines).(which) seed in
+      (match J.parse line with
+       | Error _ -> ()
+       | Ok doc -> ignore (P.request_of_json ~max_netlist_bytes:(4 lsl 20) doc));
+      true)
+
 (* --- engine helpers ----------------------------------------------------------------- *)
 
 let expect_ok name reply =
@@ -504,7 +564,8 @@ let () =
        [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
          Alcotest.test_case "errors" `Quick test_json_errors ]);
       ("protocol",
-       [ Alcotest.test_case "structured-errors" `Quick test_protocol_errors ]);
+       [ Alcotest.test_case "structured-errors" `Quick test_protocol_errors;
+         QCheck_alcotest.to_alcotest prop_request_fuzz ]);
       ("engine",
        [ Alcotest.test_case "jobs-determinism" `Quick test_jobs_determinism;
          Alcotest.test_case "row-matches-one-shot" `Quick
