@@ -260,6 +260,86 @@ let time_pass ?(min_s = 0.2) f =
   in
   calibrate 1
 
+(* Machine speed drifts over the seconds a series of samples spans, so
+   minima taken separately for two variants compare different moments.
+   Instead each [a] sample is paired with the [b] sample right after it,
+   and a comparison is the median of the per-pair ratios, reported with
+   their extremes so the figure carries its own spread. *)
+let sample_pairs = 9
+
+let timed_pairs ?min_s a b =
+  List.init sample_pairs (fun _ ->
+      let ta = time_pass ?min_s a in
+      let tb = time_pass ?min_s b in
+      (ta, tb))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Two-level minimization on its two set representations: the same ON/DC
+   covers of 8-14 variables (the widths of DC_ret cones) through the cover
+   path and through [Logic.Minimize.minimize], which takes the dense
+   truth-table path at these widths.  The results must agree cube for cube
+   (exit 1 otherwise).  Returns the JSON values: median times and the
+   median, min and max of the per-pair cover/dense speedups. *)
+let minimize_bench ~min_s st =
+  let cover vars lo hi =
+    let cubes = lo + Random.State.int st (hi - lo + 1) in
+    Logic.Cover.of_strings vars
+      (Array.to_list (random_cube_strings st ~vars ~cubes))
+  in
+  let cases =
+    List.concat_map
+      (fun vars ->
+        [ (cover vars 12 24, cover vars 0 6); (cover vars 20 32, cover vars 0 0) ])
+      [ 8; 9; 10; 11; 12; 13; 14 ]
+  in
+  let pass minimize () =
+    List.fold_left
+      (fun acc (f, dc) -> acc + Logic.Cover.lit_count (minimize ~dc f))
+      0 cases
+  in
+  let by_cover = Logic.Minimize.Internal.by_cover
+  and dense = Logic.Minimize.minimize in
+  List.iter
+    (fun (f, dc) ->
+      if
+        not
+          (List.equal Logic.Cube.equal (by_cover ~dc f).Logic.Cover.cubes
+             (dense ~dc f).Logic.Cover.cubes)
+      then begin
+        Printf.eprintf
+          "logic bench: dense and cover paths differ on a %d-variable cover\n"
+          f.Logic.Cover.nvars;
+        exit 1
+      end)
+    cases;
+  let pairs =
+    timed_pairs ~min_s (pass (fun ~dc f -> by_cover ~dc f))
+      (pass (fun ~dc f -> dense ~dc f))
+  in
+  let speedups = List.map (fun (c, d) -> c /. d) pairs in
+  let cover_s = median (List.map fst pairs)
+  and dense_s = median (List.map snd pairs) in
+  let speedup = median speedups in
+  let lo = List.fold_left min infinity speedups
+  and hi = List.fold_left max neg_infinity speedups in
+  Printf.printf
+    "  minimize: dense vs cover path, %d covers of 8-14 vars: cover %.2f ms  \
+     dense %.2f ms per pass (medians), speedup %.2fx (median of %d pairs, \
+     range %.2fx..%.2fx; results identical)\n%!"
+    (List.length cases) (cover_s *. 1e3) (dense_s *. 1e3) speedup sample_pairs
+    lo hi;
+  [ ("minimize.covers", float_of_int (List.length cases));
+    ("minimize.pairs", float_of_int sample_pairs);
+    ("minimize.cover_ns", cover_s *. 1e9);
+    ("minimize.dense_ns", dense_s *. 1e9);
+    ("minimize.speedup", speedup);
+    ("minimize.speedup_min", lo);
+    ("minimize.speedup_max", hi) ]
+
 let logic_bench ?(emit_json = true) ?(quick = false) () =
   section "Packed vs legacy cube kernel (identical random workloads)";
   let widths = if quick then [ 16; 64 ] else [ 16; 63; 128; 200 ] in
@@ -300,13 +380,15 @@ let logic_bench ?(emit_json = true) ?(quick = false) () =
       /. float_of_int (List.length results))
   in
   Printf.printf "  geometric-mean speedup: %.2fx\n" geomean;
+  let minimize = minimize_bench ~min_s st in
   if emit_json then
     emit_bench ~file:"BENCH_logic.json" ~prefix:"bench.logic"
-      ~title:"packed vs legacy cube kernel"
+      ~title:"packed vs legacy cube kernel; minimize dense vs cover path"
       ~unit:"ns_per_pass" ~jobs:1
       (("cubes_per_set", float_of_int cubes)
        :: ("geomean_speedup", geomean)
-       :: List.concat_map
+       :: minimize
+       @ List.concat_map
             (fun (name, vars, legacy_s, packed_s, speedup) ->
               let key = Printf.sprintf "%s.vars%d" name vars in
               [ (key ^ ".legacy_ns", legacy_s *. 1e9);
@@ -317,8 +399,13 @@ let logic_bench ?(emit_json = true) ?(quick = false) () =
 
 (* --- 3e. Serial vs domain-parallel Table I ------------------------------------------- *)
 
+(* The parallel sections run one worker per core, at most 4, unless --jobs
+   says otherwise: more workers than cores would time domain scheduling,
+   not scaling. *)
+let default_jobs () = min 4 (Core.Parallel.cores ())
+
 let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
-    ?(eqcheck_each = false) ?names ?(jobs = 4) () =
+    ?(eqcheck_each = false) ?names ?(jobs = default_jobs ()) () =
   section
     (Printf.sprintf "Table I suite: serial vs %d-domain parallel run%s%s" jobs
        (if eqcheck_each then " (--eqcheck-each)" else "")
@@ -404,7 +491,8 @@ let suite_bench ?(emit_json = true) ?(verify = true) ?(verify_each = false)
         starts cold.
    Both phases report the nodes they allocated, so B shows the cost of
    re-interning across workers. *)
-let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
+let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = default_jobs ())
+    () =
   section "Per-domain BDD tables: serial vs parallel (--eqcheck-each)";
   let names =
     if quick then Some [ "s27"; "s208"; "s298"; "s344"; "s382"; "s400" ]
@@ -500,14 +588,10 @@ let bdd_bench ?(emit_json = true) ?(quick = false) ?(jobs = 4) () =
    off and on.  Sequential-equivalence verification is off in both runs so
    the delta isolates the checker.  One pass over these rows takes only a
    few hundredths of a second, so each sample is a [time_pass] of at least
-   0.2 s.  Machine speed drifts over the seconds the samples span, so minima
-   taken separately for off and on compare different moments: instead each
-   off sample is paired with the on sample right after it, and the overhead
-   is the median of the per-pair on/off ratios, reported with their extremes
-   so the file carries its own spread.  The checker must be observation-only:
-   rows that render differently exit 1.  [extra] turns the checked rows into
-   further JSON values (and may itself exit on a bad verdict). *)
-let checker_pairs = 9
+   0.2 s, in [timed_pairs]: the overhead is the median of the per-pair on/off
+   ratios.  The checker must be observation-only: rows that render
+   differently exit 1.  [extra] turns the checked rows into further JSON
+   values (and may itself exit on a bad verdict). *)
 
 let checker_bench ~flag ~file ~prefix ~names ?(extra = fun _ -> []) run =
   section
@@ -527,17 +611,7 @@ let checker_bench ~flag ~file ~prefix ~names ?(extra = fun _ -> []) run =
     exit 1
   end;
   let extra = extra rows_on in
-  let pairs =
-    List.init checker_pairs (fun _ ->
-        let off = time_pass (fun () -> run false) in
-        let on = time_pass (fun () -> run true) in
-        (off, on))
-  in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
+  let pairs = timed_pairs (fun () -> run false) (fun () -> run true) in
   let pct ratio = (ratio -. 1.0) *. 100.0 in
   let ratios = List.map (fun (off, on) -> on /. off) pairs in
   let off_s = median (List.map fst pairs)
@@ -549,12 +623,12 @@ let checker_bench ~flag ~file ~prefix ~names ?(extra = fun _ -> []) run =
     "  %d rows: checker off %.4fs, on %.4fs per pass (medians), overhead \
      %+.1f%% (median of %d pairs, range %+.1f%%..%+.1f%%; results \
      byte-identical)\n"
-    (List.length names) off_s on_s overhead checker_pairs overhead_min
+    (List.length names) off_s on_s overhead sample_pairs overhead_min
     overhead_max;
   emit_bench ~file ~prefix ~title:(flag ^ " overhead on Table I subset")
     ~unit:"s_per_run" ~jobs:1
     ([ ("rows", float_of_int (List.length names));
-       ("pairs", float_of_int checker_pairs);
+       ("pairs", float_of_int sample_pairs);
        ("checker_off_s", off_s);
        ("checker_on_s", on_s);
        ("overhead_pct", overhead);
@@ -711,6 +785,9 @@ let bechamel_kernels () =
         Test.make ~name:"table1:flow-resynthesis-s298"
           (Staged.stage (fun () ->
                ignore (Core.Flow.resynthesis_flow mapped_s298)));
+        (* 8 variables: since the dense path serves every cover of at most
+           14 variables, this times the truth-table kernel; bench --logic
+           compares it with the cover path *)
         Test.make ~name:"kernel:espresso-minimize"
           (Staged.stage (fun () -> ignore (Logic.Minimize.minimize big_cover)));
         Test.make ~name:"kernel:bdd-reachability-s27"
@@ -825,11 +902,11 @@ let () =
   in
   let jobs =
     match arg_value "--jobs" with
-    | None -> 4
+    | None -> None
     | Some n ->
       (match int_of_string_opt n with
-       | Some j when j >= 1 -> j
-       | Some _ -> 4
+       | Some j when j >= 1 -> Some j
+       | Some _ -> None
        | None -> bad_usage "--jobs expects an integer")
   in
   let trace = arg_value "--trace" in
@@ -860,10 +937,10 @@ let () =
   else if suite_only then
     ignore
       (suite_bench ~verify:(not quick) ~verify_each ~eqcheck_each ?names
-         ~jobs ())
+         ?jobs ())
   else if verifier_only then verifier_bench ?names ()
   else if eqcheck_only then eqcheck_bench ?names ()
-  else if bdd_only then bdd_bench ~quick ~jobs ()
+  else if bdd_only then bdd_bench ~quick ?jobs ()
   else if serve_only then serve_bench ()
   else if smoke then begin
     (* CI-sized pass: the Section III example end to end plus the quick
@@ -877,10 +954,10 @@ let () =
     ignore (table1 ());
     ablations ();
     ignore (logic_bench ());
-    ignore (suite_bench ~jobs ());
+    ignore (suite_bench ?jobs ());
     verifier_bench ();
     eqcheck_bench ();
-    bdd_bench ~jobs ();
+    bdd_bench ?jobs ();
     serve_bench ();
     bechamel_kernels ();
     Printf.printf "\ndone.\n"

@@ -1,28 +1,114 @@
-type t = { n : int; bits : Bytes.t }
+(* Dense truth tables: 32 points per [int] word.
+
+   Point [i] lives at bit [i land 31] of word [i lsr 5], so variables 0-4
+   index bits inside a word and variables 5 and up select words.  A table
+   over [n < 5] variables is one word whose bits at and above [2^n] are
+   kept at 0, so whole-word equality, popcount and the bitwise operators
+   need no masking. *)
+
+type t = { n : int; w : int array }
+
+let word_vars = 5
+
+let max_vars = 20
+
+let nwords n = if n <= word_vars then 1 else 1 lsl (n - word_vars)
+
+(* The bits of a word that hold points. *)
+let valid n = if n >= word_vars then 0xFFFF_FFFF else (1 lsl (1 lsl n)) - 1
+
+(* [pattern.(v)]: the in-word bits whose point has variable [v] at 1. *)
+let pattern = [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
+
+(* Set bits of a 32-bit value. *)
+let popcount x =
+  let x = x - ((x lsr 1) land 0x5555_5555) in
+  let x = (x land 0x3333_3333) + ((x lsr 2) land 0x3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F in
+  (x * 0x0101_0101) lsr 24 land 0xFF
 
 let nvars t = t.n
 
-let size_bytes n = max 1 ((1 lsl n) / 8 + if (1 lsl n) mod 8 = 0 then 0 else 1)
-
-let get t i = Char.code (Bytes.get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
-
-let set bits i value =
-  let byte = Char.code (Bytes.get bits (i lsr 3)) in
-  let mask = 1 lsl (i land 7) in
-  let byte = if value then byte lor mask else byte land lnot mask in
-  Bytes.set bits (i lsr 3) (Char.chr byte)
-
-let point_of_index n i = Array.init n (fun v -> i land (1 lsl v) <> 0)
+let get t i = (t.w.(i lsr word_vars) lsr (i land 31)) land 1 = 1
 
 let create n f =
-  assert (n <= 20);
-  let bits = Bytes.make (size_bytes n) '\000' in
+  assert (n <= max_vars);
+  let w = Array.make (nwords n) 0 in
+  let point = Array.make n false in
   for i = 0 to (1 lsl n) - 1 do
-    set bits i (f (point_of_index n i))
+    for v = 0 to n - 1 do
+      point.(v) <- i land (1 lsl v) <> 0
+    done;
+    if f point then
+      w.(i lsr word_vars) <- w.(i lsr word_vars) lor (1 lsl (i land 31))
   done;
-  { n; bits }
+  { n; w }
 
-let of_cover cover = create cover.Cover.nvars (Cover.eval cover)
+(* --- cubes on the word layout -------------------------------------------- *)
+
+type span = { mask : int; base : int; free : int }
+
+let span c =
+  let n = Cube.nvars c in
+  let mask = ref (valid n) and base = ref 0 and free = ref 0 in
+  for v = 0 to n - 1 do
+    match Cube.get c v with
+    | Cube.Both -> if v >= word_vars then free := !free lor (1 lsl (v - word_vars))
+    | Cube.One ->
+      if v < word_vars then mask := !mask land pattern.(v)
+      else base := !base lor (1 lsl (v - word_vars))
+    | Cube.Zero -> if v < word_vars then mask := !mask land lnot pattern.(v)
+  done;
+  { mask = !mask; base = !base; free = !free }
+
+(* The words of a span are [base lor s] for every subset [s] of [free];
+   [next_subset] steps through them in increasing order from 0 and wraps
+   back to 0 after [free] itself. *)
+let next_subset free s = (s - free) land free
+
+let span_words sp = 1 lsl popcount sp.free
+
+let rec within_from w mask base free s =
+  mask land lnot w.(base lor s) = 0
+  && (s = free || within_from w mask base free (next_subset free s))
+
+let within t sp = within_from t.w sp.mask sp.base sp.free 0
+
+let supercube n ~bits ~words_and ~words_or =
+  let c = Cube.universe n in
+  for v = 0 to n - 1 do
+    let one, zero =
+      if v < word_vars then
+        (bits land pattern.(v) <> 0, bits land lnot pattern.(v) <> 0)
+      else
+        let b = 1 lsl (v - word_vars) in
+        (words_or land b <> 0, words_and land b = 0)
+    in
+    if not (one && zero) then Cube.set c v (if one then Cube.One else Cube.Zero)
+  done;
+  c
+
+let of_cover cover =
+  let n = cover.Cover.nvars in
+  assert (n <= max_vars);
+  let w = Array.make (nwords n) 0 in
+  List.iter
+    (fun c ->
+      let sp = span c in
+      let rec loop s =
+        let i = sp.base lor s in
+        w.(i) <- w.(i) lor sp.mask;
+        if s <> sp.free then loop (next_subset sp.free s)
+      in
+      loop 0)
+    cover.Cover.cubes;
+  { n; w }
+
+let words t = t.w
+
+(* --- whole-table operations ---------------------------------------------- *)
+
+let point_of_index n i = Array.init n (fun v -> i land (1 lsl v) <> 0)
 
 let to_cover t =
   let cubes = ref [] in
@@ -31,9 +117,19 @@ let to_cover t =
   done;
   Cover.make t.n !cubes
 
-let const n value = create n (fun _ -> value)
+let const n value =
+  assert (n <= max_vars);
+  { n; w = Array.make (nwords n) (if value then valid n else 0) }
 
-let var n v = create n (fun point -> point.(v))
+let var n v =
+  assert (v < n && n <= max_vars);
+  let w =
+    if v < word_vars then Array.make (nwords n) (pattern.(v) land valid n)
+    else
+      Array.init (nwords n) (fun i ->
+          if i land (1 lsl (v - word_vars)) <> 0 then valid n else 0)
+  in
+  { n; w }
 
 let eval t point =
   let idx = ref 0 in
@@ -42,39 +138,43 @@ let eval t point =
   done;
   get t !idx
 
-let equal a b = a.n = b.n && Bytes.equal a.bits b.bits
+let equal a b = a.n = b.n && a.w = b.w
 
-let count_ones t =
-  let count = ref 0 in
-  for i = 0 to (1 lsl t.n) - 1 do
-    if get t i then incr count
-  done;
-  !count
+let count_ones t = Array.fold_left (fun acc x -> acc + popcount x) 0 t.w
 
 let map2 op a b =
   assert (a.n = b.n);
-  let bits = Bytes.make (Bytes.length a.bits) '\000' in
-  for i = 0 to Bytes.length bits - 1 do
-    Bytes.set bits i
-      (Char.chr (op (Char.code (Bytes.get a.bits i)) (Char.code (Bytes.get b.bits i))))
-  done;
-  { a with bits }
+  { a with w = Array.map2 op a.w b.w }
 
 let band = map2 ( land )
 let bor = map2 ( lor )
 let bxor = map2 ( lxor )
 
 let bnot a =
-  let out = create a.n (fun _ -> false) in
-  for i = 0 to (1 lsl a.n) - 1 do
-    set out.bits i (not (get a i))
-  done;
-  out
+  let valid = valid a.n in
+  { a with w = Array.map (fun x -> lnot x land valid) a.w }
 
+(* Both halves of the table take the [value] half's bits. *)
 let cofactor t v value =
-  create t.n (fun point ->
-      let p = Array.copy point in
-      p.(v) <- value;
-      eval t p)
+  assert (v < t.n);
+  if v < word_vars then begin
+    let sh = 1 lsl v and p = pattern.(v) land valid t.n in
+    let half x =
+      if value then
+        let x = x land p in
+        x lor (x lsr sh)
+      else
+        let x = x land lnot p land valid t.n in
+        x lor (x lsl sh)
+    in
+    { t with w = Array.map half t.w }
+  end
+  else begin
+    let b = 1 lsl (v - word_vars) in
+    { t with
+      w =
+        Array.init (Array.length t.w) (fun i ->
+            t.w.(if value then i lor b else i land lnot b)) }
+  end
 
 let depends_on t v = not (equal (cofactor t v true) (cofactor t v false))

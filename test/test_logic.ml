@@ -332,6 +332,108 @@ let prop_reduce_matches_reference =
       && same (M.minimize ~dc f) (R.minimize ~dc f)
       && same (M.minimize f) (R.minimize f))
 
+(* The dense path of [minimize] (every call of at most 14 variables)
+   against the cover path, which it must match cube for cube, in order.
+   Widths 0, 5, 6, 13 and 14 sit on the word layout's boundaries: no
+   variable, one full word, the first word-selecting variable, and the two
+   widest cones.  Literal density varies so that some wide covers have few
+   points and some many; the cover path's complement of a wide cover of
+   dense cubes is what bounds the case count. *)
+let gen_dense_case_of n =
+  let open QCheck.Gen in
+  oneofl [ 1; 2; 4 ] >>= fun weight ->
+  let lit =
+    frequency
+      [ (weight, return Logic.Cube.Zero); (weight, return Logic.Cube.One);
+        (4, return Logic.Cube.Both) ]
+  in
+  let cubes hi =
+    list_size (int_range 0 hi) (array_repeat n lit >|= Logic.Cube.of_lits)
+  in
+  pair (cubes 12) (cubes 6) >|= fun (f, dc) ->
+  (Logic.Cover.make n f, Logic.Cover.make n dc)
+
+let gen_dense_case =
+  QCheck.Gen.(
+    frequency [ (1, oneofl [ 0; 5; 6; 13; 14 ]); (1, int_range 0 14) ]
+    >>= gen_dense_case_of)
+
+let dense_matches_cover (f, dc) =
+  let same a b =
+    List.equal Logic.Cube.equal a.Logic.Cover.cubes b.Logic.Cover.cubes
+  in
+  let module M = Logic.Minimize in
+  same (M.minimize ~dc f) (M.Internal.by_cover ~dc f)
+  && same (M.minimize f) (M.Internal.by_cover f)
+
+let print_case (f, dc) =
+  Format.asprintf "%d vars: %a | %a" f.Logic.Cover.nvars Logic.Cover.pp f
+    Logic.Cover.pp dc
+
+let prop_dense_matches_cover =
+  QCheck.Test.make ~count:1000 ~name:"dense minimize matches the cover path"
+    (QCheck.make ~print:print_case gen_dense_case)
+    dense_matches_cover
+
+(* Each boundary width on a fixed random stream, so every run reaches it
+   whatever the QCheck seed. *)
+let test_dense_boundaries () =
+  let rand = Random.State.make [| 0xd5e |] in
+  List.iter
+    (fun n ->
+      for _ = 1 to 40 do
+        let case = QCheck.Gen.generate1 ~rand (gen_dense_case_of n) in
+        if not (dense_matches_cover case) then
+          Alcotest.failf "dense path differs on %s" (print_case case)
+      done)
+    [ 0; 5; 6; 13; 14 ]
+
+(* A cone of bbara's resynth/dc-simplify: 13 leaves, 97 ON cubes and 8 DC
+   cubes; the result is pinned as well as matched against the cover path. *)
+let test_dense_bbara_cone () =
+  let f =
+    Logic.Cover.of_strings 13
+      [ "0-00000-0-011"; "0-00000-0-1--"; "0-00000-10011"; "0-00000-101--";
+        "0-00000-11---"; "0-00001-11---"; "0-000100--011"; "0-000100--1--";
+        "0-0001010-011"; "0-0001010-1--"; "0-00010110011"; "0-000101101--";
+        "0-00010111---"; "0-00100-0-011"; "0-00100-0-1--"; "0-00100-10011";
+        "0-00100-101--"; "0-00100-11---"; "0-00101--0-0-"; "0-00101--1---";
+        "0-001100--011"; "0-001100--1--"; "0-0011010-011"; "0-0011010-1--";
+        "0-00110110011"; "0-001101101--"; "0-00110111---"; "0-00111--0-0-";
+        "0-00111--1---"; "0-10-00-0-011"; "0-10-00-0-1--"; "0-10-00-10011";
+        "0-10-00-101--"; "0-10-00-11---"; "0-10-01-11---"; "0-10-100--011";
+        "0-10-100--1--"; "0-10-1010-011"; "0-10-1010-1--"; "0-10-10110011";
+        "0-10-101101--"; "0-10-10111---"; "1000000-0-011"; "1000000-10011";
+        "1000000-11---"; "1000001-11---"; "10000100--011"; "100001010-011";
+        "1000010110011"; "1000010111---"; "1000100-0-011"; "1000100-10011";
+        "1000100-11---"; "1000101--0-0-"; "1000101--1---"; "10001100--011";
+        "100011010-011"; "1000110110011"; "1000110111---"; "1000111--0-0-";
+        "1000111--1---"; "1001---------"; "1010-00-0-011"; "1010-00-10011";
+        "1010-00-11---"; "1010-01-11---"; "1010-100--011"; "1010-1010-011";
+        "1010-10110011"; "1010-10111---"; "1100000-0-011"; "1100000-10011";
+        "1100000-11---"; "1100001-11---"; "11000100--011"; "110001010-011";
+        "1100010110011"; "1100010111---"; "1100100-0-011"; "1100100-10011";
+        "1100100-11---"; "1100101--0-0-"; "1100101--1---"; "11001100--011";
+        "110011010-011"; "1100110110011"; "1100110111---"; "1100111--0-0-";
+        "1100111--1---"; "1110-00-0-011"; "1110-00-10011"; "1110-00-11---";
+        "1110-01-11---"; "1110-100--011"; "1110-1010-011"; "1110-10110011";
+        "1110-10111---" ]
+  in
+  let dc =
+    Logic.Cover.of_strings 13
+      [ "----1--0-----"; "----0--1-----"; "--------0-1--"; "--------1-0--";
+        "--0-------1--"; "--1-------0--"; "--0-----1----"; "--1-----0----" ]
+  in
+  let expected =
+    [ "0--0--0---1--"; "1001---------"; "--001-1--1---"; "--001-1----0-";
+      "---0-0--11---"; "---0--0111---"; "---0--0---011" ]
+  in
+  Alcotest.(check bool) "dense = cover path" true (dense_matches_cover (f, dc));
+  Alcotest.(check (list string))
+    "minimized" expected
+    (List.map Logic.Cube.to_string
+       (Logic.Minimize.minimize ~dc f).Logic.Cover.cubes)
+
 let prop_minimize_irredundant =
   QCheck.Test.make ~count:150 ~name:"minimized cover is irredundant"
     (arb_cover_pair n_prop) (fun (f, dc) ->
@@ -406,6 +508,41 @@ let test_tt_cofactor () =
   let f = Logic.Truthtab.band a b in
   let c = Logic.Truthtab.cofactor f 0 true in
   Alcotest.(check bool) "cofactor = b" true (Logic.Truthtab.equal c b)
+
+(* The word layout against point-wise evaluation, on widths below, at and
+   above the 5 variables of one word. *)
+let prop_truthtab_layout =
+  QCheck.Test.make ~count:300 ~name:"truth table agrees with the cover"
+    (QCheck.make
+       ~print:(fun (f, _) -> Format.asprintf "%a" Logic.Cover.pp f)
+       QCheck.Gen.(
+         int_range 0 8 >>= fun n ->
+         pair (gen_cover n) (int_bound (max 0 (n - 1)))))
+    (fun (f, v) ->
+      let module T = Logic.Truthtab in
+      let n = f.Logic.Cover.nvars in
+      let t = T.of_cover f in
+      let points = all_points n in
+      let agrees t g = List.for_all (fun p -> T.eval t p = g p) points in
+      let ones = List.length (List.filter (Logic.Cover.eval f) points) in
+      let t' = T.create n (Logic.Cover.eval f) in
+      T.equal t t'
+      && agrees t (Logic.Cover.eval f)
+      && T.count_ones t = ones
+      && T.count_ones (T.bnot t) = (1 lsl n) - ones
+      && T.equal (T.of_cover (T.to_cover t)) t
+      && (n = 0
+          ||
+          let cof b p =
+            let p = Array.copy p in
+            p.(v) <- b;
+            Logic.Cover.eval f p
+          in
+          agrees (T.cofactor t v true) (cof true)
+          && agrees (T.cofactor t v false) (cof false)
+          && agrees (T.var n v) (fun p -> p.(v))
+          && T.depends_on t v
+             = List.exists (fun p -> cof true p <> cof false p) points))
 
 (* --- factoring ------------------------------------------------------------ *)
 
@@ -484,17 +621,23 @@ let () =
         [ Alcotest.test_case "merge adjacent" `Quick test_minimize_simple;
           Alcotest.test_case "absorb dc" `Quick test_minimize_with_dc;
           Alcotest.test_case "xor dc collapses to literal" `Quick
-            test_minimize_xor_dc ] );
+            test_minimize_xor_dc;
+          Alcotest.test_case "dense path at word boundaries" `Quick
+            test_dense_boundaries;
+          Alcotest.test_case "dense path on a bbara cone" `Quick
+            test_dense_bbara_cone ] );
       qsuite "minimize-props"
         [ prop_minimize_preserves; prop_minimize_within_dc;
           prop_minimize_no_growth; prop_exact_preserves;
           prop_heuristic_close_to_exact; prop_minimize_irredundant;
-          prop_minimize_prime; prop_reduce_matches_reference ];
+          prop_minimize_prime; prop_reduce_matches_reference;
+          prop_dense_matches_cover ];
       qsuite "algebra-props" [ prop_kernels_divide; prop_supercube_contains ];
       ( "truthtab",
         [ Alcotest.test_case "roundtrip" `Quick test_tt_roundtrip;
           Alcotest.test_case "bit ops" `Quick test_tt_ops;
           Alcotest.test_case "cofactor" `Quick test_tt_cofactor ] );
+      qsuite "truthtab-props" [ prop_truthtab_layout ];
       ( "factor",
         [ Alcotest.test_case "ab+ac" `Quick test_factor_example;
           Alcotest.test_case "divide by cube" `Quick test_divide_by_cube;
