@@ -5,9 +5,9 @@
 
    Collects the .cmt files under the PATHs (the repo builds with
    -bin-annot; run from the build root so the .objs directories are in
-   reach) and runs the typed-AST analyzer (Typedlint): the six
+   reach) and runs the typed-AST analyzer (Typedlint): the five
    nondeterminism and memory-model name rules plus capture/escape,
-   lock-discipline, module-escape and blocking-in-task.  Every .ml file
+   module-escape and blocking-in-task.  Every .ml file
    under the PATHs must be claimed by a loaded unit; one that is not is
    reported as lint/unscanned-source.
 

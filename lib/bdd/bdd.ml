@@ -111,16 +111,20 @@ type totals = {
   r_unique_hits : int;
 }
 
-(* Taken once when a domain makes its table, once when it exits, and by
-   [stats].  It is never nested: no critical section on it takes another
-   lock, and none is taken while another lock is held. *)
-let registry_lock = Mutex.create ()
-let live : table list ref = ref []
+(* The tables of running domains and the folded counts of exited ones.
+   Taken once when a domain makes its table, once when it exits, and by
+   [stats]. *)
+type registry = {
+  mutable live : table list;
+  mutable retired : totals;
+}
 
-let retired =
-  ref
-    { r_nodes = 0; r_ite_hits = 0; r_ite_misses = 0; r_mk_calls = 0;
-      r_unique_hits = 0 }
+let registry =
+  Obs.Locked.create
+    { live = [];
+      retired =
+        { r_nodes = 0; r_ite_hits = 0; r_ite_misses = 0; r_mk_calls = 0;
+          r_unique_hits = 0 } }
 
 (* runs on the exiting domain itself, so reading its table is race-free *)
 let retire t =
@@ -129,16 +133,15 @@ let retire t =
   and ite_misses = t.ite_misses
   and mk_calls = t.mk_calls
   and unique_hits = t.unique_hits in
-  Mutex.lock registry_lock;
-  live := List.filter (fun u -> u != t) !live;
-  let r = !retired in
-  retired :=
-    { r_nodes = r.r_nodes + nodes;
-      r_ite_hits = r.r_ite_hits + ite_hits;
-      r_ite_misses = r.r_ite_misses + ite_misses;
-      r_mk_calls = r.r_mk_calls + mk_calls;
-      r_unique_hits = r.r_unique_hits + unique_hits };
-  Mutex.unlock registry_lock
+  Obs.Locked.use registry (fun r ->
+      r.live <- List.filter (fun u -> u != t) r.live;
+      let o = r.retired in
+      r.retired <-
+        { r_nodes = o.r_nodes + nodes;
+          r_ite_hits = o.r_ite_hits + ite_hits;
+          r_ite_misses = o.r_ite_misses + ite_misses;
+          r_mk_calls = o.r_mk_calls + mk_calls;
+          r_unique_hits = o.r_unique_hits + unique_hits })
 
 let make_table () =
   let t =
@@ -163,9 +166,7 @@ let make_table () =
       unique_hits = 0 }
   in
   Atomic.incr g_tables;
-  Mutex.lock registry_lock;
-  live := t :: !live;
-  Mutex.unlock registry_lock;
+  Obs.Locked.use registry (fun r -> r.live <- t :: r.live);
   Domain.at_exit (fun () -> retire t);
   t
 
@@ -701,9 +702,7 @@ type stats = {
 }
 
 let stats () =
-  Mutex.lock registry_lock;
-  let tables = !live and r = !retired in
-  Mutex.unlock registry_lock;
+  let tables, r = Obs.Locked.use registry (fun r -> (r.live, r.retired)) in
   let sum f = List.fold_left (fun acc t -> acc + f t) 0 tables in
   let nodes = sum (fun t -> t.next_id - 2) in
   let capacity = sum (fun t -> Bigarray.Array1.dim t.slots lsr 2) in

@@ -23,20 +23,19 @@ let enabled () = Atomic.get on
 let enable () = Atomic.set on true
 let disable () = Atomic.set on false
 
-let lock = Mutex.create ()
-let registry : (string, instrument) Hashtbl.t = Hashtbl.create 64
+let registry : (string, instrument) Hashtbl.t Locked.t =
+  Locked.create (Hashtbl.create 64)
 
 let register name make describe =
-  Mutex.lock lock;
   let i =
-    match Hashtbl.find_opt registry name with
-    | Some existing -> existing
-    | None ->
-      let i = make () in
-      Hashtbl.add registry name i;
-      i
+    Locked.use registry (fun reg ->
+        match Hashtbl.find_opt reg name with
+        | Some existing -> existing
+        | None ->
+          let i = make () in
+          Hashtbl.add reg name i;
+          i)
   in
-  Mutex.unlock lock;
   match describe i with
   | Some v -> v
   | None ->
@@ -131,11 +130,9 @@ type value =
   | Info of string
 
 let dump () =
-  Mutex.lock lock;
-  (* lint-waive: nondet/hashtbl-order — sorted by name before return. *)
-  let items = Hashtbl.fold (fun name i acc -> (name, i) :: acc) registry [] in
-  Mutex.unlock lock;
-  items
+  Locked.use registry (fun reg ->
+      (* lint-waive: nondet/hashtbl-order — sorted by name before return. *)
+      Hashtbl.fold (fun name i acc -> (name, i) :: acc) reg [])
   |> List.map (fun (name, i) ->
          let v =
            match i with
@@ -197,17 +194,16 @@ let delta (snap : snapshot) =
     (dump ())
 
 let reset () =
-  Mutex.lock lock;
-  (* lint-waive: nondet/hashtbl-order — zeroing every instrument commutes. *)
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | C c -> Atomic.set c 0
-      | G g -> Atomic.set g 0.0
-      | H h ->
-        Array.iter (fun b -> Atomic.set b 0) h.h_buckets;
-        Atomic.set h.h_sum 0;
-        Atomic.set h.h_max 0
-      | I i -> Atomic.set i "")
-    registry;
-  Mutex.unlock lock
+  Locked.use registry (fun reg ->
+      (* lint-waive: nondet/hashtbl-order — zeroing every instrument commutes. *)
+      Hashtbl.iter
+        (fun _ i ->
+          match i with
+          | C c -> Atomic.set c 0
+          | G g -> Atomic.set g 0.0
+          | H h ->
+            Array.iter (fun b -> Atomic.set b 0) h.h_buckets;
+            Atomic.set h.h_sum 0;
+            Atomic.set h.h_max 0
+          | I i -> Atomic.set i "")
+        reg)

@@ -35,22 +35,25 @@ let now_ns () =
   | Some f -> f ()
   | None -> Int64.of_float (Unix.gettimeofday () *. 1e9) (* lint-waive: nondet/wall-clock — span timestamps only, never results *)
 
-let lock = Mutex.create ()
-let recorded : span list ref = ref []
+let recorded : span list ref Locked.t = Locked.create (ref [])
 
 (* Completed spans can additionally stream to registered sinks (the
    resynthesis daemon flushes them to a file or a subscribed client as
    they finish, instead of holding the whole trace in memory).  Sinks run
-   under [sink_lock], so deliveries are serialized; a sink must never call
-   back into this module (the mutex is not reentrant). *)
+   under the registry's lock, so deliveries are serialized; a sink must
+   never call back into this module (the mutex is not reentrant).  A sink
+   that raises releases the lock on its way out. *)
 type sink = {
   on_span : span -> unit;
   on_flush : unit -> unit;
 }
 
-let sink_lock = Mutex.create ()
-let sinks : (int * sink) list ref = ref []
-let next_sink_id = ref 1
+type sinks = {
+  mutable registered : (int * sink) list;
+  mutable next_id : int;
+}
+
+let sinks = Locked.create { registered = []; next_id = 1 }
 
 (* [buffering] off drops the in-memory span list (sinks still fire): a
    long-running daemon would otherwise grow the buffer without bound. *)
@@ -59,40 +62,28 @@ let buffering = Atomic.make true
 let set_buffering b = Atomic.set buffering b
 
 let add_sink sink =
-  Mutex.lock sink_lock;
-  let id = !next_sink_id in
-  next_sink_id := id + 1;
-  sinks := !sinks @ [ (id, sink) ];
-  Mutex.unlock sink_lock;
-  id
+  Locked.use sinks (fun r ->
+      let id = r.next_id in
+      r.next_id <- id + 1;
+      r.registered <- r.registered @ [ (id, sink) ];
+      id)
 
 let remove_sink id =
-  Mutex.lock sink_lock;
-  sinks := List.filter (fun (i, _) -> i <> id) !sinks;
-  Mutex.unlock sink_lock
+  Locked.use sinks (fun r ->
+      r.registered <- List.filter (fun (i, _) -> i <> id) r.registered)
 
 let flush_sinks () =
-  Mutex.lock sink_lock;
-  List.iter (fun (_, s) -> s.on_flush ()) !sinks;
-  Mutex.unlock sink_lock
+  Locked.use sinks (fun r -> List.iter (fun (_, s) -> s.on_flush ()) r.registered)
 
 let deliver s =
-  Mutex.lock sink_lock;
-  List.iter (fun (_, k) -> k.on_span s) !sinks;
-  Mutex.unlock sink_lock
+  Locked.use sinks (fun r -> List.iter (fun (_, k) -> k.on_span s) r.registered)
 
 let record s =
-  if Atomic.get buffering then begin
-    Mutex.lock lock;
-    recorded := s :: !recorded;
-    Mutex.unlock lock
-  end;
+  if Atomic.get buffering then
+    Locked.use recorded (fun spans -> spans := s :: !spans);
   deliver s
 
-let reset () =
-  Mutex.lock lock;
-  recorded := [];
-  Mutex.unlock lock
+let reset () = Locked.use recorded (fun spans -> spans := [])
 
 let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
@@ -135,9 +126,7 @@ let span ?(cat = "span") ?(args = []) ?end_args name f =
   end
 
 let spans () =
-  Mutex.lock lock;
-  let all = !recorded in
-  Mutex.unlock lock;
+  let all = Locked.use recorded ( ! ) in
   List.sort
     (fun a b ->
       let c = compare a.track b.track in

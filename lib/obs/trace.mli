@@ -10,9 +10,9 @@
     Spans record the worker domain that produced them ({!span-type-span}
     [track] is the domain id), so a [--jobs N] suite run renders as one
     timeline track per domain in the Chrome exporter
-    ({!Export.chrome_json}).  Recording is multi-domain safe: a global
-    mutex guards the (pass-granularity) event buffer, and per-domain nesting
-    depth lives in domain-local storage. *)
+    ({!Export.chrome_json}).  Recording is multi-domain safe: the
+    (pass-granularity) event buffer is a {!Locked.t}, and per-domain
+    nesting depth lives in domain-local storage. *)
 
 type attr =
   | Str of string
@@ -63,9 +63,11 @@ val set_clock : (unit -> int64) option -> unit
     can stream to registered sinks as they finish.  The resynthesis daemon
     uses this to flush spans incrementally to a file or a subscribed
     client, so a fleet-scale run never has to hold its whole trace in
-    memory.  Sinks are invoked serially under an internal mutex, on the
-    domain that completed the span; a sink must be fast, must not raise,
-    and must never call back into this module. *)
+    memory.  Sinks are invoked serially under an internal lock, on the
+    domain that completed the span; a sink must be fast and must never
+    call back into this module.  A sink that raises releases the lock:
+    the exception leaves the span that was completing, and the tracer
+    stays usable on every domain. *)
 
 type sink = {
   on_span : span -> unit;   (** one completed span *)

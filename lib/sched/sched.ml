@@ -71,44 +71,38 @@ let try_run (Task fut) =
       Atomic.set fut (Done r)
     end
 
-(* [queue] and [quit] are only touched under [lock]; [nonempty] is
-   signalled on every push and broadcast on shutdown.  [lock] is never
-   nested: no critical section on it takes another lock. *)
-type pool = {
-  lock : Mutex.t;
-  nonempty : Condition.t;
+(* A pool's queue and its [quit] flag, owned by the pool's lock.  Every
+   push signals one parked worker; shutdown wakes them all.  No critical
+   section on the lock takes another lock. *)
+type pool_state = {
   queue : task Queue.t;
   mutable quit : bool;
 }
+
+type pool = pool_state Obs.Locked.t
 
 (* Ambient scheduler context: which pool this domain works for.  [None]
    outside [run] and on foreign domains — there [fork] executes inline. *)
 let ctx_key : pool option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
 
 let push pool t =
-  Mutex.lock pool.lock;
-  Queue.push t pool.queue;
-  Condition.signal pool.nonempty;
-  Mutex.unlock pool.lock
+  Obs.Locked.use pool (fun p -> Queue.push t p.queue);
+  Obs.Locked.signal pool
 
 (* The next queued task, parking while the queue is empty; [None] once the
-   pool shuts down. *)
+   pool shuts down.  Every attempt after the first follows a wake-up. *)
 let take pool =
-  Mutex.lock pool.lock;
-  let rec next () =
-    if pool.quit then None
-    else
-      match Queue.take_opt pool.queue with
-      | Some _ as t -> t
-      | None ->
-        Obs.Metrics.incr m_parked;
-        Condition.wait pool.nonempty pool.lock;
-        Obs.Metrics.incr m_woken;
-        next ()
-  in
-  let t = next () in
-  Mutex.unlock pool.lock;
-  t
+  let attempts = ref 0 in
+  Obs.Locked.await pool (fun p ->
+      if !attempts > 0 then Obs.Metrics.incr m_woken;
+      incr attempts;
+      if p.quit then Some None
+      else
+        match Queue.take_opt p.queue with
+        | Some _ as t -> Some t
+        | None ->
+          Obs.Metrics.incr m_parked;
+          None)
 
 let worker_loop pool =
   Domain.DLS.set ctx_key (Some pool);
@@ -171,19 +165,12 @@ let run ?jobs f =
   | None when jobs = 1 -> f ()
   | None ->
     Obs.Metrics.incr m_pools;
-    let pool =
-      { lock = Mutex.create ();
-        nonempty = Condition.create ();
-        queue = Queue.create ();
-        quit = false }
-    in
+    let pool = Obs.Locked.create { queue = Queue.create (); quit = false } in
     let domains = ref [] in
     let shutdown () =
       Domain.DLS.set ctx_key None;
-      Mutex.lock pool.lock;
-      pool.quit <- true;
-      Condition.broadcast pool.nonempty;
-      Mutex.unlock pool.lock;
+      Obs.Locked.use pool (fun p -> p.quit <- true);
+      Obs.Locked.broadcast pool;
       List.iter Domain.join !domains
     in
     (* the calling domain is worker 0; a spawn that fails partway shuts

@@ -72,15 +72,17 @@ let listen_on = function
 
 (* --- span streaming ----------------------------------------------------------------- *)
 
-(* One lock orders all streaming writers (socket subscribers and the trace
-   file): spans from concurrent domains interleave by line, never by byte. *)
-let stream_lock = Mutex.create ()
+(* Each streaming writer (a socket subscriber, the trace file) is owned by
+   its lock: spans from concurrent domains interleave by line, never by
+   byte. *)
+let span_line s = Obs.Json.to_string (Obs.Export.span_json s) ^ "\n"
 
 let subscriber_sink fd =
+  let fd = Obs.Locked.create fd in
   { Obs.Trace.on_span =
       (fun s ->
-        let line = Obs.Json.to_string (Obs.Export.span_json s) ^ "\n" in
-        Mutex.protect stream_lock (fun () ->
+        let line = span_line s in
+        Obs.Locked.use fd (fun fd ->
             if not (write_nonblocking fd line) then
               Obs.Metrics.incr m_stream_dropped));
     on_flush = (fun () -> ()) }
@@ -88,11 +90,11 @@ let subscriber_sink fd =
 let file_sink oc =
   { Obs.Trace.on_span =
       (fun s ->
-        Mutex.protect stream_lock (fun () ->
-            output_string oc (Obs.Json.to_string (Obs.Export.span_json s));
-            output_char oc '\n';
+        let line = span_line s in
+        Obs.Locked.use oc (fun oc ->
+            output_string oc line;
             flush oc));
-    on_flush = (fun () -> Mutex.protect stream_lock (fun () -> flush oc)) }
+    on_flush = (fun () -> Obs.Locked.use oc flush) }
 
 let enable_streaming () =
   Obs.Trace.enable ();
@@ -258,7 +260,7 @@ let run ?config ?(jobs = 2) ?stream_trace ?stop ?ready endpoint =
     | None -> None
     | Some file ->
       enable_streaming ();
-      let oc = open_out file in
+      let oc = Obs.Locked.create (open_out file) in
       let id = Obs.Trace.add_sink (file_sink oc) in
       Some (id, oc)
   in
@@ -272,8 +274,7 @@ let run ?config ?(jobs = 2) ?stream_trace ?stop ?ready endpoint =
     match trace_channel with
     | Some (id, oc) ->
       Obs.Trace.remove_sink id;
-      flush oc;
-      close_out oc
+      Obs.Locked.use oc close_out
     | None -> ()
   in
   match

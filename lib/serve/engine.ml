@@ -43,12 +43,16 @@ type job = {
   diag : J.t Atomic.t;    (* set once, when the job reaches a terminal state *)
 }
 
-type t = {
-  config : config;
-  lock : Mutex.t;  (* guards [jobs], [nets] and [futures] *)
+(* the engine's shared tables, reachable only under their lock *)
+type tables = {
   jobs : (string, job) Hashtbl.t;
   nets : (string, Netlist.Network.t) Hashtbl.t;  (* pristine, never mutated *)
-  futures : unit Core.Parallel.future list ref;
+  mutable futures : unit Core.Parallel.future list;
+}
+
+type t = {
+  config : config;
+  tables : tables Obs.Locked.t;
   inflight : int Atomic.t;  (* queued + running *)
   next_id : int Atomic.t;
 }
@@ -70,10 +74,9 @@ let g_inflight = Obs.Metrics.gauge "serve.inflight"
 
 let create ?(config = default_config) () =
   { config;
-    lock = Mutex.create ();
-    jobs = Hashtbl.create 64;
-    nets = Hashtbl.create 16;
-    futures = ref [];
+    tables =
+      Obs.Locked.create
+        { jobs = Hashtbl.create 64; nets = Hashtbl.create 16; futures = [] };
     inflight = Atomic.make 0;
     next_id = Atomic.make 1 }
 
@@ -110,16 +113,16 @@ let guard job ~cancel_after ~deadline =
    [Netlist.Network.copy] reads the source's lazily cached topological
    order, so two unserialized copies of the same pristine net would race. *)
 let checkout eng key build =
-  Mutex.protect eng.lock (fun () ->
+  Obs.Locked.use eng.tables (fun tb ->
       let pristine =
-        match Hashtbl.find_opt eng.nets key with
+        match Hashtbl.find_opt tb.nets key with
         | Some net ->
           Obs.Metrics.incr m_cache_hits;
           net
         | None ->
           let net = build () in
           Obs.Metrics.incr m_cache_misses;
-          Hashtbl.replace eng.nets key net;
+          Hashtbl.replace tb.nets key net;
           net
       in
       Netlist.Network.copy pristine)
@@ -275,10 +278,10 @@ let register_and_fork eng ~id source =
       diag = Atomic.make (J.Obj []) }
   in
   let fresh =
-    Mutex.protect eng.lock (fun () ->
-        if Hashtbl.mem eng.jobs id then false
+    Obs.Locked.use eng.tables (fun tb ->
+        if Hashtbl.mem tb.jobs id then false
         else begin
-          Hashtbl.replace eng.jobs id job;
+          Hashtbl.replace tb.jobs id job;
           true
         end)
   in
@@ -290,7 +293,7 @@ let register_and_fork eng ~id source =
     let now = Atomic.fetch_and_add eng.inflight 1 + 1 in
     Obs.Metrics.set_gauge g_inflight (float_of_int now);
     let fut = Core.Parallel.fork (fun () -> run_job eng job) in
-    Mutex.protect eng.lock (fun () -> eng.futures := fut :: !(eng.futures));
+    Obs.Locked.use eng.tables (fun tb -> tb.futures <- fut :: tb.futures);
     Protocol.ok [ ("id", J.Str id); ("state", J.Str "queued") ]
   end
 
@@ -347,7 +350,7 @@ let submit_held eng ~id ~release =
 (* --- inspection --------------------------------------------------------------------- *)
 
 let find_job eng id =
-  Mutex.protect eng.lock (fun () -> Hashtbl.find_opt eng.jobs id)
+  Obs.Locked.use eng.tables (fun tb -> Hashtbl.find_opt tb.jobs id)
 
 let state_name = function
   | Queued -> "queued"
@@ -403,7 +406,7 @@ let ping _eng =
   Protocol.ok [ ("pong", J.Bool true) ]
 
 let drain eng =
-  let pending = Mutex.protect eng.lock (fun () -> !(eng.futures)) in
+  let pending = Obs.Locked.use eng.tables (fun tb -> tb.futures) in
   (* tasks never leak exceptions (run_job catches everything), but a drain
      during shutdown must not die on principle either *)
   List.iter (fun f -> ignore (Core.Parallel.join_result f)) (List.rev pending)

@@ -1,16 +1,8 @@
 (* Plumbing of the lint ([Typedlint]): the finding type and its text and
-   JSON rendering, the OCaml lexer-subset comment/string stripper, and the
-   justified-waiver parsing (in-source [lint-waive] markers and the
-   LINT_WAIVERS file).  The rules
-   themselves run on typedtrees; the stripper only decides which code
-   line a standalone waiver comment covers.
-
-   The stripper is a faithful-enough OCaml lexer subset: nested (* *)
-   comments — including strings, {| |} / {id| |id} quoted strings and
-   char literals *inside* comments, all of which the real lexer also
-   balances — double-quoted strings with escapes, quoted strings with
-   identifier delimiters, and char literals (so '"' does not open a
-   string, in code or in a comment). *)
+   JSON rendering, and the justified-waiver parsing (in-source
+   [lint-waive] markers and the LINT_WAIVERS file).  The rules themselves
+   run on typedtrees; the compiler's lexer only decides which code line a
+   standalone waiver comment covers. *)
 
 type finding = {
   rule_id : string;
@@ -41,135 +33,29 @@ let to_json fs =
 
 let trim = String.trim
 
-(* --- comment / string stripping -------------------------------------------------- *)
+(* --- code lines ---------------------------------------------------------------- *)
 
-type lex_state =
-  | Code
-  | Comment of int  (* nesting depth *)
-  | Str of int      (* a string; payload = comment depth to return to,
-                       0 meaning code *)
-  | Quoted of int * string
-      (* a {id|...|id} quoted string: comment depth to return to, plus the
-         delimiter identifier (empty for plain {|...|}) *)
-
-(* A char literal starting at [i] (where [line.[i] = '\'']): returns the
-   index just past its closing quote, or None if the shape is not a
-   literal (identifier primes, type variables, prose apostrophes).
-   Handles 'x', '\n', '\\', '\'', '\"', '\123', '\xHH', '\o123'. *)
-let char_literal_end line i =
-  let n = String.length line in
-  if i + 2 < n && line.[i + 1] <> '\\' && line.[i + 1] <> '\''
-     && line.[i + 2] = '\''
-  then Some (i + 3)
-  else if i + 1 < n && line.[i + 1] = '\\' then begin
-    (* escaped form: the closing quote is the first quote at or after
-       i+3 within the longest escape ('\o123' -> 7 chars total) *)
-    let rec find j =
-      if j >= n || j > i + 6 then None
-      else if line.[j] = '\'' then Some (j + 1)
-      else find (j + 1)
-    in
-    find (i + 3)
-  end
-  else None
-
-(* A quoted-string opener at [i] (where [line.[i] = '{']): returns the
-   delimiter identifier and the index just past the opening '|'. *)
-let quoted_open line i =
-  let n = String.length line in
-  let rec skip j =
-    if j < n
-       && (match line.[j] with 'a' .. 'z' | '_' -> true | _ -> false)
-    then skip (j + 1)
-    else j
+(* [code.(l)] holds when a token of the compiler's own lexer starts on line
+   [l] (1-based): comments, docstrings and the inside of string literals
+   start none.  Lexing stops at the first error, so a file the lexer
+   rejects has no code lines past it. *)
+let code_lines content nlines =
+  let code = Array.make (nlines + 1) false in
+  Lexer.init ();
+  Lexer.print_warnings := false;
+  Lexer.handle_docstrings := false;
+  let lexbuf = Lexing.from_string content in
+  let rec go () =
+    match Lexer.token lexbuf with
+    | Parser.EOF -> ()
+    | _ ->
+      let l = lexbuf.Lexing.lex_start_p.Lexing.pos_lnum in
+      if l <= nlines then code.(l) <- true;
+      go ()
+    | exception Lexer.Error _ -> ()
   in
-  let j = skip (i + 1) in
-  if j < n && line.[j] = '|' then Some (String.sub line (i + 1) (j - i - 1), j + 1)
-  else None
-
-(* Does the quoted-string closer [|id}] start at [i]
-   (where [line.[i] = '|'])? *)
-let quoted_close line i id =
-  let n = String.length line and k = String.length id in
-  i + k + 1 < n
-  && String.sub line (i + 1) k = id
-  && line.[i + k + 1] = '}'
-
-(* Strip one line under [st]; returns the code-only text (non-code bytes
-   replaced by spaces, so column positions survive) and the state at end of
-   line. *)
-let strip_line st line =
-  let n = String.length line in
-  let out = Bytes.make n ' ' in
-  let rec go st i =
-    if i >= n then st
-    else
-      match st with
-      | Code -> (
-        if i + 1 < n && line.[i] = '(' && line.[i + 1] = '*' then
-          go (Comment 1) (i + 2)
-        else if line.[i] = '"' then go (Str 0) (i + 1)
-        else if line.[i] = '{' then
-          match quoted_open line i with
-          | Some (id, next) -> go (Quoted (0, id)) next
-          | None ->
-            Bytes.set out i line.[i];
-            go Code (i + 1)
-        else if line.[i] = '\'' then
-          match char_literal_end line i with
-          | Some next -> go Code next (* blank the payload, keep width *)
-          | None ->
-            Bytes.set out i line.[i];
-            go Code (i + 1)
-        else begin
-          Bytes.set out i line.[i];
-          go Code (i + 1)
-        end)
-      | Comment d -> (
-        if i + 1 < n && line.[i] = '(' && line.[i + 1] = '*' then
-          go (Comment (d + 1)) (i + 2)
-        else if i + 1 < n && line.[i] = '*' && line.[i + 1] = ')' then
-          go (if d = 1 then Code else Comment (d - 1)) (i + 2)
-        else if line.[i] = '"' then go (Str d) (i + 1)
-        else if line.[i] = '{' then
-          match quoted_open line i with
-          | Some (id, next) -> go (Quoted (d, id)) next
-          | None -> go (Comment d) (i + 1)
-        else if line.[i] = '\'' then
-          (* the real lexer skips char literals inside comments, so
-             (* '"' *) and (* '\"' *) never open a string *)
-          match char_literal_end line i with
-          | Some next -> go (Comment d) next
-          | None -> go (Comment d) (i + 1)
-        else go (Comment d) (i + 1))
-      | Str back ->
-        if line.[i] = '\\' then go st (i + 2)
-        else if line.[i] = '"' then
-          go (if back = 0 then Code else Comment back) (i + 1)
-        else go st (i + 1)
-      | Quoted (back, id) ->
-        if line.[i] = '|' && quoted_close line i id then
-          go
-            (if back = 0 then Code else Comment back)
-            (i + String.length id + 2)
-        else go st (i + 1)
-  in
-  let st' = go st 0 in
-  (Bytes.to_string out, st')
-
-let strip_lines content =
-  let raw_lines = String.split_on_char '\n' content in
-  let st = ref Code in
-  let code =
-    Array.of_list
-      (List.map
-         (fun raw ->
-           let code, st' = strip_line !st raw in
-           st := st';
-           code)
-         raw_lines)
-  in
-  (raw_lines, code)
+  go ();
+  code
 
 (* --- waiver parsing -------------------------------------------------------------- *)
 
@@ -194,7 +80,10 @@ let cover_lookahead = 6
    findings for malformed ones.  A marker sharing its line with code
    covers exactly that line; a standalone comment covers every line down
    to (and including) the first following code line. *)
-let line_waivers ~path raw_lines code_lines =
+let line_waivers ~path content =
+  let raw_lines = String.split_on_char '\n' content in
+  let n = List.length raw_lines in
+  let code = code_lines content n in
   let waivers = ref [] and probs = ref [] in
   List.iteri
     (fun i line ->
@@ -246,8 +135,7 @@ let line_waivers ~path raw_lines code_lines =
                   rule min_reason_len }
             :: !probs
         else begin
-          let n = Array.length code_lines in
-          let has_code j = j <= n && trim code_lines.(j - 1) <> "" in
+          let has_code j = j <= n && code.(j) in
           let covers =
             if has_code lineno then [ lineno ]
             else begin

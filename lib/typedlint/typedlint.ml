@@ -2,7 +2,7 @@
 
    Loads [.cmt] files (the repo builds with [-bin-annot]; dune emits them
    for every module) and runs two kinds of rule on real binding and scope
-   resolution.  Six name rules look up resolved identifier paths, so
+   resolution.  Five name rules look up resolved identifier paths, so
    [Hashtbl.fold] reached through [open] or a module alias is caught and
    a local binding that merely shares the name is not:
 
@@ -14,10 +14,8 @@
    - [nondet/domain-id] — [Domain.self].
    - [mm/physical-eq-key] — [Obj.repr], [Obj.magic], or [==] inside a
      [Hashtbl.*] application.
-   - [mm/naked-atomic-get] — [Atomic.get] applied to a field labelled
-     [published].
 
-   Four interprocedural dataflow rules follow closures and locks:
+   Three dataflow rules follow closures and module state:
 
    - [typed/capture-escape] — a thunk passed to the scheduler
      ([Sched.fork] / [Core.Parallel.fork]/[map]/[map_list]) whose closure
@@ -27,38 +25,29 @@
      the obs registries.  This is the per-request-isolation proof
      the resynthesis daemon needs: no forked task may reach
      unsynchronized mutable state.
-   - [typed/lock-discipline] — consistent-lock-set inference (RacerD
-     style): every access to a shared mutable location (module-level
-     [ref]/[Hashtbl]/[Buffer] values, mutable record fields keyed by
-     [Type.field]) collects the lock set held at the access, seeded from
-     [Mutex.lock] and [Mutex.protect] sites.  A
-     location that is locked at one access must share a common lock at
-     every access; an empty intersection (wrong lock, or no lock on some
-     path) is a finding.
    - [typed/module-escape] — module-level mutable state reachable from
      the flow entry points ([Flow.run_all], [Report.Table.run_suite*],
-     the [bin/] executables, future daemon handlers) with no registered
-     synchronization wrapper: not [Atomic]/[Mutex]/[Condition]/
-     [Domain.DLS], not inside the sanctioned registries (lib/obs), and
-     not consistently lock-guarded per the
-     lock-discipline inference.
-   - [typed/blocking-in-task] — [Mutex.lock], [Condition.wait], [Unix]
-     blocking calls or [Thread.delay]
+     the [bin/] executables) with no synchronization wrapper: not
+     [Atomic]/[Obs.Locked]/[Mutex]/[Condition]/[Domain.DLS], and not
+     inside the sanctioned registries (lib/obs).
+   - [typed/blocking-in-task] — [Mutex.lock], [Condition.wait],
+     [Obs.Locked.await], [Unix] blocking calls or [Thread.delay]
      syntactically reachable inside a forked task body (directly or
      through same-unit helpers): the no-help fork-join scheduler parks a
      whole worker for the duration, so a blocked task stalls the pool.
 
+   Lock discipline is not a rule: every lock in [lib/] is an [Obs.Locked.t]
+   that owns the value it guards, so an unlocked access does not compile.
+
    Soundness posture: the analyzer prefers silence to noise.  It is
    intraprocedural plus one same-unit hop (thunks resolved to local
    definitions, blocking calls chased through same-unit helpers), does
-   not expand type aliases without an environment, treats lambdas it
-   cannot see called as unreachable, and identifies locks by access path
-   (per-field, per-global) rather than by instance.  Every deliberate gap
-   is documented in DESIGN.md §15.  Findings use the [Lint_common]
-   report shape.  This module owns every waiver check: it
-   reports unjustified, unknown-rule and stale waivers, in-source and
-   [LINT_WAIVERS] alike, and every [.ml] source it was asked to cover
-   that no readable [.cmt] unit claims. *)
+   not expand type aliases without an environment, and treats lambdas it
+   cannot see called as unreachable.  Every deliberate gap is documented
+   in DESIGN.md §15.  Findings use the [Lint_common] report shape.  This
+   module owns every waiver check: it reports unjustified, unknown-rule
+   and stale waivers, in-source and [LINT_WAIVERS] alike, and every [.ml]
+   source it was asked to cover that no readable [.cmt] unit claims. *)
 
 type finding = Lint_common.finding = {
   rule_id : string;
@@ -67,10 +56,9 @@ type finding = Lint_common.finding = {
 }
 
 let rule_ids =
-  [ "mm/naked-atomic-get"; "mm/physical-eq-key"; "nondet/ambient-random";
-    "nondet/domain-id"; "nondet/hashtbl-order"; "nondet/wall-clock";
-    "typed/blocking-in-task"; "typed/capture-escape";
-    "typed/lock-discipline"; "typed/module-escape" ]
+  [ "mm/physical-eq-key"; "nondet/ambient-random"; "nondet/domain-id";
+    "nondet/hashtbl-order"; "nondet/wall-clock"; "typed/blocking-in-task";
+    "typed/capture-escape"; "typed/module-escape" ]
 
 type config = {
   source_root : string;
@@ -142,10 +130,11 @@ let capture_mutable_tycons = [ "Stdlib.ref"; "ref"; "Hashtbl.t"; "Buffer.t" ]
 let global_mutable_tycons =
   capture_mutable_tycons @ [ "Queue.t"; "Stack.t"; "bytes" ]
 
-(* synchronization wrappers: state routed through these is sanctioned *)
+(* synchronization wrappers: state routed through these is sanctioned
+   ([Locked.t] is [Obs.Locked], a mutex that owns what it guards) *)
 let sync_tycons =
-  [ "Atomic.t"; "Mutex.t"; "Condition.t"; "Semaphore.Counting.t";
-    "Semaphore.Binary.t"; "DLS.key" ]
+  [ "Atomic.t"; "Locked.t"; "Mutex.t"; "Condition.t";
+    "Semaphore.Counting.t"; "Semaphore.Binary.t"; "DLS.key" ]
 
 let tycon_in ty cands =
   match ty with
@@ -163,54 +152,23 @@ let fork_fns =
 
 let lock_fns = [ "Mutex.lock" ]
 let unlock_fns = [ "Mutex.unlock" ]
-let trylock_fns = [ "Mutex.try_lock" ]
 let protect_fns = [ "Mutex.protect" ]
 
 (* calls that park the calling worker: taking a contended mutex, waiting a
    condition, or any OS-blocking Unix/Thread primitive *)
 let blocking_fns =
-  [ "Mutex.lock"; "Condition.wait";
+  [ "Mutex.lock"; "Condition.wait"; "Locked.await";
     "Thread.delay"; "Thread.join"; "Unix.sleep"; "Unix.sleepf";
     "Unix.select"; "Unix.wait"; "Unix.waitpid"; "Unix.system";
     "Unix.read"; "Unix.write"; "Unix.accept"; "Unix.connect";
     "Unix.recv"; "Unix.send"; "Stdlib.input_line"; "Stdlib.really_input";
     "Stdlib.read_line" ]
 
-(* accesses to shared mutable containers: (dotted suffix, is_write) *)
-let container_access_fns =
-  [ ("Stdlib.!", false); ("Stdlib.:=", true); ("Stdlib.incr", true);
-    ("Stdlib.decr", true);
-    ("Hashtbl.find", false); ("Hashtbl.find_opt", false);
-    ("Hashtbl.find_all", false); ("Hashtbl.mem", false);
-    ("Hashtbl.length", false); ("Hashtbl.iter", false);
-    ("Hashtbl.fold", false); ("Hashtbl.to_seq", false);
-    ("Hashtbl.add", true); ("Hashtbl.replace", true);
-    ("Hashtbl.remove", true); ("Hashtbl.clear", true);
-    ("Hashtbl.reset", true); ("Hashtbl.filter_map_inplace", true);
-    ("Buffer.contents", false); ("Buffer.length", false);
-    ("Buffer.nth", false); ("Buffer.to_bytes", false);
-    ("Buffer.add_string", true); ("Buffer.add_char", true);
-    ("Buffer.add_bytes", true); ("Buffer.add_buffer", true);
-    ("Buffer.add_substring", true); ("Buffer.clear", true);
-    ("Buffer.reset", true);
-    ("Queue.push", true); ("Queue.add", true); ("Queue.pop", true);
-    ("Queue.take", true); ("Queue.clear", true); ("Queue.peek", false);
-    ("Queue.length", false); ("Queue.is_empty", false);
-    ("Stack.push", true); ("Stack.pop", true); ("Stack.clear", true);
-    ("Stack.top", false); ("Stack.length", false) ]
-
 (* registry modules: mutable state reached through them is the sanctioned
    synchronized-and-commutative kind *)
 let registry_path_prefixes = [ "Obs." ]
 
 (* --- per-unit scan state ---------------------------------------------------------- *)
-
-type access = {
-  a_key : string;           (* abstract location *)
-  a_locks : string list;    (* lock names held (sorted, deduped) *)
-  a_site : string;          (* "file:line" *)
-  a_write : bool;
-}
 
 type global = {
   g_key : string;           (* qualified "Mod.name" *)
@@ -230,13 +188,11 @@ type unit_info = {
   u_imports : string list;  (* normalized unit names *)
   mutable u_entry : bool;
   u_sanctioned : bool;
-  mutable u_accesses : access list;
   mutable u_globals : global list;
   mutable u_raw : raw_finding list;
 }
 
 type scan_ctx = {
-  cfg : config;
   unit_ : unit_info;
   toplevel : (string, Typedtree.expression) Hashtbl.t;
       (* toplevel value name -> bound expression *)
@@ -266,38 +222,6 @@ let qualify ctx (p : Path.t) =
     if Hashtbl.mem ctx.toplevel n then ctx.unit_.u_modname ^ "." ^ n else n
   | _ -> norm_name (Path.name p)
 
-(* the abstract name of a lock expression: per-global or per-field (access
-   path), deliberately not per-instance — two functions locking a [lock]
-   field of the same record type count as the same discipline *)
-let rec lock_expr_name ctx (e : expression) =
-  match e.exp_desc with
-  | Texp_ident (Path.Pident i, _, _) ->
-    if Hashtbl.mem ctx.toplevel (Ident.name i) then
-      ctx.unit_.u_modname ^ "." ^ Ident.name i
-    else Ident.name i
-  | Texp_ident (p, _, _) -> norm_name (Path.name p)
-  | Texp_field (b, _, lbl) -> (
-    match head_tycon b.exp_type with
-    | Some t -> t ^ "." ^ lbl.Types.lbl_name
-    | None -> "<field>." ^ lbl.Types.lbl_name)
-  | Texp_open (_, b) -> lock_expr_name ctx b
-  | _ -> "<lock>"
-
-(* shared-location key for the first argument of a container access:
-   module-level values only (unit toplevel or an external dotted path) *)
-let shared_arg_key ctx (e : expression) =
-  match e.exp_desc with
-  | Texp_ident (Path.Pident i, _, _)
-    when Hashtbl.mem ctx.toplevel (Ident.name i) ->
-    Some (ctx.unit_.u_modname ^ "." ^ Ident.name i)
-  | Texp_ident ((Path.Pdot _ as p), _, _) -> Some (norm_name (Path.name p))
-  | _ -> None
-
-let field_key (base : expression) (lbl : Types.label_description) =
-  match head_tycon base.exp_type with
-  | Some t -> Some (t ^ "." ^ lbl.Types.lbl_name)
-  | None -> None
-
 let callee_name ctx (f : expression) =
   match f.exp_desc with
   | Texp_ident (p, _, _) -> Some (qualify ctx p)
@@ -308,192 +232,43 @@ let first_nolabel_arg args =
     (function Asttypes.Nolabel, Some a -> Some a | _ -> None)
     args
 
-let record_access ctx ~key ~locks ~site ~write =
-  let locks = List.sort_uniq compare locks in
-  ctx.unit_.u_accesses <-
-    { a_key = key; a_locks = locks; a_site = site; a_write = write }
-    :: ctx.unit_.u_accesses
-
 (* --- main per-unit walk ------------------------------------------------------------ *)
 
-(* Walk one toplevel binding's expression, threading a mutable lock set
-   through the control flow the typedtree exposes (sequences and lets run
-   left to right under the default iterator, which is exactly source
-   order), recording shared-location accesses, fork sites, blocking calls
-   and same-unit call edges. *)
+(* Walk one toplevel binding's expression, recording its fork sites,
+   blocking calls and same-unit call edges. *)
 let walk_toplevel ctx ~fn_name (root : expression) =
   let src = ctx.unit_.u_source in
-  let ls = ref [] in
-  let owned = Hashtbl.create 8 in  (* idents bound to fresh record literals *)
-  let blocking =
-    match Hashtbl.find_opt ctx.blocking fn_name with
+  let edges tbl =
+    match Hashtbl.find_opt tbl fn_name with
     | Some r -> r
     | None ->
       let r = ref [] in
-      Hashtbl.replace ctx.blocking fn_name r;
+      Hashtbl.replace tbl fn_name r;
       r
   in
-  let calls =
-    match Hashtbl.find_opt ctx.calls fn_name with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Hashtbl.replace ctx.calls fn_name r;
-      r
-  in
-  let saved f =
-    let s = !ls in
-    f ();
-    ls := s
-  in
-  let rec base_ident (e : expression) =
-    match e.exp_desc with
-    | Texp_ident (p, _, _) -> Some p
-    | Texp_field (b, _, _) -> base_ident b
-    | Texp_open (_, b) -> base_ident b
-    | _ -> None
-  in
+  let blocking = edges ctx.blocking and calls = edges ctx.calls in
   let it =
     let open Tast_iterator in
     let expr sub (e : expression) =
-      match e.exp_desc with
-      | Texp_function _ ->
-        (* a lambda body runs when (and where) the closure is called, not
-           here: locks held at the definition site do not apply *)
-        saved (fun () ->
-            ls := [];
-            default_iterator.expr sub e)
-      | Texp_ifthenelse (c, t, eo) ->
-        sub.expr sub c;
-        (* [if Mutex.try_lock m then ...]: the then-branch holds m *)
-        let extra =
-          match c.exp_desc with
-          | Texp_apply (f, args) -> (
-            match callee_name ctx f with
-            | Some n when List.exists (dotted_suffix n) trylock_fns -> (
-              match first_nolabel_arg args with
-              | Some m -> [ lock_expr_name ctx m ]
-              | None -> [])
-            | _ -> [])
-          | _ -> []
-        in
-        saved (fun () ->
-            ls := extra @ !ls;
-            sub.expr sub t);
-        (match eo with
-         | Some e2 -> saved (fun () -> sub.expr sub e2)
-         | None -> ())
-      | Texp_match (scrut, cases, _) ->
-        sub.expr sub scrut;
-        List.iter (fun c -> saved (fun () -> sub.case sub c)) cases
-      | Texp_try (b, cases) ->
-        saved (fun () -> sub.expr sub b);
-        List.iter (fun c -> saved (fun () -> sub.case sub c)) cases
-      | Texp_while (c, b) ->
-        sub.expr sub c;
-        saved (fun () -> sub.expr sub b)
-      | Texp_for (_, _, lo, hi, _, b) ->
-        sub.expr sub lo;
-        sub.expr sub hi;
-        saved (fun () -> sub.expr sub b)
-      | Texp_let (_, vbs, body) ->
-        List.iter
-          (fun vb ->
-            (match (pat_ident vb.vb_pat, vb.vb_expr.exp_desc) with
-             | Some id, Texp_record _ ->
-               Hashtbl.replace owned (Ident.unique_name id) ()
-             | _ -> ());
-            sub.value_binding sub vb)
-          vbs;
-        sub.expr sub body
-      | Texp_setfield (b, _, lbl, v) ->
-        (match base_ident b with
-         | Some (Path.Pident i)
-           when Hashtbl.mem owned (Ident.unique_name i) ->
-           () (* freshly built in this function: owned, not yet shared *)
-         | _ -> (
-           match field_key b lbl with
-           | Some key ->
-             record_access ctx ~key ~locks:!ls
-               ~site:(loc_site e.exp_loc src) ~write:true
-           | None -> ()));
-        sub.expr sub b;
-        sub.expr sub v
-      | Texp_field (b, _, lbl) ->
-        (if lbl.Types.lbl_mut = Asttypes.Mutable then
-           match base_ident b with
-           | Some (Path.Pident i)
-             when Hashtbl.mem owned (Ident.unique_name i) ->
-             ()
-           | _ -> (
-             match field_key b lbl with
-             | Some key ->
-               record_access ctx ~key ~locks:!ls
-                 ~site:(loc_site e.exp_loc src) ~write:false
-             | None -> ()));
-        sub.expr sub b
-      | Texp_ident (Path.Pident i, _, _)
-        when Hashtbl.mem ctx.toplevel (Ident.name i) ->
-        calls :=
-          (Ident.name i, loc_site e.exp_loc src) :: !calls
-      | Texp_apply (f, args) ->
-        (match callee_name ctx f with
+      (match e.exp_desc with
+       | Texp_ident (Path.Pident i, _, _)
+         when Hashtbl.mem ctx.toplevel (Ident.name i) ->
+         calls := (Ident.name i, loc_site e.exp_loc src) :: !calls
+       | Texp_apply (f, args) -> (
+         match callee_name ctx f with
          | Some name ->
            let is set = List.exists (dotted_suffix name) set in
-           (* lock-set transitions *)
-           (if is lock_fns then
-              match first_nolabel_arg args with
-              | Some m -> ls := lock_expr_name ctx m :: !ls
-              | None -> ()
-            else if is unlock_fns then
-              match first_nolabel_arg args with
-              | Some m ->
-                let n = lock_expr_name ctx m in
-                ls := List.filter (fun x -> x <> n) !ls
-              | None -> ());
-           (* blocking-call inventory for rule 4 *)
            if is blocking_fns then
              blocking := (name, loc_site e.exp_loc src) :: !blocking;
-           (* fork-site inventory for rules 1 and 4 *)
            if is fork_fns then (
              match first_nolabel_arg args with
              | Some thunk ->
                ctx.forks :=
                  (name, loc_site e.exp_loc src, thunk) :: !(ctx.forks)
-             | None -> ());
-           (* container accesses on shared values *)
-           List.iter
-             (fun (fn, write) ->
-               if dotted_suffix name fn then
-                 match first_nolabel_arg args with
-                 | Some a -> (
-                   match shared_arg_key ctx a with
-                   | Some key ->
-                     record_access ctx ~key ~locks:!ls
-                       ~site:(loc_site e.exp_loc src) ~write
-                   | None -> ())
-                 | None -> ())
-             container_access_fns;
-           (* [Mutex.protect m (fun () -> body)]: body holds m.  Visit the
-              protected lambda's cases directly so the function-resets-
-              lockset rule above does not erase the guard. *)
-           if is protect_fns then (
-             match args with
-             | (_, Some m) :: rest -> (
-               let fn_arg = first_nolabel_arg rest in
-               sub.expr sub f;
-               sub.expr sub m;
-               match fn_arg with
-               | Some { exp_desc = Texp_function { cases; _ }; _ } ->
-                 saved (fun () ->
-                     ls := lock_expr_name ctx m :: !ls;
-                     List.iter (sub.case sub) cases)
-               | Some other -> sub.expr sub other
-               | None -> ())
-             | _ -> default_iterator.expr sub e)
-           else default_iterator.expr sub e
-         | None -> default_iterator.expr sub e)
-      | _ -> default_iterator.expr sub e
+             | None -> ())
+         | None -> ())
+       | _ -> ());
+      default_iterator.expr sub e
     in
     { default_iterator with expr }
   in
@@ -584,11 +359,7 @@ let analyze_thunk ctx ~fork_name ~fork_site (thunk : expression) =
         sub.expr sub b;
         sub.expr sub v
       | Texp_apply (f, args) -> (
-        match
-          match f.exp_desc with
-          | Texp_ident (p, _, _) -> Some (qualify ctx p)
-          | _ -> None
-        with
+        match callee_name ctx f with
         | Some name ->
           let is set = List.exists (dotted_suffix name) set in
           if is blocking_fns then
@@ -717,13 +488,9 @@ let name_rule_message = function
   | "nondet/domain-id" ->
     "Domain.self in code: domain identity varies with scheduling and must \
      never reach a result path"
-  | "mm/physical-eq-key" ->
+  | _ ->
     "physical-equality / address-dependent key: object identity is not a \
      stable program input (moving GC, re-parsing) and poisons memo tables"
-  | _ ->
-    "naked Atomic.get of a fence-protected field: .published is the \
-     publication fence and may only be read as part of the documented \
-     sync-retry protocol"
 
 let hashtbl_order_fns =
   [ "Hashtbl.iter"; "Hashtbl.fold"; "Hashtbl.to_seq"; "Hashtbl.to_seq_keys";
@@ -759,7 +526,7 @@ let unit_name aliases p =
       Some (String.sub n 7 (String.length n - 7))
     else Some n
 
-(* Run the six name rules over a whole implementation; each finding sits
+(* Run the five name rules over a whole implementation; each finding sits
    on the line of the offending identifier. *)
 let name_findings src (str : structure) =
   let aliases = Hashtbl.create 8 in
@@ -843,11 +610,6 @@ let name_findings src (str : structure) =
                 Hashtbl.replace sorted g.exp_loc ()
               | _ -> ())
             args;
-        (match (name f, first_nolabel_arg args) with
-         | Some "Atomic.get", Some { exp_desc = Texp_field (_, _, lbl); _ }
-           when lbl.Types.lbl_name = "published" ->
-           fire "mm/naked-atomic-get" f.exp_loc
-         | _ -> ());
         let hashtbl_call =
           match name f with
           | Some n -> starts_with ~prefix:"Hashtbl." n
@@ -917,13 +679,11 @@ let scan_unit cfg (cmt : Cmt_format.cmt_infos) =
             (fun p -> starts_with ~prefix:p source)
             cfg.entry_path_prefixes;
         u_sanctioned = sanctioned;
-        u_accesses = [];
         u_globals = [];
         u_raw = [] }
     in
     let ctx =
-      { cfg;
-        unit_;
+      { unit_;
         toplevel = Hashtbl.create 64;
         top_order = ref [];
         blocking = Hashtbl.create 16;
@@ -996,78 +756,7 @@ let scan_unit cfg (cmt : Cmt_format.cmt_infos) =
 
 (* --- cross-unit analysis ----------------------------------------------------------- *)
 
-let intersect a b = List.filter (fun x -> List.mem x b) a
-
-(* lock-discipline verdicts over the merged access lists *)
-let lock_discipline_findings units =
-  let by_key = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      if not u.u_sanctioned then
-        List.iter
-          (fun a ->
-            let cur =
-              match Hashtbl.find_opt by_key a.a_key with
-              | Some l -> l
-              | None -> []
-            in
-            Hashtbl.replace by_key a.a_key (a :: cur))
-          u.u_accesses)
-    units;
-  let keys =
-    List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) by_key [])
-  in
-  List.filter_map
-    (fun key ->
-      let accs = Hashtbl.find by_key key in
-      let seeded = List.exists (fun a -> a.a_locks <> []) accs in
-      if not seeded then None
-      else
-        let inter =
-          List.fold_left
-            (fun acc a ->
-              match acc with
-              | None -> Some a.a_locks
-              | Some l -> Some (intersect l a.a_locks))
-            None accs
-        in
-        match inter with
-        | Some [] ->
-          let offending =
-            List.sort compare
-              (List.filter_map
-                 (fun a ->
-                   if a.a_locks = [] then Some a.a_site else None)
-                 accs)
-          in
-          let locked_example =
-            match List.find_opt (fun a -> a.a_locks <> []) accs with
-            | Some a ->
-              Printf.sprintf "{%s} at %s" (String.concat "," a.a_locks)
-                a.a_site
-            | None -> "?"
-          in
-          let sites =
-            match offending with
-            | [] ->
-              (* no unlocked access: disjoint nonempty lock sets *)
-              List.sort_uniq compare (List.map (fun a -> a.a_site) accs)
-            | o -> o
-          in
-          Some
-            { rf_rule = "typed/lock-discipline";
-              rf_sites = sites;
-              rf_message =
-                Printf.sprintf
-                  "shared mutable location `%s` is lock-guarded (%s) but \
-                   accessed under %s lock set elsewhere: every access \
-                   must share a common lock"
-                  key locked_example
-                  (if offending = [] then "a disjoint" else "an empty") }
-        | _ -> None)
-    keys
-
-let module_escape_findings units rule2_keys =
+let module_escape_findings units =
   let by_name = Hashtbl.create 64 in
   List.iter (fun u -> Hashtbl.replace by_name u.u_modname u) units;
   (* unit-level reachability from the entry units over cmt imports *)
@@ -1082,26 +771,6 @@ let module_escape_findings units rule2_keys =
     | None -> ()
   in
   List.iter (fun u -> if u.u_entry then visit u.u_modname u.u_modname) units;
-  (* locksets observed per global key, merged across units *)
-  let guard = Hashtbl.create 64 in
-  List.iter
-    (fun u ->
-      List.iter
-        (fun a ->
-          let cur =
-            match Hashtbl.find_opt guard a.a_key with
-            | Some l -> l
-            | None -> []
-          in
-          Hashtbl.replace guard a.a_key (a.a_locks :: cur))
-        u.u_accesses)
-    units;
-  let consistently_guarded key =
-    match Hashtbl.find_opt guard key with
-    | Some (l0 :: rest) ->
-      List.fold_left intersect l0 rest <> []
-    | _ -> false
-  in
   List.concat_map
     (fun u ->
       if u.u_sanctioned then []
@@ -1109,25 +778,18 @@ let module_escape_findings units rule2_keys =
         match Hashtbl.find_opt reachable u.u_modname with
         | None -> []
         | Some via ->
-          List.filter_map
+          List.map
             (fun g ->
-              if List.mem g.g_key rule2_keys then
-                None (* rule 2 already diagnosed the inconsistency *)
-              else if consistently_guarded g.g_key then None
-              else
-                Some
-                  { rf_rule = "typed/module-escape";
-                    rf_sites = [ g.g_site ];
-                    rf_message =
-                      Printf.sprintf
-                        "module-level mutable state `%s` (%s) is reachable \
-                         from flow entry point%s without a synchronization \
-                         wrapper: route it through Atomic, a consistently \
-                         held lock, Domain.DLS, or the obs \
-                         registries"
-                        g.g_key g.g_kind
-                        (if via = u.u_modname then ""
-                         else " via " ^ via) })
+              { rf_rule = "typed/module-escape";
+                rf_sites = [ g.g_site ];
+                rf_message =
+                  Printf.sprintf
+                    "module-level mutable state `%s` (%s) is reachable from \
+                     flow entry point%s without a synchronization wrapper: \
+                     route it through Atomic, Obs.Locked, Domain.DLS, or \
+                     the obs registries"
+                    g.g_key g.g_kind
+                    (if via = u.u_modname then "" else " via " ^ via) })
             (List.sort compare u.u_globals))
     (List.sort (fun a b -> compare a.u_modname b.u_modname) units)
 
@@ -1161,8 +823,7 @@ let source_waivers cfg =
           let ic = open_in_bin full in
           let content = really_input_string ic (in_channel_length ic) in
           close_in ic;
-          let raw, code = Lint_common.strip_lines content in
-          Lint_common.line_waivers ~path raw code)
+          Lint_common.line_waivers ~path content)
         else ([], [])
       in
       Hashtbl.replace cache path ws;
@@ -1204,25 +865,9 @@ let scan_cmt_files ?(config = default_config) ?(waivers = "") ~sources paths =
         end)
       units
   in
-  let raw_rule2 = lock_discipline_findings units in
-  let rule2_keys =
-    List.filter_map
-      (fun rf ->
-        (* the key is rendered inside backquotes in the message *)
-        match String.index_opt rf.rf_message '`' with
-        | Some i -> (
-          match String.index_from_opt rf.rf_message (i + 1) '`' with
-          | Some j ->
-            Some (String.sub rf.rf_message (i + 1) (j - i - 1))
-          | None -> None)
-        | None -> None)
-      raw_rule2
-  in
   let raw =
     List.sort_uniq compare
-      (List.concat_map (fun u -> u.u_raw) units
-      @ raw_rule2
-      @ module_escape_findings units rule2_keys)
+      (List.concat_map (fun u -> u.u_raw) units @ module_escape_findings units)
   in
   let fired = Hashtbl.create 8 in
   List.iter

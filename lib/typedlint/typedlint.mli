@@ -4,7 +4,7 @@
     them with real binding and scope resolution.  All rules have [Error]
     severity; findings use the {!Lint_common.finding} shape.
 
-    Six name rules look up resolved identifier paths.  Each finding sits
+    Five name rules look up resolved identifier paths.  Each finding sits
     on the identifier's line.  [Hashtbl.fold] reached through [open], a
     module alias or [let module] is caught, and a local binding that
     merely shares a name is not:
@@ -17,10 +17,8 @@
     - [nondet/domain-id] — [Domain.self].
     - [mm/physical-eq-key] — [Obj.repr], [Obj.magic], or [==] inside a
       [Hashtbl.*] application.
-    - [mm/naked-atomic-get] — [Atomic.get] applied to a field labelled
-      [published].
 
-    Four dataflow rules follow closures and locks:
+    Three dataflow rules follow closures and module state:
 
     - [typed/capture-escape] — a thunk passed to [Sched.fork] /
       [Core.Parallel.fork]/[map]/[map_list] whose closure captures a
@@ -28,26 +26,22 @@
       a mutable record field of a captured value, without routing through
       [Atomic], a [Mutex]-guarded section, [Domain.DLS] or the obs
       registries.
-    - [typed/lock-discipline] — consistent-lock-set inference: every
-      access to a shared mutable location (module-level containers,
-      mutable record fields keyed as [Type.field]) collects the lock set
-      held at the access, seeded from [Mutex.lock] and [Mutex.protect]
-      sites.  A location locked at one access must
-      share a common lock at every access.
     - [typed/module-escape] — module-level mutable state reachable from
       the flow entry points ([Flow.run_all], [Report.Table.run_suite*],
-      the [bin/] executables) with no synchronization wrapper and no
-      consistent lock guard.
-    - [typed/blocking-in-task] — [Mutex.lock], [Condition.wait], [Unix]
-      blocking calls or [Thread.delay] syntactically reachable inside a
-      forked task body, directly or through same-unit helpers: the
-      no-help fork-join scheduler parks a whole worker.
+      the [bin/] executables) with no synchronization wrapper
+      ([Atomic], [Obs.Locked], [Mutex], [Condition], [Domain.DLS]).
+    - [typed/blocking-in-task] — [Mutex.lock], [Condition.wait],
+      [Obs.Locked.await], [Unix] blocking calls or [Thread.delay]
+      syntactically reachable inside a forked task body, directly or
+      through same-unit helpers: the no-help fork-join scheduler parks a
+      whole worker.
 
-    The dataflow rules are deliberately conservative (silence over
-    noise): intraprocedural plus one same-unit hop, locks identified by
-    access path rather than instance, and lambdas never seen called
-    treated as unreachable.  DESIGN.md §15 documents every deliberate
-    gap.
+    No rule checks lock discipline: every lock in [lib/] is an
+    {!Obs.Locked.t} that owns what it guards, so an unlocked access does
+    not compile.  The dataflow rules are deliberately conservative
+    (silence over noise): intraprocedural plus one same-unit hop, and
+    lambdas never seen called treated as unreachable.  DESIGN.md §15
+    documents every deliberate gap.
 
     Waivers follow {!Lint_common}: a justified in-source
     [(* lint-waive: <rule-id> — <justification> *)] trailing the line or
@@ -64,7 +58,7 @@ type finding = Lint_common.finding = {
 }
 
 val rule_ids : string list
-(** The ten waivable rule ids, sorted.  [scan_cmt_files] can also emit
+(** The eight waivable rule ids, sorted.  [scan_cmt_files] can also emit
     the waiver-hygiene findings above and [lint/unscanned-source]. *)
 
 type config = {

@@ -1,7 +1,8 @@
 (* lib/obs tests: span nesting (qcheck), the zero-allocation disabled path,
-   a deterministic Chrome-export golden via the fake clock, the JSON codec
-   (qcheck round trip) and every emitter built on it, metrics registry
-   semantics, and flow determinism with tracing on vs off. *)
+   a sink that raises, a deterministic Chrome-export golden via the fake
+   clock, the JSON codec (qcheck round trip) and every emitter built on it,
+   metrics registry semantics, and flow determinism with tracing on vs
+   off. *)
 
 let reset_all () =
   Obs.Trace.disable ();
@@ -94,6 +95,33 @@ let test_span_exception () =
   Alcotest.(check int) "raising span still recorded" 1
     (List.length (Obs.Trace.spans ()));
   reset_all ()
+
+(* A sink that raises must not wedge the tracer: its exception leaves the
+   span that was completing, and the sink registry and the span buffer stay
+   usable on the same domain. *)
+exception Sink_failed
+
+let test_raising_sink () =
+  reset_all ();
+  Obs.Trace.enable ();
+  let id =
+    Obs.Trace.add_sink
+      { Obs.Trace.on_span = (fun _ -> raise Sink_failed);
+        on_flush = (fun () -> ()) }
+  in
+  (match Obs.Trace.span "doomed" (fun () -> ()) with
+   | () -> Alcotest.fail "the sink's exception was swallowed"
+   | exception Sink_failed -> ());
+  Obs.Trace.remove_sink id;
+  Obs.Trace.span "after" (fun () -> ());
+  Obs.Trace.flush_sinks ();
+  let names =
+    List.sort compare
+      (List.map (fun (s : Obs.Trace.span) -> s.name) (Obs.Trace.spans ()))
+  in
+  reset_all ();
+  Alcotest.(check (list string)) "both spans buffered" [ "after"; "doomed" ]
+    names
 
 (* [end_args] is read when the span closes, on return and on raise, after
    the start-time [args]. *)
@@ -365,6 +393,7 @@ let () =
        [ Alcotest.test_case "disabled-zero-alloc" `Quick
            test_disabled_zero_alloc;
          Alcotest.test_case "span-exception" `Quick test_span_exception;
+         Alcotest.test_case "raising-sink" `Quick test_raising_sink;
          Alcotest.test_case "span-end-args" `Quick test_span_end_args ]);
       ("export",
        [ Alcotest.test_case "chrome-golden" `Quick test_chrome_golden;

@@ -3,17 +3,16 @@
    Each mutation test compiles a small self-contained source to a .cmt
    (ocamlc -bin-annot in a temp dir) with a stub [Core.Parallel] whose
    paths match the real scheduler re-export, seeds exactly one violation
-   — a forked thunk capturing a naked ref, a mutable field accessed under
-   the wrong (or no) lock, a Condition.wait inside a task body, an
-   entry-reachable module-level Hashtbl, an unsorted Hashtbl.iter, a
-   wall-clock read — and asserts the intended rule id fires.  Control
-   twins route the same state through Atomic / Mutex.protect / a
-   consistent lock / a sort and must scan clean.  The qcheck property
-   generates random *pure* closures, forks them at jobs 1/2/4, and asserts
-   the analyzer never reports (no false positives).  Waiver tests cover
-   the justified-waiver contract (trailing, standalone, unjustified,
-   unknown, stale, file-level); the stripper that places standalone
-   waivers is checked directly. *)
+   — a forked thunk capturing a naked ref, a Condition.wait inside a task
+   body, an entry-reachable module-level Hashtbl, an unsorted
+   Hashtbl.iter, a wall-clock read — and asserts the intended rule id
+   fires.  Control twins route the same state through Atomic /
+   Mutex.protect / a lock that owns it / a sort and must scan clean.  The
+   qcheck property generates random *pure* closures, forks them at jobs
+   1/2/4, and asserts the analyzer never reports (no false positives).
+   Waiver tests cover the justified-waiver contract (trailing, standalone,
+   unjustified, unknown, stale, file-level) and which lines count as code
+   when a standalone waiver is placed. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -74,7 +73,7 @@ let stub =
   \  end\n\
    end\n"
 
-(* --- rule 1: capture / escape ------------------------------------------------------ *)
+(* --- capture / escape ------------------------------------------------------ *)
 
 let test_capture_naked_ref () =
   let r =
@@ -145,53 +144,7 @@ let test_capture_controls_clean () =
         \  in\n\
         \  Core.Parallel.join t\n"))
 
-(* --- rule 2: lock discipline ------------------------------------------------------- *)
-
-let test_lock_discipline_empty_set () =
-  let r =
-    scan
-      (stub
-     ^ "type s = { lock : Mutex.t; mutable v : int }\n\
-        let bump s = Mutex.lock s.lock; s.v <- s.v + 1; Mutex.unlock s.lock\n\
-        let sneak s = s.v <- s.v + 1\n")
-  in
-  check_rules "unlocked access to a guarded field"
-    [ "typed/lock-discipline" ] r;
-  Alcotest.(check bool)
-    "the unlocked site is the primary site" true
-    (match r.Typedlint.findings with
-     | f :: _ ->
-       List.exists
-         (fun site -> site = "mutant.ml:12")
-         f.Lint_common.sites
-     | [] -> false)
-
-let test_lock_discipline_wrong_lock () =
-  let r =
-    scan
-      (stub
-     ^ "type s = { l1 : Mutex.t; l2 : Mutex.t; mutable v : int }\n\
-        let a s = Mutex.lock s.l1; s.v <- s.v + 1; Mutex.unlock s.l1\n\
-        let b s = Mutex.lock s.l2; s.v <- s.v + 1; Mutex.unlock s.l2\n")
-  in
-  check_rules "disjoint lock sets on one field"
-    [ "typed/lock-discipline" ] r
-
-let test_lock_discipline_consistent_clean () =
-  check_rules "consistently guarded field" []
-    (scan
-       (stub
-      ^ "type s = { lock : Mutex.t; mutable v : int }\n\
-         let bump s = Mutex.lock s.lock; s.v <- s.v + 1; Mutex.unlock s.lock\n\
-         let read s = Mutex.protect s.lock (fun () -> s.v)\n"));
-  (* never-locked fields are not the analyzer's business (no seed) *)
-  check_rules "unseeded field stays quiet" []
-    (scan
-       (stub
-      ^ "type s = { mutable v : int }\n\
-         let bump s = s.v <- s.v + 1\n"))
-
-(* --- rule 3: module-level escape --------------------------------------------------- *)
+(* --- module-level escape --------------------------------------------------- *)
 
 let test_module_escape_global_hashtbl () =
   let src =
@@ -209,8 +162,21 @@ let test_module_escape_global_hashtbl () =
   (* same unit, no entry point: unreachable state is not reported *)
   check_rules "unreachable unit stays quiet" [] (scan src)
 
-let test_module_escape_guarded_clean () =
-  check_rules "lock-guarded global is sanctioned" []
+(* a stub whose type path matches the real [Obs.Locked] *)
+let locked_stub =
+  "module Obs = struct\n\
+  \  module Locked = struct\n\
+  \    type 'a t = { m : Mutex.t; v : 'a }\n\
+  \    let create v = { m = Mutex.create (); v }\n\
+  \    let use t f = Mutex.protect t.m (fun () -> f t.v)\n\
+  \    let await t f = use t (fun v -> Option.get (f v))\n\
+  \  end\n\
+   end\n"
+
+let test_module_escape_mutex_guarded () =
+  (* a lock beside the state does not sanction it: only a lock that owns
+     its value makes an unlocked access fail to compile *)
+  check_rules "Mutex-guarded global is reported" [ "typed/module-escape" ]
     (scan ~entry_points:[ "Mutant.main" ]
        (stub
       ^ "let gm = Mutex.create ()\n\
@@ -218,7 +184,15 @@ let test_module_escape_guarded_clean () =
          let main () =\n\
         \  Mutex.lock gm;\n\
         \  Hashtbl.replace cache 1 2;\n\
-        \  Mutex.unlock gm\n"));
+        \  Mutex.unlock gm\n"))
+
+let test_module_escape_guarded_clean () =
+  check_rules "lock-owned global is sanctioned" []
+    (scan ~entry_points:[ "Mutant.main" ]
+       (stub ^ locked_stub
+      ^ "let cache : (int, int) Hashtbl.t Obs.Locked.t =\n\
+        \  Obs.Locked.create (Hashtbl.create 16)\n\
+         let main () = Obs.Locked.use cache (fun c -> Hashtbl.replace c 1 2)\n"));
   check_rules "Atomic global is sanctioned" []
     (scan ~entry_points:[ "Mutant.main" ]
        (stub
@@ -230,7 +204,7 @@ let test_module_escape_guarded_clean () =
       ^ "let buf = Domain.DLS.new_key (fun () -> Buffer.create 64)\n\
          let main () = Buffer.add_char (Domain.DLS.get buf) 'x'\n"))
 
-(* --- rule 4: blocking call in a task body ------------------------------------------ *)
+(* --- blocking call in a task body ------------------------------------------ *)
 
 let test_blocking_condition_wait () =
   let r =
@@ -257,6 +231,19 @@ let test_blocking_condition_wait () =
          f.Lint_common.rule_id = "typed/blocking-in-task"
          && String.length f.Lint_common.message > 0)
        r.Typedlint.findings)
+
+let test_blocking_locked_await () =
+  check_rules "Obs.Locked.await in a task is caught"
+    [ "typed/blocking-in-task" ]
+    (scan
+       (stub ^ locked_stub
+      ^ "let q : int Queue.t Obs.Locked.t =\n\
+        \  Obs.Locked.create (Queue.create ())\n\
+         let go () =\n\
+        \  let t =\n\
+        \    Core.Parallel.fork (fun () -> Obs.Locked.await q Queue.take_opt)\n\
+        \  in\n\
+        \  Core.Parallel.join t\n"))
 
 let test_blocking_through_helper () =
   let r =
@@ -331,10 +318,7 @@ let test_lint_rules_fire () =
       ("let d () = (Domain.self () :> int)\n", [ "nondet/domain-id" ]);
       ("let k v = Obj.repr v\n", [ "mm/physical-eq-key" ]);
       ( "let mem t k = Hashtbl.mem t (List.find (fun x -> x == k) [ k ])\n",
-        [ "mm/physical-eq-key" ] );
-      ( "type t = { published : int Atomic.t }\n\
-         let v t = Atomic.get t.published\n",
-        [ "mm/naked-atomic-get" ] ) ]
+        [ "mm/physical-eq-key" ] ) ]
   in
   List.iter (fun (src, expected) -> check_rules src expected (scan src)) cases;
   (* the site is the identifier's line, the line a waiver covers *)
@@ -360,9 +344,7 @@ let test_lint_exemptions () =
       (* allocation alone is no rule: typed/module-escape judges real
          reachability instead *)
       "let cache : (int, int) Hashtbl.t = Hashtbl.create 64\n\
-       let lock = Mutex.create ()\n";
-      (* only the fence field is protected *)
-      "type t = { next : int Atomic.t }\nlet v t = Atomic.get t.next\n" ]
+       let lock = Mutex.create ()\n" ]
   in
   List.iter (fun src -> check_rules src [] (scan src)) clean
 
@@ -384,56 +366,61 @@ let test_lint_typed_resolution () =
        "module Unix = struct let gettimeofday () = 0. end\n\
         let t () = Unix.gettimeofday ()\n")
 
-(* --- stripper ------------------------------------------------------------------------ *)
+(* --- code lines ------------------------------------------------------------------------ *)
 
-let code_of src =
-  String.concat "\n" (Array.to_list (snd (Lint_common.strip_lines src)))
+let marker =
+  "(* lint-waive: nondet/wall-clock — fixture for the code-line test *)"
 
-let has hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+(* the lines the one waiver in [src] covers: a standalone marker reaches
+   down to the first line on which a token starts *)
+let covers src =
+  match fst (Lint_common.line_waivers ~path:"mutant.ml" src) with
+  | [ w ] -> w.Lint_common.lw_covers
+  | ws -> Alcotest.failf "expected one waiver, found %d" (List.length ws)
 
-let test_lint_strip () =
-  (* text inside comments, strings and quoted strings is not code *)
-  let hidden =
-    [ ("(* Unix.gettimeofday is mentioned here *)\nlet x = 1\n", "Unix");
-      ("let s = \"Hashtbl.iter inside a string\"\n", "Hashtbl");
-      ("(* outer (* Obj.magic nested *) still comment *)\nlet x = 1\n", "still");
-      ("let q = {|Domain.self in a quoted string|}\n", "Domain");
-      (* a comment opened on one line hides the next *)
-      ("(* comment spanning\n   Hashtbl.iter lines *)\nlet x = 1\n", "Hashtbl");
-      (* regression: delimited quoted strings inside comments balance like
-         the real lexer: a close-comment token inside the quoted part does
-         not end the comment *)
-      ("(* {x| *) Obj.magic |x} still a comment *)\nlet x = 1\n", "Obj");
-      ("(* {| *) Obj.magic |} still a comment *)\nlet x = 1\n", "Obj");
-      (* regression: delimited quoted strings in code *)
-      ("let q = {ext|Obj.magic \" unclosed|ext}\nlet y = 2\n", "Obj");
-      (* regression: escaped quotes keep the string open *)
-      ("let s = \"a \\\" Hashtbl.iter f t \\\" b\"\nlet y = 2\n", "Hashtbl") ]
+let test_lint_code_lines () =
+  let cases =
+    [ (* comments, nested or spanning lines, hold no code *)
+      ( marker ^ "\n(* Unix.gettimeofday is mentioned here *)\nlet x = 1\n",
+        [ 1; 2; 3 ] );
+      ( marker
+        ^ "\n(* outer (* Obj.magic nested *) still comment *)\nlet x = 1\n",
+        [ 1; 2; 3 ] );
+      ( marker ^ "\n(* comment spanning\n   Hashtbl.iter lines *)\nlet x = 1\n",
+        [ 1; 2; 3; 4 ] );
+      (marker ^ "\n(** Obj.magic in a docstring *)\nlet x = 1\n", [ 1; 2; 3 ]);
+      (* quoted strings and strings inside comments balance like the
+         compiler's lexer: a close-comment token inside them does not end
+         the comment *)
+      ( marker ^ "\n(* {x| *) Obj.magic |x} still a comment *)\nlet x = 1\n",
+        [ 1; 2; 3 ] );
+      ( marker ^ "\n(* {| *) Obj.magic |} still a comment *)\nlet x = 1\n",
+        [ 1; 2; 3 ] );
+      ( marker ^ "\n(* \"a *) string\" still a comment *)\nlet x = 1\n",
+        [ 1; 2; 3 ] );
+      (* a char-literal quote inside a comment opens no string *)
+      (marker ^ "\n(* '\"' *)\nlet () = Hashtbl.iter f t\n", [ 1; 2; 3 ]);
+      (marker ^ "\n(* '\\\"' *)\nlet () = Hashtbl.iter f t\n", [ 1; 2; 3 ]);
+      (* a char literal and a string literal on their own line are code *)
+      ( marker ^ "\nlet c = '\"' and y = Random.State.make_self_init\n",
+        [ 1; 2 ] );
+      (marker ^ "\n  \"Hashtbl.iter in a string literal\"\n", [ 1; 2 ]);
+      (* the inside of a string that spans lines is not code *)
+      ( "let q = {ext|Obj.magic \" unclosed\n" ^ marker
+        ^ "\nstill quoted |ext}\nlet y = 2\n",
+        [ 2; 3; 4 ] );
+      ("let q = {|Domain.self\n" ^ marker ^ "\n|}\nlet y = 2\n", [ 2; 3; 4 ]);
+      ( "let s = \"a \\\" Hashtbl.iter\n" ^ marker
+        ^ "\nf t \\\" b\"\nlet y = 2\n",
+        [ 2; 3; 4 ] ) ]
   in
   List.iter
-    (fun (src, tok) ->
-      Alcotest.(check bool) (src ^ " hides " ^ tok) false (has (code_of src) tok))
-    hidden;
-  (* ... and code after them is code again *)
-  let kept =
-    [ (* a char literal '"' opens no string *)
-      ("let c = '\"' and y = Random.State.make_self_init\n", "Random.State");
-      ("let q = {ext|Obj.magic \" unclosed|ext}\nlet y = 2\n", "let y");
-      ("let s = \"a \\\" Hashtbl.iter f t \\\" b\"\nlet y = 2\n", "let y");
-      (* resync after a comment-embedded quoted string closes *)
-      ("(* {| *) |} *)\nlet () = Hashtbl.iter f t\n", "Hashtbl.iter");
-      (* regression: a char-literal quote inside a comment must not open a
-         string and swallow the code after the comment *)
-      ("(* '\"' *)\nlet () = Hashtbl.iter f t\n", "Hashtbl.iter");
-      ("(* '\\\"' *)\nlet () = Hashtbl.iter f t\n", "Hashtbl.iter") ]
-  in
-  List.iter
-    (fun (src, tok) ->
-      Alcotest.(check bool) (src ^ " keeps " ^ tok) true (has (code_of src) tok))
-    kept
+    (fun (src, expected) ->
+      Alcotest.(check (list int)) src expected (covers src))
+    cases;
+  (* a marker sharing its line with code covers exactly that line *)
+  Alcotest.(check (list int)) "trailing marker" [ 2 ]
+    (covers ("(* lead *)\nlet x = 1 " ^ marker ^ "\nlet y = 2\n"))
 
 (* --- waivers on the name rules -------------------------------------------------------- *)
 
@@ -600,7 +587,7 @@ let qcheck_pure_closures_clean =
    pinned exactly. *)
 let test_render () =
   let fs =
-    [ { Lint_common.rule_id = "typed/lock-discipline";
+    [ { Lint_common.rule_id = "typed/capture-escape";
         sites = [ "lib/a.ml:3"; "lib/a.ml:9" ];
         message = "m1" };
       { Lint_common.rule_id = "nondet/wall-clock";
@@ -608,12 +595,12 @@ let test_render () =
         message = "say \"hi\"" } ]
   in
   Alcotest.(check string) "text"
-    "error[typed/lock-discipline] sites lib/a.ml:3,lib/a.ml:9: m1\n\
+    "error[typed/capture-escape] sites lib/a.ml:3,lib/a.ml:9: m1\n\
      error[nondet/wall-clock] sites bin/b.ml:1: say \"hi\""
     (Lint_common.render fs);
   Alcotest.(check string) "json"
     "[\n\
-    \  {\"rule_id\":\"typed/lock-discipline\",\"severity\":\"error\",\
+    \  {\"rule_id\":\"typed/capture-escape\",\"severity\":\"error\",\
      \"sites\":[\"lib/a.ml:3\",\"lib/a.ml:9\"],\"message\":\"m1\"},\n\
     \  {\"rule_id\":\"nondet/wall-clock\",\"severity\":\"error\",\
      \"sites\":[\"bin/b.ml:1\"],\"message\":\"say \\\"hi\\\"\"}\n\
@@ -629,10 +616,9 @@ let test_render_json_empty () =
 let test_rule_ids_and_stats () =
   Alcotest.(check (list string))
     "rule inventory"
-    [ "mm/naked-atomic-get"; "mm/physical-eq-key"; "nondet/ambient-random";
-      "nondet/domain-id"; "nondet/hashtbl-order"; "nondet/wall-clock";
-      "typed/blocking-in-task"; "typed/capture-escape";
-      "typed/lock-discipline"; "typed/module-escape" ]
+    [ "mm/physical-eq-key"; "nondet/ambient-random"; "nondet/domain-id";
+      "nondet/hashtbl-order"; "nondet/wall-clock"; "typed/blocking-in-task";
+      "typed/capture-escape"; "typed/module-escape" ]
     Typedlint.rule_ids;
   let r = scan (capture_mutant_with "") in
   Alcotest.(check int) "one unit scanned" 1 r.Typedlint.files_scanned;
@@ -655,21 +641,17 @@ let () =
           Alcotest.test_case "field write" `Quick test_capture_field_write;
           Alcotest.test_case "controls clean" `Quick
             test_capture_controls_clean ] );
-      ( "lock-discipline",
-        [ Alcotest.test_case "empty lock set" `Quick
-            test_lock_discipline_empty_set;
-          Alcotest.test_case "wrong lock" `Quick
-            test_lock_discipline_wrong_lock;
-          Alcotest.test_case "consistent clean" `Quick
-            test_lock_discipline_consistent_clean ] );
       ( "module-escape",
         [ Alcotest.test_case "global hashtbl" `Quick
             test_module_escape_global_hashtbl;
           Alcotest.test_case "guarded clean" `Quick
-            test_module_escape_guarded_clean ] );
+            test_module_escape_guarded_clean;
+          Alcotest.test_case "mutex-guarded global" `Quick
+            test_module_escape_mutex_guarded ] );
       ( "blocking-in-task",
         [ Alcotest.test_case "condition wait" `Quick
             test_blocking_condition_wait;
+          Alcotest.test_case "locked await" `Quick test_blocking_locked_await;
           Alcotest.test_case "through helper" `Quick
             test_blocking_through_helper;
           Alcotest.test_case "outside task clean" `Quick
@@ -684,7 +666,7 @@ let () =
           Alcotest.test_case "exemptions" `Quick test_lint_exemptions;
           Alcotest.test_case "typed resolution" `Quick
             test_lint_typed_resolution;
-          Alcotest.test_case "stripping" `Quick test_lint_strip;
+          Alcotest.test_case "stripping" `Quick test_lint_code_lines;
           Alcotest.test_case "in-source waivers" `Quick
             test_lint_waivers_in_source;
           Alcotest.test_case "file waivers" `Quick test_lint_file_waivers;
