@@ -802,6 +802,13 @@ let bechamel_kernels () =
           (Staged.stage (fun () ->
                ignore
                  (Techmap.Mapper.map s27 ~lib:Techmap.Genlib.mcnc_lite)));
+        (* the mapping layer on the suite's largest circuit: subject graph,
+           tagging and tree covering over about 1.6k gates *)
+        (let s5378 = (Circuits.Suite.find "s5378").Circuits.Suite.build () in
+         Test.make ~name:"kernel:tech-mapping-s5378"
+           (Staged.stage (fun () ->
+                ignore
+                  (Techmap.Mapper.map s5378 ~lib:Techmap.Genlib.mcnc_lite))));
         (* STA on the suite's largest circuit: one binding edit followed
            by a period re-query *)
         (let s5378 = (Circuits.Suite.find "s5378").Circuits.Suite.build () in

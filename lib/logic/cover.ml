@@ -128,7 +128,13 @@ let binate_select f =
   done;
   (!best, fst !best_key > 0)
 
-let rec is_tautology f =
+(* A cover of at most [Cube.word_vars] variables is its truth table in one
+   word: the OR of its cubes' word masks. *)
+let narrow f = f.nvars <= Cube.word_vars
+
+let word_mask f = List.fold_left (fun acc c -> acc lor Cube.word_mask c) 0 f.cubes
+
+let rec unate_tautology f =
   if List.exists (fun c -> Cube.lit_count c = 0) f.cubes then true
   else if f.cubes = [] then false
   else begin
@@ -137,13 +143,21 @@ let rec is_tautology f =
        which the first test ruled out: its all-opposite-phase point is 0. *)
     if v < 0 || not binate then false
     else
-      is_tautology (cofactor f v Cube.One)
-      && is_tautology (cofactor f v Cube.Zero)
+      unate_tautology (cofactor f v Cube.One)
+      && unate_tautology (cofactor f v Cube.Zero)
   end
 
-let covers_cube f c = is_tautology (cube_cofactor f c)
+let is_tautology f =
+  if narrow f then word_mask f = Cube.full_word else unate_tautology f
 
-let covers f g = List.for_all (covers_cube f) g.cubes
+let covers_cube f c =
+  if narrow f && Cube.nvars c <= Cube.word_vars then
+    Cube.word_mask c land lnot (word_mask f) = 0
+  else unate_tautology (cube_cofactor f c)
+
+let covers f g =
+  if narrow f && narrow g then word_mask g land lnot (word_mask f) = 0
+  else List.for_all (covers_cube f) g.cubes
 
 let intersect a b =
   assert (a.nvars = b.nvars);
@@ -197,7 +211,9 @@ let sharp a b =
   if b.cubes = [] then a
   else intersect a (complement b)
 
-let equivalent a b = covers a b && covers b a
+let equivalent a b =
+  if narrow a && narrow b then word_mask a = word_mask b
+  else covers a b && covers b a
 
 let minterms f =
   let n = f.nvars in

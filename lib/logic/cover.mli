@@ -49,8 +49,13 @@ val complement : t -> t
 val sharp : t -> t -> t
 (** [sharp a b] is [a] minus [b] (set difference), as a cover. *)
 
+(** {2 Containment}
+
+    On covers of at most {!Cube.word_vars} variables the four tests below
+    compare one word of minterm bits (the OR of {!Cube.word_mask} over the
+    cubes); wider covers take the unate recursion. *)
+
 val is_tautology : t -> bool
-(** Unate-recursive tautology check. *)
 
 val covers_cube : t -> Cube.t -> bool
 (** [covers_cube f c] is true when every minterm of [c] is in [f]. *)

@@ -218,6 +218,40 @@ let set_var c v l =
 let depends_on c v =
   (c.w.(v / vars_per_word) lsr (2 * (v mod vars_per_word))) land 3 <> 3
 
+(* --- points of the first five variables ------------------------------------ *)
+
+(* The 32 points of variables 0-4: point [i] sets variable [v] to bit [v] of
+   [i], and [pattern.(v)] holds the points with variable [v] at 1.  The same
+   layout as one word of a [Truthtab]. *)
+let word_vars = 5
+
+let pattern = [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
+
+let word_pattern v = pattern.(v)
+
+let full_word = 0xFFFF_FFFF
+
+(* [masks.(x)]: the points allowed by the five fields packed in [x].  The
+   table over fields [0..v] extends the one over [0..v-1] by field [v]'s
+   four values (00 allows no point). *)
+let masks =
+  let extend prev v =
+    let p = pattern.(v) in
+    let field = [| 0; lnot p land full_word; p; full_word |] in
+    let low = Array.length prev - 1 in
+    Array.init (4 * Array.length prev) (fun x ->
+        prev.(x land low) land field.(x lsr (2 * v)))
+  in
+  let rec build t v = if v = word_vars then t else build (extend t v) (v + 1) in
+  build [| full_word |] 0
+
+(* Fields past [n] hold 11, so a narrow cube's points repeat across the word
+   as if it did not depend on variables [n] to 4.  A 0-variable cube has no
+   word at all: it is the universe. *)
+let word_mask c =
+  if Array.length c.w = 0 then full_word
+  else masks.(c.w.(0) land (Array.length masks - 1))
+
 (* OR-fold of the words: wordwise subset implies signature subset, so
    [contains a b] requires [signature b land lnot (signature a) = 0] — a
    one-word prefilter for cover containment sweeps. *)

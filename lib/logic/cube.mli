@@ -108,4 +108,27 @@ val signature : t -> int
     [signature b land lnot (signature a) = 0], giving a one-word prefilter
     for containment sweeps. *)
 
+(** {2 Points of the first five variables}
+
+    The 32 points of variables 0-4 fit one [int]: point [i] sets variable
+    [v] to bit [v] of [i].  {!Truthtab} lays out each of its words the same
+    way. *)
+
+val word_vars : int
+(** 5: the variables whose points fit one word. *)
+
+val word_pattern : int -> int
+(** [word_pattern v], for [v < word_vars]: the points with variable [v] at 1
+    ([0xAAAA_AAAA] for variable 0). *)
+
+val full_word : int
+(** All 32 points: [0xFFFF_FFFF]. *)
+
+val word_mask : t -> int
+(** The cube's points over variables 0-4, one table lookup.  Variables from
+    [nvars] to 4 are absent from the cube, so a cube of [n < 5] variables
+    repeats its [2^n] points [2^(5-n)] times; variables 5 and up are
+    ignored.  A cover of at most [word_vars] variables is a tautology iff
+    the OR of its cubes' masks is [full_word]. *)
+
 val pp : Format.formatter -> t -> unit

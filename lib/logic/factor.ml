@@ -64,26 +64,29 @@ let divide_by_cube f c =
   ( Cover.make f.Cover.nvars (List.rev !quotient),
     Cover.make f.Cover.nvars (List.rev !remainder) )
 
+module CS = Set.Make (struct
+  type t = Cube.t
+  let compare = Cube.compare
+end)
+
+(* Weak division's quotient by the divisor cubes [first :: rest], as a set:
+   the intersection of the per-cube quotients.  It stops once the
+   intersection is empty. *)
+let quotient_set f first rest =
+  let per_cube dc = CS.of_list (fst (divide_by_cube f dc)).Cover.cubes in
+  let rec meet acc = function
+    | dc :: rest when not (CS.is_empty acc) -> meet (CS.inter acc (per_cube dc)) rest
+    | [] | _ :: _ -> acc
+  in
+  meet (per_cube first) rest
+
 let divide f d =
   match d.Cover.cubes with
   | [] -> (Cover.empty f.Cover.nvars, f)
   | first :: rest ->
     (* Weak division: Q = intersection over divisor cubes of per-cube
        quotients; R = f - d*Q. *)
-    let module CS = Set.Make (struct
-      type t = Cube.t
-      let compare = Cube.compare
-    end) in
-    let q0, _ = divide_by_cube f first in
-    let q =
-      List.fold_left
-        (fun acc dc ->
-          let qi, _ = divide_by_cube f dc in
-          CS.inter acc (CS.of_list qi.Cover.cubes))
-        (CS.of_list q0.Cover.cubes)
-        rest
-    in
-    let q = Cover.make f.Cover.nvars (CS.elements q) in
+    let q = Cover.make f.Cover.nvars (CS.elements (quotient_set f first rest)) in
     if Cover.is_empty q then (q, f)
     else begin
       (* algebraic product d*q, then remainder = cubes of f not produced *)
@@ -118,7 +121,10 @@ let make_cube_free f =
 
 (* Recursive kernel enumeration (Brayton-McMullen).  For each variable with
    two or more occurrences, cofactor out the largest common cube and recurse;
-   collect cube-free quotients as kernels with their co-kernels. *)
+   collect cube-free quotients as kernels with their co-kernels.  A literal
+   whose common cube binds a variable below it is skipped: dividing by that
+   lower literal first reaches the same quotient, with the same later
+   variables left to try, earlier in the depth-first order. *)
 let kernels f =
   let n = f.Cover.nvars in
   let seen = Hashtbl.create 16 in
@@ -144,8 +150,16 @@ let kernels f =
           if List.length with_lit >= 2 then begin
             let sub = Cover.make n with_lit in
             let q, _ = divide_by_cube sub lit_cube in
+            let shared = common_cube q in
+            let found_earlier =
+              match shared with
+              | None -> false
+              | Some c ->
+                let rec lower w = w < v && (Cube.depends_on c w || lower (w + 1)) in
+                lower 0
+            in
             let common =
-              match common_cube q with
+              match shared with
               | None -> lit_cube
               | Some c ->
                 (match Cube.intersect c lit_cube with
@@ -153,7 +167,7 @@ let kernels f =
                  | None -> lit_cube)
             in
             let q = make_cube_free q in
-            if Cover.size q >= 2 then begin
+            if (not found_earlier) && Cover.size q >= 2 then begin
               let ck =
                 match Cube.intersect co_kernel common with
                 | Some x -> x
@@ -230,9 +244,12 @@ let rec quick_factor f =
         else smart_or [ head; quick_factor r ]
     end
 
+(* The quotient's cube count alone: no product or remainder is built. *)
 let kernel_value f (_ck, k) =
-  let q, _ = divide f k in
-  Cover.size q * (Cover.lit_count k - 1)
+  match k.Cover.cubes with
+  | [] -> 0
+  | first :: rest ->
+    CS.cardinal (quotient_set f first rest) * (Cover.lit_count k - 1)
 
 let rec good_factor f =
   match f.Cover.cubes with

@@ -8,17 +8,14 @@
 
 type t = { n : int; w : int array }
 
-let word_vars = 5
+let word_vars = Cube.word_vars
 
 let max_vars = 20
 
 let nwords n = if n <= word_vars then 1 else 1 lsl (n - word_vars)
 
 (* The bits of a word that hold points. *)
-let valid n = if n >= word_vars then 0xFFFF_FFFF else (1 lsl (1 lsl n)) - 1
-
-(* [pattern.(v)]: the in-word bits whose point has variable [v] at 1. *)
-let pattern = [| 0xAAAA_AAAA; 0xCCCC_CCCC; 0xF0F0_F0F0; 0xFF00_FF00; 0xFFFF_0000 |]
+let valid n = if n >= word_vars then Cube.full_word else (1 lsl (1 lsl n)) - 1
 
 (* Set bits of a 32-bit value. *)
 let popcount x =
@@ -50,16 +47,14 @@ type span = { mask : int; base : int; free : int }
 
 let span c =
   let n = Cube.nvars c in
-  let mask = ref (valid n) and base = ref 0 and free = ref 0 in
-  for v = 0 to n - 1 do
+  let base = ref 0 and free = ref 0 in
+  for v = word_vars to n - 1 do
     match Cube.get c v with
-    | Cube.Both -> if v >= word_vars then free := !free lor (1 lsl (v - word_vars))
-    | Cube.One ->
-      if v < word_vars then mask := !mask land pattern.(v)
-      else base := !base lor (1 lsl (v - word_vars))
-    | Cube.Zero -> if v < word_vars then mask := !mask land lnot pattern.(v)
+    | Cube.Both -> free := !free lor (1 lsl (v - word_vars))
+    | Cube.One -> base := !base lor (1 lsl (v - word_vars))
+    | Cube.Zero -> ()
   done;
-  { mask = !mask; base = !base; free = !free }
+  { mask = Cube.word_mask c land valid n; base = !base; free = !free }
 
 (* The words of a span are [base lor s] for every subset [s] of [free];
    [next_subset] steps through them in increasing order from 0 and wraps
@@ -79,7 +74,8 @@ let supercube n ~bits ~words_and ~words_or =
   for v = 0 to n - 1 do
     let one, zero =
       if v < word_vars then
-        (bits land pattern.(v) <> 0, bits land lnot pattern.(v) <> 0)
+        let p = Cube.word_pattern v in
+        (bits land p <> 0, bits land lnot p <> 0)
       else
         let b = 1 lsl (v - word_vars) in
         (words_or land b <> 0, words_and land b = 0)
@@ -124,7 +120,7 @@ let const n value =
 let var n v =
   assert (v < n && n <= max_vars);
   let w =
-    if v < word_vars then Array.make (nwords n) (pattern.(v) land valid n)
+    if v < word_vars then Array.make (nwords n) (Cube.word_pattern v land valid n)
     else
       Array.init (nwords n) (fun i ->
           if i land (1 lsl (v - word_vars)) <> 0 then valid n else 0)
@@ -158,7 +154,7 @@ let bnot a =
 let cofactor t v value =
   assert (v < t.n);
   if v < word_vars then begin
-    let sh = 1 lsl v and p = pattern.(v) land valid t.n in
+    let sh = 1 lsl v and p = Cube.word_pattern v land valid t.n in
     let half x =
       if value then
         let x = x land p in

@@ -525,8 +525,15 @@ let restore net snapshot =
   net.outputs_revision <- net.outputs_revision + 1;
   topo_invalidate net
 
+let buffer_cover = Logic.Cover.var 1 0
+
 let sweep net =
   let alive n = node_opt net n.id <> None in
+  let const_value f =
+    match (node net f).kind with
+    | Const b -> Some b
+    | Input | Logic _ | Latch _ -> None
+  in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -534,40 +541,36 @@ let sweep net =
       (fun n ->
         match n.kind with
         | _ when not (alive n) -> ()
-        | Logic c when Array.length n.fanins > 0 ->
+        | Logic c when Array.exists (fun f -> const_value f <> None) n.fanins ->
           (* constant fanin propagation *)
           let const_fanins =
             Array.to_list n.fanins
             |> List.mapi (fun i f -> (i, f))
             |> List.filter_map (fun (i, f) ->
-                   match (node net f).kind with
-                   | Const b -> Some (i, b)
-                   | Input | Logic _ | Latch _ -> None)
+                   Option.map (fun b -> (i, b)) (const_value f))
           in
-          if const_fanins <> [] then begin
-            let c' =
-              List.fold_left
-                (fun acc (i, b) ->
-                  Logic.Cover.cofactor acc i
-                    (if b then Logic.Cube.One else Logic.Cube.Zero))
-                c const_fanins
-            in
-            (* rebuild without the constant fanins *)
-            let keep =
-              Array.to_list n.fanins
-              |> List.mapi (fun i f -> (i, f))
-              |> List.filter (fun (i, _) -> not (List.mem_assoc i const_fanins))
-            in
-            let remap = Array.make (Array.length n.fanins) (-1) in
-            List.iteri (fun j (i, _) -> remap.(i) <- j) keep;
-            (* variables bound to constants do not appear in c' *)
-            let safe_remap = Array.map (fun j -> max j 0) remap in
-            let c'' =
-              Logic.Cover.rename c' (List.length keep) safe_remap
-            in
-            set_function net n c'' (List.map (fun (_, f) -> node net f) keep);
-            changed := true
-          end
+          let c' =
+            List.fold_left
+              (fun acc (i, b) ->
+                Logic.Cover.cofactor acc i
+                  (if b then Logic.Cube.One else Logic.Cube.Zero))
+              c const_fanins
+          in
+          (* rebuild without the constant fanins *)
+          let keep =
+            Array.to_list n.fanins
+            |> List.mapi (fun i f -> (i, f))
+            |> List.filter (fun (i, _) -> not (List.mem_assoc i const_fanins))
+          in
+          let remap = Array.make (Array.length n.fanins) (-1) in
+          List.iteri (fun j (i, _) -> remap.(i) <- j) keep;
+          (* variables bound to constants do not appear in c' *)
+          let safe_remap = Array.map (fun j -> max j 0) remap in
+          let c'' =
+            Logic.Cover.rename c' (List.length keep) safe_remap
+          in
+          set_function net n c'' (List.map (fun (_, f) -> node net f) keep);
+          changed := true
         | Input | Const _ | Latch _ | Logic _ -> ())
       (live_nodes net);
     (* fold logic nodes that became constant (including tautologous or empty
@@ -577,12 +580,12 @@ let sweep net =
         match n.kind with
         | _ when not (alive n) -> ()
         | Logic c when Logic.Cover.is_empty c || Logic.Cover.is_tautology c ->
-          let value = Logic.Cover.is_tautology c in
+          let value = not (Logic.Cover.is_empty c) in
           let replacement = add_const net value in
           transfer_fanouts net ~from:n ~to_:replacement;
           delete net n;
           changed := true
-        | Logic c when Array.length n.fanins = 1 && Logic.Cover.equivalent c (Logic.Cover.var 1 0) ->
+        | Logic c when Array.length n.fanins = 1 && Logic.Cover.equivalent c buffer_cover ->
           (* buffer: forward consumers to the source *)
           let source = node net n.fanins.(0) in
           transfer_fanouts net ~from:n ~to_:source;

@@ -6,14 +6,15 @@ let inv_cover = Logic.Cover.of_strings 1 [ "0" ]
 (* --- subject graph -------------------------------------------------------- *)
 
 (* Build a NAND2/INV network.  Signals are (node, inverted) pairs; a
-   structural hash shares identical NANDs and inverters. *)
+   structural hash shares identical NANDs and inverters.  Its key is the
+   fanin id pair, [(a, -1)] for an inverter of [a]. *)
 type subject_builder = {
   out : N.t;
-  hash : (string, N.node) Hashtbl.t;
+  hash : (int * int, N.node) Hashtbl.t;
 }
 
 let sb_inv sb a =
-  let key = Printf.sprintf "i%d" a.N.id in
+  let key = (a.N.id, -1) in
   match Hashtbl.find_opt sb.hash key with
   | Some n -> n
   | None ->
@@ -23,7 +24,7 @@ let sb_inv sb a =
 
 let sb_nand sb a b =
   let x, y = if a.N.id <= b.N.id then (a, b) else (b, a) in
-  let key = Printf.sprintf "n%d,%d" x.N.id y.N.id in
+  let key = (x.N.id, y.N.id) in
   match Hashtbl.find_opt sb.hash key with
   | Some n -> n
   | None ->
@@ -158,16 +159,6 @@ type match_result = {
   leaves : N.node array;  (** subject nodes bound to pattern leaves *)
 }
 
-(* A subject node is a tree boundary when it is not a single-fanout logic
-   node: PIs, constants, latches and multi-fanout logic nodes. *)
-let fanout_count net n =
-  List.length n.N.fanouts + (if N.drives_output net n then 1 else 0)
-
-let is_boundary net n =
-  match n.N.kind with
-  | N.Input | N.Const _ | N.Latch _ -> true
-  | N.Logic _ -> fanout_count net n <> 1
-
 let node_is_inv n =
   match n.N.kind with
   | N.Logic c ->
@@ -179,11 +170,40 @@ let node_is_nand n =
   | N.Logic c -> Array.length n.N.fanins = 2 && Logic.Cover.equivalent c nand2_cover
   | N.Input | N.Const _ | N.Latch _ -> false
 
+(* What a pattern step asks of a subject node, tagged once per node before
+   the covering: its gate, and whether it is a tree boundary (not a
+   single-fanout logic node: PIs, constants, latches and multi-fanout logic
+   nodes). *)
+type shape = Inv_node | Nand_node | Other_node
+
+type tags = { shape : shape array; boundary : bool array }
+
+let tag_nodes net cap =
+  let shape = Array.make cap Other_node and boundary = Array.make cap true in
+  let drives = Array.make cap false in
+  List.iter (fun (_, d) -> drives.(d.N.id) <- true) (N.outputs net);
+  List.iter
+    (fun n ->
+      match n.N.kind with
+      | N.Input | N.Const _ | N.Latch _ -> ()
+      | N.Logic _ ->
+        shape.(n.N.id) <-
+          (if node_is_inv n then Inv_node
+           else if node_is_nand n then Nand_node
+           else Other_node);
+        boundary.(n.N.id) <-
+          List.length n.N.fanouts + (if drives.(n.N.id) then 1 else 0) <> 1)
+    (N.all_nodes net);
+  { shape; boundary }
+
 (* Try to match [pattern] rooted at subject node [n].  Interior pattern
    positions may only consume single-fanout logic nodes (except the root).
    Returns all leaf bindings (there may be several for commutative NANDs; we
    return the list and let the DP pick the best). *)
-let matches net gate n =
+let matches net tags gate n =
+  let fits shape node is_root =
+    tags.shape.(node.N.id) = shape && (is_root || not tags.boundary.(node.N.id))
+  in
   let results = ref [] in
   let rec go pattern node is_root bindings k =
     (* k: continuation taking updated bindings *)
@@ -196,10 +216,10 @@ let matches net gate n =
          b.(i) <- Some node;
          k b)
     | Genlib.Inv p ->
-      if node_is_inv node && (is_root || not (is_boundary net node)) then
+      if fits Inv_node node is_root then
         go p (N.node net node.N.fanins.(0)) false bindings k
     | Genlib.Nand (p1, p2) ->
-      if node_is_nand node && (is_root || not (is_boundary net node)) then begin
+      if fits Nand_node node is_root then begin
         let a = N.node net node.N.fanins.(0)
         and b = N.node net node.N.fanins.(1) in
         go p1 a false bindings (fun bnd -> go p2 b false bnd k);
@@ -220,7 +240,22 @@ exception Unmappable of string
 
 let cover_tree net lib =
   (* DP over topological order: best match and arrival cost per logic node. *)
-  let cap = List.fold_left (fun acc n -> max acc n.N.id) 0 (N.all_nodes net) + 1 in
+  let cap = N.capacity net in
+  let tags = tag_nodes net cap in
+  (* A node is tried only against the gates whose pattern root fits its
+     shape, in library order. *)
+  let gates_for shape =
+    List.filter
+      (fun g ->
+        match g.Genlib.pattern with
+        | Genlib.Leaf _ -> true
+        | Genlib.Inv _ -> shape = Inv_node
+        | Genlib.Nand _ -> shape = Nand_node)
+      lib.Genlib.gates
+  in
+  let inv_gates = gates_for Inv_node
+  and nand_gates = gates_for Nand_node
+  and other_gates = gates_for Other_node in
   let best : match_result option array = Array.make cap None in
   (* (arrival, gate count) compared lexicographically: the secondary component
      breaks ties toward matches that consume more subject nodes. *)
@@ -232,8 +267,14 @@ let cover_tree net lib =
   in
   List.iter
     (fun n ->
+      let gates =
+        match tags.shape.(n.N.id) with
+        | Inv_node -> inv_gates
+        | Nand_node -> nand_gates
+        | Other_node -> other_gates
+      in
       let candidates =
-        List.concat_map (fun g -> try matches net g n with Exit -> []) lib.Genlib.gates
+        List.concat_map (fun g -> try matches net tags g n with Exit -> []) gates
       in
       List.iter
         (fun m ->

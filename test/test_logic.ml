@@ -203,6 +203,41 @@ let prop_covers =
           (fun p -> (not (Logic.Cover.eval g p)) || Logic.Cover.eval f p)
           (all_points n_prop))
 
+(* Covers of 0-7 variables straddle [Cube.word_vars] = 5, where the
+   containment tests switch from one word of minterm bits to the unate
+   recursion.  A table tabulated point by point by [Cover.eval] decides each
+   question independently, and [Truthtab.of_cover], which shares the word
+   masks, must build the same table.  [f + g']
+   and [f + f*g] give tautologies and equivalences that random pairs rarely
+   do. *)
+let prop_containment_word_boundary =
+  QCheck.Test.make ~count:500
+    ~name:"containment tests agree with truth tables at 0-7 variables"
+    (QCheck.make
+       ~print:(fun (n, f, g, c) ->
+         Format.asprintf "n=%d f=%a g=%a c=%a" n Logic.Cover.pp f
+           Logic.Cover.pp g Logic.Cube.pp c)
+       QCheck.Gen.(
+         int_range 0 7 >>= fun n ->
+         map3 (fun f g c -> (n, f, g, c)) (gen_cover n) (gen_cover n)
+           (gen_cube n)))
+    (fun (n, f, g, c) ->
+      let open Logic in
+      let tt h = Truthtab.create n (Cover.eval h) in
+      let taut h = Truthtab.equal (tt h) (Truthtab.const n true) in
+      let implies h k = Truthtab.equal (Truthtab.bor (tt h) (tt k)) (tt k) in
+      let f_or_not_g = Cover.union f (Cover.complement g) in
+      let f_or_fg = Cover.union f (Cover.intersect f g) in
+      let cube = Cover.make n [ c ] in
+      Truthtab.equal (Truthtab.of_cover f) (tt f)
+      && Cover.is_tautology f = taut f
+      && Cover.is_tautology f_or_not_g = taut f_or_not_g
+      && Cover.equivalent f g = Truthtab.equal (tt f) (tt g)
+      && Cover.equivalent f f_or_fg
+      && Cover.covers f g = implies g f
+      && Cover.covers g f = implies f g
+      && Cover.covers_cube f c = implies cube f)
+
 let prop_intersect =
   QCheck.Test.make ~count:200 ~name:"intersect is conjunction"
     (arb_cover_pair n_prop) (fun (f, g) ->
@@ -616,7 +651,7 @@ let () =
           Alcotest.test_case "rename" `Quick test_cover_rename ] );
       qsuite "cover-props"
         [ prop_complement; prop_sharp; prop_tautology; prop_covers;
-          prop_intersect ];
+          prop_containment_word_boundary; prop_intersect ];
       ( "minimize",
         [ Alcotest.test_case "merge adjacent" `Quick test_minimize_simple;
           Alcotest.test_case "absorb dc" `Quick test_minimize_with_dc;

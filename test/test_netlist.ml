@@ -169,6 +169,62 @@ let test_sweep_dangling () =
   N.sweep net;
   Alcotest.(check int) "only g1 left" 1 (N.num_logic net)
 
+(* One network with every case [sweep] folds, pinned to the exact node ids,
+   names, covers and fanins that survive: a reordering of its three phases
+   (constant fanins, constant and buffer folds, dangling nodes) or of the
+   nodes they visit shows here, not only in the Table I golden. *)
+let test_sweep_pinned () =
+  let net = N.create () in
+  let a = N.add_input net "a" and b = N.add_input net "b" in
+  let c = N.add_input net "c" and d = N.add_input net "d" in
+  let k0 = N.add_const net false in
+  (* a dangling constant: while it lives, the folds below cannot take the
+     name "const1" *)
+  let _k1 = N.add_const net true in
+  (* nodes fed by a constant: a*b + k0 over [a; k0; b], and a*k0, which
+     becomes constant only once its constant fanin is gone *)
+  let p = N.add_logic net ~name:"p" (Logic.Cover.of_strings 3 [ "1-1"; "-1-" ]) [ a; k0; b ] in
+  let m = N.add_logic net ~name:"m" and_cover [ a; k0 ] in
+  (* a buffer and its consumer *)
+  let buf = N.add_logic net ~name:"buf" (Logic.Cover.var 1 0) [ c ] in
+  let q = N.add_logic net ~name:"q" and_cover [ buf; d ] in
+  (* a tautologous 3-input cover that no cube shows on its own *)
+  let t =
+    N.add_logic net ~name:"t"
+      (Logic.Cover.of_strings 3 [ "11-"; "10-"; "0-1"; "0-0" ])
+      [ a; b; c ]
+  in
+  (* an empty cover feeding an OR *)
+  let e = N.add_logic net ~name:"e" (Logic.Cover.empty 2) [ a; d ] in
+  let s = N.add_logic net ~name:"s" or_cover [ e; b ] in
+  (* a dangling chain *)
+  let x1 = N.add_logic net ~name:"x1" inv_cover [ a ] in
+  let _x2 = N.add_logic net ~name:"x2" inv_cover [ x1 ] in
+  List.iter
+    (fun (name, n) -> N.set_output net name n)
+    [ ("op", p); ("om", m); ("oq", q); ("ot", t); ("os", s) ];
+  N.sweep net;
+  N.check net;
+  let show n =
+    let kind =
+      match n.N.kind with
+      | N.Input -> "input"
+      | N.Const v -> if v then "const1" else "const0"
+      | N.Latch _ -> "latch"
+      | N.Logic cover -> Format.asprintf "[%a]" Logic.Cover.pp cover
+    in
+    Printf.sprintf "%d %s %s (%s)" n.N.id n.N.name kind
+      (String.concat "," (List.map string_of_int (Array.to_list n.N.fanins)))
+  in
+  Alcotest.(check (list string)) "surviving nodes"
+    [ "0 a input ()"; "1 b input ()"; "2 c input ()"; "3 d input ()";
+      "6 p [11] (0,1)"; "9 q [11] (2,3)"; "15 const01 const0 ()";
+      "16 const12 const1 ()" ]
+    (List.map show (N.all_nodes net));
+  Alcotest.(check (list (pair string int))) "outputs"
+    [ ("op", 6); ("om", 15); ("oq", 9); ("ot", 16); ("os", 1) ]
+    (List.map (fun (name, n) -> (name, n.N.id)) (N.outputs net))
+
 let test_cone () =
   let net = toggle_circuit () in
   let next =
@@ -528,6 +584,7 @@ let () =
           Alcotest.test_case "eval_comb" `Quick test_eval_comb;
           Alcotest.test_case "sweep constants" `Quick test_sweep_constants;
           Alcotest.test_case "sweep dangling" `Quick test_sweep_dangling;
+          Alcotest.test_case "sweep pinned" `Quick test_sweep_pinned;
           Alcotest.test_case "cones" `Quick test_cone;
           Alcotest.test_case "copy independence" `Quick test_copy_independent ] );
       ( "journal",
