@@ -859,8 +859,8 @@ let bechamel_kernels () =
 
 let usage =
   "usage: bench/main.exe [SECTION] [OPTION]...\n\
-  \  SECTION: --smoke --logic --suite --verifier --eqcheck --bdd --serve;\n\
-  \           none runs the full evaluation (many minutes)\n\
+  \  SECTION: --smoke --logic --suite --verifier --eqcheck --bdd --serve\n\
+  \           --kernels; none runs the full evaluation (many minutes)\n\
   \  OPTION:  --quick --eqcheck-each --verify-each --names a,b,c --jobs N\n\
   \           --trace FILE --trace-format chrome|json --metrics \
    --metrics-json FILE\n"
@@ -874,8 +874,8 @@ let bad_usage msg =
 let rec check_args = function
   | [] -> ()
   | ("--smoke" | "--logic" | "--suite" | "--verifier" | "--eqcheck"
-    | "--bdd" | "--serve" | "--quick" | "--eqcheck-each" | "--verify-each"
-    | "--metrics") :: rest ->
+    | "--bdd" | "--serve" | "--kernels" | "--quick" | "--eqcheck-each"
+    | "--verify-each" | "--metrics") :: rest ->
     check_args rest
   | ("--names" | "--jobs" | "--trace" | "--trace-format" | "--metrics-json")
     :: _ :: rest ->
@@ -892,6 +892,7 @@ let () =
   let eqcheck_only = List.mem "--eqcheck" args in
   let bdd_only = List.mem "--bdd" args in
   let serve_only = List.mem "--serve" args in
+  let kernels_only = List.mem "--kernels" args in
   let eqcheck_each = List.mem "--eqcheck-each" args in
   let verify_each = List.mem "--verify-each" args in
   let quick = List.mem "--quick" args in
@@ -939,6 +940,7 @@ let () =
      else if eqcheck_only then " (eqcheck)"
      else if bdd_only then " (bdd)"
      else if serve_only then " (serve)"
+     else if kernels_only then " (kernels)"
      else "");
   if logic_only then ignore (logic_bench ~quick ())
   else if suite_only then
@@ -949,6 +951,7 @@ let () =
   else if eqcheck_only then eqcheck_bench ?names ()
   else if bdd_only then bdd_bench ~quick ?jobs ()
   else if serve_only then serve_bench ()
+  else if kernels_only then bechamel_kernels ()
   else if smoke then begin
     (* CI-sized pass: the Section III example end to end plus the quick
        cube-kernel comparison; no JSON, no Bechamel quotas *)

@@ -3,19 +3,21 @@
    Every domain that builds BDDs owns one table, made on its first BDD
    operation and reached through a [Domain.DLS] key.  A table holds a node
    store of fixed-size blocks (handles are integer indices; 0 and 1 are the
-   terminals), an open-addressing unique table, and the ITE, exists and cons
-   caches.  No other domain reads or writes it, so it needs no lock, fence or
-   atomic.  The one invariant is that a scope is used only on the domain that
-   created it; [owned] checks it on every operation.
+   terminals), an open-addressing unique table, the ITE and cons caches, and
+   the exact memos of the traversals.  No other domain reads or writes it,
+   so it needs no lock, fence or atomic.  The one invariant is that a scope
+   is used only on the domain that created it; [owned] checks it on every
+   operation.
 
    A [man] is a *scope*: a lightweight accounting handle onto its domain's
    table.  Each scope tracks the set of distinct nodes its operations consed,
    so [node_count] reports exactly what a fresh manager would have allocated
    for the same operation sequence — node budgets (eqcheck, dontcare)
    therefore trip identically whether the table is cold or warm.  To keep
-   that guarantee, ITE/exists cache entries are stamped with the owning scope
-   and ignored by other scopes: sharing happens in the unique table
-   (structure), not in the computed caches (work). *)
+   that guarantee, ITE cache entries are stamped with the owning scope and
+   ignored by other scopes, and the quantification memo is cleared when the
+   scope changes: sharing happens in the unique table (structure), not in
+   the computed caches and memos (work). *)
 
 type t = int
 
@@ -54,6 +56,88 @@ let ba_make n fill : ba =
 let make_block () : ba =
   Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (block_size * 3)
 
+(* --- hashing ------------------------------------------------------------------- *)
+
+(* Fibonacci-style multiplicative mix of a packed triple; the three odd
+   constants keep var/low/high from cancelling in the xor. *)
+let hash3 v low high =
+  let h = (v * 0x9E3779B1) lxor (low * 0x85EBCA77) lxor (high * 0xC2B2AE3D) in
+  h lxor (h lsr 17)
+
+(* --- exact memos --------------------------------------------------------------- *)
+
+(* An exact memo from a pair of ints to a non-negative int, for the
+   traversals that must visit each shared node once ([and_exists],
+   quantification, [rename], [support], [size], [sat_count]).  Open
+   addressing at stride 4, [gen; a; b; r]: a cell is live only while its
+   [gen] equals the memo's, so [memo_clear] is one increment and never
+   touches the array.  The table owns one memo per use and every call
+   reuses it; it doubles when a call fills it to 2/3, so it is sized by the
+   largest traversal its domain has run.  Unlike the computed caches below,
+   a memo never drops an entry: the traversal it serves is linear in the
+   nodes it reaches. *)
+type memo = {
+  mutable cells : int array;
+  mutable cells_mask : int;
+  mutable gen : int;
+  mutable live : int; (* cells stamped with [gen] *)
+}
+
+let memo_initial = 1 lsl 8
+
+let memo_create () =
+  (* fresh cells carry gen 0, below every generation the memo uses *)
+  { cells = Array.make (memo_initial * 4) 0;
+    cells_mask = memo_initial - 1;
+    gen = 1;
+    live = 0 }
+
+let memo_clear m =
+  m.gen <- m.gen + 1;
+  m.live <- 0
+
+(* top-level tail loops so lookups allocate nothing *)
+let rec memo_find_at cells mask gen a b s =
+  let i = s * 4 in
+  if Array.unsafe_get cells i <> gen then -1
+  else if
+    Array.unsafe_get cells (i + 1) = a && Array.unsafe_get cells (i + 2) = b
+  then Array.unsafe_get cells (i + 3)
+  else memo_find_at cells mask gen a b ((s + 1) land mask)
+
+(* the value stored for [(a, b)], or -1 *)
+let memo_find m a b =
+  memo_find_at m.cells m.cells_mask m.gen a b (hash3 a b 0 land m.cells_mask)
+
+let rec memo_free cells mask gen s =
+  if Array.unsafe_get cells (s * 4) <> gen then s
+  else memo_free cells mask gen ((s + 1) land mask)
+
+let memo_put cells mask gen a b r =
+  let i = memo_free cells mask gen (hash3 a b 0 land mask) * 4 in
+  Array.unsafe_set cells i gen;
+  Array.unsafe_set cells (i + 1) a;
+  Array.unsafe_set cells (i + 2) b;
+  Array.unsafe_set cells (i + 3) r
+
+let memo_grow m =
+  let old = m.cells and gen = m.gen in
+  let cap = 2 * (m.cells_mask + 1) in
+  let cells = Array.make (cap * 4) 0 in
+  for s = 0 to m.cells_mask do
+    let i = s * 4 in
+    if old.(i) = gen then
+      memo_put cells (cap - 1) gen old.(i + 1) old.(i + 2) old.(i + 3)
+  done;
+  m.cells <- cells;
+  m.cells_mask <- cap - 1
+
+(* [(a, b)] must be absent *)
+let memo_add m a b r =
+  if 3 * (m.live + 1) > 2 * (m.cells_mask + 1) then memo_grow m;
+  memo_put m.cells m.cells_mask m.gen a b r;
+  m.live <- m.live + 1
+
 (* --- tables ------------------------------------------------------------------- *)
 
 type table = {
@@ -64,24 +148,31 @@ type table = {
      slot.  Keeping the key inline means a probe step touches one cache
      line and never dereferences the node store. *)
   mutable slots : ba;
-  (* ITE cache, direct-mapped *)
-  c_f : int array;
-  c_g : int array;
-  c_h : int array;
-  c_r : int array;
-  c_u : int array; (* owning scope uid of each entry; 0 = empty *)
-  c_mask : int;
+  (* ITE cache, direct-mapped, interleaved stride 5 [uid; f; g; h; r]; uid
+     is the owning scope of the entry, 0 = empty *)
+  ite_cache : int array;
   (* direct-mapped front cache of the unique table, interleaved stride 4:
      [v; low; high; id].  The (v, low, high) -> id mapping is immutable
      (nodes are never freed or renumbered), so entries never need
      invalidation and no scope stamp is required.  Its point is locality:
      the slot array grows to hundreds of MB across a long run and every
      probe into it misses cache, while this stays cache-resident. *)
-  c_cons : int array;
-  c_cons_mask : int;
-  exists_cache : (int, int) Hashtbl.t;
-  mutable exists_vars : int list;
-  mutable exists_owner : int;
+  cons_cache : int array;
+  (* The quantification in force: variable v is in the set iff
+     [q_mark.(v) = q_stamp], [q_top] is its largest member.  [exists_memo]
+     holds results for this set, [q_universal] and the owning scope
+     [q_owner] only, and is cleared when any of them changes; [q_vars] is
+     the list it was installed from. *)
+  mutable q_vars : int list;
+  mutable q_universal : bool;
+  mutable q_owner : int;
+  mutable q_mark : int array;
+  mutable q_stamp : int;
+  mutable q_top : int;
+  exists_memo : memo;
+  and_memo : memo; (* one [and_exists] call *)
+  walk_memo : memo; (* one [rename], [support], [size] or [sat_count] call *)
+  mutable counts : float array; (* [sat_count]'s per-node counts *)
   (* monotone op counters, read racily by [stats] *)
   mutable ite_hits : int;
   mutable ite_misses : int;
@@ -89,7 +180,11 @@ type table = {
   mutable unique_hits : int;
 }
 
-let cache_size = 1 lsl 16
+(* Entries of the ITE and cons caches.  On the full Table I suite under
+   --eqcheck-each the ITE hit rate is 35.41% at 2^16 entries, 35.19% at
+   2^14, 35.02% at 2^13 and 34.28% at 2^12 (DESIGN.md §12). *)
+let cache_bits = 14
+let cache_mask = (1 lsl cache_bits) - 1
 let initial_slots = 1 lsl 12
 
 (* process-wide monotone counts: commutative atomic counters, read only as
@@ -149,17 +244,18 @@ let make_table () =
       blocks = [| make_block () |];
       next_id = 2;
       slots = ba_make (initial_slots * 4) (-1);
-      c_f = Array.make cache_size 0;
-      c_g = Array.make cache_size 0;
-      c_h = Array.make cache_size 0;
-      c_r = Array.make cache_size 0;
-      c_u = Array.make cache_size 0;
-      c_mask = cache_size - 1;
-      c_cons = Array.make (cache_size * 4) (-1);
-      c_cons_mask = cache_size - 1;
-      exists_cache = Hashtbl.create 256;
-      exists_vars = [];
-      exists_owner = 0;
+      ite_cache = Array.make ((cache_mask + 1) * 5) 0;
+      cons_cache = Array.make ((cache_mask + 1) * 4) (-1);
+      q_vars = [];
+      q_universal = false;
+      q_owner = 0;
+      q_mark = [||];
+      q_stamp = 0;
+      q_top = -1;
+      exists_memo = memo_create ();
+      and_memo = memo_create ();
+      walk_memo = memo_create ();
+      counts = [||];
       ite_hits = 0;
       ite_misses = 0;
       mk_calls = 0;
@@ -266,14 +362,6 @@ let high_of_id t f = read_field t f 2
 
 let var_of man f = if f < 2 then terminal_var else var_of_id man.table f
 
-(* --- hashing ------------------------------------------------------------------- *)
-
-(* Fibonacci-style multiplicative mix of a packed triple; the three odd
-   constants keep var/low/high from cancelling in the xor. *)
-let hash3 v low high =
-  let h = (v * 0x9E3779B1) lxor (low * 0x85EBCA77) lxor (high * 0xC2B2AE3D) in
-  h lxor (h lsr 17)
-
 (* --- unique table ------------------------------------------------------------- *)
 
 let grow t =
@@ -339,8 +427,8 @@ let rec find_or_insert t slots mask v low high s =
 let cons man t v low high =
   t.mk_calls <- t.mk_calls + 1;
   let h3 = hash3 v low high in
-  let ci = (h3 land t.c_cons_mask) * 4 in
-  let cc = t.c_cons in
+  let ci = (h3 land cache_mask) * 4 in
+  let cc = t.cons_cache in
   if
     Array.unsafe_get cc ci = v
     && Array.unsafe_get cc (ci + 1) = low
@@ -390,15 +478,16 @@ let rec ite_rec man t f g h =
   else if g = h then g
   else if g = btrue && h = bfalse then f
   else begin
-    let slot = hash3 f g h land t.c_mask in
+    let c = t.ite_cache in
+    let i = (hash3 f g h land cache_mask) * 5 in
     if
-      t.c_u.(slot) = man.uid
-      && t.c_f.(slot) = f
-      && t.c_g.(slot) = g
-      && t.c_h.(slot) = h
+      Array.unsafe_get c i = man.uid
+      && Array.unsafe_get c (i + 1) = f
+      && Array.unsafe_get c (i + 2) = g
+      && Array.unsafe_get c (i + 3) = h
     then begin
       t.ite_hits <- t.ite_hits + 1;
-      t.c_r.(slot)
+      Array.unsafe_get c (i + 4)
     end
     else begin
       t.ite_misses <- t.ite_misses + 1;
@@ -416,11 +505,11 @@ let rec ite_rec man t f g h =
       let he = if vh = v then low_of_id t h else h in
       let lo = ite_rec man t fe ge he in
       let r = mk_c man t v lo hi in
-      t.c_f.(slot) <- f;
-      t.c_g.(slot) <- g;
-      t.c_h.(slot) <- h;
-      t.c_r.(slot) <- r;
-      t.c_u.(slot) <- man.uid;
+      Array.unsafe_set c i man.uid;
+      Array.unsafe_set c (i + 1) f;
+      Array.unsafe_set c (i + 2) g;
+      Array.unsafe_set c (i + 3) h;
+      Array.unsafe_set c (i + 4) r;
       r
     end
   end
@@ -447,178 +536,220 @@ let cofactor man f i value =
   in
   go f
 
-(* A quantification: its variable set as a membership array and largest
-   member, so the recursions test a variable in O(1) and return a node whose
-   top variable lies below every member unchanged; [key] names it in the
-   exists cache. *)
-type qset = { key : int list; universal : bool; mem : bool array; top : int }
+(* --- memoised traversals ------------------------------------------------------ *)
 
-let qset ~universal vars =
-  let vars = List.sort_uniq compare vars in
-  let top = List.fold_left max (-1) vars in
-  let mem = Array.make (top + 1) false in
-  List.iter (fun v -> mem.(v) <- true) vars;
-  { key = (if universal then -1 :: vars else vars); universal; mem; top }
+(* Each memo serves one operation at a time: no operation that uses a memo
+   calls another that uses the same one ([and_exists] calls quantification,
+   which has its own; both call only [ite_rec] and [mk_c] besides).  So a
+   traversal never finds its memo cleared or refilled under it.  Results
+   cannot depend on the memos either: a memo, like the computed caches,
+   only decides which sub-results are recomputed, and a recomputation
+   conses exactly the nodes the first computation did, all already charged
+   to the scope (DESIGN.md §12). *)
 
-(* Existential quantification over a variable set.  The table's cache is
-   keyed on the node only, so it is reset whenever the variable set or the
-   owning scope changes.  [and_exists] passes one [qset] to all its
-   quantifications, so within a call the set test is a physical-equality
-   hit. *)
-let quantify_set man t s f =
+let rec mark_all marks stamp = function
+  | [] -> ()
+  | v :: rest ->
+    marks.(v) <- stamp;
+    mark_all marks stamp rest
+
+(* Install a quantification's variable set, keeping [exists_memo] only for
+   the same set, kind and owner scope. *)
+let use_qset man t ~universal vars =
   if
-    t.exists_owner <> man.uid
-    || not (t.exists_vars == s.key || t.exists_vars = s.key)
+    t.q_owner <> man.uid
+    || t.q_universal <> universal
+    || not (t.q_vars == vars || t.q_vars = vars)
   then begin
-    Hashtbl.reset t.exists_cache;
-    t.exists_vars <- s.key;
-    t.exists_owner <- man.uid
-  end;
-  let rec go f =
-    if f < 2 then f
+    memo_clear t.exists_memo;
+    let top = List.fold_left max (-1) vars in
+    if top >= Array.length t.q_mark then
+      t.q_mark <- Array.make (max (top + 1) (2 * Array.length t.q_mark)) 0;
+    t.q_stamp <- t.q_stamp + 1;
+    mark_all t.q_mark t.q_stamp vars;
+    t.q_top <- top;
+    t.q_vars <- vars;
+    t.q_universal <- universal;
+    t.q_owner <- man.uid
+  end
+
+(* Quantification over the installed set.  A node whose top variable lies
+   below every member is returned unchanged. *)
+let rec quantify_rec man t f =
+  if f < 2 then f
+  else begin
+    let v = var_of_id t f in
+    if v > t.q_top then f
     else begin
-      let v = var_of_id t f in
-      if v > s.top then f
-      else
-        match Hashtbl.find_opt t.exists_cache f with
-        | Some r -> r
-        | None ->
-          let lo = go (low_of_id t f) and hi = go (high_of_id t f) in
-          let r =
-            if Array.unsafe_get s.mem v then
-              if s.universal then ite_rec man t lo hi bfalse
-              else ite_rec man t lo btrue hi
-            else mk_c man t v lo hi
-          in
-          Hashtbl.add t.exists_cache f r;
-          r
+      let m = t.exists_memo in
+      let r = memo_find m f 0 in
+      if r >= 0 then r
+      else begin
+        let lo = quantify_rec man t (low_of_id t f) in
+        let hi = quantify_rec man t (high_of_id t f) in
+        let r =
+          if Array.unsafe_get t.q_mark v = t.q_stamp then
+            if t.q_universal then ite_rec man t lo hi bfalse
+            else ite_rec man t lo btrue hi
+          else mk_c man t v lo hi
+        in
+        memo_add m f 0 r;
+        r
+      end
     end
-  in
-  go f
+  end
 
 let quantify man ~universal vars f =
-  quantify_set man (owned man) (qset ~universal vars) f
+  let t = owned man in
+  use_qset man t ~universal vars;
+  quantify_rec man t f
 
 let exists man vars f = quantify man ~universal:false vars f
 let forall man vars f = quantify man ~universal:true vars f
 
-(* Relational product exists vars (a AND b) computed in one recursion; cached
-   in a local table per call. *)
-let and_exists man vars a b =
-  let s = qset ~universal:false vars in
-  let t = owned man in
-  let cache = Hashtbl.create 1024 in
-  let rec go a b =
-    if a = bfalse || b = bfalse then bfalse
-    else if a = btrue && b = btrue then btrue
-    else if a = btrue then quantify_set man t s b
-    else if b = btrue then quantify_set man t s a
+(* Relational product exists vars (a AND b) in one recursion, over the
+   installed existential set, memoised per call in [and_memo]. *)
+let rec and_exists_rec man t a b =
+  if a = bfalse || b = bfalse then bfalse
+  else if a = btrue && b = btrue then btrue
+  else if a = btrue then quantify_rec man t b
+  else if b = btrue then quantify_rec man t a
+  else begin
+    let m = t.and_memo in
+    let ka = if a <= b then a else b and kb = if a <= b then b else a in
+    let r = memo_find m ka kb in
+    if r >= 0 then r
     else begin
-      let key = if a <= b then (a, b) else (b, a) in
-      match Hashtbl.find_opt cache key with
-      | Some r -> r
-      | None ->
-        let va = var_of man a and vb = var_of man b in
-        let v = min va vb in
-        let cof x vx side =
-          if vx = v then
-            if side then high_of_id t x else low_of_id t x
-          else x
-        in
-        let lo = go (cof a va false) (cof b vb false) in
-        let r =
-          if v <= s.top && s.mem.(v) then
-            if lo = btrue then btrue
-            else ite_rec man t lo btrue (go (cof a va true) (cof b vb true))
-          else begin
-            let hi = go (cof a va true) (cof b vb true) in
-            mk_c man t v lo hi
-          end
-        in
-        Hashtbl.add cache key r;
-        r
+      let va = var_of_id t a and vb = var_of_id t b in
+      let v = if va <= vb then va else vb in
+      (* cofactors written out so the recursion allocates no closure *)
+      let lo =
+        and_exists_rec man t
+          (if va = v then low_of_id t a else a)
+          (if vb = v then low_of_id t b else b)
+      in
+      let r =
+        if v <= t.q_top && Array.unsafe_get t.q_mark v = t.q_stamp then
+          if lo = btrue then btrue
+          else
+            ite_rec man t lo btrue
+              (and_exists_rec man t
+                 (if va = v then high_of_id t a else a)
+                 (if vb = v then high_of_id t b else b))
+        else begin
+          let hi =
+            and_exists_rec man t
+              (if va = v then high_of_id t a else a)
+              (if vb = v then high_of_id t b else b)
+          in
+          mk_c man t v lo hi
+        end
+      in
+      memo_add m ka kb r;
+      r
     end
-  in
-  go a b
+  end
+
+let and_exists man vars a b =
+  let t = owned man in
+  use_qset man t ~universal:false vars;
+  memo_clear t.and_memo;
+  and_exists_rec man t a b
 
 let compose man f i g =
   (* Shannon: f[g/i] = ite(g, f_i, f_i') *)
   let hi = cofactor man f i true and lo = cofactor man f i false in
   ite man g hi lo
 
+let rec rename_rec man t mapping f =
+  if f < 2 then f
+  else begin
+    let m = t.walk_memo in
+    let r = memo_find m f 0 in
+    if r >= 0 then r
+    else begin
+      let v = var_of_id t f in
+      let lo = rename_rec man t mapping (low_of_id t f) in
+      let hi = rename_rec man t mapping (high_of_id t f) in
+      let v' = mapping v in
+      (* Monotonicity on the support keeps levels ordered; build via ite on
+         the renamed variable to stay safe even if levels collide. *)
+      let r = ite_rec man t (mk_c man t v' bfalse btrue) hi lo in
+      memo_add m f 0 r;
+      r
+    end
+  end
+
 let rename man f mapping =
   let t = owned man in
-  let cache = Hashtbl.create 256 in
-  let rec go f =
-    if f < 2 then f
-    else
-      match Hashtbl.find_opt cache f with
-      | Some r -> r
-      | None ->
-        let v = var_of_id t f in
-        let lo = go (low_of_id t f) and hi = go (high_of_id t f) in
-        let v' = mapping v in
-        (* Monotonicity on the support keeps levels ordered; build via ite on
-           the renamed variable to stay safe even if levels collide. *)
-        let r = ite_rec man t (mk_c man t v' bfalse btrue) hi lo in
-        Hashtbl.add cache f r;
-        r
-  in
-  go f
+  memo_clear t.walk_memo;
+  rename_rec man t mapping f
+
+(* [walk_memo] keys a visited node [f] as [(f, 0)] and a collected variable
+   [v] as [(v, 1)] *)
+let rec support_rec t m f acc =
+  if f < 2 || memo_find m f 0 >= 0 then acc
+  else begin
+    memo_add m f 0 0;
+    let v = var_of_id t f in
+    let acc =
+      if memo_find m v 1 >= 0 then acc else (memo_add m v 1 0; v :: acc)
+    in
+    support_rec t m (high_of_id t f) (support_rec t m (low_of_id t f) acc)
+  end
 
 let support man f =
   let t = owned man in
-  let seen = Hashtbl.create 64 in
-  let vars = Hashtbl.create 16 in
-  let rec go f =
-    if f >= 2 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      Hashtbl.replace vars (var_of_id t f) ();
-      go (low_of_id t f);
-      go (high_of_id t f)
-    end
-  in
-  go f;
-  List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) vars [])
+  memo_clear t.walk_memo;
+  List.sort compare (support_rec t t.walk_memo f [])
+
+let rec size_rec t m f n =
+  if f < 2 || memo_find m f 0 >= 0 then n
+  else begin
+    memo_add m f 0 0;
+    size_rec t m (high_of_id t f) (size_rec t m (low_of_id t f) (n + 1))
+  end
 
 let size man f =
   let t = owned man in
-  let seen = Hashtbl.create 64 in
-  let count = ref 0 in
-  let rec go f =
-    if f >= 2 && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      incr count;
-      go (low_of_id t f);
-      go (high_of_id t f)
+  memo_clear t.walk_memo;
+  size_rec t t.walk_memo f 0
+
+(* the level a node's count starts from: its variable, or [nvars] below the
+   last variable for a terminal *)
+let level t ~nvars f = if f < 2 then nvars else var_of_id t f
+
+let pow2 k = 2.0 ** float_of_int k
+
+(* Solutions of [f] over the variables from its own level up to [nvars];
+   a node's count sits in [t.counts] at the index its memo entry holds. *)
+let rec count_rec t m ~nvars f =
+  if f < 2 then float_of_int f
+  else begin
+    let i = memo_find m f 0 in
+    if i >= 0 then Array.unsafe_get t.counts i
+    else begin
+      let v = var_of_id t f in
+      let lo = low_of_id t f and hi = high_of_id t f in
+      let clo = count_rec t m ~nvars lo *. pow2 (level t ~nvars lo - v - 1) in
+      let chi = count_rec t m ~nvars hi *. pow2 (level t ~nvars hi - v - 1) in
+      let c = clo +. chi in
+      let i = m.live in
+      if i = Array.length t.counts then begin
+        let grown = Array.make (max 256 (2 * i)) 0.0 in
+        Array.blit t.counts 0 grown 0 i;
+        t.counts <- grown
+      end;
+      t.counts.(i) <- c;
+      memo_add m f 0 i;
+      c
     end
-  in
-  go f;
-  !count
+  end
 
 let sat_count man ~nvars f =
   let t = owned man in
-  let cache = Hashtbl.create 256 in
-  let rec go f =
-    (* number of solutions over variables strictly below terminal, weighted
-       at the end for skipped levels *)
-    if f = bfalse then (0.0, nvars)
-    else if f = btrue then (1.0, nvars)
-    else
-      match Hashtbl.find_opt cache f with
-      | Some r -> r
-      | None ->
-        let v = var_of_id t f in
-        let lo, lov = go (low_of_id t f) in
-        let hi, hiv = go (high_of_id t f) in
-        let lo = lo *. (2.0 ** float_of_int (lov - v - 1)) in
-        let hi = hi *. (2.0 ** float_of_int (hiv - v - 1)) in
-        let r = (lo +. hi, v) in
-        Hashtbl.add cache f r;
-        r
-  in
-  let total, top = go f in
-  total *. (2.0 ** float_of_int top)
+  memo_clear t.walk_memo;
+  count_rec t t.walk_memo ~nvars f *. pow2 (level t ~nvars f)
 
 let any_sat man f =
   if f = bfalse then raise Not_found;

@@ -89,9 +89,12 @@ let depth_key = Domain.DLS.new_key (fun () -> ref 0)
 
 let depth () = !(Domain.DLS.get depth_key)
 
-let finish_span ~name ~cat ~args ~my_depth ~t0 ~g0 =
+(* [Gc.counters] reads the calling domain's own allocation counters;
+   [Gc.quick_stat] would sum over every running domain, so a span would
+   also count what other workers allocated while it ran. *)
+let finish_span ~name ~cat ~args ~my_depth ~t0 ~minor0 ~major0 =
   let t1 = now_ns () in
-  let g1 = Gc.quick_stat () in
+  let minor1, _, major1 = Gc.counters () in
   record
     { name;
       cat;
@@ -101,8 +104,8 @@ let finish_span ~name ~cat ~args ~my_depth ~t0 ~g0 =
       depth = my_depth;
       start_ns = t0;
       dur_ns = (let d = Int64.sub t1 t0 in if Int64.compare d 0L < 0 then 0L else d);
-      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
+      minor_words = minor1 -. minor0;
+      major_words = major1 -. major0;
       args }
 
 let span ?(cat = "span") ?(args = []) ?end_args name f =
@@ -111,14 +114,14 @@ let span ?(cat = "span") ?(args = []) ?end_args name f =
     let d = Domain.DLS.get depth_key in
     let my_depth = !d in
     d := my_depth + 1;
-    let g0 = Gc.quick_stat () in
+    let minor0, _, major0 = Gc.counters () in
     let t0 = now_ns () in
     let finish () =
       d := my_depth;
       let args =
         match end_args with None -> args | Some more -> args @ more ()
       in
-      finish_span ~name ~cat ~args ~my_depth ~t0 ~g0
+      finish_span ~name ~cat ~args ~my_depth ~t0 ~minor0 ~major0
     in
     match f () with
     | v -> finish (); v

@@ -27,8 +27,11 @@ type span = {
   depth : int;           (** nesting depth on that track at entry *)
   start_ns : int64;
   dur_ns : int64;
-  minor_words : float;   (** GC allocation delta; approximate under domains *)
+  minor_words : float;
+      (** words the span's own domain allocated while it ran, minor heap *)
   major_words : float;
+      (** the same for the major heap (promotions and direct major
+          allocations); other domains' allocation is not counted *)
   args : (string * attr) list;
 }
 

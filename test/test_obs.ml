@@ -1,8 +1,8 @@
 (* lib/obs tests: span nesting (qcheck), the zero-allocation disabled path,
-   a sink that raises, a deterministic Chrome-export golden via the fake
-   clock, the JSON codec (qcheck round trip) and every emitter built on it,
-   metrics registry semantics, and flow determinism with tracing on vs
-   off. *)
+   a sink that raises, per-domain span GC counts, a deterministic
+   Chrome-export golden via the fake clock, the JSON codec (qcheck round
+   trip) and every emitter built on it, metrics registry semantics, and
+   flow determinism with tracing on vs off. *)
 
 let reset_all () =
   Obs.Trace.disable ();
@@ -143,6 +143,32 @@ let test_span_end_args () =
   Alcotest.(check bool) "end args on raise" true
     (List.assoc "boom" args = [ ("n", Obs.Trace.Int 3) ]);
   reset_all ()
+
+(* A span counts only the allocation of the domain that ran it: here the
+   main domain idles inside a span while a second domain allocates about
+   10M minor words. *)
+let test_span_gc_per_domain () =
+  reset_all ();
+  Obs.Trace.enable ();
+  let started = Atomic.make false and finished = Atomic.make false in
+  let worker =
+    Domain.spawn (fun () ->
+        while not (Atomic.get started) do Domain.cpu_relax () done;
+        (* a [ref] is two words, header included *)
+        for i = 1 to 5_000_000 do
+          ignore (Sys.opaque_identity (ref i))
+        done;
+        Atomic.set finished true)
+  in
+  Obs.Trace.span "idle" (fun () ->
+      Atomic.set started true;
+      while not (Atomic.get finished) do Domain.cpu_relax () done);
+  Domain.join worker;
+  let s = List.find (fun (s : Obs.Trace.span) -> s.name = "idle") (Obs.Trace.spans ()) in
+  reset_all ();
+  Alcotest.(check bool)
+    (Printf.sprintf "idle span counts %.0f minor words" s.minor_words)
+    true (s.minor_words < 1e6)
 
 (* --- Chrome exporter golden ---------------------------------------------------- *)
 
@@ -394,7 +420,9 @@ let () =
            test_disabled_zero_alloc;
          Alcotest.test_case "span-exception" `Quick test_span_exception;
          Alcotest.test_case "raising-sink" `Quick test_raising_sink;
-         Alcotest.test_case "span-end-args" `Quick test_span_end_args ]);
+         Alcotest.test_case "span-end-args" `Quick test_span_end_args;
+         Alcotest.test_case "span-gc-per-domain" `Quick
+           test_span_gc_per_domain ]);
       ("export",
        [ Alcotest.test_case "chrome-golden" `Quick test_chrome_golden;
          Alcotest.test_case "spans-json-golden" `Quick test_spans_json_golden;
