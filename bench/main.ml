@@ -44,13 +44,14 @@ let section3_example () =
   section "Section III example (Figs. 4-6): 3 -> 2 -> 1 gate delays";
   let net = Circuits.Paper_example.circuit () in
   let model = Sta.unit_delay in
+  let period p = Netlist.Delay.to_float p in
   Printf.printf "original:      period %.1f, %d registers  (paper: 3 gate delays)\n"
-    (Sta.clock_period net model) (N.num_latches net);
+    (period (Sta.clock_period net model)) (N.num_latches net);
   (match Retiming.Minperiod.retime_min_period net ~model with
    | Ok (retimed, p) ->
      Printf.printf
-       "retimed:       period %.1f, %d registers  (paper: 2 gate delays)\n" p
-       (N.num_latches retimed)
+       "retimed:       period %.1f, %d registers  (paper: 2 gate delays)\n"
+       (period p) (N.num_latches retimed)
    | Error f ->
      Printf.printf "retimed:       FAILED (%s)\n"
        (Retiming.Minperiod.failure_message f));
@@ -62,7 +63,7 @@ let section3_example () =
   let outcome = Core.Resynth.resynthesize ~options net in
   Printf.printf
     "resynthesized: period %.1f, %d registers  (paper: 1 gate delay)\n"
-    (Sta.clock_period outcome.Core.Resynth.network model)
+    (period (Sta.clock_period outcome.Core.Resynth.network model))
     (N.num_latches outcome.Core.Resynth.network);
   Printf.printf
     "  mechanism: %d stem splits, %d equivalence classes, %d forward moves, \
@@ -154,7 +155,7 @@ let ablations () =
                (fun r ->
                  match r.Core.Flow.resynthesized.Core.Flow.stats with
                  | Some s ->
-                   s.Core.Flow.clk > r.Core.Flow.base.Core.Flow.clk +. 1e-9
+                   s.Core.Flow.clk > r.Core.Flow.base.Core.Flow.clk
                  | None -> false)
                rows)
         in
@@ -822,7 +823,8 @@ let bechamel_kernels () =
              (Some
                 { N.gate_name = "g";
                   gate_area = 1.0;
-                  gate_delay = (if !counter land 1 = 0 then 3.0 else 1.0) })
+                  gate_delay =
+                    (if !counter land 1 = 0 then 3 else 1) * Netlist.Delay.unit })
          in
          Test.make ~name:"sta:full-reanalysis-edit-s5378"
            (Staged.stage (fun () ->

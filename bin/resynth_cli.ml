@@ -12,8 +12,10 @@
 module N = Netlist.Network
 
 let load_lib = function
-  | None -> Techmap.Genlib.mcnc_lite
-  | Some path -> Techmap.Genlib_io.parse_file path
+  | None -> Ok Techmap.Genlib.mcnc_lite
+  | Some path ->
+    (try Ok (Techmap.Genlib_io.parse_file path) with
+     | Failure msg | Sys_error msg -> Error msg)
 
 let load path =
   try Ok (Netlist.Blif.parse_file path) with
@@ -24,7 +26,7 @@ let print_stats ~lib label net =
   let model = Sta.mapped_delay in
   Printf.printf "%-14s %s | period %.2f | area %.1f\n" label
     (N.stats_string net)
-    (Sta.clock_period net model)
+    (Netlist.Delay.to_float (Sta.clock_period net model))
     (Techmap.Mapper.mapped_area net ~lib)
 
 (* --- stats --------------------------------------------------------------- *)
@@ -68,10 +70,9 @@ let check_equivalence label a b =
     cannot_decide
 
 let run_cmd flow path output verify lib_path =
-  let lib = load_lib lib_path in
-  match load path with
-  | Error msg -> prerr_endline msg; 1
-  | Ok net ->
+  match (load_lib lib_path, load path) with
+  | Error msg, _ | _, Error msg -> prerr_endline msg; 1
+  | Ok lib, Ok net ->
     print_stats ~lib "input" net;
     let mapped = Core.Flow.script_delay_flow net ~lib in
     print_stats ~lib "script.delay" mapped;

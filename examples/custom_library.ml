@@ -30,7 +30,7 @@ let report name lib net =
   let mapped = Synth_opt.Script.script_delay net ~lib in
   let model = Sta.mapped_delay in
   Printf.printf "%-12s period %.2f | area %6.1f | gates %d\n" name
-    (Sta.clock_period mapped model)
+    (Netlist.Delay.to_float (Sta.clock_period mapped model))
     (Techmap.Mapper.mapped_area mapped ~lib)
     (N.num_logic mapped);
   mapped
@@ -49,11 +49,13 @@ let () =
   let options = { Core.Resynth.default_options with Core.Resynth.lib } in
   let outcome = Core.Resynth.resynthesize ~options mapped in
   if outcome.Core.Resynth.applied then begin
-    let model = Sta.mapped_delay in
+    let period net =
+      Netlist.Delay.to_float (Sta.clock_period net Sta.mapped_delay)
+    in
     Printf.printf
       "applied: period %.2f -> %.2f, registers %d -> %d (check: %s)\n"
-      (Sta.clock_period mapped model)
-      (Sta.clock_period outcome.Core.Resynth.network model)
+      (period mapped)
+      (period outcome.Core.Resynth.network)
       (N.num_latches mapped)
       (N.num_latches outcome.Core.Resynth.network)
       (Eqcheck.verdict_name

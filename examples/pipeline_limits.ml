@@ -15,12 +15,13 @@ let try_resynthesis label net =
   Printf.printf "== %s: %s\n" label (N.stats_string net);
   let mapped = Core.Flow.script_delay_flow net ~lib:Techmap.Genlib.mcnc_lite in
   let model = Sta.mapped_delay in
-  Printf.printf "   mapped period: %.2f\n" (Sta.clock_period mapped model);
+  let period net = Netlist.Delay.to_float (Sta.clock_period net model) in
+  Printf.printf "   mapped period: %.2f\n" (period mapped);
   let outcome = Core.Resynth.resynthesize mapped in
   if outcome.Core.Resynth.applied then
     Printf.printf
       "   resynthesis APPLIED: period %.2f (splits %d, classes %d, moves %d)\n\n"
-      (Sta.clock_period outcome.Core.Resynth.network model)
+      (period outcome.Core.Resynth.network)
       outcome.Core.Resynth.stem_splits
       outcome.Core.Resynth.equivalence_classes
       outcome.Core.Resynth.forward_moves

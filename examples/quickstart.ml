@@ -11,7 +11,7 @@ module N = Netlist.Network
 
 let show label net =
   Printf.printf "%-14s period %.1f | %d registers | %d gates\n" label
-    (Sta.clock_period net Sta.unit_delay)
+    (Netlist.Delay.to_float (Sta.clock_period net Sta.unit_delay))
     (N.num_latches net) (N.num_logic net)
 
 let () =

@@ -93,12 +93,12 @@ let () =
   N.replace_fanin net r1 ~old_fanin:a ~new_fanin:r2;
   N.set_output net "o" r1;
   Printf.printf "two registers back-to-back on a 2-gate loop: period %.1f\n"
-    (Sta.clock_period net Sta.unit_delay);
+    (Netlist.Delay.to_float (Sta.clock_period net Sta.unit_delay));
   (match Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay with
    | Ok (retimed, p) ->
      Printf.printf
        "after min-period retiming: period %.1f (one register between the \
         gates)\nequivalent: %s\n"
-       p
+       (Netlist.Delay.to_float p)
        (Eqcheck.verdict_name (Eqcheck.check_result net retimed))
    | Error f -> print_endline (Retiming.Minperiod.failure_message f))

@@ -33,6 +33,6 @@ let circuit () =
   N.check net;
   net
 
-let expected_original_delay = 3.0
-let expected_retimed_delay = 2.0
-let expected_resynthesized_delay = 1.0
+let expected_original_delay = 3 * Netlist.Delay.unit
+let expected_retimed_delay = 2 * Netlist.Delay.unit
+let expected_resynthesized_delay = Netlist.Delay.unit

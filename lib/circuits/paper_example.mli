@@ -16,11 +16,11 @@
 val circuit : unit -> Netlist.Network.t
 (** Unit-delay view; 3 registers, critical path of 3 gates. *)
 
-val expected_original_delay : float
-(** 3.0 *)
+val expected_original_delay : Netlist.Delay.t
+(** 3 delay units *)
 
-val expected_retimed_delay : float
-(** 2.0 *)
+val expected_retimed_delay : Netlist.Delay.t
+(** 2 delay units *)
 
-val expected_resynthesized_delay : float
-(** 1.0 *)
+val expected_resynthesized_delay : Netlist.Delay.t
+(** 1 delay unit *)

@@ -2,7 +2,7 @@ module N = Netlist.Network
 
 type stats = {
   regs : int;
-  clk : float;
+  clk : Netlist.Delay.t;
   area : float;
 }
 

@@ -13,7 +13,7 @@
 
 type stats = {
   regs : int;
-  clk : float;
+  clk : Netlist.Delay.t;  (** ticks *)
   area : float;
 }
 

@@ -109,16 +109,13 @@ let engine_critical_path net model =
           match v.N.kind with
           | N.Input | N.Const _ | N.Latch _ -> false
           | N.Logic _ ->
-            let head_arrival = model v in
-            if abs_float (arrival.(v.N.id) -. head_arrival) < 1e-9 then
+            if arrival.(v.N.id) = model v then
               Array.length v.N.fanins > 0
               && Array.for_all (fun f -> N.is_latch (N.node net f)) v.N.fanins
             else begin
-              let need = arrival.(v.N.id) -. model v in
+              let need = arrival.(v.N.id) - model v in
               Array.exists
-                (fun f ->
-                  abs_float (arrival.(f) -. need) < 1e-9
-                  && is_good (N.node net f))
+                (fun f -> arrival.(f) = need && is_good (N.node net f))
                 v.N.fanins
             end
         in
@@ -131,10 +128,9 @@ let engine_critical_path net model =
       | N.Input | N.Const _ | N.Latch _ -> acc
       | N.Logic _ ->
         let acc = v :: acc in
-        let need = arrival.(v.N.id) -. model v in
+        let need = arrival.(v.N.id) - model v in
         let critical_fanins =
-          Array.to_list v.N.fanins
-          |> List.filter (fun f -> abs_float (arrival.(f) -. need) < 1e-9)
+          Array.to_list v.N.fanins |> List.filter (fun f -> arrival.(f) = need)
         in
         let pick =
           let preferred =
@@ -157,9 +153,7 @@ let engine_critical_path net model =
     in
     let critical_endpoints =
       List.sort_uniq compare
-        (List.filter
-           (fun id -> abs_float (arrival.(id) -. timing.Sta.period) < 1e-9)
-           endpoints)
+        (List.filter (fun id -> arrival.(id) = timing.Sta.period) endpoints)
     in
     let start =
       match
@@ -423,8 +417,8 @@ let resynthesize_impl ~options ~hooks original =
            retiming be performed such that our technique can be stopped from
            doing any harm" question, answered by construction. *)
         let regressed =
-          final_period > original_period +. 1e-9
-          || (final_period > original_period -. 1e-9
+          final_period > original_period
+          || (final_period = original_period
               && N.num_latches net >= N.num_latches original)
         in
         if options.guard_regression && regressed then
@@ -433,7 +427,8 @@ let resynthesize_impl ~options ~hooks original =
             note =
               Printf.sprintf
                 "guarded: resynthesis would regress period %.2f -> %.2f"
-                original_period final_period;
+                (Netlist.Delay.to_float original_period)
+                (Netlist.Delay.to_float final_period);
             stem_splits = !stem_splits;
             equivalence_classes =
               List.length (Dontcare.Classes.classes classes);
@@ -465,9 +460,8 @@ let resynthesize ?(options = default_options) ?(hooks = []) original =
       Obs.Metrics.add m_simplified outcome.simplified_cones;
       let p0 = Sta.clock_period original options.model in
       let p1 = Sta.clock_period outcome.network options.model in
-      if p0 > 0.0 then
-        Obs.Metrics.observe m_period_ratio
-          (int_of_float ((100.0 *. p1 /. p0) +. 0.5));
+      if p0 > 0 then
+        Obs.Metrics.observe m_period_ratio (((100 * p1) + (p0 / 2)) / p0);
       let r0 = N.num_latches original and r1 = N.num_latches outcome.network in
       if r0 > 0 then
         Obs.Metrics.observe m_register_ratio (((100 * r1) + (r0 / 2)) / r0);

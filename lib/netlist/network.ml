@@ -3,7 +3,7 @@ type init = I0 | I1 | Ix
 type binding = {
   gate_name : string;
   gate_area : float;
-  gate_delay : float;
+  gate_delay : Delay.t;
 }
 
 type kind =

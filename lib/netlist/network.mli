@@ -13,7 +13,7 @@ type init = I0 | I1 | Ix
 type binding = {
   gate_name : string;
   gate_area : float;
-  gate_delay : float;
+  gate_delay : Delay.t;  (** ticks *)
 }
 (** Technology binding attached to a mapped logic node. *)
 

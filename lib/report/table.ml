@@ -7,7 +7,8 @@ let header =
 
 let stats_cells = function
   | Some s ->
-    Printf.sprintf "%6d %6.2f %7.1f" s.Core.Flow.regs s.Core.Flow.clk
+    Printf.sprintf "%6d %6.2f %7.1f" s.Core.Flow.regs
+      (Netlist.Delay.to_float s.Core.Flow.clk)
       s.Core.Flow.area
   | None -> Printf.sprintf "%6s %6s %7s" "-" "-" "-"
 
@@ -94,7 +95,7 @@ let summary rows =
      %.3f\n"
     (List.length rows) retime_failed resynth_declined
     (mean (ratios (fun s -> float_of_int s.Core.Flow.regs)))
-    (mean (ratios (fun s -> s.Core.Flow.clk)))
+    (mean (ratios (fun s -> Netlist.Delay.to_float s.Core.Flow.clk)))
     (mean (ratios (fun s -> s.Core.Flow.area)))
 
 (* [jobs] > 1 runs the rows on a fork-join pool of at most [jobs] workers,

@@ -108,7 +108,7 @@ let minimize_registers ?(classes = []) net ~model ~max_period =
           match apply with
           | Error _ -> ()
           | Ok () ->
-            let period_ok = Sta.clock_period net model <= max_period +. 1e-9 in
+            let period_ok = Sta.clock_period net model <= max_period in
             let gained = latches_before - N.num_latches net in
             if period_ok && gained > 0 then begin
               Obs.Metrics.incr m_moves_accepted;

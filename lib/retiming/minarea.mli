@@ -19,7 +19,7 @@ val merge_all_siblings :
 
 val minimize_registers :
   ?classes:int list list ->
-  Netlist.Network.t -> model:Sta.model -> max_period:float -> int
+  Netlist.Network.t -> model:Sta.model -> max_period:Netlist.Delay.t -> int
 (** Mutates the network; returns the number of registers eliminated.  Each
     candidate move is kept only if {!Sta.clock_period} stays within
     [max_period].  [classes] constrains sibling merges as in

@@ -16,7 +16,7 @@ let failure_message = function
 
 type graph = {
   nv : int;                          (* vertex count; vertex 0 is the host *)
-  delay : float array;               (* per vertex *)
+  delay : Netlist.Delay.t array;     (* per vertex *)
   edges : (int * int * int) list;    (* (u, v, weight) *)
   node_of_vertex : int array;        (* vertex -> node id; -1 for host *)
 }
@@ -46,7 +46,7 @@ let build_graph net model =
       Hashtbl.add vertex_of_node n.N.id (i + 1);
       node_of_vertex.(i + 1) <- n.N.id)
     logic;
-  let delay = Array.make nv 0.0 in
+  let delay = Array.make nv 0 in
   List.iter
     (fun n -> delay.(Hashtbl.find vertex_of_node n.N.id) <- model n)
     logic;
@@ -82,18 +82,18 @@ let build_graph net model =
 
 let big = max_int / 4
 
+(* D's entry where W has no path *)
+let no_path = min_int
+
 (* Lexicographic shortest paths: W = min registers over paths, D = max delay
    among minimum-register paths (delays of both endpoints included).  The
    host (vertex 0) is never an intermediate vertex: a PO-to-PI hop through
    the environment is not a combinational timing path, so it must not
-   generate period constraints.  The delays are decimal, so D's bits depend
-   on how its sums associate: the relaxation keeps Floyd-Warshall's order,
-   d(u,k) + d(k,v) with k outermost, and adds v's delay last.  D is
-   [neg_infinity] exactly where W is [big]. *)
+   generate period constraints.  D is [no_path] exactly where W is [big]. *)
 let wd_matrices g =
   let n = g.nv in
   let w = Array.make_matrix n n big in
-  let d = Array.make_matrix n n neg_infinity in
+  let d = Array.make_matrix n n no_path in
   List.iter
     (fun (u, v, wt) ->
       if wt < w.(u).(v) || (wt = w.(u).(v) && g.delay.(u) > d.(u).(v)) then begin
@@ -127,19 +127,19 @@ let wd_matrices g =
           let wuv = Array.unsafe_get wu v in
           if nw < wuv then begin
             Array.unsafe_set wu v nw;
-            Array.unsafe_set du v (duk +. Array.unsafe_get dk v)
+            Array.unsafe_set du v (duk + Array.unsafe_get dk v)
           end
           else if nw = wuv then begin
-            let nd = duk +. Array.unsafe_get dk v in
+            let nd = duk + Array.unsafe_get dk v in
             if nd > Array.unsafe_get du v then Array.unsafe_set du v nd
           end
         done
     done
   done;
   for u = 0 to n - 1 do
-    let du = d.(u) in
+    let wu = w.(u) and du = d.(u) in
     for v = 0 to n - 1 do
-      du.(v) <- du.(v) +. g.delay.(v)
+      if wu.(v) < big then du.(v) <- du.(v) + g.delay.(v)
     done
   done;
   (w, d)
@@ -170,31 +170,30 @@ let m_realizations = Obs.Metrics.counter "retiming.realizations"
 let m_realizations_skipped = Obs.Metrics.counter "retiming.realizations_skipped"
 let m_cycle_certificates = Obs.Metrics.counter "retiming.cycle_certificates"
 
-(* A cycle C of the graph with d(C)/w'(C) > period - eps, eps = 1e-12 *
-   period, as its vertices in edge order; None when Bellman-Ford finds
-   none.  d(C) sums the cycle's vertex delays.  w'(C) counts its registers
-   plus one per edge into the host: a host-to-host path with w registers
-   has w+1 combinational segments, since the host is never an intermediate
-   of a timing path.  Any retiming keeps w(C) registers on C, so one of the
-   w'(C) register-free segments of C has delay >= d(C)/w'(C): the ratio
-   bounds every retiming's period from below.
+(* A cycle C of the graph with d(C)/w'(C) > period - 1, as its vertices in
+   edge order; None when Bellman-Ford finds none.  d(C) sums the cycle's
+   vertex delays.  w'(C) counts its registers plus one per edge into the
+   host: a host-to-host path with w registers has w+1 combinational
+   segments, since the host is never an intermediate of a timing path.
+   Any retiming keeps w(C) registers on C, so one of the w'(C)
+   register-free segments of C has delay >= d(C)/w'(C): the ratio bounds
+   every retiming's period from below.
    The test is longest-path Bellman-Ford with edge length
-   delay(u) - t * w'(e), t = period - eps, from 0 at every vertex; a
-   positive cycle is a cycle with ratio > t.  Each relaxation records u as
+   delay(u) - (period - 1) * w'(e), from 0 at every vertex; a positive
+   cycle is a cycle with ratio > period - 1.  Each relaxation records u as
    v's predecessor, and a cycle among those links is a positive cycle (CLRS
    Lemma 24.16), found at the first round that closes one.  Every cycle has
    w'(C) >= 1, as a register-free one would be a combinational loop. *)
 let critical_cycle g period =
-  let t = period -. (1e-12 *. period) in
   let nv = g.nv in
   let edges =
     List.map
       (fun (u, v, w) ->
         let w' = if v = 0 then w + 1 else w in
-        (u, v, g.delay.(u) -. (t *. float_of_int w')))
+        (u, v, g.delay.(u) - ((period - 1) * w')))
       g.edges
   in
-  let dist = Array.make nv 0.0 in
+  let dist = Array.make nv 0 in
   let pred = Array.make nv (-1) in
   let changed = ref true in
   let cycle = ref None in
@@ -204,7 +203,7 @@ let critical_cycle g period =
     incr iterations;
     List.iter
       (fun (u, v, len) ->
-        let d = dist.(u) +. len in
+        let d = dist.(u) + len in
         if d > dist.(v) then begin
           dist.(v) <- d;
           pred.(v) <- u;
@@ -231,10 +230,9 @@ let critical_cycle g period =
    always a negative cycle (CLRS Lemma 24.16), so an infeasible system
    stops at the first round that closes one instead of running to the
    round bound; feasible systems relax exactly as without the check. *)
-let feasible_retiming g (w, d) target =
+let feasible_retiming g (w, d) (target : Netlist.Delay.t) =
   Obs.Metrics.incr m_probes;
   let nv = g.nv in
-  let bound = target +. 1e-9 in
   let r = Array.make nv 0 in
   let pred = Array.make nv (-1) in
   let changed = ref true in
@@ -254,7 +252,7 @@ let feasible_retiming g (w, d) target =
     for u = 0 to nv - 1 do
       let wu = w.(u) and du = d.(u) in
       for v = 0 to nv - 1 do
-        if du.(v) > bound && r.(u) > r.(v) + wu.(v) - 1 then begin
+        if du.(v) > target && r.(u) > r.(v) + wu.(v) - 1 then begin
           r.(u) <- r.(v) + wu.(v) - 1;
           pred.(u) <- v;
           changed := true
@@ -270,46 +268,21 @@ let feasible_retiming g (w, d) target =
   end
 
 (* The distinct finite D values, ascending.  D holds up to V^2 entries but
-   few distinct ones: they are collected unboxed in an open-addressing set
-   (NaN marks a free slot; D never holds NaN), and only they are sorted. *)
+   few distinct ones: only those are sorted. *)
+module Tick_set = Hashtbl.Make (struct
+  type t = int
+  let equal = Int.equal
+  let hash x = (x * 0x9E3779B97F4A7C1) lsr 20
+end)
+
 let candidate_periods (_, d) =
-  let slot keys x =
-    (* + 0.0 sends -0.0 to 0.0, which [Float.equal] does not tell apart *)
-    let b = Int64.to_int (Int64.bits_of_float (x +. 0.0)) in
-    let h = (b lxor (b lsr 32)) * 0x9E3779B97F4A7C1 in
-    let mask = Array.length keys - 1 in
-    let i = ref ((h lxor (h lsr 29)) land mask) in
-    while not (Float.is_nan keys.(!i) || Float.equal keys.(!i) x) do
-      i := (!i + 1) land mask
-    done;
-    !i
-  in
-  let keys = ref (Array.make 256 nan) and size = ref 0 in
-  let add x =
-    let i = slot !keys x in
-    if Float.is_nan !keys.(i) then begin
-      !keys.(i) <- x;
-      incr size;
-      if 2 * !size > Array.length !keys then begin
-        let old = !keys in
-        keys := Array.make (2 * Array.length old) nan;
-        Array.iter
-          (fun k -> if not (Float.is_nan k) then !keys.(slot !keys k) <- k)
-          old
-      end
-    end
-  in
-  Array.iter (Array.iter (fun x -> if x > neg_infinity then add x)) d;
-  let values = Array.make !size 0.0 and n = ref 0 in
+  let seen = Tick_set.create 256 in
   Array.iter
-    (fun k ->
-      if not (Float.is_nan k) then begin
-        values.(!n) <- k;
-        incr n
-      end)
-    !keys;
-  Array.sort Float.compare values;
-  Array.to_list values
+    (Array.iter (fun x ->
+         if x <> no_path && not (Tick_set.mem seen x) then
+           Tick_set.add seen x ()))
+    d;
+  List.sort Int.compare (Tick_set.fold (fun x () acc -> x :: acc) seen [])
 
 (* --- realization by atomic moves ------------------------------------------- *)
 
@@ -382,7 +355,7 @@ let realize_copy g net r =
    instead, so the period constraints alone accept a target below a gate's
    own delay, which no retiming meets. *)
 let feasible g wd target =
-  if Array.exists (fun d -> d > target +. 1e-9) g.delay then None
+  if Array.exists (fun d -> d > target) g.delay then None
   else feasible_retiming g wd target
 
 let retime_with g wd net target =
@@ -407,7 +380,7 @@ let smallest_feasible n feasible =
 
 let min_period wd feasible =
   let candidates = Array.of_list (candidate_periods wd) in
-  if Array.length candidates = 0 then Ok 0.0
+  if Array.length candidates = 0 then Ok 0
   else
     match
       smallest_feasible (Array.length candidates) (fun i ->
@@ -437,7 +410,7 @@ let search_below g net current =
   let wd = wd_matrices g in
   let candidates =
     Array.of_list
-      (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))
+      (List.filter (fun c -> c < current) (candidate_periods wd))
   in
   let n = Array.length candidates in
   (* the search and the walk share the labellings: each candidate is
@@ -475,12 +448,10 @@ let search_below g net current =
   | Some i -> walk_up i None
   | None -> Error Infeasible
 
-(* A cycle of ratio d(C)/w'(C) > P - eps ([critical_cycle]) proves that no
-   candidate retimes, without W/D: every candidate c is below P - 1e-9, so
-   c + 1e-9 < P, and a labelling feasible at c would give a period of at
-   most c + 1e-9 below the cycle's bound.  eps = 1e-12 * P lies far inside
-   the 1e-9 margin and far below the spacing of distinct path delays, so
-   no candidate falls between the two. *)
+(* A cycle of ratio d(C)/w'(C) > P - 1 ([critical_cycle]) proves that no
+   candidate retimes, without W/D: every candidate c is at most P - 1, and
+   a labelling feasible at c would give a period of at most c, below the
+   cycle's bound. *)
 let retime_min_period net ~model =
   with_graph net model (fun g ->
       let current = Sta.clock_period net model in
@@ -493,7 +464,7 @@ let retime_min_period net ~model =
 module Internal = struct
   type nonrec graph = graph = {
     nv : int;
-    delay : float array;
+    delay : Netlist.Delay.t array;
     edges : (int * int * int) list;
     node_of_vertex : int array;
   }

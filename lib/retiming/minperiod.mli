@@ -2,6 +2,8 @@
 
     The retiming graph has one vertex per logic node plus a host vertex for
     the environment; edge weights count the latches between logic nodes.
+    Delays and periods are {!Netlist.Delay} ticks, so W/D's sums and every
+    period comparison are exact.
     Feasibility of a target period is decided by Bellman–Ford over the
     classical difference constraints: the edge constraints and, for every
     pair with D(u,v) above the target, the period constraint
@@ -46,19 +48,20 @@ type failure =
 
 val failure_message : failure -> string
 
-val min_feasible_period : Netlist.Network.t -> Sta.model -> (float, failure) result
+val min_feasible_period :
+  Netlist.Network.t -> Sta.model -> (Netlist.Delay.t, failure) result
 (** Best period any retiming can achieve (graph-level; ignores initial-state
     realizability).  Computed with the W/D-matrix difference constraints. *)
 
 val retime :
-  Netlist.Network.t -> model:Sta.model -> target:float ->
+  Netlist.Network.t -> model:Sta.model -> target:Netlist.Delay.t ->
   (Netlist.Network.t, failure) result
 (** Retime a copy of the network to meet [target].  The input network is not
     modified. *)
 
 val retime_min_period :
   Netlist.Network.t -> model:Sta.model ->
-  (Netlist.Network.t * float, failure) result
+  (Netlist.Network.t * Netlist.Delay.t, failure) result
 (** Retime to the minimum feasible period.  When realization fails at the
     optimum the next achievable candidate periods are tried before giving
     up, mirroring practical retiming tools.  Only candidate periods below
@@ -71,31 +74,33 @@ val retime_min_period :
 module Internal : sig
   type graph = {
     nv : int;                        (** vertex 0 is the host *)
-    delay : float array;
+    delay : Netlist.Delay.t array;
     edges : (int * int * int) list;  (** (u, v, register count) *)
     node_of_vertex : int array;
   }
 
   val build_graph : Netlist.Network.t -> Sta.model -> graph
 
-  val critical_cycle : graph -> float -> int list option
+  val critical_cycle : graph -> Netlist.Delay.t -> int list option
   (** [critical_cycle g p]: a cycle [v0; ...; vk] (edges [vi -> vi+1] and
-      [vk -> v0]) whose ratio d(C)/w'(C) exceeds (1 - 1e-12) [p], or None
+      [vk -> v0]) whose ratio d(C)/w'(C) exceeds [p] - 1, or None
       when Bellman–Ford finds none.  d(C) sums the vertex delays; w'(C)
       counts the registers of the lightest edge between consecutive
       vertices, plus one per edge into the host. *)
 
-  val wd_matrices : graph -> int array array * float array array
-  (** (W, D): D includes both endpoints' delays and is [neg_infinity]
-      exactly where W has no path. *)
+  val wd_matrices : graph -> int array array * Netlist.Delay.t array array
+  (** (W, D): D includes both endpoints' delays and is [min_int] exactly
+      where W has no path. *)
 
   val feasible_retiming :
-    graph -> int array array * float array array -> float -> int array option
+    graph -> int array array * Netlist.Delay.t array array -> Netlist.Delay.t ->
+    int array option
   (** The labelling (host at 0) meeting the target period's W/D
       constraints, or None.  Gate delays above the target are not
       checked. *)
 
-  val candidate_periods : int array array * float array array -> float list
+  val candidate_periods :
+    int array array * Netlist.Delay.t array array -> Netlist.Delay.t list
   (** The distinct finite D values, ascending. *)
 
   val realize :
@@ -103,8 +108,8 @@ module Internal : sig
   (** Apply a labelling to the network in place by atomic moves. *)
 
   val min_period :
-    int array array * float array array -> (float -> bool) ->
-    (float, failure) result
+    int array array * Netlist.Delay.t array array ->
+    (Netlist.Delay.t -> bool) -> (Netlist.Delay.t, failure) result
   (** The smallest candidate period (a distinct D value) the predicate
       accepts, found by the same search {!min_feasible_period} uses. *)
 end

@@ -130,7 +130,7 @@ let checkout eng key build =
 let stats_json (s : Core.Flow.stats) =
   J.Obj
     [ ("regs", J.Int s.Core.Flow.regs);
-      ("clk", J.Float s.Core.Flow.clk);
+      ("clk", J.Float (Netlist.Delay.to_float s.Core.Flow.clk));
       ("area", J.Float s.Core.Flow.area) ]
 
 let attempt_json (a : Core.Flow.attempt) =

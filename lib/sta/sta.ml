@@ -1,43 +1,43 @@
 module N = Netlist.Network
 
-type model = N.node -> float
+module D = Netlist.Delay
+
+type model = N.node -> D.t
 
 let unit_delay (n : N.node) =
   match n.N.kind with
-  | N.Logic _ -> 1.0
-  | N.Input | N.Const _ | N.Latch _ -> 0.0
+  | N.Logic _ -> D.unit
+  | N.Input | N.Const _ | N.Latch _ -> 0
 
 let mapped_delay (n : N.node) =
   match n.N.kind with
   | N.Logic _ ->
-    (match n.N.binding with Some b -> b.N.gate_delay | None -> 1.0)
-  | N.Input | N.Const _ | N.Latch _ -> 0.0
+    (match n.N.binding with Some b -> b.N.gate_delay | None -> D.unit)
+  | N.Input | N.Const _ | N.Latch _ -> 0
 
 type timing = {
-  arrival : float array;
-  period : float;
+  arrival : D.t array;
+  period : D.t;
   critical_end : int;
 }
 
 let analyze net model =
-  let arrival = Array.make (N.capacity net) neg_infinity in
+  let arrival = Array.make (N.capacity net) min_int in
   List.iter
     (fun n ->
       match n.N.kind with
-      | N.Input | N.Const _ | N.Latch _ -> arrival.(n.N.id) <- 0.0
+      | N.Input | N.Const _ | N.Latch _ -> arrival.(n.N.id) <- 0
       | N.Logic _ -> ())
     (N.all_nodes net);
   List.iter
     (fun n ->
       let worst =
-        Array.fold_left
-          (fun acc f -> max acc arrival.(f))
-          0.0 n.N.fanins
+        Array.fold_left (fun acc f -> Int.max acc arrival.(f)) 0 n.N.fanins
       in
-      arrival.(n.N.id) <- worst +. model n)
+      arrival.(n.N.id) <- worst + model n)
     (N.topo_combinational net);
   (* end points: PO drivers and latch data inputs *)
-  let period = ref 0.0 and critical_end = ref (-1) in
+  let period = ref 0 and critical_end = ref (-1) in
   let consider id =
     if !critical_end < 0 || arrival.(id) > arrival.(!critical_end) then
       critical_end := id;
@@ -74,7 +74,7 @@ let critical_path net model =
 let slack net model ~required =
   let t = analyze net model in
   let cap = Array.length t.arrival in
-  let required_at = Array.make cap infinity in
+  let required_at = Array.make cap max_int in
   let set_req id r = if r < required_at.(id) then required_at.(id) <- r in
   List.iter (fun (_, n) -> set_req n.N.id required) (N.outputs net);
   List.iter
@@ -84,9 +84,9 @@ let slack net model ~required =
   List.iter
     (fun n ->
       let req = required_at.(n.N.id) in
-      let fanin_req = req -. model n in
-      Array.iter (fun f -> set_req f fanin_req) n.N.fanins)
+      if req < max_int then
+        Array.iter (fun f -> set_req f (req - model n)) n.N.fanins)
     rev_topo;
   Array.init cap (fun id ->
-      if t.arrival.(id) = neg_infinity then infinity
-      else required_at.(id) -. t.arrival.(id))
+      if t.arrival.(id) = min_int || required_at.(id) = max_int then max_int
+      else required_at.(id) - t.arrival.(id))

@@ -6,7 +6,7 @@ type pattern =
 type gate = {
   gate_name : string;
   area : float;
-  delay : float;
+  delay : Netlist.Delay.t;
   ninputs : int;
   cover : Logic.Cover.t;
   pattern : pattern;
@@ -44,29 +44,30 @@ let l3 = Leaf 3
 let pand a b = Inv (Nand (a, b))
 let por a b = Nand (Inv a, Inv b)
 
+(* delays in ticks: 1_200 is 1.2 units *)
 let mcnc_lite =
   let gates =
-    [ mk "inv" 1.0 1.0 1 [ "0" ] (Inv l0);
-      mk "buf" 2.0 1.0 1 [ "1" ] (Inv (Inv l0));
-      mk "nand2" 2.0 1.0 2 [ "0-"; "-0" ] (Nand (l0, l1));
-      mk "nand3" 3.0 1.2 3
+    [ mk "inv" 1.0 1_000 1 [ "0" ] (Inv l0);
+      mk "buf" 2.0 1_000 1 [ "1" ] (Inv (Inv l0));
+      mk "nand2" 2.0 1_000 2 [ "0-"; "-0" ] (Nand (l0, l1));
+      mk "nand3" 3.0 1_200 3
         [ "0--"; "-0-"; "--0" ]
         (Nand (l0, pand l1 l2));
-      mk "nand4" 4.0 1.4 4
+      mk "nand4" 4.0 1_400 4
         [ "0---"; "-0--"; "--0-"; "---0" ]
         (Nand (pand l0 l1, pand l2 l3));
-      mk "nor2" 2.0 1.1 2 [ "00" ] (Inv (por l0 l1));
-      mk "nor3" 3.0 1.4 3 [ "000" ] (Inv (por l0 (por l1 l2)));
-      mk "and2" 3.0 1.3 2 [ "11" ] (pand l0 l1);
-      mk "or2" 3.0 1.3 2 [ "1-"; "-1" ] (por l0 l1);
+      mk "nor2" 2.0 1_100 2 [ "00" ] (Inv (por l0 l1));
+      mk "nor3" 3.0 1_400 3 [ "000" ] (Inv (por l0 (por l1 l2)));
+      mk "and2" 3.0 1_300 2 [ "11" ] (pand l0 l1);
+      mk "or2" 3.0 1_300 2 [ "1-"; "-1" ] (por l0 l1);
       (* aoi21 = (x0*x1 + x2)' = x0'x2' + x1'x2' *)
-      mk "aoi21" 3.0 1.4 3 [ "0-0"; "-00" ]
+      mk "aoi21" 3.0 1_400 3 [ "0-0"; "-00" ]
         (Inv (Nand (Nand (l0, l1), Inv l2)));
       (* oai21 = ((x0+x1)*x2)' = x0'x1' + x2' *)
-      mk "oai21" 3.0 1.4 3 [ "00-"; "--0" ] (Nand (por l0 l1, l2));
-      mk "xor2" 5.0 1.9 2 [ "10"; "01" ]
+      mk "oai21" 3.0 1_400 3 [ "00-"; "--0" ] (Nand (por l0 l1, l2));
+      mk "xor2" 5.0 1_900 2 [ "10"; "01" ]
         (Nand (Nand (l0, Inv l1), Nand (Inv l0, l1)));
-      mk "xnor2" 5.0 1.9 2 [ "11"; "00" ]
+      mk "xnor2" 5.0 1_900 2 [ "11"; "00" ]
         (Nand (Nand (l0, l1), Nand (Inv l0, Inv l1))) ]
   in
   { lib_name = "mcnc_lite"; gates; latch_area = 8.0 }

@@ -13,7 +13,7 @@ type pattern =
 type gate = {
   gate_name : string;
   area : float;
-  delay : float;
+  delay : Netlist.Delay.t;  (** ticks *)
   ninputs : int;
   cover : Logic.Cover.t;  (** over the [ninputs] leaf variables *)
   pattern : pattern;

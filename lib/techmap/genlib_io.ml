@@ -38,7 +38,7 @@ let tokenize s =
          incr i
        done;
        tokens := Tident (String.sub s start (!i - start + 1)) :: !tokens
-     | c -> failwith (Printf.sprintf "genlib: bad character %c in expression" c));
+     | c -> failwith (Printf.sprintf "bad character %c in expression" c));
     incr i
   done;
   List.rev !tokens
@@ -77,15 +77,15 @@ let parse_expr tokens =
       let e = expr () in
       (match peek () with
        | Some Trparen -> advance (); e
-       | _ -> failwith "genlib: missing )")
+       | _ -> failwith "missing )")
     | Some (Tident "CONST0") -> advance (); Const false
     | Some (Tident "CONST1") -> advance (); Const true
     | Some (Tident name) -> advance (); Var name
     | Some (Tstar | Tplus | Trparen) | None ->
-      failwith "genlib: expected a factor"
+      failwith "expected a factor"
   in
   let e = expr () in
-  if !stream <> [] then failwith "genlib: trailing tokens in expression";
+  if !stream <> [] then failwith "trailing tokens in expression";
   e
 
 (* Input pins are ordered alphabetically (the format carries no pin order;
@@ -112,7 +112,7 @@ let rec eval_expr env = function
 let pattern_of_expr var_index e =
   let rec go = function
     (* returns (pattern, inverted) *)
-    | Const _ -> failwith "genlib: constant gate functions are not mappable"
+    | Const _ -> failwith "constant gate functions are not mappable"
     | Var v -> (Genlib.Leaf (List.assoc v var_index), false)
     | Not e ->
       let p, inv = go e in
@@ -133,8 +133,8 @@ let parse_gate_body ~name ~area ~expr_text ~pin_delays =
   let e = parse_expr (tokenize expr_text) in
   let vars = sorted_vars e in
   let ninputs = List.length vars in
-  if ninputs = 0 then failwith ("genlib: gate " ^ name ^ " has no inputs");
-  if ninputs > 6 then failwith ("genlib: gate " ^ name ^ " has too many inputs");
+  if ninputs = 0 then failwith ("gate " ^ name ^ " has no inputs");
+  if ninputs > 6 then failwith ("gate " ^ name ^ " has too many inputs");
   let var_index = List.mapi (fun i v -> (v, i)) vars in
   let tt =
     Logic.Truthtab.create ninputs (fun point ->
@@ -144,15 +144,23 @@ let parse_gate_body ~name ~area ~expr_text ~pin_delays =
   let pattern = pattern_of_expr var_index e in
   let derived = Genlib.pattern_cover ninputs pattern in
   if not (Logic.Cover.equivalent derived cover) then
-    failwith ("genlib: internal pattern mismatch for gate " ^ name);
-  let delay = List.fold_left max 0.0 pin_delays in
-  let delay = if delay = 0.0 then 1.0 else delay in
+    failwith ("internal pattern mismatch for gate " ^ name);
+  let delay = List.fold_left max 0 pin_delays in
+  let delay = if delay = 0 then Netlist.Delay.unit else delay in
   { Genlib.gate_name = name; area; delay; ninputs; cover; pattern }
 
+let words s =
+  String.split_on_char ' ' s
+  |> List.concat_map (String.split_on_char '\t')
+  |> List.concat_map (String.split_on_char '\n')
+  |> List.concat_map (String.split_on_char '\r')
+  |> List.filter (fun w -> w <> "")
+
 let parse_string ?(name = "genlib") text =
-  (* Join the text and split on the GATE keyword so a gate's PIN lines stay
+  (* Blank out comments (keeping every line break, so offsets keep their
+     line numbers) and split on the GATE keyword so a gate's PIN lines stay
      with it regardless of line breaks. *)
-  let no_comments =
+  let text =
     String.split_on_char '\n' text
     |> List.map (fun line ->
            match String.index_opt line '#' with
@@ -160,76 +168,86 @@ let parse_string ?(name = "genlib") text =
            | None -> line)
     |> String.concat "\n"
   in
+  let n = String.length text in
+  (* 1-based line of offset [i]; the parser asks in increasing order *)
+  let pos = ref 0 and line = ref 1 in
+  let line_of i =
+    if i < !pos then begin pos := 0; line := 1 end;
+    while !pos < i do
+      if text.[!pos] = '\n' then incr line;
+      incr pos
+    done;
+    !line
+  in
+  let fail lineno msg = failwith (Printf.sprintf "genlib:%d: %s" lineno msg) in
   let chunks =
-    (* split at "GATE" keywords on token boundaries; text before the first
-       keyword is dropped (headers/blank space) *)
+    (* (offset, text) after each GATE keyword on token boundaries; text
+       before the first keyword is dropped (headers/blank space) *)
     let word = "GATE" in
-    let n = String.length no_comments and w = String.length word in
+    let w = String.length word in
     let is_boundary i =
       i < 0 || i >= n
-      || (match no_comments.[i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      || (match text.[i] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
     in
     let starts = ref [] in
-    for i = 0 to n - w do
-      if String.sub no_comments i w = word && is_boundary (i - 1)
-         && is_boundary (i + w)
-      then starts := i :: !starts
+    for i = n - w downto 0 do
+      if String.sub text i w = word && is_boundary (i - 1) && is_boundary (i + w)
+      then starts := (i + w) :: !starts
     done;
-    let starts = List.rev !starts in
     let rec cut = function
       | [] -> []
-      | [ s ] -> [ String.sub no_comments (s + w) (n - s - w) ]
-      | s :: (s2 :: _ as rest) ->
-        String.sub no_comments (s + w) (s2 - s - w) :: cut rest
+      | [ s ] -> [ (s, String.sub text s (n - s)) ]
+      | s :: (s2 :: _ as rest) -> (s, String.sub text s (s2 - w - s)) :: cut rest
     in
-    cut starts
+    cut !starts
+  in
+  let gate (offset, chunk) =
+    let gate_line = line_of offset in
+    (* NAME AREA OUT=EXPR ; PIN ... *)
+    let eq =
+      match String.index_opt chunk '=' with
+      | Some i -> i
+      | None -> fail gate_line "GATE line without '='"
+    in
+    let semi =
+      match String.index_from_opt chunk eq ';' with
+      | Some i -> i
+      | None -> fail gate_line "GATE expression missing ';'"
+    in
+    let gate_name, area =
+      match words (String.sub chunk 0 eq) with
+      | [ n; a; _out ] ->
+        (match float_of_string_opt a with
+         | Some x when Float.is_finite x && x >= 0.0 -> (n, x)
+         | Some _ | None -> fail gate_line ("bad area " ^ a))
+      | _ -> fail gate_line "malformed GATE header"
+    in
+    let expr_text = String.sub chunk (eq + 1) (semi - eq - 1) in
+    (* PIN lines: capture block delays (fields 5 and 7 after PIN) *)
+    let first_pin_line = line_of (offset + semi + 1) in
+    let pin_delays =
+      String.sub chunk (semi + 1) (String.length chunk - semi - 1)
+      |> String.split_on_char '\n'
+      |> List.mapi (fun i l -> (first_pin_line + i, l))
+      |> List.concat_map (fun (lineno, l) ->
+             let delay text =
+               match Netlist.Delay.of_string text with
+               | Some d -> d
+               | None -> fail lineno ("bad delay " ^ text)
+             in
+             match words l with
+             | "PIN" :: _ :: _ :: _ :: _ :: rise :: _ :: fall :: _ ->
+               [ delay rise; delay fall ]
+             | "PIN" :: _ -> fail lineno "malformed PIN line"
+             | _ -> [])
+    in
+    try parse_gate_body ~name:gate_name ~area ~expr_text ~pin_delays
+    with Failure msg -> fail gate_line msg
   in
   let gates =
     List.filter_map
-      (fun chunk ->
-        let chunk = String.trim chunk in
-        if chunk = "" then None
-        else begin
-          (* NAME AREA OUT=EXPR ; PIN ... *)
-          match String.index_opt chunk '=' with
-          | None -> failwith "genlib: GATE line without '='"
-          | Some eq ->
-            let semi =
-              match String.index_from_opt chunk eq ';' with
-              | Some i -> i
-              | None -> failwith "genlib: GATE expression missing ';'"
-            in
-            let head = String.sub chunk 0 eq in
-            let head_tokens =
-              String.split_on_char ' ' head
-              |> List.concat_map (String.split_on_char '\t')
-              |> List.concat_map (String.split_on_char '\n')
-              |> List.filter (fun s -> s <> "")
-            in
-            let gate_name, area =
-              match head_tokens with
-              | [ n; a; _out ] -> (n, float_of_string a)
-              | _ -> failwith "genlib: malformed GATE header"
-            in
-            let expr_text = String.sub chunk (eq + 1) (semi - eq - 1) in
-            (* PIN lines: capture block delays (fields 5 and 7 after PIN) *)
-            let rest = String.sub chunk (semi + 1) (String.length chunk - semi - 1) in
-            let pin_delays =
-              String.split_on_char '\n' rest
-              |> List.concat_map (fun line ->
-                     let toks =
-                       String.split_on_char ' ' line
-                       |> List.concat_map (String.split_on_char '\t')
-                       |> List.filter (fun s -> s <> "")
-                     in
-                     match toks with
-                     | "PIN" :: _ :: _ :: _ :: _ :: rise :: _ :: fall :: _ ->
-                       [ float_of_string rise; float_of_string fall ]
-                     | "PIN" :: _ -> failwith "genlib: malformed PIN line"
-                     | _ -> [])
-            in
-            Some (parse_gate_body ~name:gate_name ~area ~expr_text ~pin_delays)
-        end)
+      (fun ((_, chunk) as c) ->
+        if String.trim chunk = "" then None else Some (gate c))
       chunks
   in
   if gates = [] then failwith "genlib: no gates";
@@ -269,10 +287,11 @@ let to_string lib =
   Buffer.add_string buf (Printf.sprintf "# library %s\n" lib.Genlib.lib_name);
   List.iter
     (fun g ->
+      let delay = Netlist.Delay.to_string g.Genlib.delay in
       Buffer.add_string buf
-        (Printf.sprintf "GATE %s %.2f O=%s;\n  PIN * INV 1 999 %.2f 0.0 %.2f 0.0\n"
+        (Printf.sprintf "GATE %s %.2f O=%s;\n  PIN * INV 1 999 %s 0.0 %s 0.0\n"
            g.Genlib.gate_name g.Genlib.area
            (expr_string_of_cover g.Genlib.cover)
-           g.Genlib.delay g.Genlib.delay))
+           delay delay))
     lib.Genlib.gates;
   Buffer.contents buf

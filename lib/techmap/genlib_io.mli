@@ -7,16 +7,20 @@
 
     Expressions use [!] (negation), [*] (and), [+] (or), parentheses, and
     the constants [CONST0]/[CONST1].  Input pins are numbered
-    alphabetically (the format carries no pin order).  Each gate's delay is the largest block delay over its
-    PIN lines (the library model is load-independent).  Matching patterns
-    are derived automatically from the parsed expression by NAND2/INV
-    decomposition and are checked against the parsed function. *)
+    alphabetically (the format carries no pin order).  Each gate's delay is
+    the largest block delay over its PIN lines (the library model is
+    load-independent), read exactly into {!Netlist.Delay} ticks.  Matching
+    patterns are derived automatically from the parsed expression by
+    NAND2/INV decomposition and are checked against the parsed function. *)
 
 val parse_string : ?name:string -> string -> Genlib.t
 (** The format carries no latch cell: the parsed library takes
     {!Genlib.mcnc_lite}'s latch area.  Raises [Failure] with a line-numbered
-    message on malformed input, and on gates whose derived pattern does not
-    compute the parsed function (an internal consistency failure). *)
+    message ([genlib:LINE: ...]) on malformed input, including an area that
+    is not a finite non-negative number and a block delay that is not a
+    non-negative whole number of ticks ({!Netlist.Delay.of_string}), and on
+    gates whose derived pattern does not compute the parsed function (an
+    internal consistency failure). *)
 
 val parse_file : string -> Genlib.t
 

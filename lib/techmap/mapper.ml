@@ -259,10 +259,10 @@ let cover_tree net lib =
   let best : match_result option array = Array.make cap None in
   (* (arrival, gate count) compared lexicographically: the secondary component
      breaks ties toward matches that consume more subject nodes. *)
-  let cost = Array.make cap (infinity, infinity) in
+  let cost = Array.make cap (max_int, max_int) in
   let leaf_cost n =
     match n.N.kind with
-    | N.Input | N.Const _ | N.Latch _ -> (0.0, 0.0)
+    | N.Input | N.Const _ | N.Latch _ -> (0, 0)
     | N.Logic _ -> cost.(n.N.id)
   in
   List.iter
@@ -280,11 +280,11 @@ let cover_tree net lib =
         (fun m ->
           let leaf_costs = Array.map leaf_cost m.leaves in
           let gates =
-            Array.fold_left (fun acc (_, g) -> acc +. g) 1.0 leaf_costs
+            Array.fold_left (fun acc (_, g) -> acc + g) 1 leaf_costs
           in
           let arrival =
             m.gate.Genlib.delay
-            +. Array.fold_left (fun acc (p, _) -> max acc p) 0.0 leaf_costs
+            + Array.fold_left (fun acc (p, _) -> Int.max acc p) 0 leaf_costs
           in
           if (arrival, gates) < cost.(n.N.id) then begin
             cost.(n.N.id) <- (arrival, gates);
@@ -348,7 +348,7 @@ let map net ~lib =
       let nl = N.add_latch out ~name:l.N.name (N.latch_init l) (Lazy.force const0) in
       N.set_binding out nl
         (Some { N.gate_name = "dff"; gate_area = lib.Genlib.latch_area;
-                gate_delay = 0.0 });
+                gate_delay = 0 });
       Hashtbl.add mapping l.N.id nl)
     (N.latches subject);
   List.iter

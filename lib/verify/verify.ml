@@ -388,11 +388,11 @@ let check_bindings net out =
             (diag "binding/area" [ n.N.id ]
                (Printf.sprintf "%s#%d: gate %s has invalid area %g" n.N.name
                   n.N.id b.N.gate_name b.N.gate_area));
-        if bad_float b.N.gate_delay then
+        if b.N.gate_delay < 0 then
           emit
             (diag "binding/delay" [ n.N.id ]
                (Printf.sprintf "%s#%d: gate %s has invalid delay %g" n.N.name
-                  n.N.id b.N.gate_name b.N.gate_delay)))
+                  n.N.id b.N.gate_name (Netlist.Delay.to_float b.N.gate_delay))))
     (N.all_nodes net)
 
 (* --- driver ------------------------------------------------------------------ *)

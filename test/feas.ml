@@ -39,8 +39,8 @@ let feasible (g : I.graph) target =
       incr processed;
       List.iter
         (fun v ->
-          if arrival.(u) +. g.delay.(v) > arrival.(v) then
-            arrival.(v) <- arrival.(u) +. g.delay.(v);
+          if arrival.(u) + g.delay.(v) > arrival.(v) then
+            arrival.(v) <- arrival.(u) + g.delay.(v);
           indeg.(v) <- indeg.(v) - 1;
           if indeg.(v) = 0 then Queue.push v queue)
         adj.(u)
@@ -61,7 +61,7 @@ let feasible (g : I.graph) target =
       | Some arrival ->
         let violated = Array.make g.nv false in
         for v = 0 to g.nv - 1 do
-          if arrival.(v) > target +. 1e-9 then violated.(v) <- true
+          if arrival.(v) > target then violated.(v) <- true
         done;
         (* a negative retimed weight is a legality violation of the head
            vertex: incrementing it is the Bellman-Ford relaxation of the

@@ -509,9 +509,10 @@ end
    the sink delays added into a third matrix; every feasibility probe builds
    its constraint list and runs Bellman-Ford over it; the candidate periods
    go through a polymorphic [Hashtbl]; and the walk above the smallest
-   feasible candidate probes again and realizes at every step.  The library
-   must give bit-identical matrices, the same candidates, the same labelling
-   at every candidate and the same retimed network and period. *)
+   feasible candidate probes again and realizes at every step.  Delays are
+   integer ticks, so the library must give equal matrices, the same
+   candidates, the same labelling at every candidate and the same retimed
+   network and period. *)
 module Minperiod_ref = struct
   module M = Retiming.Minperiod
   module I = Retiming.Minperiod.Internal
@@ -522,7 +523,7 @@ module Minperiod_ref = struct
   let wd_matrices g =
     let nv = g.I.nv in
     let w = Array.make_matrix nv nv big in
-    let d = Array.make_matrix nv nv neg_infinity in
+    let d = Array.make_matrix nv nv min_int in
     List.iter
       (fun (u, v, wt) ->
         if wt < w.(u).(v) || (wt = w.(u).(v) && g.I.delay.(u) > d.(u).(v))
@@ -537,7 +538,7 @@ module Minperiod_ref = struct
           for v = 0 to nv - 1 do
             if w.(k).(v) < big then begin
               let nw = w.(u).(k) + w.(k).(v) in
-              let nd = d.(u).(k) +. d.(k).(v) in
+              let nd = d.(u).(k) + d.(k).(v) in
               if nw < w.(u).(v) || (nw = w.(u).(v) && nd > d.(u).(v)) then begin
                 w.(u).(v) <- nw;
                 d.(u).(v) <- nd
@@ -546,10 +547,10 @@ module Minperiod_ref = struct
           done
       done
     done;
-    let dd = Array.make_matrix nv nv neg_infinity in
+    let dd = Array.make_matrix nv nv min_int in
     for u = 0 to nv - 1 do
       for v = 0 to nv - 1 do
-        if w.(u).(v) < big then dd.(u).(v) <- d.(u).(v) +. g.I.delay.(v)
+        if w.(u).(v) < big then dd.(u).(v) <- d.(u).(v) + g.I.delay.(v)
       done
     done;
     (w, dd)
@@ -602,18 +603,18 @@ module Minperiod_ref = struct
       g.I.edges;
     for u = 0 to g.I.nv - 1 do
       for v = 0 to g.I.nv - 1 do
-        if d.(u).(v) > target +. 1e-9 && w.(u).(v) < big then
+        if d.(u).(v) > target && w.(u).(v) < big then
           constraints := (u, v, w.(u).(v) - 1) :: !constraints
       done
     done;
     solve_constraints g.I.nv !constraints
 
-  let candidate_periods (_, d) =
+  let candidate_periods (w, d) =
     let set = Hashtbl.create 64 in
     let nv = Array.length d in
     for u = 0 to nv - 1 do
       for v = 0 to nv - 1 do
-        if d.(u).(v) > neg_infinity then Hashtbl.replace set d.(u).(v) ()
+        if w.(u).(v) < big then Hashtbl.replace set d.(u).(v) ()
       done
     done;
     List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
@@ -649,7 +650,7 @@ module Minperiod_ref = struct
       let current = Sta.clock_period net model in
       let candidates =
         Array.of_list
-          (List.filter (fun c -> c < current -. 1e-9) (candidate_periods wd))
+          (List.filter (fun c -> c < current) (candidate_periods wd))
       in
       let rec walk_up i =
         if i >= Array.length candidates then Error M.Infeasible

@@ -484,7 +484,7 @@ let test_every_mutator_bumps_revision () =
           N.set_cover net (find net "out") or_cover);
       ("set_binding", false, fun net () ->
           N.set_binding net (find net "out")
-            (Some { N.gate_name = "and2"; gate_area = 1.0; gate_delay = 1.0 }));
+            (Some { N.gate_name = "and2"; gate_area = 1.0; gate_delay = 1_000 }));
       ("set_latch_init", false, fun net () ->
           N.set_latch_init net (find net "r") N.I1);
       ("replace_fanin", false, fun net () ->
@@ -570,6 +570,28 @@ let test_deep_fanout_edit () =
   N.delete net victim;
   Alcotest.(check int) "fanout removed" 199_999 (List.length a.N.fanouts)
 
+(* --- delay ticks ---------------------------------------------------------------- *)
+
+(* Decimal text reads exactly into ticks; anything that is not a
+   non-negative whole number of ticks is refused.  [to_string] reads back
+   to the same ticks. *)
+let test_delay_of_string () =
+  let module D = Netlist.Delay in
+  List.iter
+    (fun (text, expected) ->
+      Alcotest.(check (option int)) text expected (D.of_string text))
+    [ ("1.2", Some 1_200); ("0.1", Some 100); (".5", Some 500);
+      ("2", Some 2_000); ("2.", Some 2_000); ("1.2340", Some 1_234);
+      ("13.1", Some 13_100); ("0", Some 0); ("999", Some 999_000);
+      ("1.2345", None); ("-3.0", None); ("+1.0", None); ("nan", None);
+      ("inf", None); ("abc", None); ("", None); (".", None); ("1e3", None);
+      ("1.2.3", None); ("1_000", None); ("1234567890123", None) ];
+  List.iter
+    (fun t ->
+      Alcotest.(check (option int)) (D.to_string t) (Some t)
+        (D.of_string (D.to_string t)))
+    [ 0; 1; 100; 1_234; 13_100; 999_999_999 ]
+
 let () =
   Alcotest.run "netlist"
     [ ( "network",
@@ -605,6 +627,9 @@ let () =
           Alcotest.test_case "width mismatch" `Quick
             test_blif_width_mismatch;
           Alcotest.test_case "malformed" `Quick test_blif_malformed ] );
+      ( "delay",
+        [ Alcotest.test_case "decimal text to ticks" `Quick
+            test_delay_of_string ] );
       ( "props",
         List.map QCheck_alcotest.to_alcotest
           [ prop_generator_valid; prop_blif_roundtrip_behaviour;

@@ -20,14 +20,14 @@ let row name base retimed resynthesized =
     verify_diags = [] }
 
 let sample_rows =
-  [ row "alpha" (stats 10 5.0 100.0)
-      (attempt (Some (stats 12 4.0 120.0)))
-      (attempt (Some (stats 11 3.5 110.0)));
-    row "beta" (stats 6 3.0 60.0)
+  [ row "alpha" (stats 10 5_000 100.0)
+      (attempt (Some (stats 12 4_000 120.0)))
+      (attempt (Some (stats 11 3_500 110.0)));
+    row "beta" (stats 6 3_000 60.0)
       (attempt ~note:"no retiming achieves the target period" None)
-      (attempt (Some (stats 6 2.5 66.0)));
-    row "gamma" (stats 4 2.0 40.0)
-      (attempt (Some (stats 4 2.0 44.0)))
+      (attempt (Some (stats 6 2_500 66.0)));
+    row "gamma" (stats 4 2_000 40.0)
+      (attempt (Some (stats 4 2_000 44.0)))
       (attempt ~note:"critical path has no retimable gates" None) ]
 
 let test_row_format () =
@@ -63,13 +63,13 @@ let test_render_strength_footnotes () =
       trace = [ []; []; [] ];
       sim_confirmed = true }
   in
-  let s = Some (stats 4 2.0 40.0) in
+  let s = Some (stats 4 2_000 40.0) in
   let text =
     Report.Table.render
-      [ row "delta" (stats 4 2.0 40.0)
+      [ row "delta" (stats 4 2_000 40.0)
           (attempt ~verified:(Some (Eqcheck.Simulated "state-bit cap")) s)
           (attempt ~verified:(Some (Eqcheck.Refuted cex)) s);
-        row "eps" (stats 4 2.0 40.0)
+        row "eps" (stats 4 2_000 40.0)
           (attempt ~verified:(Some (Eqcheck.Unknown "no init")) s)
           (attempt ~verified:None s) ]
   in

@@ -189,15 +189,15 @@ let test_merge_rejects_mixed_inits () =
 
 let test_min_period_loop () =
   let net = two_register_loop () in
-  Alcotest.(check (float 1e-9)) "initial period 2" 2.0
+  Alcotest.(check int) "initial period 2" 2_000
     (Sta.clock_period net Sta.unit_delay);
   (match Retiming.Minperiod.min_feasible_period net Sta.unit_delay with
-   | Ok p -> Alcotest.(check (float 1e-9)) "feasible period 1" 1.0 p
+   | Ok p -> Alcotest.(check int) "feasible period 1" 1_000 p
    | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f));
   match Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay with
   | Ok (retimed, period) ->
-    Alcotest.(check (float 1e-9)) "achieved 1" 1.0 period;
-    Alcotest.(check (float 1e-9)) "measured 1" 1.0
+    Alcotest.(check int) "achieved 1" 1_000 period;
+    Alcotest.(check int) "measured 1" 1_000
       (Sta.clock_period retimed Sta.unit_delay);
     N.check retimed;
     Alcotest.(check bool) "behaviour preserved" true
@@ -206,9 +206,9 @@ let test_min_period_loop () =
 
 let test_retime_infeasible_target () =
   let net = two_register_loop () in
-  match Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target:0.5 with
+  match Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target:500 with
   | Error Retiming.Minperiod.Infeasible -> ()
-  | Ok _ -> Alcotest.fail "0.5 is below the loop bound"
+  | Ok _ -> Alcotest.fail "half a unit is below the loop bound"
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
 
 let test_retime_infeasible_long_ring () =
@@ -225,7 +225,8 @@ let test_retime_infeasible_long_ring () =
   N.replace_fanin net r ~old_fanin:a ~new_fanin:!last;
   N.set_output net "o" r;
   N.check net;
-  match Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target:100.0 with
+  let target = 100 * Netlist.Delay.unit in
+  match Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target with
   | Error Retiming.Minperiod.Infeasible -> ()
   | Ok _ -> Alcotest.fail "100 is below the loop bound of 200"
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
@@ -240,11 +241,11 @@ let test_retime_pipeline () =
   let g3 = N.add_logic net ~name:"g3" inv_cover [ g2 ] in
   let r = N.add_latch net ~name:"r" N.I0 g3 in
   N.set_output net "o" r;
-  Alcotest.(check (float 1e-9)) "period 3" 3.0
+  Alcotest.(check int) "period 3" 3_000
     (Sta.clock_period net Sta.unit_delay);
   match Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay with
   | Ok (retimed, period) ->
-    Alcotest.(check (float 1e-9)) "period 2" 2.0 period;
+    Alcotest.(check int) "period 2" 2_000 period;
     Alcotest.(check bool) "behaviour preserved" true
       (Oracle.seq_equivalent net retimed)
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
@@ -261,7 +262,7 @@ let test_retime_cannot_improve_single_register_pipeline () =
   N.set_output net "o" g3;
   match Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay with
   | Error Retiming.Minperiod.Infeasible -> ()
-  | Ok (_, p) -> Alcotest.failf "unexpected improvement to %.1f" p
+  | Ok (_, p) -> Alcotest.failf "unexpected improvement to %d ticks" p
   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f)
 
 let seq_profile =
@@ -276,7 +277,7 @@ let prop_retime_preserves_behaviour =
       match Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay with
       | Ok (retimed, period) ->
         N.check retimed;
-        Sta.clock_period retimed Sta.unit_delay <= period +. 1e-9
+        Sta.clock_period retimed Sta.unit_delay <= period
         && Oracle.seq_equivalent net retimed
       | Error _ -> true)
 
@@ -289,7 +290,7 @@ let prop_retime_improves_period =
       let before = Sta.clock_period net Sta.unit_delay in
       match Retiming.Minperiod.retime_min_period net ~model:Sta.unit_delay with
       | Ok (retimed, _) ->
-        Sta.clock_period retimed Sta.unit_delay < before -. 1e-9
+        Sta.clock_period retimed Sta.unit_delay < before
       | Error _ -> true)
 
 let prop_random_moves_preserve_behaviour =
@@ -331,7 +332,7 @@ let test_minarea_merges_copies () =
   N.set_output net "o" g;
   let eliminated =
     Retiming.Minarea.minimize_registers net ~model:Sta.unit_delay
-      ~max_period:10.0
+      ~max_period:(10 * Netlist.Delay.unit)
   in
   Alcotest.(check bool) "at least one register saved" true (eliminated >= 1);
   N.check net
@@ -351,7 +352,7 @@ let prop_minarea_sound =
            ~max_period:period);
       N.check net;
       N.num_latches net <= latches_before
-      && Sta.clock_period net Sta.unit_delay <= period +. 1e-9
+      && Sta.clock_period net Sta.unit_delay <= period
       && Oracle.seq_equivalent before net)
 
 let prop_feas_agrees_with_wd =
@@ -364,7 +365,7 @@ let prop_feas_agrees_with_wd =
       let a = Retiming.Minperiod.min_feasible_period net Sta.unit_delay in
       let b = Feas.min_period net Sta.unit_delay in
       match a, b with
-      | Ok x, Ok y -> abs_float (x -. y) < 1e-9
+      | Ok x, Ok y -> x = y
       | Error Retiming.Minperiod.Infeasible, Error Retiming.Minperiod.Infeasible
         ->
         true
@@ -380,10 +381,11 @@ let prop_retime_infeasible_iff_feas_rejects =
       let net = Circuits.Generators.random_sequential ~seed seq_profile in
       N.sweep net;
       let g = Retiming.Minperiod.Internal.build_graph net Sta.unit_delay in
-      let period = int_of_float (Sta.clock_period net Sta.unit_delay) in
+      let unit = Netlist.Delay.unit in
+      let period = Sta.clock_period net Sta.unit_delay / unit in
       List.for_all
         (fun target ->
-          let target = float_of_int target in
+          let target = target * unit in
           let declined =
             match
               Retiming.Minperiod.retime net ~model:Sta.unit_delay ~target
@@ -395,10 +397,10 @@ let prop_retime_infeasible_iff_feas_rejects =
         (List.init period (fun i -> i + 1)))
 
 (* The min-period solver against [Oracle.Minperiod_ref] on mapped netlists:
-   mcnc_lite's decimal gate delays make D's bits depend on how the path sums
-   associate, which unit delays would not show.  At this size about two in
-   three netlists retime, and on about one in fifteen the walk meets a
-   labelling that just failed and skips its realization. *)
+   mcnc_lite's mixed gate delays give far more distinct candidate periods
+   than unit delays would.  At this size about two in three netlists
+   retime, and some walks meet a labelling that just failed and skip its
+   realization. *)
 let reference_profile =
   { Circuits.Generators.default_profile with ngates = 30; nlatch = 8 }
 
@@ -413,7 +415,7 @@ let mapped_reference seed =
    network keeps its old period.  The library declines such periods, and
    the network it returns meets the period it reports. *)
 let below_a_gate (g : Retiming.Minperiod.Internal.graph) period =
-  Array.exists (fun d -> d > period +. 1e-9) g.delay
+  Array.exists (fun d -> d > period) g.delay
 
 let prop_minperiod_matches_reference =
   QCheck.Test.make ~count:100
@@ -427,25 +429,24 @@ let prop_minperiod_matches_reference =
       let g = I.build_graph mapped model in
       let ((w, d) as wd) = I.wd_matrices g in
       let ((w', d') as wd') = R.wd_matrices g in
-      let bits m = Array.map (Array.map Int64.bits_of_float) m in
       let candidates = I.candidate_periods wd in
       let same_result =
         match
           ( Retiming.Minperiod.retime_min_period mapped ~model,
             R.retime_min_period mapped ~model )
         with
-        | Ok (a, p), _ when Sta.clock_period a model > p +. 1e-9 -> false
+        | Ok (a, p), _ when Sta.clock_period a model > p -> false
         | Ok (_, p), Ok (_, q) when below_a_gate g q ->
           not (below_a_gate g p)
         | Error _, Ok (_, q) -> below_a_gate g q
         | Ok (a, p), Ok (b, q) ->
-          Int64.bits_of_float p = Int64.bits_of_float q
+          p = q
           && Netlist.Blif.to_string a = Netlist.Blif.to_string b
         | Error e, Error f -> e = f
         | Ok _, Error _ -> false
       in
       w = w'
-      && bits d = bits d'
+      && d = d'
       && candidates = R.candidate_periods wd'
       && List.for_all
            (fun c -> I.feasible_retiming g wd c = R.feasible_retiming g wd' c)
@@ -454,7 +455,7 @@ let prop_minperiod_matches_reference =
 
 (* Whenever [critical_cycle] certifies that no retiming beats the current
    period, the cycle is one of the graph's edges with ratio, recomputed
-   here, at least the period less the certificate's 1e-12 relative margin;
+   here, above the period less one tick;
    FEAS rejects every candidate below the period; and the reference solver,
    which builds W/D, finds no retiming either.  About one seed in four
    fires the certificate (2,415 of seeds 0-9999). *)
@@ -486,15 +487,14 @@ let prop_cycle_certificate_sound =
         let links =
           List.init n (fun i -> weight vertices.(i) vertices.((i + 1) mod n))
         in
-        let delay = Array.fold_left (fun s v -> s +. g.delay.(v)) 0.0 vertices in
+        let delay = Array.fold_left (fun s v -> s + g.delay.(v)) 0 vertices in
         let registers = List.fold_left (fun s w -> s + Option.get w) 0 in
         let wd = Oracle.Minperiod_ref.wd_matrices g in
         List.for_all Option.is_some links
         && List.length (List.sort_uniq compare cycle) = n
-        && delay /. float_of_int (registers links)
-           >= period -. (1e-12 *. period)
+        && delay > (period - 1) * registers links
         && List.for_all
-             (fun c -> c >= period -. 1e-9 || not (Feas.feasible g c))
+             (fun c -> c >= period || not (Feas.feasible g c))
              (Oracle.Minperiod_ref.candidate_periods wd)
         &&
         match Oracle.Minperiod_ref.retime_min_period mapped ~model with
@@ -522,7 +522,7 @@ let test_certificate_on_rows () =
          Retiming.Minperiod.retime_min_period mapped ~model:Sta.mapped_delay
        with
        | Error Retiming.Minperiod.Infeasible -> ()
-       | Ok (_, p) -> Alcotest.failf "%s: unexpected retiming to %g" name p
+       | Ok (_, p) -> Alcotest.failf "%s: unexpected retiming to %d" name p
        | Error f ->
          Alcotest.failf "%s: %s" name (Retiming.Minperiod.failure_message f));
       Alcotest.(check int) (name ^ ": no probe") p0
@@ -530,6 +530,46 @@ let test_certificate_on_rows () =
       Alcotest.(check int) (name ^ ": one certificate") (c0 + 1)
         (Obs.Metrics.counter_value certificates))
     [ "bbtas"; "s5378" ];
+  if not was_enabled then Obs.Metrics.disable ()
+
+(* in -> g1 -> g2 -> g3 -> r -> out with delays 0.1, 0.2 and 0.3: the
+   register moves between g2 and g3 (period 0.6 -> 0.3).  Two W/D entries
+   reach the optimum along different paths, g1 -> g2 and g3 -> host; in
+   floating point 0.1 + 0.2 and 0.3 differ, in ticks both are 300.  So the
+   period is one candidate, and the search probes it once: 500 first (the
+   largest below the current period), then 300; 100 is below g2's own
+   delay and is declined without a probe. *)
+let test_equal_tick_sums () =
+  let module I = Retiming.Minperiod.Internal in
+  let net = N.create ~name:"ticks" () in
+  let a = N.add_input net "a" and b = N.add_input net "b" in
+  let bound name delay cover fanins =
+    let g = N.add_logic net ~name cover fanins in
+    N.set_binding net g
+      (Some { N.gate_name = name; gate_area = 1.0; gate_delay = delay });
+    g
+  in
+  let g1 = bound "g1" 100 and_cover [ a; b ] in
+  let g2 = bound "g2" 200 or_cover [ g1; b ] in
+  let g3 = bound "g3" 300 inv_cover [ g2 ] in
+  let r = N.add_latch net ~name:"r" N.I0 g3 in
+  N.set_output net "o" r;
+  let model = Sta.mapped_delay in
+  let g = I.build_graph net model in
+  Alcotest.(check (list int)) "candidates" [ 100; 300; 500; 600 ]
+    (I.candidate_periods (I.wd_matrices g));
+  let was_enabled = Obs.Metrics.enabled () in
+  Obs.Metrics.enable ();
+  let probes = Obs.Metrics.counter "retiming.probes" in
+  let p0 = Obs.Metrics.counter_value probes in
+  (match Retiming.Minperiod.retime_min_period net ~model with
+   | Ok (retimed, period) ->
+     Alcotest.(check int) "period" 300 period;
+     Alcotest.(check int) "measured" 300 (Sta.clock_period retimed model);
+     Alcotest.(check bool) "behaviour preserved" true
+       (Oracle.seq_equivalent net retimed)
+   | Error f -> Alcotest.fail (Retiming.Minperiod.failure_message f));
+  Alcotest.(check int) "probes" (p0 + 2) (Obs.Metrics.counter_value probes);
   if not was_enabled then Obs.Metrics.disable ()
 
 let () =
@@ -562,7 +602,9 @@ let () =
           Alcotest.test_case "single-register pipeline" `Quick
             test_retime_cannot_improve_single_register_pipeline;
           Alcotest.test_case "cycle certificate on Table I rows" `Quick
-            test_certificate_on_rows ] );
+            test_certificate_on_rows;
+          Alcotest.test_case "equal tick sums are one candidate" `Quick
+            test_equal_tick_sums ] );
       ( "minarea",
         [ Alcotest.test_case "merges equivalent copies" `Quick
             test_minarea_merges_copies ] );

@@ -19,7 +19,7 @@ let chain_circuit () =
 
 let test_unit_delay_period () =
   let net = chain_circuit () in
-  Alcotest.(check (float 1e-9)) "period 3" 3.0
+  Alcotest.(check int) "period 3" 3_000
     (Sta.clock_period net Sta.unit_delay)
 
 let test_critical_path () =
@@ -38,7 +38,7 @@ let test_sequential_period () =
   let g2 = N.add_logic net ~name:"g2" inv_cover [ g1 ] in
   N.replace_fanin net r ~old_fanin:a ~new_fanin:g2;
   N.set_output net "o" r;
-  Alcotest.(check (float 1e-9)) "period 2" 2.0
+  Alcotest.(check int) "period 2" 2_000
     (Sta.clock_period net Sta.unit_delay);
   let path = Sta.critical_path net Sta.unit_delay in
   Alcotest.(check (list string)) "path" [ "g1"; "g2" ]
@@ -48,24 +48,24 @@ let test_mapped_delay () =
   let net = chain_circuit () in
   let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
   N.set_binding net g1
-    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
+    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2_500 });
   let model = Sta.mapped_delay in
-  Alcotest.(check (float 1e-9)) "period with binding" 4.5
+  Alcotest.(check int) "period with binding" 4_500
     (Sta.clock_period net model)
 
 let test_slack () =
   let net = chain_circuit () in
-  let slacks = Sta.slack net Sta.unit_delay ~required:3.0 in
+  let slacks = Sta.slack net Sta.unit_delay ~required:3_000 in
   let g3 = match N.find_by_name net "g3" with Some n -> n | None -> assert false in
   let side = match N.find_by_name net "side" with Some n -> n | None -> assert false in
-  Alcotest.(check (float 1e-9)) "critical slack 0" 0.0 slacks.(g3.N.id);
-  Alcotest.(check (float 1e-9)) "side slack 2" 2.0 slacks.(side.N.id)
+  Alcotest.(check int) "critical slack 0" 0 slacks.(g3.N.id);
+  Alcotest.(check int) "side slack 2" 2_000 slacks.(side.N.id)
 
 let test_no_logic () =
   let net = N.create () in
   let a = N.add_input net "a" in
   N.set_output net "o" a;
-  Alcotest.(check (float 1e-9)) "period 0" 0.0
+  Alcotest.(check int) "period 0" 0
     (Sta.clock_period net Sta.unit_delay);
   Alcotest.(check (list string)) "no path" []
     (List.map (fun n -> n.N.name) (Sta.critical_path net Sta.unit_delay))
@@ -80,7 +80,7 @@ let prop_critical_path_matches_period =
       in
       let period = Sta.clock_period net Sta.unit_delay in
       let path = Sta.critical_path net Sta.unit_delay in
-      abs_float (float_of_int (List.length path) -. period) < 1e-9)
+      List.length path * Netlist.Delay.unit = period)
 
 let prop_path_is_connected =
   QCheck.Test.make ~count:50 ~name:"critical path nodes form a chain"
@@ -105,12 +105,12 @@ let prop_path_is_connected =
 let test_edit_binding () =
   let net = chain_circuit () in
   let model = Sta.mapped_delay in
-  Alcotest.(check (float 1e-9)) "initial period" 3.0
+  Alcotest.(check int) "initial period" 3_000
     (Sta.clock_period net model);
   let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
   N.set_binding net g1
-    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
-  Alcotest.(check (float 1e-9)) "period after binding edit" 4.5
+    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2_500 });
+  Alcotest.(check int) "period after binding edit" 4_500
     (Sta.clock_period net model);
   Alcotest.(check (list string)) "path after binding edit"
     [ "g1"; "g2"; "g3" ]
@@ -124,13 +124,13 @@ let test_edit_latch_move () =
   let g = N.add_logic net ~name:"g" and_cover [ r1; r2 ] in
   let h = N.add_logic net ~name:"h" inv_cover [ g ] in
   N.set_output net "o" h;
-  Alcotest.(check (float 1e-9)) "before move" 2.0
+  Alcotest.(check int) "before move" 2_000
     (Sta.clock_period net Sta.unit_delay);
   (match Retiming.Moves.forward_across_node net g with
    | Ok _ -> ()
    | Error _ -> Alcotest.fail "move refused");
   (* the latch now sits at g's output: worst endpoint is g's data input *)
-  Alcotest.(check (float 1e-9)) "after move" 1.0
+  Alcotest.(check int) "after move" 1_000
     (Sta.clock_period net Sta.unit_delay)
 
 let test_edit_restore () =
@@ -139,16 +139,16 @@ let test_edit_restore () =
   let snap = N.copy net in
   let g2 = match N.find_by_name net "g2" with Some n -> n | None -> assert false in
   N.set_binding net g2
-    (Some { N.gate_name = "inv"; gate_area = 1.0; gate_delay = 5.0 });
-  Alcotest.(check (float 1e-9)) "period after edit" 7.0
+    (Some { N.gate_name = "inv"; gate_area = 1.0; gate_delay = 5_000 });
+  Alcotest.(check int) "period after edit" 7_000
     (Sta.clock_period net model);
   N.restore net snap;
-  Alcotest.(check (float 1e-9)) "period after restore" 3.0
+  Alcotest.(check int) "period after restore" 3_000
     (Sta.clock_period net model);
   let g1 = match N.find_by_name net "g1" with Some n -> n | None -> assert false in
   N.set_binding net g1
-    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2.5 });
-  Alcotest.(check (float 1e-9)) "period after restore + edit" 4.5
+    (Some { N.gate_name = "and2"; gate_area = 3.0; gate_delay = 2_500 });
+  Alcotest.(check int) "period after restore + edit" 4_500
     (Sta.clock_period net model)
 
 let () =

@@ -134,8 +134,8 @@ let prop_script_delay_no_worse_depth =
         Synth_opt.Script.script_delay net ~lib:Techmap.Genlib.mcnc_lite
       in
       let model = Sta.mapped_delay in
-      Sta.clock_period optimized model
-      <= (Sta.clock_period naive model *. 1.5) +. 1e-9)
+      2 * Sta.clock_period optimized model
+      <= 3 * Sta.clock_period naive model)
 
 (* --- structural hashing --------------------------------------------------------- *)
 

@@ -114,14 +114,15 @@ GATE nand2 2.0 O=!(a*b);  PIN * INV 1 999 1.0 0.0 1.0 0.0
 GATE aoi21 3.0 O=!(a*b+c); PIN * INV 1 999 1.4 0.0 1.4 0.0
 GATE xor2  5.0 O=a*!b+!a*b; PIN * INV 1 999 1.9 0.0 1.9 0.0
 GATE and3  4.0 O=a*b*c;   PIN * INV 1 999 1.6 0.0 1.6 0.0
+GATE or2   3.0 O=a+b;     PIN * INV 1 999 1.234 0.0 1.234 0.0
 |}
 
 let test_genlib_parse () =
   let lib = Techmap.Genlib_io.parse_string sample_genlib in
-  Alcotest.(check int) "5 gates" 5 (List.length lib.G.gates);
+  Alcotest.(check int) "6 gates" 6 (List.length lib.G.gates);
   let aoi = G.find lib "aoi21" in
   Alcotest.(check int) "aoi arity" 3 aoi.G.ninputs;
-  Alcotest.(check (float 1e-9)) "aoi delay" 1.4 aoi.G.delay;
+  Alcotest.(check int) "aoi delay" 1_400 aoi.G.delay;
   (* the parsed function must equal (ab + c)' *)
   let expected = Logic.Cover.of_strings 3 [ "0-0"; "-00" ] in
   Alcotest.(check bool) "aoi function" true
@@ -142,9 +143,14 @@ let test_genlib_roundtrip () =
     (fun a b ->
       Alcotest.(check string) "name" a.G.gate_name b.G.gate_name;
       Alcotest.(check (float 1e-9)) "area" a.G.area b.G.area;
+      Alcotest.(check int) "delay" a.G.delay b.G.delay;
       Alcotest.(check bool) "function" true
         (Logic.Cover.equivalent a.G.cover b.G.cover))
     lib.G.gates lib2.G.gates
+
+let test_genlib_three_place_delay () =
+  let lib = Techmap.Genlib_io.parse_string sample_genlib in
+  Alcotest.(check int) "1.234 is 1234 ticks" 1_234 (G.find lib "or2").G.delay
 
 let test_genlib_builtin_roundtrip () =
   let lib2 =
@@ -180,6 +186,28 @@ let test_genlib_rejects_garbage () =
     (try ignore (Techmap.Genlib_io.parse_string "GATE g 1.0 O=a+*b;"); false
      with Failure _ -> true)
 
+(* Each malformed number fails with the number of the line that holds it:
+   the GATE line for the area, the PIN line for a delay. *)
+let test_genlib_bad_numbers () =
+  let header = "# library\nGATE inv 1.0 O=!a;\n" in
+  let pin d = Printf.sprintf "  PIN * INV 1 999 %s 0.0 1.0 0.0\n" d in
+  List.iter
+    (fun (text, expected) ->
+      match Techmap.Genlib_io.parse_string text with
+      | _ -> Alcotest.failf "accepted: %S" text
+      | exception Failure msg -> Alcotest.(check string) text expected msg)
+    [ (header ^ pin "abc", "genlib:3: bad delay abc");
+      (header ^ pin "nan", "genlib:3: bad delay nan");
+      (header ^ pin "inf", "genlib:3: bad delay inf");
+      (header ^ pin "-3.0", "genlib:3: bad delay -3.0");
+      (header ^ pin "1.2345", "genlib:3: bad delay 1.2345");
+      ("\n\nGATE inv abc O=!a; PIN * INV 1 999 1.0 0.0 1.0 0.0\n",
+       "genlib:3: bad area abc");
+      ("GATE inv nan O=!a; PIN * INV 1 999 1.0 0.0 1.0 0.0\n",
+       "genlib:1: bad area nan");
+      ("GATE inv 1.0 O=!a;\nGATE g 1.0 O=a+*b;\n",
+       "genlib:2: expected a factor") ]
+
 let () =
   Alcotest.run "techmap"
     [ ( "library",
@@ -189,12 +217,16 @@ let () =
       ( "genlib-io",
         [ Alcotest.test_case "parse" `Quick test_genlib_parse;
           Alcotest.test_case "roundtrip" `Quick test_genlib_roundtrip;
+          Alcotest.test_case "three-place delay" `Quick
+            test_genlib_three_place_delay;
           Alcotest.test_case "builtin roundtrip" `Quick
             test_genlib_builtin_roundtrip;
           Alcotest.test_case "map with parsed library" `Quick
             test_genlib_map_with_parsed_library;
           Alcotest.test_case "rejects garbage" `Quick
-            test_genlib_rejects_garbage ] );
+            test_genlib_rejects_garbage;
+          Alcotest.test_case "bad numbers name their line" `Quick
+            test_genlib_bad_numbers ] );
       ( "mapper",
         [ Alcotest.test_case "single and2" `Quick test_map_simple_and;
           Alcotest.test_case "xor cell" `Quick test_map_xor_uses_xor_cell ] );

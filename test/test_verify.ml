@@ -82,7 +82,7 @@ let test_comb_cycle () =
 let test_bad_binding () =
   let net, g1, _, _, _ = seq_circuit () in
   N.set_binding net g1
-    (Some { N.gate_name = "and2"; gate_area = -3.0; gate_delay = 1.0 });
+    (Some { N.gate_name = "and2"; gate_area = -3.0; gate_delay = 1_000 });
   check_caught ~at:g1.N.id ~corruption:"negative area" ~rule:"binding/area"
     (Verify.run net)
 
@@ -177,7 +177,7 @@ let rec apply_random_edit st net fresh_po =
      | [] -> ()
      | _ ->
        N.set_binding net (pick logic)
-         (Some { N.gate_name = "g"; gate_area = 1.0; gate_delay = 0.5 }))
+         (Some { N.gate_name = "g"; gate_area = 1.0; gate_delay = 500 }))
   | 2 ->
     (match List.filter (Retiming.Moves.is_forward_retimable net) logic with
      | [] -> ()
